@@ -118,7 +118,7 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    value = ergodic.invariant_measure_cylinder(args.word, args.depth_bound)
+    value = ergodic.invariant_measure_cylinder(args.word)
     _emit(
         args,
         [f"{value.numerator}/{value.denominator}"],
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")
     p.add_argument("--word", required=True)
-    p.add_argument("--depth-bound", type=int, default=None)
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("freq", help="exact occurrence count over a window")

@@ -1,12 +1,12 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
 Frequency counts are exact integers over explicit windows.  The invariant
-measure of a cylinder word is computed as an exact rational: start
-positions are classified by their residue modulo 2^D, where the letter at
-almost every offset is pinned down by the closed-form valuation formula;
-the single offset per residue that a power of 2^D can fall on contributes
-an exact geometric-series tail.  Exponential sums are the only place
-floating point enters, and those assertions carry explicit tolerances.
+measure of a cylinder word is an exact rational, computed from the
+closed-form letter formula in about |w|^2 letter lookups with no cap on the
+word length (``substitution.invariant_measure_cylinder``, re-exported
+here).  A word belongs to the language exactly when its measure is
+positive.  Exponential sums are the only place floating point enters, and
+those assertions carry explicit tolerances.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .factormap import encode_value
-from .substitution import SymbolicPrefix, grigorchuk_letter
-
-MAX_MEASURE_DEPTH = 24
+from .factormap import encode_value, verify_equivariance  # noqa: F401  (encode_value is re-exported)
+from .substitution import SymbolicPrefix, invariant_measure_cylinder
 
 
 @dataclass(frozen=True)
@@ -33,18 +31,11 @@ class FrequencyEstimate:
 
 
 def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int) -> np.ndarray:
-    """Boolean mask over start positions 1..window (0-based index)."""
-    codes = prefix.codes
-    target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    target = prefix.alphabet._code_table[target]
-    mask = codes[:window] == target[0]
-    for j in range(1, len(word)):
-        mask &= codes[j : window + j] == target[j]
-    return mask
+    """Boolean mask over start positions 1..window (0-based index).
 
-
-def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
-    """Exact count of occurrences of ``word`` starting at positions 1..window."""
+    The last start position reads letters up to window + len(word) - 1,
+    which is the prefix length this requires.
+    """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
     if window < 1:
@@ -56,58 +47,19 @@ def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> Freque
             f" have {len(prefix)}",
             required_length=need,
         )
+    codes = prefix.codes
+    target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    target = prefix.alphabet._code_table[target]
+    mask = codes[:window] == target[0]
+    for j in range(1, len(word)):
+        mask &= codes[j : window + j] == target[j]
+    return mask
+
+
+def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
+    """Exact count of occurrences of ``word`` starting at positions 1..window."""
     count = int(_occurrence_mask(prefix, word, window).sum())
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
-
-
-def _tail_density(target: str, D: int) -> Fraction:
-    """Density of valuation_letter(D + d(j)) == target over j = 1, 2, ...
-
-    d(j) = k on a set of density 2^-(k+1); the admissible k form an
-    arithmetic progression mod 3, so the series sums to a rational.
-    """
-    if target == "a":
-        return Fraction(0)
-    residue = {"c": 1, "b": 2, "d": 0}[target]
-    k0 = (residue - D) % 3
-    # sum over k = k0, k0+3, k0+6, ... of 2^-(k+1)
-    return Fraction(1, 2 ** (k0 + 1)) * Fraction(8, 7)
-
-
-def invariant_measure_cylinder(word: str, depth_bound: int | None = None) -> Fraction:
-    """Exact invariant measure of the cylinder [word] at the sequence start.
-
-    Computed as the limiting density of 1-based start positions whose
-    letters (given by the closed-form valuation formula) spell ``word``.
-    """
-    if not word:
-        raise InvalidInputError("cylinder word must be nonempty")
-    for ch in word:
-        if ch not in "abcd":
-            raise InvalidInputError(f"letter {ch!r} outside the alphabet 'abcd'")
-    t = len(word)
-    if depth_bound is None:
-        depth_bound = t
-    if depth_bound < t:
-        raise InvalidInputError(f"depth bound {depth_bound} below word length {t}")
-    if depth_bound > MAX_MEASURE_DEPTH:
-        raise InvalidInputError(f"depth bound {depth_bound} above the configured max {MAX_MEASURE_DEPTH}")
-    D = depth_bound + 2
-    modulus = 1 << D
-    total = Fraction(0)
-    for r in range(1, modulus + 1):
-        contribution = Fraction(1)
-        for i, target in enumerate(word):
-            pos = r + i
-            if pos % modulus == 0:
-                # valuation >= D: letter varies within the residue class
-                contribution *= _tail_density(target, D)
-            elif grigorchuk_letter(pos) != target:
-                contribution = Fraction(0)
-            if contribution == 0:
-                break
-        total += contribution
-    return total / modulus
 
 
 @dataclass(frozen=True)
@@ -175,32 +127,16 @@ def eigenfunction_check(prefix: SymbolicPrefix, k: int, window: int) -> Eigenfun
 
     phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding; the
     eigenvalue relation holds iff r_{n+1} = r_n + 1 mod 2^k, which is checked
-    as integer equality.
+    as integer equality.  That is the equivariance of the encoding, so the
+    residues are those of ``factormap.verify_equivariance``.
     """
-    if window < 1:
-        raise InvalidInputError(f"window must be positive, got {window}")
-    span = 1 << (k + 2)
-    need = window + span
-    if len(prefix) < need:
-        raise InsufficientDataError(
-            f"eigenfunction check at precision {k} over {window} shifts needs prefix length"
-            f" {need}, have {len(prefix)}",
-            required_length=need,
-        )
-    codes = prefix.codes
-    modulus = 1 << k
-    residues = [encode_value(codes[n : n + span], k) for n in range(window + 1)]
-    first_failure = None
-    for n in range(window):
-        if residues[n + 1] != (residues[n] + 1) % modulus:
-            first_failure = n
-            break
+    report = verify_equivariance(prefix, k, window)
     return EigenfunctionReport(
-        ok=first_failure is None,
+        ok=report.ok,
         precision=k,
         shifts_checked=window,
-        first_failure=first_failure,
-        residues=tuple(residues),
+        first_failure=report.first_violation,
+        residues=report.values,
     )
 
 
@@ -218,15 +154,6 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     Dyadic theta pick up the point-spectrum mass; non-dyadic rationals decay
     to zero.  Sums run in a fixed pairwise order, so results are deterministic.
     """
-    if window < 1:
-        raise InvalidInputError(f"window must be positive, got {window}")
-    need = window + len(word)
-    if need > len(prefix):
-        raise InsufficientDataError(
-            f"window {window} with word length {len(word)} needs prefix length {need},"
-            f" have {len(prefix)}",
-            required_length=need,
-        )
     mask = _occurrence_mask(prefix, word, window)
     positions = np.nonzero(mask)[0].astype(np.float64)  # shift counts n with an occurrence
     samples = []

@@ -15,21 +15,19 @@ window, which side of that dichotomy a sequence appears to be on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .odometer import DyadicInt
 from .substitution import (
     GRIGORCHUK_ALPHABET,
     SymbolicPrefix,
-    grigorchuk_prefix,
+    invariant_measure_cylinder,
 )
 from .toeplitz import PeriodSkeleton, period_skeleton, skeleton_levels_from_codes
 
 TOEPLITZ_POINT = "toeplitz_point"
 OMEGA_STAR_ORBIT = "omega_star_orbit"
 
-DEFAULT_MASTER_LENGTH = 1 << 22
 DEFAULT_LANGUAGE_HORIZON = 64
 
 
@@ -101,39 +99,33 @@ def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> Equivari
     )
 
 
-@lru_cache(maxsize=2)
-def _master_text(length: int) -> str:
-    return grigorchuk_prefix(length).text
-
-
 def sigma_preimage_letters(
     prefix: SymbolicPrefix,
     language_horizon: int = DEFAULT_LANGUAGE_HORIZON,
-    master_length: int = DEFAULT_MASTER_LENGTH,
 ) -> set:
     """Letters l such that l + prefix stays in the language up to the horizon.
 
     Every factor of l + prefix other than its length-horizon head is already
-    a factor of the prefix, so only the head needs to be searched for in the
-    master language index (a long prefix of the fixed point, whose factor
-    set is the full language by minimality).
+    a factor of the prefix, so only the head is tested.  The subshift is
+    minimal and uniquely ergodic, so a word is in the language exactly when
+    its exact invariant measure is positive; each test costs about
+    horizon^2 letter lookups.  A head that is itself outside the language
+    (a letter outside 'abcd', or measure 0) raises NotInSubshiftError.
     """
     if language_horizon < 2:
         raise InvalidInputError(f"language horizon must be >= 2, got {language_horizon}")
-    if 4 * language_horizon > master_length:
-        raise InsufficientDataError(
-            f"horizon {language_horizon} exceeds the support of a master prefix of length"
-            f" {master_length}; need at least {4 * language_horizon}",
-            required_length=4 * language_horizon,
-        )
     if len(prefix) < language_horizon - 1:
         raise InsufficientDataError(
             f"prefix of length {len(prefix)} too short for horizon {language_horizon}",
             required_length=language_horizon - 1,
         )
-    master = _master_text(master_length)
     head = prefix.text[: language_horizon - 1]
-    return {l for l in prefix.alphabet.letters if (l + head) in master}
+    letters = GRIGORCHUK_ALPHABET.letters
+    if not set(head) <= set(letters) or invariant_measure_cylinder(head) == 0:
+        raise NotInSubshiftError(
+            f"the first {len(head)} letters are not a factor of the fixed point"
+        )
+    return {l for l in letters if invariant_measure_cylinder(l + head) > 0}
 
 
 @dataclass(frozen=True)

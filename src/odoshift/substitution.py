@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping
 
@@ -227,6 +228,58 @@ def grigorchuk_letter(m: int) -> str:
     if k == 0:
         return "a"
     return _VALUATION_LETTER[k % 3]
+
+
+def _tail_density(target: str, D: int) -> Fraction:
+    """Density of valuation_letter(D + d(j)) == target over j = 1, 2, ...
+
+    d(j) = k on a set of density 2^-(k+1); the admissible k form an
+    arithmetic progression mod 3, so the series sums to a rational.
+    """
+    if target == "a":
+        return Fraction(0)
+    residue = {"c": 1, "b": 2, "d": 0}[target]
+    k0 = (residue - D) % 3
+    # sum over k = k0, k0+3, k0+6, ... of 2^-(k+1)
+    return Fraction(1, 2 ** (k0 + 1)) * Fraction(8, 7)
+
+
+def invariant_measure_cylinder(word: str) -> Fraction:
+    """Exact invariant measure of the cylinder [word] at the sequence start.
+
+    Computed as the limiting density of 1-based start positions whose
+    letters (given by the closed-form valuation formula) spell ``word``.
+    Start positions are classified by their residue modulo 2^D with
+    2^D >= 2|word|: at most one offset of the word then falls on a multiple
+    of 2^D, and it contributes an exact tail density; every other letter is
+    fixed by the residue.  The cost is about |word|^2 letter lookups, with
+    no cap on the word length.  The subshift is minimal and uniquely
+    ergodic, so the measure is positive exactly when ``word`` is a factor
+    of the fixed point: this is the package's language test.
+    """
+    if not word:
+        raise InvalidInputError("cylinder word must be nonempty")
+    for ch in word:
+        if ch not in "abcd":
+            raise InvalidInputError(f"letter {ch!r} outside the alphabet 'abcd'")
+    t = len(word)
+    D = max(1, (t - 1).bit_length()) + 1
+    modulus = 1 << D
+    tails = {letter: _tail_density(letter, D) for letter in "abcd"}
+    total = 0
+    for r in range(1, modulus + 1):
+        weight = 1
+        for i, target in enumerate(word):
+            pos = r + i
+            if pos % modulus == 0:
+                # valuation >= D: letter varies within the residue class
+                weight = tails[target]
+            elif grigorchuk_letter(pos) != target:
+                weight = 0
+            if not weight:
+                break
+        total += weight
+    return Fraction(total) / modulus
 
 
 def grigorchuk_codes(length: int) -> np.ndarray:

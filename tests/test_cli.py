@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from odoshift import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -103,6 +108,14 @@ class TestFiber:
         assert payload["classification"] == "toeplitz_point"
         assert payload["preimage_letters"] == ["a"]
 
+    def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
+        rules = tmp_path / "period_doubling.txt"
+        rules.write_text("a -> ab\nb -> aa\n")
+        code, out, err = run(capsys, "fiber", "--seed-file", str(rules))
+        assert code == 4
+        assert out == ""
+        assert "not in subshift" in err
+
 
 class TestMeasure:
     def test_exact_rationals(self, capsys):
@@ -152,3 +165,31 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert len(payload["checks"]) == 10
+
+
+def readme_commands():
+    """(argv, expected first output line or None) for each line of README's "Command line" block."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "odoshift", line
+        # a comment that opens with a word over abcd, a bit string or a fraction is output
+        first = comment.split()[0] if comment.strip() else ""
+        expected = first if re.fullmatch(r"[abcd]+|[01]+|\d+/\d+", first) else None
+        commands.append((argv[1:], expected))
+    return commands
+
+
+def test_readme_commands(capsys):
+    outputs = set()
+    for argv, expected in readme_commands():
+        if argv == ["verify", "--level", "full"]:
+            continue  # the acceptance gate runs these checks at the same sizes
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expected is not None:
+            assert out.splitlines()[0] == expected, argv
+            outputs.add(expected)
+    assert outputs == {"acabacadacabacac", "10100000", "2/7"}

@@ -91,9 +91,18 @@ class TestInvariantMeasure:
         with pytest.raises(errors.InvalidInputError):
             erg.invariant_measure_cylinder("ax")
         with pytest.raises(errors.InvalidInputError):
-            erg.invariant_measure_cylinder("ab", depth_bound=1)
-        with pytest.raises(errors.InvalidInputError):
-            erg.invariant_measure_cylinder("a", depth_bound=erg.MAX_MEASURE_DEPTH + 1)
+            erg.invariant_measure_cylinder("")
+
+    def test_long_word_has_no_depth_cap(self):
+        # 25 letters: past the old depth cap of 24
+        window = 1 << 17
+        word = OMEGA.text[1000:1025]
+        exact = erg.invariant_measure_cylinder(word)
+        assert exact > 0
+        assert sum(erg.invariant_measure_cylinder(word + x) for x in "abcd") == exact
+        est = erg.cylinder_frequency(OMEGA, word, window)
+        assert abs(est.frequency - exact) < Fraction(1, 1000)
+        assert erg.invariant_measure_cylinder("a" * 25) == 0
 
 
 class TestUniformDistribution:
@@ -157,6 +166,16 @@ class TestSpectralScan:
             ]
             assert mags[0] > mags[1] > mags[2]
             assert mags[-1] <= 1e-2
+
+    def test_window_needs_window_plus_word_minus_one_letters(self):
+        prefix = grigorchuk_prefix(65)
+        for word in ("a", "ab"):
+            samples = erg.spectral_scan(prefix, [0], word, 66 - len(word))
+            count = erg.cylinder_frequency(prefix, word, 66 - len(word)).count
+            assert samples[0].magnitude * samples[0].window == pytest.approx(count)
+            with pytest.raises(errors.InsufficientDataError) as exc:
+                erg.spectral_scan(prefix, [0], word, 67 - len(word))
+            assert exc.value.required_length == 66
 
     def test_magnitude_bounded(self):
         samples = erg.spectral_scan(OMEGA, [Fraction(1, 3), Fraction(3, 8)], "ca", 1 << 12)

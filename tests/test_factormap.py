@@ -6,6 +6,7 @@ from odoshift import errors
 from odoshift import factormap as fm
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
+    Alphabet,
     SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
@@ -112,8 +113,17 @@ class TestSigmaPreimage:
             assert letters == {OMEGA.at(n)}, n
 
     def test_horizon_validation(self):
-        with pytest.raises(errors.InsufficientDataError):
-            fm.sigma_preimage_letters(OMEGA, 64, master_length=64)
+        with pytest.raises(errors.InvalidInputError):
+            fm.sigma_preimage_letters(OMEGA, 1)
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            fm.sigma_preimage_letters(word("acabaca"), 64)
+        assert exc.value.required_length == 63
+
+    def test_head_outside_the_language(self):
+        with pytest.raises(errors.NotInSubshiftError):
+            fm.sigma_preimage_letters(word("acaa" + OMEGA.text[:60]), 64)
+        with pytest.raises(errors.NotInSubshiftError):
+            fm.sigma_preimage_letters(SymbolicPrefix(Alphabet("acx"), "acx" * 22), 64)
 
 
 class TestClassifyFiber:

@@ -1,0 +1,125 @@
+"""Differential tests of the exact measure and of the language test built on it.
+
+Two slow references stand in for the program here:
+
+- ``reference_measure`` sorts start positions by their residue modulo
+  2^(|w|+2), so its cost doubles with every letter.  The measure in the
+  package uses the smallest modulus 2^D with 2^D >= 2|w| instead; both must
+  give the same exact rational.
+- ``substring_letters`` decides membership by searching a 2^16-letter
+  prefix of the fixed point, whose factors of length <= 256 are the whole
+  language at those lengths (the fixed point is minimal).
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from odoshift import errors
+from odoshift.ergodic import invariant_measure_cylinder
+from odoshift.factormap import sigma_preimage_letters
+from odoshift.substitution import (
+    GRIGORCHUK_ALPHABET,
+    SymbolicPrefix,
+    _tail_density,
+    grigorchuk_letter,
+    grigorchuk_prefix,
+)
+
+TEXT = grigorchuk_prefix(1 << 16).text
+
+
+def reference_measure(word: str) -> Fraction:
+    """The invariant measure of [word] from residues modulo 2^(|word|+2)."""
+    D = len(word) + 2
+    modulus = 1 << D
+    total = Fraction(0)
+    for r in range(1, modulus + 1):
+        contribution = Fraction(1)
+        for i, target in enumerate(word):
+            pos = r + i
+            if pos % modulus == 0:
+                # valuation >= D: letter varies within the residue class
+                contribution *= _tail_density(target, D)
+            elif grigorchuk_letter(pos) != target:
+                contribution = Fraction(0)
+            if contribution == 0:
+                break
+        total += contribution
+    return total / modulus
+
+
+def substring_letters(prefix: SymbolicPrefix, horizon: int) -> set:
+    """Preimage letters by substring search; raises if the head is no factor."""
+    head = prefix.text[: horizon - 1]
+    if head not in TEXT:
+        raise errors.NotInSubshiftError(head)
+    return {l for l in "abcd" if l + head in TEXT}
+
+
+def test_every_word_up_to_seven_letters_matches_the_reference():
+    # The reference runs on every word whose one-letter-shorter prefix has
+    # positive measure.  Any other word extends a word of measure 0, so its
+    # reference measure is 0, and the package must say 0 too.
+    factors = set()
+    for length in range(1, 8):
+        for letters in itertools.product("abcd", repeat=length):
+            word = "".join(letters)
+            mu = invariant_measure_cylinder(word)
+            if length == 1 or word[:-1] in factors:
+                assert mu == reference_measure(word), word
+            else:
+                assert mu == 0, word
+            if mu > 0:
+                factors.add(word)
+    assert factors == {TEXT[i : i + n] for n in range(1, 8) for i in range(1 << 12)}
+
+
+@st.composite
+def seeded_words(draw):
+    """A factor of length <= 12, with one letter changed half of the time."""
+    length = draw(st.integers(min_value=1, max_value=12))
+    start = draw(st.integers(min_value=0, max_value=(1 << 12)))
+    word = list(TEXT[start : start + length])
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=length - 1))
+        word[j] = draw(st.sampled_from([c for c in "abcd" if c != word[j]]))
+    return "".join(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=seeded_words())
+def test_measure_matches_the_reference(word):
+    assert invariant_measure_cylinder(word) == reference_measure(word)
+
+
+def test_preimage_letters_match_substring_search_along_the_orbit():
+    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, TEXT[:2048])
+    for horizon in (2, 3, 64, 256):
+        for n in range(0, 101):
+            shifted = prefix.shifted(n)
+            assert sigma_preimage_letters(shifted, horizon) == substring_letters(shifted, horizon), (n, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shift=st.integers(min_value=0, max_value=1 << 15),
+    horizon=st.integers(min_value=2, max_value=256),
+    mutate=st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=255), st.sampled_from("abcd"))),
+)
+def test_preimage_letters_match_substring_search(shift, horizon, mutate):
+    text = list(TEXT[shift : shift + 512])
+    if mutate is not None:
+        j, letter = mutate
+        text[j] = letter
+    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(text))
+    try:
+        expected = substring_letters(prefix, horizon)
+    except errors.NotInSubshiftError:
+        with pytest.raises(errors.NotInSubshiftError):
+            sigma_preimage_letters(prefix, horizon)
+    else:
+        assert sigma_preimage_letters(prefix, horizon) == expected
