@@ -31,8 +31,15 @@ DEFAULT_PRECISION = 16
 DEFAULT_WINDOW = 1 << 20
 
 
-def _load_input(args) -> substitution.SymbolicPrefix:
-    """Prefix from --input, or a (possibly shifted) generated fixed point."""
+def _load_input(args, need: int) -> substitution.SymbolicPrefix:
+    """Prefix from --input, or a (possibly shifted) generated fixed point.
+
+    ``need`` is the number of letters the command reads after the shift, so
+    a generated prefix has min(--length, shift + need) letters: every letter
+    the answer reads and no more.  A shorter --length still fails in the
+    command, with the length it requires.
+    """
+    shift = getattr(args, "shift", 0) or 0
     if getattr(args, "input", None):
         prefix = substitution.load_prefix(args.input, substitution.GRIGORCHUK_ALPHABET)
     else:
@@ -42,9 +49,23 @@ def _load_input(args) -> substitution.SymbolicPrefix:
         else:
             sub = substitution.grigorchuk_substitution()
             seed = args.seed_letter or "a"
-        prefix = substitution.fixed_point_prefix(sub, seed, args.length)
-    shift = getattr(args, "shift", 0) or 0
+        length = args.length
+        if length >= 1:
+            if not 0 <= shift < length:
+                raise InvalidInputError(f"shift {shift} outside 0..{length - 1}")
+            length = min(length, shift + need)
+        prefix = substitution.fixed_point_prefix(sub, seed, length)
     return prefix.shifted(shift) if shift else prefix
+
+
+def _skeleton_need(depth: int) -> int:
+    """Letters a skeleton of the given depth reads (a depth below 1 is rejected later)."""
+    return 1 << (max(depth, 1) + 2)
+
+
+def _window_need(args) -> int:
+    """Letters read by counting --word over --window start positions."""
+    return max(args.window, 1) + max(len(args.word), 1) - 1
 
 
 def _emit(args, lines, payload) -> None:
@@ -56,7 +77,7 @@ def _emit(args, lines, payload) -> None:
 
 
 def _cmd_generate(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, args.length)
     if args.output:
         substitution.save_prefix(prefix, args.output)
     _emit(args, [prefix.text], {"length": len(prefix), "prefix": prefix.text})
@@ -64,7 +85,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, _skeleton_need(args.levels))
     skeleton = toeplitz.period_skeleton(prefix, args.levels)
     lines = [
         f"{k} {m} {l}"
@@ -85,7 +106,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, _skeleton_need(args.precision))
     result = factormap.encode_fG(prefix, args.precision)
     bits = result.value.to_text()
     _emit(
@@ -97,7 +118,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, max(_skeleton_need(args.levels), args.horizon - 1))
     report = factormap.classify_fiber(prefix, args.levels, args.horizon)
     index = "-" if report.stabilization_index is None else str(report.stabilization_index)
     lines = [
@@ -128,7 +149,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_freq(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, _window_need(args))
     est = ergodic.cylinder_frequency(prefix, args.word, args.window)
     lines = [f"count {est.count} window {est.window} frequency {float(est.frequency):.10f}"]
     _emit(
@@ -140,7 +161,7 @@ def _cmd_freq(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    prefix = _load_input(args)
+    prefix = _load_input(args, _window_need(args))
     thetas = [Fraction(t) for t in args.theta]
     samples = ergodic.spectral_scan(prefix, thetas, args.word, args.window)
     lines = ["theta,magnitude,N"]

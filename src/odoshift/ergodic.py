@@ -152,15 +152,27 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     """|(1/N) sum_n exp(-2 pi i theta n) 1_word(shift^n x)| for each theta.
 
     Dyadic theta pick up the point-spectrum mass; non-dyadic rationals decay
-    to zero.  Sums run in a fixed pairwise order, so results are deterministic.
+    to zero.  For theta = p/q the occurrences are counted exactly per residue
+    of n mod q, and floating point enters only in the sum of at most
+    min(q, N) weighted phases, taken in a fixed pairwise order, so results
+    are deterministic.
     """
     mask = _occurrence_mask(prefix, word, window)
-    positions = np.nonzero(mask)[0].astype(np.float64)  # shift counts n with an occurrence
+    positions = np.flatnonzero(mask)  # shift counts n with an occurrence
     samples = []
     for theta in thetas:
         theta = Fraction(theta)
-        phase = -2.0 * math.pi * (theta.numerator / theta.denominator)
-        total = np.exp(1j * phase * positions).sum()
+        p, q = theta.numerator % theta.denominator, theta.denominator
+        if q <= window and q < 1 << 31:  # p * residue < q^2 fits in int64
+            counts = np.bincount(positions % q)
+            residues = np.flatnonzero(counts)
+            weights = counts[residues]
+            turns = (p * residues % q) / q
+        else:
+            # no residue class holds two occurrences when q >= window: one term each
+            weights = 1
+            turns = np.mod(positions * (p / q), 1.0)
+        total = (weights * np.exp(-2j * math.pi * turns)).sum()
         samples.append(
             SpectralSample(
                 theta=theta,

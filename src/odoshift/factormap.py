@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .odometer import DyadicInt
 from .substitution import (
@@ -23,7 +25,12 @@ from .substitution import (
     SymbolicPrefix,
     invariant_measure_cylinder,
 )
-from .toeplitz import PeriodSkeleton, period_skeleton, skeleton_levels_from_codes
+from .toeplitz import (
+    PeriodSkeleton,
+    deepest_columns,
+    period_skeleton,
+    skeleton_levels_from_codes,
+)
 
 TOEPLITZ_POINT = "toeplitz_point"
 OMEGA_STAR_ORBIT = "omega_star_orbit"
@@ -72,30 +79,24 @@ class EquivarianceReport:
 
 
 def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> EquivarianceReport:
-    """Check encode(shift^(n+1) x) = encode(shift^n x) + 1 mod 2^k for n < shifts."""
+    """Check encode(shift^(n+1) x) = encode(shift^n x) + 1 mod 2^k for n < shifts.
+
+    One skeleton scan encodes every shift 0..shifts at once; a shifted window
+    outside the subshift raises NotInSubshiftError naming the first such shift.
+    """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    window = 1 << (k + 2)
-    need = shifts + window
-    if len(prefix) < need:
-        raise InsufficientDataError(
-            f"{shifts} shifts at precision {k} need prefix length {need}, have {len(prefix)}",
-            required_length=need,
-        )
-    codes = prefix.codes
-    values = [encode_value(codes[n : n + window], k) for n in range(shifts + 1)]
+    columns = deepest_columns(prefix.codes, k, shifts)
     modulus = 1 << k
-    first_violation = None
-    for n in range(shifts):
-        if values[n + 1] != (values[n] + 1) % modulus:
-            first_violation = n
-            break
+    values = modulus - columns
+    steps_ok = np.diff(values) % modulus == 1
+    first_violation = None if steps_ok.all() else int(np.argmin(steps_ok))
     return EquivarianceReport(
         ok=first_violation is None,
         precision=k,
         shifts_checked=shifts,
         first_violation=first_violation,
-        values=tuple(values),
+        values=tuple(values.tolist()),
     )
 
 

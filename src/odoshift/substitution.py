@@ -16,7 +16,6 @@ All positions in public APIs are 1-based.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -58,8 +57,9 @@ class Alphabet:
         if len(self.letters) > 255:
             raise InvalidInputError("alphabet size must be at most 255")
         for ch in self.letters:
-            if not ch.isprintable() or len(ch) != 1:
-                raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable character")
+            # sequences are stored and read one byte per letter
+            if not (ch.isascii() and ch.isprintable()):
+                raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable ASCII character")
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
@@ -139,6 +139,19 @@ class Substitution:
                 if ch not in self.alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
 
+    @cached_property
+    def _byte_rules(self):
+        """(rule length, offset into the rule bytes) per letter byte, and the rule bytes."""
+        lengths = np.zeros(256, dtype=np.int64)
+        offsets = np.zeros(256, dtype=np.int64)
+        start = 0
+        for ch in self.alphabet.letters:
+            lengths[ord(ch)] = len(self.rules[ch])
+            offsets[ord(ch)] = start
+            start += len(self.rules[ch])
+        flat = "".join(self.rules[ch] for ch in self.alphabet.letters).encode("ascii")
+        return lengths, offsets, np.frombuffer(flat, dtype=np.uint8)
+
 
 def validate_prolongable(sub: Substitution, seed: str) -> bool:
     """True iff sub(seed) starts with seed and has at least two letters."""
@@ -148,16 +161,34 @@ def validate_prolongable(sub: Substitution, seed: str) -> bool:
     return len(word) >= 2 and word[0] == seed
 
 
-def _step(sub: Substitution, text: str, cap: int) -> str:
-    counts = Counter(text)
-    projected = sum(n * len(sub.rules[ch]) for ch, n in counts.items())
-    if projected > cap:
+# Source letters expanded per numpy pass: bounds the index temporaries to a
+# fixed size, whatever the requested length.
+_CHUNK = 1 << 14
+
+
+def _check_cap(length: int) -> None:
+    cap = sequence_byte_cap()
+    if length > cap:
         raise ResourceLimitError(
-            f"substitution step would produce {projected} letters, over the cap of {cap};"
-            f" set {MAX_BYTES_ENV}>={projected} to allow it",
-            required_bytes=projected,
+            f"requested length {length} exceeds the cap of {cap} bytes", required_bytes=length
         )
-    return "".join(sub.rules[ch] for ch in text)
+
+
+def _image(sub: Substitution, src: np.ndarray, dst: np.ndarray) -> int:
+    """Write sub(src) into dst, cut at len(dst); return the number of letters written.
+
+    ``src`` and ``dst`` hold letter bytes and must not overlap.
+    """
+    lengths, offsets, flat = sub._byte_rules
+    n = lengths[src]
+    ends = np.cumsum(n)
+    total = min(int(ends[-1]), len(dst))
+    # letter j of the output lies in the image of src[i], which starts at
+    # ends[i] - n[i], and reads flat[offsets[src[i]] + j - (ends[i] - n[i])]
+    index = np.repeat(offsets[src] - (ends - n), n)[:total]
+    index += np.arange(total)
+    dst[:total] = flat[index]
+    return total
 
 
 def iterate(sub: Substitution, word: SymbolicPrefix, steps: int) -> SymbolicPrefix:
@@ -165,21 +196,35 @@ def iterate(sub: Substitution, word: SymbolicPrefix, steps: int) -> SymbolicPref
     if steps < 0:
         raise InvalidInputError(f"steps must be nonnegative, got {steps}")
     cap = sequence_byte_cap()
-    text = word.text
-    for ch in set(text):
+    for ch in set(word.text):
         if ch not in sub.rules:
             raise InvalidInputError(f"letter {ch!r} has no substitution rule")
+    lengths = sub._byte_rules[0]
+    letters = np.frombuffer(word.text.encode("ascii"), dtype=np.uint8)
     for _ in range(steps):
-        text = _step(sub, text, cap)
-    return SymbolicPrefix(sub.alphabet, text)
+        projected = int(np.bincount(letters, minlength=256) @ lengths)
+        if projected > cap:
+            raise ResourceLimitError(
+                f"substitution step would produce {projected} letters, over the cap of {cap};"
+                f" set {MAX_BYTES_ENV}>={projected} to allow it",
+                required_bytes=projected,
+            )
+        out = np.empty(projected, dtype=np.uint8)
+        written = 0
+        for start in range(0, len(letters), _CHUNK):
+            written += _image(sub, letters[start : start + _CHUNK], out[written:])
+        letters = out
+    return SymbolicPrefix(sub.alphabet, str(letters, "ascii"))
 
 
 def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPrefix:
     """First ``length`` letters of the substitution-invariant sequence grown from ``seed``.
 
-    Each application to a prefix of the fixed point yields a longer prefix of
-    the same fixed point, so intermediate words are truncated to ``length``
-    to keep memory linear in the request.
+    The fixed point x satisfies x = sub(x), so the image of the letters
+    already written continues the array: one ``length``-byte array is filled
+    by expanding its own letters, a bounded chunk at a time.  Peak memory is
+    a few bytes per letter, and the cap is checked before anything is
+    allocated.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -187,15 +232,18 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
         raise InvalidInputError(
             f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2"
         )
-    cap = sequence_byte_cap()
-    if length > cap:
-        raise ResourceLimitError(
-            f"requested length {length} exceeds the cap of {cap} bytes", required_bytes=length
-        )
-    text = seed
-    while len(text) < length:
-        text = _step(sub, text[:length], cap)
-    return SymbolicPrefix(sub.alphabet, text[:length])
+    _check_cap(length)
+    out = np.empty(length, dtype=np.uint8)
+    head = sub.rules[seed][:length].encode("ascii")
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    # invariant: out[:written] is the image of out[:read], and read < written
+    read, written = 1, len(head)
+    while written < length:
+        # each letter has a nonempty image, so chunk letters yield at least chunk
+        chunk = min(_CHUNK, written - read, length - written)
+        written += _image(sub, out[read : read + chunk], out[written:])
+        read += chunk
+    return SymbolicPrefix(sub.alphabet, str(out, "ascii"))
 
 
 def dyadic_valuation(m: int) -> int:
@@ -283,17 +331,18 @@ def invariant_measure_cylinder(word: str) -> Fraction:
 
 
 def grigorchuk_codes(length: int) -> np.ndarray:
-    """Vectorized closed-form oracle: codes for positions 1..length."""
+    """Vectorized closed-form oracle: codes for positions 1..length.
+
+    The positions 2^v * odd share the letter of valuation v, so one strided
+    write per valuation fills the array and nothing but the result is
+    allocated.  The length counts against the sequence cap.
+    """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
-    m = np.arange(1, length + 1, dtype=np.int64)
-    # exponent of the lowest set bit; frexp is exact on powers of two
-    v = np.frexp((m & -m).astype(np.float64))[1] - 1
-    table = np.array(
-        [GRIGORCHUK_ALPHABET.index(_VALUATION_LETTER[r]) for r in range(3)], dtype=np.uint8
-    )
-    codes = table[v % 3]
-    codes[v == 0] = GRIGORCHUK_ALPHABET.index("a")
+    _check_cap(length)
+    codes = np.empty(length, dtype=np.uint8)
+    for v in range(length.bit_length()):
+        codes[(1 << v) - 1 :: 2 << v] = GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v))
     return codes
 
 

@@ -193,54 +193,104 @@ class PeriodSkeleton:
         return len(self.levels)
 
 
-def skeleton_levels_from_codes(codes: np.ndarray, K: int):
-    """Core scan: (M_1..M_K, l_1..l_K codes) from a code array, window 2^(K+2).
+def _skeleton_scan(codes: np.ndarray, K: int, shifts: int):
+    """Yield (M_k, l_k code) arrays for k = 1..K over every window start n = 0..shifts.
 
-    Operates on raw uint8 codes so callers can slice shifted windows without
-    re-materializing prefix objects.
+    The window at start n is codes[n : n + 2^(K+2)].  At level k its columns
+    are the 0-based positions n .. n + 2^k - 1, and position i heads a
+    constant column when codes[i] == codes[i + j 2^k] for j = 1, 2, 3.  A
+    window in the subshift has exactly one non-constant column; M_k is its
+    1-based residue, and it is nested: M_k = M_(k-1) mod 2^(k-1).  l_k is the
+    letter of the column that became constant at level k.
+
+    The non-constant columns are marked once per level for all starts
+    together, so the cost is O(K (shifts + 2^(K+2))) rather than a scan per
+    start.  After the last level, the first start whose window breaks a rule
+    raises NotInSubshiftError for its first failing level, as a scan window by
+    window would; values yielded for such a window are meaningless.
     """
-    window = 1 << (K + 2)
-    if len(codes) < window:
+    if K < 1:
+        raise InvalidInputError(f"depth K must be positive, got {K}")
+    if shifts < 0:
+        raise InvalidInputError(f"shifts must be nonnegative, got {shifts}")
+    need = shifts + (1 << (K + 2))
+    if len(codes) < need:
+        over = f" over shifts 0..{shifts}" if shifts else ""
         raise InsufficientDataError(
-            f"skeleton at depth {K} needs prefix length {window}, have {len(codes)}",
-            required_length=window,
+            f"skeleton at depth {K}{over} needs prefix length {need}, have {len(codes)}",
+            required_length=need,
         )
-    levels = []
-    letters = []
-    prev_m = None
+    starts = np.arange(shifts + 1)
+    ok = np.ones(shifts + 1, dtype=bool)  # no rule broken at any level so far
+    error = None  # (start, message) of the first window found to break a rule
+    prev = None
     for k in range(1, K + 1):
         cols = 1 << k
-        block = codes[: 4 * cols].reshape(4, cols)
-        nonconst = np.nonzero((block != block[0]).any(axis=0))[0]
-        if len(nonconst) == 0:
-            raise NotInSubshiftError(
-                f"window of length {4 * cols} is periodic with period {cols};"
-                f" no level-{k} non-constant column exists"
-            )
-        if len(nonconst) > 1:
-            raise NotInSubshiftError(
-                f"{len(nonconst)} non-constant columns at level {k}; a valid sequence has exactly one"
-            )
-        m = int(nonconst[0]) + 1
-        if prev_m is None:
-            newly = 1 if m == 2 else 2
+        span = shifts + cols
+        head = codes[:span]
+        marked = np.flatnonzero(
+            (head != codes[cols : cols + span])
+            | (head != codes[2 * cols : 2 * cols + span])
+            | (head != codes[3 * cols : 3 * cols + span])
+        )
+        first = np.searchsorted(marked, starts)
+        count = np.searchsorted(marked, starts + cols) - first
+        m = np.append(marked, 0)[first] - starts + 1  # the column, where count == 1
+        bad = count != 1
+        if prev is None:
+            newly = np.where(m == 2, 1, 2)
         else:
-            half = 1 << (k - 1)
-            if m % half != prev_m % half:
-                raise NotInSubshiftError(
-                    f"level-{k} column {m} is not nested in level-{k - 1} column {prev_m}"
-                )
-            newly = prev_m if m != prev_m else prev_m + half
-        levels.append(m)
-        letters.append(int(block[0, newly - 1]))
-        prev_m = m
+            half = cols >> 1
+            bad |= (m - prev) % half != 0
+            newly = np.where(m != prev, prev, prev + half)
+        bad &= ok
+        if bad.any():
+            n = int(np.argmax(bad))
+            if error is None or n < error[0]:
+                if count[n] == 0:
+                    reason = (
+                        f"window of length {4 * cols} is periodic with period {cols};"
+                        f" no level-{k} non-constant column exists"
+                    )
+                elif count[n] > 1:
+                    reason = (
+                        f"{count[n]} non-constant columns at level {k};"
+                        " a valid sequence has exactly one"
+                    )
+                else:
+                    reason = f"level-{k} column {m[n]} is not nested in level-{k - 1} column {prev[n]}"
+                error = (n, reason)
+            ok &= ~bad
+        yield m, codes[starts + np.where(ok, newly, 1) - 1]
+        prev = m
+    if error is not None:
+        n, reason = error
+        raise NotInSubshiftError(f"window at shift {n}: {reason}" if shifts else reason)
+
+
+def skeleton_levels_from_codes(codes: np.ndarray, K: int):
+    """(M_1..M_K, l_1..l_K codes) of the one window codes[: 2^(K+2)].
+
+    Operates on raw uint8 codes so callers can slice shifted windows without
+    re-materializing prefix objects; ``deepest_columns`` scans every shift.
+    """
+    levels = []
+    letters = []
+    for m, letter in _skeleton_scan(codes, K, 0):
+        levels.append(int(m[0]))
+        letters.append(int(letter[0]))
     return levels, letters
+
+
+def deepest_columns(codes: np.ndarray, K: int, shifts: int) -> np.ndarray:
+    """M_K of the window codes[n : n + 2^(K+2)] for every n = 0..shifts, in one scan."""
+    for m, _ in _skeleton_scan(codes, K, shifts):
+        pass
+    return m
 
 
 def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
     """Scan all residue columns of levels 1..K over the window [1, 2^(K+2)]."""
-    if K < 1:
-        raise InvalidInputError(f"depth K must be positive, got {K}")
     levels, letter_codes = skeleton_levels_from_codes(prefix.codes, K)
     letters = tuple(prefix.alphabet.letters[c] for c in letter_codes)
     if K >= 2 and levels[-1] == levels[-2]:

@@ -197,7 +197,7 @@ def check_letter_measure(sizes: Sizes) -> CheckResult:
 def check_spectrum(sizes: Sizes) -> CheckResult:
     windows = [1 << (sizes.spectral_window_log2 - 4), 1 << (sizes.spectral_window_log2 - 2),
                1 << sizes.spectral_window_log2]
-    prefix = substitution.grigorchuk_prefix(windows[-1] + 1)
+    prefix = substitution.grigorchuk_prefix(windows[-1] + len("a") - 1)
     ok = True
     details = []
     for theta in (Fraction(1, 3), Fraction(1, 5)):

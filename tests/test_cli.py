@@ -167,6 +167,74 @@ class TestVerify:
         assert len(payload["checks"]) == 10
 
 
+class TestDemandSizedInput:
+    """Commands generate min(--length, shift + what they read) letters."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--precision", "8"],
+            ["analyze", "--levels", "4"],
+            ["fiber", "--shift", "1", "--levels", "8"],
+            ["spectrum", "--word", "a", "--window", "1024", "--theta", "1/2"],
+        ],
+    )
+    def test_small_cap_is_enough_at_the_default_length(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "4096")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+    def test_generate_still_counts_the_whole_length(self, capsys, monkeypatch):
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "4096")
+        code, _, err = run(capsys, "generate")
+        assert code == 2
+        assert "exceeds the cap of 4096 bytes" in err
+
+    @pytest.mark.parametrize(
+        "argv, required",
+        [
+            (["encode", "--length", "64", "--precision", "8"], 1024),
+            (["encode", "--length", "1000", "--shift", "10", "--precision", "8"], 1024),
+            (["fiber", "--length", "100", "--levels", "4", "--horizon", "200"], 199),
+            (["freq", "--length", "100", "--word", "ab", "--window", "100"], 101),
+        ],
+    )
+    def test_short_length_names_the_required_length(self, capsys, argv, required):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert f"required prefix length: {required})" in err
+
+    @pytest.mark.parametrize("shift, length", [(-3, 1 << 20), (64, 64), (100, 64)])
+    def test_shift_outside_the_length(self, capsys, shift, length):
+        code, _, err = run(capsys, "encode", "--precision", "4", "--shift", str(shift),
+                           "--length", str(length))
+        assert code == 2
+        assert f"error: shift {shift} outside 0..{length - 1}" in err
+
+    COMMANDS = [
+        ["analyze", "--levels", "6"],
+        ["encode", "--shift", "100", "--precision", "10"],
+        ["--json", "encode", "--shift", "7", "--precision", "12"],
+        ["fiber", "--shift", "3", "--levels", "8"],
+        ["--json", "fiber", "--levels", "9", "--horizon", "300"],
+        ["freq", "--shift", "7", "--word", "ca", "--window", "5000"],
+        ["spectrum", "--shift", "2", "--word", "a", "--window", "4096", "--theta", "1/3",
+         "--theta", "1/2"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_output_matches_the_whole_prefix(self, capsys, tmp_path, argv):
+        # --input reads the whole file, so it stands in for a full-length prefix
+        path = tmp_path / "omega.txt"
+        assert run(capsys, "generate", "--length", "65536", "--output", str(path))[0] == 0
+        sized = run(capsys, *argv, "--length", "65536")
+        whole = run(capsys, *argv, "--input", str(path))
+        assert sized[0] == 0, sized[2]
+        assert sized == whole
+        assert run(capsys, *argv) == run(capsys, *argv, "--length", str(1 << 20))
+
+
 def readme_commands():
     """(argv, expected first output line or None) for each line of README's "Command line" block."""
     block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,10 @@ class TestAlphabet:
     def test_rejects_empty(self):
         with pytest.raises(errors.InvalidInputError):
             sub.Alphabet("")
+
+    def test_rejects_non_ascii(self):
+        with pytest.raises(errors.InvalidInputError):
+            sub.Alphabet("a\u00e9")
 
     def test_index(self):
         assert ABC.index("c") == 2
@@ -162,6 +168,30 @@ class TestClosedForm:
         codes = sub.grigorchuk_codes(1 << 14)
         odd = np.arange(1, (1 << 14) + 1) % 2 == 1
         assert ((codes == ABC.index("a")) == odd).all()
+
+
+def traced_peak(build):
+    """Peak bytes tracemalloc sees while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The cap counts letters; allocation stays within a few bytes per letter."""
+
+    LENGTH = 1 << 20
+
+    def test_generator_peak(self):
+        peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH))
+        assert peak <= 6 * self.LENGTH
+
+    def test_oracle_peak(self):
+        peak = traced_peak(lambda: sub.grigorchuk_codes(self.LENGTH))
+        assert peak <= 2 * self.LENGTH
 
 
 class TestTextFormats:
