@@ -30,8 +30,8 @@ for s in odometer_orbit(spec, state, 6):
     print(" ", s.digits)
 print("(period 6, then the carry wraps)")
 
-print("\ncarry flag past the truncation:",
-      odometer_step(OdometerState((1, 2)), spec).carry_out)
+print("\nstep from the top state (the carry past the truncation is dropped):",
+      odometer_step(OdometerState((1, 2)), spec).digits)
 
 binary = cf_of_odometer(BINARY_ODOMETER)
 print("\nCF of the binary odometer:", cf_to_text(binary))

@@ -17,7 +17,6 @@ from .substitution import (
     grigorchuk_letter,
     grigorchuk_prefix,
     grigorchuk_substitution,
-    iterate,
     validate_prolongable,
 )
 from .toeplitz import (
@@ -43,7 +42,6 @@ from .odometer import (
     cf_equal,
     cf_of_odometer,
     cf_subset,
-    dyadic_add_one,
     odometer_from_cf,
     odometer_step,
 )
@@ -52,7 +50,6 @@ from .factormap import (
     FiberReport,
     classify_fiber,
     encode_fG,
-    reconstruct_from_skeleton,
     sigma_preimage_letters,
     verify_equivariance,
 )
@@ -60,7 +57,6 @@ from .ergodic import (
     FrequencyEstimate,
     SpectralSample,
     cylinder_frequency,
-    eigenfunction_check,
     invariant_measure_cylinder,
     spectral_scan,
     uniform_distribution_report,

@@ -180,7 +180,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verification.run_all(args.level)
-    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.seconds:.3f}s: {r.detail}" for r in results]
     ok = all(r.ok for r in results)
     lines.append(f"verdict: {'ok' if ok else 'FAILED'}")
     _emit(
@@ -188,7 +188,9 @@ def _cmd_verify(args) -> int:
         lines,
         {
             "level": args.level,
-            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+            "checks": [
+                {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds} for r in results
+            ],
             "ok": ok,
         },
     )

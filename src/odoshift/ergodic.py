@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .factormap import encode_value, verify_equivariance  # noqa: F401  (encode_value is re-exported)
+from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
 
 
@@ -110,33 +110,6 @@ def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int)
         window=window,
         entries=tuple(entries),
         max_deviation=max(e.deviation for e in entries),
-    )
-
-
-@dataclass(frozen=True)
-class EigenfunctionReport:
-    ok: bool
-    precision: int
-    shifts_checked: int
-    first_failure: int | None
-    residues: tuple  # encoded residues at shifts 0..shifts
-
-
-def eigenfunction_check(prefix: SymbolicPrefix, k: int, window: int) -> EigenfunctionReport:
-    """Verify the canonical eigenfunction relation as exact residue arithmetic.
-
-    phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding; the
-    eigenvalue relation holds iff r_{n+1} = r_n + 1 mod 2^k, which is checked
-    as integer equality.  That is the equivariance of the encoding, so the
-    residues are those of ``factormap.verify_equivariance``.
-    """
-    report = verify_equivariance(prefix, k, window)
-    return EigenfunctionReport(
-        ok=report.ok,
-        precision=k,
-        shifts_checked=window,
-        first_failure=report.first_violation,
-        residues=report.values,
     )
 
 

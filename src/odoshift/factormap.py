@@ -63,7 +63,7 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
     skeleton = period_skeleton(prefix, k)
     value = (1 << k) - skeleton.levels[-1]
     return EncodingResult(
-        value=DyadicInt.from_int(value, k),
+        value=DyadicInt(value, k),
         window_used=skeleton.window_used,
         skeleton=skeleton,
     )
@@ -168,48 +168,3 @@ def classify_fiber(
         sigma_preimage_letters=frozenset(letters),
         skeleton=skeleton,
     )
-
-
-# l_k letters of the Grigorchuk skeleton: level k is filled by the letter of
-# valuation k-1 (a, then c, b, d repeating).
-def grigorchuk_level_letter(k: int) -> str:
-    if k < 1:
-        raise InvalidInputError(f"level must be positive, got {k}")
-    if k == 1:
-        return "a"
-    return {1: "c", 2: "b", 0: "d"}[(k - 1) % 3]
-
-
-def reconstruct_from_skeleton(
-    level_residues,
-    length: int,
-    tail_letter: str,
-    letters=None,
-) -> SymbolicPrefix:
-    """Build a prefix with prescribed non-constant columns M'_1, M'_2, ...
-
-    Position m gets the fill letter of the first level whose column it leaves;
-    positions that track every prescribed column get ``tail_letter`` (the
-    choice is not canonical, matching the non-uniqueness of such points).
-    Residues must be nested: M'_{k+1} = M'_k mod 2^k.
-    """
-    residues = list(level_residues)
-    K = len(residues)
-    if K < 1:
-        raise InvalidInputError("need at least one level residue")
-    for k, m in enumerate(residues, start=1):
-        if not 1 <= m <= 1 << k:
-            raise InvalidInputError(f"residue {m} at level {k} outside 1..{1 << k}")
-        if k >= 2 and m % (1 << (k - 1)) != residues[k - 2] % (1 << (k - 1)):
-            raise InvalidInputError(f"residue {m} at level {k} is not nested in {residues[k - 2]}")
-    if letters is None:
-        letters = [grigorchuk_level_letter(k) for k in range(1, K + 1)]
-    out = []
-    for m in range(1, length + 1):
-        letter = tail_letter
-        for k in range(1, K + 1):
-            if m % (1 << k) != residues[k - 1] % (1 << k):
-                letter = letters[k - 1]
-                break
-        out.append(letter)
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(out))

@@ -83,10 +83,18 @@ class CFSet:
 
 
 def cf_contains(cf: CFSet, n: int) -> bool:
-    """True iff n divides the supernatural number."""
+    """True iff n divides the supernatural number.
+
+    Each prime of the set divides n out at most its exponent times; n is a
+    member iff 1 is left.  n itself is never factorized.
+    """
     if n < 1:
         raise InvalidInputError(f"membership is defined for n >= 1, got {n}")
-    return all(e <= cf.exponent(p) for p, e in factorize(n).items())
+    for p, e in cf.exponents.items():
+        while e > 0 and n % p == 0:
+            n //= p
+            e -= 1
+    return n == 1
 
 
 def cf_subset(a: CFSet, b: CFSet) -> bool:
@@ -107,20 +115,6 @@ def cf_to_text(cf: CFSet) -> str:
         e = cf.exponents[p]
         parts.append(f"{p}^inf" if e == INFINITY else f"{p}^{e}")
     return "*".join(parts)
-
-
-def parse_cf(text: str) -> CFSet:
-    text = text.strip()
-    if text == "1":
-        return CFSet({})
-    exponents = {}
-    for term in text.split("*"):
-        if "^" not in term:
-            raise InvalidInputError(f"bad CF term {term!r}; expected p^e")
-        base, exp = term.split("^", 1)
-        p = int(base)
-        exponents[p] = INFINITY if exp == "inf" else int(exp)
-    return CFSet(exponents)
 
 
 @dataclass(frozen=True)
@@ -212,20 +206,6 @@ def spec_to_text(spec: OdometerSpec) -> str:
     return ",".join(items) if items else "1"
 
 
-def parse_spec(text: str) -> OdometerSpec:
-    text = text.strip()
-    if text == "1" or not text:
-        return OdometerSpec()
-    items = [t.strip() for t in text.split(",")]
-    repeat: tuple = ()
-    if items and items[-1] == "...":
-        items.pop()
-        if not items:
-            raise InvalidInputError("'...' needs a preceding factor")
-        repeat = (int(items.pop()),)
-    return OdometerSpec(bases=tuple(int(t) for t in items), repeat=repeat)
-
-
 @dataclass(frozen=True)
 class OdometerState:
     """Digits m_i with 0 <= m_i < n_i, for a finite truncation of a spec."""
@@ -234,12 +214,6 @@ class OdometerState:
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-
-
-@dataclass(frozen=True)
-class OdometerStepResult:
-    state: OdometerState
-    carry_out: bool  # a carry past the last known digit was dropped
 
 
 def _validate_state(state: OdometerState, spec: OdometerSpec) -> None:
@@ -253,20 +227,19 @@ def _validate_state(state: OdometerState, spec: OdometerSpec) -> None:
             raise InvalidInputError(f"digit {d} at index {i} outside 0..{n - 1}")
 
 
-def odometer_step(state: OdometerState, spec: OdometerSpec) -> OdometerStepResult:
-    """Add one with carry in mixed radix; dropped final carry is flagged."""
+def odometer_step(state: OdometerState, spec: OdometerSpec) -> OdometerState:
+    """Add one with carry in mixed radix; a carry past the last known digit is dropped.
+
+    Dropping it wraps the all-maximal state to all zeros.
+    """
     _validate_state(state, spec)
     digits = list(state.digits)
-    carry = True
     for i in range(len(digits)):
-        if not carry:
-            break
         digits[i] += 1
-        if digits[i] == spec.radix_at(i):
-            digits[i] = 0
-        else:
-            carry = False
-    return OdometerStepResult(state=OdometerState(tuple(digits)), carry_out=carry)
+        if digits[i] < spec.radix_at(i):
+            break
+        digits[i] = 0
+    return OdometerState(tuple(digits))
 
 
 def odometer_orbit(spec: OdometerSpec, start: OdometerState, steps: int):
@@ -274,7 +247,7 @@ def odometer_orbit(spec: OdometerSpec, start: OdometerState, steps: int):
     state = start
     yield state
     for _ in range(steps):
-        state = odometer_step(state, spec).state
+        state = odometer_step(state, spec)
         yield state
 
 
@@ -309,37 +282,17 @@ def odometer_from_cf(cf: CFSet) -> OdometerSpec:
 
 @dataclass(frozen=True)
 class DyadicInt:
-    """Residue mod 2^precision approximating a 2-adic integer; bits LSB first."""
+    """Residue mod 2^precision approximating a 2-adic integer."""
 
-    bits: tuple
+    value: int
+    precision: int
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if not bits:
-            raise InvalidInputError("dyadic integer needs at least one bit")
-        if any(b not in (0, 1) for b in bits):
-            raise InvalidInputError(f"bits must be 0 or 1, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def precision(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    @classmethod
-    def from_int(cls, value: int, precision: int) -> "DyadicInt":
-        if precision < 1:
-            raise InvalidInputError(f"precision must be positive, got {precision}")
-        value %= 1 << precision
-        return cls(tuple((value >> i) & 1 for i in range(precision)))
+        if self.precision < 1:
+            raise InvalidInputError(f"precision must be positive, got {self.precision}")
+        if not 0 <= self.value < 1 << self.precision:
+            raise InvalidInputError(f"value {self.value} outside 0..2^{self.precision} - 1")
 
     def to_text(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def dyadic_add_one(x: DyadicInt) -> DyadicInt:
-    """Binary increment mod 2^precision (the truncated binary odometer)."""
-    return DyadicInt.from_int(x.value + 1, x.precision)
+        """Binary digits, least significant first."""
+        return format(self.value, f"0{self.precision}b")[::-1]

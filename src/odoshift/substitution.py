@@ -139,18 +139,34 @@ class Substitution:
                 if ch not in self.alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
 
-    @cached_property
-    def _byte_rules(self):
-        """(rule length, offset into the rule bytes) per letter byte, and the rule bytes."""
-        lengths = np.zeros(256, dtype=np.int64)
-        offsets = np.zeros(256, dtype=np.int64)
-        start = 0
-        for ch in self.alphabet.letters:
-            lengths[ord(ch)] = len(self.rules[ch])
-            offsets[ord(ch)] = start
-            start += len(self.rules[ch])
-        flat = "".join(self.rules[ch] for ch in self.alphabet.letters).encode("ascii")
-        return lengths, offsets, np.frombuffer(flat, dtype=np.uint8)
+    def _byte_rules(self, letters: str):
+        """Byte rules of ``letters``: see ``_pack``."""
+        return _pack({
+            ord(ch): np.frombuffer(self.rules[ch].encode("ascii"), dtype=np.uint8) for ch in letters
+        })
+
+    def _reachable(self, seed: str) -> str:
+        """Letters that occur in sub^n(seed) for some n >= 0."""
+        seen = [seed]
+        for letter in seen:
+            seen.extend(ch for ch in dict.fromkeys(self.rules[letter]) if ch not in seen)
+        return "".join(seen)
+
+
+def _pack(images):
+    """Byte rules from {letter byte: image bytes}.
+
+    (image length, offset into the image bytes) per letter byte, 0 for a
+    letter without a rule, and the concatenated image bytes.
+    """
+    lengths = np.zeros(256, dtype=np.int64)
+    offsets = np.zeros(256, dtype=np.int64)
+    start = 0
+    for c, image in images.items():
+        lengths[c] = len(image)
+        offsets[c] = start
+        start += len(image)
+    return lengths, offsets, np.concatenate(list(images.values()))
 
 
 def validate_prolongable(sub: Substitution, seed: str) -> bool:
@@ -161,7 +177,7 @@ def validate_prolongable(sub: Substitution, seed: str) -> bool:
     return len(word) >= 2 and word[0] == seed
 
 
-# Source letters expanded per numpy pass: bounds the index temporaries to a
+# Letters read and written per numpy pass: bounds the index temporaries to a
 # fixed size, whatever the requested length.
 _CHUNK = 1 << 14
 
@@ -174,47 +190,65 @@ def _check_cap(length: int) -> None:
         )
 
 
-def _image(sub: Substitution, src: np.ndarray, dst: np.ndarray) -> int:
-    """Write sub(src) into dst, cut at len(dst); return the number of letters written.
+def _image(rules, src: np.ndarray, dst: np.ndarray, skip: int):
+    """Write the image of src, less its first ``skip`` letters, into dst, cut at len(dst).
 
-    ``src`` and ``dst`` hold letter bytes and must not overlap.
+    Returns (letters written, letters of src whose image is now complete,
+    letters of the next one's image already written).  ``src`` and ``dst``
+    hold letter bytes and must not overlap.
     """
-    lengths, offsets, flat = sub._byte_rules
+    lengths, offsets, flat = rules
     n = lengths[src]
-    ends = np.cumsum(n)
+    ends = np.cumsum(n) - skip
     total = min(int(ends[-1]), len(dst))
+    k = int(np.searchsorted(ends, total)) + 1  # the images of src[:k] reach dst[:total]
+    starts = ends[:k] - n[:k]
     # letter j of the output lies in the image of src[i], which starts at
-    # ends[i] - n[i], and reads flat[offsets[src[i]] + j - (ends[i] - n[i])]
-    index = np.repeat(offsets[src] - (ends - n), n)[:total]
+    # starts[i], and reads flat[offsets[src[i]] + j - starts[i]]
+    index = np.repeat(offsets[src[:k]] - starts, np.minimum(ends[:k], total) - np.maximum(starts, 0))
     index += np.arange(total)
     dst[:total] = flat[index]
-    return total
+    if ends[k - 1] == total:
+        return total, k, 0
+    return total, k - 1, total - int(starts[k - 1])
 
 
-def iterate(sub: Substitution, word: SymbolicPrefix, steps: int) -> SymbolicPrefix:
-    """Apply the substitution ``steps`` times to ``word``."""
-    if steps < 0:
-        raise InvalidInputError(f"steps must be nonnegative, got {steps}")
-    cap = sequence_byte_cap()
-    for ch in set(word.text):
-        if ch not in sub.rules:
-            raise InvalidInputError(f"letter {ch!r} has no substitution rule")
-    lengths = sub._byte_rules[0]
-    letters = np.frombuffer(word.text.encode("ascii"), dtype=np.uint8)
-    for _ in range(steps):
-        projected = int(np.bincount(letters, minlength=256) @ lengths)
-        if projected > cap:
-            raise ResourceLimitError(
-                f"substitution step would produce {projected} letters, over the cap of {cap};"
-                f" set {MAX_BYTES_ENV}>={projected} to allow it",
-                required_bytes=projected,
-            )
-        out = np.empty(projected, dtype=np.uint8)
-        written = 0
-        for start in range(0, len(letters), _CHUNK):
-            written += _image(sub, letters[start : start + _CHUNK], out[written:])
-        letters = out
-    return SymbolicPrefix(sub.alphabet, str(letters, "ascii"))
+def _expand(rules, buf: np.ndarray, read: int, written: int, stop: int) -> int:
+    """Write the image of buf[read:stop] into buf[written:] until one runs out; return the end.
+
+    A pass reads at most _CHUNK letters, all before ``written``, and writes
+    at most _CHUNK, so a source letter may be one an earlier pass wrote, as
+    when a fixed point expands its own letters.
+    """
+    skip = 0
+    while written < len(buf) and read < stop:
+        src = buf[read : min(read + _CHUNK, written, stop)]
+        total, done, skip = _image(rules, src, buf[written : written + _CHUNK], skip)
+        written += total
+        read += done
+    return written
+
+
+def _squared(rules, cut: int):
+    """Byte rules of the substitution applied twice, each image cut at ``cut`` letters.
+
+    The cut is exact for the first ``cut`` letters: every letter has a
+    nonempty image, so the image of a word cut at ``cut`` letters still
+    has at least ``cut`` letters.  Returns None, having built nothing, if
+    the images would hold more than ``cut`` letters in all.
+    """
+    lengths, offsets, flat = rules
+    old = {int(c): flat[offsets[c] : offsets[c] + lengths[c]] for c in np.flatnonzero(lengths)}
+    sizes = {c: min(cut, int(lengths[rule].sum())) for c, rule in old.items()}
+    if sum(sizes.values()) > cut:
+        return None
+    images = {}
+    for c, rule in old.items():
+        buf = np.empty(len(rule) + sizes[c], dtype=np.uint8)
+        buf[: len(rule)] = rule
+        _expand(rules, buf, 0, len(rule), len(rule))
+        images[c] = buf[len(rule) :]
+    return _pack(images)
 
 
 def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPrefix:
@@ -222,9 +256,14 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
 
     The fixed point x satisfies x = sub(x), so the image of the letters
     already written continues the array: one ``length``-byte array is filled
-    by expanding its own letters, a bounded chunk at a time.  Peak memory is
-    a few bytes per letter, and the cap is checked before anything is
-    allocated.
+    by expanding its own letters, a bounded chunk at a time.  x is also the
+    fixed point of sub^(2^j), and the rules of the letters the seed reaches
+    are squared until the seed's image fills a chunk, so that a pass reads
+    a full chunk however slowly the images grow (a -> ab, b -> b adds one
+    letter per step).  Squaring stops early if the images would hold more
+    than ``length`` letters in all; a rule that long makes the sequence
+    grow fast anyway.  Peak memory is a few bytes per letter, and the cap
+    is checked before anything is allocated.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -233,16 +272,20 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
             f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2"
         )
     _check_cap(length)
+    # only letters the seed reaches occur in the fixed point
+    rules = sub._byte_rules(sub._reachable(seed))
+    s = ord(seed)
+    while rules[0][s] < min(length, _CHUNK):
+        squared = _squared(rules, length)
+        if squared is None:
+            break
+        rules = squared
+    lengths, offsets, flat = rules
     out = np.empty(length, dtype=np.uint8)
-    head = sub.rules[seed][:length].encode("ascii")
-    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    # invariant: out[:written] is the image of out[:read], and read < written
-    read, written = 1, len(head)
-    while written < length:
-        # each letter has a nonempty image, so chunk letters yield at least chunk
-        chunk = min(_CHUNK, written - read, length - written)
-        written += _image(sub, out[read : read + chunk], out[written:])
-        read += chunk
+    head = min(length, int(lengths[s]))
+    out[:head] = flat[offsets[s] : offsets[s] + head]
+    # out[:head] is the image of out[:1]; the image of out[1:] continues it
+    _expand(rules, out, 1, head, length)
     return SymbolicPrefix(sub.alphabet, str(out, "ascii"))
 
 

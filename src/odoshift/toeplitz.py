@@ -1,14 +1,10 @@
 """Partial periods, essential periods, and the level-k period skeleton.
 
 A position n of a sequence has partial period p when the letters at
-n, n+p, n+2p, ... all agree.  Two certification modes are offered:
-
-* ``rigid`` checks the first three multiples only.  For sequences drawn
-  from the orbit closure of the Grigorchuk fixed point this is already
-  conclusive: four equal terms force all further terms to agree.
-* ``heuristic`` scans every multiple available in the prefix and reports
-  how far it looked.  It is valid for arbitrary input but certifies
-  nothing beyond the data.
+n, n+p, n+2p, ... all agree.  Only the first three multiples are checked:
+for sequences drawn from the orbit closure of the Grigorchuk fixed point
+this is already conclusive, because four equal terms force all further
+terms to agree.
 
 The period skeleton records, for each level k, the unique residue class
 M_k mod 2^k whose column is not constant, together with the letter l_k
@@ -25,18 +21,10 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
 
-RIGID = "rigid"
-HEURISTIC = "heuristic"
-
 TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
-_RIGID_TERMS = 3  # multiples checked beyond the base position
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (RIGID, HEURISTIC):
-        raise InvalidInputError(f"mode must be {RIGID!r} or {HEURISTIC!r}, got {mode!r}")
+_TERMS = 3  # multiples checked beyond the base position
 
 
 @dataclass(frozen=True)
@@ -44,7 +32,6 @@ class PartialPeriodCertificate:
     position: int
     period: int
     verified_horizon: int  # largest k with position + k*period checked
-    mode: str
 
     @property
     def holds(self) -> bool:
@@ -56,57 +43,43 @@ class PeriodRefutation:
     position: int
     period: int
     failed_multiple: int  # smallest k with a differing letter
-    mode: str
 
     @property
     def holds(self) -> bool:
         return False
 
 
-def is_partially_periodic_at(prefix: SymbolicPrefix, n: int, p: int, mode: str = RIGID):
+def is_partially_periodic_at(prefix: SymbolicPrefix, n: int, p: int):
     """Certificate or refutation for partial period p at position n."""
-    _check_mode(mode)
     if n < 1 or p < 1:
         raise InvalidInputError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    L = len(prefix)
-    if mode == RIGID:
-        need = n + _RIGID_TERMS * p
-        if need > L:
-            raise InsufficientDataError(
-                f"rigid test at (n={n}, p={p}) needs prefix length {need}, have {L}",
-                required_length=need,
-            )
-        kmax = _RIGID_TERMS
-    else:
-        if n + p > L:
-            raise InsufficientDataError(
-                f"heuristic test at (n={n}, p={p}) needs prefix length {n + p}, have {L}",
-                required_length=n + p,
-            )
-        kmax = (L - n) // p
+    need = n + _TERMS * p
+    if need > len(prefix):
+        raise InsufficientDataError(
+            f"test at (n={n}, p={p}) needs prefix length {need}, have {len(prefix)}",
+            required_length=need,
+        )
     base = prefix.text[n - 1]
-    for k in range(1, kmax + 1):
+    for k in range(1, _TERMS + 1):
         if prefix.text[n - 1 + k * p] != base:
-            return PeriodRefutation(position=n, period=p, failed_multiple=k, mode=mode)
-    return PartialPeriodCertificate(position=n, period=p, verified_horizon=kmax, mode=mode)
+            return PeriodRefutation(position=n, period=p, failed_multiple=k)
+    return PartialPeriodCertificate(position=n, period=p, verified_horizon=_TERMS)
 
 
-def smallest_partial_period(prefix: SymbolicPrefix, n: int, mode: str = RIGID) -> int:
+def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
     """Least p accepted at position n, scanning p = 1, 2, ..."""
-    _check_mode(mode)
     if n < 1 or n > len(prefix):
         raise InvalidInputError(f"position {n} outside 1..{len(prefix)}")
     L = len(prefix)
-    terms = _RIGID_TERMS if mode == RIGID else 1
     p = 1
-    while n + terms * p <= L:
-        if is_partially_periodic_at(prefix, n, p, mode).holds:
+    while n + _TERMS * p <= L:
+        if is_partially_periodic_at(prefix, n, p).holds:
             return p
         p += 1
     raise InsufficientDataError(
         f"no partial period certifiable at position {n} within prefix length {L};"
-        f" testing p={p} needs length {n + terms * p}",
-        required_length=n + terms * p,
+        f" testing p={p} needs length {n + _TERMS * p}",
+        required_length=n + _TERMS * p,
     )
 
 
@@ -122,30 +95,18 @@ class EPSet:
         return p in self.witnesses
 
 
-def essential_periods(prefix: SymbolicPrefix, horizon: int, mode: str = RIGID) -> EPSet:
+def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     """Set of p <= horizon realized as the smallest partial period of some position."""
-    _check_mode(mode)
     if horizon < 1:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
     L = len(prefix)
-    if mode == RIGID:
-        if 4 * horizon > L:
-            raise InsufficientDataError(
-                f"rigid mode with horizon {horizon} needs prefix length {4 * horizon}, have {L}",
-                required_length=4 * horizon,
-            )
-        return _essential_periods_rigid(prefix, horizon)
-    if horizon + 1 > L:
+    if (_TERMS + 1) * horizon > L:
         raise InsufficientDataError(
-            f"heuristic mode with horizon {horizon} needs prefix length {horizon + 1}, have {L}",
-            required_length=horizon + 1,
+            f"horizon {horizon} needs prefix length {(_TERMS + 1) * horizon}, have {L}",
+            required_length=(_TERMS + 1) * horizon,
         )
-    return _essential_periods_heuristic(prefix, horizon)
-
-
-def _essential_periods_rigid(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     codes = prefix.codes
-    nmax = len(prefix) - _RIGID_TERMS * horizon
+    nmax = L - _TERMS * horizon
     # every scanned position can be tested against every p <= horizon
     unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices
     witnesses = {}
@@ -161,21 +122,6 @@ def _essential_periods_rigid(prefix: SymbolicPrefix, horizon: int) -> EPSet:
         if ok.any():
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
-    return EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
-
-
-def _essential_periods_heuristic(prefix: SymbolicPrefix, horizon: int) -> EPSet:
-    codes = prefix.codes
-    L = len(prefix)
-    witnesses = {}
-    for n in range(1, L - horizon + 1):
-        for p in range(1, horizon + 1):
-            if n + p > L:
-                break
-            tail = codes[n - 1 + p :: p]
-            if (tail == codes[n - 1]).all():
-                witnesses.setdefault(p, n)
-                break
     return EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
 
 

@@ -1,15 +1,18 @@
-"""End-to-end verification checks wired into the CLI ``verify`` subcommand.
+"""End-to-end verification checks: the one definition of each headline claim.
 
 Each check pins an exactly-stated claim at a concrete size.  ``full`` runs
 the desk-scale sizes; ``quick`` shrinks them to finish in a couple of
-seconds while exercising the same code paths.
+seconds while exercising the same code paths.  The CLI ``verify``
+subcommand and the acceptance gate (tests/test_acceptance.py, at ``full``)
+both run ``ALL_CHECKS`` through ``run_check``, which also times each one.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +25,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0  # elapsed time, set by run_check
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
 def check_essential_periods(sizes: Sizes) -> CheckResult:
     prefix = substitution.grigorchuk_prefix(1 << sizes.ep_prefix_log2)
     horizon = 1 << sizes.ep_horizon_log2
-    ep = toeplitz.essential_periods(prefix, horizon, mode=toeplitz.RIGID)
+    ep = toeplitz.essential_periods(prefix, horizon)
     expected = tuple(1 << k for k in range(1, sizes.ep_horizon_log2 + 1))
     return CheckResult(
         name="essential_periods_powers_of_two",
@@ -135,16 +139,22 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     )
 
 
-def check_equivariance(sizes: Sizes) -> CheckResult:
-    k = sizes.equivariance_precision
-    shifts = sizes.equivariance_shifts
+def _shift_values(name: str, k: int, shifts: int) -> CheckResult:
+    """Encodings of shifts 0..shifts of the fixed point step by one and equal n mod 2^k."""
     prefix = substitution.grigorchuk_prefix(shifts + (1 << (k + 2)))
     report = factormap.verify_equivariance(prefix, k, shifts)
     values_ok = all(v == n % (1 << k) for n, v in enumerate(report.values))
     return CheckResult(
-        name="equivariance_and_shift_values",
+        name=name,
         ok=report.ok and values_ok,
-        detail=f"first violation: {report.first_violation}; values==n mod 2^k: {values_ok}",
+        detail=f"first violation: {report.first_violation} over {shifts} shifts;"
+        f" values==n mod 2^{k}: {values_ok}",
+    )
+
+
+def check_equivariance(sizes: Sizes) -> CheckResult:
+    return _shift_values(
+        "equivariance_and_shift_values", sizes.equivariance_precision, sizes.equivariance_shifts
     )
 
 
@@ -154,8 +164,8 @@ def check_fiber_structure(sizes: Sizes) -> CheckResult:
     # 2^(k+1), so the horizon must look past the next power of two above n
     horizon = max(64, 1 << (shifts.bit_length() + 1))
     prefix = substitution.grigorchuk_prefix(shifts + 4 * horizon)
-    root = factormap.sigma_preimage_letters(prefix, horizon)
-    ok = root == {"b", "c", "d"}
+    roots = {h: factormap.sigma_preimage_letters(prefix, h) for h in (64, horizon)}
+    ok = all(root == {"b", "c", "d"} for root in roots.values())
     bad = None
     for n in range(1, shifts + 1):
         letters = factormap.sigma_preimage_letters(prefix.shifted(n), horizon)
@@ -163,10 +173,11 @@ def check_fiber_structure(sizes: Sizes) -> CheckResult:
             ok = False
             bad = n
             break
+    root_text = "; ".join(f"horizon {h}: {sorted(root)}" for h, root in roots.items())
     return CheckResult(
         name="fiber_structure",
         ok=ok,
-        detail=f"root preimage {sorted(root)}; first bad shift: {bad}",
+        detail=f"root preimage at {root_text}; first bad shift: {bad}",
     )
 
 
@@ -214,15 +225,9 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
 
 
 def check_eigenfunction(sizes: Sizes) -> CheckResult:
-    k = sizes.eigen_precision
-    shifts = sizes.eigen_shifts
-    prefix = substitution.grigorchuk_prefix(shifts + (1 << (k + 2)))
-    report = ergodic.eigenfunction_check(prefix, k, shifts)
-    return CheckResult(
-        name="eigenfunction_equivariance",
-        ok=report.ok,
-        detail=f"first failure: {report.first_failure} over {shifts} shifts",
-    )
+    # phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding: the
+    # eigenvalue relation r_(n+1) = r_n + 1 mod 2^k is checked as integer equality
+    return _shift_values("eigenfunction_equivariance", sizes.eigen_precision, sizes.eigen_shifts)
 
 
 def _random_cf(rng: random.Random) -> odometer.CFSet:
@@ -292,8 +297,15 @@ ALL_CHECKS = (
 )
 
 
+def run_check(check, sizes: Sizes) -> CheckResult:
+    """Run one check and record its elapsed seconds: the timer of ``verify`` and the gate."""
+    start = time.perf_counter()
+    result = check(sizes)
+    return replace(result, seconds=time.perf_counter() - start)
+
+
 def run_all(level: str = "quick"):
     sizes = {"quick": QUICK, "full": FULL}.get(level)
     if sizes is None:
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    return [check(sizes) for check in ALL_CHECKS]
+    return [run_check(check, sizes) for check in ALL_CHECKS]

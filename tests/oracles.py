@@ -1,0 +1,98 @@
+"""Test-side builders, parsers and reference forms that the package no longer needs.
+
+- ``iterate`` applies a substitution to a whole word through the
+  generator's own chunked expansion, so tests can check that expansion on
+  words other than a fixed point.
+- ``reconstruct_from_skeleton`` builds a prefix with prescribed
+  non-constant columns: the generic Toeplitz points that fiber tests read.
+- ``parse_cf`` and ``parse_spec`` read the text forms ``cf_to_text`` and
+  ``spec_to_text`` write, so the text forms can be checked by round trip.
+- ``factorized_cf_contains`` is CF-set membership by factorizing n, the
+  reference for ``cf_contains``.
+"""
+
+import numpy as np
+
+from odoshift import errors, odometer, substitution
+from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix
+
+
+def iterate(sub, word, steps):
+    """Apply the substitution ``steps`` times to the prefix ``word``."""
+    rules = sub._byte_rules(sub.alphabet.letters)
+    letters = np.frombuffer(word.text.encode("ascii"), dtype=np.uint8)
+    for _ in range(steps):
+        buf = np.concatenate([letters, np.empty(int(rules[0][letters].sum()), dtype=np.uint8)])
+        end = substitution._expand(rules, buf, 0, len(letters), len(letters))
+        assert end == len(buf)
+        letters = buf[len(letters) :]
+    return SymbolicPrefix(sub.alphabet, str(letters, "ascii"))
+
+
+def grigorchuk_level_letter(k):
+    """l_k of the Grigorchuk skeleton: level k is filled by the letter of valuation k-1."""
+    if k < 1:
+        raise errors.InvalidInputError(f"level must be positive, got {k}")
+    if k == 1:
+        return "a"
+    return {1: "c", 2: "b", 0: "d"}[(k - 1) % 3]
+
+
+def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None):
+    """Build a prefix with prescribed non-constant columns M'_1, M'_2, ...
+
+    Position m gets the fill letter of the first level whose column it leaves;
+    positions that track every prescribed column get ``tail_letter`` (the
+    choice is not canonical, matching the non-uniqueness of such points).
+    Residues must be nested: M'_{k+1} = M'_k mod 2^k.
+    """
+    residues = list(level_residues)
+    K = len(residues)
+    if K < 1:
+        raise errors.InvalidInputError("need at least one level residue")
+    for k, m in enumerate(residues, start=1):
+        if not 1 <= m <= 1 << k:
+            raise errors.InvalidInputError(f"residue {m} at level {k} outside 1..{1 << k}")
+        if k >= 2 and m % (1 << (k - 1)) != residues[k - 2] % (1 << (k - 1)):
+            raise errors.InvalidInputError(f"residue {m} at level {k} is not nested in {residues[k - 2]}")
+    if letters is None:
+        letters = [grigorchuk_level_letter(k) for k in range(1, K + 1)]
+    out = []
+    for m in range(1, length + 1):
+        letter = tail_letter
+        for k in range(1, K + 1):
+            if m % (1 << k) != residues[k - 1] % (1 << k):
+                letter = letters[k - 1]
+                break
+        out.append(letter)
+    return SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(out))
+
+
+def parse_cf(text):
+    """CF set from the text ``cf_to_text`` writes: '1', or p^e terms joined by '*'."""
+    text = text.strip()
+    if text == "1":
+        return odometer.CFSet({})
+    exponents = {}
+    for term in text.split("*"):
+        base, exp = term.split("^", 1)
+        exponents[int(base)] = odometer.INFINITY if exp == "inf" else int(exp)
+    return odometer.CFSet(exponents)
+
+
+def parse_spec(text):
+    """Odometer spec from the text ``spec_to_text`` writes; a trailing '...' repeats the last factor."""
+    text = text.strip()
+    if text == "1":
+        return odometer.OdometerSpec()
+    items = [t.strip() for t in text.split(",")]
+    repeat = ()
+    if items[-1] == "...":
+        items.pop()
+        repeat = (int(items.pop()),)
+    return odometer.OdometerSpec(bases=tuple(int(t) for t in items), repeat=repeat)
+
+
+def factorized_cf_contains(cf, n):
+    """Reference membership: every prime power of n fits under the exponent map."""
+    return all(e <= cf.exponent(p) for p, e in odometer.factorize(n).items())

@@ -1,123 +1,55 @@
-"""Acceptance gate: ten end-to-end claims at full desk scale.
+"""Acceptance gate: the ten end-to-end claims of ``verification.ALL_CHECKS`` at full scale.
 
-Each test prints one PASS line with its measured figures (visible under
-``pytest -s``); the asserts are the gate.  Tolerances and sizes are pinned
-here and must not be loosened.
+The claims and their bounds are defined once, in ``odoshift.verification``;
+``odoshift verify --level full`` runs the same checks.  The gate adds only
+time limits, read from the same timer ``verify`` prints.  Each test prints
+one PASS line with its measured figures (visible under ``pytest -s``).
+Tolerances, sizes and time limits must not be loosened.
 """
 
-import time
-from fractions import Fraction
+from odoshift import substitution, verification
+from odoshift.verification import ALL_CHECKS, FULL
 
-from odoshift import ergodic, factormap, substitution, toeplitz
-from odoshift.verification import FULL, ALL_CHECKS
-from odoshift import verification
+# check -> name of its gate test, in the order of ALL_CHECKS
+GATE_TESTS = {
+    "check_closed_form": "test_01_closed_form_agreement",
+    "check_essential_periods": "test_02_essential_periods_all_powers_of_two",
+    "check_four_term_rigidity": "test_03_four_term_rigidity",
+    "check_fixed_point_skeleton": "test_04_fixed_point_skeleton",
+    "check_equivariance": "test_05_equivariance",
+    "check_fiber_structure": "test_06_fiber_structure",
+    "check_letter_measure": "test_07_letter_measure",
+    "check_spectrum": "test_08_spectrum",
+    "check_eigenfunction": "test_09_eigenfunction_equivariance",
+    "check_cf_algebra": "test_10_odometer_cf_algebra",
+}
 
-
-def report(n, detail):
-    print(f"ACCEPTANCE {n:2d} PASS: {detail}")
-
-
-def test_01_closed_form_agreement():
-    # 2^20-letter fixed point vs the valuation formula, exact, under 5 s
-    start = time.perf_counter()
-    generated = substitution.fixed_point_prefix(
-        substitution.grigorchuk_substitution(), "a", 1 << 20
-    )
-    oracle = substitution.grigorchuk_codes(1 << 20)
-    mismatches = int((generated.codes != oracle).sum())
-    elapsed = time.perf_counter() - start
-    assert mismatches == 0
-    assert elapsed < 5.0
-    report(1, f"0 mismatches over 2^20 positions in {elapsed:.2f}s")
+# seconds, prefix generation included
+TIME_LIMITS = {"check_closed_form": 5.0, "check_essential_periods": 30.0}
 
 
-def test_02_essential_periods_all_powers_of_two():
-    start = time.perf_counter()
-    prefix = substitution.grigorchuk_prefix(1 << 18)
-    ep = toeplitz.essential_periods(prefix, 1 << 13, mode=toeplitz.RIGID)
-    elapsed = time.perf_counter() - start
-    assert ep.periods == tuple(1 << k for k in range(1, 14))
-    assert elapsed < 30.0
-    report(2, f"EP = {{2, 4, ..., 2^13}} exactly in {elapsed:.2f}s")
+def gate_test(number, check):
+    def test():
+        # the limits cover generating the prefix, so none may be cached
+        substitution.grigorchuk_prefix.cache_clear()
+        result = verification.run_check(check, FULL)
+        assert result.ok, result.detail
+        limit = TIME_LIMITS.get(check.__name__)
+        if limit is not None:
+            assert result.seconds < limit, f"{result.seconds:.2f}s over the {limit}s limit"
+        print(f"ACCEPTANCE {number:2d} PASS in {result.seconds:.2f}s: {result.name}: {result.detail}")
+
+    test.__name__ = GATE_TESTS[check.__name__]
+    return test
 
 
-def test_03_four_term_rigidity():
-    result = verification.check_four_term_rigidity(FULL)
-    assert result.ok, result.detail
-    report(3, result.detail)
-
-
-def test_04_fixed_point_skeleton():
-    skeleton = toeplitz.period_skeleton(substitution.grigorchuk_prefix(1 << 18), 16)
-    assert skeleton.levels == tuple(1 << k for k in range(1, 17))
-    encoding = factormap.encode_fG(substitution.grigorchuk_prefix(1 << 18), 16)
-    assert encoding.value.value == 0
-    report(4, "M_k = 2^k for k <= 16; encoding at precision 16 is 0")
-
-
-def test_05_equivariance():
-    prefix = substitution.grigorchuk_prefix(4096 + (1 << 14))
-    rep = factormap.verify_equivariance(prefix, 12, 4096)
-    assert rep.ok
-    assert all(v == n % (1 << 12) for n, v in enumerate(rep.values))
-    report(5, "encode(shift^n) = n mod 2^12 for all n <= 4096")
-
-
-def test_06_fiber_structure():
-    prefix = substitution.grigorchuk_prefix(2048)
-    assert factormap.sigma_preimage_letters(prefix, 64) == {"b", "c", "d"}
-    # shifts need a horizon past the next power of two above n
-    for n in range(1, 101):
-        letters = factormap.sigma_preimage_letters(prefix.shifted(n), 256)
-        assert letters == {prefix.at(n)}, n
-    report(6, "root preimage {b, c, d}; singleton {w_n} at shifts 1..100")
-
-
-def test_07_letter_measure():
-    expected = {
-        "a": Fraction(1, 2),
-        "b": Fraction(1, 7),
-        "c": Fraction(2, 7),
-        "d": Fraction(1, 14),
-    }
-    for w, v in expected.items():
-        assert ergodic.invariant_measure_cylinder(w) == v
-    assert sum(expected.values()) == 1
-    prefix = substitution.grigorchuk_prefix(1 << 20)
-    for w, v in expected.items():
-        est = ergodic.cylinder_frequency(prefix, w, 1 << 20)
-        assert abs(est.frequency - v) <= Fraction(1, 64)
-    report(7, "mu = 1/2, 1/7, 2/7, 1/14 exactly; empirical within 2^-6 at 2^20")
-
-
-def test_08_spectrum():
-    prefix = substitution.grigorchuk_prefix((1 << 20) + 1)
-    for theta in (Fraction(1, 3), Fraction(1, 5)):
-        mags = [
-            ergodic.spectral_scan(prefix, [theta], "a", 1 << n)[0].magnitude
-            for n in (16, 18, 20)
-        ]
-        assert mags[0] > mags[1] > mags[2]
-        assert mags[2] <= 1e-2
-    half = ergodic.spectral_scan(prefix, [Fraction(1, 2)], "a", 1 << 20)[0].magnitude
-    assert abs(half - 0.5) <= 2**-10
-    report(8, "non-dyadic magnitudes decay below 1e-2; theta=1/2 carries mass 1/2")
-
-
-def test_09_eigenfunction_equivariance():
-    prefix = substitution.grigorchuk_prefix(10_000 + (1 << 12))
-    rep = ergodic.eigenfunction_check(prefix, 10, 10_000)
-    assert rep.ok
-    assert all(r == n % (1 << 10) for n, r in enumerate(rep.residues))
-    report(9, "residues cycle n mod 2^10 over 10^4 shifts, zero failures")
-
-
-def test_10_odometer_cf_algebra():
-    result = verification.check_cf_algebra(FULL)
-    assert result.ok, result.detail
-    report(10, result.detail)
+for _number, _check in enumerate(ALL_CHECKS, start=1):
+    globals()[GATE_TESTS[_check.__name__]] = gate_test(_number, _check)
 
 
 def test_verification_suite_mirrors_the_gate():
-    # the CLI `verify --level full` runs these same ten checks
-    assert len(ALL_CHECKS) == 10
+    # one gate test per check, in order, and ten distinct claim names
+    assert list(GATE_TESTS) == [check.__name__ for check in ALL_CHECKS]
+    assert set(TIME_LIMITS) <= set(GATE_TESTS)
+    names = [result.name for result in verification.run_all("quick")]
+    assert len(names) == len(set(names)) == 10

@@ -156,8 +156,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--level", "quick")
         assert code == 0
         lines = out.strip().splitlines()
-        assert len([l for l in lines if l.startswith("PASS")]) == 10
+        assert len([l for l in lines if l.startswith("PASS ")]) == 10
+        assert len(lines) == 11
         assert lines[-1] == "verdict: ok"
+        # "PASS <name> <seconds>s: <detail>"
+        for line in lines[:-1]:
+            assert re.fullmatch(r"PASS \w+ \d+\.\d{3}s: .+", line), line
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "--json", "verify", "--level", "quick")
@@ -165,6 +169,9 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert len(payload["checks"]) == 10
+        for check in payload["checks"]:
+            assert isinstance(check["seconds"], float)
+            assert 0 < check["seconds"] < 60
 
 
 class TestDemandSizedInput:

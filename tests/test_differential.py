@@ -4,6 +4,9 @@ The straightforward algorithms these replaced stand in for the program here:
 
 - ``reference_fixed_point`` grows the fixed point by joining the rule
   strings of the whole current word, one substitution step at a time.
+  Under a -> ab, b -> b that takes one step per letter, so
+  ``reference_self_expansion`` appends the image of one letter of
+  x = sub(x) at a time, for every substitution.
 - ``reference_skeleton_levels`` scans one window level by level, reshaping
   its first 4 * 2^k letters into four rows; ``reference_encoding`` runs it
   once per shift, as ``verify_equivariance`` did.
@@ -15,12 +18,14 @@ terms are grouped differently and so agree to 1e-9.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
+from oracles import iterate
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
@@ -46,23 +51,40 @@ def reference_fixed_point(sub, seed, length, cap):
     return text[:length]
 
 
+def reference_self_expansion(sub, seed, length):
+    out = list(sub.rules[seed])
+    read = 1
+    while len(out) < length:
+        out.extend(sub.rules[out[read]])
+        read += 1
+    return "".join(out[:length])
+
+
 def rules(**rules):
     return Substitution(Alphabet("".join(rules)), rules)
 
 
+CHAIN_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 SUBSTITUTIONS = {
     "grigorchuk": substitution.grigorchuk_substitution(),
     "period_doubling": rules(a="ab", b="aa"),
     "thue_morse": rules(a="ab", b="ba"),
     "fibonacci": rules(a="ab", b="a"),
     "lengths_1_to_4": rules(a="abcd", b="c", c="da", d="bca"),
+    "linear_growth": rules(a="ab", b="b"),
+    # a -> ab, b -> c, ..., y -> z, z -> zz: the seed reaches the doubling z after 25 steps
+    "chain_to_doubling": rules(**{**dict(zip(CHAIN_LETTERS, CHAIN_LETTERS[1:])), "a": "ab", "z": "zz"}),
 }
+# the string-join step needs one step per letter of linear growth
+STRING_JOIN = sorted(set(SUBSTITUTIONS) - {"linear_growth"})
 
 CHUNK = substitution._CHUNK
-LENGTHS = (1, 2, 3, 4, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 3)
+# 2^18 + 3 letters: past the squared image of the seed (2^17 - 1 letters for
+# grigorchuk), so images longer than a pass are split between passes
+LENGTHS = (1, 2, 3, 4, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 3, (1 << 18) + 3)
 
 
-@pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
+@pytest.mark.parametrize("name", STRING_JOIN)
 def test_generator_matches_the_string_join_step(name):
     sub = SUBSTITUTIONS[name]
     longest = reference_fixed_point(sub, "a", max(LENGTHS), cap=1 << 28)
@@ -71,12 +93,28 @@ def test_generator_matches_the_string_join_step(name):
 
 
 @pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
+def test_generator_matches_the_self_expansion(name):
+    sub = SUBSTITUTIONS[name]
+    longest = reference_self_expansion(sub, "a", max(LENGTHS))
+    for length in LENGTHS:
+        assert substitution.fixed_point_prefix(sub, "a", length).text == longest[:length], length
+
+
+def test_linear_growth_is_generated_a_pass_at_a_time():
+    start = time.perf_counter()
+    prefix = substitution.fixed_point_prefix(SUBSTITUTIONS["linear_growth"], "a", 1 << 20)
+    elapsed = time.perf_counter() - start
+    assert prefix.text == "a" + "b" * ((1 << 20) - 1)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
 def test_iterate_matches_the_string_join_step(name):
     sub = SUBSTITUTIONS[name]
     word = SymbolicPrefix(sub.alphabet, sub.alphabet.letters * 3)
     text = word.text
     for steps in range(6):
-        assert substitution.iterate(sub, word, steps).text == text
+        assert iterate(sub, word, steps).text == text
         text = "".join(sub.rules[ch] for ch in text)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from odoshift import ergodic as erg
 from odoshift import errors
+from odoshift.factormap import verify_equivariance
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     SymbolicPrefix,
@@ -124,29 +125,35 @@ class TestUniformDistribution:
 
 
 class TestEigenfunction:
+    """phi(shift^n x) = exp(2 pi i r_n / 2^k) is an eigenfunction iff r_(n+1) = r_n + 1 mod 2^k.
+
+    r_n is the k-digit encoding of shift n, so the residues are the values
+    of ``verify_equivariance``.
+    """
+
     def test_residues_cycle_mod_eight(self):
-        report = erg.eigenfunction_check(OMEGA, 3, 1000)
+        report = verify_equivariance(OMEGA, 3, 1000)
         assert report.ok
-        assert report.residues[:9] == (0, 1, 2, 3, 4, 5, 6, 7, 0)
+        assert report.values[:9] == (0, 1, 2, 3, 4, 5, 6, 7, 0)
 
     def test_parity_alternates(self):
-        report = erg.eigenfunction_check(OMEGA, 1, 10)
-        assert report.residues == (0, 1) * 5 + (0,)
+        report = verify_equivariance(OMEGA, 1, 10)
+        assert report.values == (0, 1) * 5 + (0,)
 
     def test_corrupted_prefix_fails(self):
         text = list(grigorchuk_prefix(4000).text)
         text[257] = "a" if text[257] != "a" else "c"
         corrupted = SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(text))
         try:
-            report = erg.eigenfunction_check(corrupted, 5, 1000)
+            report = verify_equivariance(corrupted, 5, 1000)
             assert not report.ok
-            assert report.first_failure is not None
+            assert report.first_violation is not None
         except errors.NotInSubshiftError:
             pass
 
     def test_needs_window(self):
         with pytest.raises(errors.InsufficientDataError):
-            erg.eigenfunction_check(grigorchuk_prefix(64), 5, 100)
+            verify_equivariance(grigorchuk_prefix(64), 5, 100)
 
 
 class TestSpectralScan:

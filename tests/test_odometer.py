@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import odometer as od
+from oracles import factorized_cf_contains, parse_cf, parse_spec
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -27,6 +29,32 @@ class TestCFSet:
     def test_contains_examples(self):
         assert od.cf_contains(od.CFSet({2: od.INFINITY}), 8)
         assert not od.cf_contains(od.CFSet({2: od.INFINITY}), 6)
+        assert od.cf_contains(od.CFSet({2: 3, 3: 1}), 24)
+        assert not od.cf_contains(od.CFSet({2: 3, 3: 1}), 48)
+        with pytest.raises(errors.InvalidInputError):
+            od.cf_contains(od.CFSet({}), 0)
+
+    def test_large_primes_are_not_factorized(self):
+        # trial division up to sqrt(n) would take minutes on 2^61 - 1
+        big = (1 << 61) - 1
+        start = time.perf_counter()
+        assert not od.cf_contains(od.CFSet({2: od.INFINITY}), big)
+        assert not od.cf_contains(od.CFSet({2: od.INFINITY, 3: 5}), 10**14 + 31)
+        assert od.cf_contains(od.CFSet({2: od.INFINITY}), 1 << 200)
+        assert time.perf_counter() - start < 0.01
+
+    @given(cf=cf_sets, n=st.integers(min_value=1, max_value=1 << 40))
+    def test_contains_matches_factorization(self, cf, n):
+        assert od.cf_contains(cf, n) == factorized_cf_contains(cf, n)
+
+    @given(
+        cf=cf_sets,
+        exponents=st.lists(st.integers(min_value=0, max_value=8), min_size=6, max_size=6),
+    )
+    def test_contains_matches_factorization_on_smooth_numbers(self, cf, exponents):
+        # products of the primes the sets use, so membership is often true
+        n = math.prod(p**e for p, e in zip(PRIMES, exponents))
+        assert od.cf_contains(cf, n) == factorized_cf_contains(cf, n)
 
     @given(cf=cf_sets)
     def test_one_is_always_a_member(self, cf):
@@ -53,13 +81,13 @@ class TestCFSet:
 
     def test_text_round_trip(self):
         for cf in (od.CFSet({}), od.CFSet({2: od.INFINITY, 3: 2}), od.CFSet({7: 1})):
-            assert od.cf_equal(od.parse_cf(od.cf_to_text(cf)), cf)
+            assert od.cf_equal(parse_cf(od.cf_to_text(cf)), cf)
         assert od.cf_to_text(od.CFSet({2: od.INFINITY, 3: 2})) == "2^inf*3^2"
         assert od.cf_to_text(od.CFSet({})) == "1"
 
     @given(cf=cf_sets)
     def test_text_round_trip_random(self, cf):
-        assert od.cf_equal(od.parse_cf(od.cf_to_text(cf)), cf)
+        assert od.cf_equal(parse_cf(od.cf_to_text(cf)), cf)
 
 
 class TestCFClosure:
@@ -99,19 +127,18 @@ class TestOdometerSpec:
 
     def test_text_round_trip(self):
         for spec in (od.BINARY_ODOMETER, od.OdometerSpec(bases=(12,)), od.OdometerSpec(bases=(2, 3), repeat=(5,))):
-            assert od.parse_spec(od.spec_to_text(spec)) == spec
+            assert parse_spec(od.spec_to_text(spec)) == spec
         assert od.spec_to_text(od.BINARY_ODOMETER) == "2,..."
-        assert od.parse_spec("2,3,...") == od.OdometerSpec(bases=(2,), repeat=(3,))
+        assert parse_spec("2,3,...") == od.OdometerSpec(bases=(2,), repeat=(3,))
 
 
 class TestOdometerStep:
     def test_examples(self):
         spec = od.OdometerSpec(bases=(2, 3))
-        assert od.odometer_step(od.OdometerState((0, 0)), spec).state.digits == (1, 0)
-        assert od.odometer_step(od.OdometerState((1, 0)), spec).state.digits == (0, 1)
-        full = od.odometer_step(od.OdometerState((1, 2)), spec)
-        assert full.state.digits == (0, 0)
-        assert full.carry_out
+        assert od.odometer_step(od.OdometerState((0, 0)), spec).digits == (1, 0)
+        assert od.odometer_step(od.OdometerState((1, 0)), spec).digits == (0, 1)
+        # the carry past the last digit is dropped: the top state wraps to zero
+        assert od.odometer_step(od.OdometerState((1, 2)), spec).digits == (0, 0)
 
     def test_mismatched_lengths(self):
         with pytest.raises(errors.InvalidInputError):
@@ -126,7 +153,7 @@ class TestOdometerStep:
         K = 8
         state = od.OdometerState(tuple((start >> i) & 1 for i in range(K)))
         for _ in range(steps):
-            state = od.odometer_step(state, od.BINARY_ODOMETER).state
+            state = od.odometer_step(state, od.BINARY_ODOMETER)
         value = sum(b << i for i, b in enumerate(state.digits))
         assert value == (start + steps) % (1 << K)
 
@@ -177,19 +204,26 @@ class TestOdometerFromCF:
 
 class TestDyadicInt:
     def test_add_one_examples(self):
-        assert od.dyadic_add_one(od.DyadicInt((0, 0, 0))).bits == (1, 0, 0)
-        assert od.dyadic_add_one(od.DyadicInt((1, 1, 1))).bits == (0, 0, 0)
-        assert od.dyadic_add_one(od.DyadicInt((1, 1, 0))).bits == (0, 0, 1)
+        # adding one to a truncated dyadic integer is the binary odometer step
+        for bits, after in (("000", "100"), ("111", "000"), ("110", "001")):
+            state = od.OdometerState(tuple(int(b) for b in bits))
+            step = od.odometer_step(state, od.BINARY_ODOMETER)
+            assert "".join(map(str, step.digits)) == after
+            x = od.DyadicInt(int(bits[::-1], 2), len(bits))
+            assert od.DyadicInt((x.value + 1) % (1 << x.precision), x.precision).to_text() == after
 
     def test_text_is_lsb_first(self):
-        assert od.DyadicInt.from_int(5, 8).to_text() == "10100000"
+        assert od.DyadicInt(5, 8).to_text() == "10100000"
 
     @given(value=st.integers(min_value=0, max_value=10_000), precision=st.integers(min_value=1, max_value=16))
     def test_from_int_round_trip(self, value, precision):
-        x = od.DyadicInt.from_int(value, precision)
-        assert x.value == value % (1 << precision)
-        assert od.dyadic_add_one(x).value == (value + 1) % (1 << precision)
+        x = od.DyadicInt(value % (1 << precision), precision)
+        assert x.precision == precision
+        assert len(x.to_text()) == precision
+        assert int(x.to_text()[::-1], 2) == x.value == value % (1 << precision)
 
     def test_rejects_non_bits(self):
-        with pytest.raises(errors.InvalidInputError):
-            od.DyadicInt((0, 2))
+        # a value needing more than ``precision`` bits, a negative value, no bits at all
+        for value, precision in ((4, 2), (-1, 3), (0, 0)):
+            with pytest.raises(errors.InvalidInputError):
+                od.DyadicInt(value, precision)

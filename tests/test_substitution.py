@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import substitution as sub
+from oracles import iterate
 
 TAU = sub.grigorchuk_substitution()
 ABC = sub.GRIGORCHUK_ALPHABET
@@ -78,16 +79,18 @@ class TestProlongable:
 
 
 class TestIterate:
+    """The generator's chunked expansion, applied to whole words."""
+
     def test_two_steps_from_a(self):
-        assert sub.iterate(TAU, word("a"), 2).text == "acabaca"
+        assert iterate(TAU, word("a"), 2).text == "acabaca"
 
     def test_single_letters(self):
-        assert sub.iterate(TAU, word("b"), 1).text == "d"
-        assert sub.iterate(TAU, word("c"), 1).text == "b"
-        assert sub.iterate(TAU, word("d"), 1).text == "c"
+        assert iterate(TAU, word("b"), 1).text == "d"
+        assert iterate(TAU, word("c"), 1).text == "b"
+        assert iterate(TAU, word("d"), 1).text == "c"
 
     def test_zero_steps_is_identity(self):
-        assert sub.iterate(TAU, word("bcd"), 0).text == "bcd"
+        assert iterate(TAU, word("bcd"), 0).text == "bcd"
 
     @given(
         left=st.text(alphabet="abcd", min_size=1, max_size=12),
@@ -95,21 +98,18 @@ class TestIterate:
         steps=st.integers(min_value=0, max_value=4),
     )
     def test_homomorphism_over_splits(self, left, right, steps):
-        joined = sub.iterate(TAU, word(left + right), steps).text
-        assert joined == sub.iterate(TAU, word(left), steps).text + sub.iterate(
+        joined = iterate(TAU, word(left + right), steps).text
+        assert joined == iterate(TAU, word(left), steps).text + iterate(
             TAU, word(right), steps
         ).text
-
-    def test_resource_cap(self, monkeypatch):
-        monkeypatch.setenv(sub.MAX_BYTES_ENV, "100")
-        with pytest.raises(errors.ResourceLimitError) as exc:
-            sub.iterate(TAU, word("a" * 50), 2)
-        assert exc.value.required_bytes is not None
 
     def test_bad_cap_value(self, monkeypatch):
         monkeypatch.setenv(sub.MAX_BYTES_ENV, "soon")
         with pytest.raises(errors.InvalidInputError):
-            sub.iterate(TAU, word("a"), 1)
+            sub.fixed_point_prefix(TAU, "a", 1)
+        monkeypatch.setenv(sub.MAX_BYTES_ENV, "0")
+        with pytest.raises(errors.InvalidInputError):
+            sub.grigorchuk_codes(1)
 
 
 class TestFixedPointPrefix:
@@ -130,7 +130,7 @@ class TestFixedPointPrefix:
 
     def test_substitution_invariance(self):
         p = sub.fixed_point_prefix(TAU, "a", 300)
-        assert sub.iterate(TAU, p, 1).text.startswith(p.text)
+        assert iterate(TAU, p, 1).text.startswith(p.text)
 
     def test_length_over_cap(self, monkeypatch):
         monkeypatch.setenv(sub.MAX_BYTES_ENV, "64")
@@ -188,6 +188,30 @@ class TestMemory:
     def test_generator_peak(self):
         peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH))
         assert peak <= 6 * self.LENGTH
+
+    # a -> ab, b -> b squares its rules 14 times, so letters that double
+    # would reach the length each: twenty the seed never reaches, or a
+    # chain a -> ab, b -> c, ..., y -> z, z -> zz the seed reaches late
+    UNREACHED = "ABCDEFGHIJKLMNOPQRST"
+    CHAIN = "abcdefghijklmnopqrstuvwxyz"
+    LONG_RULES = {
+        # rules, and the fixed point as head + tail letter repeated
+        "unreachable": ({"a": "ab", "b": "b", **{x: x + x for x in UNREACHED}}, "a", "b"),
+        "deep_chain": ({**dict(zip(CHAIN, CHAIN[1:])), "a": "ab", "z": "zz"}, CHAIN[:-1], "z"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LONG_RULES))
+    def test_generator_peak_with_long_squared_rules(self, case):
+        rules, head, tail = self.LONG_RULES[case]
+        long_rules = sub.Substitution(sub.Alphabet("".join(rules)), rules)
+        prefix = None
+
+        def build():
+            nonlocal prefix
+            prefix = sub.fixed_point_prefix(long_rules, "a", self.LENGTH)
+
+        assert traced_peak(build) <= 6 * self.LENGTH
+        assert prefix.text == head + tail * (self.LENGTH - len(head))
 
     def test_oracle_peak(self):
         peak = traced_peak(lambda: sub.grigorchuk_codes(self.LENGTH))

@@ -18,6 +18,19 @@ def word(text):
     return SymbolicPrefix(GRIGORCHUK_ALPHABET, text)
 
 
+def heuristic_essential_periods(prefix, horizon):
+    """Reference: smallest p <= horizon whose multiples agree to the end of the prefix, per position."""
+    codes = prefix.codes
+    L = len(prefix)
+    periods = set()
+    for n in range(1, L - horizon + 1):
+        for p in range(1, horizon + 1):
+            if (codes[n - 1 + p :: p] == codes[n - 1]).all():
+                periods.add(p)
+                break
+    return periods
+
+
 class TestPartialPeriod:
     def test_odd_positions_have_period_two(self):
         assert tp.is_partially_periodic_at(OMEGA, 1, 2).holds
@@ -33,17 +46,9 @@ class TestPartialPeriod:
     def test_rigid_needs_three_multiples(self):
         short = word("aaaa")
         with pytest.raises(errors.InsufficientDataError) as exc:
-            tp.is_partially_periodic_at(short, 1, 2, mode=tp.RIGID)
+            tp.is_partially_periodic_at(short, 1, 2)
         assert exc.value.required_length == 7
-
-    def test_heuristic_scans_to_end(self):
-        cert = tp.is_partially_periodic_at(OMEGA, 1, 2, mode=tp.HEURISTIC)
-        assert cert.holds
-        assert cert.verified_horizon == (len(OMEGA) - 1) // 2
-
-    def test_bad_mode(self):
-        with pytest.raises(errors.InvalidInputError):
-            tp.is_partially_periodic_at(OMEGA, 1, 2, mode="hopeful")
+        assert tp.is_partially_periodic_at(word("a" * 7), 1, 2).verified_horizon == 3
 
     @given(
         n=st.integers(min_value=2, max_value=512),
@@ -94,13 +99,14 @@ class TestEssentialPeriods:
 
     def test_heuristic_agrees_on_fixed_point(self):
         prefix = grigorchuk_prefix(1 << 10)
-        rigid = tp.essential_periods(prefix, 64, mode=tp.RIGID)
-        loose = tp.essential_periods(prefix, 64, mode=tp.HEURISTIC)
-        assert set(rigid.periods) <= set(loose.periods)
+        rigid = tp.essential_periods(prefix, 64)
+        loose = heuristic_essential_periods(prefix, 64)
+        assert set(rigid.periods) <= set(loose)
 
     def test_horizon_too_large(self):
-        with pytest.raises(errors.InsufficientDataError):
-            tp.essential_periods(word("abab"), 4, mode=tp.RIGID)
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            tp.essential_periods(word("abab"), 4)
+        assert exc.value.required_length == 16
 
 
 class TestPeriodSkeleton:
