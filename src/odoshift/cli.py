@@ -80,7 +80,8 @@ def _cmd_generate(args) -> int:
     prefix = _load_input(args, args.length)
     if args.output:
         substitution.save_prefix(prefix, args.output)
-    _emit(args, [prefix.text], {"length": len(prefix), "prefix": prefix.text})
+    text = prefix.text
+    _emit(args, [text], {"length": len(prefix), "prefix": text})
     return EXIT_OK
 
 

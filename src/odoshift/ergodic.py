@@ -48,8 +48,7 @@ def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int) -> np.ndarr
             required_length=need,
         )
     codes = prefix.codes
-    target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    target = prefix.alphabet._code_table[target]
+    target = prefix.alphabet.encode(word)
     mask = codes[:window] == target[0]
     for j in range(1, len(word)):
         mask &= codes[j : window + j] == target[j]
@@ -92,25 +91,14 @@ def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int)
             f"depth {depth} over window {window} needs prefix length {need}, have {len(prefix)}",
             required_length=need,
         )
-    seen = {prefix.text[i : i + depth] for i in range(window)}
+    codes = prefix.codes[:need].tobytes()
+    seen = {codes[i : i + depth] for i in range(window)}
     entries = []
-    for word in sorted(seen):
-        est = cylinder_frequency(prefix, word, window)
+    for word in sorted(prefix.alphabet.decode(np.frombuffer(w, dtype=np.uint8)) for w in seen):
+        empirical = cylinder_frequency(prefix, word, window).frequency
         exact = invariant_measure_cylinder(word)
-        entries.append(
-            WordDeviation(
-                word=word,
-                empirical=est.frequency,
-                exact=exact,
-                deviation=abs(est.frequency - exact),
-            )
-        )
-    return DistributionReport(
-        depth=depth,
-        window=window,
-        entries=tuple(entries),
-        max_deviation=max(e.deviation for e in entries),
-    )
+        entries.append(WordDeviation(word, empirical, exact, deviation=abs(empirical - exact)))
+    return DistributionReport(depth, window, tuple(entries), max(e.deviation for e in entries))
 
 
 @dataclass(frozen=True)

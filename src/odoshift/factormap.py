@@ -110,8 +110,9 @@ def sigma_preimage_letters(
     a factor of the prefix, so only the head is tested.  The subshift is
     minimal and uniquely ergodic, so a word is in the language exactly when
     its exact invariant measure is positive; each test costs about
-    horizon^2 letter lookups.  A head that is itself outside the language
-    (a letter outside 'abcd', or measure 0) raises NotInSubshiftError.
+    horizon^2 letter lookups.  mu[head] is the sum of mu[l + head] over the
+    letters l (shift invariance), so a head that no letter extends, or with
+    a letter outside 'abcd', is outside the language: NotInSubshiftError.
     """
     if language_horizon < 2:
         raise InvalidInputError(f"language horizon must be >= 2, got {language_horizon}")
@@ -120,13 +121,15 @@ def sigma_preimage_letters(
             f"prefix of length {len(prefix)} too short for horizon {language_horizon}",
             required_length=language_horizon - 1,
         )
-    head = prefix.text[: language_horizon - 1]
+    head = prefix.alphabet.decode(prefix.codes[: language_horizon - 1])
     letters = GRIGORCHUK_ALPHABET.letters
-    if not set(head) <= set(letters) or invariant_measure_cylinder(head) == 0:
+    in_alphabet = set(head) <= set(letters)
+    extending = {l for l in letters if in_alphabet and invariant_measure_cylinder(l + head) > 0}
+    if not extending:
         raise NotInSubshiftError(
             f"the first {len(head)} letters are not a factor of the fixed point"
         )
-    return {l for l in letters if invariant_measure_cylinder(l + head) > 0}
+    return extending
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,8 @@ class Alphabet:
             raise InvalidInputError("alphabet must be nonempty")
         if len(set(self.letters)) != len(self.letters):
             raise InvalidInputError(f"duplicate symbols in alphabet {self.letters!r}")
-        if len(self.letters) > 255:
-            raise InvalidInputError("alphabet size must be at most 255")
         for ch in self.letters:
-            # sequences are stored and read one byte per letter
+            # one byte per letter; so at most 95 distinct symbols, each code below 255
             if not (ch.isascii() and ch.isprintable()):
                 raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable ASCII character")
 
@@ -76,47 +74,67 @@ class Alphabet:
     @cached_property
     def _code_table(self) -> np.ndarray:
         lut = np.full(256, 255, dtype=np.uint8)
-        for i, ch in enumerate(self.letters):
-            lut[ord(ch)] = i
+        lut[np.frombuffer(self.letters.encode(), dtype=np.uint8)] = np.arange(len(self.letters))
         return lut
 
+    def encode(self, text: str) -> np.ndarray:
+        """uint8 codes of ``text``: codes[i] is the alphabet index of text[i]."""
+        # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol
+        codes = self._code_table[np.frombuffer(text.encode(), dtype=np.uint8)]
+        if codes.size and codes.max() >= len(self.letters):
+            extra = sorted(set(text) - set(self.letters))
+            raise InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
+        return codes
 
-@dataclass(frozen=True)
+    def decode(self, codes: np.ndarray) -> str:
+        """The letters of ``codes``, which must be indices into this alphabet."""
+        return np.frombuffer(self.letters.encode(), dtype=np.uint8)[codes].tobytes().decode()
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolicPrefix:
-    """Finite prefix of a one-sided infinite sequence, positions 1..L."""
+    """Finite prefix of a one-sided infinite sequence, positions 1..L.
+
+    Stored only as ``codes``, a read-only uint8 array: codes[i] is the alphabet
+    index at position i+1.  They are checked once, here; a shift is a view.
+    ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
+    """
 
     alphabet: Alphabet
-    text: str
+    codes: np.ndarray
 
     def __post_init__(self):
-        if len(self.text) < 1:
-            raise InvalidInputError("prefix must contain at least one letter")
-        extra = set(self.text) - set(self.alphabet.letters)
-        if extra:
-            raise InvalidInputError(f"letters {sorted(extra)} not in alphabet {self.alphabet.letters!r}")
+        codes = np.asarray(self.codes)
+        if codes.dtype != np.uint8 or codes.ndim != 1 or not codes.size:
+            raise InvalidInputError(f"codes must be nonempty 1-d uint8, got {codes.dtype} {codes.shape}")
+        if codes.max() >= len(self.alphabet):
+            raise InvalidInputError(f"code {codes.max()} outside the alphabet {self.alphabet.letters!r}")
+        view = codes.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "codes", view)
 
     def __len__(self) -> int:
-        return len(self.text)
+        return len(self.codes)
 
     def at(self, position: int) -> str:
         """Letter at 1-based position."""
-        if position < 1 or position > len(self.text):
-            raise InvalidInputError(f"position {position} outside 1..{len(self.text)}")
-        return self.text[position - 1]
+        if position < 1 or position > len(self.codes):
+            raise InvalidInputError(f"position {position} outside 1..{len(self.codes)}")
+        return self.alphabet.letters[self.codes[position - 1]]
 
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """Read-only uint8 view: codes[i] is the alphabet index at position i+1."""
-        raw = np.frombuffer(self.text.encode("ascii"), dtype=np.uint8)
-        out = self.alphabet._code_table[raw]
-        out.flags.writeable = False
-        return out
+    @property
+    def text(self) -> str:
+        """The letters, decoded from ``codes`` on each read: for output, not for lookups."""
+        return self.alphabet.decode(self.codes)
 
     def shifted(self, n: int) -> "SymbolicPrefix":
-        """Prefix of the n-fold shift (drop the first n letters)."""
-        if n < 0 or n >= len(self.text):
-            raise InvalidInputError(f"shift {n} outside 0..{len(self.text) - 1}")
-        return SymbolicPrefix(self.alphabet, self.text[n:])
+        """Prefix of the n-fold shift (drop the first n letters): a view, nothing copied or re-checked."""
+        if n < 0 or n >= len(self.codes):
+            raise InvalidInputError(f"shift {n} outside 0..{len(self.codes) - 1}")
+        view = object.__new__(SymbolicPrefix)
+        object.__setattr__(view, "alphabet", self.alphabet)
+        object.__setattr__(view, "codes", self.codes[n:])
+        return view
 
 
 @dataclass(frozen=True)
@@ -139,11 +157,9 @@ class Substitution:
                 if ch not in self.alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
 
-    def _byte_rules(self, letters: str):
-        """Byte rules of ``letters``: see ``_pack``."""
-        return _pack({
-            ord(ch): np.frombuffer(self.rules[ch].encode("ascii"), dtype=np.uint8) for ch in letters
-        })
+    def _code_rules(self, letters: str):
+        """Code rules of ``letters``: see ``_pack``."""
+        return _pack({self.alphabet.index(ch): self.alphabet.encode(self.rules[ch]) for ch in letters})
 
     def _reachable(self, seed: str) -> str:
         """Letters that occur in sub^n(seed) for some n >= 0."""
@@ -154,10 +170,10 @@ class Substitution:
 
 
 def _pack(images):
-    """Byte rules from {letter byte: image bytes}.
+    """Code rules from {letter code: image codes}.
 
-    (image length, offset into the image bytes) per letter byte, 0 for a
-    letter without a rule, and the concatenated image bytes.
+    (image length, offset into the image codes) per letter code, 0 for a
+    letter without a rule, and the concatenated image codes.
     """
     lengths = np.zeros(256, dtype=np.int64)
     offsets = np.zeros(256, dtype=np.int64)
@@ -195,7 +211,7 @@ def _image(rules, src: np.ndarray, dst: np.ndarray, skip: int):
 
     Returns (letters written, letters of src whose image is now complete,
     letters of the next one's image already written).  ``src`` and ``dst``
-    hold letter bytes and must not overlap.
+    hold letter codes and must not overlap.
     """
     lengths, offsets, flat = rules
     n = lengths[src]
@@ -230,7 +246,7 @@ def _expand(rules, buf: np.ndarray, read: int, written: int, stop: int) -> int:
 
 
 def _squared(rules, cut: int):
-    """Byte rules of the substitution applied twice, each image cut at ``cut`` letters.
+    """Code rules of the substitution applied twice, each image cut at ``cut`` letters.
 
     The cut is exact for the first ``cut`` letters: every letter has a
     nonempty image, so the image of a word cut at ``cut`` letters still
@@ -255,7 +271,7 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     """First ``length`` letters of the substitution-invariant sequence grown from ``seed``.
 
     The fixed point x satisfies x = sub(x), so the image of the letters
-    already written continues the array: one ``length``-byte array is filled
+    already written continues the array: one ``length``-byte code array is filled
     by expanding its own letters, a bounded chunk at a time.  x is also the
     fixed point of sub^(2^j), and the rules of the letters the seed reaches
     are squared until the seed's image fills a chunk, so that a pass reads
@@ -273,8 +289,8 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
         )
     _check_cap(length)
     # only letters the seed reaches occur in the fixed point
-    rules = sub._byte_rules(sub._reachable(seed))
-    s = ord(seed)
+    rules = sub._code_rules(sub._reachable(seed))
+    s = sub.alphabet.index(seed)
     while rules[0][s] < min(length, _CHUNK):
         squared = _squared(rules, length)
         if squared is None:
@@ -286,7 +302,7 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     out[:head] = flat[offsets[s] : offsets[s] + head]
     # out[:head] is the image of out[:1]; the image of out[1:] continues it
     _expand(rules, out, 1, head, length)
-    return SymbolicPrefix(sub.alphabet, str(out, "ascii"))
+    return SymbolicPrefix(sub.alphabet, out)
 
 
 def dyadic_valuation(m: int) -> int:
@@ -350,9 +366,7 @@ def invariant_measure_cylinder(word: str) -> Fraction:
     """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
-    for ch in word:
-        if ch not in "abcd":
-            raise InvalidInputError(f"letter {ch!r} outside the alphabet 'abcd'")
+    GRIGORCHUK_ALPHABET.encode(word)  # rejects letters outside 'abcd'
     t = len(word)
     D = max(1, (t - 1).bit_length()) + 1
     modulus = 1 << D
@@ -429,14 +443,14 @@ def load_substitution(path) -> Substitution:
         return parse_substitution(fh.read())
 
 
-def parse_prefix(source: str, alphabet: Alphabet | None = None) -> SymbolicPrefix:
-    text = source.strip()
-    if alphabet is None:
-        alphabet = Alphabet("".join(sorted(set(text))))
-    return SymbolicPrefix(alphabet, text)
+def parse_prefix(source: str, alphabet: Alphabet) -> SymbolicPrefix:
+    """Prefix of the letters of ``source`` less surrounding whitespace: the one way in from text.
+
+    A letter outside ``alphabet`` is an InvalidInputError."""
+    return SymbolicPrefix(alphabet, alphabet.encode(source.strip()))
 
 
-def load_prefix(path, alphabet: Alphabet | None = None) -> SymbolicPrefix:
+def load_prefix(path, alphabet: Alphabet) -> SymbolicPrefix:
     with open(path, "r", encoding="ascii") as fh:
         return parse_prefix(fh.read(), alphabet)
 

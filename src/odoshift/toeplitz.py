@@ -59,11 +59,21 @@ def is_partially_periodic_at(prefix: SymbolicPrefix, n: int, p: int):
             f"test at (n={n}, p={p}) needs prefix length {need}, have {len(prefix)}",
             required_length=need,
         )
-    base = prefix.text[n - 1]
-    for k in range(1, _TERMS + 1):
-        if prefix.text[n - 1 + k * p] != base:
-            return PeriodRefutation(position=n, period=p, failed_multiple=k)
+    agree = prefix.codes[n - 1 + p * np.arange(1, _TERMS + 1)] == prefix.codes[n - 1]
+    if not agree.all():
+        return PeriodRefutation(position=n, period=p, failed_multiple=int(agree.argmin()) + 1)
     return PartialPeriodCertificate(position=n, period=p, verified_horizon=_TERMS)
+
+
+def partial_period_mask(codes: np.ndarray, starts, p):
+    """The four-term test codes[n] == codes[n + j p], j = 1..3, at 0-based ``starts``.
+
+    ``starts`` and ``p`` are integers or arrays that broadcast together."""
+    base = codes[starts]
+    ok = codes[starts + p] == base
+    for j in range(2, _TERMS + 1):
+        ok &= codes[starts + j * p] == base
+    return ok
 
 
 def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
@@ -113,12 +123,7 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     for p in range(1, horizon + 1):
         if unresolved.size == 0:
             break
-        base = codes[unresolved]
-        ok = (
-            (codes[unresolved + p] == base)
-            & (codes[unresolved + 2 * p] == base)
-            & (codes[unresolved + 3 * p] == base)
-        )
+        ok = partial_period_mask(codes, unresolved, p)
         if ok.any():
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
@@ -215,17 +220,9 @@ def _skeleton_scan(codes: np.ndarray, K: int, shifts: int):
 
 
 def skeleton_levels_from_codes(codes: np.ndarray, K: int):
-    """(M_1..M_K, l_1..l_K codes) of the one window codes[: 2^(K+2)].
-
-    Operates on raw uint8 codes so callers can slice shifted windows without
-    re-materializing prefix objects; ``deepest_columns`` scans every shift.
-    """
-    levels = []
-    letters = []
-    for m, letter in _skeleton_scan(codes, K, 0):
-        levels.append(int(m[0]))
-        letters.append(int(letter[0]))
-    return levels, letters
+    """(M_1..M_K, l_1..l_K codes) of the window codes[: 2^(K+2)]; ``deepest_columns`` scans all shifts."""
+    scan = [(int(m[0]), int(letter[0])) for m, letter in _skeleton_scan(codes, K, 0)]
+    return [m for m, _ in scan], [letter for _, letter in scan]
 
 
 def deepest_columns(codes: np.ndarray, K: int, shifts: int) -> np.ndarray:

@@ -19,14 +19,14 @@ from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix
 
 def iterate(sub, word, steps):
     """Apply the substitution ``steps`` times to the prefix ``word``."""
-    rules = sub._byte_rules(sub.alphabet.letters)
-    letters = np.frombuffer(word.text.encode("ascii"), dtype=np.uint8)
+    rules = sub._code_rules(sub.alphabet.letters)
+    codes = word.codes
     for _ in range(steps):
-        buf = np.concatenate([letters, np.empty(int(rules[0][letters].sum()), dtype=np.uint8)])
-        end = substitution._expand(rules, buf, 0, len(letters), len(letters))
+        buf = np.concatenate([codes, np.empty(int(rules[0][codes].sum()), dtype=np.uint8)])
+        end = substitution._expand(rules, buf, 0, len(codes), len(codes))
         assert end == len(buf)
-        letters = buf[len(letters) :]
-    return SymbolicPrefix(sub.alphabet, str(letters, "ascii"))
+        codes = buf[len(codes) :]
+    return SymbolicPrefix(sub.alphabet, codes)
 
 
 def grigorchuk_level_letter(k):
@@ -65,7 +65,7 @@ def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None)
                 letter = letters[k - 1]
                 break
         out.append(letter)
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(out))
+    return substitution.parse_prefix("".join(out), GRIGORCHUK_ALPHABET)
 
 
 def parse_cf(text):

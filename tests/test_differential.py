@@ -33,6 +33,7 @@ from odoshift.substitution import (
     SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
+    parse_prefix,
 )
 
 
@@ -111,7 +112,7 @@ def test_linear_growth_is_generated_a_pass_at_a_time():
 @pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
 def test_iterate_matches_the_string_join_step(name):
     sub = SUBSTITUTIONS[name]
-    word = SymbolicPrefix(sub.alphabet, sub.alphabet.letters * 3)
+    word = parse_prefix(sub.alphabet.letters * 3, sub.alphabet)
     text = word.text
     for steps in range(6):
         assert iterate(sub, word, steps).text == text
@@ -213,11 +214,8 @@ def reference_encoding(codes, k, shifts):
     return tuple(values)
 
 
-LETTER_BYTES = np.frombuffer(GRIGORCHUK_ALPHABET.letters.encode("ascii"), dtype=np.uint8)
-
-
 def program_encoding(codes, k, shifts):
-    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, LETTER_BYTES[codes].tobytes().decode("ascii"))
+    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, codes)
     try:
         report = factormap.verify_equivariance(prefix, k, shifts)
     except errors.NotInSubshiftError as exc:

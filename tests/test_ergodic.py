@@ -7,9 +7,9 @@ from odoshift import errors
 from odoshift.factormap import verify_equivariance
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
-    SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
+    parse_prefix,
 )
 
 OMEGA = grigorchuk_prefix(1 << 18)
@@ -82,7 +82,8 @@ class TestInvariantMeasure:
 
     def test_empirical_agreement_depth_two(self):
         window = 1 << 17
-        words = {OMEGA.text[i : i + 2] for i in range(window)}
+        text = OMEGA.text
+        words = {text[i : i + 2] for i in range(window)}
         for word in words:
             exact = erg.invariant_measure_cylinder(word)
             est = erg.cylinder_frequency(OMEGA, word, window)
@@ -143,7 +144,7 @@ class TestEigenfunction:
     def test_corrupted_prefix_fails(self):
         text = list(grigorchuk_prefix(4000).text)
         text[257] = "a" if text[257] != "a" else "c"
-        corrupted = SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(text))
+        corrupted = parse_prefix("".join(text), GRIGORCHUK_ALPHABET)
         try:
             report = verify_equivariance(corrupted, 5, 1000)
             assert not report.ok

@@ -7,9 +7,9 @@ from odoshift import factormap as fm
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
-    SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
+    parse_prefix,
 )
 from oracles import grigorchuk_level_letter, reconstruct_from_skeleton
 
@@ -26,7 +26,7 @@ def _moving_residues(depth):
 
 
 def word(text):
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, text)
+    return parse_prefix(text, GRIGORCHUK_ALPHABET)
 
 
 class TestEncode:
@@ -124,7 +124,7 @@ class TestSigmaPreimage:
         with pytest.raises(errors.NotInSubshiftError):
             fm.sigma_preimage_letters(word("acaa" + OMEGA.text[:60]), 64)
         with pytest.raises(errors.NotInSubshiftError):
-            fm.sigma_preimage_letters(SymbolicPrefix(Alphabet("acx"), "acx" * 22), 64)
+            fm.sigma_preimage_letters(parse_prefix("acx" * 22, Alphabet("acx")), 64)
 
 
 class TestClassifyFiber:

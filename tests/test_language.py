@@ -12,6 +12,7 @@ Two slow references stand in for the program here:
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from odoshift.substitution import (
     _tail_density,
     grigorchuk_letter,
     grigorchuk_prefix,
+    parse_prefix,
 )
 
 TEXT = grigorchuk_prefix(1 << 16).text
@@ -96,8 +98,21 @@ def test_measure_matches_the_reference(word):
     assert invariant_measure_cylinder(word) == reference_measure(word)
 
 
+def test_a_word_has_the_measure_of_its_left_extensions():
+    # shift invariance: mu[w] = sum over letters l of mu[l w], so a head is
+    # outside the language exactly when no letter extends it, which is what
+    # sigma_preimage_letters tests; test_ergodic.py checks the right extensions
+    words = ["".join(w) for n in range(1, 7) for w in itertools.product("abcd", repeat=n)]
+    rng = random.Random(60)
+    for _ in range(200):
+        start = rng.randrange(1 << 15)
+        words.append(TEXT[start : start + rng.randint(60, 300)])
+    for word in words:
+        assert sum(invariant_measure_cylinder(l + word) for l in "abcd") == invariant_measure_cylinder(word), word
+
+
 def test_preimage_letters_match_substring_search_along_the_orbit():
-    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, TEXT[:2048])
+    prefix = parse_prefix(TEXT[:2048], GRIGORCHUK_ALPHABET)
     for horizon in (2, 3, 64, 256):
         for n in range(0, 101):
             shifted = prefix.shifted(n)
@@ -115,7 +130,7 @@ def test_preimage_letters_match_substring_search(shift, horizon, mutate):
     if mutate is not None:
         j, letter = mutate
         text[j] = letter
-    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, "".join(text))
+    prefix = parse_prefix("".join(text), GRIGORCHUK_ALPHABET)
     try:
         expected = substring_letters(prefix, horizon)
     except errors.NotInSubshiftError:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ ABC = sub.GRIGORCHUK_ALPHABET
 
 
 def word(text):
-    return sub.SymbolicPrefix(ABC, text)
+    return sub.parse_prefix(text, ABC)
 
 
 class TestAlphabet:
@@ -34,6 +35,15 @@ class TestAlphabet:
         assert ABC.index("c") == 2
         with pytest.raises(errors.InvalidInputError):
             ABC.index("z")
+
+    def test_encode_and_decode(self):
+        codes = ABC.encode("dcba")
+        assert codes.dtype == np.uint8 and codes.tolist() == [3, 2, 1, 0]
+        assert ABC.decode(codes) == "dcba"
+        assert ABC.encode("").size == 0
+        for text in ("ax", "a\u00e9", "A"):
+            with pytest.raises(errors.InvalidInputError):
+                ABC.encode(text)
 
 
 class TestSymbolicPrefix:
@@ -60,6 +70,40 @@ class TestSymbolicPrefix:
         assert p.shifted(2).text == "ab"
         with pytest.raises(errors.InvalidInputError):
             p.shifted(4)
+
+    def test_stores_only_codes(self):
+        p = word(" acab\n")
+        assert set(vars(p)) == {"alphabet", "codes"}
+        assert p.codes.dtype == np.uint8
+        assert p.text == "acab"
+        with pytest.raises(errors.InvalidInputError):
+            word("ac\u00e9")
+
+    def test_shift_is_a_view(self):
+        p = sub.grigorchuk_prefix(1 << 22)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            q = p.shifted(12345)
+            elapsed.append(time.perf_counter() - start)
+        assert np.shares_memory(q.codes, p.codes)
+        assert q.at(1) == p.at(12346) and len(q) == len(p) - 12345
+        assert min(elapsed) < 1e-3
+
+    def test_shift_of_a_cached_prefix_is_read_only(self):
+        p = sub.grigorchuk_prefix(1 << 12)
+        for codes in (p.codes, p.shifted(5).codes):
+            with pytest.raises(ValueError):
+                codes[0] = 1
+        assert p.at(6) == sub.grigorchuk_letter(6)
+
+    def test_rejects_codes_outside_the_alphabet(self):
+        for codes in ([0, 4], [0, 255], []):
+            with pytest.raises(errors.InvalidInputError):
+                sub.SymbolicPrefix(ABC, np.array(codes, dtype=np.uint8))
+        with pytest.raises(errors.InvalidInputError):
+            sub.SymbolicPrefix(ABC, np.array([0, 1], dtype=np.int64))
+        assert sub.SymbolicPrefix(ABC, np.array([3, 0], dtype=np.uint8)).text == "da"
 
 
 class TestProlongable:
@@ -212,6 +256,10 @@ class TestMemory:
 
         assert traced_peak(build) <= 6 * self.LENGTH
         assert prefix.text == head + tail * (self.LENGTH - len(head))
+
+    def test_generated_codes_peak(self):
+        peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH).codes)
+        assert peak <= 2 * self.LENGTH
 
     def test_oracle_peak(self):
         peak = traced_peak(lambda: sub.grigorchuk_codes(self.LENGTH))

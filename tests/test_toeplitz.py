@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,16 +7,16 @@ from odoshift import errors
 from odoshift import toeplitz as tp
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
-    SymbolicPrefix,
     dyadic_valuation,
     grigorchuk_prefix,
+    parse_prefix,
 )
 
 OMEGA = grigorchuk_prefix(1 << 14)
 
 
 def word(text):
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, text)
+    return parse_prefix(text, GRIGORCHUK_ALPHABET)
 
 
 def heuristic_essential_periods(prefix, horizon):
@@ -60,6 +61,14 @@ class TestPartialPeriod:
             return
         if tp.is_partially_periodic_at(OMEGA, n, p).holds:
             assert OMEGA.at(n - p) == OMEGA.at(n)
+
+    def test_mask_agrees_with_the_certificate(self):
+        rng = np.random.default_rng(3)
+        n = rng.integers(1, 2048, size=500, endpoint=True)
+        p = rng.integers(1, 256, size=500, endpoint=True)
+        mask = tp.partial_period_mask(OMEGA.codes, n - 1, p)
+        assert mask.tolist() == [tp.is_partially_periodic_at(OMEGA, int(a), int(b)).holds for a, b in zip(n, p)]
+        assert mask.any() and not mask.all()
 
 
 class TestSmallestPartialPeriod:
