@@ -21,11 +21,8 @@ from .substitution import (
 )
 from .toeplitz import (
     EPSet,
-    PartialPeriodCertificate,
-    PeriodRefutation,
     PeriodSkeleton,
     essential_periods,
-    is_partially_periodic_at,
     period_skeleton,
     smallest_partial_period,
 )

@@ -37,11 +37,16 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
     ``need`` is the number of letters the command reads after the shift, so
     a generated prefix has min(--length, shift + need) letters: every letter
     the answer reads and no more.  A shorter --length still fails in the
-    command, with the length it requires.
+    command, with the length it requires.  An --input file whose letters
+    have measure 0 is no factor of the fixed point: NotInSubshiftError.
     """
     shift = getattr(args, "shift", 0) or 0
     if getattr(args, "input", None):
         prefix = substitution.load_prefix(args.input, substitution.GRIGORCHUK_ALPHABET)
+        if not substitution.codes_measure(prefix.alphabet, prefix.codes):
+            raise NotInSubshiftError(
+                f"the {len(prefix)} letters of {args.input} are not a factor of the fixed point"
+            )
     else:
         if getattr(args, "seed_file", None):
             sub = substitution.load_substitution(args.seed_file)

@@ -1,12 +1,12 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
 Frequency counts are exact integers over explicit windows.  The invariant
-measure of a cylinder word is an exact rational, computed from the
-closed-form letter formula in about |w|^2 letter lookups with no cap on the
-word length (``substitution.invariant_measure_cylinder``, re-exported
-here).  A word belongs to the language exactly when its measure is
-positive.  Exponential sums are the only place floating point enters, and
-those assertions carry explicit tolerances.
+measure of a cylinder word is an exact rational, computed by desubstitution
+over log2 |w| levels with no cap on the word length
+(``substitution.invariant_measure_cylinder``, re-exported here).  A word
+belongs to the language exactly when its measure is positive.  Exponential
+sums are the only place floating point enters, and those assertions carry
+explicit tolerances.
 """
 
 from __future__ import annotations

@@ -20,11 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .odometer import DyadicInt
-from .substitution import (
-    GRIGORCHUK_ALPHABET,
-    SymbolicPrefix,
-    invariant_measure_cylinder,
-)
+from .substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, codes_measure
 from .toeplitz import (
     PeriodSkeleton,
     deepest_columns,
@@ -109,10 +105,11 @@ def sigma_preimage_letters(
     Every factor of l + prefix other than its length-horizon head is already
     a factor of the prefix, so only the head is tested.  The subshift is
     minimal and uniquely ergodic, so a word is in the language exactly when
-    its exact invariant measure is positive; each test costs about
-    horizon^2 letter lookups.  mu[head] is the sum of mu[l + head] over the
-    letters l (shift invariance), so a head that no letter extends, or with
-    a letter outside 'abcd', is outside the language: NotInSubshiftError.
+    its exact invariant measure is positive.  The head is measured from its
+    codes through the prefix's own alphabet, so a symbol outside 'abcd' has
+    measure 0.  mu[head] is the sum of mu[l + head] over the letters l
+    (shift invariance), so a head that no letter extends is outside the
+    language: NotInSubshiftError.
     """
     if language_horizon < 2:
         raise InvalidInputError(f"language horizon must be >= 2, got {language_horizon}")
@@ -121,10 +118,12 @@ def sigma_preimage_letters(
             f"prefix of length {len(prefix)} too short for horizon {language_horizon}",
             required_length=language_horizon - 1,
         )
-    head = prefix.alphabet.decode(prefix.codes[: language_horizon - 1])
-    letters = GRIGORCHUK_ALPHABET.letters
-    in_alphabet = set(head) <= set(letters)
-    extending = {l for l in letters if in_alphabet and invariant_measure_cylinder(l + head) > 0}
+    head = prefix.codes[: language_horizon - 1]
+    extending = {
+        l
+        for l in GRIGORCHUK_ALPHABET.letters
+        if codes_measure(prefix.alphabet, head, first=l) > 0
+    }
     if not extending:
         raise NotInSubshiftError(
             f"the first {len(head)} letters are not a factor of the fixed point"

@@ -337,56 +337,6 @@ def grigorchuk_letter(m: int) -> str:
     return _VALUATION_LETTER[k % 3]
 
 
-def _tail_density(target: str, D: int) -> Fraction:
-    """Density of valuation_letter(D + d(j)) == target over j = 1, 2, ...
-
-    d(j) = k on a set of density 2^-(k+1); the admissible k form an
-    arithmetic progression mod 3, so the series sums to a rational.
-    """
-    if target == "a":
-        return Fraction(0)
-    residue = {"c": 1, "b": 2, "d": 0}[target]
-    k0 = (residue - D) % 3
-    # sum over k = k0, k0+3, k0+6, ... of 2^-(k+1)
-    return Fraction(1, 2 ** (k0 + 1)) * Fraction(8, 7)
-
-
-def invariant_measure_cylinder(word: str) -> Fraction:
-    """Exact invariant measure of the cylinder [word] at the sequence start.
-
-    Computed as the limiting density of 1-based start positions whose
-    letters (given by the closed-form valuation formula) spell ``word``.
-    Start positions are classified by their residue modulo 2^D with
-    2^D >= 2|word|: at most one offset of the word then falls on a multiple
-    of 2^D, and it contributes an exact tail density; every other letter is
-    fixed by the residue.  The cost is about |word|^2 letter lookups, with
-    no cap on the word length.  The subshift is minimal and uniquely
-    ergodic, so the measure is positive exactly when ``word`` is a factor
-    of the fixed point: this is the package's language test.
-    """
-    if not word:
-        raise InvalidInputError("cylinder word must be nonempty")
-    GRIGORCHUK_ALPHABET.encode(word)  # rejects letters outside 'abcd'
-    t = len(word)
-    D = max(1, (t - 1).bit_length()) + 1
-    modulus = 1 << D
-    tails = {letter: _tail_density(letter, D) for letter in "abcd"}
-    total = 0
-    for r in range(1, modulus + 1):
-        weight = 1
-        for i, target in enumerate(word):
-            pos = r + i
-            if pos % modulus == 0:
-                # valuation >= D: letter varies within the residue class
-                weight = tails[target]
-            elif grigorchuk_letter(pos) != target:
-                weight = 0
-            if not weight:
-                break
-        total += weight
-    return Fraction(total) / modulus
-
-
 def grigorchuk_codes(length: int) -> np.ndarray:
     """Vectorized closed-form oracle: codes for positions 1..length.
 
@@ -407,6 +357,72 @@ def grigorchuk_codes(length: int) -> np.ndarray:
 def grigorchuk_prefix(length: int) -> SymbolicPrefix:
     """Cached prefix of the Grigorchuk fixed point."""
     return fixed_point_prefix(_GRIGORCHUK_SUB, "a", length)
+
+
+# ---------------------------------------------------------------------------
+# The exact invariant measure, by desubstitution.  Inside this section a
+# letter set is a bitmask byte, with a, b, c, d as bits 0..3.
+
+_BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
+_NEXT = {"a": "c", "c": "b", "b": "d", "d": "c"}  # x_2m = next(x_m)
+# the letters whose next lies in the set
+_PULLBACK = bytes(
+    sum(_BIT[letter] for letter in "abcd" if s & _BIT[_NEXT[letter]])
+    for s in range(256)
+)
+_HOLDING_A = bytes(range(1, 256, 2))
+# 14 times the measure of a set: a, b, c, d weigh 1/2, 1/7, 2/7, 1/14
+_WEIGHT = [
+    sum(w for letter, w in zip("abcd", (7, 2, 4, 1)) if s & _BIT[letter])
+    for s in range(16)
+]
+
+
+def _mass(sets: bytes, depth: int) -> int:
+    """14 * 2^depth times the measure of ``sets``, for 1 <= len(sets) <= 2^depth.
+
+    An odd position holds a and the letter at 2m is next(letter at m): the
+    fixed point read back through the substitution (Queffelec, LNM 1294;
+    Mosse 1992).  So mu[W] is half the sum over the parity of the start of
+    mu[W']: the sets at odd positions must all hold a, and W' is the sets
+    at even positions pulled back through next, half as long.
+    """
+    if 0 in sets:
+        return 0
+    if len(sets) == 1:
+        return _WEIGHT[sets[0]] << depth
+    return sum(
+        _mass(other.translate(_PULLBACK), depth - 1)
+        for odd, other in ((sets[0::2], sets[1::2]), (sets[1::2], sets[0::2]))
+        if not odd.translate(None, _HOLDING_A)
+    )
+
+
+def codes_measure(alphabet: Alphabet, codes: np.ndarray, first: str | None = None) -> Fraction:
+    """Exact invariant measure of the word that ``codes`` spell over ``alphabet``.
+
+    ``first``, a letter of 'abcd', is put before the word.  A symbol outside
+    'abcd' has measure 0.  The word is halved at each of its log2 |word|
+    levels, with no cap on the length.
+    """
+    bits = np.array([_BIT.get(letter, 0) for letter in alphabet.letters], dtype=np.uint8)
+    sets = bits[codes].tobytes()
+    if first is not None:
+        sets = bytes([_BIT[first]]) + sets
+    if not sets:
+        raise InvalidInputError("cylinder word must be nonempty")
+    depth = len(sets).bit_length()
+    return Fraction(_mass(sets, depth), 14 << depth)
+
+
+def invariant_measure_cylinder(word: str) -> Fraction:
+    """Exact invariant measure of the cylinder [word] at the sequence start.
+
+    The subshift is minimal and uniquely ergodic, so the measure is positive
+    exactly when ``word`` is a factor of the fixed point: this is the
+    package's language test.
+    """
+    return codes_measure(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))
 
 
 # ---------------------------------------------------------------------------

@@ -25,44 +25,7 @@ TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
 _TERMS = 3  # multiples checked beyond the base position
-
-
-@dataclass(frozen=True)
-class PartialPeriodCertificate:
-    position: int
-    period: int
-    verified_horizon: int  # largest k with position + k*period checked
-
-    @property
-    def holds(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class PeriodRefutation:
-    position: int
-    period: int
-    failed_multiple: int  # smallest k with a differing letter
-
-    @property
-    def holds(self) -> bool:
-        return False
-
-
-def is_partially_periodic_at(prefix: SymbolicPrefix, n: int, p: int):
-    """Certificate or refutation for partial period p at position n."""
-    if n < 1 or p < 1:
-        raise InvalidInputError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    need = n + _TERMS * p
-    if need > len(prefix):
-        raise InsufficientDataError(
-            f"test at (n={n}, p={p}) needs prefix length {need}, have {len(prefix)}",
-            required_length=need,
-        )
-    agree = prefix.codes[n - 1 + p * np.arange(1, _TERMS + 1)] == prefix.codes[n - 1]
-    if not agree.all():
-        return PeriodRefutation(position=n, period=p, failed_multiple=int(agree.argmin()) + 1)
-    return PartialPeriodCertificate(position=n, period=p, verified_horizon=_TERMS)
+_BLOCK = 1 << 14  # most periods tested in one numpy pass
 
 
 def partial_period_mask(codes: np.ndarray, starts, p):
@@ -77,15 +40,18 @@ def partial_period_mask(codes: np.ndarray, starts, p):
 
 
 def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
-    """Least p accepted at position n, scanning p = 1, 2, ..."""
+    """Least p accepted at position n, testing p = 1, 2, ... in numpy blocks of doubling size."""
     if n < 1 or n > len(prefix):
         raise InvalidInputError(f"position {n} outside 1..{len(prefix)}")
     L = len(prefix)
-    p = 1
-    while n + _TERMS * p <= L:
-        if is_partially_periodic_at(prefix, n, p).holds:
-            return p
-        p += 1
+    last = (L - n) // _TERMS  # the largest p whose test fits in the prefix
+    p, size = 1, 8
+    while p <= last:
+        block = np.arange(p, min(p + size, last + 1))
+        ok = partial_period_mask(prefix.codes, n - 1, block)
+        if ok.any():
+            return p + int(ok.argmax())
+        p, size = p + len(block), min(2 * size, _BLOCK)
     raise InsufficientDataError(
         f"no partial period certifiable at position {n} within prefix length {L};"
         f" testing p={p} needs length {n + _TERMS * p}",

@@ -9,12 +9,19 @@
   ``spec_to_text`` write, so the text forms can be checked by round trip.
 - ``factorized_cf_contains`` is CF-set membership by factorizing n, the
   reference for ``cf_contains``.
+- ``residue_class_measure`` is the exact measure by sorting start positions
+  into residue classes mod 2^D, with ``tail_density`` for the one offset
+  that falls on a multiple of 2^D: the reference for the desubstitution.
+- ``partial_period_refutation`` is the four-term test at one position, the
+  reference for ``partial_period_mask``.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from odoshift import errors, odometer, substitution
-from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix
+from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
 
 
 def iterate(sub, word, steps):
@@ -96,3 +103,53 @@ def parse_spec(text):
 def factorized_cf_contains(cf, n):
     """Reference membership: every prime power of n fits under the exponent map."""
     return all(e <= cf.exponent(p) for p, e in odometer.factorize(n).items())
+
+
+def tail_density(target, D):
+    """Density of valuation_letter(D + d(j)) == target over j = 1, 2, ...
+
+    d(j) = k on a set of density 2^-(k+1); the admissible k form an
+    arithmetic progression mod 3, so the series sums to a rational.
+    """
+    if target == "a":
+        return Fraction(0)
+    residue = {"c": 1, "b": 2, "d": 0}[target]
+    k0 = (residue - D) % 3
+    # sum over k = k0, k0+3, k0+6, ... of 2^-(k+1)
+    return Fraction(1, 2 ** (k0 + 1)) * Fraction(8, 7)
+
+
+def residue_class_measure(word):
+    """Limiting density of the 1-based starts whose letters spell ``word``.
+
+    Starts are sorted by their residue modulo 2^D with 2^D >= 2|word|: at
+    most one offset of the word then falls on a multiple of 2^D, and it
+    contributes ``tail_density``; every other letter is fixed by the
+    residue.  About |word|^2 letter lookups.
+    """
+    t = len(word)
+    D = max(1, (t - 1).bit_length()) + 1
+    modulus = 1 << D
+    tails = {letter: tail_density(letter, D) for letter in "abcd"}
+    total = 0
+    for r in range(1, modulus + 1):
+        weight = 1
+        for i, target in enumerate(word):
+            pos = r + i
+            if pos % modulus == 0:
+                # valuation >= D: letter varies within the residue class
+                weight = tails[target]
+            elif grigorchuk_letter(pos) != target:
+                weight = 0
+            if not weight:
+                break
+        total += weight
+    return Fraction(total) / modulus
+
+
+def partial_period_refutation(prefix, n, p):
+    """First j in 1..3 whose letter at n + j p differs from the one at n, else None."""
+    for j in range(1, 4):
+        if prefix.at(n + j * p) != prefix.at(n):
+            return j
+    return None

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from odoshift import cli
+from odoshift.substitution import grigorchuk_prefix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -240,6 +241,41 @@ class TestDemandSizedInput:
         assert sized[0] == 0, sized[2]
         assert sized == whole
         assert run(capsys, *argv) == run(capsys, *argv, "--length", str(1 << 20))
+
+
+class TestInputIsCheckedAtLoad:
+    """An --input file whose letters have measure 0 exits 4 before any command runs."""
+
+    COMMANDS = [
+        ["generate"],
+        ["analyze", "--levels", "6"],
+        ["encode", "--precision", "8"],
+        ["fiber", "--levels", "8"],
+        ["freq", "--word", "a", "--window", "4000"],
+        ["spectrum", "--word", "a", "--window", "4000", "--theta", "1/2"],
+    ]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        text = grigorchuk_prefix(4096).text
+        valid, swapped = tmp_path / "omega.txt", tmp_path / "swapped.txt"
+        valid.write_text(text + "\n")
+        # b and d swapped: every skeleton column still checks out (analyze
+        # would print "3 8 d", encode 00000000), so only the language test sees it
+        swapped.write_text(text.translate(str.maketrans("bd", "db")) + "\n")
+        return valid, swapped
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_swapped_letters_exit_four(self, capsys, files, argv):
+        code, out, err = run(capsys, *argv, "--input", str(files[1]))
+        assert (code, out) == (4, "")
+        assert "4096 letters of" in err and "are not a factor of the fixed point" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_a_saved_prefix_reads_as_generated(self, capsys, files, argv):
+        saved = run(capsys, *argv, "--input", str(files[0]))
+        assert saved[0] == 0, saved[2]
+        assert saved == run(capsys, *argv, "--length", "4096")
 
 
 def readme_commands():

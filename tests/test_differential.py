@@ -10,6 +10,9 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``reference_skeleton_levels`` scans one window level by level, reshaping
   its first 4 * 2^k letters into four rows; ``reference_encoding`` runs it
   once per shift, as ``verify_equivariance`` did.
+- ``desubstitution_value`` reads the dyadic digits of the factor map from
+  the other side: from the parity of the start at each level of the
+  desubstitution, not from the period skeleton.
 - ``reference_spectral_sum`` adds one complex exponential per occurrence.
 
 Each must agree exactly with the package, except the spectral sum, whose
@@ -313,6 +316,55 @@ def test_all_shift_encoder_short_prefix():
     with pytest.raises(errors.InsufficientDataError) as exc:
         toeplitz.deepest_columns(CODES[:100], 4, 40)
     assert exc.value.required_length == 40 + 64
+
+
+# ---------------------------------------------------------------------------
+# Factor-map digits by desubstitution
+
+NEXT = {"a": "c", "b": "d", "c": "b", "d": "c"}
+BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
+LETTER_BITS = bytes(BIT.get(chr(i), 0) for i in range(256))
+# the letters whose next lies in the set
+PULLED_BACK = bytes(sum(BIT[l] for l in "abcd" if s & BIT[NEXT[l]]) for s in range(256))
+
+
+def desubstitution_value(codes, k):
+    """The first k digits of f(x), read from x's first 2^(k+1) letters as sets.
+
+    An odd position holds a and the letter at 2m is next(letter at m), so
+    at each level the sets of one parity class must all hold a, and the
+    other class pulled back through next is the next level.  Exactly one
+    parity passes: of two neighbours in the even class one is next(a) = c,
+    and no set holding c holds a.  Digit i is 0 for an odd start and 1 for
+    an even one, since shifting x by n starts it at position n + 1.
+    """
+    sets = GRIGORCHUK_ALPHABET.decode(codes).encode().translate(LETTER_BITS)
+    value = 0
+    for i in range(k):
+        paths = []
+        for digit in (0, 1):
+            a_class, other = sets[digit::2], sets[1 - digit :: 2]
+            if all(s & BIT["a"] for s in a_class):
+                paths.append((digit, other.translate(PULLED_BACK)))
+        assert len(paths) == 1, f"{len(paths)} feasible parities at level {i}"
+        digit, sets = paths[0]
+        assert 0 not in sets, f"an empty set at level {i}"
+        value |= digit << i
+    return value
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_desubstitution_digits_match_the_skeleton_encoding(k):
+    rng = random.Random(300 + k)
+    shifts = [*range(200), *rng.sample(range(200, 1 << 16), 60)]
+    prefix = grigorchuk_prefix((1 << 16) + (1 << (k + 2)))
+    values = factormap.verify_equivariance(prefix, k, 1 << 16).values
+    for n in shifts:
+        window = prefix.codes[n : n + (1 << (k + 1))]
+        value = desubstitution_value(window, k)
+        assert value == values[n] == n % (1 << k), n
+        if n % 20 == 0:
+            assert factormap.encode_fG(prefix.shifted(n), k).value.value == value, n
 
 
 # ---------------------------------------------------------------------------

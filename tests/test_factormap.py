@@ -126,6 +126,15 @@ class TestSigmaPreimage:
         with pytest.raises(errors.NotInSubshiftError):
             fm.sigma_preimage_letters(parse_prefix("acx" * 22, Alphabet("acx")), 64)
 
+    def test_the_letters_not_their_codes_are_read(self):
+        # over "dcba" the code of a is 3: a head read as codes would be another word
+        reversed_letters = Alphabet("dcba")
+        for n in (0, 1, 2, 5, 37):
+            text = OMEGA.shifted(n).text[:300]
+            assert fm.sigma_preimage_letters(parse_prefix(text, reversed_letters), 128) == (
+                fm.sigma_preimage_letters(word(text), 128)
+            ), n
+
 
 class TestClassifyFiber:
     def test_fixed_point_is_the_exceptional_point(self):

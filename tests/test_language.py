@@ -1,11 +1,12 @@
 """Differential tests of the exact measure and of the language test built on it.
 
-Two slow references stand in for the program here:
+The package computes the measure by desubstitution, halving the word at
+each level.  Three slow references stand in for it here:
 
-- ``reference_measure`` sorts start positions by their residue modulo
-  2^(|w|+2), so its cost doubles with every letter.  The measure in the
-  package uses the smallest modulus 2^D with 2^D >= 2|w| instead; both must
-  give the same exact rational.
+- ``oracles.residue_class_measure`` sorts start positions by their residue
+  modulo the smallest 2^D with 2^D >= 2|w|, in about |w|^2 letter lookups.
+- ``reference_measure`` does the same modulo 2^(|w|+2), so its cost
+  doubles with every letter.  All three must give the same exact rational.
 - ``substring_letters`` decides membership by searching a 2^16-letter
   prefix of the fixed point, whose factors of length <= 256 are the whole
   language at those lengths (the fixed point is minimal).
@@ -13,6 +14,7 @@ Two slow references stand in for the program here:
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,12 +26,14 @@ from odoshift.ergodic import invariant_measure_cylinder
 from odoshift.factormap import sigma_preimage_letters
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
+    Alphabet,
     SymbolicPrefix,
-    _tail_density,
+    codes_measure,
     grigorchuk_letter,
     grigorchuk_prefix,
     parse_prefix,
 )
+from oracles import residue_class_measure, tail_density
 
 TEXT = grigorchuk_prefix(1 << 16).text
 
@@ -45,7 +49,7 @@ def reference_measure(word: str) -> Fraction:
             pos = r + i
             if pos % modulus == 0:
                 # valuation >= D: letter varies within the residue class
-                contribution *= _tail_density(target, D)
+                contribution *= tail_density(target, D)
             elif grigorchuk_letter(pos) != target:
                 contribution = Fraction(0)
             if contribution == 0:
@@ -78,6 +82,59 @@ def test_every_word_up_to_seven_letters_matches_the_reference():
             if mu > 0:
                 factors.add(word)
     assert factors == {TEXT[i : i + n] for n in range(1, 8) for i in range(1 << 12)}
+
+
+def mutated(word, rng):
+    """``word`` with the letter at one seeded index changed."""
+    j = rng.randrange(len(word))
+    return word[:j] + rng.choice([c for c in "abcd" if c != word[j]]) + word[j + 1 :]
+
+
+def test_every_word_up_to_seven_letters_matches_the_residue_class_oracle():
+    for length in range(1, 8):
+        for letters in itertools.product("abcd", repeat=length):
+            word = "".join(letters)
+            assert invariant_measure_cylinder(word) == residue_class_measure(word), word
+
+
+def test_long_factors_and_their_mutations_match_the_residue_class_oracle():
+    rng = random.Random(61)
+    zeros = 0
+    for _ in range(200):
+        start = rng.randrange(1 << 15)
+        word = TEXT[start : start + rng.randint(8, 600)]
+        mu = invariant_measure_cylinder(word)
+        assert mu > 0 and mu == residue_class_measure(word), word
+        bad = mutated(word, rng)
+        mu = invariant_measure_cylinder(bad)
+        assert mu == residue_class_measure(bad), bad
+        zeros += mu == 0
+    assert zeros > 150  # most one-letter changes leave the language
+
+
+def test_a_factor_at_the_argv_limit_is_measured_at_once():
+    # 2^17 letters, about what one command-line argument holds: on a 2-vCPU
+    # VM the residue-class loop took 1.5 s for the two words, the
+    # desubstitution 2 ms
+    rng = random.Random(62)
+    start = rng.randrange(1 << 15)
+    word = grigorchuk_prefix(1 << 18).text[start : start + (1 << 17)]
+    bad = word[:70000] + {"b": "d", "c": "b", "d": "c"}.get(word[70000], "b") + word[70001:]
+    began = time.perf_counter()
+    assert invariant_measure_cylinder(word) > 0
+    assert invariant_measure_cylinder(bad) == 0
+    assert time.perf_counter() - began < 0.25
+
+
+def test_codes_are_measured_through_their_own_alphabet():
+    letters = Alphabet("xdcba")  # a is code 4, and x no letter of the fixed point
+    for word in ("a", "acab", TEXT[100:400], TEXT[7:20] + "d"):
+        codes = letters.encode(word)
+        mu = invariant_measure_cylinder(word)
+        assert codes_measure(letters, codes) == mu, word
+        assert codes_measure(letters, codes[1:], first=word[0]) == mu, word
+    assert codes_measure(letters, letters.encode("acxab")) == 0
+    assert codes_measure(letters, letters.encode("x"), first="a") == 0
 
 
 @st.composite

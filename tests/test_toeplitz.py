@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import toeplitz as tp
+from oracles import partial_period_refutation
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     dyadic_valuation,
@@ -34,22 +37,23 @@ def heuristic_essential_periods(prefix, horizon):
 
 class TestPartialPeriod:
     def test_odd_positions_have_period_two(self):
-        assert tp.is_partially_periodic_at(OMEGA, 1, 2).holds
+        assert tp.partial_period_mask(OMEGA.codes, 0, 2)
 
     def test_refutation_at_two_two(self):
-        result = tp.is_partially_periodic_at(OMEGA, 2, 2)
-        assert not result.holds
-        assert result.failed_multiple == 1  # position 4 already differs
+        assert not tp.partial_period_mask(OMEGA.codes, 1, 2)
+        assert partial_period_refutation(OMEGA, 2, 2) == 1  # position 4 already differs
 
     def test_certificate_at_two_four(self):
-        assert tp.is_partially_periodic_at(OMEGA, 2, 4).holds
+        assert tp.partial_period_mask(OMEGA.codes, 1, 4)
 
     def test_rigid_needs_three_multiples(self):
-        short = word("aaaa")
         with pytest.raises(errors.InsufficientDataError) as exc:
-            tp.is_partially_periodic_at(short, 1, 2)
+            tp.smallest_partial_period(word("ababab"), 1)
         assert exc.value.required_length == 7
-        assert tp.is_partially_periodic_at(word("a" * 7), 1, 2).verified_horizon == 3
+        assert tp.smallest_partial_period(word("abababa"), 1) == 2
+        # the third multiple refutes p = 2 here
+        assert not tp.partial_period_mask(word("abababb").codes, 0, 2)
+        assert partial_period_refutation(word("abababb"), 1, 2) == 3
 
     @given(
         n=st.integers(min_value=2, max_value=512),
@@ -59,7 +63,7 @@ class TestPartialPeriod:
         # a certified period propagates backwards one step
         if p >= n:
             return
-        if tp.is_partially_periodic_at(OMEGA, n, p).holds:
+        if tp.partial_period_mask(OMEGA.codes, n - 1, p):
             assert OMEGA.at(n - p) == OMEGA.at(n)
 
     def test_mask_agrees_with_the_certificate(self):
@@ -67,7 +71,8 @@ class TestPartialPeriod:
         n = rng.integers(1, 2048, size=500, endpoint=True)
         p = rng.integers(1, 256, size=500, endpoint=True)
         mask = tp.partial_period_mask(OMEGA.codes, n - 1, p)
-        assert mask.tolist() == [tp.is_partially_periodic_at(OMEGA, int(a), int(b)).holds for a, b in zip(n, p)]
+        refuted = [partial_period_refutation(OMEGA, int(a), int(b)) for a, b in zip(n, p)]
+        assert mask.tolist() == [j is None for j in refuted]
         assert mask.any() and not mask.all()
 
 
@@ -84,6 +89,17 @@ class TestSmallestPartialPeriod:
     def test_insufficient_data(self):
         with pytest.raises(errors.InsufficientDataError):
             tp.smallest_partial_period(word("abcd"), 4)
+
+    def test_a_large_period_is_found_in_blocks(self):
+        # n = 2^17 has smallest period 2^18, which a scan one p at a time
+        # reached only after 2^18 Python calls
+        prefix = grigorchuk_prefix(1 << 20)
+        start = time.perf_counter()
+        assert tp.smallest_partial_period(prefix, 1 << 17) == 1 << 18
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            tp.smallest_partial_period(prefix, 1 << 19)
+        assert exc.value.required_length == (1 << 19) + 3 * 174763
 
 
 class TestEssentialPeriods:
