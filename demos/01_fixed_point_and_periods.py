@@ -28,7 +28,7 @@ for m in (1, 2, 4, 8, 12, 16, 1000):
     print(f"{m:8d}  {dyadic_valuation(m):9d}  {grigorchuk_letter(m)}")
 
 big = fixed_point_prefix(sub, "a", 1 << 18)
-assert (big.codes == grigorchuk_codes(1 << 18)).all()
+assert big.codes == grigorchuk_codes(1 << 18)
 print("\nclosed form matches the generator on 2^18 positions")
 
 # smallest partial period at n is 2^(valuation(n)+1)

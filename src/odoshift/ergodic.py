@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InsufficientDataError, InvalidInputError
 from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
@@ -30,12 +28,14 @@ class FrequencyEstimate:
     frequency: Fraction
 
 
-def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int) -> np.ndarray:
-    """Boolean mask over start positions 1..window (0-based index).
+def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int):
+    """Boolean numpy mask over start positions 1..window (0-based index).
 
     The last start position reads letters up to window + len(word) - 1,
     which is the prefix length this requires.
     """
+    import numpy as np
+
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
     if window < 1:
@@ -47,7 +47,7 @@ def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int) -> np.ndarr
             f" have {len(prefix)}",
             required_length=need,
         )
-    codes = prefix.codes
+    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
     target = prefix.alphabet.encode(word)
     mask = codes[:window] == target[0]
     for j in range(1, len(word)):
@@ -94,7 +94,7 @@ def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int)
     codes = prefix.codes[:need].tobytes()
     seen = {codes[i : i + depth] for i in range(window)}
     entries = []
-    for word in sorted(prefix.alphabet.decode(np.frombuffer(w, dtype=np.uint8)) for w in seen):
+    for word in sorted(map(prefix.alphabet.decode, seen)):
         empirical = cylinder_frequency(prefix, word, window).frequency
         exact = invariant_measure_cylinder(word)
         entries.append(WordDeviation(word, empirical, exact, deviation=abs(empirical - exact)))
@@ -116,23 +116,27 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     to zero.  For theta = p/q the occurrences are counted exactly per residue
     of n mod q, and floating point enters only in the sum of at most
     min(q, N) weighted phases, taken in a fixed pairwise order, so results
-    are deterministic.
+    are deterministic.  The counts are sums over the rows of the mask cut
+    into rows of q, so no array of occurrence positions is held.
     """
+    import numpy as np
+
     mask = _occurrence_mask(prefix, word, window)
-    positions = np.flatnonzero(mask)  # shift counts n with an occurrence
     samples = []
     for theta in thetas:
         theta = Fraction(theta)
         p, q = theta.numerator % theta.denominator, theta.denominator
         if q <= window and q < 1 << 31:  # p * residue < q^2 fits in int64
-            counts = np.bincount(positions % q)
+            whole = window - window % q
+            counts = mask[:whole].reshape(-1, q).sum(axis=0)
+            counts[: window - whole] += mask[whole:]
             residues = np.flatnonzero(counts)
             weights = counts[residues]
             turns = (p * residues % q) / q
         else:
             # no residue class holds two occurrences when q >= window: one term each
             weights = 1
-            turns = np.mod(positions * (p / q), 1.0)
+            turns = np.mod(np.flatnonzero(mask) * (p / q), 1.0)
         total = (weights * np.exp(-2j * math.pi * turns)).sum()
         samples.append(
             SpectralSample(

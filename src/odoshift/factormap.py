@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .odometer import DyadicInt
 from .substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, codes_measure
@@ -82,17 +80,17 @@ def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> Equivari
     """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    columns = deepest_columns(prefix.codes, k, shifts)
     modulus = 1 << k
-    values = modulus - columns
-    steps_ok = np.diff(values) % modulus == 1
-    first_violation = None if steps_ok.all() else int(np.argmin(steps_ok))
+    values = tuple(modulus - m for m in deepest_columns(prefix.codes, k, shifts))
+    first_violation = next(
+        (n for n in range(shifts) if (values[n + 1] - values[n]) % modulus != 1), None
+    )
     return EquivarianceReport(
         ok=first_violation is None,
         precision=k,
         shifts_checked=shifts,
         first_violation=first_violation,
-        values=tuple(values.tolist()),
+        values=values,
     )
 
 

@@ -10,7 +10,10 @@ point is determined by the dyadic valuation of m alone, which gives a
 closed-form oracle (``grigorchuk_letter``) against which the iterative
 generator can be checked bit for bit.
 
-All positions in public APIs are 1-based.
+All positions in public APIs are 1-based.  A sequence is one byte per
+letter, its alphabet index, in a read-only memoryview: generation, the
+oracle and the exact measure are bytes joins, slices and translates of
+the standard library, and numpy is left to the modules that count.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, takewhile
 from typing import Mapping
-
-import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -72,46 +74,54 @@ class Alphabet:
             raise InvalidInputError(f"letter {letter!r} not in alphabet {self.letters!r}")
 
     @cached_property
-    def _code_table(self) -> np.ndarray:
-        lut = np.full(256, 255, dtype=np.uint8)
-        lut[np.frombuffer(self.letters.encode(), dtype=np.uint8)] = np.arange(len(self.letters))
-        return lut
+    def _tables(self):
+        """Translate tables letter byte -> code and code -> letter byte, 255 where there is none."""
+        to_code = bytearray(b"\xff" * 256)
+        for code, byte in enumerate(self.letters.encode()):
+            to_code[byte] = code
+        return bytes(to_code), self.letters.encode().ljust(256, b"\xff")
 
-    def encode(self, text: str) -> np.ndarray:
-        """uint8 codes of ``text``: codes[i] is the alphabet index of text[i]."""
+    def encode(self, text: str) -> bytes:
+        """Codes of ``text``: byte i is the alphabet index of text[i]."""
         # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol
-        codes = self._code_table[np.frombuffer(text.encode(), dtype=np.uint8)]
-        if codes.size and codes.max() >= len(self.letters):
+        codes = text.encode().translate(self._tables[0])
+        if 255 in codes:
             extra = sorted(set(text) - set(self.letters))
             raise InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
         return codes
 
-    def decode(self, codes: np.ndarray) -> str:
-        """The letters of ``codes``, which must be indices into this alphabet."""
-        return np.frombuffer(self.letters.encode(), dtype=np.uint8)[codes].tobytes().decode()
+    def decode(self, codes) -> str:
+        """The letters of the bytes-like ``codes``, which must be indices into this alphabet."""
+        return bytes(codes).translate(self._tables[1]).decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolicPrefix:
     """Finite prefix of a one-sided infinite sequence, positions 1..L.
 
-    Stored only as ``codes``, a read-only uint8 array: codes[i] is the alphabet
-    index at position i+1.  They are checked once, here; a shift is a view.
+    Stored only as ``codes``, a read-only memoryview of bytes: codes[i] is the
+    alphabet index at position i+1.  Any contiguous buffer of one byte per
+    item is accepted; it is checked once, here, and not copied.  A shift is
+    a view, and numpy reads the codes through ``np.frombuffer`` without a copy.
     ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
     """
 
     alphabet: Alphabet
-    codes: np.ndarray
+    codes: memoryview
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
-        if codes.dtype != np.uint8 or codes.ndim != 1 or not codes.size:
-            raise InvalidInputError(f"codes must be nonempty 1-d uint8, got {codes.dtype} {codes.shape}")
-        if codes.max() >= len(self.alphabet):
-            raise InvalidInputError(f"code {codes.max()} outside the alphabet {self.alphabet.letters!r}")
-        view = codes.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "codes", view)
+        codes = memoryview(self.codes)
+        if codes.itemsize != 1 or codes.ndim != 1 or not codes.nbytes or not codes.c_contiguous:
+            raise InvalidInputError(
+                f"codes must be a nonempty contiguous buffer of bytes, got {codes.format!r} {codes.shape}"
+            )
+        codes = codes.cast("B")
+        valid = bytes(range(len(self.alphabet)))
+        for start in range(0, len(codes), _CHUNK):
+            outside = codes[start : start + _CHUNK].tobytes().translate(None, valid)
+            if outside:
+                raise InvalidInputError(f"code {max(outside)} outside the alphabet {self.alphabet.letters!r}")
+        object.__setattr__(self, "codes", codes.toreadonly())
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -157,9 +167,12 @@ class Substitution:
                 if ch not in self.alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
 
-    def _code_rules(self, letters: str):
-        """Code rules of ``letters``: see ``_pack``."""
-        return _pack({self.alphabet.index(ch): self.alphabet.encode(self.rules[ch]) for ch in letters})
+    def _code_rules(self, letters: str) -> list:
+        """Image codes of ``letters``, indexed by letter code; b"" for a letter left out."""
+        images = [b""] * len(self.alphabet)
+        for ch in letters:
+            images[self.alphabet.index(ch)] = self.alphabet.encode(self.rules[ch])
+        return images
 
     def _reachable(self, seed: str) -> str:
         """Letters that occur in sub^n(seed) for some n >= 0."""
@@ -167,22 +180,6 @@ class Substitution:
         for letter in seen:
             seen.extend(ch for ch in dict.fromkeys(self.rules[letter]) if ch not in seen)
         return "".join(seen)
-
-
-def _pack(images):
-    """Code rules from {letter code: image codes}.
-
-    (image length, offset into the image codes) per letter code, 0 for a
-    letter without a rule, and the concatenated image codes.
-    """
-    lengths = np.zeros(256, dtype=np.int64)
-    offsets = np.zeros(256, dtype=np.int64)
-    start = 0
-    for c, image in images.items():
-        lengths[c] = len(image)
-        offsets[c] = start
-        start += len(image)
-    return lengths, offsets, np.concatenate(list(images.values()))
 
 
 def validate_prolongable(sub: Substitution, seed: str) -> bool:
@@ -193,8 +190,8 @@ def validate_prolongable(sub: Substitution, seed: str) -> bool:
     return len(word) >= 2 and word[0] == seed
 
 
-# Letters read and written per numpy pass: bounds the index temporaries to a
-# fixed size, whatever the requested length.
+# Letters read and joined per pass: bounds the temporaries to a fixed size,
+# whatever the requested length.
 _CHUNK = 1 << 14
 
 
@@ -206,80 +203,68 @@ def _check_cap(length: int) -> None:
         )
 
 
-def _image(rules, src: np.ndarray, dst: np.ndarray, skip: int):
-    """Write the image of src, less its first ``skip`` letters, into dst, cut at len(dst).
+def _expand(images: list, view: memoryview, read: int, written: int, stop: int) -> int:
+    """Write the images of view[read:stop] into view[written:] until one runs out; return the end.
 
-    Returns (letters written, letters of src whose image is now complete,
-    letters of the next one's image already written).  ``src`` and ``dst``
-    hold letter codes and must not overlap.
+    A pass reads at most _CHUNK letters, all before ``written``, so a source
+    letter may be one an earlier pass wrote, as when a fixed point expands
+    its own letters.  It joins the images of the source letters that fit in
+    _CHUNK letters, or takes one longer image alone, and cuts the result
+    where the view fills; one-letter images are one translate.
     """
-    lengths, offsets, flat = rules
-    n = lengths[src]
-    ends = np.cumsum(n) - skip
-    total = min(int(ends[-1]), len(dst))
-    k = int(np.searchsorted(ends, total)) + 1  # the images of src[:k] reach dst[:total]
-    starts = ends[:k] - n[:k]
-    # letter j of the output lies in the image of src[i], which starts at
-    # starts[i], and reads flat[offsets[src[i]] + j - starts[i]]
-    index = np.repeat(offsets[src[:k]] - starts, np.minimum(ends[:k], total) - np.maximum(starts, 0))
-    index += np.arange(total)
-    dst[:total] = flat[index]
-    if ends[k - 1] == total:
-        return total, k, 0
-    return total, k - 1, total - int(starts[k - 1])
-
-
-def _expand(rules, buf: np.ndarray, read: int, written: int, stop: int) -> int:
-    """Write the image of buf[read:stop] into buf[written:] until one runs out; return the end.
-
-    A pass reads at most _CHUNK letters, all before ``written``, and writes
-    at most _CHUNK, so a source letter may be one an earlier pass wrote, as
-    when a fixed point expands its own letters.
-    """
-    skip = 0
-    while written < len(buf) and read < stop:
-        src = buf[read : min(read + _CHUNK, written, stop)]
-        total, done, skip = _image(rules, src, buf[written : written + _CHUNK], skip)
-        written += total
-        read += done
+    lengths = list(map(len, images))
+    singles = bytes(image[0] if len(image) == 1 else 0 for image in images).ljust(256, b"\0")
+    end = len(view)
+    while written < end and read < stop:
+        bound = min(end - written, _CHUNK)
+        # every image has a letter, so no more than ``bound`` source letters fit
+        src = view[read : min(read + bound, written, stop)].tobytes()
+        total = sum(src.count(c) * n for c, n in enumerate(lengths) if n)
+        if total == len(src):
+            piece = src.translate(singles)
+        else:
+            if total > bound:
+                ends = accumulate(map(lengths.__getitem__, src))
+                src = src[: max(1, len(list(takewhile(bound.__ge__, ends))))]
+            piece = memoryview(b"".join(map(images.__getitem__, src)))[: end - written]
+        view[written : written + len(piece)] = piece
+        written += len(piece)
+        read += len(src)
     return written
 
 
-def _squared(rules, cut: int):
-    """Code rules of the substitution applied twice, each image cut at ``cut`` letters.
+def _squared(images: list, cut: int):
+    """Images of the substitution applied twice, each cut at ``cut`` letters.
 
     The cut is exact for the first ``cut`` letters: every letter has a
     nonempty image, so the image of a word cut at ``cut`` letters still
     has at least ``cut`` letters.  Returns None, having built nothing, if
     the images would hold more than ``cut`` letters in all.
     """
-    lengths, offsets, flat = rules
-    old = {int(c): flat[offsets[c] : offsets[c] + lengths[c]] for c in np.flatnonzero(lengths)}
-    sizes = {c: min(cut, int(lengths[rule].sum())) for c, rule in old.items()}
-    if sum(sizes.values()) > cut:
+    lengths = list(map(len, images))
+    sizes = [min(cut, sum(map(lengths.__getitem__, image))) for image in images]
+    if sum(sizes) > cut:
         return None
-    images = {}
-    for c, rule in old.items():
-        buf = np.empty(len(rule) + sizes[c], dtype=np.uint8)
-        buf[: len(rule)] = rule
-        _expand(rules, buf, 0, len(rule), len(rule))
-        images[c] = buf[len(rule) :]
-    return _pack(images)
+    squared = []
+    for image, size in zip(images, sizes):
+        buf = memoryview(bytearray(image) + bytes(size))
+        _expand(images, buf, 0, len(image), len(image))
+        squared.append(buf[len(image) :].tobytes())
+    return squared
 
 
 def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPrefix:
     """First ``length`` letters of the substitution-invariant sequence grown from ``seed``.
 
     The fixed point x satisfies x = sub(x), so the image of the letters
-    already written continues the array: one ``length``-byte code array is filled
-    by expanding its own letters, a bounded chunk at a time.  x is also the
-    fixed point of sub^(2^j), and the rules of the letters the seed reaches
-    are squared until the seed's image fills a chunk, so that a pass reads
-    a full chunk however slowly the images grow (a -> ab, b -> b adds one
-    letter per step).  Squaring stops early if the images would hold more
-    than ``length`` letters in all; a rule that long makes the sequence
-    grow fast anyway.  Peak memory is a few bytes per letter, and the cap
-    is checked before anything is allocated.
+    already written continues the sequence: one ``length``-byte buffer is
+    filled by expanding its own letters, a bounded pass at a time.  x is
+    also the fixed point of sub^(2^j): the rules of the letters the seed
+    reaches are squared until the seed's image fills a pass, however slowly
+    they grow (a -> ab, b -> b adds one letter per step), or until the
+    images would hold more than ``length`` letters in all; a rule that long
+    makes the sequence grow fast anyway.  Peak memory is a few bytes per
+    letter, and the cap is checked before anything is allocated.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -289,19 +274,18 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
         )
     _check_cap(length)
     # only letters the seed reaches occur in the fixed point
-    rules = sub._code_rules(sub._reachable(seed))
+    images = sub._code_rules(sub._reachable(seed))
     s = sub.alphabet.index(seed)
-    while rules[0][s] < min(length, _CHUNK):
-        squared = _squared(rules, length)
+    while len(images[s]) < min(length, _CHUNK):
+        squared = _squared(images, length)
         if squared is None:
             break
-        rules = squared
-    lengths, offsets, flat = rules
-    out = np.empty(length, dtype=np.uint8)
-    head = min(length, int(lengths[s]))
-    out[:head] = flat[offsets[s] : offsets[s] + head]
+        images = squared
+    out = memoryview(bytearray(length))
+    head = images[s][:length]
+    out[: len(head)] = head
     # out[:head] is the image of out[:1]; the image of out[1:] continues it
-    _expand(rules, out, 1, head, length)
+    _expand(images, out, 1, len(head), length)
     return SymbolicPrefix(sub.alphabet, out)
 
 
@@ -337,20 +321,23 @@ def grigorchuk_letter(m: int) -> str:
     return _VALUATION_LETTER[k % 3]
 
 
-def grigorchuk_codes(length: int) -> np.ndarray:
-    """Vectorized closed-form oracle: codes for positions 1..length.
+def grigorchuk_codes(length: int) -> memoryview:
+    """Closed-form oracle: codes for positions 1..length, read-only like ``SymbolicPrefix.codes``.
 
     The positions 2^v * odd share the letter of valuation v, so one strided
-    write per valuation fills the array and nothing but the result is
-    allocated.  The length counts against the sequence cap.
+    write per valuation fills the buffer.  The length counts against the
+    sequence cap.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
     _check_cap(length)
-    codes = np.empty(length, dtype=np.uint8)
+    codes = bytearray(length)
     for v in range(length.bit_length()):
-        codes[(1 << v) - 1 :: 2 << v] = GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v))
-    return codes
+        positions = range((1 << v) - 1, length, 2 << v)
+        code = GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v))
+        # a bytearray value is assigned without the copy a bytes value gets
+        codes[positions.start :: positions.step] = bytearray((code,)) * len(positions)
+    return memoryview(codes).toreadonly()
 
 
 @lru_cache(maxsize=4)
@@ -398,15 +385,15 @@ def _mass(sets: bytes, depth: int) -> int:
     )
 
 
-def codes_measure(alphabet: Alphabet, codes: np.ndarray, first: str | None = None) -> Fraction:
-    """Exact invariant measure of the word that ``codes`` spell over ``alphabet``.
+def codes_measure(alphabet: Alphabet, codes, first: str | None = None) -> Fraction:
+    """Exact invariant measure of the word that the bytes-like ``codes`` spell over ``alphabet``.
 
     ``first``, a letter of 'abcd', is put before the word.  A symbol outside
     'abcd' has measure 0.  The word is halved at each of its log2 |word|
     levels, with no cap on the length.
     """
-    bits = np.array([_BIT.get(letter, 0) for letter in alphabet.letters], dtype=np.uint8)
-    sets = bits[codes].tobytes()
+    letter_sets = bytes(_BIT.get(letter, 0) for letter in alphabet.letters).ljust(256, b"\0")
+    sets = bytes(codes).translate(letter_sets)
     if first is not None:
         sets = bytes([_BIT[first]]) + sets
     if not sets:

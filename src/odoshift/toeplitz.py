@@ -9,14 +9,15 @@ terms to agree.
 The period skeleton records, for each level k, the unique residue class
 M_k mod 2^k whose column is not constant, together with the letter l_k
 that fills the column which became constant at level k.  These per-level
-data are what the dyadic encoding in ``factormap`` is built from.
+data are what the dyadic encoding in ``factormap`` is built from.  The
+skeleton scan reads the codes as Python integers, one byte per letter,
+and tests every shift at once; numpy is imported only by the
+partial-period functions, which read the codes through ``np.frombuffer``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
@@ -28,10 +29,14 @@ _TERMS = 3  # multiples checked beyond the base position
 _BLOCK = 1 << 14  # most periods tested in one numpy pass
 
 
-def partial_period_mask(codes: np.ndarray, starts, p):
+def partial_period_mask(codes, starts, p):
     """The four-term test codes[n] == codes[n + j p], j = 1..3, at 0-based ``starts``.
 
-    ``starts`` and ``p`` are integers or arrays that broadcast together."""
+    ``codes`` is bytes-like; ``starts`` and ``p`` are integers or arrays that
+    broadcast together."""
+    import numpy as np
+
+    codes = np.frombuffer(codes, dtype=np.uint8)
     base = codes[starts]
     ok = codes[starts + p] == base
     for j in range(2, _TERMS + 1):
@@ -41,6 +46,8 @@ def partial_period_mask(codes: np.ndarray, starts, p):
 
 def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
     """Least p accepted at position n, testing p = 1, 2, ... in numpy blocks of doubling size."""
+    import numpy as np
+
     if n < 1 or n > len(prefix):
         raise InvalidInputError(f"position {n} outside 1..{len(prefix)}")
     L = len(prefix)
@@ -73,6 +80,8 @@ class EPSet:
 
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     """Set of p <= horizon realized as the smallest partial period of some position."""
+    import numpy as np
+
     if horizon < 1:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
     L = len(prefix)
@@ -110,21 +119,27 @@ class PeriodSkeleton:
         return len(self.levels)
 
 
-def _skeleton_scan(codes: np.ndarray, K: int, shifts: int):
-    """Yield (M_k, l_k code) arrays for k = 1..K over every window start n = 0..shifts.
+def _lowest_byte(x: int) -> int:
+    """Index of the lowest nonzero little-endian byte of x; -1 for x = 0."""
+    return ((x & -x).bit_length() - 1) >> 3
 
-    The window at start n is codes[n : n + 2^(K+2)].  At level k its columns
-    are the 0-based positions n .. n + 2^k - 1, and position i heads a
-    constant column when codes[i] == codes[i + j 2^k] for j = 1, 2, 3.  A
-    window in the subshift has exactly one non-constant column; M_k is its
-    1-based residue, and it is nested: M_k = M_(k-1) mod 2^(k-1).  l_k is the
-    letter of the column that became constant at level k.
 
-    The non-constant columns are marked once per level for all starts
-    together, so the cost is O(K (shifts + 2^(K+2))) rather than a scan per
-    start.  After the last level, the first start whose window breaks a rule
-    raises NotInSubshiftError for its first failing level, as a scan window by
-    window would; values yielded for such a window are meaningless.
+def _skeleton_residues(codes, K: int, shifts: int) -> list:
+    """r_k, k = 1..K: the window at every start n = 0..shifts has M_k = (r_k - n) mod 2^k + 1.
+
+    The window at start n is codes[n : n + 2^(K+2)].  At level k, c = 2^k,
+    its columns are the 0-based positions n .. n + c - 1, and position i
+    heads a constant column when codes[i] == codes[i + j c] for j = 1, 2, 3.
+    A window in the subshift has exactly one non-constant column, nested:
+    M_k = M_(k-1) mod 2^(k-1).  The positions i < shifts + c are read as one
+    little-endian integer and XORed with the reads j c further on, giving
+    N_k, the positions heading non-constant columns, in O(1) integer
+    operations per level.  Every window holds exactly one position of N_k
+    when N_k is the progression r, r + c, ... from some r < c.  Otherwise
+    the first bad window ends at the first position where N_k and that
+    progression differ.  The first bad window over all levels raises
+    NotInSubshiftError for its first failing level, as a scan window by
+    window would.
     """
     if K < 1:
         raise InvalidInputError(f"depth K must be positive, got {K}")
@@ -137,65 +152,60 @@ def _skeleton_scan(codes: np.ndarray, K: int, shifts: int):
             f"skeleton at depth {K}{over} needs prefix length {need}, have {len(codes)}",
             required_length=need,
         )
-    starts = np.arange(shifts + 1)
-    ok = np.ones(shifts + 1, dtype=bool)  # no rule broken at any level so far
+    residues = []
     error = None  # (start, message) of the first window found to break a rule
-    prev = None
     for k in range(1, K + 1):
-        cols = 1 << k
-        span = shifts + cols
-        head = codes[:span]
-        marked = np.flatnonzero(
-            (head != codes[cols : cols + span])
-            | (head != codes[2 * cols : 2 * cols + span])
-            | (head != codes[3 * cols : 3 * cols + span])
-        )
-        first = np.searchsorted(marked, starts)
-        count = np.searchsorted(marked, starts + cols) - first
-        m = np.append(marked, 0)[first] - starts + 1  # the column, where count == 1
-        bad = count != 1
-        if prev is None:
-            newly = np.where(m == 2, 1, 2)
+        c = 1 << k
+        span = shifts + c
+        head = int.from_bytes(codes[:span], "little")
+        diff = 0
+        for j in (1, 2, 3):
+            diff |= head ^ int.from_bytes(codes[j * c : j * c + span], "little")
+        for bits in (4, 2, 1):  # fold each byte onto its lowest bit
+            diff |= diff >> bits
+        marked = diff & int.from_bytes(b"\x01" * span, "little")  # bit 8i: i heads a non-constant column
+        r = _lowest_byte(marked)
+        if not 0 <= r < c or (residues and (r - residues[-1]) % (c >> 1)):
+            bad = 0
         else:
-            half = cols >> 1
-            bad |= (m - prev) % half != 0
-            newly = np.where(m != prev, prev, prev + half)
-        bad &= ok
-        if bad.any():
-            n = int(np.argmax(bad))
-            if error is None or n < error[0]:
-                if count[n] == 0:
-                    reason = (
-                        f"window of length {4 * cols} is periodic with period {cols};"
-                        f" no level-{k} non-constant column exists"
-                    )
-                elif count[n] > 1:
-                    reason = (
-                        f"{count[n]} non-constant columns at level {k};"
-                        " a valid sequence has exactly one"
-                    )
-                else:
-                    reason = f"level-{k} column {m[n]} is not nested in level-{k - 1} column {prev[n]}"
-                error = (n, reason)
-            ok &= ~bad
-        yield m, codes[starts + np.where(ok, newly, 1) - 1]
-        prev = m
+            terms = (span - r + c - 1) // c
+            off = marked ^ int.from_bytes(bytes(r) + (b"\x01" + bytes(c - 1)) * terms, "little")
+            bad = max(0, _lowest_byte(off) - c + 1) if off else None
+        if bad is not None and (error is None or bad < error[0]):
+            count = ((marked >> (8 * bad)) & ((1 << (8 * c)) - 1)).bit_count()
+            if count == 0:
+                reason = (
+                    f"window of length {4 * c} is periodic with period {c};"
+                    f" no level-{k} non-constant column exists"
+                )
+            elif count > 1:
+                reason = f"{count} non-constant columns at level {k}; a valid sequence has exactly one"
+            else:
+                m, prev = (r - bad) % c + 1, (residues[-1] - bad) % (c >> 1) + 1
+                reason = f"level-{k} column {m} is not nested in level-{k - 1} column {prev}"
+            error = (bad, reason)
+        residues.append(r)
     if error is not None:
         n, reason = error
         raise NotInSubshiftError(f"window at shift {n}: {reason}" if shifts else reason)
+    return residues
 
 
-def skeleton_levels_from_codes(codes: np.ndarray, K: int):
+def skeleton_levels_from_codes(codes, K: int):
     """(M_1..M_K, l_1..l_K codes) of the window codes[: 2^(K+2)]; ``deepest_columns`` scans all shifts."""
-    scan = [(int(m[0]), int(letter[0])) for m, letter in _skeleton_scan(codes, K, 0)]
-    return [m for m, _ in scan], [letter for _, letter in scan]
+    levels = [r + 1 for r in _skeleton_residues(codes, K, 0)]
+    # l_k fills the column that became constant at level k
+    newly = [1 if levels[0] == 2 else 2]
+    for k, (prev, m) in enumerate(zip(levels, levels[1:]), start=1):
+        newly.append(prev if m != prev else prev + (1 << k))
+    return levels, [codes[i - 1] for i in newly]
 
 
-def deepest_columns(codes: np.ndarray, K: int, shifts: int) -> np.ndarray:
+def deepest_columns(codes, K: int, shifts: int) -> list:
     """M_K of the window codes[n : n + 2^(K+2)] for every n = 0..shifts, in one scan."""
-    for m, _ in _skeleton_scan(codes, K, shifts):
-        pass
-    return m
+    r = _skeleton_residues(codes, K, shifts)[-1]
+    c = 1 << K
+    return [(r - n) % c + 1 for n in range(shifts + 1)]
 
 
 def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:

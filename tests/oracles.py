@@ -1,8 +1,8 @@
 """Test-side builders, parsers and reference forms that the package no longer needs.
 
-- ``iterate`` applies a substitution to a whole word through the
-  generator's own chunked expansion, so tests can check that expansion on
-  words other than a fixed point.
+- ``iterate`` applies a substitution to a whole word, one join of the
+  rule codes per step, so tests can check the generator's fixed point
+  against sub(x) = x.
 - ``reconstruct_from_skeleton`` builds a prefix with prescribed
   non-constant columns: the generic Toeplitz points that fiber tests read.
 - ``parse_cf`` and ``parse_spec`` read the text forms ``cf_to_text`` and
@@ -18,21 +18,16 @@
 
 from fractions import Fraction
 
-import numpy as np
-
 from odoshift import errors, odometer, substitution
 from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
 
 
 def iterate(sub, word, steps):
     """Apply the substitution ``steps`` times to the prefix ``word``."""
-    rules = sub._code_rules(sub.alphabet.letters)
-    codes = word.codes
+    images = [sub.alphabet.encode(sub.rules[letter]) for letter in sub.alphabet.letters]
+    codes = word.codes.tobytes()
     for _ in range(steps):
-        buf = np.concatenate([codes, np.empty(int(rules[0][codes].sum()), dtype=np.uint8)])
-        end = substitution._expand(rules, buf, 0, len(codes), len(codes))
-        assert end == len(buf)
-        codes = buf[len(codes) :]
+        codes = b"".join(images[c] for c in codes)
     return SymbolicPrefix(sub.alphabet, codes)
 
 

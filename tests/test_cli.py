@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from odoshift import cli
 from odoshift.substitution import grigorchuk_prefix
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -304,3 +308,60 @@ def test_readme_commands(capsys):
             assert out.splitlines()[0] == expected, argv
             outputs.add(expected)
     assert outputs == {"acabacadacabacac", "10100000", "2/7"}
+
+
+# Run `python -m odoshift.cli ARGS` and report on stderr, at exit, whether numpy was loaded.
+MAIN_REPORTING_NUMPY = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('odoshift.cli', run_name='__main__')\n"
+)
+
+
+def fresh(*argv):
+    """One fresh interpreter with the package on its path, as the benchmark starts one."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("ODOSHIFT_MAX_BYTES", None)
+    return subprocess.run(
+        [sys.executable, "-c", MAIN_REPORTING_NUMPY, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestStartWithoutNumpy:
+    """Commands that read one window of the fixed point run on the standard library."""
+
+    def test_importing_the_package_and_cli_loads_no_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, odoshift, odoshift.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, lines",
+        [
+            (["generate", "--length", "16"], 0, ["acabacadacabacac"]),
+            (["analyze", "--levels", "4"], 0,
+             ["1 2 a", "2 4 c", "3 8 b", "4 16 d", "classification: toeplitz_like"]),
+            (["encode", "--shift", "786431", "--precision", "16"], 0,
+             [format(786431 % (1 << 16), "016b")[::-1]]),
+            (["--json", "encode", "--shift", "12345", "--precision", "10"], 0,
+             [json.dumps({"bits_lsb_first": format(12345 % 1024, "010b")[::-1], "value": 12345 % 1024,
+                          "window_used": 4096}, sort_keys=True)]),
+            (["fiber", "--shift", "1", "--levels", "10"], 0,
+             ["classification: toeplitz_point", "stabilization_index: -", "preimage_letters: a"]),
+            (["measure", "--word", "aca"], 0, ["2/7"]),
+            (["encode", "--length", "64", "--precision", "8"], 3, []),
+            (["analyze", "--levels", "4", "--input", "{a64}"], 4, []),
+            (["fiber", "--seed-file", "{period_doubling}"], 4, []),
+        ],
+    )
+    def test_command_runs_without_numpy(self, tmp_path, argv, code, lines):
+        files = {"a64": tmp_path / "a64.txt", "period_doubling": tmp_path / "rules.txt"}
+        files["a64"].write_text("a" * 64 + "\n")
+        files["period_doubling"].write_text("a -> ab\nb -> aa\n")
+        proc = fresh(*(arg.format(**files) for arg in argv))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines() == lines
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"

@@ -1,4 +1,4 @@
-"""Differential tests of the numpy generator, oracle, all-shift encoder and spectral sum.
+"""Differential tests of the generator, oracle, all-shift encoder and spectral sum.
 
 The straightforward algorithms these replaced stand in for the program here:
 
@@ -13,10 +13,12 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``desubstitution_value`` reads the dyadic digits of the factor map from
   the other side: from the parity of the start at each level of the
   desubstitution, not from the period skeleton.
-- ``reference_spectral_sum`` adds one complex exponential per occurrence.
+- ``reference_spectral_sum`` adds one complex exponential per occurrence,
+  and ``reference_residue_sum`` counts occurrences per residue by bincount
+  of their positions.
 
-Each must agree exactly with the package, except the spectral sum, whose
-terms are grouped differently and so agree to 1e-9.
+Each must agree exactly with the package, except the one-term-per-occurrence
+spectral sum, whose terms are grouped differently and so agree to 1e-9.
 """
 
 import math
@@ -169,6 +171,7 @@ def test_oracle_checks_the_cap(monkeypatch):
 
 
 def reference_skeleton_levels(codes, K):
+    codes = np.frombuffer(codes, dtype=np.uint8)
     window = 1 << (K + 2)
     if len(codes) < window:
         raise errors.InsufficientDataError("short window", required_length=window)
@@ -236,7 +239,7 @@ CODES = substitution.grigorchuk_codes(1 << 15)
 
 
 def mutate(codes, index, rng):
-    out = codes.copy()
+    out = bytearray(codes)
     out[index] = (out[index] + rng.randint(1, 3)) % 4
     return out
 
@@ -312,6 +315,22 @@ def test_single_window_scan_matches_the_reference(k):
             assert toeplitz.skeleton_levels_from_codes(codes, k) == want
 
 
+@pytest.mark.parametrize("shift", [0, (1 << 20) - (1 << 18)])
+def test_deep_single_window_matches_the_reference(shift):
+    codes = grigorchuk_prefix(1 << 20).codes[shift:]
+    assert toeplitz.skeleton_levels_from_codes(codes, 16) == reference_skeleton_levels(codes, 16)
+
+
+def test_ten_thousand_shifts_match_the_per_shift_loop():
+    shifts = 10_000
+    codes = grigorchuk_prefix(1 << 20).codes[777 : 777 + shifts + (1 << 12)]
+    assert program_encoding(codes, 10, shifts) == reference_encoding(codes, 10, shifts)
+    broken = mutate(codes, 9000, random.Random(10))
+    reference = reference_encoding(broken, 10, shifts)
+    assert reference.startswith("window at shift 4905: ")
+    assert program_encoding(broken, 10, shifts) == reference
+
+
 def test_all_shift_encoder_short_prefix():
     with pytest.raises(errors.InsufficientDataError) as exc:
         toeplitz.deepest_columns(CODES[:100], 4, 40)
@@ -376,6 +395,31 @@ def reference_spectral_sum(prefix, theta, word, window):
     positions = np.nonzero(mask)[0].astype(np.float64)
     phase = -2.0 * math.pi * (theta.numerator / theta.denominator)
     return float(abs(np.exp(1j * phase * positions).sum())) / window
+
+
+def reference_residue_sum(prefix, theta, word, window):
+    """The residue-class sum with the counts taken by bincount of the occurrence positions."""
+    positions = np.flatnonzero(ergodic._occurrence_mask(prefix, word, window))
+    p, q = theta.numerator % theta.denominator, theta.denominator
+    if q <= window:
+        counts = np.bincount(positions % q)
+        residues = np.flatnonzero(counts)
+        weights = counts[residues]
+        turns = (p * residues % q) / q
+    else:
+        weights = 1
+        turns = np.mod(positions * (p / q), 1.0)
+    return float(abs((weights * np.exp(-2j * math.pi * turns)).sum())) / window
+
+
+@pytest.mark.parametrize("window", [1000, 1 << 20])
+@pytest.mark.parametrize("word", ["a", "ca"])
+def test_row_sums_count_the_residues_exactly(window, word):
+    prefix = grigorchuk_prefix((1 << 20) + 1)
+    thetas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), Fraction(1, window + 1)]
+    samples = ergodic.spectral_scan(prefix, thetas, word, window)
+    # the same integer counts give the same floating-point sum, bit for bit
+    assert [s.magnitude for s in samples] == [reference_residue_sum(prefix, t, word, window) for t in thetas]
 
 
 @pytest.mark.parametrize("window", [1 << 12, 1 << 16])

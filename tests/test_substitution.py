@@ -38,9 +38,9 @@ class TestAlphabet:
 
     def test_encode_and_decode(self):
         codes = ABC.encode("dcba")
-        assert codes.dtype == np.uint8 and codes.tolist() == [3, 2, 1, 0]
+        assert codes == bytes([3, 2, 1, 0])
         assert ABC.decode(codes) == "dcba"
-        assert ABC.encode("").size == 0
+        assert ABC.encode("") == b""
         for text in ("ax", "a\u00e9", "A"):
             with pytest.raises(errors.InvalidInputError):
                 ABC.encode(text)
@@ -74,7 +74,7 @@ class TestSymbolicPrefix:
     def test_stores_only_codes(self):
         p = word(" acab\n")
         assert set(vars(p)) == {"alphabet", "codes"}
-        assert p.codes.dtype == np.uint8
+        assert p.codes.format == "B" and p.codes.itemsize == 1
         assert p.text == "acab"
         with pytest.raises(errors.InvalidInputError):
             word("ac\u00e9")
@@ -93,8 +93,10 @@ class TestSymbolicPrefix:
     def test_shift_of_a_cached_prefix_is_read_only(self):
         p = sub.grigorchuk_prefix(1 << 12)
         for codes in (p.codes, p.shifted(5).codes):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 codes[0] = 1
+            with pytest.raises(ValueError):
+                np.frombuffer(codes, dtype=np.uint8)[0] = 1
         assert p.at(6) == sub.grigorchuk_letter(6)
 
     def test_rejects_codes_outside_the_alphabet(self):
@@ -103,7 +105,16 @@ class TestSymbolicPrefix:
                 sub.SymbolicPrefix(ABC, np.array(codes, dtype=np.uint8))
         with pytest.raises(errors.InvalidInputError):
             sub.SymbolicPrefix(ABC, np.array([0, 1], dtype=np.int64))
+        with pytest.raises(errors.InvalidInputError):  # past the first block checked
+            sub.SymbolicPrefix(ABC, bytes(sub._CHUNK) + b"\x04")
+        with pytest.raises(errors.InvalidInputError):
+            sub.SymbolicPrefix(ABC, np.array([3, 0, 2, 1], dtype=np.uint8)[::2])
         assert sub.SymbolicPrefix(ABC, np.array([3, 0], dtype=np.uint8)).text == "da"
+
+    def test_accepts_any_contiguous_buffer_of_bytes(self):
+        for codes in (b"\x03\x00\x02", bytearray(b"\x03\x00\x02"), np.array([3, 0, 2], dtype=np.int8)):
+            p = sub.SymbolicPrefix(ABC, codes)
+            assert p.text == "dac" and p.codes.format == "B" and p.codes.readonly
 
 
 class TestProlongable:
@@ -209,7 +220,7 @@ class TestClosedForm:
             assert ABC.letters[codes[m - 1]] == sub.grigorchuk_letter(m)
 
     def test_a_exactly_at_odd_positions(self):
-        codes = sub.grigorchuk_codes(1 << 14)
+        codes = np.frombuffer(sub.grigorchuk_codes(1 << 14), dtype=np.uint8)
         odd = np.arange(1, (1 << 14) + 1) % 2 == 1
         assert ((codes == ABC.index("a")) == odd).all()
 

@@ -24,7 +24,7 @@ def word(text):
 
 def heuristic_essential_periods(prefix, horizon):
     """Reference: smallest p <= horizon whose multiples agree to the end of the prefix, per position."""
-    codes = prefix.codes
+    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
     L = len(prefix)
     periods = set()
     for n in range(1, L - horizon + 1):
