@@ -2,17 +2,17 @@
 
 Exit codes: 0 ok, 2 validation / I-O, 3 insufficient data, 4 not in the
 subshift, 5 verification failure.  Output is a stable line grammar;
-``--json`` emits the same data as JSON.
+``--json`` emits the same data as JSON.  Each command imports the modules
+it runs when it runs, and calls them through the module, so a one-shot
+process loads no module that its command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from . import ergodic, factormap, substitution, toeplitz
+from . import substitution
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -75,6 +75,8 @@ def _window_need(args) -> int:
 
 def _emit(args, lines, payload) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -91,6 +93,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import toeplitz
+
     prefix = _load_input(args, _skeleton_need(args.levels))
     skeleton = toeplitz.period_skeleton(prefix, args.levels)
     lines = [
@@ -112,6 +116,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from . import factormap
+
     prefix = _load_input(args, _skeleton_need(args.precision))
     result = factormap.encode_fG(prefix, args.precision)
     bits = result.value.to_text()
@@ -124,8 +130,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    prefix = _load_input(args, max(_skeleton_need(args.levels), args.horizon - 1))
-    report = factormap.classify_fiber(prefix, args.levels, args.horizon)
+    from . import factormap
+
+    horizon = factormap.DEFAULT_LANGUAGE_HORIZON if args.horizon is None else args.horizon
+    prefix = _load_input(args, max(_skeleton_need(args.levels), horizon - 1))
+    report = factormap.classify_fiber(prefix, args.levels, horizon)
     index = "-" if report.stabilization_index is None else str(report.stabilization_index)
     lines = [
         f"classification: {report.classification}",
@@ -145,7 +154,7 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    value = ergodic.invariant_measure_cylinder(args.word)
+    value = substitution.invariant_measure_cylinder(args.word)
     _emit(
         args,
         [f"{value.numerator}/{value.denominator}"],
@@ -155,6 +164,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_freq(args) -> int:
+    from . import ergodic
+
     prefix = _load_input(args, _window_need(args))
     est = ergodic.cylinder_frequency(prefix, args.word, args.window)
     lines = [f"count {est.count} window {est.window} frequency {float(est.frequency):.10f}"]
@@ -167,6 +178,10 @@ def _cmd_freq(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from fractions import Fraction
+
+    from . import ergodic
+
     prefix = _load_input(args, _window_need(args))
     thetas = [Fraction(t) for t in args.theta]
     samples = ergodic.spectral_scan(prefix, thetas, args.word, args.window)
@@ -185,7 +200,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verification  # only verify loads the checks and their numpy work
+    from . import verification
     results = verification.run_all(args.level)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.seconds:.3f}s: {r.detail}" for r in results]
     ok = all(r.ok for r in results)
@@ -240,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="classify a sequence's fiber under the factor map")
     _add_input_options(p)
     p.add_argument("--levels", type=int, default=12, help="skeleton depth K")
-    p.add_argument("--horizon", type=int, default=factormap.DEFAULT_LANGUAGE_HORIZON,
-                   help="language horizon for preimage letters")
+    # None stands for factormap's default, which _cmd_fiber reads: parsing imports no factormap
+    p.add_argument("--horizon", type=int, help="language horizon for preimage letters")
     p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")

@@ -12,16 +12,15 @@ explicit tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError
 from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
 
 
-@dataclass(frozen=True)
-class FrequencyEstimate:
+class FrequencyEstimate(NamedTuple):
     word: str
     count: int
     window: int
@@ -61,16 +60,14 @@ def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> Freque
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 
-@dataclass(frozen=True)
-class WordDeviation:
+class WordDeviation(NamedTuple):
     word: str
     empirical: Fraction
     exact: Fraction
     deviation: Fraction
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     depth: int
     window: int
     entries: tuple
@@ -101,8 +98,7 @@ def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int)
     return DistributionReport(depth, window, tuple(entries), max(e.deviation for e in entries))
 
 
-@dataclass(frozen=True)
-class SpectralSample:
+class SpectralSample(NamedTuple):
     theta: Fraction
     word: str
     window: int

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the base of its value types.
 
 The distinction between "you gave me garbage" (InvalidInputError), "your
 prefix is too short to decide" (InsufficientDataError) and "this sequence
@@ -40,3 +40,17 @@ class ResourceLimitError(OdoshiftError):
     def __init__(self, message, required_bytes=None):
         super().__init__(message)
         self.required_bytes = required_bytes
+
+
+class Immutable:
+    """Base of the validated value types: ``__init__`` fills the fields once, then they are fixed.
+
+    ``__init__`` writes the fields with ``vars(self).update``; assigning or
+    deleting an attribute afterwards raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")

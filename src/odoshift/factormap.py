@@ -14,7 +14,7 @@ window, which side of that dichotomy a sequence appears to be on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .odometer import DyadicInt
@@ -32,8 +32,7 @@ OMEGA_STAR_ORBIT = "omega_star_orbit"
 DEFAULT_LANGUAGE_HORIZON = 64
 
 
-@dataclass(frozen=True)
-class EncodingResult:
+class EncodingResult(NamedTuple):
     """First-k-digit dyadic encoding of a sequence, with its provenance."""
 
     value: DyadicInt
@@ -63,8 +62,7 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
     )
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(NamedTuple):
     ok: bool
     precision: int
     shifts_checked: int
@@ -129,8 +127,7 @@ def sigma_preimage_letters(
     return extending
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     classification: str  # TOEPLITZ_POINT or OMEGA_STAR_ORBIT
     stabilization_index: int | None  # n with shift^n(x) = the exceptional point
     sigma_preimage_letters: frozenset

@@ -11,10 +11,9 @@ a componentwise comparison of exponent maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
-from .errors import InvalidInputError
+from .errors import Immutable, InvalidInputError
 
 INFINITY = math.inf
 
@@ -55,20 +54,18 @@ def factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CFSet:
+class CFSet(Immutable):
     """Divisor set of a supernatural number prod p^e_p.
 
     ``exponents`` maps primes to positive ints or INFINITY; absent primes
-    have exponent 0.  Members are the n >= 1 all of whose prime powers fit
-    under the exponent map.
+    have exponent 0, and an exponent 0 given is dropped.  Members are the
+    n >= 1 all of whose prime powers fit under the exponent map.  Equal sets
+    have equal exponent maps; the hash is the same for every set.
     """
 
-    exponents: Mapping[int, float] = field(hash=False)
-
-    def __post_init__(self):
+    def __init__(self, exponents: Mapping[int, float]):
         clean = {}
-        for p, e in dict(self.exponents).items():
+        for p, e in dict(exponents).items():
             if not _is_prime(p):
                 raise InvalidInputError(f"exponent key {p} is not prime")
             if e == 0:
@@ -76,7 +73,18 @@ class CFSet:
             if e != INFINITY and (not isinstance(e, int) or e < 0):
                 raise InvalidInputError(f"exponent of {p} must be a nonnegative int or INFINITY, got {e!r}")
             clean[p] = e
-        object.__setattr__(self, "exponents", clean)
+        vars(self).update(exponents=clean)
+
+    def __repr__(self) -> str:
+        return f"CFSet(exponents={self.exponents!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def exponent(self, p: int) -> float:
         return self.exponents.get(p, 0)
@@ -117,15 +125,24 @@ def cf_to_text(cf: CFSet) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class PowerFamily:
+class PowerFamily(Immutable):
     """All powers base^k, k >= 1, as an infinite generator family."""
 
-    base: int
+    def __init__(self, base: int):
+        if base < 2:
+            raise InvalidInputError(f"power family base must be >= 2, got {base}")
+        vars(self).update(base=base)
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise InvalidInputError(f"power family base must be >= 2, got {self.base}")
+    def __repr__(self) -> str:
+        return f"PowerFamily(base={self.base!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((self.base,))
 
 
 def cf_closure(generators) -> CFSet:
@@ -157,8 +174,7 @@ def cf_closure(generators) -> CFSet:
 # Odometers.
 
 
-@dataclass(frozen=True)
-class OdometerSpec:
+class OdometerSpec(Immutable):
     """Odometer on Z_{n1} x Z_{n2} x ...
 
     ``bases`` is the known finite head; a nonempty ``repeat`` block continues
@@ -166,17 +182,24 @@ class OdometerSpec:
     is OdometerSpec(bases=(), repeat=(2,)).
     """
 
-    bases: tuple = ()
-    repeat: tuple = ()
-
-    def __post_init__(self):
-        bases = tuple(int(n) for n in self.bases if int(n) != 1)
-        repeat = tuple(int(n) for n in self.repeat if int(n) != 1)
+    def __init__(self, bases: tuple = (), repeat: tuple = ()):
+        bases = tuple(int(n) for n in bases if int(n) != 1)
+        repeat = tuple(int(n) for n in repeat if int(n) != 1)
         for n in bases + repeat:
             if n < 2:
                 raise InvalidInputError(f"odometer factors must be >= 2, got {n}")
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "repeat", repeat)
+        vars(self).update(bases=bases, repeat=repeat)
+
+    def __repr__(self) -> str:
+        return f"OdometerSpec(bases={self.bases!r}, repeat={self.repeat!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bases, self.repeat) == (other.bases, other.repeat)
+
+    def __hash__(self) -> int:
+        return hash((self.bases, self.repeat))
 
     @property
     def is_finite(self) -> bool:
@@ -206,25 +229,44 @@ def spec_to_text(spec: OdometerSpec) -> str:
     return ",".join(items) if items else "1"
 
 
-@dataclass(frozen=True)
-class OdometerState:
+class OdometerState(Immutable):
     """Digits m_i with 0 <= m_i < n_i, for a finite truncation of a spec."""
 
-    digits: tuple
+    def __init__(self, digits: tuple):
+        vars(self).update(digits=tuple(int(d) for d in digits))
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+    def __repr__(self) -> str:
+        return f"OdometerState(digits={self.digits!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash((self.digits,))
 
 
-def _validate_state(state: OdometerState, spec: OdometerSpec) -> None:
+def _validate_state(state: OdometerState, spec: OdometerSpec) -> list:
+    """The radices n_1, n_2, ... of the state's digits; InvalidInputError if a digit is out of range."""
     if spec.is_finite and len(state.digits) != len(spec.bases):
         raise InvalidInputError(
             f"state has {len(state.digits)} digits but the finite spec has {len(spec.bases)} factors"
         )
-    for i, d in enumerate(state.digits):
-        n = spec.radix_at(i)
+    radices = [spec.radix_at(i) for i in range(len(state.digits))]
+    for i, (d, n) in enumerate(zip(state.digits, radices)):
         if not 0 <= d < n:
             raise InvalidInputError(f"digit {d} at index {i} outside 0..{n - 1}")
+    return radices
+
+
+def _add_one(digits: list, radices: list) -> None:
+    """Add one with carry to ``digits`` in place; a carry past the last digit is dropped."""
+    for i, n in enumerate(radices):
+        digits[i] += 1
+        if digits[i] < n:
+            return
+        digits[i] = 0
 
 
 def odometer_step(state: OdometerState, spec: OdometerSpec) -> OdometerState:
@@ -232,23 +274,23 @@ def odometer_step(state: OdometerState, spec: OdometerSpec) -> OdometerState:
 
     Dropping it wraps the all-maximal state to all zeros.
     """
-    _validate_state(state, spec)
     digits = list(state.digits)
-    for i in range(len(digits)):
-        digits[i] += 1
-        if digits[i] < spec.radix_at(i):
-            break
-        digits[i] = 0
-    return OdometerState(tuple(digits))
+    _add_one(digits, _validate_state(state, spec))
+    return OdometerState(digits)
 
 
 def odometer_orbit(spec: OdometerSpec, start: OdometerState, steps: int):
-    """Yield start, T(start), ..., T^steps(start) on the known digits."""
-    state = start
-    yield state
+    """Yield start, T(start), ..., T^steps(start) on the known digits.
+
+    The start is validated once; each step then adds one over its radices,
+    since a step from a valid state reaches a valid state.
+    """
+    radices = _validate_state(start, spec)
+    digits = list(start.digits)
+    yield start
     for _ in range(steps):
-        state = odometer_step(state, spec)
-        yield state
+        _add_one(digits, radices)
+        yield OdometerState(digits)
 
 
 def cf_of_odometer(spec: OdometerSpec) -> CFSet:
@@ -280,18 +322,26 @@ def odometer_from_cf(cf: CFSet) -> OdometerSpec:
 # Truncated dyadic integers.
 
 
-@dataclass(frozen=True)
-class DyadicInt:
+class DyadicInt(Immutable):
     """Residue mod 2^precision approximating a 2-adic integer."""
 
-    value: int
-    precision: int
+    def __init__(self, value: int, precision: int):
+        if precision < 1:
+            raise InvalidInputError(f"precision must be positive, got {precision}")
+        if not 0 <= value < 1 << precision:
+            raise InvalidInputError(f"value {value} outside 0..2^{precision} - 1")
+        vars(self).update(value=value, precision=precision)
 
-    def __post_init__(self):
-        if self.precision < 1:
-            raise InvalidInputError(f"precision must be positive, got {self.precision}")
-        if not 0 <= self.value < 1 << self.precision:
-            raise InvalidInputError(f"value {self.value} outside 0..2^{self.precision} - 1")
+    def __repr__(self) -> str:
+        return f"DyadicInt(value={self.value!r}, precision={self.precision!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.precision) == (other.value, other.precision)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.precision))
 
     def to_text(self) -> str:
         """Binary digits, least significant first."""

@@ -19,13 +19,11 @@ the standard library, and numpy is left to the modules that count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from collections.abc import Mapping
+from functools import lru_cache
 from itertools import accumulate, takewhile
-from typing import Mapping
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import Immutable, InvalidInputError, ResourceLimitError
 
 MAX_BYTES_ENV = "ODOSHIFT_MAX_BYTES"
 DEFAULT_MAX_BYTES = 1 << 28
@@ -45,21 +43,35 @@ def sequence_byte_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Immutable):
     """Ordered finite set of single-character symbols."""
 
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: str):
+        if not letters:
             raise InvalidInputError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
-            raise InvalidInputError(f"duplicate symbols in alphabet {self.letters!r}")
-        for ch in self.letters:
+        if len(set(letters)) != len(letters):
+            raise InvalidInputError(f"duplicate symbols in alphabet {letters!r}")
+        for ch in letters:
             # one byte per letter; so at most 95 distinct symbols, each code below 255
             if not (ch.isascii() and ch.isprintable()):
                 raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable ASCII character")
+        # translate tables letter byte -> code and code -> letter byte, 255 where there is none
+        to_letter = letters.encode()
+        to_code = bytearray(b"\xff" * 256)
+        for code, byte in enumerate(to_letter):
+            to_code[byte] = code
+        vars(self).update(letters=letters, _to_code=bytes(to_code), _to_letter=to_letter.ljust(256, b"\xff"))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
@@ -73,18 +85,10 @@ class Alphabet:
         except ValueError:
             raise InvalidInputError(f"letter {letter!r} not in alphabet {self.letters!r}")
 
-    @cached_property
-    def _tables(self):
-        """Translate tables letter byte -> code and code -> letter byte, 255 where there is none."""
-        to_code = bytearray(b"\xff" * 256)
-        for code, byte in enumerate(self.letters.encode()):
-            to_code[byte] = code
-        return bytes(to_code), self.letters.encode().ljust(256, b"\xff")
-
     def encode(self, text: str) -> bytes:
         """Codes of ``text``: byte i is the alphabet index of text[i]."""
         # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol
-        codes = text.encode().translate(self._tables[0])
+        codes = text.encode().translate(self._to_code)
         if 255 in codes:
             extra = sorted(set(text) - set(self.letters))
             raise InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
@@ -92,11 +96,10 @@ class Alphabet:
 
     def decode(self, codes) -> str:
         """The letters of the bytes-like ``codes``, which must be indices into this alphabet."""
-        return bytes(codes).translate(self._tables[1]).decode("ascii")
+        return bytes(codes).translate(self._to_letter).decode("ascii")
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolicPrefix:
+class SymbolicPrefix(Immutable):
     """Finite prefix of a one-sided infinite sequence, positions 1..L.
 
     Stored only as ``codes``, a read-only memoryview of bytes: codes[i] is the
@@ -104,24 +107,25 @@ class SymbolicPrefix:
     item is accepted; it is checked once, here, and not copied.  A shift is
     a view, and numpy reads the codes through ``np.frombuffer`` without a copy.
     ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
+    Two prefixes are equal only if they are the same object.
     """
 
-    alphabet: Alphabet
-    codes: memoryview
-
-    def __post_init__(self):
-        codes = memoryview(self.codes)
+    def __init__(self, alphabet: Alphabet, codes):
+        codes = memoryview(codes)
         if codes.itemsize != 1 or codes.ndim != 1 or not codes.nbytes or not codes.c_contiguous:
             raise InvalidInputError(
                 f"codes must be a nonempty contiguous buffer of bytes, got {codes.format!r} {codes.shape}"
             )
         codes = codes.cast("B")
-        valid = bytes(range(len(self.alphabet)))
+        valid = bytes(range(len(alphabet)))
         for start in range(0, len(codes), _CHUNK):
             outside = codes[start : start + _CHUNK].tobytes().translate(None, valid)
             if outside:
-                raise InvalidInputError(f"code {max(outside)} outside the alphabet {self.alphabet.letters!r}")
-        object.__setattr__(self, "codes", codes.toreadonly())
+                raise InvalidInputError(f"code {max(outside)} outside the alphabet {alphabet.letters!r}")
+        vars(self).update(alphabet=alphabet, codes=codes.toreadonly())
+
+    def __repr__(self) -> str:
+        return f"SymbolicPrefix(alphabet={self.alphabet!r}, codes={self.codes!r})"
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -142,30 +146,41 @@ class SymbolicPrefix:
         if n < 0 or n >= len(self.codes):
             raise InvalidInputError(f"shift {n} outside 0..{len(self.codes) - 1}")
         view = object.__new__(SymbolicPrefix)
-        object.__setattr__(view, "alphabet", self.alphabet)
-        object.__setattr__(view, "codes", self.codes[n:])
+        vars(view).update(alphabet=self.alphabet, codes=self.codes[n:])
         return view
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Total map letter -> nonempty word, extended to words homomorphically."""
+class Substitution(Immutable):
+    """Total map letter -> nonempty word, extended to words homomorphically.
 
-    alphabet: Alphabet
-    rules: Mapping[str, str] = field(hash=False)
+    Equal substitutions have equal alphabets and rules; the hash reads the
+    alphabet only, since ``rules`` may be any mapping.
+    """
 
-    def __post_init__(self):
-        for letter in self.alphabet.letters:
-            if letter not in self.rules:
+    def __init__(self, alphabet: Alphabet, rules: Mapping[str, str]):
+        for letter in alphabet.letters:
+            if letter not in rules:
                 raise InvalidInputError(f"no rule for letter {letter!r}")
-        for letter, word in self.rules.items():
-            if letter not in self.alphabet:
+        for letter, word in rules.items():
+            if letter not in alphabet:
                 raise InvalidInputError(f"rule for {letter!r} outside alphabet")
             if not word:
                 raise InvalidInputError(f"rule for {letter!r} is erasing; rules must be nonempty")
             for ch in word:
-                if ch not in self.alphabet:
+                if ch not in alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
+        vars(self).update(alphabet=alphabet, rules=rules)
+
+    def __repr__(self) -> str:
+        return f"Substitution(alphabet={self.alphabet!r}, rules={self.rules!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.rules) == (other.alphabet, other.rules)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet,))
 
     def _code_rules(self, letters: str) -> list:
         """Image codes of ``letters``, indexed by letter code; b"" for a letter left out."""
@@ -392,6 +407,8 @@ def codes_measure(alphabet: Alphabet, codes, first: str | None = None) -> Fracti
     'abcd' has measure 0.  The word is halved at each of its log2 |word|
     levels, with no cap on the length.
     """
+    from fractions import Fraction  # only the commands that measure pay for its import
+
     letter_sets = bytes(_BIT.get(letter, 0) for letter in alphabet.letters).ljust(256, b"\0")
     sets = bytes(codes).translate(letter_sets)
     if first is not None:

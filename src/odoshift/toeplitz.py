@@ -17,7 +17,7 @@ partial-period functions, which read the codes through ``np.frombuffer``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
@@ -66,20 +66,28 @@ def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class EPSet:
+class EPSet(NamedTuple):
     """Essential partial periods found below a horizon, with witnesses."""
 
     periods: tuple
     horizon: int
-    witnesses: dict  # period -> a position whose smallest partial period it is
+    witnesses: dict  # period -> the first position whose smallest partial period it is
 
     def __contains__(self, p: int) -> bool:
         return p in self.witnesses
 
 
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
-    """Set of p <= horizon realized as the smallest partial period of some position."""
+    """Set of p <= horizon realized as the smallest partial period of some position.
+
+    Every position still unresolved is tested against a block of periods in
+    one numpy pass.  A block holds as many periods as keep rows x periods
+    within the first pass, which tests every position at p = 1: the blocks
+    widen as positions resolve, and the temporaries never outgrow that pass.
+    A position's smallest partial period is the first period of the block
+    that it accepts, and the witness of p is the first position whose
+    smallest partial period is p.
+    """
     import numpy as np
 
     if horizon < 1:
@@ -93,20 +101,23 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     codes = prefix.codes
     nmax = L - _TERMS * horizon
     # every scanned position can be tested against every p <= horizon
-    unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices
+    unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices, ascending
     witnesses = {}
-    for p in range(1, horizon + 1):
-        if unresolved.size == 0:
-            break
-        ok = partial_period_mask(codes, unresolved, p)
-        if ok.any():
-            witnesses[p] = int(unresolved[ok][0]) + 1
-            unresolved = unresolved[~ok]
+    p = 1
+    while p <= horizon and unresolved.size:
+        block = np.arange(p, min(p + nmax // unresolved.size, horizon + 1))
+        ok = partial_period_mask(codes, unresolved[:, None], block)
+        # keep each row's first accepted period, its smallest partial period, in place
+        ok[:, 1:] &= ~np.logical_or.accumulate(ok, axis=1)[:, :-1]
+        heads = ok.argmax(axis=0)  # the first row whose smallest period is each p
+        for j in np.flatnonzero(ok.any(axis=0)).tolist():
+            witnesses[p + j] = int(unresolved[heads[j]]) + 1
+        unresolved = unresolved[~ok.any(axis=1)]
+        p += len(block)
     return EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class PeriodSkeleton:
+class PeriodSkeleton(NamedTuple):
     """Per-level non-constant column M_k and fill letter l_k, k = 1..K."""
 
     levels: tuple  # M_k for k = 1..K

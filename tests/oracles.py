@@ -14,11 +14,15 @@
   that falls on a multiple of 2^D: the reference for the desubstitution.
 - ``partial_period_refutation`` is the four-term test at one position, the
   reference for ``partial_period_mask``.
+- ``essential_periods_by_period`` tests one period at a time against every
+  position still unresolved, the reference for ``essential_periods``.
 """
 
 from fractions import Fraction
 
-from odoshift import errors, odometer, substitution
+import numpy as np
+
+from odoshift import errors, odometer, substitution, toeplitz
 from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
 
 
@@ -148,3 +152,22 @@ def partial_period_refutation(prefix, n, p):
         if prefix.at(n + j * p) != prefix.at(n):
             return j
     return None
+
+
+def essential_periods_by_period(prefix, horizon):
+    """EPSet of ``prefix`` below ``horizon``, one partial_period_mask call per p.
+
+    The positions still unresolved at p are those whose smallest partial
+    period exceeds p - 1, so those it accepts have smallest period p; the
+    first of them is the witness.
+    """
+    unresolved = np.arange(len(prefix) - 3 * horizon, dtype=np.int64)
+    witnesses = {}
+    for p in range(1, horizon + 1):
+        if unresolved.size == 0:
+            break
+        ok = toeplitz.partial_period_mask(prefix.codes, unresolved, p)
+        if ok.any():
+            witnesses[p] = int(unresolved[ok][0]) + 1
+            unresolved = unresolved[~ok]
+    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import odoshift
 from odoshift import cli
 from odoshift.substitution import grigorchuk_prefix
 
@@ -310,10 +312,13 @@ def test_readme_commands(capsys):
     assert outputs == {"acabacadacabacac", "10100000", "2/7"}
 
 
-# Run `python -m odoshift.cli ARGS` and report on stderr, at exit, whether numpy was loaded.
+# Run `python -m odoshift.cli ARGS` and report on stderr, at exit, the odoshift modules and
+# dataclasses if loaded, then, on the last line, whether numpy was loaded (atexit runs last first).
 MAIN_REPORTING_NUMPY = (
     "import atexit, runpy, sys\n"
     "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
+    "atexit.register(lambda: print('modules loaded:', *sorted(m for m in sys.modules\n"
+    "    if m == 'dataclasses' or m.startswith('odoshift')), file=sys.stderr))\n"
     "runpy.run_module('odoshift.cli', run_name='__main__')\n"
 )
 
@@ -327,8 +332,13 @@ def fresh(*argv):
     )
 
 
+def loaded(proc):
+    """The modules that the report of ``fresh`` lists: odoshift's, and dataclasses if loaded."""
+    return set(proc.stderr.splitlines()[-2].split()[2:])
+
+
 class TestStartWithoutNumpy:
-    """Commands that read one window of the fixed point run on the standard library."""
+    """Commands that read one window of the fixed point run on the standard library, without dataclasses."""
 
     def test_importing_the_package_and_cli_loads_no_numpy(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -365,3 +375,61 @@ class TestStartWithoutNumpy:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines() == lines
         assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+        assert "dataclasses" not in loaded(proc)
+
+
+# The submodules the package namespace has always bound, and the names it exported from each.
+EXPORTED = {
+    "errors": ["InsufficientDataError", "InvalidInputError", "NotInSubshiftError", "OdoshiftError",
+               "ResourceLimitError"],
+    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "dyadic_valuation", "fixed_point_prefix",
+                     "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix", "grigorchuk_substitution",
+                     "validate_prolongable"],
+    "toeplitz": ["EPSet", "PeriodSkeleton", "essential_periods", "period_skeleton", "smallest_partial_period"],
+    "odometer": ["BINARY_ODOMETER", "CFSet", "DyadicInt", "INFINITY", "OdometerSpec", "OdometerState",
+                 "PowerFamily", "cf_closure", "cf_contains", "cf_equal", "cf_of_odometer", "cf_subset",
+                 "odometer_from_cf", "odometer_step"],
+    "factormap": ["EncodingResult", "FiberReport", "classify_fiber", "encode_fG", "sigma_preimage_letters",
+                  "verify_equivariance"],
+    "ergodic": ["FrequencyEstimate", "SpectralSample", "cylinder_frequency", "invariant_measure_cylinder",
+                "spectral_scan", "uniform_distribution_report"],
+}
+
+
+class TestStartLoadsOnlyWhatRuns:
+    """A command imports only the modules it runs, and the package namespace loads a module when read."""
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["measure", "--word", "aca"], set()),
+            (["generate", "--length", "16"], set()),
+            (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
+        ],
+    )
+    def test_command_loads_only_its_modules(self, argv, modules):
+        proc = fresh(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution"} | modules
+
+    def test_importing_the_package_loads_no_submodule(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, odoshift; print(sorted(m for m in sys.modules if 'odoshift' in m))"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "['odoshift']\n"), proc.stderr
+
+    @pytest.mark.parametrize("module", sorted(EXPORTED))
+    def test_exported_names_are_the_module_objects(self, module):
+        submodule = importlib.import_module(f"odoshift.{module}")
+        assert getattr(odoshift, module) is submodule and module in dir(odoshift)
+        for name in EXPORTED[module]:
+            assert getattr(odoshift, name) is getattr(submodule, name), name
+            assert name in dir(odoshift), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            odoshift.no_such_name
+        # defined in a submodule, but never exported
+        assert not hasattr(odoshift, "factorize")

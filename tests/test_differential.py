@@ -16,6 +16,8 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``reference_spectral_sum`` adds one complex exponential per occurrence,
   and ``reference_residue_sum`` counts occurrences per residue by bincount
   of their positions.
+- ``oracles.essential_periods_by_period`` finds the essential periods one
+  period at a time, where ``essential_periods`` tests blocks of periods.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
 spectral sum, whose terms are grouped differently and so agree to 1e-9.
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
-from oracles import iterate
+from oracles import essential_periods_by_period, iterate
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
@@ -440,3 +442,41 @@ def test_residue_class_sum_matches_the_exponential_sum(window, word):
         assert sample.theta == theta
         want = reference_spectral_sum(prefix, theta, word, window)
         assert abs(sample.magnitude - want) <= 1e-9, theta
+
+
+# ---------------------------------------------------------------------------
+# Essential periods
+
+
+def test_essential_periods_match_the_per_period_loop_on_the_fixed_point():
+    prefix = grigorchuk_prefix(1 << 18)
+    assert toeplitz.essential_periods(prefix, 1 << 13) == essential_periods_by_period(prefix, 1 << 13)
+
+
+def random_words(count, seed):
+    """Periodic words, random words, and fixed-point factors with a few letters changed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        length = rng.randint(16, 2048)
+        kind = i % 3
+        if kind == 0:
+            block = bytes(rng.randrange(4) for _ in range(rng.randint(1, 12)))
+            codes = (block * length)[:length]
+        elif kind == 1:
+            letters = rng.randint(2, 4)
+            codes = bytes(rng.randrange(letters) for _ in range(length))
+        else:
+            start = rng.randrange(1 << 12)
+            codes = bytearray(grigorchuk_prefix(1 << 13).codes[start : start + length])
+            for _ in range(rng.randint(1, 4)):
+                codes[rng.randrange(length)] = rng.randrange(4)
+        yield SymbolicPrefix(GRIGORCHUK_ALPHABET, codes), rng.randint(1, length // 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_essential_periods_match_the_per_period_loop_on_random_words(seed):
+    for prefix, horizon in random_words(50, seed):
+        assert toeplitz.essential_periods(prefix, horizon) == essential_periods_by_period(prefix, horizon), (
+            prefix.text,
+            horizon,
+        )

@@ -166,6 +166,37 @@ class TestOdometerStep:
         }
         assert len(seen) == 12
 
+    @pytest.mark.parametrize(
+        "spec, start",
+        [
+            (od.OdometerSpec(bases=(2, 3, 2)), (1, 2, 0)),
+            (od.OdometerSpec(bases=(3, 5), repeat=(2, 7)), (2, 4, 1, 6, 0, 3)),
+            (od.OdometerSpec(repeat=(3,)), (2, 2, 1, 0)),
+            (od.BINARY_ODOMETER, (1,) * 12),
+        ],
+    )
+    def test_orbit_is_the_iterated_step(self, spec, start):
+        # the orbit validates its start once; every state must still be odometer_step's
+        state = od.OdometerState(start)
+        expected = [state]
+        for _ in range(500):
+            state = od.odometer_step(state, spec)
+            expected.append(state)
+        assert list(od.odometer_orbit(spec, od.OdometerState(start), 500)) == expected
+
+    @pytest.mark.parametrize(
+        "spec, digits",
+        [
+            (od.BINARY_ODOMETER, (0, 2)),
+            (od.OdometerSpec(bases=(2, 3)), (1,)),
+            (od.OdometerSpec(bases=(2,), repeat=(3, 5)), (1, 2, 5)),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_orbit_rejects_an_invalid_start(self, spec, digits, steps):
+        with pytest.raises(errors.InvalidInputError):
+            list(od.odometer_orbit(spec, od.OdometerState(digits), steps))
+
 
 class TestCFOfOdometer:
     def test_binary(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odoshift import errors
+from odoshift import odometer as od
 from odoshift import substitution as sub
 from oracles import iterate
 
@@ -16,6 +17,45 @@ ABC = sub.GRIGORCHUK_ALPHABET
 
 def word(text):
     return sub.parse_prefix(text, ABC)
+
+
+# each validated value type: a constructor called twice, its repr, and one of its fields
+VALUES = [
+    (lambda: sub.Alphabet("abcd"), "Alphabet(letters='abcd')", "letters"),
+    (lambda: sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "a"}),
+     "Substitution(alphabet=Alphabet(letters='ab'), rules={'a': 'ab', 'b': 'a'})", "rules"),
+    (lambda: od.CFSet({2: od.INFINITY, 3: 0}), "CFSet(exponents={2: inf})", "exponents"),
+    (lambda: od.PowerFamily(6), "PowerFamily(base=6)", "base"),
+    (lambda: od.OdometerSpec(bases=(1, 3), repeat=(2,)), "OdometerSpec(bases=(3,), repeat=(2,))", "repeat"),
+    (lambda: od.OdometerState([1, 0]), "OdometerState(digits=(1, 0))", "digits"),
+    (lambda: od.DyadicInt(5, 8), "DyadicInt(value=5, precision=8)", "value"),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("make, text, field", VALUES)
+    def test_equal_by_value_and_immutable(self, make, text, field):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == text
+        assert a != text  # only a value of the same type compares equal
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b
+
+    def test_prefixes_are_equal_only_to_themselves(self):
+        p, q = word("acab"), word("acab")
+        assert p == p and p != q and hash(p) != hash(q)
+        with pytest.raises(AttributeError):
+            p.codes = q.codes
+
+    def test_hashes_ignore_the_mapping_fields(self):
+        assert hash(od.CFSet({2: 1})) == hash(od.CFSet({3: od.INFINITY}))
+        ab = sub.Alphabet("ab")
+        one, other = sub.Substitution(ab, {"a": "ab", "b": "a"}), sub.Substitution(ab, {"a": "aab", "b": "b"})
+        assert one != other and hash(one) == hash(other)
 
 
 class TestAlphabet:
