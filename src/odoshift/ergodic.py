@@ -1,12 +1,14 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
-Frequency counts are exact integers over explicit windows.  The invariant
-measure of a cylinder word is an exact rational, computed by desubstitution
-over log2 |w| levels with no cap on the word length
-(``substitution.invariant_measure_cylinder``, re-exported here).  A word
-belongs to the language exactly when its measure is positive.  Exponential
-sums are the only place floating point enters, and those assertions carry
-explicit tolerances.
+Frequency counts are exact integers over explicit windows: one occurrence
+mask over the window, filled in cache-sized blocks of start positions and
+counted with ``count_nonzero``, serves both the counts and the spectral
+sums.  The invariant measure of a cylinder word is an exact rational,
+computed by desubstitution over log2 |w| levels with no cap on the word
+length (``substitution.invariant_measure_cylinder``, re-exported here).  A
+word belongs to the language exactly when its measure is positive.
+Exponential sums are the only place floating point enters, and those
+assertions carry explicit tolerances.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from typing import NamedTuple
 from .errors import InsufficientDataError, InvalidInputError
 from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
+
+_BLOCK = 1 << 17  # start positions compared in one pass: 128 KiB of mask
 
 
 class FrequencyEstimate(NamedTuple):
@@ -31,7 +35,9 @@ def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int):
     """Boolean numpy mask over start positions 1..window (0-based index).
 
     The last start position reads letters up to window + len(word) - 1,
-    which is the prefix length this requires.
+    which is the prefix length this requires.  The mask is filled in blocks
+    of ``_BLOCK`` start positions: each letter's compare and AND work on one
+    block, which stays in cache, and no window-sized temporary is made.
     """
     import numpy as np
 
@@ -48,15 +54,21 @@ def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int):
         )
     codes = np.frombuffer(prefix.codes, dtype=np.uint8)
     target = prefix.alphabet.encode(word)
-    mask = codes[:window] == target[0]
-    for j in range(1, len(word)):
-        mask &= codes[j : window + j] == target[j]
+    mask = np.empty(window, dtype=bool)
+    for start in range(0, window, _BLOCK):
+        stop = min(start + _BLOCK, window)
+        block = mask[start:stop]
+        np.equal(codes[start:stop], target[0], out=block)
+        for j in range(1, len(word)):
+            block &= codes[start + j : stop + j] == target[j]
     return mask
 
 
 def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
     """Exact count of occurrences of ``word`` starting at positions 1..window."""
-    count = int(_occurrence_mask(prefix, word, window).sum())
+    import numpy as np
+
+    count = int(np.count_nonzero(_occurrence_mask(prefix, word, window)))
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
-from .odometer import DyadicInt
 from .substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, codes_measure
 from .toeplitz import (
     PeriodSkeleton,
@@ -51,6 +50,8 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
 
     Normalized so the unshifted fixed point encodes to 0.
     """
+    from .odometer import DyadicInt
+
     if k < 1:
         raise InvalidInputError(f"precision k must be positive, got {k}")
     skeleton = period_skeleton(prefix, k)

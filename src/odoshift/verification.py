@@ -85,7 +85,7 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
     length = 1 << sizes.prefix_log2
     generated = np.frombuffer(substitution.grigorchuk_prefix(length).codes, dtype=np.uint8)
     oracle = np.frombuffer(substitution.grigorchuk_codes(length), dtype=np.uint8)
-    mismatches = int((generated != oracle).sum())
+    mismatches = int(np.count_nonzero(generated != oracle))
     return CheckResult(
         name="closed_form_letter_formula",
         ok=mismatches == 0,
@@ -121,7 +121,7 @@ def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
     accepted = toeplitz.partial_period_mask(codes, m - 1, p)
     # exact for the infinite progression: if v2(p) > v2(m), every m + jp has valuation
     # v2(m); otherwise four consecutive terms have valuations v2(p) and v2(p) + 1
-    disagreements = int((((p & -p) > (m & -m)) != accepted).sum())
+    disagreements = int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
     # a progression to the end of the prefix is constant when its first letter fills it
     letters = codes.tobytes()
     tails = (letters[n - 1 :: q] for n, q in zip(m[accepted].tolist(), p[accepted].tolist()))
@@ -129,7 +129,7 @@ def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
     return CheckResult(
         name="four_term_rigidity",
         ok=counterexamples == 0 and disagreements == 0,
-        detail=f"{int(accepted.sum())} accepted samples, {counterexamples} counterexamples,"
+        detail=f"{int(np.count_nonzero(accepted))} accepted samples, {counterexamples} counterexamples,"
         f" {disagreements} disagreements with v2(p) > v2(m)",
     )
 

@@ -16,6 +16,8 @@
   reference for ``partial_period_mask``.
 - ``essential_periods_by_period`` tests one period at a time against every
   position still unresolved, the reference for ``essential_periods``.
+- ``occurrence_positions`` finds the starts of a word by ``bytes.find``,
+  the reference for the blocked occurrence mask of ``ergodic``.
 """
 
 from fractions import Fraction
@@ -171,3 +173,20 @@ def essential_periods_by_period(prefix, horizon):
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
     return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
+
+
+def occurrence_positions(prefix, word, window):
+    """0-based starts below ``window`` of ``word`` in ``prefix``, by ``bytes.find`` from i + 1.
+
+    The word's codes are read off ``alphabet.letters``, so nothing here is
+    shared with ``ergodic`` or with ``Alphabet.encode``.
+    """
+    target = bytes(prefix.alphabet.letters.index(letter) for letter in word)
+    # a start below window ends by window + len(word) - 1
+    codes = bytes(prefix.codes[: window + len(word) - 1])
+    positions = []
+    i = codes.find(target)
+    while i != -1:
+        positions.append(i)
+        i = codes.find(target, i + 1)
+    return positions

@@ -405,6 +405,12 @@ class TestStartLoadsOnlyWhatRuns:
             (["measure", "--word", "aca"], set()),
             (["generate", "--length", "16"], set()),
             (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
+            # the factor map builds a DyadicInt only in encode_fG, so odometer stays unloaded
+            (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
+            (
+                ["freq", "--word", "ac", "--window", "4096"],
+                {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
+            ),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, modules):

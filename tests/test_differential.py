@@ -15,7 +15,10 @@ The straightforward algorithms these replaced stand in for the program here:
   desubstitution, not from the period skeleton.
 - ``reference_spectral_sum`` adds one complex exponential per occurrence,
   and ``reference_residue_sum`` counts occurrences per residue by bincount
-  of their positions.
+  of their positions.  Both take the positions from
+  ``oracles.occurrence_positions``, a ``bytes.find`` loop, which also checks
+  the counts of the blocked occurrence mask where a word straddles a block
+  edge.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods.
 
@@ -32,7 +35,7 @@ import numpy as np
 import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
-from oracles import essential_periods_by_period, iterate
+from oracles import essential_periods_by_period, iterate, occurrence_positions
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
@@ -392,16 +395,15 @@ def test_desubstitution_digits_match_the_skeleton_encoding(k):
 # Spectral sums
 
 
-def reference_spectral_sum(prefix, theta, word, window):
-    mask = ergodic._occurrence_mask(prefix, word, window)
-    positions = np.nonzero(mask)[0].astype(np.float64)
+def reference_spectral_sum(positions, theta, window):
+    positions = np.array(positions, dtype=np.float64)
     phase = -2.0 * math.pi * (theta.numerator / theta.denominator)
     return float(abs(np.exp(1j * phase * positions).sum())) / window
 
 
-def reference_residue_sum(prefix, theta, word, window):
+def reference_residue_sum(positions, theta, window):
     """The residue-class sum with the counts taken by bincount of the occurrence positions."""
-    positions = np.flatnonzero(ergodic._occurrence_mask(prefix, word, window))
+    positions = np.array(positions, dtype=np.int64)
     p, q = theta.numerator % theta.denominator, theta.denominator
     if q <= window:
         counts = np.bincount(positions % q)
@@ -420,8 +422,9 @@ def test_row_sums_count_the_residues_exactly(window, word):
     prefix = grigorchuk_prefix((1 << 20) + 1)
     thetas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), Fraction(1, window + 1)]
     samples = ergodic.spectral_scan(prefix, thetas, word, window)
+    positions = occurrence_positions(prefix, word, window)
     # the same integer counts give the same floating-point sum, bit for bit
-    assert [s.magnitude for s in samples] == [reference_residue_sum(prefix, t, word, window) for t in thetas]
+    assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
 
 
 @pytest.mark.parametrize("window", [1 << 12, 1 << 16])
@@ -438,10 +441,41 @@ def test_residue_class_sum_matches_the_exponential_sum(window, word):
         Fraction(7, 3 * window),
     ]
     samples = ergodic.spectral_scan(prefix, thetas, word, window)
+    positions = occurrence_positions(prefix, word, window)
     for theta, sample in zip(thetas, samples):
         assert sample.theta == theta
-        want = reference_spectral_sum(prefix, theta, word, window)
+        want = reference_spectral_sum(positions, theta, window)
         assert abs(sample.magnitude - want) <= 1e-9, theta
+
+
+BLOCK = ergodic._BLOCK
+
+
+def block_edge_prefix(name):
+    """A prefix long enough for every block-edge window, and a word it never holds."""
+    length = 2 * BLOCK + 5 + 13
+    if name == "period_doubling":
+        return substitution.fixed_point_prefix(SUBSTITUTIONS["period_doubling"], "a", length), "bb"
+    omega = grigorchuk_prefix(length + 7)
+    if name == "shifted":
+        return omega.shifted(7), "aa"
+    return parse_prefix(omega.text[:length], Alphabet("dcba")), "aa"
+
+
+@pytest.mark.parametrize("name", ["shifted", "dcba", "period_doubling"])
+def test_counts_and_spectra_match_the_oracle_at_block_edges(name):
+    prefix, non_factor = block_edge_prefix(name)
+    # each factor starts before the first block edge and, from 2 letters on, ends after it
+    starts = {size: BLOCK - (size + 1) // 2 for size in (1, 2, 7, 14)}
+    factors = [prefix.alphabet.decode(prefix.codes[i : i + size]) for size, i in starts.items()]
+    thetas = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2 * BLOCK + 7)]
+    for window in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
+        for word in [*factors, non_factor]:
+            positions = occurrence_positions(prefix, word, window)
+            assert ergodic.cylinder_frequency(prefix, word, window).count == len(positions), (word, window)
+            assert (word == non_factor) == (positions == []), (word, window)
+            samples = ergodic.spectral_scan(prefix, thetas, word, window)
+            assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,22 @@ class TestCylinderFrequency:
         assert exc.value.required_length == 65
         with pytest.raises(errors.InvalidInputError):
             erg.cylinder_frequency(OMEGA, "", 64)
+
+    def test_count_holds_the_window_mask_and_one_block(self):
+        # numpy reports its buffers to tracemalloc; a window-sized temporary per
+        # letter, compare or AND, would double the peak
+        window = 1 << 20
+        prefix = grigorchuk_prefix(window + 13)
+        word = GRIGORCHUK_ALPHABET.decode(prefix.codes[1000:1014])
+        erg.cylinder_frequency(prefix, word, window)  # first-call imports stay out of the trace
+        tracemalloc.start()
+        try:
+            count = erg.cylinder_frequency(prefix, word, window).count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count > 0
+        assert peak <= window + 2 * erg._BLOCK + (64 << 10), peak
 
 
 class TestInvariantMeasure:
