@@ -35,10 +35,11 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
     """Prefix from --input, or a (possibly shifted) generated fixed point.
 
     ``need`` is the number of letters the command reads after the shift, so
-    a generated prefix has min(--length, shift + need) letters: every letter
-    the answer reads and no more.  A shorter --length still fails in the
-    command, with the length it requires.  An --input file whose letters
-    have measure 0 is no factor of the fixed point: NotInSubshiftError.
+    a generated prefix has shift + need letters, the default --length: every
+    letter the answer reads and no more.  A given --length caps them, and a
+    shorter one fails in the command, with the length it requires.  An
+    --input file whose letters have measure 0 is no factor of the fixed
+    point: NotInSubshiftError.
     """
     shift = getattr(args, "shift", 0) or 0
     if getattr(args, "input", None):
@@ -54,7 +55,7 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
         else:
             sub = substitution.grigorchuk_substitution()
             seed = args.seed_letter or "a"
-        length = args.length
+        length = shift + need if args.length is None else args.length
         if length >= 1:
             if not 0 <= shift < length:
                 raise InvalidInputError(f"shift {shift} outside 0..{length - 1}")
@@ -211,7 +212,9 @@ def _cmd_verify(args) -> int:
         {
             "level": args.level,
             "checks": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds} for r in results
+                {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds,
+                 "maxrss_kb": r.maxrss_kb}
+                for r in results
             ],
             "ok": ok,
         },
@@ -219,14 +222,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _add_input_options(parser, with_shift=True):
+def _add_input_options(parser, length=None):
+    """Input options; ``length`` None stands for the letters the command reads."""
+    default = "the letters the command reads" if length is None else length
     parser.add_argument("--input", help="prefix file (one line of letters)")
-    parser.add_argument("--length", type=int, default=DEFAULT_LENGTH,
-                        help="length of the generated prefix when no --input is given")
+    parser.add_argument("--length", type=int, default=length,
+                        help=f"length of the generated prefix when no --input is given (default: {default})")
     parser.add_argument("--seed-file", help="substitution file ('x -> word' lines)")
     parser.add_argument("--seed-letter", help="prolongable seed letter (default: first letter)")
-    if with_shift:
-        parser.add_argument("--shift", type=int, default=0, help="drop this many leading letters")
+    parser.add_argument("--shift", type=int, default=0, help="drop this many leading letters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="print a fixed-point prefix")
-    _add_input_options(p)
+    _add_input_options(p, length=DEFAULT_LENGTH)
     p.add_argument("--output", help="also write the prefix to this file")
     p.set_defaults(func=_cmd_generate)
 

@@ -22,6 +22,7 @@ from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
 
 _BLOCK = 1 << 17  # start positions compared in one pass: 128 KiB of mask
+_ROW = 1 << 10  # least start positions summed per row when counting residues
 
 
 class FrequencyEstimate(NamedTuple):
@@ -125,7 +126,9 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     of n mod q, and floating point enters only in the sum of at most
     min(q, N) weighted phases, taken in a fixed pairwise order, so results
     are deterministic.  The counts are sums over the rows of the mask cut
-    into rows of q, so no array of occurrence positions is held.
+    into rows of a multiple of q, at least ``_ROW`` wide, folded to q counts:
+    a row of only a few positions would make the sum over rows slow at small
+    q.  No array of occurrence positions is held.
     """
     import numpy as np
 
@@ -135,8 +138,12 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
         theta = Fraction(theta)
         p, q = theta.numerator % theta.denominator, theta.denominator
         if q <= window and q < 1 << 31:  # p * residue < q^2 fits in int64
-            whole = window - window % q
-            counts = mask[:whole].reshape(-1, q).sum(axis=0)
+            # rows of a multiple of q, at least _ROW wide, fold to q counts; the rest of the
+            # whole rows of q, and the last partial row, are added after
+            width = q * -(-_ROW // q)
+            split, whole = window - window % width, window - window % q
+            counts = mask[:split].reshape(-1, width).sum(axis=0).reshape(-1, q).sum(axis=0)
+            counts += mask[split:whole].reshape(-1, q).sum(axis=0)
             counts[: window - whole] += mask[whole:]
             residues = np.flatnonzero(counts)
             weights = counts[residues]

@@ -26,7 +26,7 @@ TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
 _TERMS = 3  # multiples checked beyond the base position
-_BLOCK = 1 << 14  # most periods tested in one numpy pass
+_BLOCK = 1 << 14  # most periods, or rows x periods, tested in one numpy pass
 
 
 def partial_period_mask(codes, starts, p):
@@ -80,13 +80,16 @@ class EPSet(NamedTuple):
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     """Set of p <= horizon realized as the smallest partial period of some position.
 
-    Every position still unresolved is tested against a block of periods in
-    one numpy pass.  A block holds as many periods as keep rows x periods
-    within the first pass, which tests every position at p = 1: the blocks
-    widen as positions resolve, and the temporaries never outgrow that pass.
-    A position's smallest partial period is the first period of the block
-    that it accepts, and the witness of p is the first position whose
-    smallest partial period is p.
+    The periods are tested in blocks.  A block holds as many periods as keep
+    rows x periods within the positions scanned, so the blocks widen as
+    positions resolve, up to ``_BLOCK`` periods.  Each block is tested
+    against the positions still unresolved in row slices of at most
+    ``_BLOCK`` cells, so no temporary outgrows a slice.  A position's
+    smallest partial period is the first period of the block that it
+    accepts, and the witness of p is the first position whose smallest
+    partial period is p: the slices ascend, so the first slice to find p
+    holds it.  The positions left unresolved are compacted in place at the
+    front of the one index array.
     """
     import numpy as np
 
@@ -102,17 +105,25 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     nmax = L - _TERMS * horizon
     # every scanned position can be tested against every p <= horizon
     unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices, ascending
+    size = nmax  # unresolved[:size] are the positions still unresolved
     witnesses = {}
     p = 1
-    while p <= horizon and unresolved.size:
-        block = np.arange(p, min(p + nmax // unresolved.size, horizon + 1))
-        ok = partial_period_mask(codes, unresolved[:, None], block)
-        # keep each row's first accepted period, its smallest partial period, in place
-        ok[:, 1:] &= ~np.logical_or.accumulate(ok, axis=1)[:, :-1]
-        heads = ok.argmax(axis=0)  # the first row whose smallest period is each p
-        for j in np.flatnonzero(ok.any(axis=0)).tolist():
-            witnesses[p + j] = int(unresolved[heads[j]]) + 1
-        unresolved = unresolved[~ok.any(axis=1)]
+    while p <= horizon and size:
+        block = np.arange(p, min(p + min(nmax // size, _BLOCK), horizon + 1))
+        rows = _BLOCK // len(block)
+        kept = 0
+        for start in range(0, size, rows):
+            positions = unresolved[start : min(start + rows, size)]
+            ok = partial_period_mask(codes, positions[:, None], block)
+            accepts = ok.any(axis=1)
+            # each accepting row's smallest partial period, and the first row that has each
+            found, heads = np.unique(ok.argmax(axis=1)[accepts], return_index=True)
+            for j, n in zip(found.tolist(), positions[accepts][heads].tolist()):
+                witnesses.setdefault(p + j, n + 1)
+            left = positions[~accepts]  # a copy, so writing over the front is safe
+            unresolved[kept : kept + len(left)] = left
+            kept += len(left)
+        size = kept
         p += len(block)
     return EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
 

@@ -4,13 +4,17 @@ Each check pins an exactly-stated claim at a concrete size.  ``full`` runs
 the desk-scale sizes; ``quick`` shrinks them to finish in a couple of
 seconds while exercising the same code paths.  The CLI ``verify``
 subcommand and the acceptance gate (tests/test_acceptance.py, at ``full``)
-both run ``ALL_CHECKS`` through ``run_check``, which also times each one.
+both run ``ALL_CHECKS`` through ``run_check``, which also times each one
+and reads the process's peak RSS after it.  The checks that read a whole
+prefix work on it in fixed-size blocks, so their temporaries do not grow
+with the sizes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import resource
 import time
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,6 +31,7 @@ class CheckResult(NamedTuple):
     ok: bool
     detail: str
     seconds: float = 0.0  # elapsed time, set by run_check
+    maxrss_kb: int = 0  # the process's peak RSS after the check, set by run_check
 
 
 class Sizes(NamedTuple):
@@ -81,11 +86,17 @@ QUICK = Sizes(
 )
 
 
+_CLOSED_FORM_BLOCK = 1 << 16  # positions compared in one pass
+
+
 def check_closed_form(sizes: Sizes) -> CheckResult:
     length = 1 << sizes.prefix_log2
     generated = np.frombuffer(substitution.grigorchuk_prefix(length).codes, dtype=np.uint8)
     oracle = np.frombuffer(substitution.grigorchuk_codes(length), dtype=np.uint8)
-    mismatches = int(np.count_nonzero(generated != oracle))
+    mismatches = sum(
+        int(np.count_nonzero(generated[i : i + _CLOSED_FORM_BLOCK] != oracle[i : i + _CLOSED_FORM_BLOCK]))
+        for i in range(0, length, _CLOSED_FORM_BLOCK)
+    )
     return CheckResult(
         name="closed_form_letter_formula",
         ok=mismatches == 0,
@@ -109,27 +120,54 @@ def check_essential_periods(sizes: Sizes) -> CheckResult:
     )
 
 
+_RIGIDITY_SEED = 20260823
+_SAMPLE_BLOCK = 1 << 13  # samples drawn and tested at once
+
+
+def _words63(rng: random.Random, count: int):
+    """``count`` 63-bit draws: the next 64-bit little-endian words of ``rng``, shifted right once."""
+    words = np.frombuffer(rng.randbytes(8 * count), dtype=np.uint64)
+    return (words >> np.uint64(1)).astype(np.int64)
+
+
+def rigidity_samples(length: int, samples: int):
+    """Blocks of (m, p), 1 <= m <= length - 64 and 1 <= p <= (length - m) // 64.
+
+    Two 63-bit draws per sample, reduced mod each range (bias below 2^-40):
+    the m-words are the first 8 * samples bytes of one seeded stream and the
+    p-words the next 8 * samples, so the blocks concatenate to the draws of
+    ``randbytes(16 * samples)`` at once.  A second generator, moved past the
+    m-words, reads the p-words.  Importing numpy.random would add about 6 MB
+    to the peak RSS of verify.
+    """
+    m_rng = random.Random(_RIGIDITY_SEED)
+    p_rng = random.Random(_RIGIDITY_SEED)
+    p_rng.getrandbits(64 * samples)
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, samples - start)
+        m = 1 + _words63(m_rng, size) % (length - 64)
+        p = 1 + _words63(p_rng, size) % ((length - m) // 64)
+        yield m, p
+
+
 def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
     length = 1 << sizes.prefix_log2
     codes = substitution.grigorchuk_prefix(length).codes
-    # two 63-bit draws per sample, reduced mod each range (bias below 2^-40);
-    # importing numpy.random would add about 6 MB to the peak RSS of verify
-    raw = random.Random(20260823).randbytes(16 * sizes.rigidity_samples)
-    draws = (np.frombuffer(raw, dtype=np.uint64) >> np.uint64(1)).astype(np.int64).reshape(2, -1)
-    m = 1 + draws[0] % (length - 64)  # 1..length-64
-    p = 1 + draws[1] % ((length - m) // 64)  # 1..(length-m)//64
-    accepted = toeplitz.partial_period_mask(codes, m - 1, p)
-    # exact for the infinite progression: if v2(p) > v2(m), every m + jp has valuation
-    # v2(m); otherwise four consecutive terms have valuations v2(p) and v2(p) + 1
-    disagreements = int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
-    # a progression to the end of the prefix is constant when its first letter fills it
-    letters = codes.tobytes()
-    tails = (letters[n - 1 :: q] for n, q in zip(m[accepted].tolist(), p[accepted].tolist()))
-    counterexamples = sum(tail.count(tail[0]) != len(tail) for tail in tails)
+    letters = np.frombuffer(codes, dtype=np.uint8)
+    accepted_count = disagreements = counterexamples = 0
+    for m, p in rigidity_samples(length, sizes.rigidity_samples):
+        accepted = toeplitz.partial_period_mask(codes, m - 1, p)
+        accepted_count += int(np.count_nonzero(accepted))
+        # exact for the infinite progression: if v2(p) > v2(m), every m + jp has valuation
+        # v2(m); otherwise four consecutive terms have valuations v2(p) and v2(p) + 1
+        disagreements += int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
+        # a progression to the end of the prefix is constant when its first letter fills it
+        tails = (letters[n - 1 :: q].tobytes() for n, q in zip(m[accepted].tolist(), p[accepted].tolist()))
+        counterexamples += sum(tail.count(tail[0]) != len(tail) for tail in tails)
     return CheckResult(
         name="four_term_rigidity",
         ok=counterexamples == 0 and disagreements == 0,
-        detail=f"{int(np.count_nonzero(accepted))} accepted samples, {counterexamples} counterexamples,"
+        detail=f"{accepted_count} accepted samples, {counterexamples} counterexamples,"
         f" {disagreements} disagreements with v2(p) > v2(m)",
     )
 
@@ -299,10 +337,15 @@ ALL_CHECKS = (
 
 
 def run_check(check, sizes: Sizes) -> CheckResult:
-    """Run one check and record its elapsed seconds: the timer of ``verify`` and the gate."""
+    """Run one check and record its elapsed seconds, the timer of ``verify`` and the gate.
+
+    Also records the process's peak RSS so far, a running high-water mark
+    (``ru_maxrss``, in KiB on Linux).
+    """
     start = time.perf_counter()
     result = check(sizes)
-    return result._replace(seconds=time.perf_counter() - start)
+    seconds = time.perf_counter() - start
+    return result._replace(seconds=seconds, maxrss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def run_all(level: str = "quick"):

@@ -16,6 +16,9 @@
   reference for ``partial_period_mask``.
 - ``essential_periods_by_period`` tests one period at a time against every
   position still unresolved, the reference for ``essential_periods``.
+- ``essential_periods_one_pass`` tests the same blocks of periods as
+  ``essential_periods``, each against every position still unresolved in
+  one pass, where ``essential_periods`` cuts the positions into row slices.
 - ``occurrence_positions`` finds the starts of a word by ``bytes.find``,
   the reference for the blocked occurrence mask of ``ergodic``.
 """
@@ -172,6 +175,30 @@ def essential_periods_by_period(prefix, horizon):
         if ok.any():
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
+    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
+
+
+def essential_periods_one_pass(prefix, horizon):
+    """EPSet of ``prefix`` below ``horizon``, each block of periods in one pass over all rows.
+
+    A block holds as many periods as keep rows x periods within the first
+    pass, which tests every position at p = 1.  A row's smallest partial
+    period is the first period of the block that it accepts.
+    """
+    nmax = len(prefix) - 3 * horizon
+    unresolved = np.arange(nmax, dtype=np.int64)
+    witnesses = {}
+    p = 1
+    while p <= horizon and unresolved.size:
+        block = np.arange(p, min(p + nmax // unresolved.size, horizon + 1))
+        ok = toeplitz.partial_period_mask(prefix.codes, unresolved[:, None], block)
+        # keep each row's first accepted period, its smallest partial period, in place
+        ok[:, 1:] &= ~np.logical_or.accumulate(ok, axis=1)[:, :-1]
+        heads = ok.argmax(axis=0)  # the first row whose smallest period is each p
+        for j in np.flatnonzero(ok.any(axis=0)).tolist():
+            witnesses[p + j] = int(unresolved[heads[j]]) + 1
+        unresolved = unresolved[~ok.any(axis=1)]
+        p += len(block)
     return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
 
 

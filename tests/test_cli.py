@@ -11,7 +11,7 @@ import pytest
 
 import odoshift
 from odoshift import cli
-from odoshift.substitution import grigorchuk_prefix
+from odoshift.substitution import grigorchuk_letter, grigorchuk_prefix
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -142,6 +142,16 @@ class TestFreq:
         assert code == 0
         assert "count 16384 window 32768" in out
 
+    def test_default_length_reads_the_window_and_the_word(self, capsys):
+        # the default window of 2^20 starts needs 2^20 + 1 letters for a two-letter word
+        window = 1 << 20
+        count = sum(
+            grigorchuk_letter(m) == "a" and grigorchuk_letter(m + 1) == "c" for m in range(1, window + 1)
+        )
+        code, out, err = run(capsys, "freq", "--word", "ac")
+        assert code == 0, err
+        assert out.startswith(f"count {count} window {window} ")
+
 
 class TestSpectrum:
     def test_csv_shape(self, capsys):
@@ -156,6 +166,11 @@ class TestSpectrum:
         assert lines[1].startswith("1/2,") and lines[1].endswith(",8192")
         assert lines[2].startswith("1/3,")
         assert float(lines[2].split(",")[1]) <= 1e-2
+
+    def test_default_length_reads_the_window_and_the_word(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--word", "ac", "--theta", "1/2")
+        assert code == 0, err
+        assert out.splitlines()[1].endswith(f",{1 << 20}")
 
 
 class TestVerify:
@@ -180,9 +195,16 @@ class TestVerify:
             assert isinstance(check["seconds"], float)
             assert 0 < check["seconds"] < 60
 
+    def test_json_reports_the_running_peak_rss(self, capsys):
+        code, out, _ = run(capsys, "--json", "verify", "--level", "quick")
+        assert code == 0
+        peaks = [check["maxrss_kb"] for check in json.loads(out)["checks"]]
+        assert all(isinstance(kb, int) and kb > 0 for kb in peaks), peaks
+        assert peaks == sorted(peaks)
+
 
 class TestDemandSizedInput:
-    """Commands generate min(--length, shift + what they read) letters."""
+    """Commands generate shift + what they read letters by default, and never more than --length."""
 
     @pytest.mark.parametrize(
         "argv",

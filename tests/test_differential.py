@@ -20,7 +20,10 @@ The straightforward algorithms these replaced stand in for the program here:
   the counts of the blocked occurrence mask where a word straddles a block
   edge.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
-  period at a time, where ``essential_periods`` tests blocks of periods.
+  period at a time, where ``essential_periods`` tests blocks of periods;
+  ``oracles.essential_periods_one_pass`` tests each block against every
+  unresolved position at once, where ``essential_periods`` cuts them into
+  row slices.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
 spectral sum, whose terms are grouped differently and so agree to 1e-9.
@@ -35,7 +38,7 @@ import numpy as np
 import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
-from oracles import essential_periods_by_period, iterate, occurrence_positions
+from oracles import essential_periods_by_period, essential_periods_one_pass, iterate, occurrence_positions
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
@@ -427,6 +430,21 @@ def test_row_sums_count_the_residues_exactly(window, word):
     assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
 
 
+ROW = ergodic._ROW
+
+
+@pytest.mark.parametrize("window", [ROW - 1, ROW, ROW + 1, 3 * ROW + 1])
+@pytest.mark.parametrize("word", ["a", "ca"])
+def test_residue_counts_match_at_the_row_width(window, word):
+    # denominators below, at and above the row width, and the window itself
+    prefix = grigorchuk_prefix(4 * ROW)
+    thetas = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(7, 1000),
+              Fraction(3, 1025), Fraction(1, window)]
+    samples = ergodic.spectral_scan(prefix, thetas, word, window)
+    positions = occurrence_positions(prefix, word, window)
+    assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
+
+
 @pytest.mark.parametrize("window", [1 << 12, 1 << 16])
 @pytest.mark.parametrize("word", ["a", "ca", "acab"])
 def test_residue_class_sum_matches_the_exponential_sum(window, word):
@@ -514,3 +532,30 @@ def test_essential_periods_match_the_per_period_loop_on_random_words(seed):
             prefix.text,
             horizon,
         )
+
+
+SLICE = toeplitz._BLOCK  # most cells, rows x periods, of one row slice
+
+
+def one_pass_cases():
+    """Prefixes and horizons whose row slices cut the blocks unevenly."""
+    # L - 3 * horizon scanned positions: 17000 is one slice of 2^14 rows and 616 more at p = 1
+    for length, horizon in [(20_000, 1000), ((1 << 16) + 3, 1025), (3 * SLICE + 7, 2 * SLICE // 3 + 1)]:
+        yield pytest.param(grigorchuk_prefix(length), horizon, id=f"fixed_point_{length}_{horizon}")
+    yield pytest.param(grigorchuk_prefix(40_011).shifted(11), 3000, id="shifted")
+    sub = SUBSTITUTIONS["period_doubling"]
+    yield pytest.param(substitution.fixed_point_prefix(sub, "a", 30_000), 2000, id="period_doubling")
+    rng = random.Random(20261018)
+    codes = bytes(rng.randrange(4) for _ in range(40_000))
+    yield pytest.param(SymbolicPrefix(GRIGORCHUK_ALPHABET, codes), 5000, id="random_abcd")
+    # one b in a run of a's: four of 70,000 rows stay after p = 1, so the next block
+    # would hold 17,500 periods, and is cut at SLICE
+    horizon = SLICE + 100
+    run = bytearray(70_000 + 3 * horizon)
+    run[SLICE] = 1
+    yield pytest.param(SymbolicPrefix(GRIGORCHUK_ALPHABET, run), horizon, id="one_b_in_a_run")
+
+
+@pytest.mark.parametrize("prefix, horizon", one_pass_cases())
+def test_row_slices_match_the_one_pass_blocks(prefix, horizon):
+    assert toeplitz.essential_periods(prefix, horizon) == essential_periods_one_pass(prefix, horizon)
