@@ -10,6 +10,7 @@ process loads no module that its command does not use.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import substitution
@@ -289,6 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    If numpy is not loaded yet, this sets ``OPENBLAS_NUM_THREADS=1`` in the
+    process environment unless it is set, and leaves it set on return.
+    """
+    # no odoshift code calls BLAS, so numpy's import need not start a BLAS thread per core;
+    # once numpy is loaded the setting does nothing, and a value the user set wins
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -105,6 +105,25 @@ def cf_contains(cf: CFSet, n: int) -> bool:
     return n == 1
 
 
+def cf_members(cf: CFSet, limit: int) -> list:
+    """The members n < limit in ascending order.
+
+    They are the products of prime powers p^k with k <= e_p, listed one
+    prime at a time, so no n outside the set is tested.
+    """
+    members = [1] if limit > 1 else []
+    for p, e in cf.exponents.items():
+        grown = []
+        for m in members:
+            k = 0
+            while k <= e and m < limit:
+                grown.append(m)
+                m *= p
+                k += 1
+        members = grown
+    return sorted(members)
+
+
 def cf_subset(a: CFSet, b: CFSet) -> bool:
     """Exponentwise a <= b; decides 'odometer of a is a factor of odometer of b'."""
     return all(e <= b.exponent(p) for p, e in a.exponents.items())

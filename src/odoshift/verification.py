@@ -274,10 +274,12 @@ def check_eigenfunction(sizes: Sizes) -> CheckResult:
     return _shift_values("eigenfunction_equivariance", sizes.eigen_precision, sizes.eigen_shifts)
 
 
+_CF_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 def _random_cf(rng: random.Random) -> odometer.CFSet:
-    primes = [2, 3, 5, 7, 11, 13]
     exponents = {}
-    for p in rng.sample(primes, rng.randint(0, 4)):
+    for p in rng.sample(_CF_PRIMES, rng.randint(0, 4)):
         exponents[p] = odometer.INFINITY if rng.random() < 0.3 else rng.randint(1, 6)
     return odometer.CFSet(exponents)
 
@@ -288,7 +290,16 @@ def check_cf_algebra(sizes: Sizes) -> CheckResult:
         cf = _random_cf(rng)
         if not odometer.cf_contains(cf, 1):
             return CheckResult("odometer_cf_algebra", False, "1 not a member")
-        members = [n for n in range(1, 200) if odometer.cf_contains(cf, n)]
+        members = odometer.cf_members(cf, 200)
+        rejected = next((n for n in members if not odometer.cf_contains(cf, n)), None)
+        if rejected is not None:
+            return CheckResult("odometer_cf_algebra", False, f"listed member {rejected} rejected")
+        # a member times a prime of the sets is rejected when it is not listed
+        listed = set(members)
+        outside = (n * p for n in members for p in _CF_PRIMES if n * p < 200 and n * p not in listed)
+        accepted = next((m for m in outside if odometer.cf_contains(cf, m)), None)
+        if accepted is not None:
+            return CheckResult("odometer_cf_algebra", False, f"non-member {accepted} accepted")
         for n in rng.sample(members, min(4, len(members))):
             for d in range(1, n + 1):
                 if n % d == 0 and not odometer.cf_contains(cf, d):

@@ -334,23 +334,32 @@ def test_readme_commands(capsys):
     assert outputs == {"acabacadacabacac", "10100000", "2/7"}
 
 
-# Run `python -m odoshift.cli ARGS` and report on stderr, at exit, the odoshift modules and
-# dataclasses if loaded, then, on the last line, whether numpy was loaded (atexit runs last first).
-MAIN_REPORTING_NUMPY = (
-    "import atexit, runpy, sys\n"
+# Report on stderr, at exit, OPENBLAS_NUM_THREADS, the odoshift modules and dataclasses if
+# loaded, then, on the last line, whether numpy was loaded (atexit runs last first).
+REPORT_AT_EXIT = (
+    "import atexit, os, runpy, sys\n"
     "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
     "atexit.register(lambda: print('modules loaded:', *sorted(m for m in sys.modules\n"
     "    if m == 'dataclasses' or m.startswith('odoshift')), file=sys.stderr))\n"
-    "runpy.run_module('odoshift.cli', run_name='__main__')\n"
+    "atexit.register(lambda: print('OPENBLAS_NUM_THREADS:', repr(os.environ.get('OPENBLAS_NUM_THREADS')),\n"
+    "    file=sys.stderr))\n"
 )
+# Run `python -m odoshift.cli ARGS`.
+MAIN_REPORTING_NUMPY = REPORT_AT_EXIT + "runpy.run_module('odoshift.cli', run_name='__main__')\n"
 
 
-def fresh(*argv):
-    """One fresh interpreter with the package on its path, as the benchmark starts one."""
+def fresh(*argv, script=MAIN_REPORTING_NUMPY, openblas_threads=None):
+    """One fresh interpreter with the package on its path, as the benchmark starts one.
+
+    OPENBLAS_NUM_THREADS is unset in it unless ``openblas_threads`` gives a value.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("ODOSHIFT_MAX_BYTES", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     return subprocess.run(
-        [sys.executable, "-c", MAIN_REPORTING_NUMPY, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
     )
 
 
@@ -400,6 +409,33 @@ class TestStartWithoutNumpy:
         assert "dataclasses" not in loaded(proc)
 
 
+class TestOneBlasThread:
+    """A cli process starts numpy with one BLAS thread unless the user set their number."""
+
+    def test_a_command_sets_one_thread(self):
+        proc = fresh("freq", "--word", "ac", "--window", "4096")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '1'"
+
+    def test_the_value_the_user_set_wins(self):
+        proc = fresh("freq", "--word", "ac", "--window", "4096", openblas_threads="3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '3'"
+
+    def test_importing_the_package_and_cli_sets_nothing(self):
+        proc = fresh(script=REPORT_AT_EXIT + "import odoshift, odoshift.cli\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: None"
+
+    def test_main_after_numpy_sets_nothing(self, capsys, monkeypatch):
+        import numpy  # noqa: F401  loaded already, so the setting could do nothing
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code, out, err = run(capsys, "freq", "--word", "ac", "--window", "4096")
+        assert code == 0, err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 # The submodules the package namespace has always bound, and the names it exported from each.
 EXPORTED = {
     "errors": ["InsufficientDataError", "InvalidInputError", "NotInSubshiftError", "OdoshiftError",
@@ -431,6 +467,10 @@ class TestStartLoadsOnlyWhatRuns:
             (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
             (
                 ["freq", "--word", "ac", "--window", "4096"],
+                {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
+            ),
+            (
+                ["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"],
                 {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
             ),
         ],

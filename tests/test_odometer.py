@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from odoshift import errors
@@ -55,6 +55,12 @@ class TestCFSet:
         # products of the primes the sets use, so membership is often true
         n = math.prod(p**e for p, e in zip(PRIMES, exponents))
         assert od.cf_contains(cf, n) == factorized_cf_contains(cf, n)
+
+    @given(cf=cf_sets, limit=st.integers(min_value=0, max_value=2000))
+    @example(cf=od.CFSet({}), limit=200)
+    @example(cf=od.CFSet({2: od.INFINITY, 3: od.INFINITY, 5: od.INFINITY, 7: od.INFINITY}), limit=200)
+    def test_members_are_the_contains_scan(self, cf, limit):
+        assert od.cf_members(cf, limit) == [n for n in range(1, limit) if od.cf_contains(cf, n)]
 
     @given(cf=cf_sets)
     def test_one_is_always_a_member(self, cf):

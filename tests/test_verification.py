@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import substitution, verification
+from odoshift import odometer, substitution, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 
 PEAK_BYTES = 5 << 19  # 2.5 MiB
@@ -58,3 +58,23 @@ def test_closed_form_counts_a_mismatch_in_every_block(monkeypatch):
     result = verification.check_closed_form(sizes)
     assert not result.ok
     assert result.detail == f"{len(wrong)} mismatches over {length} positions"
+
+
+def test_cf_algebra_detail_is_unchanged():
+    result = verification.check_cf_algebra(FULL)
+    assert (result.ok, result.detail) == (True, "orbit covers 4096/4096 states; cylinder frequencies exact: True")
+
+
+def test_cf_algebra_names_a_listed_member_that_contains_rejects(monkeypatch):
+    # 199 is a prime above every prime of the random sets, so no set holds it
+    listed = odometer.cf_members
+    monkeypatch.setattr(odometer, "cf_members", lambda cf, limit: listed(cf, limit) + [199])
+    result = verification.check_cf_algebra(QUICK)
+    assert (result.ok, result.detail) == (False, "listed member 199 rejected")
+
+
+def test_cf_algebra_names_a_non_member_that_contains_accepts(monkeypatch):
+    contains = odometer.cf_contains
+    monkeypatch.setattr(odometer, "cf_contains", lambda cf, n: n == 14 or contains(cf, n))
+    result = verification.check_cf_algebra(QUICK)
+    assert (result.ok, result.detail) == (False, "non-member 14 accepted")
