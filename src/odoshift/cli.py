@@ -38,30 +38,37 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
     ``need`` is the number of letters the command reads after the shift, so
     a generated prefix has shift + need letters, the default --length: every
     letter the answer reads and no more.  A given --length caps them, and a
-    shorter one fails in the command, with the length it requires.  An
-    --input file whose letters have measure 0 is no factor of the fixed
-    point: NotInSubshiftError.
+    shorter one fails in the command, with the length it requires.
+
+    The letters of an --input file and those a --seed-file's fixed point
+    grows from its first rule's letter are one user-supplied sequence: both
+    are parsed over 'abcd' and language-checked before the shift, so the
+    same letters give the same answer by either route.  Letters whose
+    measure is 0 are no factor of the fixed point: NotInSubshiftError.
+    Only the Grigorchuk fixed point itself goes unchecked.
     """
-    shift = getattr(args, "shift", 0) or 0
-    if getattr(args, "input", None):
+    shift = args.shift
+    if args.input:
         prefix = substitution.load_prefix(args.input, substitution.GRIGORCHUK_ALPHABET)
-        if not substitution.codes_measure(prefix.alphabet, prefix.codes):
-            raise NotInSubshiftError(
-                f"the {len(prefix)} letters of {args.input} are not a factor of the fixed point"
-            )
+        origin = f"of {args.input}"
     else:
-        if getattr(args, "seed_file", None):
-            sub = substitution.load_substitution(args.seed_file)
-            seed = args.seed_letter or sub.alphabet.letters[0]
-        else:
-            sub = substitution.grigorchuk_substitution()
-            seed = args.seed_letter or "a"
         length = shift + need if args.length is None else args.length
         if length >= 1:
             if not 0 <= shift < length:
                 raise InvalidInputError(f"shift {shift} outside 0..{length - 1}")
             length = min(length, shift + need)
-        prefix = substitution.fixed_point_prefix(sub, seed, length)
+        if args.seed_file:
+            sub = substitution.load_substitution(args.seed_file)
+            letters = substitution.fixed_point_prefix(sub, sub.alphabet.letters[0], length).text
+            prefix = substitution.parse_prefix(letters, substitution.GRIGORCHUK_ALPHABET)
+            origin = f"grown from {args.seed_file}"
+        else:
+            prefix = substitution.fixed_point_prefix(substitution.grigorchuk_substitution(), "a", length)
+            origin = None
+    if origin and not substitution.codes_measure(prefix.alphabet, prefix.codes):
+        raise NotInSubshiftError(
+            f"the {len(prefix)} letters {origin} are not a factor of the fixed point"
+        )
     return prefix.shifted(shift) if shift else prefix
 
 
@@ -226,11 +233,13 @@ def _cmd_verify(args) -> int:
 def _add_input_options(parser, length=None):
     """Input options; ``length`` None stands for the letters the command reads."""
     default = "the letters the command reads" if length is None else length
-    parser.add_argument("--input", help="prefix file (one line of letters)")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--input", help="prefix file (one line of letters over abcd), "
+                        "exit 4 unless they are a factor of the fixed point")
+    source.add_argument("--seed-file", help="substitution file ('x -> word' lines) whose fixed point, "
+                        "grown from the first rule's letter, is checked like --input")
     parser.add_argument("--length", type=int, default=length,
                         help=f"length of the generated prefix when no --input is given (default: {default})")
-    parser.add_argument("--seed-file", help="substitution file ('x -> word' lines)")
-    parser.add_argument("--seed-letter", help="prolongable seed letter (default: first letter)")
     parser.add_argument("--shift", type=int, default=0, help="drop this many leading letters")
 
 
@@ -261,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--levels", type=int, default=12, help="skeleton depth K")
     # None stands for factormap's default, which _cmd_fiber reads: parsing imports no factormap
-    p.add_argument("--horizon", type=int, help="language horizon for preimage letters")
+    p.add_argument("--horizon", type=int,
+                   help="language horizon for preimage letters (default 64); the test reads horizon - 1 "
+                        "letters, and after a shift n the first 2^j - 1 repeat the fixed point's head, "
+                        "2^j the largest power of 2 dividing n, so a horizon of 2^j or less reports bcd")
     p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")

@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
 from .substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, codes_measure
 from .toeplitz import (
+    EVENTUALLY_CONSTANT_MK,
     PeriodSkeleton,
     deepest_columns,
     period_skeleton,
@@ -156,7 +157,7 @@ def classify_fiber(
         # M_k = 2^k throughout: the window is consistent with the exceptional point itself
         classification = OMEGA_STAR_ORBIT
         stabilization_index = 0
-    elif K >= 2 and levels[-1] == levels[-2]:
+    elif skeleton.classification == EVENTUALLY_CONSTANT_MK:
         classification = OMEGA_STAR_ORBIT
         stabilization_index = levels[-1]
     letters = sigma_preimage_letters(prefix, language_horizon)

@@ -18,21 +18,6 @@ from .errors import Immutable, InvalidInputError
 INFINITY = math.inf
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict:
     """Prime -> exponent map of a positive integer (trial division)."""
     if n < 1:
@@ -66,7 +51,7 @@ class CFSet(Immutable):
     def __init__(self, exponents: Mapping[int, float]):
         clean = {}
         for p, e in dict(exponents).items():
-            if not _is_prime(p):
+            if p < 2 or factorize(p) != {p: 1}:
                 raise InvalidInputError(f"exponent key {p} is not prime")
             if e == 0:
                 continue
@@ -131,7 +116,7 @@ def cf_subset(a: CFSet, b: CFSet) -> bool:
 
 def cf_equal(a: CFSet, b: CFSet) -> bool:
     """Decides continuous conjugacy of the corresponding odometers."""
-    return a.exponents == b.exponents
+    return a == b
 
 
 def cf_to_text(cf: CFSet) -> str:
@@ -314,13 +299,7 @@ def odometer_orbit(spec: OdometerSpec, start: OdometerState, steps: int):
 
 def cf_of_odometer(spec: OdometerSpec) -> CFSet:
     """Orders of cyclic factors: divisors of sup_k n_1 n_2 ... n_k."""
-    exponents: dict = {}
-    for p in factorize(math.prod(spec.repeat, start=1)):
-        exponents[p] = INFINITY
-    for p, e in factorize(math.prod(spec.bases, start=1)).items():
-        if exponents.get(p, 0) != INFINITY:
-            exponents[p] = max(exponents.get(p, 0), e)
-    return CFSet(exponents)
+    return cf_closure([math.prod(spec.bases), *([PowerFamily(math.prod(spec.repeat))] if spec.repeat else [])])
 
 
 def odometer_from_cf(cf: CFSet) -> OdometerSpec:

@@ -454,10 +454,6 @@ def parse_substitution(source: str) -> Substitution:
     return Substitution(Alphabet("".join(rules)), rules)
 
 
-def format_substitution(sub: Substitution) -> str:
-    return "\n".join(f"{ch} -> {sub.rules[ch]}" for ch in sub.alphabet.letters) + "\n"
-
-
 def load_substitution(path) -> Substitution:
     with open(path, "r", encoding="ascii") as fh:
         return parse_substitution(fh.read())
@@ -471,8 +467,18 @@ def parse_prefix(source: str, alphabet: Alphabet) -> SymbolicPrefix:
 
 
 def load_prefix(path, alphabet: Alphabet) -> SymbolicPrefix:
+    """Prefix of the letters of the file at ``path``, read as ``parse_prefix`` reads text.
+
+    The letters count against the sequence cap before the file is read
+    whole: a file may hold the cap's letters and a line end, and at most
+    cap + 3 characters are read.
+    """
+    cap = sequence_byte_cap()
     with open(path, "r", encoding="ascii") as fh:
-        return parse_prefix(fh.read(), alphabet)
+        source = fh.read(cap + 3)
+    # past cap + 2 characters, more than a line end follows the cap's letters
+    _check_cap(len(source.strip()) if len(source) <= cap + 2 else len(source))
+    return parse_prefix(source, alphabet)
 
 
 def save_prefix(prefix: SymbolicPrefix, path) -> None:

@@ -15,6 +15,7 @@ from odoshift.substitution import grigorchuk_letter, grigorchuk_prefix
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+GRIGORCHUK_RULES = "a -> aca\nb -> d\nc -> b\nd -> c\n"
 
 
 def run(capsys, *argv):
@@ -37,11 +38,19 @@ class TestGenerate:
         assert out.startswith("acabacadacabacac")
 
     def test_custom_substitution_file(self, capsys, tmp_path):
+        # period doubling grows abaaabab, whose measure is 0: outside the subshift
         rules = tmp_path / "thue_morse_like.txt"
         rules.write_text("# period doubling\na -> ab\nb -> aa\n")
+        code, out, err = run(capsys, "generate", "--length", "8", "--seed-file", str(rules))
+        assert (code, out) == (4, "")
+        assert "the 8 letters grown from" in err
+
+    def test_grigorchuk_substitution_file(self, capsys, tmp_path):
+        rules = tmp_path / "grigorchuk.txt"
+        rules.write_text(GRIGORCHUK_RULES)
         code, out, _ = run(capsys, "generate", "--length", "8", "--seed-file", str(rules))
         assert code == 0
-        assert out.strip() == "abaaabab"
+        assert out.strip() == "acabacad"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--json", "generate", "--length", "4")
@@ -306,6 +315,129 @@ class TestInputIsCheckedAtLoad:
         assert saved == run(capsys, *argv, "--length", "4096")
 
 
+class TestSeedFileReadsAsInput:
+    """A --seed-file's letters and the same letters in an --input file give the same answer."""
+
+    RULES = {
+        "period_doubling": "a -> ab\nb -> aa\n",
+        "grigorchuk": GRIGORCHUK_RULES,
+        "outside_abcd": "a -> ax\nx -> a\n",
+    }
+    # (argv, the letters it reads: --shift plus its demand)
+    COMMANDS = [
+        (["generate", "--length", "64"], 64),
+        (["analyze", "--levels", "4"], 64),
+        (["encode", "--precision", "4"], 64),
+        (["encode", "--shift", "5", "--precision", "4"], 69),
+        (["fiber", "--levels", "4"], 64),
+        (["freq", "--word", "a", "--window", "64"], 64),
+        (["spectrum", "--word", "a", "--window", "64", "--theta", "1/2"], 64),
+    ]
+
+    @pytest.mark.parametrize("rules", sorted(RULES))
+    @pytest.mark.parametrize("argv, letters", COMMANDS)
+    def test_same_exit_code_and_stdout(self, capsys, tmp_path, rules, argv, letters):
+        from odoshift.substitution import fixed_point_prefix, parse_substitution
+
+        seed_file, input_file = tmp_path / "rules.txt", tmp_path / "letters.txt"
+        seed_file.write_text(self.RULES[rules])
+        sub = parse_substitution(self.RULES[rules])
+        input_file.write_text(fixed_point_prefix(sub, sub.alphabet.letters[0], letters).text + "\n")
+        seeded = run(capsys, *argv, "--seed-file", str(seed_file))
+        given = run(capsys, *argv, "--input", str(input_file))
+        assert seeded[:2] == given[:2], (seeded[2], given[2])
+        expected_code = {"grigorchuk": 0, "period_doubling": 4, "outside_abcd": 2}[rules]
+        assert seeded[0] == expected_code, seeded[2]
+        if expected_code:
+            assert seeded[1] == ""
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+    def test_both_sources_exit_two(self, capsys, tmp_path, argv):
+        seed_file, input_file = tmp_path / "rules.txt", tmp_path / "letters.txt"
+        seed_file.write_text(GRIGORCHUK_RULES)
+        input_file.write_text(grigorchuk_prefix(64).text + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--input", str(input_file), "--seed-file", str(seed_file)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+    def test_seed_letter_is_gone(self, capsys, tmp_path, argv):
+        seed_file = tmp_path / "rules.txt"
+        seed_file.write_text(GRIGORCHUK_RULES)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed-file", str(seed_file), "--seed-letter", "a"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-letter" in capsys.readouterr().err
+
+
+class TestInputFileCap:
+    """An --input file's letters count against ODOSHIFT_MAX_BYTES, as generated letters do."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate"], ["analyze", "--levels", "4"], ["encode", "--precision", "4"],
+         ["freq", "--word", "a", "--window", "64"]],
+    )
+    def test_one_letter_over_the_cap_exits_two(self, capsys, tmp_path, monkeypatch, argv):
+        path = tmp_path / "omega.txt"
+        path.write_text(grigorchuk_prefix(101).text + "\n")
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "100")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "error: requested length 101 exceeds the cap of 100 bytes" in err
+
+    def test_a_longer_file_exits_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "omega.txt"
+        path.write_text(grigorchuk_prefix(4096).text + "\n")
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "100")
+        code, out, err = run(capsys, "analyze", "--levels", "4", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "exceeds the cap of 100 bytes" in err
+
+    def test_the_cap_is_enough(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "omega.txt"
+        text = grigorchuk_prefix(100).text
+        path.write_text(text + "\n")
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "100")
+        assert run(capsys, "generate", "--input", str(path)) == (0, text + "\n", "")
+        code, out, err = run(capsys, "analyze", "--levels", "4", "--input", str(path))
+        assert code == 0, err
+        assert out.splitlines()[-1] == "classification: toeplitz_like"
+
+
+class TestOptions:
+    """Each subcommand's option strings, so that adding or removing one shows in review."""
+
+    OPTIONS = {
+        "generate": ["--input", "--seed-file", "--length", "--shift", "--output"],
+        "analyze": ["--input", "--seed-file", "--length", "--shift", "--levels"],
+        "encode": ["--input", "--seed-file", "--length", "--shift", "--precision"],
+        "fiber": ["--input", "--seed-file", "--length", "--shift", "--levels", "--horizon"],
+        "measure": ["--word"],
+        "freq": ["--input", "--seed-file", "--length", "--shift", "--word", "--window"],
+        "spectrum": ["--input", "--seed-file", "--length", "--shift", "--word", "--window", "--theta"],
+        "verify": ["--level"],
+    }
+
+    def test_option_strings(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        assert [o for a in parser._actions for o in a.option_strings if a.dest != "help"] == ["--json"]
+        options = {
+            name: [o for a in sub._actions for o in a.option_strings if a.dest != "help"]
+            for name, sub in commands.choices.items()
+        }
+        assert options == self.OPTIONS
+
+    def test_fiber_help_names_the_default_horizon(self):
+        from odoshift.factormap import DEFAULT_LANGUAGE_HORIZON
+
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        (horizon,) = [a for a in commands.choices["fiber"]._actions if a.dest == "horizon"]
+        assert f"(default {DEFAULT_LANGUAGE_HORIZON})" in horizon.help
+
+
 def readme_commands():
     """(argv, expected first output line or None) for each line of README's "Command line" block."""
     block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
@@ -332,6 +464,21 @@ def test_readme_commands(capsys):
             assert out.splitlines()[0] == expected, argv
             outputs.add(expected)
     assert outputs == {"acabacadacabacac", "10100000", "2/7"}
+
+
+def test_readme_commands_read_the_same_with_grigorchuk_rules(capsys, tmp_path):
+    # the Grigorchuk rules as --seed-file grow omega, whose letters pass the check
+    rules = tmp_path / "grigorchuk.txt"
+    rules.write_text(GRIGORCHUK_RULES)
+    seeded = 0
+    for argv, _ in readme_commands():
+        if argv[0] in ("measure", "verify"):
+            continue  # no input options
+        plain = run(capsys, *argv)
+        assert plain[0] == 0, (argv, plain[2])
+        assert run(capsys, *argv, "--seed-file", str(rules)) == plain, argv
+        seeded += 1
+    assert seeded == 6
 
 
 # Report on stderr, at exit, OPENBLAS_NUM_THREADS, the odoshift modules and dataclasses if

@@ -319,7 +319,7 @@ class TestMemory:
 
 class TestTextFormats:
     def test_substitution_round_trip(self):
-        text = sub.format_substitution(TAU)
+        text = "".join(f"{ch} -> {TAU.rules[ch]}\n" for ch in TAU.alphabet.letters)
         again = sub.parse_substitution(text)
         assert again.rules == dict(TAU.rules)
 
@@ -342,3 +342,24 @@ class TestTextFormats:
         sub.save_prefix(p, path)
         again = sub.load_prefix(path, ABC)
         assert again.text == p.text
+
+    @pytest.mark.parametrize(
+        "text, loads",
+        [
+            ("a" * 64, True),
+            ("a" * 64 + "\r\n", True),
+            ("\n" + "a" * 64 + "\n", True),
+            ("a" * 65 + "\n", False),
+            # a letter past the first cap + 2 characters is never dropped unread
+            ("a" * 64 + "\n\n\n\nb", False),
+        ],
+    )
+    def test_prefix_file_counts_against_the_cap(self, tmp_path, monkeypatch, text, loads):
+        path = tmp_path / "prefix.txt"
+        path.write_text(text, newline="")
+        monkeypatch.setenv(sub.MAX_BYTES_ENV, "64")
+        if loads:
+            assert sub.load_prefix(path, ABC).text == "a" * 64
+        else:
+            with pytest.raises(errors.ResourceLimitError, match="exceeds the cap of 64 bytes"):
+                sub.load_prefix(path, ABC)
