@@ -141,7 +141,7 @@ def _cmd_encode(args) -> int:
 def _cmd_fiber(args) -> int:
     from . import factormap
 
-    horizon = factormap.DEFAULT_LANGUAGE_HORIZON if args.horizon is None else args.horizon
+    horizon = factormap.default_language_horizon(args.shift) if args.horizon is None else args.horizon
     prefix = _load_input(args, max(_skeleton_need(args.levels), horizon - 1))
     report = factormap.classify_fiber(prefix, args.levels, horizon)
     index = "-" if report.stabilization_index is None else str(report.stabilization_index)
@@ -271,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=12, help="skeleton depth K")
     # None stands for factormap's default, which _cmd_fiber reads: parsing imports no factormap
     p.add_argument("--horizon", type=int,
-                   help="language horizon for preimage letters (default 64); the test reads horizon - 1 "
-                        "letters, and after a shift n the first 2^j - 1 repeat the fixed point's head, "
-                        "2^j the largest power of 2 dividing n, so a horizon of 2^j or less reports bcd")
+                   help="language horizon for preimage letters (default 64), or 2^(j+2) if larger, 2^j "
+                        "the largest power of 2 dividing --shift: the test reads horizon - 1 letters, and "
+                        "after a shift n the first 2^j - 1 repeat the fixed point's head, so a horizon of "
+                        "2^j or less reports bcd")
     p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")

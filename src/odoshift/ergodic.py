@@ -1,12 +1,15 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
-Frequency counts are exact integers over explicit windows: one occurrence
-mask over the window, filled in cache-sized blocks of start positions and
-counted with ``count_nonzero``, serves both the counts and the spectral
-sums.  The invariant measure of a cylinder word is an exact rational,
-computed by desubstitution over log2 |w| levels with no cap on the word
-length (``substitution.invariant_measure_cylinder``, re-exported here).  A
-word belongs to the language exactly when its measure is positive.
+Frequency counts are exact integers over explicit windows, and run on the
+standard library.  Each letter's positions in a prefix form one bit-packed
+Python int, built on first use and kept on the prefix; the starts of a
+word are the AND of its letters' bitsets, each shifted by the letter's
+offset in the word, and that one kernel serves both the counts
+(``int.bit_count``) and the spectral sums.  The invariant measure of a
+cylinder word is an exact rational, computed by desubstitution over
+log2 |w| levels with no cap on the word length
+(``substitution.invariant_measure_cylinder``, re-exported here).  A word
+belongs to the language exactly when its measure is positive.
 Exponential sums are the only place floating point enters, and those
 assertions carry explicit tolerances.
 """
@@ -15,14 +18,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
 from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
 
-_BLOCK = 1 << 17  # start positions compared in one pass: 128 KiB of mask
-_ROW = 1 << 10  # least start positions summed per row when counting residues
+_BLOCK = 1 << 17  # letters translated to '0'/'1' text and read by int(text, 2) in one pass
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class FrequencyEstimate(NamedTuple):
@@ -32,16 +36,56 @@ class FrequencyEstimate(NamedTuple):
     frequency: Fraction
 
 
-def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int):
-    """Boolean numpy mask over start positions 1..window (0-based index).
+def _plane(prefix: SymbolicPrefix, bit: int) -> int:
+    """Bitset of the codes with ``bit`` set: bit len(prefix) - 1 - i is set iff codes[i] >> bit & 1.
 
-    The last start position reads letters up to window + len(word) - 1,
-    which is the prefix length this requires.  The mask is filled in blocks
-    of ``_BLOCK`` start positions: each letter's compare and AND work on one
-    block, which stays in cache, and no window-sized temporary is made.
+    The first letter is the top bit, so the text of a bitset reads in the
+    order of the prefix.  Built in passes of ``_BLOCK`` letters, each
+    translated to '0'/'1' text and read by ``int(text, 2)`` into its bytes
+    of one big-endian buffer.
     """
-    import numpy as np
+    digits = bytes(0x31 if c >> bit & 1 else 0x30 for c in range(256))
+    size = len(prefix)
+    packed = bytearray(-(-size // 8))
+    for start in range(0, size, _BLOCK):
+        text = prefix.codes[start : start + _BLOCK].tobytes().translate(digits)
+        nbytes = -(-len(text) // 8)  # the last pass pads its text to whole bytes
+        value = int(text.ljust(8 * nbytes, b"0"), 2)
+        packed[start // 8 : start // 8 + nbytes] = value.to_bytes(nbytes, "big")
+    return int.from_bytes(packed, "big") >> (8 * len(packed) - size)
 
+
+def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
+    """Bitset of the letter ``code``: bit len(prefix) - 1 - i is set iff codes[i] == code.
+
+    The first count on a prefix builds the bitsets of all its letters and
+    keeps them on it.  A letter's bitset is the AND of the bit planes of the
+    codes, each taken as it is where the letter's code has that bit and
+    complemented where it has not.  So the codes are read once per bit of a
+    code, twice for 'abcd', not once per letter, and the planes are dropped
+    once the letters are built.  The bitsets take one bit per letter of the
+    alphabet for each letter of the prefix: half a byte for 'abcd'.
+    """
+    cache = prefix._bitsets
+    if not cache:
+        planes = [_plane(prefix, b) for b in range((len(prefix.alphabet) - 1).bit_length())]
+        every = (1 << len(prefix)) - 1
+        for letter in range(len(prefix.alphabet)):
+            bits = every
+            for b, plane in enumerate(planes):
+                bits &= plane if letter >> b & 1 else plane ^ every
+            cache[letter] = bits
+    return cache[code]
+
+
+def _occurrence_bits(prefix: SymbolicPrefix, word: str, window: int) -> int:
+    """Bitset of the starts of ``word``: bit window - 1 - i is set iff it starts at 0-based i < window.
+
+    The last start reads letters up to window + len(word) - 1, which is the
+    prefix length this requires.  Letter j of the word at start i is bit
+    len(prefix) - 1 - i - j of its letter's bitset, so shifting that bitset
+    left by j lines every letter up on the bit of its start.
+    """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
     if window < 1:
@@ -53,23 +97,16 @@ def _occurrence_mask(prefix: SymbolicPrefix, word: str, window: int):
             f" have {len(prefix)}",
             required_length=need,
         )
-    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
-    target = prefix.alphabet.encode(word)
-    mask = np.empty(window, dtype=bool)
-    for start in range(0, window, _BLOCK):
-        stop = min(start + _BLOCK, window)
-        block = mask[start:stop]
-        np.equal(codes[start:stop], target[0], out=block)
-        for j in range(1, len(word)):
-            block &= codes[start + j : stop + j] == target[j]
-    return mask
+    first, *rest = prefix.alphabet.encode(word)
+    bits = _letter_bits(prefix, first)
+    for offset, code in enumerate(rest, 1):
+        bits &= _letter_bits(prefix, code) << offset
+    return bits >> (len(prefix) - window)
 
 
 def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
     """Exact count of occurrences of ``word`` starting at positions 1..window."""
-    import numpy as np
-
-    count = int(np.count_nonzero(_occurrence_mask(prefix, word, window)))
+    count = _occurrence_bits(prefix, word, window).bit_count()
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 
@@ -118,47 +155,80 @@ class SpectralSample(NamedTuple):
     magnitude: float
 
 
+# Terms a spectral_scan request may take, summed over its distinct thetas: the
+# window, read once per theta, plus the min(q, occurrences) phases it adds.  A
+# term costs at most about 0.35 us on a 2-vCPU Xeon VM, so the largest requests
+# admitted, one theta with q near the window, took 5 to 7.5 s there.
+_SPECTRAL_BUDGET = 1 << 24
+# The largest q whose residues are counted by q masked popcounts of the
+# occurrence bits, about 0.2 ms each over 2^20 starts, where the text of the
+# bits takes about 2 ms to write and 2 ms to slice.
+_COMB_MAX = 16
+
+
+def _comb_counts(bits: int, window: int, q: int) -> list:
+    """counts[r]: the set bits of ``bits`` whose start is r mod q, by q masked popcounts."""
+    comb, span = 1, q
+    while span < window:
+        comb |= comb << span
+        span *= 2
+    comb <<= (window - 1) % q  # one bit per start of residue 0 mod q, and some above the window
+    return [(bits & (comb >> r)).bit_count() for r in range(q)]
+
+
+def _phase_sum(counts, p: int, q: int) -> float:
+    """|sum over the residues r of counts[r] e(-p r / q)|.
+
+    Each part is a ``math.fsum`` of the terms c cos, c sin, so it is
+    correctly rounded whatever their order.
+    """
+    def part(trig):
+        residues = compress(range(len(counts)), counts)
+        return math.fsum(counts[r] * trig(math.tau * (p * r % q / q)) for r in residues)
+
+    return abs(complex(part(math.cos), part(math.sin)))
+
+
 def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     """|(1/N) sum_n exp(-2 pi i theta n) 1_word(shift^n x)| for each theta.
 
     Dyadic theta pick up the point-spectrum mass; non-dyadic rationals decay
     to zero.  For theta = p/q the occurrences are counted exactly per residue
     of n mod q, and floating point enters only in the sum of at most
-    min(q, N) weighted phases, taken in a fixed pairwise order, so results
-    are deterministic.  The counts are sums over the rows of the mask cut
-    into rows of a multiple of q, at least ``_ROW`` wide, folded to q counts:
-    a row of only a few positions would make the sum over rows slow at small
-    q.  No array of occurrence positions is held.
-    """
-    import numpy as np
+    min(q, N) weighted phases, correctly rounded, so results do not depend
+    on the order of the terms.  The counts come from the occurrence bits:
+    up to q = ``_COMB_MAX`` by q masked popcounts; for a larger q with four
+    occurrences or more per residue on average, as the ones in every q-th
+    character of the bits' text; otherwise by reading each occurrence's
+    position off that text and adding one to its residue.
 
-    mask = _occurrence_mask(prefix, word, window)
-    samples = []
-    for theta in thetas:
-        theta = Fraction(theta)
-        p, q = theta.numerator % theta.denominator, theta.denominator
-        if q <= window and q < 1 << 31:  # p * residue < q^2 fits in int64
-            # rows of a multiple of q, at least _ROW wide, fold to q counts; the rest of the
-            # whole rows of q, and the last partial row, are added after
-            width = q * -(-_ROW // q)
-            split, whole = window - window % width, window - window % q
-            counts = mask[:split].reshape(-1, width).sum(axis=0).reshape(-1, q).sum(axis=0)
-            counts += mask[split:whole].reshape(-1, q).sum(axis=0)
-            counts[: window - whole] += mask[whole:]
-            residues = np.flatnonzero(counts)
-            weights = counts[residues]
-            turns = (p * residues % q) / q
-        else:
-            # no residue class holds two occurrences when q >= window: one term each
-            weights = 1
-            turns = np.mod(np.flatnonzero(mask) * (p / q), 1.0)
-        total = (weights * np.exp(-2j * math.pi * turns)).sum()
-        samples.append(
-            SpectralSample(
-                theta=theta,
-                word=word,
-                window=window,
-                magnitude=float(abs(total)) / window,
-            )
+    Each distinct theta is computed once, and the samples follow ``thetas``.
+    A request whose terms (the window plus min(q, occurrences), summed over
+    the distinct thetas) exceed ``_SPECTRAL_BUDGET`` is refused with
+    ResourceLimitError before any sum is taken.
+    """
+    bits = _occurrence_bits(prefix, word, window)
+    occurrences = bits.bit_count()
+    thetas = [Fraction(theta) for theta in thetas]
+    magnitudes = dict.fromkeys(thetas)
+    work = sum(window + min(theta.denominator, occurrences) for theta in magnitudes)
+    if work > _SPECTRAL_BUDGET:
+        raise ResourceLimitError(
+            f"spectrum of {len(magnitudes)} distinct thetas over window {window} takes {work} terms,"
+            f" over the budget of {_SPECTRAL_BUDGET}"
         )
-    return samples
+    text = None  # character i is 1 if the word starts at 0-based position i, else 0
+    for theta in magnitudes:
+        p, q = theta.numerator % theta.denominator, theta.denominator
+        if q <= _COMB_MAX:
+            counts = _comb_counts(bits, window, q)
+        else:
+            text = text or format(bits, f"0{window}b")
+            if 4 * q <= occurrences:  # a slice per residue costs about what four starts do below
+                counts = [text[r::q].count("1") for r in range(q)]
+            else:
+                counts = [0] * min(q, window)  # past the window no residue class holds two starts
+                for n in compress(range(window), text.encode().translate(_DIGIT_VALUES)):
+                    counts[n % q] += 1
+        magnitudes[theta] = _phase_sum(counts, p, q) / window
+    return [SpectralSample(theta=t, word=word, window=window, magnitude=magnitudes[t]) for t in thetas]

@@ -32,6 +32,20 @@ OMEGA_STAR_ORBIT = "omega_star_orbit"
 DEFAULT_LANGUAGE_HORIZON = 64
 
 
+def default_language_horizon(shift: int) -> int:
+    """The horizon that reads past the head a shift repeats: max(64, 2^(j+2)), 2^j the 2-part of ``shift``.
+
+    After a shift n = 2^j m, m odd, the first 2^j - 1 letters repeat the
+    fixed point's head, which b, c and d all extend, so a horizon of 2^j or
+    less reports those three letters for a point with one preimage letter.
+    The head stays ambiguous longer when the letters of valuation j and of
+    j + v2(m + 1) agree: n = 7 * 2^j needs a horizon of 3 * 2^j + 1.  That
+    is the largest needed for any n up to 2^14, so 4 * 2^j covers them all
+    (``tests/test_factormap.py`` checks every n up to 2^12).
+    """
+    return max(DEFAULT_LANGUAGE_HORIZON, (shift & -shift) << 2)
+
+
 class EncodingResult(NamedTuple):
     """First-k-digit dyadic encoding of a sequence, with its provenance."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, takewhile
 
 from .errors import Immutable, InvalidInputError, ResourceLimitError
@@ -108,6 +108,12 @@ class SymbolicPrefix(Immutable):
     a view, and numpy reads the codes through ``np.frombuffer`` without a copy.
     ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
     Two prefixes are equal only if they are the same object.
+
+    ``_bitsets`` caches what ``ergodic`` derives from the codes, one bitset
+    per letter, for as long as the prefix lives.  The cache relies on a
+    prefix's letters never changing: the codes are read-only through the
+    prefix, and a caller who built one over a writable buffer must not
+    write to that buffer afterwards.
     """
 
     def __init__(self, alphabet: Alphabet, codes):
@@ -140,6 +146,11 @@ class SymbolicPrefix(Immutable):
     def text(self) -> str:
         """The letters, decoded from ``codes`` on each read: for output, not for lookups."""
         return self.alphabet.decode(self.codes)
+
+    @cached_property
+    def _bitsets(self) -> dict:
+        """Letter code -> bitset of the positions holding it, filled by ``ergodic`` on first use."""
+        return {}
 
     def shifted(self, n: int) -> "SymbolicPrefix":
         """Prefix of the n-fold shift (drop the first n letters): a view, nothing copied or re-checked."""

@@ -20,9 +20,15 @@
   ``essential_periods``, each against every position still unresolved in
   one pass, where ``essential_periods`` cuts the positions into row slices.
 - ``occurrence_positions`` finds the starts of a word by ``bytes.find``,
-  the reference for the blocked occurrence mask of ``ergodic``.
+  the reference for the occurrence bitsets of ``ergodic``.
+- ``occurrence_mask`` and ``pairwise_spectral_scan`` are the numpy kernel
+  that ``ergodic`` used before its bitsets: a boolean mask filled in blocks
+  of start positions, and the residue-class sum of ``spectral_scan`` taken
+  in numpy's pairwise order, with float turns n * (p / q) mod 1 when q
+  exceeds the window.  They are the reference for the magnitudes.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -217,3 +223,45 @@ def occurrence_positions(prefix, word, window):
         positions.append(i)
         i = codes.find(target, i + 1)
     return positions
+
+
+MASK_BLOCK = 1 << 17  # start positions compared in one pass
+MASK_ROW = 1 << 10  # least start positions summed per row when counting residues
+
+
+def occurrence_mask(prefix, word, window):
+    """Boolean numpy mask over the 0-based starts below ``window`` of ``word``, filled in blocks."""
+    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
+    target = prefix.alphabet.encode(word)
+    mask = np.empty(window, dtype=bool)
+    for start in range(0, window, MASK_BLOCK):
+        stop = min(start + MASK_BLOCK, window)
+        block = mask[start:stop]
+        np.equal(codes[start:stop], target[0], out=block)
+        for j in range(1, len(word)):
+            block &= codes[start + j : stop + j] == target[j]
+    return mask
+
+
+def pairwise_spectral_scan(prefix, thetas, word, window):
+    """Magnitudes of the exponential sums, the numpy way: row sums folded to q counts, pairwise sum."""
+    mask = occurrence_mask(prefix, word, window)
+    magnitudes = []
+    for theta in map(Fraction, thetas):
+        p, q = theta.numerator % theta.denominator, theta.denominator
+        if q <= window:
+            # rows of a multiple of q, at least MASK_ROW wide, fold to q counts; the rest of the
+            # whole rows of q, and the last partial row, are added after
+            width = q * -(-MASK_ROW // q)
+            split, whole = window - window % width, window - window % q
+            counts = mask[:split].reshape(-1, width).sum(axis=0).reshape(-1, q).sum(axis=0)
+            counts += mask[split:whole].reshape(-1, q).sum(axis=0)
+            counts[: window - whole] += mask[whole:]
+            residues = np.flatnonzero(counts)
+            weights = counts[residues]
+            turns = (p * residues % q) / q
+        else:
+            weights = 1
+            turns = np.mod(np.flatnonzero(mask) * (p / q), 1.0)
+        magnitudes.append(float(abs((weights * np.exp(-2j * math.pi * turns)).sum())) / window)
+    return magnitudes

@@ -124,6 +124,12 @@ class TestFiber:
         assert payload["classification"] == "toeplitz_point"
         assert payload["preimage_letters"] == ["a"]
 
+    @pytest.mark.parametrize("shift, letter", [(64, "d"), (128, "c"), (7 << 5, "b"), (7 << 10, "c")])
+    def test_default_horizon_reads_past_the_repeated_head(self, capsys, shift, letter):
+        code, out, err = run(capsys, "fiber", "--shift", str(shift), "--levels", "10")
+        assert code == 0, err
+        assert out.splitlines()[-1] == f"preimage_letters: {letter}"
+
     def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
         rules = tmp_path / "period_doubling.txt"
         rules.write_text("a -> ab\nb -> aa\n")
@@ -180,6 +186,26 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", "--word", "ac", "--theta", "1/2")
         assert code == 0, err
         assert out.splitlines()[1].endswith(f",{1 << 20}")
+
+    def test_repeated_theta_gives_one_row_each(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--word", "a", "--window", "4096",
+                             "--theta", "1/3", "--theta", "1/2", "--theta", "2/6")
+        assert code == 0, err
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1/3", "1/2", "1/3"]
+        assert rows[0] == rows[2]
+
+    def test_work_over_the_budget_exits_2(self, capsys):
+        from odoshift.ergodic import _SPECTRAL_BUDGET
+
+        # 16 distinct thetas over the default window of 2^20 take 2^24 terms and more
+        thetas = [arg for k in range(16) for arg in ("--theta", f"1/{k + 2}")]
+        code, out, err = run(capsys, "spectrum", "--word", "a", *thetas)
+        assert (code, out) == (2, "")
+        assert f"over the budget of {_SPECTRAL_BUDGET}" in err
+        code, out, err = run(capsys, "spectrum", "--word", "a", *thetas[2:])
+        assert code == 0, err
+        assert len(out.splitlines()) == 16
 
 
 class TestVerify:
@@ -612,6 +638,7 @@ class TestStartLoadsOnlyWhatRuns:
             (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
             # the factor map builds a DyadicInt only in encode_fG, so odometer stays unloaded
             (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
+            (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap", "odoshift.odometer"}),
             (
                 ["freq", "--word", "ac", "--window", "4096"],
                 {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
@@ -626,6 +653,21 @@ class TestStartLoadsOnlyWhatRuns:
         proc = fresh(*argv)
         assert proc.returncode == 0, proc.stderr
         assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution"} | modules
+        # only verify imports numpy
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+    def test_verify_loads_numpy(self):
+        proc = fresh("verify", "--level", "quick")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
+
+    def test_importing_ergodic_loads_no_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, odoshift.ergodic; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_importing_the_package_loads_no_submodule(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

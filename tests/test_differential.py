@@ -17,8 +17,10 @@ The straightforward algorithms these replaced stand in for the program here:
   and ``reference_residue_sum`` counts occurrences per residue by bincount
   of their positions.  Both take the positions from
   ``oracles.occurrence_positions``, a ``bytes.find`` loop, which also checks
-  the counts of the blocked occurrence mask where a word straddles a block
-  edge.
+  the counts of the occurrence bitsets, where a word straddles the edge of
+  a build pass and for seeded random words over prefixes built every way.
+- ``oracles.pairwise_spectral_scan`` is the numpy kernel the bitsets
+  replaced, with its pairwise sum of the phases.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods;
   ``oracles.essential_periods_one_pass`` tests each block against every
@@ -26,7 +28,8 @@ The straightforward algorithms these replaced stand in for the program here:
   row slices.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
-spectral sum, whose terms are grouped differently and so agree to 1e-9.
+spectral sum, whose terms are grouped differently and so agree to 1e-9, and
+the numpy pairwise sum, whose rounding differs and agrees to 1e-12.
 """
 
 import math
@@ -38,7 +41,13 @@ import numpy as np
 import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
-from oracles import essential_periods_by_period, essential_periods_one_pass, iterate, occurrence_positions
+from oracles import (
+    essential_periods_by_period,
+    essential_periods_one_pass,
+    iterate,
+    occurrence_positions,
+    pairwise_spectral_scan,
+)
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
@@ -405,18 +414,17 @@ def reference_spectral_sum(positions, theta, window):
 
 
 def reference_residue_sum(positions, theta, window):
-    """The residue-class sum with the counts taken by bincount of the occurrence positions."""
-    positions = np.array(positions, dtype=np.int64)
+    """The residue-class sum with the counts taken by bincount of the occurrence positions.
+
+    Each residue r with count c adds c e(-p r / q), and the real and the
+    imaginary parts are each one ``math.fsum``: the sum ``spectral_scan``
+    defines, so the same integer counts give the same magnitude.
+    """
     p, q = theta.numerator % theta.denominator, theta.denominator
-    if q <= window:
-        counts = np.bincount(positions % q)
-        residues = np.flatnonzero(counts)
-        weights = counts[residues]
-        turns = (p * residues % q) / q
-    else:
-        weights = 1
-        turns = np.mod(positions * (p / q), 1.0)
-    return float(abs((weights * np.exp(-2j * math.pi * turns)).sum())) / window
+    counts = np.bincount(np.array(positions, dtype=np.int64) % q).tolist()
+    turns = [(c, math.tau * (p * r % q / q)) for r, c in enumerate(counts) if c]
+    total = complex(math.fsum(c * math.cos(t) for c, t in turns), math.fsum(c * math.sin(t) for c, t in turns))
+    return abs(total) / window
 
 
 @pytest.mark.parametrize("window", [1000, 1 << 20])
@@ -430,7 +438,7 @@ def test_row_sums_count_the_residues_exactly(window, word):
     assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
 
 
-ROW = ergodic._ROW
+ROW = 1024  # the least row width of the numpy residue counts this checks against
 
 
 @pytest.mark.parametrize("window", [ROW - 1, ROW, ROW + 1, 3 * ROW + 1])
@@ -494,6 +502,63 @@ def test_counts_and_spectra_match_the_oracle_at_block_edges(name):
             assert (word == non_factor) == (positions == []), (word, window)
             samples = ergodic.spectral_scan(prefix, thetas, word, window)
             assert [s.magnitude for s in samples] == [reference_residue_sum(positions, t, window) for t in thetas]
+
+
+KERNEL_LENGTH = BLOCK + 1000  # two build passes, the second a short one
+
+
+KERNEL_PREFIXES = ["fixed_point", "shifted", "dcba", "period_doubling", "chain_to_doubling", "bytearray"]
+
+
+def kernel_prefix(name):
+    """A prefix built by one of the roads to the occurrence bitsets."""
+    omega = grigorchuk_prefix(KERNEL_LENGTH + 7)
+    if name == "shifted":
+        return omega.shifted(7)
+    if name == "dcba":
+        return parse_prefix(omega.text[:KERNEL_LENGTH], Alphabet("dcba"))
+    if name in SUBSTITUTIONS:  # two letters, one bit plane; 26 letters, five
+        return substitution.fixed_point_prefix(SUBSTITUTIONS[name], "a", KERNEL_LENGTH)
+    if name == "bytearray":
+        return SymbolicPrefix(GRIGORCHUK_ALPHABET, bytearray(omega.codes[:KERNEL_LENGTH]))
+    return omega
+
+
+def seeded_words(prefix, count, seed):
+    """Words of 1 to 14 letters with a window each: factors, factors with a letter changed, random words."""
+    rng = random.Random(seed)
+    letters = prefix.alphabet.letters
+    for i in range(count):
+        size = rng.randint(1, 14)
+        start = rng.randrange(len(prefix) - size)
+        word = list(prefix.alphabet.decode(prefix.codes[start : start + size]))
+        if i % 3 == 1:
+            word[rng.randrange(size)] = rng.choice(letters)
+        elif i % 3 == 2:
+            word = rng.choices(letters, k=size)
+        yield "".join(word), rng.randint(1, len(prefix) - size + 1)
+
+
+@pytest.mark.parametrize("name", KERNEL_PREFIXES)
+def test_bitset_counts_match_bytes_find(name):
+    prefix = kernel_prefix(name)
+    for word, window in seeded_words(prefix, 60, seed=len(name)):
+        positions = occurrence_positions(prefix, word, window)
+        assert ergodic.cylinder_frequency(prefix, word, window).count == len(positions), (word, window)
+
+
+@pytest.mark.parametrize("name", KERNEL_PREFIXES)
+def test_magnitudes_match_the_numpy_pairwise_sum(name):
+    prefix = kernel_prefix(name)
+    # p stays small when q exceeds the window: the numpy turns n * (p / q) mod 1 are off by about
+    # n * p / q * 2^-53, where spectral_scan takes p * n mod q exactly
+    for word, window in seeded_words(prefix, 12, seed=100 + len(name)):
+        thetas = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-3, 8), Fraction(5, 16), Fraction(1, 17),
+                  Fraction(7, 1000), Fraction(3, window), Fraction(1, window + 1), Fraction(2, 3 * window + 1)]
+        samples = ergodic.spectral_scan(prefix, thetas, word, window)
+        reference = pairwise_spectral_scan(prefix, thetas, word, window)
+        for theta, sample, want in zip(thetas, samples, reference):
+            assert abs(sample.magnitude - want) <= 1e-12, (word, window, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,23 @@ class TestCylinderFrequency:
         assert count > 0
         assert peak <= window + 2 * erg._BLOCK + (64 << 10), peak
 
+    def test_first_count_builds_the_bitsets_in_blocks(self):
+        # the first count builds every letter's bitset from the codes: a '0'/'1'
+        # text of the whole prefix at once would exceed the bound
+        window = 1 << 20
+        prefix = grigorchuk_prefix(window + 14).shifted(1)  # a view of its own, with no bitsets yet
+        word = GRIGORCHUK_ALPHABET.decode(prefix.codes[:14])
+        assert set(word) == set("abcd")
+        erg.cylinder_frequency(grigorchuk_prefix(64), "a", 64)  # first-call imports stay out of the trace
+        tracemalloc.start()
+        try:
+            count = erg.cylinder_frequency(prefix, word, window).count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count > 0
+        assert peak <= window + 2 * erg._BLOCK + (64 << 10), peak
+
 
 class TestInvariantMeasure:
     def test_letter_values(self):
@@ -201,6 +218,36 @@ class TestSpectralScan:
             with pytest.raises(errors.InsufficientDataError) as exc:
                 erg.spectral_scan(prefix, [0], word, 67 - len(word))
             assert exc.value.required_length == 66
+
+    def test_repeated_theta_is_computed_once(self, monkeypatch):
+        sums = []
+        phase_sum = erg._phase_sum
+        monkeypatch.setattr(erg, "_phase_sum", lambda *args: sums.append(args[1:]) or phase_sum(*args))
+        thetas = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 6), 0.5, Fraction(1, 3)]
+        samples = erg.spectral_scan(OMEGA, thetas, "a", 1 << 12)
+        assert sorted(sums) == [(1, 2), (1, 3)]
+        assert [s.theta for s in samples] == [Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2),
+                                              Fraction(1, 3)]
+        alone = {t: erg.spectral_scan(OMEGA, [t], "a", 1 << 12)[0].magnitude for t in (Fraction(1, 3), Fraction(1, 2))}
+        assert [s.magnitude for s in samples] == [alone[s.theta] for s in samples]
+
+    def test_work_over_the_budget_is_refused(self):
+        # each distinct theta takes the window and min(q, occurrences) terms
+        window, budget = 1 << 16, erg._SPECTRAL_BUDGET
+        word = GRIGORCHUK_ALPHABET.decode(OMEGA.codes[1000:3000])
+        occurrences = erg.cylinder_frequency(OMEGA, word, window).count
+        assert 2 < occurrences < 100
+        halves = [Fraction(2 * k + 1, 2) for k in range(budget // (window + 2) - 1)]
+        # q far past the terms the budget has left, but only the occurrences count
+        far = Fraction(1, budget)
+        assert len(halves) * (window + 2) + window + occurrences <= budget
+        assert len(halves) * (window + 2) + window + far.denominator > budget
+        samples = erg.spectral_scan(OMEGA, [*halves, far, *halves], word, window)
+        assert len(samples) == 2 * len(halves) + 1
+        work = (len(halves) + 1) * (window + 2) + window + occurrences
+        assert work > budget
+        with pytest.raises(errors.ResourceLimitError, match=f"takes {work} terms, over the budget of {budget}$"):
+            erg.spectral_scan(OMEGA, [*halves, far, Fraction(2 * len(halves) + 1, 2)], word, window)
 
     def test_magnitude_bounded(self):
         samples = erg.spectral_scan(OMEGA, [Fraction(1, 3), Fraction(3, 8)], "ca", 1 << 12)

@@ -113,6 +113,22 @@ class TestSigmaPreimage:
             letters = fm.sigma_preimage_letters(OMEGA.shifted(n), 128)
             assert letters == {OMEGA.at(n)}, n
 
+    def test_default_horizon_finds_one_letter_after_every_shift(self):
+        # n + 4 * 2^v2(n) - 1 <= 5n letters are read after a shift n
+        omega = grigorchuk_prefix(5 << 12)
+        for n in range(1, (1 << 12) + 1):
+            letters = fm.sigma_preimage_letters(omega.shifted(n), fm.default_language_horizon(n))
+            assert letters == {grigorchuk_letter(n)}, n
+
+    def test_twice_the_two_part_is_not_horizon_enough(self):
+        # after 7 * 2^5 shifts the head is extended by more than one letter up to horizon 3 * 2^5
+        shifted = OMEGA.shifted(7 << 5)
+        assert fm.sigma_preimage_letters(shifted, 2 << 5) == {"b", "c", "d"}
+        assert fm.sigma_preimage_letters(shifted, 3 << 5) == {"b", "d"}
+        assert fm.sigma_preimage_letters(shifted, (3 << 5) + 1) == {grigorchuk_letter(7 << 5)} == {"b"}
+        assert fm.default_language_horizon(7 << 5) == 128
+        assert [fm.default_language_horizon(n) for n in (0, 1, 2, 16, 32, 64)] == [64, 64, 64, 64, 128, 256]
+
     def test_horizon_validation(self):
         with pytest.raises(errors.InvalidInputError):
             fm.sigma_preimage_letters(OMEGA, 1)
