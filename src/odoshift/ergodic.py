@@ -155,15 +155,28 @@ class SpectralSample(NamedTuple):
     magnitude: float
 
 
-# Terms a spectral_scan request may take, summed over its distinct thetas: the
-# window, read once per theta, plus the min(q, occurrences) phases it adds.  A
-# term costs at most about 0.35 us on a 2-vCPU Xeon VM, so the largest requests
-# admitted, one theta with q near the window, took 5 to 7.5 s there.
+# Terms a spectral_scan request may take: the window once, for the occurrence
+# bits and their text, then per distinct theta what its path reads.  A comb
+# takes a term per 32 machine words its q masked popcounts read, so
+# q * ceil(window / 2048); reading each start takes the window plus
+# min(q, occurrences), a term per start read and per residue summed.  On a
+# 2-vCPU Xeon VM a comb term took about 0.4 us, a start read 40 to 75 ns and a
+# residue summed about 0.35 us, so an admitted request takes at most about
+# 7 s.  For the word a over a window of 2^20, 242 thetas with q from 115 to 128
+# took 6.2 s and ten thetas with q past the window 5.1 s.
 _SPECTRAL_BUDGET = 1 << 24
 # The largest q whose residues are counted by q masked popcounts of the
-# occurrence bits, about 0.2 ms each over 2^20 starts, where the text of the
-# bits takes about 2 ms to write and 2 ms to slice.
-_COMB_MAX = 16
+# occurrence bits.  Up to 128 that took less time than reading each start,
+# for dense and sparse words at windows of 2^12 to 2^20; past 512 it took more.
+_COMB_MAX = 128
+
+
+def _spectral_work(theta: Fraction, window: int, occurrences: int) -> int:
+    """Terms spent on one distinct theta; see ``_SPECTRAL_BUDGET``."""
+    q = theta.denominator
+    if q <= _COMB_MAX:
+        return q * -(-window // 2048)
+    return window + min(q, occurrences)
 
 
 def _comb_counts(bits: int, window: int, q: int) -> list:
@@ -197,38 +210,35 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     of n mod q, and floating point enters only in the sum of at most
     min(q, N) weighted phases, correctly rounded, so results do not depend
     on the order of the terms.  The counts come from the occurrence bits:
-    up to q = ``_COMB_MAX`` by q masked popcounts; for a larger q with four
-    occurrences or more per residue on average, as the ones in every q-th
-    character of the bits' text; otherwise by reading each occurrence's
-    position off that text and adding one to its residue.
+    up to q = ``_COMB_MAX`` by q masked popcounts, and for a larger q by
+    reading each start's position off the bits' text and adding one to its
+    residue.
 
     Each distinct theta is computed once, and the samples follow ``thetas``.
-    A request whose terms (the window plus min(q, occurrences), summed over
-    the distinct thetas) exceed ``_SPECTRAL_BUDGET`` is refused with
-    ResourceLimitError before any sum is taken.
+    A request whose terms (the window, plus what each distinct theta's path
+    costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
+    with ResourceLimitError before any sum is taken.
     """
     bits = _occurrence_bits(prefix, word, window)
     occurrences = bits.bit_count()
     thetas = [Fraction(theta) for theta in thetas]
     magnitudes = dict.fromkeys(thetas)
-    work = sum(window + min(theta.denominator, occurrences) for theta in magnitudes)
+    work = window + sum(_spectral_work(theta, window, occurrences) for theta in magnitudes)
     if work > _SPECTRAL_BUDGET:
         raise ResourceLimitError(
             f"spectrum of {len(magnitudes)} distinct thetas over window {window} takes {work} terms,"
             f" over the budget of {_SPECTRAL_BUDGET}"
         )
-    text = None  # character i is 1 if the word starts at 0-based position i, else 0
+    starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
     for theta in magnitudes:
         p, q = theta.numerator % theta.denominator, theta.denominator
         if q <= _COMB_MAX:
             counts = _comb_counts(bits, window, q)
         else:
-            text = text or format(bits, f"0{window}b")
-            if 4 * q <= occurrences:  # a slice per residue costs about what four starts do below
-                counts = [text[r::q].count("1") for r in range(q)]
-            else:
-                counts = [0] * min(q, window)  # past the window no residue class holds two starts
-                for n in compress(range(window), text.encode().translate(_DIGIT_VALUES)):
-                    counts[n % q] += 1
+            if starts is None:
+                starts = format(bits, f"0{window}b").encode().translate(_DIGIT_VALUES)
+            counts = [0] * min(q, window)  # past the window no residue class holds two starts
+            for n in compress(range(window), starts):
+                counts[n % q] += 1
         magnitudes[theta] = _phase_sum(counts, p, q) / window
     return [SpectralSample(theta=t, word=word, window=window, magnitude=magnitudes[t]) for t in thetas]

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,14 +199,20 @@ class TestSpectrum:
     def test_work_over_the_budget_exits_2(self, capsys):
         from odoshift.ergodic import _SPECTRAL_BUDGET
 
-        # 16 distinct thetas over the default window of 2^20 take 2^24 terms and more
-        thetas = [arg for k in range(16) for arg in ("--theta", f"1/{k + 2}")]
+        # over the default window of 2^20 the word a starts 2^19 times, so each q past the
+        # window takes 2^20 + 2^19 terms: ten of them and the window fill the budget of 2^24
+        thetas = [arg for k in range(11) for arg in ("--theta", f"1/{(1 << 20) + 1 + k}")]
         code, out, err = run(capsys, "spectrum", "--word", "a", *thetas)
         assert (code, out) == (2, "")
-        assert f"over the budget of {_SPECTRAL_BUDGET}" in err
-        code, out, err = run(capsys, "spectrum", "--word", "a", *thetas[2:])
+        assert f"takes {(1 << 20) + 11 * 3 * (1 << 19)} terms, over the budget of {_SPECTRAL_BUDGET}" in err
+
+    def test_dyadic_scan_over_the_default_window_is_admitted(self, capsys):
+        thetas = [arg for k in range(1, 32) for arg in ("--theta", f"{k}/32")]
+        code, out, err = run(capsys, "spectrum", "--word", "a", *thetas)
         assert code == 0, err
-        assert len(out.splitlines()) == 16
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(Fraction(k, 32)) for k in range(1, 32)]
+        assert rows[15] == "1/2,5.000000000000e-01,1048576"
 
 
 class TestVerify:

@@ -561,6 +561,22 @@ def test_magnitudes_match_the_numpy_pairwise_sum(name):
             assert abs(sample.magnitude - want) <= 1e-12, (word, window, theta)
 
 
+@pytest.mark.parametrize("window", [1000, 4099])
+@pytest.mark.parametrize("word", ["a", "ca", "bad"])
+def test_comb_and_reading_each_start_count_alike(window, word, monkeypatch):
+    # denominators on both sides of the comb's limit, each counted by both paths
+    prefix = grigorchuk_prefix(4200)
+    comb_max = ergodic._COMB_MAX
+    thetas = [Fraction(1, 3), Fraction(5, comb_max - 1), Fraction(3, comb_max), Fraction(2, comb_max + 1),
+              Fraction(7, 2 * comb_max + 3)]
+    positions = occurrence_positions(prefix, word, window)
+    want = [reference_residue_sum(positions, t, window) for t in thetas]
+    assert [s.magnitude for s in ergodic.spectral_scan(prefix, thetas, word, window)] == want
+    for forced in (0, 2 * comb_max + 3):
+        monkeypatch.setattr(ergodic, "_COMB_MAX", forced)
+        assert [s.magnitude for s in ergodic.spectral_scan(prefix, thetas, word, window)] == want, forced
+
+
 # ---------------------------------------------------------------------------
 # Essential periods
 

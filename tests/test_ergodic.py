@@ -231,23 +231,22 @@ class TestSpectralScan:
         alone = {t: erg.spectral_scan(OMEGA, [t], "a", 1 << 12)[0].magnitude for t in (Fraction(1, 3), Fraction(1, 2))}
         assert [s.magnitude for s in samples] == [alone[s.theta] for s in samples]
 
-    def test_work_over_the_budget_is_refused(self):
-        # each distinct theta takes the window and min(q, occurrences) terms
-        window, budget = 1 << 16, erg._SPECTRAL_BUDGET
-        word = GRIGORCHUK_ALPHABET.decode(OMEGA.codes[1000:3000])
+    def test_work_over_the_budget_is_refused(self, monkeypatch):
+        # the window once, then q * ceil(window / 2048) for a comb theta and the window plus
+        # min(q, occurrences) for one whose starts are read
+        window, comb_max = 5000, erg._COMB_MAX
+        word = GRIGORCHUK_ALPHABET.decode(OMEGA.codes[1000:1100])
         occurrences = erg.cylinder_frequency(OMEGA, word, window).count
-        assert 2 < occurrences < 100
-        halves = [Fraction(2 * k + 1, 2) for k in range(budget // (window + 2) - 1)]
-        # q far past the terms the budget has left, but only the occurrences count
-        far = Fraction(1, budget)
-        assert len(halves) * (window + 2) + window + occurrences <= budget
-        assert len(halves) * (window + 2) + window + far.denominator > budget
-        samples = erg.spectral_scan(OMEGA, [*halves, far, *halves], word, window)
-        assert len(samples) == 2 * len(halves) + 1
-        work = (len(halves) + 1) * (window + 2) + window + occurrences
-        assert work > budget
-        with pytest.raises(errors.ResourceLimitError, match=f"takes {work} terms, over the budget of {budget}$"):
-            erg.spectral_scan(OMEGA, [*halves, far, Fraction(2 * len(halves) + 1, 2)], word, window)
+        assert 0 < occurrences < comb_max
+        thetas = [Fraction(1, 2), Fraction(3, 2), Fraction(1, comb_max), Fraction(1, comb_max + 1),
+                  Fraction(1, 10**9), Fraction(1, 2)]
+        work = window + (2 + 2 + comb_max) * 3 + (window + occurrences) + (window + occurrences)
+        monkeypatch.setattr(erg, "_SPECTRAL_BUDGET", work)
+        assert len(erg.spectral_scan(OMEGA, thetas, word, window)) == len(thetas)
+        monkeypatch.setattr(erg, "_SPECTRAL_BUDGET", work - 1)
+        with pytest.raises(errors.ResourceLimitError, match=f"5 distinct thetas over window {window} takes {work} terms,"
+                                                            f" over the budget of {work - 1}$"):
+            erg.spectral_scan(OMEGA, thetas, word, window)
 
     def test_magnitude_bounded(self):
         samples = erg.spectral_scan(OMEGA, [Fraction(1, 3), Fraction(3, 8)], "ca", 1 << 12)
