@@ -141,9 +141,10 @@ def _cmd_encode(args) -> int:
 def _cmd_fiber(args) -> int:
     from . import factormap
 
-    horizon = factormap.default_language_horizon(args.shift) if args.horizon is None else args.horizon
-    prefix = _load_input(args, max(_skeleton_need(args.levels), horizon - 1))
-    report = factormap.classify_fiber(prefix, args.levels, horizon)
+    floor = factormap.default_language_horizon(args.shift)
+    prefix = _load_input(args, max(_skeleton_need(args.levels), floor - 1))
+    # the preimage test reads every letter held after the shift, so both routes to them agree
+    report = factormap.classify_fiber(prefix, args.levels, max(floor, len(prefix) + 1))
     index = "-" if report.stabilization_index is None else str(report.stabilization_index)
     lines = [
         f"classification: {report.classification}",
@@ -269,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="classify a sequence's fiber under the factor map")
     _add_input_options(p)
     p.add_argument("--levels", type=int, default=12, help="skeleton depth K")
-    # None stands for factormap's default, which _cmd_fiber reads: parsing imports no factormap
-    p.add_argument("--horizon", type=int,
-                   help="language horizon for preimage letters (default 64), or 2^(j+2) if larger, 2^j "
-                        "the largest power of 2 dividing --shift: the test reads horizon - 1 letters, and "
-                        "after a shift n the first 2^j - 1 repeat the fixed point's head, so a horizon of "
-                        "2^j or less reports bcd")
     p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")
@@ -317,7 +312,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InsufficientDataError as exc:
-        hint = f" (required prefix length: {exc.required_length})" if exc.required_length else ""
+        # the hint is a --length to ask for, so it counts the letters before the shift too
+        shift = getattr(args, "shift", 0)
+        hint = f" (required prefix length: {exc.required_length + shift})" if exc.required_length else ""
         print(f"error: insufficient data: {exc}{hint}", file=sys.stderr)
         return EXIT_INSUFFICIENT_DATA
     except NotInSubshiftError as exc:

@@ -22,8 +22,17 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
-from .factormap import encode_value  # noqa: F401  (re-exported)
 from .substitution import SymbolicPrefix, invariant_measure_cylinder
+
+
+def __getattr__(name):
+    # factormap.encode_value is re-exported, and loaded only when read: no count runs factormap
+    if name == "encode_value":
+        from .factormap import encode_value
+
+        return encode_value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _BLOCK = 1 << 17  # letters translated to '0'/'1' text and read by int(text, 2) in one pass
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")

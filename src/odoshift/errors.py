@@ -46,8 +46,26 @@ class Immutable:
     """Base of the validated value types: ``__init__`` fills the fields once, then they are fixed.
 
     ``__init__`` writes the fields with ``vars(self).update``; assigning or
-    deleting an attribute afterwards raises AttributeError.
+    deleting an attribute afterwards raises AttributeError.  repr and ``==``
+    read the fields named in ``_fields``, in order, and the hash reads those
+    in ``_hash_fields`` (None: the same).  Only a value of the same class is equal.
     """
+
+    _fields = ()
+    _hash_fields = None
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        names = self._fields if self._hash_fields is None else self._hash_fields
+        return hash(tuple(getattr(self, name) for name in names))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")

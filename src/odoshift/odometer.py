@@ -48,6 +48,9 @@ class CFSet(Immutable):
     have equal exponent maps; the hash is the same for every set.
     """
 
+    _fields = ("exponents",)
+    _hash_fields = ()
+
     def __init__(self, exponents: Mapping[int, float]):
         clean = {}
         for p, e in dict(exponents).items():
@@ -59,17 +62,6 @@ class CFSet(Immutable):
                 raise InvalidInputError(f"exponent of {p} must be a nonnegative int or INFINITY, got {e!r}")
             clean[p] = e
         vars(self).update(exponents=clean)
-
-    def __repr__(self) -> str:
-        return f"CFSet(exponents={self.exponents!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(())
 
     def exponent(self, p: int) -> float:
         return self.exponents.get(p, 0)
@@ -132,21 +124,12 @@ def cf_to_text(cf: CFSet) -> str:
 class PowerFamily(Immutable):
     """All powers base^k, k >= 1, as an infinite generator family."""
 
+    _fields = ("base",)
+
     def __init__(self, base: int):
         if base < 2:
             raise InvalidInputError(f"power family base must be >= 2, got {base}")
         vars(self).update(base=base)
-
-    def __repr__(self) -> str:
-        return f"PowerFamily(base={self.base!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash((self.base,))
 
 
 def cf_closure(generators) -> CFSet:
@@ -186,6 +169,8 @@ class OdometerSpec(Immutable):
     is OdometerSpec(bases=(), repeat=(2,)).
     """
 
+    _fields = ("bases", "repeat")
+
     def __init__(self, bases: tuple = (), repeat: tuple = ()):
         bases = tuple(int(n) for n in bases if int(n) != 1)
         repeat = tuple(int(n) for n in repeat if int(n) != 1)
@@ -193,17 +178,6 @@ class OdometerSpec(Immutable):
             if n < 2:
                 raise InvalidInputError(f"odometer factors must be >= 2, got {n}")
         vars(self).update(bases=bases, repeat=repeat)
-
-    def __repr__(self) -> str:
-        return f"OdometerSpec(bases={self.bases!r}, repeat={self.repeat!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bases, self.repeat) == (other.bases, other.repeat)
-
-    def __hash__(self) -> int:
-        return hash((self.bases, self.repeat))
 
     @property
     def is_finite(self) -> bool:
@@ -236,19 +210,10 @@ def spec_to_text(spec: OdometerSpec) -> str:
 class OdometerState(Immutable):
     """Digits m_i with 0 <= m_i < n_i, for a finite truncation of a spec."""
 
+    _fields = ("digits",)
+
     def __init__(self, digits: tuple):
         vars(self).update(digits=tuple(int(d) for d in digits))
-
-    def __repr__(self) -> str:
-        return f"OdometerState(digits={self.digits!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.digits == other.digits
-
-    def __hash__(self) -> int:
-        return hash((self.digits,))
 
 
 def _validate_state(state: OdometerState, spec: OdometerSpec) -> list:
@@ -323,23 +288,14 @@ def odometer_from_cf(cf: CFSet) -> OdometerSpec:
 class DyadicInt(Immutable):
     """Residue mod 2^precision approximating a 2-adic integer."""
 
+    _fields = ("value", "precision")
+
     def __init__(self, value: int, precision: int):
         if precision < 1:
             raise InvalidInputError(f"precision must be positive, got {precision}")
         if not 0 <= value < 1 << precision:
             raise InvalidInputError(f"value {value} outside 0..2^{precision} - 1")
         vars(self).update(value=value, precision=precision)
-
-    def __repr__(self) -> str:
-        return f"DyadicInt(value={self.value!r}, precision={self.precision!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.precision) == (other.value, other.precision)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.precision))
 
     def to_text(self) -> str:
         """Binary digits, least significant first."""

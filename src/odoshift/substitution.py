@@ -46,6 +46,8 @@ def sequence_byte_cap() -> int:
 class Alphabet(Immutable):
     """Ordered finite set of single-character symbols."""
 
+    _fields = ("letters",)
+
     def __init__(self, letters: str):
         if not letters:
             raise InvalidInputError("alphabet must be nonempty")
@@ -61,17 +63,6 @@ class Alphabet(Immutable):
         for code, byte in enumerate(to_letter):
             to_code[byte] = code
         vars(self).update(letters=letters, _to_code=bytes(to_code), _to_letter=to_letter.ljust(256, b"\xff"))
-
-    def __repr__(self) -> str:
-        return f"Alphabet(letters={self.letters!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
@@ -116,6 +107,10 @@ class SymbolicPrefix(Immutable):
     write to that buffer afterwards.
     """
 
+    _fields = ("alphabet", "codes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, alphabet: Alphabet, codes):
         codes = memoryview(codes)
         if codes.itemsize != 1 or codes.ndim != 1 or not codes.nbytes or not codes.c_contiguous:
@@ -129,9 +124,6 @@ class SymbolicPrefix(Immutable):
             if outside:
                 raise InvalidInputError(f"code {max(outside)} outside the alphabet {alphabet.letters!r}")
         vars(self).update(alphabet=alphabet, codes=codes.toreadonly())
-
-    def __repr__(self) -> str:
-        return f"SymbolicPrefix(alphabet={self.alphabet!r}, codes={self.codes!r})"
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -168,6 +160,9 @@ class Substitution(Immutable):
     alphabet only, since ``rules`` may be any mapping.
     """
 
+    _fields = ("alphabet", "rules")
+    _hash_fields = ("alphabet",)
+
     def __init__(self, alphabet: Alphabet, rules: Mapping[str, str]):
         for letter in alphabet.letters:
             if letter not in rules:
@@ -181,17 +176,6 @@ class Substitution(Immutable):
                 if ch not in alphabet:
                     raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
         vars(self).update(alphabet=alphabet, rules=rules)
-
-    def __repr__(self) -> str:
-        return f"Substitution(alphabet={self.alphabet!r}, rules={self.rules!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.rules) == (other.alphabet, other.rules)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet,))
 
     def _code_rules(self, letters: str) -> list:
         """Image codes of ``letters``, indexed by letter code; b"" for a letter left out."""

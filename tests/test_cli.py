@@ -126,10 +126,15 @@ class TestFiber:
         assert payload["preimage_letters"] == ["a"]
 
     @pytest.mark.parametrize("shift, letter", [(64, "d"), (128, "c"), (7 << 5, "b"), (7 << 10, "c")])
-    def test_default_horizon_reads_past_the_repeated_head(self, capsys, shift, letter):
+    def test_default_horizon_reads_past_the_repeated_head(self, capsys, tmp_path, shift, letter):
         code, out, err = run(capsys, "fiber", "--shift", str(shift), "--levels", "10")
         assert code == 0, err
         assert out.splitlines()[-1] == f"preimage_letters: {letter}"
+        # the same letters from a file, read with no --shift: the test reads all 8192 of them
+        path = tmp_path / "shifted.txt"
+        assert run(capsys, "generate", "--length", str(shift + 8192), "--shift", str(shift),
+                   "--output", str(path))[0] == 0
+        assert run(capsys, "fiber", "--input", str(path), "--levels", "10") == (code, out, err)
 
     def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
         rules = tmp_path / "period_doubling.txt"
@@ -273,8 +278,10 @@ class TestDemandSizedInput:
         "argv, required",
         [
             (["encode", "--length", "64", "--precision", "8"], 1024),
-            (["encode", "--length", "1000", "--shift", "10", "--precision", "8"], 1024),
-            (["fiber", "--length", "100", "--levels", "4", "--horizon", "200"], 199),
+            # the hint counts the letters before the shift too: 1024 after it would exit 3 again
+            (["encode", "--length", "1000", "--shift", "10", "--precision", "8"], 1034),
+            # after a shift 32 the preimage test reads 127 letters, more than the skeleton's 64
+            (["fiber", "--length", "100", "--shift", "32", "--levels", "4"], 159),
             (["freq", "--length", "100", "--word", "ab", "--window", "100"], 101),
         ],
     )
@@ -282,6 +289,10 @@ class TestDemandSizedInput:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert f"required prefix length: {required})" in err
+        hinted = argv[:]
+        hinted[argv.index("--length") + 1] = str(required)
+        code, _, err = run(capsys, *hinted)
+        assert code == 0, err
 
     @pytest.mark.parametrize("shift, length", [(-3, 1 << 20), (64, 64), (100, 64)])
     def test_shift_outside_the_length(self, capsys, shift, length):
@@ -295,7 +306,8 @@ class TestDemandSizedInput:
         ["encode", "--shift", "100", "--precision", "10"],
         ["--json", "encode", "--shift", "7", "--precision", "12"],
         ["fiber", "--shift", "3", "--levels", "8"],
-        ["--json", "fiber", "--levels", "9", "--horizon", "300"],
+        # the shift's floor of 128 letters for the preimage test, not the skeleton's 64, sets the length
+        ["--json", "fiber", "--shift", "32", "--levels", "4"],
         ["freq", "--shift", "7", "--word", "ca", "--window", "5000"],
         ["spectrum", "--shift", "2", "--word", "a", "--window", "4096", "--theta", "1/3",
          "--theta", "1/2"],
@@ -446,7 +458,7 @@ class TestOptions:
         "generate": ["--input", "--seed-file", "--length", "--shift", "--output"],
         "analyze": ["--input", "--seed-file", "--length", "--shift", "--levels"],
         "encode": ["--input", "--seed-file", "--length", "--shift", "--precision"],
-        "fiber": ["--input", "--seed-file", "--length", "--shift", "--levels", "--horizon"],
+        "fiber": ["--input", "--seed-file", "--length", "--shift", "--levels"],
         "measure": ["--word"],
         "freq": ["--input", "--seed-file", "--length", "--shift", "--word", "--window"],
         "spectrum": ["--input", "--seed-file", "--length", "--shift", "--word", "--window", "--theta"],
@@ -462,13 +474,6 @@ class TestOptions:
             for name, sub in commands.choices.items()
         }
         assert options == self.OPTIONS
-
-    def test_fiber_help_names_the_default_horizon(self):
-        from odoshift.factormap import DEFAULT_LANGUAGE_HORIZON
-
-        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
-        (horizon,) = [a for a in commands.choices["fiber"]._actions if a.dest == "horizon"]
-        assert f"(default {DEFAULT_LANGUAGE_HORIZON})" in horizon.help
 
 
 def readme_commands():
@@ -497,6 +502,22 @@ def test_readme_commands(capsys):
             assert out.splitlines()[0] == expected, argv
             outputs.add(expected)
     assert outputs == {"acabacadacabacac", "10100000", "2/7"}
+
+
+def test_readme_snippets_print_their_comments(capsys):
+    # the CLI examples are run by test_readme_commands; these are the library and fiber examples
+    text = README.read_text(encoding="utf-8")
+    quick_start = text.split("## Library quick start", 1)[1].split("## Command line", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in quick_start.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        expected = [line.rpartition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+        exec(block, {})
+        assert capsys.readouterr().out.splitlines() == expected, block
+    (argv, letters), = re.findall(r"`(fiber [^`]+)`[^`]* prints `([abcd]+)`", text)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert out.splitlines()[-1] == f"preimage_letters: {letters}"
 
 
 def test_readme_commands_read_the_same_with_grigorchuk_rules(capsys, tmp_path):
@@ -646,14 +667,8 @@ class TestStartLoadsOnlyWhatRuns:
             # the factor map builds a DyadicInt only in encode_fG, so odometer stays unloaded
             (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
             (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap", "odoshift.odometer"}),
-            (
-                ["freq", "--word", "ac", "--window", "4096"],
-                {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
-            ),
-            (
-                ["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"],
-                {"odoshift.toeplitz", "odoshift.factormap", "odoshift.ergodic"},
-            ),
+            (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic"}),
+            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"], {"odoshift.ergodic"}),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, modules):

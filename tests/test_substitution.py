@@ -45,6 +45,12 @@ class TestValueTypes:
             delattr(a, field)
         assert a == b
 
+    @pytest.mark.parametrize("make, text, field", VALUES)
+    def test_repr_and_equality_read_every_public_field(self, make, text, field):
+        # a field added to __init__ but not to _fields would be missed by == and repr
+        value = make()
+        assert tuple(name for name in vars(value) if not name.startswith("_")) == type(value)._fields
+
     def test_prefixes_are_equal_only_to_themselves(self):
         p, q = word("acab"), word("acab")
         assert p == p and p != q and hash(p) != hash(q)
