@@ -141,10 +141,13 @@ def _cmd_encode(args) -> int:
 def _cmd_fiber(args) -> int:
     from . import factormap
 
-    floor = factormap.default_language_horizon(args.shift)
-    prefix = _load_input(args, max(_skeleton_need(args.levels), floor - 1))
-    # the preimage test reads every letter held after the shift, so both routes to them agree
-    report = factormap.classify_fiber(prefix, args.levels, max(floor, len(prefix) + 1))
+    # the preimage test reads every letter held after the shift, so both routes to them agree,
+    # and at least the shift's floor, to read past the head that the shift repeats
+    need = max(_skeleton_need(args.levels), factormap.default_language_horizon(args.shift) - 1)
+    prefix = _load_input(args, need)
+    if args.levels >= 1 and len(prefix) < need:  # a depth below 1 exits 2 in classify_fiber
+        raise InsufficientDataError(f"fiber needs {need} letters after the shift, have {len(prefix)}", need)
+    report = factormap.classify_fiber(prefix, args.levels)
     index = "-" if report.stabilization_index is None else str(report.stabilization_index)
     lines = [
         f"classification: {report.classification}",
@@ -210,7 +213,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # no odoshift code calls BLAS, so numpy's import need not start a BLAS thread per core;
+    # once numpy is loaded the setting does nothing, and a value the user set wins
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import verification
+
     results = verification.run_all(args.level)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name} {r.seconds:.3f}s: {r.detail}" for r in results]
     ok = all(r.ok for r in results)
@@ -300,13 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    If numpy is not loaded yet, this sets ``OPENBLAS_NUM_THREADS=1`` in the
-    process environment unless it is set, and leaves it set on return.
+    ``verify`` may set ``OPENBLAS_NUM_THREADS`` in the process environment
+    and leaves it set on return.
     """
-    # no odoshift code calls BLAS, so numpy's import need not start a BLAS thread per core;
-    # once numpy is loaded the setting does nothing, and a value the user set wins
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

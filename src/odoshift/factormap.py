@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
-from .substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, codes_measure
+from . import substitution
+from .errors import InvalidInputError, NotInSubshiftError
+from .substitution import SymbolicPrefix
 from .toeplitz import (
     EVENTUALLY_CONSTANT_MK,
     PeriodSkeleton,
@@ -29,11 +30,9 @@ from .toeplitz import (
 TOEPLITZ_POINT = "toeplitz_point"
 OMEGA_STAR_ORBIT = "omega_star_orbit"
 
-DEFAULT_LANGUAGE_HORIZON = 64
-
 
 def default_language_horizon(shift: int) -> int:
-    """The horizon that reads past the head a shift repeats: max(64, 2^(j+2)), 2^j the 2-part of ``shift``.
+    """The horizon h, h - 1 letters after the shift, that reads past the head it repeats: max(64, 2^(j+2)).
 
     After a shift n = 2^j m, m odd, the first 2^j - 1 letters repeat the
     fixed point's head, which b, c and d all extend, so a horizon of 2^j or
@@ -43,7 +42,7 @@ def default_language_horizon(shift: int) -> int:
     is the largest needed for any n up to 2^14, so 4 * 2^j covers them all
     (``tests/test_factormap.py`` checks every n up to 2^12).
     """
-    return max(DEFAULT_LANGUAGE_HORIZON, (shift & -shift) << 2)
+    return max(64, (shift & -shift) << 2)
 
 
 class EncodingResult(NamedTuple):
@@ -108,38 +107,18 @@ def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> Equivari
     )
 
 
-def sigma_preimage_letters(
-    prefix: SymbolicPrefix,
-    language_horizon: int = DEFAULT_LANGUAGE_HORIZON,
-) -> set:
-    """Letters l such that l + prefix stays in the language up to the horizon.
+def sigma_preimage_letters(prefix: SymbolicPrefix) -> set:
+    """Letters l such that l + prefix is in the language, from one pass over every letter of ``prefix``.
 
-    Every factor of l + prefix other than its length-horizon head is already
-    a factor of the prefix, so only the head is tested.  The subshift is
-    minimal and uniquely ergodic, so a word is in the language exactly when
-    its exact invariant measure is positive.  The head is measured from its
-    codes through the prefix's own alphabet, so a symbol outside 'abcd' has
-    measure 0.  mu[head] is the sum of mu[l + head] over the letters l
-    (shift invariance), so a head that no letter extends is outside the
-    language: NotInSubshiftError.
+    A word is in the language exactly when its exact measure is positive
+    (the subshift is minimal and uniquely ergodic), measured through the
+    prefix's own alphabet, where a symbol outside 'abcd' has measure 0.
+    A prefix that no letter extends has measure 0: NotInSubshiftError.
+    A caller who wants a horizon h passes the first h - 1 letters.
     """
-    if language_horizon < 2:
-        raise InvalidInputError(f"language horizon must be >= 2, got {language_horizon}")
-    if len(prefix) < language_horizon - 1:
-        raise InsufficientDataError(
-            f"prefix of length {len(prefix)} too short for horizon {language_horizon}",
-            required_length=language_horizon - 1,
-        )
-    head = prefix.codes[: language_horizon - 1]
-    extending = {
-        l
-        for l in GRIGORCHUK_ALPHABET.letters
-        if codes_measure(prefix.alphabet, head, first=l) > 0
-    }
+    extending = substitution.left_extensions(prefix.alphabet, prefix.codes)
     if not extending:
-        raise NotInSubshiftError(
-            f"the first {len(head)} letters are not a factor of the fixed point"
-        )
+        raise NotInSubshiftError(f"the {len(prefix)} letters are not a factor of the fixed point")
     return extending
 
 
@@ -150,11 +129,7 @@ class FiberReport(NamedTuple):
     skeleton: PeriodSkeleton
 
 
-def classify_fiber(
-    prefix: SymbolicPrefix,
-    K: int,
-    language_horizon: int = DEFAULT_LANGUAGE_HORIZON,
-) -> FiberReport:
+def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     """Decide whether ``prefix`` looks like a Toeplitz point or sits over the exceptional orbit.
 
     The encoded value N_k = 2^k - M_k stabilizing at n means shift^n of the
@@ -162,6 +137,7 @@ def classify_fiber(
     itself); M_k stabilizing at n means shift^n maps it there from behind
     (a non-Toeplitz sequence).  If neither column index settles within the
     window, the sequence is a Toeplitz point as far as the data can tell.
+    ``sigma_preimage_letters`` reads every letter of ``prefix``.
     """
     skeleton = period_skeleton(prefix, K)
     levels = skeleton.levels
@@ -174,10 +150,9 @@ def classify_fiber(
     elif skeleton.classification == EVENTUALLY_CONSTANT_MK:
         classification = OMEGA_STAR_ORBIT
         stabilization_index = levels[-1]
-    letters = sigma_preimage_letters(prefix, language_horizon)
     return FiberReport(
         classification=classification,
         stabilization_index=stabilization_index,
-        sigma_preimage_letters=frozenset(letters),
+        sigma_preimage_letters=frozenset(sigma_preimage_letters(prefix)),
         skeleton=skeleton,
     )

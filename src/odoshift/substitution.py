@@ -13,7 +13,8 @@ generator can be checked bit for bit.
 All positions in public APIs are 1-based.  A sequence is one byte per
 letter, its alphabet index, in a read-only memoryview: generation, the
 oracle and the exact measure are bytes joins, slices and translates of
-the standard library, and numpy is left to the modules that count.
+the standard library.  Only the partial-period functions of ``toeplitz``
+and the checks of ``verification`` use numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
-from itertools import accumulate, takewhile
+from itertools import accumulate, compress, takewhile
 
 from .errors import Immutable, InvalidInputError, ResourceLimitError
 
@@ -368,50 +369,62 @@ _PULLBACK = bytes(
     for s in range(256)
 )
 _HOLDING_A = bytes(range(1, 256, 2))
-# 14 times the measure of a set: a, b, c, d weigh 1/2, 1/7, 2/7, 1/14
-_WEIGHT = [
-    sum(w for letter, w in zip("abcd", (7, 2, 4, 1)) if s & _BIT[letter])
-    for s in range(16)
-]
+# which of a, b, c, d a set holds, as ``compress`` selectors
+_MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
 
 
-def _mass(sets: bytes, depth: int) -> int:
-    """14 * 2^depth times the measure of ``sets``, for 1 <= len(sets) <= 2^depth.
+def _masses(rest: bytes, depth: int) -> tuple:
+    """14 * 2^depth times mu[l + rest] for each letter l of 'abcd', for len(rest) < 2^depth.
 
     An odd position holds a and the letter at 2m is next(letter at m): the
     fixed point read back through the substitution (Queffelec, LNM 1294;
-    Mosse 1992).  So mu[W] is half the sum over the parity of the start of
-    mu[W']: the sets at odd positions must all hold a, and W' is the sets
-    at even positions pulled back through next, half as long.
+    Mosse 1992).  So mu[l + rest] is half the sum over the parity of l's
+    position of mu[W']: the sets at odd positions must all hold a, and W'
+    is the sets at even positions pulled back through next, half as long.
+    At an odd position l is a and W' comes from rest alone; at an even one
+    W' is l's pullback before the rest, so one pass serves all four letters.
     """
-    if 0 in sets:
-        return 0
-    if len(sets) == 1:
-        return _WEIGHT[sets[0]] << depth
-    return sum(
-        _mass(other.translate(_PULLBACK), depth - 1)
-        for odd, other in ((sets[0::2], sets[1::2]), (sets[1::2], sets[0::2]))
-        if not odd.translate(None, _HOLDING_A)
-    )
+    if 0 in rest:
+        return 0, 0, 0, 0
+    if not rest:
+        return 7 << depth, 2 << depth, 4 << depth, 1 << depth  # 14 times 1/2, 1/7, 2/7, 1/14
+    a = b = c = d = 0
+    # l at an odd position: rest[1::2] sit at odd ones, and W' is the pullback of rest[0::2]
+    head = _PULLBACK[rest[0]]
+    if head and not rest[1::2].translate(None, _HOLDING_A):
+        a = sum(compress(_masses(rest[2::2].translate(_PULLBACK), depth - 1), _MEMBERS[head]))
+    # l at an even position: rest[0::2] sit at odd ones, and W' is the pullback of l + rest[1::2]
+    if not rest[0::2].translate(None, _HOLDING_A):
+        back_a, back_b, back_c, back_d = _masses(rest[1::2].translate(_PULLBACK), depth - 1)
+        b, c, d = back_c, back_a + back_d, back_b  # next(c) = b, next(a) = next(d) = c, next(b) = d
+    return a, b, c, d
 
 
-def codes_measure(alphabet: Alphabet, codes, first: str | None = None) -> Fraction:
+def _extension_masses(alphabet: Alphabet, codes) -> tuple:
+    """(depth, ``_masses``) of the word ``codes`` spell over ``alphabet``, where only 'abcd' are letters."""
+    sets = bytes(codes).translate(bytes(_BIT.get(letter, 0) for letter in alphabet.letters).ljust(256, b"\0"))
+    depth = len(sets).bit_length()
+    return depth, _masses(sets, depth)
+
+
+def codes_measure(alphabet: Alphabet, codes) -> Fraction:
     """Exact invariant measure of the word that the bytes-like ``codes`` spell over ``alphabet``.
 
-    ``first``, a letter of 'abcd', is put before the word.  A symbol outside
-    'abcd' has measure 0.  The word is halved at each of its log2 |word|
-    levels, with no cap on the length.
+    By shift invariance it is the sum of mu[l + word] over the letters l.
+    A symbol outside 'abcd' has measure 0.  The word is halved at each of
+    its log2 |word| levels, with no cap on the length.
     """
     from fractions import Fraction  # only the commands that measure pay for its import
 
-    letter_sets = bytes(_BIT.get(letter, 0) for letter in alphabet.letters).ljust(256, b"\0")
-    sets = bytes(codes).translate(letter_sets)
-    if first is not None:
-        sets = bytes([_BIT[first]]) + sets
-    if not sets:
+    depth, masses = _extension_masses(alphabet, codes)
+    if not depth:
         raise InvalidInputError("cylinder word must be nonempty")
-    depth = len(sets).bit_length()
-    return Fraction(_mass(sets, depth), 14 << depth)
+    return Fraction(sum(masses), 14 << depth)
+
+
+def left_extensions(alphabet: Alphabet, codes) -> set:
+    """The letters l of 'abcd' with mu[l + word] > 0, from the pass whose sum ``codes_measure`` is."""
+    return {letter for letter, mass in zip("abcd", _extension_masses(alphabet, codes)[1]) if mass}
 
 
 def invariant_measure_cylinder(word: str) -> Fraction:
@@ -473,6 +486,8 @@ def load_prefix(path, alphabet: Alphabet) -> SymbolicPrefix:
         source = fh.read(cap + 3)
     # past cap + 2 characters, more than a line end follows the cap's letters
     _check_cap(len(source.strip()) if len(source) <= cap + 2 else len(source))
+    if not source or source.isspace():
+        raise InvalidInputError(f"the file {path} holds no letters")
     return parse_prefix(source, alphabet)
 
 

@@ -206,17 +206,17 @@ def check_equivariance(sizes: Sizes) -> CheckResult:
 
 def check_fiber_structure(sizes: Sizes) -> CheckResult:
     shifts = sizes.fiber_shifts
-    # the head after shift 2^k repeats the head after shift 0 until position
-    # 2^(k+1), so the horizon must look past the next power of two above n
-    horizon = max(64, 1 << (shifts.bit_length() + 1))
+    # the largest of the floors the cli reads after shifts 1..shifts
+    horizon = max(map(factormap.default_language_horizon, range(1, shifts + 1)))
     prefix = substitution.grigorchuk_prefix(shifts + 4 * horizon)
-    roots = {h: factormap.sigma_preimage_letters(prefix, h) for h in (64, horizon)}
-    ok = all(root == {"b", "c", "d"} for root in roots.values())
-    bad = None
-    for n in range(1, shifts + 1):
-        if factormap.sigma_preimage_letters(prefix.shifted(n), horizon) != {prefix.at(n)}:
-            ok, bad = False, n
-            break
+
+    def preimage(n: int, h: int) -> set:  # of the h - 1 letters after shift n
+        head = substitution.SymbolicPrefix(prefix.alphabet, prefix.codes[n : n + h - 1])
+        return factormap.sigma_preimage_letters(head)
+
+    roots = {h: preimage(0, h) for h in (64, horizon)}
+    bad = next((n for n in range(1, shifts + 1) if preimage(n, horizon) != {prefix.at(n)}), None)
+    ok = bad is None and all(root == {"b", "c", "d"} for root in roots.values())
     root_text = "; ".join(f"horizon {h}: {sorted(root)}" for h, root in roots.items())
     return CheckResult(
         name="fiber_structure",

@@ -3,6 +3,8 @@
 - ``iterate`` applies a substitution to a whole word, one join of the
   rule codes per step, so tests can check the generator's fixed point
   against sub(x) = x.
+- ``head`` cuts a prefix to the h - 1 letters that a language horizon h
+  reads, since ``sigma_preimage_letters`` reads every letter it is given.
 - ``reconstruct_from_skeleton`` builds a prefix with prescribed
   non-constant columns: the generic Toeplitz points that fiber tests read.
 - ``parse_cf`` and ``parse_spec`` read the text forms ``cf_to_text`` and
@@ -53,6 +55,11 @@ def grigorchuk_level_letter(k):
     if k == 1:
         return "a"
     return {1: "c", 2: "b", 0: "d"}[(k - 1) % 3]
+
+
+def head(prefix, horizon):
+    """The first horizon - 1 letters of ``prefix``: what a language horizon reads."""
+    return SymbolicPrefix(prefix.alphabet, prefix.codes[: horizon - 1])
 
 
 def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None):

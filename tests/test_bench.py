@@ -1,12 +1,15 @@
-"""The benchmark's self-test passes against this checkout.
+"""The benchmark's self-test passes against this checkout, and short runs of its workloads are correct.
 
 bench/selftest.py runs ops and the tracer on the package in src/, so a
 change there that breaks a traced function or a benchmark op fails here.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +23,18 @@ def test_bench_selftest_passes():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["cli", "words"])
+def test_a_short_benchmark_run_is_correct(workload):
+    # one second of passes: an op that fails or answers wrong shows in the last line
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), result

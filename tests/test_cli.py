@@ -136,6 +136,24 @@ class TestFiber:
                    "--output", str(path))[0] == 0
         assert run(capsys, "fiber", "--input", str(path), "--levels", "10") == (code, out, err)
 
+    def test_an_input_file_is_measured_once_and_extended_once(self, capsys, tmp_path, monkeypatch):
+        # one desubstitution pass checks the file's letters, one finds their preimage letters
+        from odoshift import substitution
+
+        calls = []
+        for name in ("codes_measure", "left_extensions"):
+            def counted(*args, _inner=getattr(substitution, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+
+            monkeypatch.setattr(substitution, name, counted)
+        path = tmp_path / "omega.txt"
+        path.write_text(grigorchuk_prefix(1 << 14).text + "\n")
+        code, out, err = run(capsys, "fiber", "--input", str(path), "--levels", "10")
+        assert code == 0, err
+        assert out.splitlines()[-1] == "preimage_letters: bcd"
+        assert sorted(calls) == ["codes_measure", "left_extensions"]
+
     def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
         rules = tmp_path / "period_doubling.txt"
         rules.write_text("a -> ab\nb -> aa\n")
@@ -283,6 +301,8 @@ class TestDemandSizedInput:
             # after a shift 32 the preimage test reads 127 letters, more than the skeleton's 64
             (["fiber", "--length", "100", "--shift", "32", "--levels", "4"], 159),
             (["freq", "--length", "100", "--word", "ab", "--window", "100"], 101),
+            # too short for the skeleton too: the hint is a length that serves both
+            (["fiber", "--length", "50", "--shift", "32", "--levels", "4"], 159),
         ],
     )
     def test_short_length_names_the_required_length(self, capsys, argv, required):
@@ -293,6 +313,14 @@ class TestDemandSizedInput:
         hinted[argv.index("--length") + 1] = str(required)
         code, _, err = run(capsys, *hinted)
         assert code == 0, err
+
+    def test_a_short_input_file_names_the_required_length(self, capsys, tmp_path):
+        # the preimage test's floor, 63 letters, asks for more than a depth-3 skeleton's 32
+        path = tmp_path / "seven.txt"
+        path.write_text("acabaca\n")
+        code, out, err = run(capsys, "fiber", "--levels", "3", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert "required prefix length: 63)" in err
 
     @pytest.mark.parametrize("shift, length", [(-3, 1 << 20), (64, 64), (100, 64)])
     def test_shift_outside_the_length(self, capsys, shift, length):
@@ -439,6 +467,14 @@ class TestInputFileCap:
         code, out, err = run(capsys, "analyze", "--levels", "4", "--input", str(path))
         assert (code, out) == (2, "")
         assert "exceeds the cap of 100 bytes" in err
+
+    @pytest.mark.parametrize("content", ["\n", ""])
+    def test_a_file_without_letters_exits_two(self, capsys, tmp_path, content):
+        path = tmp_path / "empty.txt"
+        path.write_text(content)
+        code, out, err = run(capsys, "analyze", "--levels", "4", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"error: the file {path} holds no letters" in err
 
     def test_the_cap_is_enough(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "omega.txt"
@@ -611,17 +647,22 @@ class TestStartWithoutNumpy:
 
 
 class TestOneBlasThread:
-    """A cli process starts numpy with one BLAS thread unless the user set their number."""
+    """verify, the one command that loads numpy, starts it with one BLAS thread unless the user set their number."""
 
     def test_a_command_sets_one_thread(self):
-        proc = fresh("freq", "--word", "ac", "--window", "4096")
+        proc = fresh("verify", "--level", "quick")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '1'"
 
     def test_the_value_the_user_set_wins(self):
-        proc = fresh("freq", "--word", "ac", "--window", "4096", openblas_threads="3")
+        proc = fresh("verify", "--level", "quick", openblas_threads="3")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '3'"
+
+    def test_a_command_without_numpy_sets_nothing(self):
+        proc = fresh("freq", "--word", "ac", "--window", "4096")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: None"
 
     def test_importing_the_package_and_cli_sets_nothing(self):
         proc = fresh(script=REPORT_AT_EXIT + "import odoshift, odoshift.cli\n")
@@ -632,7 +673,7 @@ class TestOneBlasThread:
         import numpy  # noqa: F401  loaded already, so the setting could do nothing
 
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        code, out, err = run(capsys, "freq", "--word", "ac", "--window", "4096")
+        code, out, err = run(capsys, "verify", "--level", "quick")
         assert code == 0, err
         assert "OPENBLAS_NUM_THREADS" not in os.environ
 

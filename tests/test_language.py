@@ -10,6 +10,9 @@ each level.  Three slow references stand in for it here:
 - ``substring_letters`` decides membership by searching a 2^16-letter
   prefix of the fixed point, whose factors of length <= 256 are the whole
   language at those lengths (the fixed point is minimal).
+
+``left_extensions``, the same desubstitution read for each letter put
+before the word, is checked against ``residue_class_measure`` of l + w.
 """
 
 import itertools
@@ -31,9 +34,10 @@ from odoshift.substitution import (
     codes_measure,
     grigorchuk_letter,
     grigorchuk_prefix,
+    left_extensions,
     parse_prefix,
 )
-from oracles import residue_class_measure, tail_density
+from oracles import head, residue_class_measure, tail_density
 
 TEXT = grigorchuk_prefix(1 << 16).text
 
@@ -58,12 +62,17 @@ def reference_measure(word: str) -> Fraction:
     return total / modulus
 
 
-def substring_letters(prefix: SymbolicPrefix, horizon: int) -> set:
-    """Preimage letters by substring search; raises if the head is no factor."""
-    head = prefix.text[: horizon - 1]
-    if head not in TEXT:
-        raise errors.NotInSubshiftError(head)
-    return {l for l in "abcd" if l + head in TEXT}
+def substring_letters(prefix: SymbolicPrefix) -> set:
+    """Preimage letters by substring search; raises if the prefix is no factor."""
+    text = prefix.text
+    if text not in TEXT:
+        raise errors.NotInSubshiftError(text)
+    return {l for l in "abcd" if l + text in TEXT}
+
+
+def assert_left_extensions_match_the_oracle(word):
+    expected = {l for l in "abcd" if residue_class_measure(l + word) > 0}
+    assert left_extensions(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)) == expected, word
 
 
 def test_every_word_up_to_seven_letters_matches_the_reference():
@@ -95,6 +104,7 @@ def test_every_word_up_to_seven_letters_matches_the_residue_class_oracle():
         for letters in itertools.product("abcd", repeat=length):
             word = "".join(letters)
             assert invariant_measure_cylinder(word) == residue_class_measure(word), word
+            assert_left_extensions_match_the_oracle(word)
 
 
 def test_long_factors_and_their_mutations_match_the_residue_class_oracle():
@@ -105,9 +115,11 @@ def test_long_factors_and_their_mutations_match_the_residue_class_oracle():
         word = TEXT[start : start + rng.randint(8, 600)]
         mu = invariant_measure_cylinder(word)
         assert mu > 0 and mu == residue_class_measure(word), word
+        assert_left_extensions_match_the_oracle(word)
         bad = mutated(word, rng)
         mu = invariant_measure_cylinder(bad)
         assert mu == residue_class_measure(bad), bad
+        assert_left_extensions_match_the_oracle(bad)
         zeros += mu == 0
     assert zeros > 150  # most one-letter changes leave the language
 
@@ -132,9 +144,9 @@ def test_codes_are_measured_through_their_own_alphabet():
         codes = letters.encode(word)
         mu = invariant_measure_cylinder(word)
         assert codes_measure(letters, codes) == mu, word
-        assert codes_measure(letters, codes[1:], first=word[0]) == mu, word
+        assert codes_measure(letters, letters.encode(word[0]) + codes[1:]) == mu, word
     assert codes_measure(letters, letters.encode("acxab")) == 0
-    assert codes_measure(letters, letters.encode("x"), first="a") == 0
+    assert codes_measure(letters, letters.encode("a") + letters.encode("x")) == 0
 
 
 @st.composite
@@ -173,7 +185,8 @@ def test_preimage_letters_match_substring_search_along_the_orbit():
     for horizon in (2, 3, 64, 256):
         for n in range(0, 101):
             shifted = prefix.shifted(n)
-            assert sigma_preimage_letters(shifted, horizon) == substring_letters(shifted, horizon), (n, horizon)
+            tested = head(shifted, horizon)
+            assert sigma_preimage_letters(tested) == substring_letters(tested), (n, horizon)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,11 +200,11 @@ def test_preimage_letters_match_substring_search(shift, horizon, mutate):
     if mutate is not None:
         j, letter = mutate
         text[j] = letter
-    prefix = parse_prefix("".join(text), GRIGORCHUK_ALPHABET)
+    prefix = head(parse_prefix("".join(text), GRIGORCHUK_ALPHABET), horizon)
     try:
-        expected = substring_letters(prefix, horizon)
+        expected = substring_letters(prefix)
     except errors.NotInSubshiftError:
         with pytest.raises(errors.NotInSubshiftError):
-            sigma_preimage_letters(prefix, horizon)
+            sigma_preimage_letters(prefix)
     else:
-        assert sigma_preimage_letters(prefix, horizon) == expected
+        assert sigma_preimage_letters(prefix) == expected
