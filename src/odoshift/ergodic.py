@@ -1,11 +1,16 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
 Frequency counts are exact integers over explicit windows, and run on the
-standard library.  Each letter's positions in a prefix form one bit-packed
-Python int, built on first use and kept on the prefix; the starts of a
-word are the AND of its letters' bitsets, each shifted by the letter's
-offset in the word, and that one kernel serves both the counts
-(``int.bit_count``) and the spectral sums.  The invariant measure of a
+standard library, by one of two paths.  On a prefix of the Grigorchuk
+fixed point, whose ``fixed_point_start`` is set (what ``fixed_point_prefix``
+grows from a under the Grigorchuk rules, and its shifts),
+``cylinder_frequency`` counts by desubstitution
+(``substitution.fixed_point_count``) and reads no letters.  On any other
+prefix, and for every spectral sum, each letter's positions in the prefix
+form one bit-packed Python int, built on first use and kept on the prefix;
+the starts of a word are the AND of its letters' bitsets, each shifted by
+the letter's offset in the word, and that one kernel serves both the
+counts (``int.bit_count``) and the spectral sums.  The invariant measure of a
 cylinder word is an exact rational, computed by desubstitution over
 log2 |w| levels with no cap on the word length
 (``substitution.invariant_measure_cylinder``, re-exported here).  A word
@@ -22,7 +27,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
-from .substitution import SymbolicPrefix, invariant_measure_cylinder
+from .substitution import SymbolicPrefix, fixed_point_count, invariant_measure_cylinder
 
 
 def __getattr__(name):
@@ -87,13 +92,11 @@ def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
     return cache[code]
 
 
-def _occurrence_bits(prefix: SymbolicPrefix, word: str, window: int) -> int:
-    """Bitset of the starts of ``word``: bit window - 1 - i is set iff it starts at 0-based i < window.
+def _word_codes(prefix: SymbolicPrefix, word: str, window: int) -> bytes:
+    """The codes of ``word``, once ``prefix`` is checked to hold its starts at positions 1..window.
 
     The last start reads letters up to window + len(word) - 1, which is the
-    prefix length this requires.  Letter j of the word at start i is bit
-    len(prefix) - 1 - i - j of its letter's bitset, so shifting that bitset
-    left by j lines every letter up on the bit of its start.
+    prefix length this requires, on either count path.
     """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
@@ -106,7 +109,17 @@ def _occurrence_bits(prefix: SymbolicPrefix, word: str, window: int) -> int:
             f" have {len(prefix)}",
             required_length=need,
         )
-    first, *rest = prefix.alphabet.encode(word)
+    return prefix.alphabet.encode(word)
+
+
+def _occurrence_bits(prefix: SymbolicPrefix, codes: bytes, window: int) -> int:
+    """Bitset of the starts of the word ``codes``: bit window - 1 - i is set iff it starts at 0-based i < window.
+
+    Letter j of the word at start i is bit len(prefix) - 1 - i - j of its
+    letter's bitset, so shifting that bitset left by j lines every letter up
+    on the bit of its start.
+    """
+    first, *rest = codes
     bits = _letter_bits(prefix, first)
     for offset, code in enumerate(rest, 1):
         bits &= _letter_bits(prefix, code) << offset
@@ -114,8 +127,21 @@ def _occurrence_bits(prefix: SymbolicPrefix, word: str, window: int) -> int:
 
 
 def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
-    """Exact count of occurrences of ``word`` starting at positions 1..window."""
-    count = _occurrence_bits(prefix, word, window).bit_count()
+    """Exact count of occurrences of ``word`` starting at positions 1..window.
+
+    On a prefix of the fixed point, whose ``fixed_point_start`` s is set, it
+    is ``fixed_point_count`` over s + window starts less the count over s,
+    and no letter is read.  On any other prefix it is the popcount of the
+    occurrence bits.
+    """
+    codes = _word_codes(prefix, word, window)
+    start = prefix.fixed_point_start
+    if start is None:
+        count = _occurrence_bits(prefix, codes, window).bit_count()
+    else:
+        # a prefix of the fixed point spells 'abcd', so the set of the letter of code c is bit c
+        sets = bytes(1 << code for code in codes)
+        count = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 
@@ -228,7 +254,7 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
     with ResourceLimitError before any sum is taken.
     """
-    bits = _occurrence_bits(prefix, word, window)
+    bits = _occurrence_bits(prefix, _word_codes(prefix, word, window), window)
     occurrences = bits.bit_count()
     thetas = [Fraction(theta) for theta in thetas]
     magnitudes = dict.fromkeys(thetas)

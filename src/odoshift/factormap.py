@@ -133,23 +133,29 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     """Decide whether ``prefix`` looks like a Toeplitz point or sits over the exceptional orbit.
 
     The encoded value N_k = 2^k - M_k stabilizing at n means shift^n of the
-    sequence is the exceptional point (n = 0: the sequence is that point
-    itself); M_k stabilizing at n means shift^n maps it there from behind
-    (a non-Toeplitz sequence).  If neither column index settles within the
-    window, the sequence is a Toeplitz point as far as the data can tell.
-    ``sigma_preimage_letters`` reads every letter of ``prefix``.
+    sequence may be the exceptional point (n = 0: the sequence may be that
+    point itself); M_k stabilizing at n means shift^n may map it there from
+    behind (a non-Toeplitz sequence).  The skeleton fixes only the digits
+    of f, and a Toeplitz point shares them, so the index n stands only if
+    the letters from n on are the fixed point's over the rest of the
+    skeleton's window.  Otherwise, or if neither column index settles
+    within the window, the sequence is a Toeplitz point as far as the data
+    can tell.  ``sigma_preimage_letters`` reads every letter of ``prefix``.
     """
     skeleton = period_skeleton(prefix, K)
     levels = skeleton.levels
-    classification = TOEPLITZ_POINT
     stabilization_index = None
     if all(m == 1 << (k + 1) for k, m in enumerate(levels)):
-        # M_k = 2^k throughout: the window is consistent with the exceptional point itself
-        classification = OMEGA_STAR_ORBIT
+        # M_k = 2^k throughout: the window may be the exceptional point itself
         stabilization_index = 0
     elif skeleton.classification == EVENTUALLY_CONSTANT_MK:
-        classification = OMEGA_STAR_ORBIT
         stabilization_index = levels[-1]
+    if stabilization_index is not None:
+        rest = skeleton.window_used - stabilization_index
+        omega = substitution.GRIGORCHUK_ALPHABET.decode(substitution.grigorchuk_codes(rest))
+        if prefix.alphabet.decode(prefix.codes[stabilization_index : skeleton.window_used]) != omega:
+            stabilization_index = None
+    classification = TOEPLITZ_POINT if stabilization_index is None else OMEGA_STAR_ORBIT
     return FiberReport(
         classification=classification,
         stabilization_index=stabilization_index,

@@ -101,6 +101,14 @@ class SymbolicPrefix(Immutable):
     ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
     Two prefixes are equal only if they are the same object.
 
+    ``fixed_point_start`` is the 0-based index in the Grigorchuk fixed point
+    of the first letter, when the prefix is known to be that fixed point:
+    0 on what ``fixed_point_prefix`` grows from ``a`` under the Grigorchuk
+    substitution, n more on its n-fold shift.  Every other prefix, parsed,
+    loaded or built from codes, has None, the class's value, and stores
+    nothing for it.  ``ergodic.cylinder_frequency`` counts a word on a
+    prefix with a start by ``fixed_point_count``, reading no letters.
+
     ``_bitsets`` caches what ``ergodic`` derives from the codes, one bitset
     per letter, for as long as the prefix lives.  The cache relies on a
     prefix's letters never changing: the codes are read-only through the
@@ -111,6 +119,7 @@ class SymbolicPrefix(Immutable):
     _fields = ("alphabet", "codes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    fixed_point_start = None
 
     def __init__(self, alphabet: Alphabet, codes):
         codes = memoryview(codes)
@@ -151,6 +160,8 @@ class SymbolicPrefix(Immutable):
             raise InvalidInputError(f"shift {n} outside 0..{len(self.codes) - 1}")
         view = object.__new__(SymbolicPrefix)
         vars(view).update(alphabet=self.alphabet, codes=self.codes[n:])
+        if self.fixed_point_start is not None:
+            vars(view)["fixed_point_start"] = self.fixed_point_start + n
         return view
 
 
@@ -297,7 +308,10 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     out[: len(head)] = head
     # out[:head] is the image of out[:1]; the image of out[1:] continues it
     _expand(images, out, 1, len(head), length)
-    return SymbolicPrefix(sub.alphabet, out)
+    prefix = SymbolicPrefix(sub.alphabet, out)
+    if seed == "a" and sub == _GRIGORCHUK_SUB:
+        vars(prefix)["fixed_point_start"] = 0
+    return prefix
 
 
 def dyadic_valuation(m: int) -> int:
@@ -398,6 +412,29 @@ def _masses(rest: bytes, depth: int) -> tuple:
         back_a, back_b, back_c, back_d = _masses(rest[1::2].translate(_PULLBACK), depth - 1)
         b, c, d = back_c, back_a + back_d, back_b  # next(c) = b, next(a) = next(d) = c, next(b) = d
     return a, b, c, d
+
+
+def fixed_point_count(sets: bytes, n: int) -> int:
+    """The starts 0 <= i < n of the fixed point (0-based) where letter i + j lies in sets[j] for every j.
+
+    ``sets`` is a word of letter sets, read as ``_masses`` reads them.  The
+    letters at even indices are all a, and the letter at 2m + 1 is next of
+    the letter at m.  So a start at 2m needs sets[0::2] to hold a, and
+    counts the pullback of sets[1::2] from m, over ceil(n / 2) starts; a
+    start at 2m + 1 needs sets[1::2] to hold a, and counts the pullback of
+    sets[0::2] from m, over floor(n / 2) starts.  Each level halves n or
+    the word, and no letter is read.
+    """
+    if not sets or not n:
+        return n
+    if 0 in sets:
+        return 0
+    count = 0
+    if not sets[0::2].translate(None, _HOLDING_A):
+        count += fixed_point_count(sets[1::2].translate(_PULLBACK), (n + 1) // 2)
+    if not sets[1::2].translate(None, _HOLDING_A):
+        count += fixed_point_count(sets[0::2].translate(_PULLBACK), n // 2)
+    return count
 
 
 def _extension_masses(alphabet: Alphabet, codes) -> tuple:

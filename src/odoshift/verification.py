@@ -17,6 +17,7 @@ import random
 import resource
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import ergodic, factormap, odometer, substitution, toeplitz
@@ -225,6 +226,21 @@ def check_fiber_structure(sizes: Sizes) -> CheckResult:
     )
 
 
+# words of 2 to 8 letters whose counts check_letter_measure takes both ways; bc is no factor
+_COUNTED_WORDS = ("ac", "bc", "dacab", "acabacad")
+
+
+@lru_cache(maxsize=1)
+def _untagged_prefix(length: int) -> substitution.SymbolicPrefix:
+    """The letters of ``grigorchuk_prefix(length)`` in a prefix with no fixed-point start.
+
+    Counts on it run the bitset kernel.  It is kept, so the letter-measure
+    and spectrum checks build its bitsets once between them.
+    """
+    codes = substitution.grigorchuk_prefix(length).codes
+    return substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, codes)
+
+
 def check_letter_measure(sizes: Sizes) -> CheckResult:
     expected = {
         "a": Fraction(1, 2),
@@ -242,17 +258,26 @@ def check_letter_measure(sizes: Sizes) -> CheckResult:
         for w, v in expected.items()
     }
     empirical_ok = all(d <= tol for d in deviations.values())
+    # the counts on the fixed point, by desubstitution, against the bitset kernel's on the same letters:
+    # over every start the prefix holds (the whole window for a letter), and over an odd window
+    letters = _untagged_prefix(window)
+    pairs = [(w, n) for w in (*expected, *_COUNTED_WORDS) for n in (window - len(w) + 1, window // 2 + 1)]
+    counts_ok = all(
+        ergodic.cylinder_frequency(prefix, w, n).count == ergodic.cylinder_frequency(letters, w, n).count
+        for w, n in pairs
+    )
     return CheckResult(
         name="letter_measure",
-        ok=exact_ok and total == 1 and empirical_ok,
-        detail=f"exact: {exact_ok}; sum=={total}; max empirical deviation {max(deviations.values())}",
+        ok=exact_ok and total == 1 and empirical_ok and counts_ok,
+        detail=f"exact: {exact_ok}; sum=={total}; max empirical deviation {max(deviations.values())};"
+        f" {len(pairs)} counts equal on both paths: {counts_ok}",
     )
 
 
 def check_spectrum(sizes: Sizes) -> CheckResult:
     windows = [1 << (sizes.spectral_window_log2 - 4), 1 << (sizes.spectral_window_log2 - 2),
                1 << sizes.spectral_window_log2]
-    prefix = substitution.grigorchuk_prefix(windows[-1] + len("a") - 1)
+    prefix = _untagged_prefix(windows[-1] + len("a") - 1)
     ok = True
     details = []
     for theta in (Fraction(1, 3), Fraction(1, 5)):

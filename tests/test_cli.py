@@ -154,6 +154,12 @@ class TestFiber:
         assert out.splitlines()[-1] == "preimage_letters: bcd"
         assert sorted(calls) == ["codes_measure", "left_extensions"]
 
+    def test_a_shift_whose_skeleton_settles_is_a_toeplitz_point(self, capsys):
+        # the skeleton settles at index 1, but the letters after it are the fixed point shifted 4096 times
+        code, out, err = run(capsys, "fiber", "--shift", "4095", "--levels", "12")
+        assert code == 0, err
+        assert out == "classification: toeplitz_point\nstabilization_index: -\npreimage_letters: a\n"
+
     def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
         rules = tmp_path / "period_doubling.txt"
         rules.write_text("a -> ab\nb -> aa\n")
@@ -190,6 +196,26 @@ class TestFreq:
         code, out, err = run(capsys, "freq", "--word", "ac")
         assert code == 0, err
         assert out.startswith(f"count {count} window {window} ")
+
+    def test_prints_the_readme_line(self, capsys):
+        line = "count 524288 window 1048576 frequency 0.5000000000"
+        assert f"odoshift freq --word a --window 1048576    # {line}\n" in README.read_text(encoding="utf-8")
+        assert run(capsys, "freq", "--word", "a", "--window", "1048576") == (0, line + "\n", "")
+
+    @pytest.mark.parametrize(
+        "word, shift, window",
+        [("a", 0, 4097), ("acab", 1, 1001), ("dacabac", 7, 4095), ("aa", 3, 333), ("cabacada", 4097, 2049)],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_generated_letters_and_their_file_count_alike(self, capsys, tmp_path, word, shift, window, json_flag):
+        # the generated fixed point is counted by desubstitution, the same letters from a file by bitsets
+        path = tmp_path / "omega.txt"
+        length = shift + window + len(word) - 1
+        assert run(capsys, "generate", "--length", str(length), "--output", str(path))[0] == 0
+        options = ["--word", word, "--shift", str(shift), "--window", str(window)]
+        generated = run(capsys, *json_flag, "freq", *options)
+        assert generated[0] == 0, generated
+        assert run(capsys, *json_flag, "freq", "--input", str(path), *options) == generated
 
 
 class TestSpectrum:

@@ -21,6 +21,9 @@ The straightforward algorithms these replaced stand in for the program here:
   a build pass and for seeded random words over prefixes built every way.
 - ``oracles.pairwise_spectral_scan`` is the numpy kernel the bitsets
   replaced, with its pairwise sum of the phases.
+- The occurrence bitsets, and ``bytes.find``, count the words of the fixed
+  point that ``substitution.fixed_point_count`` counts by desubstitution:
+  the same letters in a prefix with no fixed-point start run the bitsets.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods;
   ``oracles.essential_periods_one_pass`` tests each block against every
@@ -575,6 +578,90 @@ def test_comb_and_reading_each_start_count_alike(window, word, monkeypatch):
     for forced in (0, 2 * comb_max + 3):
         monkeypatch.setattr(ergodic, "_COMB_MAX", forced)
         assert [s.magnitude for s in ergodic.spectral_scan(prefix, thetas, word, window)] == want, forced
+
+
+# ---------------------------------------------------------------------------
+# Counts on the fixed point, by desubstitution
+
+FIXED_LENGTH = (1 << 16) + 64
+# odd and even windows, 2^k - 1, 2^k and 2^k + 1 among them
+FIXED_WINDOWS = (1, 2, 3, 1000, 1001, (1 << 12) - 1, 1 << 12, (1 << 12) + 1, (1 << 15) + 1)
+
+
+def untagged(prefix):
+    """The letters of ``prefix`` in a prefix with no fixed-point start: counts on it run the bitsets."""
+    return SymbolicPrefix(GRIGORCHUK_ALPHABET, prefix.codes)
+
+
+def fixed_point_words(omega, count, seed):
+    """aa and bc, which never occur, and factors of 1 to 40 letters, 30% of them with one letter changed."""
+    rng = random.Random(seed)
+    words = ["aa", "bc"]
+    for _ in range(count):
+        size = rng.randint(1, 40)
+        start = rng.randrange(len(omega) - size)
+        word = list(omega.alphabet.decode(omega.codes[start : start + size]))
+        if rng.random() < 0.3:
+            j = rng.randrange(size)
+            word[j] = rng.choice([letter for letter in "abcd" if letter != word[j]])
+        words.append("".join(word))
+    return words
+
+
+@pytest.mark.parametrize("shift", [0, 1, 7, (1 << 12) - 1, (1 << 12) + 1])
+def test_fixed_point_counts_match_the_bitsets_and_bytes_find(shift):
+    omega = grigorchuk_prefix(FIXED_LENGTH)
+    tagged = omega.shifted(shift) if shift else omega
+    plain = untagged(tagged)
+    assert (tagged.fixed_point_start, plain.fixed_point_start) == (shift, None)
+    for word in fixed_point_words(omega, 40, seed=shift):
+        for window in FIXED_WINDOWS:
+            want = len(occurrence_positions(plain, word, window))
+            assert ergodic.cylinder_frequency(plain, word, window).count == want, (word, window)
+            assert ergodic.cylinder_frequency(tagged, word, window).count == want, (word, window)
+
+
+def test_fixed_point_count_reads_letter_sets():
+    # words of letter sets, each start checked letter by letter against the generated codes
+    rng = random.Random(20261019)
+    codes = grigorchuk_prefix(3000).codes
+    for _ in range(300):
+        sets = bytes(rng.randrange(16) for _ in range(rng.randint(0, 9)))
+        n = rng.randint(0, 3000 - len(sets))
+        want = sum(all(s >> codes[i + j] & 1 for j, s in enumerate(sets)) for i in range(n))
+        assert substitution.fixed_point_count(sets, n) == want, (sets, n)
+
+
+def test_counting_the_as_of_10_to_the_18_letters_reads_no_letter():
+    start = time.perf_counter()
+    assert substitution.fixed_point_count(b"\x01", 10**18) == 5 * 10**17
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "word, window, length, error",
+    [
+        ("", 16, 64, errors.InvalidInputError),
+        ("a", 0, 64, errors.InvalidInputError),
+        ("a", -3, 64, errors.InvalidInputError),
+        ("acab", 62, 64, errors.InsufficientDataError),
+        ("ab", 64, 64, errors.InsufficientDataError),
+        ("ax", 16, 64, errors.InvalidInputError),
+    ],
+)
+def test_both_count_paths_raise_alike(word, window, length, error):
+    tagged = grigorchuk_prefix(length)
+    raised = []
+    for prefix in (tagged, untagged(tagged), tagged.shifted(1)):
+        with pytest.raises(error) as exc:
+            ergodic.cylinder_frequency(prefix, word, window)
+        raised.append((str(exc.value), getattr(exc.value, "required_length", None)))
+    # the shifted prefix holds one letter fewer, so only a shortage reads differently
+    assert raised[0] == raised[1]
+    if error is errors.InsufficientDataError:
+        assert raised[0][1] == window + len(word) - 1 == raised[2][1]
+    else:
+        assert raised[2] == raised[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,21 @@ from odoshift import errors
 from odoshift.factormap import verify_equivariance
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
+    SymbolicPrefix,
+    fixed_point_prefix,
     grigorchuk_letter,
     grigorchuk_prefix,
+    grigorchuk_substitution,
     parse_prefix,
 )
 
 OMEGA = grigorchuk_prefix(1 << 18)
+
+
+def untagged(prefix):
+    """The letters of ``prefix`` in a prefix with no fixed-point start: counts on it run the bitsets."""
+    return SymbolicPrefix(GRIGORCHUK_ALPHABET, prefix.codes)
+
 
 LETTER_MEASURE = {
     "a": Fraction(1, 2),
@@ -56,7 +65,7 @@ class TestCylinderFrequency:
         # numpy reports its buffers to tracemalloc; a window-sized temporary per
         # letter, compare or AND, would double the peak
         window = 1 << 20
-        prefix = grigorchuk_prefix(window + 13)
+        prefix = untagged(grigorchuk_prefix(window + 13))
         word = GRIGORCHUK_ALPHABET.decode(prefix.codes[1000:1014])
         erg.cylinder_frequency(prefix, word, window)  # first-call imports stay out of the trace
         tracemalloc.start()
@@ -72,10 +81,10 @@ class TestCylinderFrequency:
         # the first count builds every letter's bitset from the codes: a '0'/'1'
         # text of the whole prefix at once would exceed the bound
         window = 1 << 20
-        prefix = grigorchuk_prefix(window + 14).shifted(1)  # a view of its own, with no bitsets yet
+        prefix = untagged(grigorchuk_prefix(window + 14).shifted(1))  # a view of its own, with no bitsets yet
         word = GRIGORCHUK_ALPHABET.decode(prefix.codes[:14])
         assert set(word) == set("abcd")
-        erg.cylinder_frequency(grigorchuk_prefix(64), "a", 64)  # first-call imports stay out of the trace
+        erg.cylinder_frequency(untagged(grigorchuk_prefix(64)), "a", 64)  # first-call imports stay out of the trace
         tracemalloc.start()
         try:
             count = erg.cylinder_frequency(prefix, word, window).count
@@ -84,6 +93,16 @@ class TestCylinderFrequency:
             tracemalloc.stop()
         assert count > 0
         assert peak <= window + 2 * erg._BLOCK + (64 << 10), peak
+
+
+    def test_a_count_on_the_fixed_point_builds_no_bitsets(self):
+        prefix = fixed_point_prefix(grigorchuk_substitution(), "a", (1 << 16) + 18)
+        for shift in (0, 5):
+            view = prefix.shifted(shift)
+            word = GRIGORCHUK_ALPHABET.decode(view.codes[1000:1014])
+            assert erg.cylinder_frequency(view, word, 1 << 16).count > 0
+            assert not view._bitsets
+        assert not prefix._bitsets
 
 
 class TestInvariantMeasure:

@@ -158,6 +158,23 @@ class TestClassifyFiber:
         assert report.classification == fm.OMEGA_STAR_ORBIT
         assert report.stabilization_index == 1
 
+    @pytest.mark.parametrize("before", ["c", "d", "ab", "cab", "acab"])
+    def test_letters_before_the_fixed_point(self, before):
+        text = before + grigorchuk_prefix((1 << 14) - len(before)).text
+        report = fm.classify_fiber(word(text), 12)
+        assert report.classification == fm.OMEGA_STAR_ORBIT
+        assert report.stabilization_index == len(before)
+
+    @pytest.mark.parametrize("K", [2, 3, 6])
+    def test_no_shift_of_the_fixed_point_but_the_first_is_on_its_orbit(self, K):
+        # the skeleton settles for every shift whose digit K - 1 is 1, and is the fixed point's for the
+        # multiples of 2^K, but past shift 0 the letters from the index on are not the fixed point's
+        omega = grigorchuk_prefix((1 << (K + 1)) + (1 << (K + 2)))
+        for shift in range(1 << (K + 1)):
+            report = fm.classify_fiber(omega.shifted(shift), K)
+            expected = (fm.OMEGA_STAR_ORBIT, 0) if shift == 0 else (fm.TOEPLITZ_POINT, None)
+            assert (report.classification, report.stabilization_index) == expected, shift
+
     def test_generic_toeplitz_point(self):
         # encoded value with binary digits 1,0,1,0,...: M_k moves at every
         # even level, never settling, so the point is Toeplitz but lies on

@@ -136,6 +136,27 @@ class TestSymbolicPrefix:
         assert q.at(1) == p.at(12346) and len(q) == len(p) - 12345
         assert min(elapsed) < 1e-3
 
+    def test_only_the_generated_fixed_point_knows_its_start(self, tmp_path):
+        omega = sub.grigorchuk_prefix(64)
+        assert omega.fixed_point_start == 0
+        assert sub.fixed_point_prefix(TAU, "a", 64).fixed_point_start == 0
+        assert omega.shifted(5).fixed_point_start == 5
+        assert omega.shifted(5).shifted(7).fixed_point_start == 12
+        assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+        # the same letters by any other road: parsed, loaded, from codes, or grown under other rules
+        path = tmp_path / "omega.txt"
+        sub.save_prefix(omega, path)
+        others = [
+            word(omega.text),
+            sub.load_prefix(path, ABC),
+            sub.SymbolicPrefix(ABC, omega.codes),
+            sub.fixed_point_prefix(sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "a"}), "a", 64),
+        ]
+        for other in others:
+            assert other.fixed_point_start is None
+            assert other.shifted(3).fixed_point_start is None
+            assert set(vars(other)) == {"alphabet", "codes"}
+
     def test_shift_of_a_cached_prefix_is_read_only(self):
         p = sub.grigorchuk_prefix(1 << 12)
         for codes in (p.codes, p.shifted(5).codes):
