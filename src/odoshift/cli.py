@@ -43,8 +43,9 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
     The letters of an --input file and those a --seed-file's fixed point
     grows from its first rule's letter are one user-supplied sequence: both
     are parsed over 'abcd' and language-checked before the shift, so the
-    same letters give the same answer by either route.  Letters whose
-    measure is 0 are no factor of the fixed point: NotInSubshiftError.
+    same letters give the same answer by either route.  Letters of measure
+    0, which no letter extends, are no factor of the fixed point:
+    NotInSubshiftError.
     Only the Grigorchuk fixed point itself goes unchecked.
     """
     shift = args.shift
@@ -65,7 +66,7 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
         else:
             prefix = substitution.fixed_point_prefix(substitution.grigorchuk_substitution(), "a", length)
             origin = None
-    if origin and not substitution.codes_measure(prefix.alphabet, prefix.codes):
+    if origin and not prefix.left_extensions:
         raise NotInSubshiftError(
             f"the {len(prefix)} letters {origin} are not a factor of the fixed point"
         )
@@ -74,7 +75,9 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
 
 def _skeleton_need(depth: int) -> int:
     """Letters a skeleton of the given depth reads (a depth below 1 is rejected later)."""
-    return 1 << (max(depth, 1) + 2)
+    from . import toeplitz
+
+    return toeplitz.skeleton_window(max(depth, 1))
 
 
 def _window_need(args) -> int:

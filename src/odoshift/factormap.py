@@ -3,8 +3,10 @@
 The subshift generated by the Grigorchuk fixed point maps onto the binary
 odometer: there is a unique continuous map f with f(shift x) = f(x) + 1 and
 f(fixed point) = 0.  The first k dyadic digits of f(x) are computable from
-the first 2^(k+2) letters of x: they are the binary expansion of 2^k - M_k,
-where M_k is the level-k non-constant column of the period skeleton.
+the first 2^(k+2) letters of x, ``toeplitz.skeleton_window(k)``: they are
+the binary expansion of 2^k - M_k, where M_k is the level-k non-constant
+column of the period skeleton.  ``encode_value`` is that one formula;
+``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
 
 The map is injective away from a countable exceptional set: the backward
 orbit of the single point (here the fixed point itself) whose shift
@@ -16,16 +18,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import substitution
+from . import substitution, toeplitz
 from .errors import InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
-from .toeplitz import (
-    EVENTUALLY_CONSTANT_MK,
-    PeriodSkeleton,
-    deepest_columns,
-    period_skeleton,
-    skeleton_levels_from_codes,
-)
 
 TOEPLITZ_POINT = "toeplitz_point"
 OMEGA_STAR_ORBIT = "omega_star_orbit"
@@ -49,18 +44,17 @@ class EncodingResult(NamedTuple):
     """First-k-digit dyadic encoding of a sequence, with its provenance."""
 
     value: DyadicInt
-    window_used: int
-    skeleton: PeriodSkeleton
+    window_used: int  # the skeleton window, 2^(k+2) letters
 
 
 def encode_value(prefix_codes, k: int) -> int:
-    """Integer value of the first k dyadic digits, straight from the skeleton."""
-    levels, _ = skeleton_levels_from_codes(prefix_codes, k)
+    """Integer value of the first k dyadic digits, 2^k - M_k, straight from the skeleton."""
+    levels, _ = toeplitz.skeleton_levels_from_codes(prefix_codes, k)
     return (1 << k) - levels[-1]
 
 
 def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
-    """First k dyadic digits of the factor-map value of ``prefix``.
+    """First k dyadic digits of the factor-map value of ``prefix``: ``encode_value`` as a DyadicInt.
 
     Normalized so the unshifted fixed point encodes to 0.
     """
@@ -68,55 +62,41 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
 
     if k < 1:
         raise InvalidInputError(f"precision k must be positive, got {k}")
-    skeleton = period_skeleton(prefix, k)
-    value = (1 << k) - skeleton.levels[-1]
-    return EncodingResult(
-        value=DyadicInt(value, k),
-        window_used=skeleton.window_used,
-        skeleton=skeleton,
-    )
+    value = DyadicInt(encode_value(prefix.codes, k), k)
+    return EncodingResult(value=value, window_used=toeplitz.skeleton_window(k))
 
 
 class EquivarianceReport(NamedTuple):
-    ok: bool
     precision: int
     shifts_checked: int
-    first_violation: int | None  # shift count n where encode(n+1) != encode(n) + 1
     values: tuple  # encoded integers at shifts 0..shifts
 
 
 def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> EquivarianceReport:
-    """Check encode(shift^(n+1) x) = encode(shift^n x) + 1 mod 2^k for n < shifts.
+    """The k-digit encodings of shifts 0..shifts of ``prefix``, from one skeleton scan.
 
-    One skeleton scan encodes every shift 0..shifts at once; a shifted window
-    outside the subshift raises NotInSubshiftError naming the first such shift.
+    A shifted window outside the subshift raises NotInSubshiftError naming
+    the first such shift.  Otherwise one level-k residue r serves every
+    window, so the values 2^k - ((r - n) mod 2^k + 1) step by one mod 2^k
+    by construction; ``verification`` checks where they start.
     """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    modulus = 1 << k
-    values = tuple(modulus - m for m in deepest_columns(prefix.codes, k, shifts))
-    first_violation = next(
-        (n for n in range(shifts) if (values[n + 1] - values[n]) % modulus != 1), None
-    )
-    return EquivarianceReport(
-        ok=first_violation is None,
-        precision=k,
-        shifts_checked=shifts,
-        first_violation=first_violation,
-        values=values,
-    )
+    values = tuple((1 << k) - m for m in toeplitz.deepest_columns(prefix.codes, k, shifts))
+    return EquivarianceReport(precision=k, shifts_checked=shifts, values=values)
 
 
-def sigma_preimage_letters(prefix: SymbolicPrefix) -> set:
+def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
     """Letters l such that l + prefix is in the language, from one pass over every letter of ``prefix``.
 
     A word is in the language exactly when its exact measure is positive
     (the subshift is minimal and uniquely ergodic), measured through the
     prefix's own alphabet, where a symbol outside 'abcd' has measure 0.
+    The prefix keeps the pass as its ``left_extensions``, read at most once.
     A prefix that no letter extends has measure 0: NotInSubshiftError.
     A caller who wants a horizon h passes the first h - 1 letters.
     """
-    extending = substitution.left_extensions(prefix.alphabet, prefix.codes)
+    extending = prefix.left_extensions
     if not extending:
         raise NotInSubshiftError(f"the {len(prefix)} letters are not a factor of the fixed point")
     return extending
@@ -126,7 +106,6 @@ class FiberReport(NamedTuple):
     classification: str  # TOEPLITZ_POINT or OMEGA_STAR_ORBIT
     stabilization_index: int | None  # n with shift^n(x) = the exceptional point
     sigma_preimage_letters: frozenset
-    skeleton: PeriodSkeleton
 
 
 def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
@@ -140,15 +119,15 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     the letters from n on are the fixed point's over the rest of the
     skeleton's window.  Otherwise, or if neither column index settles
     within the window, the sequence is a Toeplitz point as far as the data
-    can tell.  ``sigma_preimage_letters`` reads every letter of ``prefix``.
+    can tell.  The preimage test reads ``prefix.left_extensions``, one pass per prefix.
     """
-    skeleton = period_skeleton(prefix, K)
+    skeleton = toeplitz.period_skeleton(prefix, K)
     levels = skeleton.levels
     stabilization_index = None
     if all(m == 1 << (k + 1) for k, m in enumerate(levels)):
         # M_k = 2^k throughout: the window may be the exceptional point itself
         stabilization_index = 0
-    elif skeleton.classification == EVENTUALLY_CONSTANT_MK:
+    elif skeleton.classification == toeplitz.EVENTUALLY_CONSTANT_MK:
         stabilization_index = levels[-1]
     if stabilization_index is not None:
         rest = skeleton.window_used - stabilization_index
@@ -159,6 +138,5 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     return FiberReport(
         classification=classification,
         stabilization_index=stabilization_index,
-        sigma_preimage_letters=frozenset(sigma_preimage_letters(prefix)),
-        skeleton=skeleton,
+        sigma_preimage_letters=sigma_preimage_letters(prefix),
     )

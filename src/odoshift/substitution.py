@@ -109,11 +109,11 @@ class SymbolicPrefix(Immutable):
     nothing for it.  ``ergodic.cylinder_frequency`` counts a word on a
     prefix with a start by ``fixed_point_count``, reading no letters.
 
-    ``_bitsets`` caches what ``ergodic`` derives from the codes, one bitset
-    per letter, for as long as the prefix lives.  The cache relies on a
-    prefix's letters never changing: the codes are read-only through the
-    prefix, and a caller who built one over a writable buffer must not
-    write to that buffer afterwards.
+    ``left_extensions``, from one desubstitution pass, and ``_bitsets``, one
+    bitset per letter for ``ergodic``, are cached for as long as the prefix
+    lives.  The caches rely on a prefix's letters never changing: the codes
+    are read-only through the prefix, and a caller who built one over a
+    writable buffer must not write to that buffer afterwards.
     """
 
     _fields = ("alphabet", "codes")
@@ -148,6 +148,11 @@ class SymbolicPrefix(Immutable):
     def text(self) -> str:
         """The letters, decoded from ``codes`` on each read: for output, not for lookups."""
         return self.alphabet.decode(self.codes)
+
+    @cached_property
+    def left_extensions(self) -> frozenset:
+        """The letters l of 'abcd' with mu[l + letters] > 0: none for letters outside the language."""
+        return left_extensions(self.alphabet, self.codes)
 
     @cached_property
     def _bitsets(self) -> dict:
@@ -459,9 +464,9 @@ def codes_measure(alphabet: Alphabet, codes) -> Fraction:
     return Fraction(sum(masses), 14 << depth)
 
 
-def left_extensions(alphabet: Alphabet, codes) -> set:
+def left_extensions(alphabet: Alphabet, codes) -> frozenset:
     """The letters l of 'abcd' with mu[l + word] > 0, from the pass whose sum ``codes_measure`` is."""
-    return {letter for letter, mass in zip("abcd", _extension_masses(alphabet, codes)[1]) if mass}
+    return frozenset(letter for letter, mass in zip("abcd", _extension_masses(alphabet, codes)[1]) if mass)
 
 
 def invariant_measure_cylinder(word: str) -> Fraction:

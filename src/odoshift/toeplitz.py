@@ -141,6 +141,11 @@ class PeriodSkeleton(NamedTuple):
         return len(self.levels)
 
 
+def skeleton_window(K: int) -> int:
+    """Letters the depth-K skeleton reads from each start: 2^(K+2), four terms of each of the 2^K columns."""
+    return 1 << (K + 2)
+
+
 def _lowest_byte(x: int) -> int:
     """Index of the lowest nonzero little-endian byte of x; -1 for x = 0."""
     return ((x & -x).bit_length() - 1) >> 3
@@ -167,7 +172,7 @@ def _skeleton_residues(codes, K: int, shifts: int) -> list:
         raise InvalidInputError(f"depth K must be positive, got {K}")
     if shifts < 0:
         raise InvalidInputError(f"shifts must be nonnegative, got {shifts}")
-    need = shifts + (1 << (K + 2))
+    need = shifts + skeleton_window(K)
     if len(codes) < need:
         over = f" over shifts 0..{shifts}" if shifts else ""
         raise InsufficientDataError(
@@ -242,5 +247,5 @@ def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
         levels=tuple(levels),
         letters=letters,
         classification=classification,
-        window_used=1 << (K + 2),
+        window_used=skeleton_window(K),
     )

@@ -175,7 +175,7 @@ def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
 
 def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     K = sizes.skeleton_depth
-    prefix = substitution.grigorchuk_prefix(1 << (K + 2))
+    prefix = substitution.grigorchuk_prefix(toeplitz.skeleton_window(K))
     skeleton = toeplitz.period_skeleton(prefix, K)
     levels_ok = all(m == 1 << (k + 1) for k, m in enumerate(skeleton.levels))
     encoding = factormap.encode_fG(prefix, K)
@@ -187,16 +187,11 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
 
 
 def _shift_values(name: str, k: int, shifts: int) -> CheckResult:
-    """Encodings of shifts 0..shifts of the fixed point step by one and equal n mod 2^k."""
-    prefix = substitution.grigorchuk_prefix(shifts + (1 << (k + 2)))
-    report = factormap.verify_equivariance(prefix, k, shifts)
-    values_ok = all(v == n % (1 << k) for n, v in enumerate(report.values))
-    return CheckResult(
-        name=name,
-        ok=report.ok and values_ok,
-        detail=f"first violation: {report.first_violation} over {shifts} shifts;"
-        f" values==n mod 2^{k}: {values_ok}",
-    )
+    """Encodings of shifts 0..shifts of the fixed point equal n mod 2^k; the scan steps them by one."""
+    prefix = substitution.grigorchuk_prefix(shifts + toeplitz.skeleton_window(k))
+    values = factormap.verify_equivariance(prefix, k, shifts).values
+    values_ok = all(v == n % (1 << k) for n, v in enumerate(values))
+    return CheckResult(name=name, ok=values_ok, detail=f"{shifts} shifts; values==n mod 2^{k}: {values_ok}")
 
 
 def check_equivariance(sizes: Sizes) -> CheckResult:
@@ -294,8 +289,8 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
 
 
 def check_eigenfunction(sizes: Sizes) -> CheckResult:
-    # phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding: the
-    # eigenvalue relation r_(n+1) = r_n + 1 mod 2^k is checked as integer equality
+    # phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding: the eigenvalue
+    # relation r_(n+1) = r_n + 1 mod 2^k holds as r_n = n mod 2^k on the fixed point
     return _shift_values("eigenfunction_equivariance", sizes.eigen_precision, sizes.eigen_shifts)
 
 

@@ -136,23 +136,30 @@ class TestFiber:
                    "--output", str(path))[0] == 0
         assert run(capsys, "fiber", "--input", str(path), "--levels", "10") == (code, out, err)
 
-    def test_an_input_file_is_measured_once_and_extended_once(self, capsys, tmp_path, monkeypatch):
-        # one desubstitution pass checks the file's letters, one finds their preimage letters
+    def test_without_a_shift_the_letters_are_read_in_one_pass(self, capsys, tmp_path, monkeypatch):
+        # the load check's desubstitution pass also finds the preimage letters; a shift makes new letters
         from odoshift import substitution
 
-        calls = []
-        for name in ("codes_measure", "left_extensions"):
-            def counted(*args, _inner=getattr(substitution, name), _name=name):
-                calls.append(_name)
-                return _inner(*args)
+        passes = []
+        extension_masses = substitution._extension_masses
 
-            monkeypatch.setattr(substitution, name, counted)
+        def counted(*args):
+            passes.append(args)
+            return extension_masses(*args)
+
+        monkeypatch.setattr(substitution, "_extension_masses", counted)
         path = tmp_path / "omega.txt"
         path.write_text(grigorchuk_prefix(1 << 14).text + "\n")
-        code, out, err = run(capsys, "fiber", "--input", str(path), "--levels", "10")
-        assert code == 0, err
-        assert out.splitlines()[-1] == "preimage_letters: bcd"
-        assert sorted(calls) == ["codes_measure", "left_extensions"]
+        rules = tmp_path / "grigorchuk.txt"
+        rules.write_text("a -> aca\nb -> d\nc -> b\nd -> c\n")
+        for source, shift, count, letters in (("--input", 0, 1, "bcd"), ("--seed-file", 0, 1, "bcd"),
+                                              ("--input", 5, 2, "a")):
+            passes.clear()
+            argv = ["fiber", source, str(path if source == "--input" else rules), "--levels", "10"]
+            code, out, err = run(capsys, *argv, "--shift", str(shift))
+            assert code == 0, err
+            assert out.splitlines()[-1] == f"preimage_letters: {letters}"
+            assert len(passes) == count, (source, shift)
 
     def test_a_shift_whose_skeleton_settles_is_a_toeplitz_point(self, capsys):
         # the skeleton settles at index 1, but the letters after it are the fixed point shifted 4096 times
@@ -744,6 +751,25 @@ class TestStartLoadsOnlyWhatRuns:
         assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution"} | modules
         # only verify imports numpy
         assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+    @pytest.mark.parametrize(
+        "argv, fractions",
+        [
+            (["analyze", "--levels", "4", "--input", "{omega}"], False),
+            (["fiber", "--levels", "4", "--input", "{omega}"], False),
+            (["measure", "--word", "aca"], True),
+        ],
+    )
+    def test_only_a_command_that_measures_loads_fractions(self, tmp_path, argv, fractions):
+        # the load check reads which letters extend the input, which takes no Fraction
+        omega = tmp_path / "omega.txt"
+        omega.write_text(grigorchuk_prefix(64).text + "\n")
+        report = ("import atexit, runpy, sys\n"
+                  "atexit.register(lambda: print('fractions' in sys.modules, file=sys.stderr))\n"
+                  "runpy.run_module('odoshift.cli', run_name='__main__')\n")
+        proc = fresh(*(arg.format(omega=omega) for arg in argv), script=report)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str(fractions)
 
     def test_verify_loads_numpy(self):
         proc = fresh("verify", "--level", "quick")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import odometer, substitution, verification
+from odoshift import odometer, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 
 PEAK_BYTES = 5 << 19  # 2.5 MiB
@@ -58,6 +58,18 @@ def test_closed_form_counts_a_mismatch_in_every_block(monkeypatch):
     result = verification.check_closed_form(sizes)
     assert not result.ok
     assert result.detail == f"{len(wrong)} mismatches over {length} positions"
+
+
+@pytest.mark.parametrize("check", [verification.check_equivariance, verification.check_eigenfunction],
+                         ids=lambda check: check.__name__)
+def test_a_residue_off_by_one_fails_the_shift_value_checks(check, monkeypatch):
+    # the values still step by one; only where they start is wrong
+    columns = toeplitz.deepest_columns
+    monkeypatch.setattr(toeplitz, "deepest_columns",
+                        lambda codes, K, shifts: [m % (1 << K) + 1 for m in columns(codes, K, shifts)])
+    result = check(QUICK)
+    assert not result.ok
+    assert result.detail.endswith(": False")
 
 
 def test_cf_algebra_detail_is_unchanged():
