@@ -27,7 +27,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
-from .substitution import SymbolicPrefix, fixed_point_count, invariant_measure_cylinder
+from .substitution import SymbolicPrefix, fixed_point_count, invariant_measure_cylinder, letter_sets
 
 
 def __getattr__(name):
@@ -139,8 +139,7 @@ def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> Freque
     if start is None:
         count = _occurrence_bits(prefix, codes, window).bit_count()
     else:
-        # a prefix of the fixed point spells 'abcd', so the set of the letter of code c is bit c
-        sets = bytes(1 << code for code in codes)
+        sets = letter_sets(prefix.alphabet, codes)
         count = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 

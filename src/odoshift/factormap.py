@@ -67,8 +67,6 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
 
 
 class EquivarianceReport(NamedTuple):
-    precision: int
-    shifts_checked: int
     values: tuple  # encoded integers at shifts 0..shifts
 
 
@@ -83,7 +81,7 @@ def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> Equivari
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
     values = tuple((1 << k) - m for m in toeplitz.deepest_columns(prefix.codes, k, shifts))
-    return EquivarianceReport(precision=k, shifts_checked=shifts, values=values)
+    return EquivarianceReport(values=values)
 
 
 def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:

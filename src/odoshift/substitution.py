@@ -427,13 +427,24 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     the letter at m.  So a start at 2m needs sets[0::2] to hold a, and
     counts the pullback of sets[1::2] from m, over ceil(n / 2) starts; a
     start at 2m + 1 needs sets[1::2] to hold a, and counts the pullback of
-    sets[0::2] from m, over floor(n / 2) starts.  Each level halves n or
-    the word, and no letter is read.
+    sets[0::2] from m, over floor(n / 2) starts.  A split leaves each half
+    a set, and one set s is counted in closed form: the ceil(n / 2) even
+    starts count if s holds a, and the odd ones count the pullback of s
+    over floor(n / 2) starts, so one loop halves n and pulls s back until
+    either runs out, a table read per bit of n.  A word of L sets takes at
+    most 2L - 1 calls, and no letter is read.
     """
     if not sets or not n:
         return n
     if 0 in sets:
         return 0
+    if len(sets) == 1:
+        s, count = sets[0], 0
+        while s and n:
+            if s & 1:
+                count += (n + 1) // 2
+            s, n = _PULLBACK[s], n // 2
+        return count
     count = 0
     if not sets[0::2].translate(None, _HOLDING_A):
         count += fixed_point_count(sets[1::2].translate(_PULLBACK), (n + 1) // 2)
@@ -442,9 +453,24 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     return count
 
 
+@lru_cache(maxsize=16)
+def _set_table(letters: str) -> bytes:
+    """Translate table code -> letter set over ``letters``, the empty set for a symbol outside 'abcd'."""
+    return bytes(_BIT.get(letter, 0) for letter in letters).ljust(256, b"\0")
+
+
+def letter_sets(alphabet: Alphabet, codes) -> bytes:
+    """The word of letter sets that ``_masses`` and ``fixed_point_count`` read for ``codes`` over ``alphabet``.
+
+    Each letter of 'abcd' is its own set, any other symbol the empty set.
+    The translate table is built once per alphabet.
+    """
+    return bytes(codes).translate(_set_table(alphabet.letters))
+
+
 def _extension_masses(alphabet: Alphabet, codes) -> tuple:
     """(depth, ``_masses``) of the word ``codes`` spell over ``alphabet``, where only 'abcd' are letters."""
-    sets = bytes(codes).translate(bytes(_BIT.get(letter, 0) for letter in alphabet.letters).ljust(256, b"\0"))
+    sets = letter_sets(alphabet, codes)
     depth = len(sets).bit_length()
     return depth, _masses(sets, depth)
 

@@ -16,6 +16,12 @@
   that falls on a multiple of 2^D: the reference for the desubstitution.
 - ``partial_period_refutation`` is the four-term test at one position, the
   reference for ``partial_period_mask``.
+- ``strided_tail_rigidity`` is the four-term check with every accepted
+  progression copied to the end of the prefix, the reference for the
+  residue-class table of ``check_four_term_rigidity``.
+- ``halving_fixed_point_count`` counts a word of letter sets on the fixed
+  point by splitting it at every level down to the empty word, the
+  reference for the closed-form one-set count of ``fixed_point_count``.
 - ``essential_periods_by_period`` tests one period at a time against every
   position still unresolved, the reference for ``essential_periods``.
 - ``essential_periods_one_pass`` tests the same blocks of periods as
@@ -170,6 +176,42 @@ def partial_period_refutation(prefix, n, p):
         if prefix.at(n + j * p) != prefix.at(n):
             return j
     return None
+
+
+def strided_tail_rigidity(codes, samples):
+    """(accepted, counterexamples, disagreements) of the four-term check on ``codes`` over blocks of (m, p).
+
+    Each accepted progression m, m + p, ... is copied to the end of the
+    prefix, and is a counterexample unless its first letter fills it.
+    """
+    letters = np.frombuffer(codes, dtype=np.uint8)
+    accepted_count = counterexamples = disagreements = 0
+    for m, p in samples:
+        accepted = toeplitz.partial_period_mask(codes, m - 1, p)
+        accepted_count += int(np.count_nonzero(accepted))
+        disagreements += int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
+        tails = (letters[n - 1 :: q].tobytes() for n, q in zip(m[accepted].tolist(), p[accepted].tolist()))
+        counterexamples += sum(tail.count(tail[0]) != len(tail) for tail in tails)
+    return accepted_count, counterexamples, disagreements
+
+
+def halving_fixed_point_count(sets, n):
+    """The starts 0 <= i < n of the fixed point where letter i + j lies in sets[j], halved to the empty word.
+
+    Even starts need sets[0::2] to hold a and count the pullback of
+    sets[1::2] over ceil(n / 2) starts, odd starts the mirror over
+    floor(n / 2); the empty word counts every start.
+    """
+    if not sets or not n:
+        return n
+    if 0 in sets:
+        return 0
+    count = 0
+    if not sets[0::2].translate(None, substitution._HOLDING_A):
+        count += halving_fixed_point_count(sets[1::2].translate(substitution._PULLBACK), (n + 1) // 2)
+    if not sets[1::2].translate(None, substitution._HOLDING_A):
+        count += halving_fixed_point_count(sets[0::2].translate(substitution._PULLBACK), n // 2)
+    return count
 
 
 def essential_periods_by_period(prefix, horizon):

@@ -24,6 +24,9 @@ The straightforward algorithms these replaced stand in for the program here:
 - The occurrence bitsets, and ``bytes.find``, count the words of the fixed
   point that ``substitution.fixed_point_count`` counts by desubstitution:
   the same letters in a prefix with no fixed-point start run the bitsets.
+- ``oracles.halving_fixed_point_count`` splits a word of letter sets down
+  to the empty word at every level, where ``fixed_point_count`` counts a
+  one-set word in closed form.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods;
   ``oracles.essential_periods_one_pass`` tests each block against every
@@ -47,6 +50,7 @@ from odoshift import ergodic, errors, factormap, substitution, toeplitz
 from oracles import (
     essential_periods_by_period,
     essential_periods_one_pass,
+    halving_fixed_point_count,
     iterate,
     occurrence_positions,
     pairwise_spectral_scan,
@@ -626,6 +630,27 @@ def test_fixed_point_count_reads_letter_sets():
         n = rng.randint(0, 3000 - len(sets))
         want = sum(all(s >> codes[i + j] & 1 for j, s in enumerate(sets)) for i in range(n))
         assert substitution.fixed_point_count(sets, n) == want, (sets, n)
+
+
+# starts around every power of two up to 2^62, and past it
+HALVING_STARTS = sorted({0, 1, 10**18, *(n for k in range(63) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
+
+
+def test_fixed_point_count_equals_the_halving_recursion():
+    # every nonempty one-set word, and seeded words of 1 to 12 sets: each holding a factor's
+    # letters, or any sets, the empty one among them
+    rng = random.Random(20261020)
+    codes = grigorchuk_prefix(4096).codes
+    words = [bytes((s,)) for s in range(1, 16)]
+    for _ in range(40):
+        size = rng.randint(1, 12)
+        start = rng.randrange(len(codes) - size)
+        words.append(bytes(1 << code | rng.randrange(16) for code in codes[start : start + size]))
+        words.append(bytes(rng.randrange(16) for _ in range(size)))
+    assert any(0 in sets for sets in words)
+    for sets in words:
+        for n in HALVING_STARTS:
+            assert substitution.fixed_point_count(sets, n) == halving_fixed_point_count(sets, n), (sets, n)
 
 
 def test_counting_the_as_of_10_to_the_18_letters_reads_no_letter():

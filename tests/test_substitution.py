@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 
@@ -290,6 +291,39 @@ class TestClosedForm:
         codes = np.frombuffer(sub.grigorchuk_codes(1 << 14), dtype=np.uint8)
         odd = np.arange(1, (1 << 14) + 1) % 2 == 1
         assert ((codes == ABC.index("a")) == odd).all()
+
+
+class TestFixedPointCountWork:
+    """Calls of ``fixed_point_count``, the recursive ones included."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        count = sub.fixed_point_count
+
+        def counted(sets, n):
+            made.append(sets)
+            return count(sets, n)
+
+        monkeypatch.setattr(sub, "fixed_point_count", counted)
+        return made
+
+    def test_a_one_set_word_takes_one_call(self, calls):
+        # halving b down to the empty word takes calls at each of the 60 bits of 10^18
+        sub.fixed_point_count(b"\x02", 10**18)
+        assert len(calls) == 1
+
+    def test_a_word_of_l_sets_takes_at_most_2l_minus_1_calls(self, calls):
+        # a split gives each half a set, so the calls form a tree with at most L leaves
+        rng = random.Random(20261021)
+        codes = sub.grigorchuk_codes(4096)
+        for _ in range(200):
+            size = rng.randint(1, 14)
+            start = rng.randrange(len(codes) - size)
+            sets = bytes(1 << code | rng.randrange(16) for code in codes[start : start + size])
+            calls.clear()
+            sub.fixed_point_count(sets, rng.choice([rng.randrange(1 << 20), 10**18]))
+            assert len(calls) <= 2 * size - 1, sets
 
 
 def traced_peak(build):

@@ -8,6 +8,7 @@ import pytest
 
 from odoshift import odometer, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
+from oracles import strided_tail_rigidity
 
 PEAK_BYTES = 5 << 19  # 2.5 MiB
 
@@ -39,6 +40,24 @@ def test_blocked_draws_equal_the_one_shot_draws(sizes):
     assert max(len(block_m) for block_m, _ in blocks) <= verification._SAMPLE_BLOCK
     assert np.array_equal(np.concatenate([block_m for block_m, _ in blocks]), m)
     assert np.array_equal(np.concatenate([block_p for _, block_p in blocks]), p)
+
+
+@pytest.mark.parametrize("flips, ok", [((), True), ((4095,), True), ((5000,), False), ((16381,), False),
+                                       ((8191, 12288), False), ((1, 2048, 10000), False)])
+def test_rigidity_reads_the_tails_the_strided_copies_read(flips, ok, monkeypatch):
+    # a flipped letter varies its residue class at every level, so the tails through it are read;
+    # index 4095 is 2^12 - 1 mod 2^t for every t <= 12, and QUICK's tails through it are all rejected
+    length = 1 << QUICK.prefix_log2
+    codes = bytearray(substitution.grigorchuk_codes(length))
+    for i in flips:
+        codes[i] ^= 1
+    prefix = substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, bytes(codes))
+    monkeypatch.setattr(substitution, "grigorchuk_prefix", lambda n: prefix)
+    want = strided_tail_rigidity(prefix.codes, verification.rigidity_samples(length, QUICK.rigidity_samples))
+    result = verification.check_four_term_rigidity(QUICK)
+    assert result.detail == (f"{want[0]} accepted samples, {want[1]} counterexamples,"
+                             f" {want[2]} disagreements with v2(p) > v2(m)")
+    assert result.ok == (want[1:] == (0, 0)) == ok
 
 
 def test_closed_form_counts_a_mismatch_in_every_block(monkeypatch):
