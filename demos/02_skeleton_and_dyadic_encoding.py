@@ -24,7 +24,7 @@ for n in (1, 5, 100):
     print(f"encoding after {n:3d} shifts:  {bits}  (= {n} in binary, LSB first)")
 
 # the encoding of shift n is n mod 2^10, so each shift adds one
-values = verify_equivariance(omega, k=10, shifts=2000).values
+values = verify_equivariance(omega, k=10, shifts=2000)
 print("\nshift acts as +1 on encodings:", values == tuple(n % 1024 for n in range(2001)))
 
 # the fixed point is the one point with three shift preimages

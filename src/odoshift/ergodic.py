@@ -246,7 +246,8 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     on the order of the terms.  The counts come from the occurrence bits:
     up to q = ``_COMB_MAX`` by q masked popcounts, and for a larger q by
     reading each start's position off the bits' text and adding one to its
-    residue.
+    residue.  When q is at least the window no residue class holds two
+    starts, so the text's bytes, one 0 or 1 per start, are the counts.
 
     Each distinct theta is computed once, and the samples follow ``thetas``.
     A request whose terms (the window, plus what each distinct theta's path
@@ -271,8 +272,10 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
         else:
             if starts is None:
                 starts = format(bits, f"0{window}b").encode().translate(_DIGIT_VALUES)
-            counts = [0] * min(q, window)  # past the window no residue class holds two starts
-            for n in compress(range(window), starts):
-                counts[n % q] += 1
+            counts = starts
+            if q < window:
+                counts = [0] * q
+                for n in compress(range(window), starts):
+                    counts[n % q] += 1
         magnitudes[theta] = _phase_sum(counts, p, q) / window
     return [SpectralSample(theta=t, word=word, window=window, magnitude=magnitudes[t]) for t in thetas]

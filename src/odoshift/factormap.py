@@ -5,13 +5,16 @@ odometer: there is a unique continuous map f with f(shift x) = f(x) + 1 and
 f(fixed point) = 0.  The first k dyadic digits of f(x) are computable from
 the first 2^(k+2) letters of x, ``toeplitz.skeleton_window(k)``: they are
 the binary expansion of 2^k - M_k, where M_k is the level-k non-constant
-column of the period skeleton.  ``encode_value`` is that one formula;
+column of the period skeleton.  ``encode_value`` is that one formula, and
+``encode_fG`` and ``classify_fiber`` read f through it alone;
 ``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
 
 The map is injective away from a countable exceptional set: the backward
 orbit of the single point (here the fixed point itself) whose shift
-preimage is not a singleton.  ``classify_fiber`` decides, from a finite
-window, which side of that dichotomy a sequence appears to be on.
+preimage is not a singleton.  A sequence x is on that orbit exactly when
+f(x) = -n for some n >= 0 and the letters of x from n on are the fixed
+point's.  ``classify_fiber`` takes n from the first K digits of f and
+checks every letter it holds from n on.
 """
 
 from __future__ import annotations
@@ -66,11 +69,7 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
     return EncodingResult(value=value, window_used=toeplitz.skeleton_window(k))
 
 
-class EquivarianceReport(NamedTuple):
-    values: tuple  # encoded integers at shifts 0..shifts
-
-
-def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> EquivarianceReport:
+def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> tuple:
     """The k-digit encodings of shifts 0..shifts of ``prefix``, from one skeleton scan.
 
     A shifted window outside the subshift raises NotInSubshiftError naming
@@ -80,8 +79,7 @@ def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> Equivari
     """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    values = tuple((1 << k) - m for m in toeplitz.deepest_columns(prefix.codes, k, shifts))
-    return EquivarianceReport(values=values)
+    return tuple((1 << k) - m for m in toeplitz.deepest_columns(prefix.codes, k, shifts))
 
 
 def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
@@ -107,34 +105,21 @@ class FiberReport(NamedTuple):
 
 
 def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
-    """Decide whether ``prefix`` looks like a Toeplitz point or sits over the exceptional orbit.
+    """Decide whether ``prefix`` is a Toeplitz point or on the backward orbit of the exceptional point.
 
-    The encoded value N_k = 2^k - M_k stabilizing at n means shift^n of the
-    sequence may be the exceptional point (n = 0: the sequence may be that
-    point itself); M_k stabilizing at n means shift^n may map it there from
-    behind (a non-Toeplitz sequence).  The skeleton fixes only the digits
-    of f, and a Toeplitz point shares them, so the index n stands only if
-    the letters from n on are the fixed point's over the rest of the
-    skeleton's window.  Otherwise, or if neither column index settles
-    within the window, the sequence is a Toeplitz point as far as the data
-    can tell.  The preimage test reads ``prefix.left_extensions``, one pass per prefix.
+    x is on that orbit at index n exactly when f(x) = -n and its letters
+    from n on are the fixed point's.  So n = -``encode_value`` mod 2^K is a
+    candidate when n = 0, or when K >= 2 and n <= 2^(K-1) (M_K = M_(K-1)),
+    and it stands only if every letter held from n on is the fixed point's:
+    the digits of f do not tell such a sequence from a Toeplitz point that
+    shares them.  The preimage test then reads ``prefix.left_extensions``.
     """
-    skeleton = toeplitz.period_skeleton(prefix, K)
-    levels = skeleton.levels
-    stabilization_index = None
-    if all(m == 1 << (k + 1) for k, m in enumerate(levels)):
-        # M_k = 2^k throughout: the window may be the exceptional point itself
-        stabilization_index = 0
-    elif skeleton.classification == toeplitz.EVENTUALLY_CONSTANT_MK:
-        stabilization_index = levels[-1]
-    if stabilization_index is not None:
-        rest = skeleton.window_used - stabilization_index
-        omega = substitution.GRIGORCHUK_ALPHABET.decode(substitution.grigorchuk_codes(rest))
-        if prefix.alphabet.decode(prefix.codes[stabilization_index : skeleton.window_used]) != omega:
-            stabilization_index = None
-    classification = TOEPLITZ_POINT if stabilization_index is None else OMEGA_STAR_ORBIT
+    n = -encode_value(prefix.codes, K) % (1 << K)
+    candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
+    if not (candidate and substitution.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
+        n = None
     return FiberReport(
-        classification=classification,
-        stabilization_index=stabilization_index,
+        classification=TOEPLITZ_POINT if n is None else OMEGA_STAR_ORBIT,
+        stabilization_index=n,
         sigma_preimage_letters=sigma_preimage_letters(prefix),
     )

@@ -58,12 +58,15 @@ class Alphabet(Immutable):
             # one byte per letter; so at most 95 distinct symbols, each code below 255
             if not (ch.isascii() and ch.isprintable()):
                 raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable ASCII character")
-        # translate tables letter byte -> code and code -> letter byte, 255 where there is none
+        # translate tables letter byte -> code and code -> letter byte, 255 where there is none,
+        # and code -> the letter set that ``letter_sets`` reads: a, b, c, d as bits 0..3, else empty
         to_letter = letters.encode()
         to_code = bytearray(b"\xff" * 256)
         for code, byte in enumerate(to_letter):
             to_code[byte] = code
-        vars(self).update(letters=letters, _to_code=bytes(to_code), _to_letter=to_letter.ljust(256, b"\xff"))
+        to_set = bytes(1 << "abcd".index(ch) if ch in "abcd" else 0 for ch in letters)
+        vars(self).update(letters=letters, _to_code=bytes(to_code), _to_letter=to_letter.ljust(256, b"\xff"),
+                          _to_set=to_set.ljust(256, b"\0"))
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
@@ -388,6 +391,8 @@ _PULLBACK = bytes(
     for s in range(256)
 )
 _HOLDING_A = bytes(range(1, 256, 2))
+# the nexts of a set's letters: on a one-letter set, the one-letter set of its next
+_NEXT_SET = bytes(sum(_BIT[_NEXT[letter]] for letter in "abcd" if s & _BIT[letter]) for s in range(256))
 # which of a, b, c, d a set holds, as ``compress`` selectors
 _MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
 
@@ -453,19 +458,27 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=16)
-def _set_table(letters: str) -> bytes:
-    """Translate table code -> letter set over ``letters``, the empty set for a symbol outside 'abcd'."""
-    return bytes(_BIT.get(letter, 0) for letter in letters).ljust(256, b"\0")
-
-
 def letter_sets(alphabet: Alphabet, codes) -> bytes:
     """The word of letter sets that ``_masses`` and ``fixed_point_count`` read for ``codes`` over ``alphabet``.
 
     Each letter of 'abcd' is its own set, any other symbol the empty set.
-    The translate table is built once per alphabet.
     """
-    return bytes(codes).translate(_set_table(alphabet.letters))
+    return bytes(codes).translate(alphabet._to_set)
+
+
+def spells_fixed_point(alphabet: Alphabet, codes) -> bool:
+    """Whether the bytes-like ``codes`` spell, over ``alphabet``, the fixed point's first len(codes) letters.
+
+    Letter 2m (0-based) of the fixed point is a and letter 2m + 1 is next of
+    letter m, so each block of ``_CHUNK`` letters from an even i is checked
+    against the block of half as many from i / 2: no copy outgrows a block.
+    """
+    for start in range(0, len(codes), _CHUNK):
+        sets = letter_sets(alphabet, codes[start : start + _CHUNK])
+        half = letter_sets(alphabet, codes[start // 2 : start // 2 + len(sets) // 2])
+        if sets[0::2].translate(None, b"\x01") or sets[1::2] != half.translate(_NEXT_SET):
+            return False
+    return True
 
 
 def _extension_masses(alphabet: Alphabet, codes) -> tuple:

@@ -70,11 +70,7 @@ class EPSet(NamedTuple):
     """Essential partial periods found below a horizon, with witnesses."""
 
     periods: tuple
-    horizon: int
     witnesses: dict  # period -> the first position whose smallest partial period it is
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.witnesses
 
 
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
@@ -125,7 +121,7 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
             kept += len(left)
         size = kept
         p += len(block)
-    return EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
+    return EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 
 class PeriodSkeleton(NamedTuple):
@@ -135,10 +131,6 @@ class PeriodSkeleton(NamedTuple):
     letters: tuple  # l_k for k = 1..K
     classification: str
     window_used: int
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
 
 
 def skeleton_window(K: int) -> int:

@@ -220,7 +220,7 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
 def _shift_values(name: str, k: int, shifts: int) -> CheckResult:
     """Encodings of shifts 0..shifts of the fixed point equal n mod 2^k; the scan steps them by one."""
     prefix = substitution.grigorchuk_prefix(shifts + toeplitz.skeleton_window(k))
-    values = factormap.verify_equivariance(prefix, k, shifts).values
+    values = factormap.verify_equivariance(prefix, k, shifts)
     values_ok = all(v == n % (1 << k) for n, v in enumerate(values))
     return CheckResult(name=name, ok=values_ok, detail=f"{shifts} shifts; values==n mod 2^{k}: {values_ok}")
 

@@ -7,6 +7,9 @@
   reads, since ``sigma_preimage_letters`` reads every letter it is given.
 - ``reconstruct_from_skeleton`` builds a prefix with prescribed
   non-constant columns: the generic Toeplitz points that fiber tests read.
+- ``skeleton_fiber_index`` is the orbit index read off the period skeleton,
+  with the letters checked over the skeleton's window only: the reference
+  for ``classify_fiber`` on a prefix of exactly that window.
 - ``parse_cf`` and ``parse_spec`` read the text forms ``cf_to_text`` and
   ``spec_to_text`` write, so the text forms can be checked by round trip.
 - ``factorized_cf_contains`` is CF-set membership by factorizing n, the
@@ -96,6 +99,27 @@ def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None)
                 break
         out.append(letter)
     return substitution.parse_prefix("".join(out), GRIGORCHUK_ALPHABET)
+
+
+def skeleton_fiber_index(prefix, K):
+    """The index n with shift^n(prefix) the fixed point, as the skeleton tells it; None for a Toeplitz point.
+
+    M_k = 2^k at every level gives n = 0, and M_K = M_(K-1) gives n = M_K;
+    n stands if the letters from n to the end of the skeleton's window
+    decode to the fixed point's.
+    """
+    skeleton = toeplitz.period_skeleton(prefix, K)
+    levels = skeleton.levels
+    index = None
+    if all(m == 1 << (k + 1) for k, m in enumerate(levels)):
+        index = 0
+    elif skeleton.classification == toeplitz.EVENTUALLY_CONSTANT_MK:
+        index = levels[-1]
+    if index is not None:
+        omega = GRIGORCHUK_ALPHABET.decode(substitution.grigorchuk_codes(skeleton.window_used - index))
+        if prefix.alphabet.decode(prefix.codes[index : skeleton.window_used]) != omega:
+            index = None
+    return index
 
 
 def parse_cf(text):
@@ -230,7 +254,7 @@ def essential_periods_by_period(prefix, horizon):
         if ok.any():
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
-    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
+    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 
 def essential_periods_one_pass(prefix, horizon):
@@ -254,7 +278,7 @@ def essential_periods_one_pass(prefix, horizon):
             witnesses[p + j] = int(unresolved[heads[j]]) + 1
         unresolved = unresolved[~ok.any(axis=1)]
         p += len(block)
-    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), horizon=horizon, witnesses=witnesses)
+    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 
 def occurrence_positions(prefix, word, window):

@@ -167,6 +167,13 @@ class TestFiber:
         assert code == 0, err
         assert out == "classification: toeplitz_point\nstabilization_index: -\npreimage_letters: a\n"
 
+    @pytest.mark.parametrize("shift, levels", [(64, 1), (64, 2), (64, 3), (15, 2), (31, 3)])
+    def test_an_index_that_the_letters_held_refute_is_dropped(self, capsys, shift, levels):
+        # the skeleton's window is the fixed point's from the index on, and the letters held past it are not
+        code, out, err = run(capsys, "fiber", "--shift", str(shift), "--levels", str(levels))
+        assert code == 0, err
+        assert out.splitlines()[:2] == ["classification: toeplitz_point", "stabilization_index: -"]
+
     def test_period_doubling_is_outside_the_subshift(self, capsys, tmp_path):
         rules = tmp_path / "period_doubling.txt"
         rules.write_text("a -> ab\nb -> aa\n")

@@ -1,4 +1,9 @@
-"""Each script in demos/ runs to completion: some public names have no other caller."""
+"""Each script in demos/ runs to completion and prints what its golden file holds.
+
+Some public names have no other caller.  A demo's golden file is
+``golden/<demo name>.out``; a change that means to alter a demo's output
+rewrites the file with ``python3 demos/<demo>.py > tests/golden/<demo name>.out``.
+"""
 
 import os
 import subprocess
@@ -9,10 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_demos_exist():
     assert len(DEMOS) == 4
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == [demo.stem for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -23,4 +30,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=30
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_text(encoding="ascii")

@@ -27,6 +27,9 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``oracles.halving_fixed_point_count`` splits a word of letter sets down
   to the empty word at every level, where ``fixed_point_count`` counts a
   one-set word in closed form.
+- ``oracles.skeleton_fiber_index`` reads the orbit index off the period
+  skeleton, where ``classify_fiber`` reads it off ``encode_value``; on a
+  prefix of exactly the skeleton's window the two rules agree.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods;
   ``oracles.essential_periods_one_pass`` tests each block against every
@@ -54,6 +57,8 @@ from oracles import (
     iterate,
     occurrence_positions,
     pairwise_spectral_scan,
+    reconstruct_from_skeleton,
+    skeleton_fiber_index,
 )
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
@@ -247,12 +252,12 @@ def reference_encoding(codes, k, shifts):
 def program_encoding(codes, k, shifts):
     prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, codes)
     try:
-        report = factormap.verify_equivariance(prefix, k, shifts)
+        values = factormap.verify_equivariance(prefix, k, shifts)
     except errors.NotInSubshiftError as exc:
         return str(exc)
     # one residue serves every window, so the values step by one
-    assert all((b - a) % (1 << k) == 1 for a, b in zip(report.values, report.values[1:]))
-    return report.values
+    assert all((b - a) % (1 << k) == 1 for a, b in zip(values, values[1:]))
+    return values
 
 
 CODES = substitution.grigorchuk_codes(1 << 15)
@@ -397,13 +402,75 @@ def test_desubstitution_digits_match_the_skeleton_encoding(k):
     rng = random.Random(300 + k)
     shifts = [*range(200), *rng.sample(range(200, 1 << 16), 60)]
     prefix = grigorchuk_prefix((1 << 16) + (1 << (k + 2)))
-    values = factormap.verify_equivariance(prefix, k, 1 << 16).values
+    values = factormap.verify_equivariance(prefix, k, 1 << 16)
     for n in shifts:
         window = prefix.codes[n : n + (1 << (k + 1))]
         value = desubstitution_value(window, k)
         assert value == values[n] == n % (1 << k), n
         if n % 20 == 0:
             assert factormap.encode_fG(prefix.shifted(n), k).value.value == value, n
+
+
+# ---------------------------------------------------------------------------
+# Fiber classification
+
+FIBER_ALPHABET = Alphabet("abcdx")
+OMEGA_TEXT = grigorchuk_prefix(1 << 20).text
+
+
+def fiber_outcome(classify, prefix, K):
+    """(index, preimage letters) of ``prefix``, or the type and text of the error raised first."""
+    try:
+        return classify(prefix, K)
+    except errors.OdoshiftError as exc:
+        return type(exc), str(exc)
+
+
+def program_fiber(prefix, K):
+    report = factormap.classify_fiber(prefix, K)
+    on_orbit = report.classification == factormap.OMEGA_STAR_ORBIT
+    assert on_orbit == (report.stabilization_index is not None)
+    return report.stabilization_index, report.sigma_preimage_letters
+
+
+def reference_fiber(prefix, K):
+    return skeleton_fiber_index(prefix, K), factormap.sigma_preimage_letters(prefix)
+
+
+def fiber_windows(K, rng):
+    """Texts of at least ``skeleton_window(K)`` letters over 'abcdx': shifts of the fixed point, letters
+    before it, one-letter mutations and reconstructed skeletons."""
+    window = toeplitz.skeleton_window(K)
+    shifts = [*range(300), *rng.sample(range(300, len(OMEGA_TEXT) - window), 20)]
+    texts = [OMEGA_TEXT[n : n + window] for n in shifts]
+    # the letters left of the fixed point in the two-sided points t.omega, t in bcd, read right to left
+    befores = ["b", "c", "d", "ab", "cab", "acab", "x"]
+    for j in {1 << (K - 1), (1 << (K - 1)) + 1, max(1, (1 << (K - 1)) - 1)}:
+        befores += [OMEGA_TEXT[: j - 1][::-1] + t for t in "bcd"]
+    texts += [before + OMEGA_TEXT[:window] for before in befores]
+    for _ in range(4):
+        residues = [rng.randint(1, 2)]
+        while len(residues) < K + 2:
+            residues.append(residues[-1] + rng.randint(0, 1) * (1 << len(residues)))
+        texts.append(reconstruct_from_skeleton(residues, window, tail_letter=rng.choice("bcd")).text)
+    for _ in range(12):
+        text = rng.choice(texts)
+        i = rng.randrange(window)
+        texts.append(text[:i] + rng.choice("abcdx".replace(text[i], "")) + text[i + 1 :])
+    return texts
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_fiber_matches_the_skeleton_rule_on_the_skeleton_window(K):
+    window = toeplitz.skeleton_window(K)
+    outcomes = {"index": 0, "error": 0}
+    for text in fiber_windows(K, random.Random(700 + K)):
+        prefix = parse_prefix(text[:window], FIBER_ALPHABET)
+        reference = fiber_outcome(reference_fiber, prefix, K)
+        assert fiber_outcome(program_fiber, prefix, K) == reference, text[:64]
+        outcomes["index"] += isinstance(reference[0], int)
+        outcomes["error"] += isinstance(reference[0], type)
+    assert outcomes["index"] and outcomes["error"], outcomes
 
 
 # ---------------------------------------------------------------------------

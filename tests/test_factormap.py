@@ -73,12 +73,10 @@ class TestEncode:
 
 class TestEquivariance:
     def test_mod_two_values(self):
-        report = fm.verify_equivariance(OMEGA, 1, 2)
-        assert report.values == (0, 1, 0)
+        assert fm.verify_equivariance(OMEGA, 1, 2) == (0, 1, 0)
 
     def test_long_run(self):
-        report = fm.verify_equivariance(OMEGA, 8, 2000)
-        assert report.values == tuple(n % 256 for n in range(2001))
+        assert fm.verify_equivariance(OMEGA, 8, 2000) == tuple(n % 256 for n in range(2001))
 
     def test_insufficient_data(self):
         with pytest.raises(errors.InsufficientDataError):
@@ -188,6 +186,38 @@ class TestClassifyFiber:
     def test_shifted_point_is_toeplitz(self):
         report = fm.classify_fiber(OMEGA.shifted(3), 10)
         assert report.classification == fm.TOEPLITZ_POINT
+
+    def test_f_is_read_through_the_one_encoder(self, monkeypatch):
+        from odoshift import toeplitz
+
+        calls = []
+
+        def counting(name):
+            original = getattr(toeplitz, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            return counted
+
+        for name in ("period_skeleton", "skeleton_levels_from_codes"):
+            monkeypatch.setattr(toeplitz, name, counting(name))
+        report = fm.classify_fiber(OMEGA, 10)
+        assert report.stabilization_index == 0
+        assert calls == ["skeleton_levels_from_codes"]
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_an_orbit_index_holds_over_every_letter_held(self, K):
+        # as many letters as the fiber command holds after the shift: past the skeleton's window they
+        # refute the index that the window allows at shifts such as 64 at K = 1 and 15 at K = 2
+        omega = grigorchuk_prefix(512 + (1 << 11))
+        for shift in range(1, 513):
+            held = max(1 << (K + 2), fm.default_language_horizon(shift) - 1)
+            prefix = parse_prefix(omega.text[shift : shift + held], GRIGORCHUK_ALPHABET)
+            n = fm.classify_fiber(prefix, K).stabilization_index
+            if n is not None:
+                assert prefix.text[n:] == omega.text[: held - n], (shift, n)
 
 
 class TestReconstruct:

@@ -157,7 +157,7 @@ class TestPeriodSkeleton:
     def test_nesting(self, shift):
         prefix = grigorchuk_prefix((1 << 9) + 256).shifted(shift)
         skel = tp.period_skeleton(prefix, 7)
-        for k in range(1, skel.depth):
+        for k in range(1, len(skel.levels)):
             assert skel.levels[k] % (1 << k) == skel.levels[k - 1] % (1 << k)
 
     def test_window_requirement(self):
