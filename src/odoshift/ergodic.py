@@ -5,12 +5,15 @@ standard library, by one of two paths.  On a prefix of the Grigorchuk
 fixed point, whose ``fixed_point_start`` is set (what ``fixed_point_prefix``
 grows from a under the Grigorchuk rules, and its shifts),
 ``cylinder_frequency`` counts by desubstitution
-(``substitution.fixed_point_count``) and reads no letters.  On any other
-prefix, and for every spectral sum, each letter's positions in the prefix
-form one bit-packed Python int, built on first use and kept on the prefix;
-the starts of a word are the AND of its letters' bitsets, each shifted by
-the letter's offset in the word, and that one kernel serves both the
-counts (``int.bit_count``) and the spectral sums.  The invariant measure of a
+(``substitution.fixed_point_count``), and ``spectral_scan`` takes the
+counts per residue class mod q of every theta up to q = ``_COMB_MAX`` the
+same way (``substitution.fixed_point_residue_counts``): neither reads a
+letter, so the prefix generates none.  On any other prefix, and for a
+larger q, each letter's positions in the prefix form one bit-packed Python
+int, built on first use and kept on the prefix; the starts of a word are
+the AND of its letters' bitsets, each shifted by the letter's offset in
+the word, and that one kernel serves both the counts (``int.bit_count``)
+and the spectral sums.  The invariant measure of a
 cylinder word is an exact rational, computed by desubstitution over
 log2 |w| levels with no cap on the word length
 (``substitution.invariant_measure_cylinder``, re-exported here).  A word
@@ -27,7 +30,13 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
-from .substitution import SymbolicPrefix, fixed_point_count, invariant_measure_cylinder, letter_sets
+from .substitution import (
+    SymbolicPrefix,
+    fixed_point_count,
+    fixed_point_residue_counts,
+    invariant_measure_cylinder,
+    letter_sets,
+)
 
 
 def __getattr__(name):
@@ -197,11 +206,14 @@ class SpectralSample(NamedTuple):
 # 2-vCPU Xeon VM a comb term took about 0.4 us, a start read 40 to 75 ns and a
 # residue summed about 0.35 us, so an admitted request takes at most about
 # 7 s.  For the word a over a window of 2^20, 242 thetas with q from 115 to 128
-# took 6.2 s and ten thetas with q past the window 5.1 s.
+# took 6.2 s and ten thetas with q past the window 5.1 s.  A prefix of the
+# fixed point is charged the same terms, so it is refused exactly where its
+# letters would be, though its counts up to q = 128 take far fewer steps.
 _SPECTRAL_BUDGET = 1 << 24
 # The largest q whose residues are counted by q masked popcounts of the
-# occurrence bits.  Up to 128 that took less time than reading each start,
-# for dense and sparse words at windows of 2^12 to 2^20; past 512 it took more.
+# occurrence bits, or on the fixed point by desubstitution.  Up to 128 the
+# popcounts took less time than reading each start, for dense and sparse words
+# at windows of 2^12 to 2^20; past 512 they took more.
 _COMB_MAX = 128
 
 
@@ -221,6 +233,18 @@ def _comb_counts(bits: int, window: int, q: int) -> list:
         span *= 2
     comb <<= (window - 1) % q  # one bit per start of residue 0 mod q, and some above the window
     return [(bits & (comb >> r)).bit_count() for r in range(q)]
+
+
+def _fixed_point_counts(sets: bytes, start: int, window: int, q: int) -> list:
+    """counts[r]: the starts of the word of ``sets`` in the window from fixed-point index ``start``, r mod q after it.
+
+    The classes are relative to the window, as ``_comb_counts`` indexes
+    them: class r is class (r + start) mod q of the counts up to
+    start + window less those up to start.
+    """
+    upto = fixed_point_residue_counts(sets, start + window, q)
+    before = fixed_point_residue_counts(sets, start, q)
+    return [upto[(r + start) % q] - before[(r + start) % q] for r in range(q)]
 
 
 def _phase_sum(counts, p: int, q: int) -> float:
@@ -243,19 +267,31 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     to zero.  For theta = p/q the occurrences are counted exactly per residue
     of n mod q, and floating point enters only in the sum of at most
     min(q, N) weighted phases, correctly rounded, so results do not depend
-    on the order of the terms.  The counts come from the occurrence bits:
-    up to q = ``_COMB_MAX`` by q masked popcounts, and for a larger q by
-    reading each start's position off the bits' text and adding one to its
-    residue.  When q is at least the window no residue class holds two
-    starts, so the text's bytes, one 0 or 1 per start, are the counts.
+    on the order of the terms.  Up to q = ``_COMB_MAX`` the counts come,
+    on a prefix with a ``fixed_point_start``, from the desubstitution of
+    the fixed point (``_fixed_point_counts``), and on any other from the
+    occurrence bits by q masked popcounts; the two give the same counts, so
+    the same magnitudes bit for bit.  For a larger q each start's position
+    is read off the bits' text and adds one to its residue, on either
+    prefix: the fixed point's letters are generated then.  When q is at
+    least the window no residue class holds two starts, so the text's
+    bytes, one 0 or 1 per start, are the counts.
 
     Each distinct theta is computed once, and the samples follow ``thetas``.
     A request whose terms (the window, plus what each distinct theta's path
     costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
-    with ResourceLimitError before any sum is taken.
+    with ResourceLimitError before any sum is taken.  The terms read the
+    number of starts, which the fixed point counts by ``fixed_point_count``.
     """
-    bits = _occurrence_bits(prefix, _word_codes(prefix, word, window), window)
-    occurrences = bits.bit_count()
+    codes = _word_codes(prefix, word, window)
+    start = prefix.fixed_point_start
+    if start is None:
+        bits = _occurrence_bits(prefix, codes, window)
+        occurrences = bits.bit_count()
+    else:
+        bits = None
+        sets = letter_sets(prefix.alphabet, codes)
+        occurrences = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
     thetas = [Fraction(theta) for theta in thetas]
     magnitudes = dict.fromkeys(thetas)
     work = window + sum(_spectral_work(theta, window, occurrences) for theta in magnitudes)
@@ -267,10 +303,14 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
     for theta in magnitudes:
         p, q = theta.numerator % theta.denominator, theta.denominator
-        if q <= _COMB_MAX:
+        if q <= _COMB_MAX and start is not None:
+            counts = _fixed_point_counts(sets, start, window, q)
+        elif q <= _COMB_MAX:
             counts = _comb_counts(bits, window, q)
         else:
             if starts is None:
+                if bits is None:  # on the fixed point, the first letters read
+                    bits = _occurrence_bits(prefix, codes, window)
                 starts = format(bits, f"0{window}b").encode().translate(_DIGIT_VALUES)
             counts = starts
             if q < window:

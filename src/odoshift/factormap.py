@@ -6,7 +6,9 @@ f(fixed point) = 0.  The first k dyadic digits of f(x) are computable from
 the first 2^(k+2) letters of x, ``toeplitz.skeleton_window(k)``: they are
 the binary expansion of 2^k - M_k, where M_k is the level-k non-constant
 column of the period skeleton.  ``encode_value`` is that one formula, and
-``encode_fG`` and ``classify_fiber`` read f through it alone;
+``encode_fG`` and ``classify_fiber`` read f through it alone; ``encode_fG``
+gives the digits as a ``DyadicInt``, defined here, where the map is, and
+re-exported by ``odometer``.
 ``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
 
 The map is injective away from a countable exceptional set: the backward
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import substitution, toeplitz
-from .errors import InvalidInputError, NotInSubshiftError
+from .errors import Immutable, InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
 
 TOEPLITZ_POINT = "toeplitz_point"
@@ -43,6 +45,23 @@ def default_language_horizon(shift: int) -> int:
     return max(64, (shift & -shift) << 2)
 
 
+class DyadicInt(Immutable):
+    """Residue mod 2^precision approximating a 2-adic integer."""
+
+    _fields = ("value", "precision")
+
+    def __init__(self, value: int, precision: int):
+        if precision < 1:
+            raise InvalidInputError(f"precision must be positive, got {precision}")
+        if not 0 <= value < 1 << precision:
+            raise InvalidInputError(f"value {value} outside 0..2^{precision} - 1")
+        vars(self).update(value=value, precision=precision)
+
+    def to_text(self) -> str:
+        """Binary digits, least significant first."""
+        return format(self.value, f"0{self.precision}b")[::-1]
+
+
 class EncodingResult(NamedTuple):
     """First-k-digit dyadic encoding of a sequence, with its provenance."""
 
@@ -61,8 +80,6 @@ def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
 
     Normalized so the unshifted fixed point encodes to 0.
     """
-    from .odometer import DyadicInt
-
     if k < 1:
         raise InvalidInputError(f"precision k must be positive, got {k}")
     value = DyadicInt(encode_value(prefix.codes, k), k)

@@ -1,4 +1,4 @@
-"""Generalized odometers, truncated dyadic integers, and CF-set algebra.
+"""Generalized odometers and CF-set algebra.
 
 A CF set is the collection of orders of cyclic permutations that arise as
 continuous factors of a transformation.  Such sets are divisor-closed and
@@ -16,6 +16,16 @@ from collections.abc import Mapping
 from .errors import Immutable, InvalidInputError
 
 INFINITY = math.inf
+
+
+def __getattr__(name):
+    # the truncated dyadic integers are the factor map's values, defined in factormap, and
+    # re-exported here when read: encode loads no odometer, and importing odometer loads no factormap
+    if name == "DyadicInt":
+        from .factormap import DyadicInt
+
+        return DyadicInt
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def factorize(n: int) -> dict:
@@ -279,24 +289,3 @@ def odometer_from_cf(cf: CFSet) -> OdometerSpec:
     bases = (finite_part,) if finite_part > 1 else ()
     repeat = (math.prod(sorted(infinite_primes)),) if infinite_primes else ()
     return OdometerSpec(bases=bases, repeat=repeat)
-
-
-# ---------------------------------------------------------------------------
-# Truncated dyadic integers.
-
-
-class DyadicInt(Immutable):
-    """Residue mod 2^precision approximating a 2-adic integer."""
-
-    _fields = ("value", "precision")
-
-    def __init__(self, value: int, precision: int):
-        if precision < 1:
-            raise InvalidInputError(f"precision must be positive, got {precision}")
-        if not 0 <= value < 1 << precision:
-            raise InvalidInputError(f"value {value} outside 0..2^{precision} - 1")
-        vars(self).update(value=value, precision=precision)
-
-    def to_text(self) -> str:
-        """Binary digits, least significant first."""
-        return format(self.value, f"0{self.precision}b")[::-1]

@@ -97,20 +97,22 @@ class Alphabet(Immutable):
 class SymbolicPrefix(Immutable):
     """Finite prefix of a one-sided infinite sequence, positions 1..L.
 
-    Stored only as ``codes``, a read-only memoryview of bytes: codes[i] is the
-    alphabet index at position i+1.  Any contiguous buffer of one byte per
-    item is accepted; it is checked once, here, and not copied.  A shift is
-    a view, and numpy reads the codes through ``np.frombuffer`` without a copy.
-    ``parse_prefix`` builds a prefix from letters, and ``text`` decodes them.
-    Two prefixes are equal only if they are the same object.
+    Its letters are ``codes``, a read-only memoryview of bytes: codes[i] is
+    the alphabet index at position i+1.  Any contiguous buffer of one byte
+    per item is accepted; it is checked once, here, and not copied.  A shift
+    is a view, and numpy reads the codes through ``np.frombuffer`` without a
+    copy.  ``parse_prefix`` builds a prefix from letters, and ``text``
+    decodes them.  Two prefixes are equal only if they are the same object.
 
     ``fixed_point_start`` is the 0-based index in the Grigorchuk fixed point
     of the first letter, when the prefix is known to be that fixed point:
     0 on what ``fixed_point_prefix`` grows from ``a`` under the Grigorchuk
     substitution, n more on its n-fold shift.  Every other prefix, parsed,
     loaded or built from codes, has None, the class's value, and stores
-    nothing for it.  ``ergodic.cylinder_frequency`` counts a word on a
-    prefix with a start by ``fixed_point_count``, reading no letters.
+    nothing for it.  ``ergodic`` counts a word on a prefix with a start by
+    desubstitution, reading no letters, so such a prefix generates its
+    codes only when they are first read: until then it holds their number
+    and how to make them, and its shifts make theirs by making its own.
 
     ``left_extensions``, from one desubstitution pass, and ``_bitsets``, one
     bitset per letter for ``ergodic``, are cached for as long as the prefix
@@ -138,8 +140,16 @@ class SymbolicPrefix(Immutable):
                 raise InvalidInputError(f"code {max(outside)} outside the alphabet {alphabet.letters!r}")
         vars(self).update(alphabet=alphabet, codes=codes.toreadonly())
 
+    @property
+    def codes(self) -> memoryview:
+        """The codes, generated on first read where they are ``_Unread``."""
+        codes = vars(self)["codes"]
+        if isinstance(codes, _Unread):
+            codes = vars(self)["codes"] = codes.read()
+        return codes
+
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(vars(self)["codes"])
 
     def at(self, position: int) -> str:
         """Letter at 1-based position."""
@@ -164,13 +174,28 @@ class SymbolicPrefix(Immutable):
 
     def shifted(self, n: int) -> "SymbolicPrefix":
         """Prefix of the n-fold shift (drop the first n letters): a view, nothing copied or re-checked."""
-        if n < 0 or n >= len(self.codes):
-            raise InvalidInputError(f"shift {n} outside 0..{len(self.codes) - 1}")
+        if n < 0 or n >= len(self):
+            raise InvalidInputError(f"shift {n} outside 0..{len(self) - 1}")
+        codes = vars(self)["codes"]
+        if isinstance(codes, _Unread):  # read through this prefix, so both share one buffer
+            codes = _Unread(len(codes) - n, lambda: self.codes[n:])
+        else:
+            codes = codes[n:]
         view = object.__new__(SymbolicPrefix)
-        vars(view).update(alphabet=self.alphabet, codes=self.codes[n:])
+        vars(view).update(alphabet=self.alphabet, codes=codes)
         if self.fixed_point_start is not None:
             vars(view)["fixed_point_start"] = self.fixed_point_start + n
         return view
+
+
+class _Unread:
+    """Codes not generated yet: ``len`` counts them, and ``read()`` returns them."""
+
+    def __init__(self, length: int, read):
+        self.length, self.read = length, read
+
+    def __len__(self) -> int:
+        return self.length
 
 
 class Substitution(Immutable):
@@ -295,6 +320,10 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     images would hold more than ``length`` letters in all; a rule that long
     makes the sequence grow fast anyway.  Peak memory is a few bytes per
     letter, and the cap is checked before anything is allocated.
+
+    The Grigorchuk fixed point, grown from ``a``, is generated only when its
+    codes are first read: its ``fixed_point_start`` lets counts and spectral
+    sums skip the letters.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -303,6 +332,16 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
             f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2"
         )
     _check_cap(length)
+    if seed == "a" and sub == _GRIGORCHUK_SUB:
+        prefix = object.__new__(SymbolicPrefix)
+        codes = _Unread(length, lambda: _grow(sub, seed, length).toreadonly())
+        vars(prefix).update(alphabet=sub.alphabet, codes=codes, fixed_point_start=0)
+        return prefix
+    return SymbolicPrefix(sub.alphabet, _grow(sub, seed, length))
+
+
+def _grow(sub: Substitution, seed: str, length: int) -> memoryview:
+    """The codes of ``fixed_point_prefix``, in a new buffer."""
     # only letters the seed reaches occur in the fixed point
     images = sub._code_rules(sub._reachable(seed))
     s = sub.alphabet.index(seed)
@@ -316,10 +355,7 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     out[: len(head)] = head
     # out[:head] is the image of out[:1]; the image of out[1:] continues it
     _expand(images, out, 1, len(head), length)
-    prefix = SymbolicPrefix(sub.alphabet, out)
-    if seed == "a" and sub == _GRIGORCHUK_SUB:
-        vars(prefix)["fixed_point_start"] = 0
-    return prefix
+    return out
 
 
 def dyadic_valuation(m: int) -> int:
@@ -385,16 +421,15 @@ def grigorchuk_prefix(length: int) -> SymbolicPrefix:
 
 _BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
 _NEXT = {"a": "c", "c": "b", "b": "d", "d": "c"}  # x_2m = next(x_m)
+# Tables indexed by a set byte.  A set reads only its low four bits, so each
+# table is built for the 16 sets and repeats them up to 256 entries.
 # the letters whose next lies in the set
-_PULLBACK = bytes(
-    sum(_BIT[letter] for letter in "abcd" if s & _BIT[_NEXT[letter]])
-    for s in range(256)
-)
+_PULLBACK = bytes(sum(_BIT[letter] for letter in "abcd" if s & _BIT[_NEXT[letter]]) for s in range(16)) * 16
 _HOLDING_A = bytes(range(1, 256, 2))
 # the nexts of a set's letters: on a one-letter set, the one-letter set of its next
-_NEXT_SET = bytes(sum(_BIT[_NEXT[letter]] for letter in "abcd" if s & _BIT[letter]) for s in range(256))
+_NEXT_SET = bytes(sum(_BIT[_NEXT[letter]] for letter in "abcd" if s & _BIT[letter]) for s in range(16)) * 16
 # which of a, b, c, d a set holds, as ``compress`` selectors
-_MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
+_MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(16)] * 16
 
 
 def _masses(rest: bytes, depth: int) -> tuple:
@@ -456,6 +491,32 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     if not sets[1::2].translate(None, _HOLDING_A):
         count += fixed_point_count(sets[0::2].translate(_PULLBACK), n // 2)
     return count
+
+
+def fixed_point_residue_counts(sets: bytes, n: int, q: int) -> list:
+    """counts[r]: the starts 0 <= i < n, i = r mod q, that ``fixed_point_count`` counts, for every r at once.
+
+    The same parity split carries the class: a start 2m + e in class r puts
+    m in class (r - e) / 2 mod q / 2 when q is even, where only e = r mod 2
+    is possible, and in class (r - e) * 2^-1 mod q when q is odd.  So the
+    two halves' counts interleave (q even) or land at 2t and 2t + 1 mod q
+    (q odd).  An empty word counts every start; a word of L sets over n
+    starts takes O(q (L + log n)) steps, and no letter is read.
+    """
+    if not sets or not n:
+        return [(n + q - 1 - r) // q for r in range(q)]
+    if 0 in sets:
+        return [0] * q
+    half = q if q % 2 else q // 2
+    even = odd = [0] * half
+    if not sets[0::2].translate(None, _HOLDING_A):
+        even = fixed_point_residue_counts(sets[1::2].translate(_PULLBACK), (n + 1) // 2, half)
+    if not sets[1::2].translate(None, _HOLDING_A):
+        odd = fixed_point_residue_counts(sets[0::2].translate(_PULLBACK), n // 2, half)
+    if half < q:
+        return [count for pair in zip(even, odd) for count in pair]
+    inverse = (q + 1) // 2  # of 2 mod q
+    return [even[r * inverse % q] + odd[(r - 1) * inverse % q] for r in range(q)]
 
 
 def letter_sets(alphabet: Alphabet, codes) -> bytes:

@@ -303,19 +303,30 @@ def check_letter_measure(sizes: Sizes) -> CheckResult:
 def check_spectrum(sizes: Sizes) -> CheckResult:
     windows = [1 << (sizes.spectral_window_log2 - 4), 1 << (sizes.spectral_window_log2 - 2),
                1 << sizes.spectral_window_log2]
-    prefix = _untagged_prefix(windows[-1] + len("a") - 1)
-    ok = True
+    # each magnitude twice: by the recursion on the fixed point, and by the bitsets of its letters
+    prefixes = substitution.grigorchuk_prefix(windows[-1]), _untagged_prefix(windows[-1])
+    thetas = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 2))
+    pairs = {
+        (theta, w): [ergodic.spectral_scan(prefix, [theta], "a", w)[0].magnitude for prefix in prefixes]
+        for theta in thetas
+        for w in windows
+    }
+    same = all(tagged == letters for tagged, letters in pairs.values())
+    ok = same
     details = []
-    for theta in (Fraction(1, 3), Fraction(1, 5)):
-        mags = [ergodic.spectral_scan(prefix, [theta], "a", w)[0].magnitude for w in windows]
+    for theta in thetas[:2]:
+        mags = [pairs[theta, w][0] for w in windows]
         decays = mags[0] > mags[1] > mags[2]
         small = mags[-1] <= 1e-2
         ok = ok and decays and small
         details.append(f"theta={theta}: {mags[-1]:.2e} (decays: {decays})")
-    half = ergodic.spectral_scan(prefix, [Fraction(1, 2)], "a", windows[-1])[0].magnitude
-    half_ok = abs(half - 0.5) <= 2**-10
-    ok = ok and half_ok
-    details.append(f"theta=1/2: {half:.6f}")
+    # at theta = 1/2 the sum is the even starts less the odd ones, exactly
+    a = substitution.letter_sets(substitution.GRIGORCHUK_ALPHABET, substitution.GRIGORCHUK_ALPHABET.encode("a"))
+    even, odd = substitution.fixed_point_residue_counts(a, windows[-1], 2)
+    half = Fraction(even - odd, windows[-1])
+    ok = ok and half == Fraction(1, 2)
+    details.append(f"theta=1/2: (even - odd starts)/N = {half}")
+    details.append(f"{len(pairs)} magnitudes equal on both paths: {same}")
     return CheckResult(name="spectral_scan", ok=ok, detail="; ".join(details))
 
 

@@ -745,9 +745,9 @@ class TestStartLoadsOnlyWhatRuns:
             (["measure", "--word", "aca"], set()),
             (["generate", "--length", "16"], set()),
             (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
-            # the factor map builds a DyadicInt only in encode_fG, so odometer stays unloaded
+            # DyadicInt is defined in factormap, so neither command loads odometer
             (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
-            (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap", "odoshift.odometer"}),
+            (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap"}),
             (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic"}),
             (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"], {"odoshift.ergodic"}),
         ],
@@ -812,3 +812,126 @@ class TestStartLoadsOnlyWhatRuns:
             odoshift.no_such_name
         # defined in a submodule, but never exported
         assert not hasattr(odoshift, "factorize")
+
+
+# The stdout of the README's and the benchmark's freq and spectrum commands, and of a few shifted ones,
+# taken when the bitsets counted every one of them: "$ odoshift ARGS" lines, each followed by the stdout
+# of the command.  A change meant to alter them rewrites the file.
+GOLDEN_COUNTS = ROOT / "tests" / "golden" / "freq_and_spectrum.txt"
+
+
+def golden_commands():
+    blocks = GOLDEN_COUNTS.read_text(encoding="ascii").split("$ odoshift ")[1:]
+    return [(shlex.split(command), stdout) for command, _, stdout in (b.partition("\n") for b in blocks)]
+
+
+def plain_cli(*argv, env=()):
+    """``python -m odoshift.cli ARGS`` in a fresh interpreter, with ``env`` added to a clean environment."""
+    environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    environ.pop("ODOSHIFT_MAX_BYTES", None)
+    environ.update(env)
+    return subprocess.run([sys.executable, "-m", "odoshift.cli", *argv], env=environ, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, stdout", golden_commands(), ids=[" ".join(argv) for argv, _ in golden_commands()])
+def test_freq_and_spectrum_print_their_golden_stdout(argv, stdout):
+    proc = plain_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == stdout
+
+
+def test_the_golden_commands_cover_the_readme_and_the_benchmark():
+    argvs = [argv for argv, _ in golden_commands()]
+    readme = [argv for argv, _ in readme_commands() if argv[0] in ("freq", "spectrum")]
+    windows = [["spectrum", "--word", "a", "--window", str(1 << j), "--theta", "1/2", "--theta", "1/3"]
+               for j in range(10, 20)]
+    assert len(readme) == 2 and all(argv in argvs for argv in readme + windows)
+    assert any(argv[0] == "--json" and argv[1] == "freq" for argv in argvs)
+    assert any(argv[0] == "--json" and argv[1] == "spectrum" and "--window" not in argv for argv in argvs)
+
+
+# Report on stderr, at exit, which of the generator's and the bitsets' builders ran.
+REPORT_BUILDERS = (
+    "import atexit, runpy, sys\n"
+    "from odoshift import ergodic, substitution\n"
+    "ran = set()\n"
+    "def probe(module, name):\n"
+    "    original = getattr(module, name)\n"
+    "    setattr(module, name, lambda *args: ran.add(name) or original(*args))\n"
+    "probe(substitution, '_expand')\n"
+    "probe(ergodic, '_plane')\n"
+    "atexit.register(lambda: print('ran:', *sorted(ran), file=sys.stderr))\n"
+    "runpy.run_module('odoshift.cli', run_name='__main__')\n"
+)
+
+
+class TestCountsOnTheFixedPointReadNoLetters:
+    """On generated input, freq and spectrum up to q = 128 count by desubstitution: no letter is generated."""
+
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            (["freq", "--word", "a", "--window", "1048576"], ""),
+            (["freq", "--word", "acab", "--shift", "12345", "--window", "99999"], ""),
+            (["spectrum", "--word", "a", "--theta", "1/2", "--theta", "1/3"], ""),
+            (["spectrum", "--word", "dac", "--shift", "7", "--window", "4096", "--theta", "5/128"], ""),
+            # the probe sees what runs: a theta past q = 128 reads the letters, as generate does
+            (["spectrum", "--word", "a", "--window", "4096", "--theta", "1/129"], " _expand _plane"),
+            (["generate", "--length", "16"], " _expand"),
+        ],
+    )
+    def test_what_a_command_builds(self, argv, ran):
+        proc = fresh(*argv, script=REPORT_BUILDERS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "ran:" + ran
+
+    # exit codes and stderr as they were when the letters were generated first
+    @pytest.mark.parametrize(
+        "env, argv, code, stderr",
+        [
+            ({}, ["freq", "--word", "a", "--window", "1048576", "--length", "1000"], 3,
+             "error: insufficient data: window 1048576 with word length 1 needs prefix length 1048576, have 1000"
+             " (required prefix length: 1048576)"),
+            ({}, ["spectrum", "--word", "a", "--theta", "1/2", "--length", "100"], 3,
+             "error: insufficient data: window 1048576 with word length 1 needs prefix length 1048576, have 100"
+             " (required prefix length: 1048576)"),
+            ({}, ["freq", "--word", "ab", "--window", "100", "--shift", "50", "--length", "120"], 3,
+             "error: insufficient data: window 100 with word length 2 needs prefix length 101, have 70"
+             " (required prefix length: 151)"),
+            ({}, ["freq", "--word", "a", "--window", "100", "--shift", "200", "--length", "150"], 2,
+             "error: shift 200 outside 0..149"),
+            ({}, ["spectrum", "--word", "a", "--theta", "1/2", "--shift=-1"], 2,
+             "error: shift -1 outside 0..1048574"),
+            ({"ODOSHIFT_MAX_BYTES": "1000"}, ["freq", "--word", "a", "--window", "4096"], 2,
+             "error: requested length 4096 exceeds the cap of 1000 bytes"),
+            ({"ODOSHIFT_MAX_BYTES": "1000"}, ["spectrum", "--word", "a", "--window", "4096", "--theta", "1/3"], 2,
+             "error: requested length 4096 exceeds the cap of 1000 bytes"),
+            ({}, ["spectrum", "--word", "a", *(f"--theta=1/{(1 << 20) + k}" for k in range(1, 12))], 2,
+             "error: spectrum of 11 distinct thetas over window 1048576 takes 18350080 terms,"
+             " over the budget of 16777216"),
+            ({}, ["spectrum", "--word", "a", *(f"--theta={k}/128" for k in range(1, 128, 2)),
+                  *(f"--theta={k}/127" for k in range(1, 127)), *(f"--theta={k}/125" for k in range(1, 125) if k % 5)],
+             2, "error: spectrum of 290 distinct thetas over window 1048576 takes 19835904 terms,"
+                " over the budget of 16777216"),
+        ],
+    )
+    def test_errors_keep_their_exit_code_and_message(self, env, argv, code, stderr):
+        proc = plain_cli(*argv, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr + "\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, Linux only")
+    def test_a_long_window_costs_no_more_memory_than_a_measure(self):
+        # freq over 2^27 starts generated 2^27 + 3 letters; now it peaks as measure does, which reads none.
+        # VmHWM is the peak RSS of the interpreter's own memory, where ru_maxrss would start from the
+        # peak of the process that started it
+        report = ("import atexit, re, runpy, sys\n"
+                  "atexit.register(lambda: print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1],\n"
+                  "    file=sys.stderr))\n"
+                  "runpy.run_module('odoshift.cli', run_name='__main__')\n")
+        peaks = {}
+        for argv in (["measure", "--word", "a"], ["freq", "--word", "acab", "--window", "134217728"]):
+            proc = fresh(*argv, script=report)
+            assert proc.returncode == 0, proc.stderr
+            peaks[argv[0]] = int(proc.stderr.splitlines()[-1])
+        assert peaks["freq"] <= peaks["measure"] + 2048, peaks

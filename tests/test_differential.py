@@ -24,6 +24,10 @@ The straightforward algorithms these replaced stand in for the program here:
 - The occurrence bitsets, and ``bytes.find``, count the words of the fixed
   point that ``substitution.fixed_point_count`` counts by desubstitution:
   the same letters in a prefix with no fixed-point start run the bitsets.
+- The comb over the occurrence bits, and ``bytes.find``, count per residue
+  class the starts that ``substitution.fixed_point_residue_counts`` counts
+  by desubstitution, and ``spectral_scan`` gives the same magnitudes, bit
+  for bit, on the fixed point and on its letters in a prefix with no start.
 - ``oracles.halving_fixed_point_count`` splits a word of letter sets down
   to the empty word at every level, where ``fixed_point_count`` counts a
   one-set word in closed form.
@@ -41,6 +45,7 @@ spectral sum, whose terms are grouped differently and so agree to 1e-9, and
 the numpy pairwise sum, whose rounding differs and agrees to 1e-12.
 """
 
+import itertools
 import math
 import random
 import time
@@ -750,6 +755,71 @@ def test_both_count_paths_raise_alike(word, window, length, error):
         assert raised[0][1] == window + len(word) - 1 == raised[2][1]
     else:
         assert raised[2] == raised[0]
+
+
+# q for every word and window: odd, even, powers of two and the comb's limit; four more cycle through 1..128
+RESIDUE_QS = (1, 2, 3, 64, 127, 128)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 7, (1 << 12) - 1, (1 << 12) + 1])
+def test_residue_counts_match_the_comb_and_a_letter_scan(shift):
+    # counts per class mod q of the starts in the window, relative to its start, three ways: by
+    # desubstitution from the fixed-point start, by the comb over the occurrence bits, and by bytes.find
+    omega = grigorchuk_prefix(FIXED_LENGTH)
+    tagged = omega.shifted(shift) if shift else omega
+    plain = untagged(tagged)
+    cycle = itertools.cycle(range(1, 129))
+    for word in fixed_point_words(omega, 20, seed=100 + shift):
+        codes = GRIGORCHUK_ALPHABET.encode(word)
+        sets = substitution.letter_sets(GRIGORCHUK_ALPHABET, codes)
+        for window in FIXED_WINDOWS:
+            positions = occurrence_positions(plain, word, window)
+            bits = ergodic._occurrence_bits(plain, codes, window)
+            for q in (*RESIDUE_QS, *(next(cycle) for _ in range(4))):
+                want = [0] * q
+                for n in positions:
+                    want[n % q] += 1
+                assert ergodic._comb_counts(bits, window, q) == want, (word, window, q)
+                assert ergodic._fixed_point_counts(sets, shift, window, q) == want, (word, window, q)
+
+
+def test_residue_counts_read_letter_sets():
+    # words of letter sets, the empty one among them, each start checked letter by letter
+    rng = random.Random(20261021)
+    codes = grigorchuk_prefix(3000).codes
+    for _ in range(300):
+        sets = bytes(rng.randrange(16) for _ in range(rng.randint(0, 9)))
+        n, q = rng.randint(0, 3000 - len(sets)), rng.randint(1, 128)
+        want = [0] * q
+        for i in range(n):
+            want[i % q] += all(s >> codes[i + j] & 1 for j, s in enumerate(sets))
+        assert substitution.fixed_point_residue_counts(sets, n, q) == want, (sets, n, q)
+
+
+def test_residue_counts_sum_to_the_count():
+    # over starts up to 2^62 and past it, where no letter could be read
+    rng = random.Random(20261022)
+    for sets in (b"\x01", b"\x04", b"\x01\x04\x01\x02", b"\x0f\x05", bytes([1, 8, 1, 4, 1, 2, 1, 4])):
+        for n in rng.sample(HALVING_STARTS, 12):
+            q = rng.randint(1, 128)
+            counts = substitution.fixed_point_residue_counts(sets, n, q)
+            assert len(counts) == q and sum(counts) == substitution.fixed_point_count(sets, n), (sets, n, q)
+
+
+@pytest.mark.parametrize("shift", [0, 1, 7, (1 << 12) - 1, (1 << 12) + 1])
+def test_spectra_on_the_fixed_point_equal_those_of_its_letters(shift):
+    # bit for bit: a theta up to q = 128 counts by desubstitution on the tagged prefix and by the comb on
+    # the letters; past it, and at q >= window, both read the occurrence bits
+    omega = grigorchuk_prefix(FIXED_LENGTH)
+    tagged = omega.shifted(shift) if shift else omega
+    plain = untagged(tagged)
+    for word in fixed_point_words(omega, 6, seed=200 + shift):
+        for window in FIXED_WINDOWS:
+            thetas = [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 8), Fraction(7, 127),
+                      Fraction(3, 128), Fraction(2, 129), Fraction(1, 1000), Fraction(1, window + 1)]
+            tagged_mags = [s.magnitude for s in ergodic.spectral_scan(tagged, thetas, word, window)]
+            assert tagged_mags == [s.magnitude for s in ergodic.spectral_scan(plain, thetas, word, window)], (
+                word, window)
 
 
 # ---------------------------------------------------------------------------

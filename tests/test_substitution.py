@@ -260,6 +260,40 @@ class TestFixedPointPrefix:
         with pytest.raises(errors.ResourceLimitError):
             sub.fixed_point_prefix(TAU, "a", 65)
 
+    def test_the_fixed_point_is_generated_when_its_codes_are_first_read(self, monkeypatch):
+        passes = []
+        expand = sub._expand
+        monkeypatch.setattr(sub, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
+        omega = sub.fixed_point_prefix(TAU, "a", 5000)
+        view = omega.shifted(1000).shifted(7)
+        # the length, the start and a shift's checks read no letter
+        assert (len(omega), len(view), view.fixed_point_start) == (5000, 3993, 1007)
+        with pytest.raises(errors.InvalidInputError, match="shift 3993 outside 0..3992"):
+            view.shifted(3993)
+        assert passes == []
+        # reading the view's codes generates the whole prefix once, and the view is a slice of it
+        assert view.text == sub.GRIGORCHUK_ALPHABET.decode(sub.grigorchuk_codes(5000)[1007:])
+        generated = len(passes)
+        assert generated and np.shares_memory(view.codes, omega.codes) and omega.codes.readonly
+        assert omega.text.startswith("acabacad") and len(passes) == generated
+        assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+
+    def test_other_rules_are_generated_at_once(self, monkeypatch):
+        passes = []
+        expand = sub._expand
+        monkeypatch.setattr(sub, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
+        doubling = sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "aa"})
+        prefix = sub.fixed_point_prefix(doubling, "a", 64)
+        assert passes and isinstance(vars(prefix)["codes"], memoryview)
+
+
+def test_the_set_tables_hold_every_set_byte():
+    # built for the 16 sets of a, b, c, d and repeated: a set byte's high bits name no letter
+    bit, step = sub._BIT, sub._NEXT
+    assert sub._PULLBACK == bytes(sum(bit[x] for x in "abcd" if s & bit[step[x]]) for s in range(256))
+    assert sub._NEXT_SET == bytes(sum(bit[step[x]] for x in "abcd" if s & bit[x]) for s in range(256))
+    assert sub._MEMBERS == [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
+
 
 class TestClosedForm:
     def test_valuation(self):
@@ -342,8 +376,10 @@ class TestMemory:
     LENGTH = 1 << 20
 
     def test_generator_peak(self):
+        # the Grigorchuk fixed point is generated when its codes are read (test_generated_codes_peak):
+        # until then it holds nothing that grows with its length
         peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH))
-        assert peak <= 6 * self.LENGTH
+        assert peak <= 4096
 
     # a -> ab, b -> b squares its rules 14 times, so letters that double
     # would reach the length each: twenty the seed never reaches, or a

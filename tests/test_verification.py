@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import odometer, substitution, toeplitz, verification
+from odoshift import ergodic, odometer, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 from oracles import strided_tail_rigidity
 
@@ -15,9 +15,9 @@ PEAK_BYTES = 5 << 19  # 2.5 MiB
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__)
 def test_check_allocates_at_most_a_fixed_peak(check):
-    # the prefixes are built first: the bound is on what the check itself holds
-    substitution.grigorchuk_prefix(1 << FULL.prefix_log2)
-    substitution.grigorchuk_prefix(1 << FULL.ep_prefix_log2)
+    # the prefixes are built first, their codes generated: the bound is on what the check itself holds
+    substitution.grigorchuk_prefix(1 << FULL.prefix_log2).codes
+    substitution.grigorchuk_prefix(1 << FULL.ep_prefix_log2).codes
     tracemalloc.start()
     try:
         result = check(FULL)
@@ -109,3 +109,12 @@ def test_cf_algebra_names_a_non_member_that_contains_accepts(monkeypatch):
     monkeypatch.setattr(odometer, "cf_contains", lambda cf, n: n == 14 or contains(cf, n))
     result = verification.check_cf_algebra(QUICK)
     assert (result.ok, result.detail) == (False, "non-member 14 accepted")
+
+
+def test_check_spectrum_fails_where_the_two_paths_differ(monkeypatch):
+    # one start too many in class 0 on the fixed point's path only
+    counts = ergodic._fixed_point_counts
+    monkeypatch.setattr(ergodic, "_fixed_point_counts",
+                        lambda *args: [c + (r == 0) for r, c in enumerate(counts(*args))])
+    result = verification.check_spectrum(QUICK)
+    assert not result.ok and result.detail.endswith("9 magnitudes equal on both paths: False")
