@@ -1,53 +1,43 @@
-"""Odometers, supernatural numbers, and factor/conjugacy decisions.
+"""The odometer of the Grigorchuk subshift, and the invariant measure over it.
 
-The orders of cyclic permutation factors of an odometer form a divisor-
-and lcm-closed set, i.e. the divisor set of a supernatural number.  Two
-odometers are continuously conjugate exactly when these sets agree, and
-one factors through the other exactly on containment.
+The essential periods of the fixed point are the powers of two, so the
+divisor- and lcm-closed set they generate, its CF set, is 2^H below a
+horizon 2^H: the CF set of the binary odometer, the maximal equicontinuous
+factor, cut at the horizon.  The factor map f onto it pushes the invariant
+measure mu to Haar measure: rho_j(l, r) = mu([l] and f = r mod 2^j) sums to
+2^-j over the letters l and to mu[l] over the classes r.
 Run: python3 demos/04_odometers_and_cf_sets.py
 """
 
 from odoshift import (
     BINARY_ODOMETER,
-    CFSet,
-    INFINITY,
-    OdometerSpec,
-    OdometerState,
-    PowerFamily,
     cf_closure,
-    cf_equal,
     cf_of_odometer,
     cf_subset,
-    odometer_from_cf,
-    odometer_step,
+    class_measure,
+    essential_periods,
+    grigorchuk_prefix,
 )
-from odoshift.odometer import cf_to_text, odometer_orbit, spec_to_text
-
-spec = OdometerSpec(bases=(2, 3))
-state = OdometerState((0, 0))
-print("orbit of the Z_2 x Z_3 odometer:")
-for s in odometer_orbit(spec, state, 6):
-    print(" ", s.digits)
-print("(period 6, then the carry wraps)")
-
-print("\nstep from the top state (the carry past the truncation is dropped):",
-      odometer_step(OdometerState((1, 2)), spec).digits)
+from odoshift.odometer import cf_to_text
 
 binary = cf_of_odometer(BINARY_ODOMETER)
-print("\nCF of the binary odometer:", cf_to_text(binary))
-print("CF of the Z_6 rotation:   ", cf_to_text(cf_of_odometer(OdometerSpec(bases=(6,)))))
-print("CF of 2,3,2,3,...:        ", cf_to_text(cf_of_odometer(OdometerSpec(repeat=(2, 3)))))
+omega = grigorchuk_prefix(1 << 12)
+print("horizon  essential periods         CF set  factor of", cf_to_text(binary))
+for H in (1, 2, 4, 6):
+    periods = essential_periods(omega, 1 << H).periods
+    cf = cf_closure([1, *periods])
+    print(f"2^{H:<5}  {str(periods):24s}  {cf_to_text(cf):6s}  {cf_subset(cf, binary)}")
 
-powers_of_two = cf_closure([PowerFamily(2)])
-print("\nclosure of {2^k : k >= 1} =", cf_to_text(powers_of_two))
-print("equals CF(binary odometer):", cf_equal(powers_of_two, binary))
+j = 2
+print(f"\nrho_{j}(l, r) = mu([l] and f = r mod 2^{j})")
+print("r    " + "".join(f"{letter:8s}" for letter in "abcd") + "sum")
+rows = [[class_measure(letter, j, r) for letter in "abcd"] for r in range(1 << j)]
+for r, row in enumerate(rows):
+    print(f"{r:<5}" + "".join(f"{str(rho):8s}" for rho in row) + str(sum(row)))
+print(("sum  " + "".join(f"{str(sum(column)):8s}" for column in zip(*rows))).rstrip())
 
-# factor ordering is containment of CF sets
-six = cf_of_odometer(OdometerSpec(bases=(6,)))
-print("Z_6 factors through 2,3,2,3,...:",
-      cf_subset(six, cf_of_odometer(OdometerSpec(repeat=(2, 3)))))
-print("Z_6 factors through binary:     ", cf_subset(six, binary))
-
-rebuilt = odometer_from_cf(CFSet({2: INFINITY, 3: 2}))
-print("\nodometer realizing 2^inf*3^2:", spec_to_text(rebuilt))
-print("round trip:", cf_to_text(cf_of_odometer(rebuilt)))
+# the letters after shift s have all their mass in the class of f = s mod 2^j
+s = 13
+word = omega.text[s : s + 8]
+print(f"\nshift {s}: {word}, mu = {class_measure(word, 0, 0)},",
+      "by class:", [str(class_measure(word, j, r)) for r in range(1 << j)])

@@ -22,6 +22,7 @@ _EXPORTS = {
         "Alphabet",
         "Substitution",
         "SymbolicPrefix",
+        "class_measure",
         "dyadic_valuation",
         "fixed_point_prefix",
         "grigorchuk_codes",
@@ -41,20 +42,17 @@ _EXPORTS = {
     "odometer": (
         "BINARY_ODOMETER",
         "CFSet",
-        "DyadicInt",
         "INFINITY",
         "OdometerSpec",
-        "OdometerState",
         "PowerFamily",
         "cf_closure",
         "cf_contains",
         "cf_equal",
         "cf_of_odometer",
         "cf_subset",
-        "odometer_from_cf",
-        "odometer_step",
     ),
     "factormap": (
+        "DyadicInt",
         "EncodingResult",
         "FiberReport",
         "classify_fiber",

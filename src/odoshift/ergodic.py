@@ -277,7 +277,8 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     least the window no residue class holds two starts, so the text's
     bytes, one 0 or 1 per start, are the counts.
 
-    Each distinct theta is computed once, and the samples follow ``thetas``.
+    Each distinct theta is summed once, over counts taken once per distinct
+    q, and the samples follow ``thetas``.
     A request whose terms (the window, plus what each distinct theta's path
     costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
     with ResourceLimitError before any sum is taken.  The terms read the
@@ -300,9 +301,11 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
             f"spectrum of {len(magnitudes)} distinct thetas over window {window} takes {work} terms,"
             f" over the budget of {_SPECTRAL_BUDGET}"
         )
-    starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
+    by_q = {}  # the counts are taken once per distinct q
     for theta in magnitudes:
-        p, q = theta.numerator % theta.denominator, theta.denominator
+        by_q.setdefault(theta.denominator, []).append(theta)
+    starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
+    for q, group in by_q.items():
         if q <= _COMB_MAX and start is not None:
             counts = _fixed_point_counts(sets, start, window, q)
         elif q <= _COMB_MAX:
@@ -317,5 +320,6 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
                 counts = [0] * q
                 for n in compress(range(window), starts):
                     counts[n % q] += 1
-        magnitudes[theta] = _phase_sum(counts, p, q) / window
+        for theta in group:
+            magnitudes[theta] = _phase_sum(counts, theta.numerator % q, q) / window
     return [SpectralSample(theta=t, word=word, window=window, magnitude=magnitudes[t]) for t in thetas]

@@ -7,8 +7,7 @@ the first 2^(k+2) letters of x, ``toeplitz.skeleton_window(k)``: they are
 the binary expansion of 2^k - M_k, where M_k is the level-k non-constant
 column of the period skeleton.  ``encode_value`` is that one formula, and
 ``encode_fG`` and ``classify_fiber`` read f through it alone; ``encode_fG``
-gives the digits as a ``DyadicInt``, defined here, where the map is, and
-re-exported by ``odometer``.
+gives the digits as a ``DyadicInt``, defined here, where the map is.
 ``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
 
 The map is injective away from a countable exceptional set: the backward
@@ -16,7 +15,9 @@ orbit of the single point (here the fixed point itself) whose shift
 preimage is not a singleton.  A sequence x is on that orbit exactly when
 f(x) = -n for some n >= 0 and the letters of x from n on are the fixed
 point's.  ``classify_fiber`` takes n from the first K digits of f and
-checks every letter it holds from n on.
+checks every letter it holds from n on; on a prefix known to be the fixed
+point shifted n times, only n = 0 is on the orbit, the fixed point being
+aperiodic.
 """
 
 from __future__ import annotations
@@ -129,11 +130,15 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     candidate when n = 0, or when K >= 2 and n <= 2^(K-1) (M_K = M_(K-1)),
     and it stands only if every letter held from n on is the fixed point's:
     the digits of f do not tell such a sequence from a Toeplitz point that
-    shares them.  The preimage test then reads ``prefix.left_extensions``.
+    shares them.  A prefix with a ``fixed_point_start`` is on the orbit only
+    at start 0, since no shift of the aperiodic fixed point is the fixed
+    point.  The preimage test then reads ``prefix.left_extensions``.
     """
     n = -encode_value(prefix.codes, K) % (1 << K)
     candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
-    if not (candidate and substitution.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
+    if prefix.fixed_point_start is not None:
+        n = None if prefix.fixed_point_start else 0
+    elif not (candidate and substitution.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
         n = None
     return FiberReport(
         classification=TOEPLITZ_POINT if n is None else OMEGA_STAR_ORBIT,

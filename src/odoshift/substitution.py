@@ -432,7 +432,7 @@ _NEXT_SET = bytes(sum(_BIT[_NEXT[letter]] for letter in "abcd" if s & _BIT[lette
 _MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(16)] * 16
 
 
-def _masses(rest: bytes, depth: int) -> tuple:
+def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     """14 * 2^depth times mu[l + rest] for each letter l of 'abcd', for len(rest) < 2^depth.
 
     An odd position holds a and the letter at 2m is next(letter at m): the
@@ -442,19 +442,26 @@ def _masses(rest: bytes, depth: int) -> tuple:
     is the sets at even positions pulled back through next, half as long.
     At an odd position l is a and W' comes from rest alone; at an even one
     W' is l's pullback before the rest, so one pass serves all four letters.
+
+    With j > 0 the masses are of [l + rest] and f = r mod 2^j, f the factor
+    map onto the dyadic integers, for depth >= j: bit 0 of r fixes l's
+    position, odd (1-based) when clear, and W' is in class r >> 1 mod 2^(j-1).
     """
     if 0 in rest:
         return 0, 0, 0, 0
-    if not rest:
+    if not rest and not j:
         return 7 << depth, 2 << depth, 4 << depth, 1 << depth  # 14 times 1/2, 1/7, 2/7, 1/14
     a = b = c = d = 0
+    odd = even = True
+    if j:
+        odd, even, r, j = not r & 1, r & 1, r >> 1, j - 1
     # l at an odd position: rest[1::2] sit at odd ones, and W' is the pullback of rest[0::2]
-    head = _PULLBACK[rest[0]]
-    if head and not rest[1::2].translate(None, _HOLDING_A):
-        a = sum(compress(_masses(rest[2::2].translate(_PULLBACK), depth - 1), _MEMBERS[head]))
+    head = _PULLBACK[rest[0]] if rest else 15
+    if odd and head and not rest[1::2].translate(None, _HOLDING_A):
+        a = sum(compress(_masses(rest[2::2].translate(_PULLBACK), depth - 1, r, j), _MEMBERS[head]))
     # l at an even position: rest[0::2] sit at odd ones, and W' is the pullback of l + rest[1::2]
-    if not rest[0::2].translate(None, _HOLDING_A):
-        back_a, back_b, back_c, back_d = _masses(rest[1::2].translate(_PULLBACK), depth - 1)
+    if even and not rest[0::2].translate(None, _HOLDING_A):
+        back_a, back_b, back_c, back_d = _masses(rest[1::2].translate(_PULLBACK), depth - 1, r, j)
         b, c, d = back_c, back_a + back_d, back_b  # next(c) = b, next(a) = next(d) = c, next(b) = d
     return a, b, c, d
 
@@ -577,6 +584,17 @@ def invariant_measure_cylinder(word: str) -> Fraction:
     package's language test.
     """
     return codes_measure(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))
+
+
+def class_measure(word: str, j: int, r: int) -> Fraction:
+    """rho_j(word, r) = mu([word] and f = r mod 2^j), f the factor map: ``_masses`` with r's j digits fixed."""
+    from fractions import Fraction
+
+    sets = letter_sets(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))
+    if not sets or j < 0:
+        raise InvalidInputError(f"need a nonempty word and j >= 0, got {word!r} and {j}")
+    depth = max(j, len(sets).bit_length())
+    return Fraction(_masses(sets[1:], depth, r, j)[sets[0].bit_length() - 1], 14 << depth)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ subcommand and the acceptance gate (tests/test_acceptance.py, at ``full``)
 both run ``ALL_CHECKS`` through ``run_check``, which also times each one
 and reads the process's peak RSS after it.  The checks that read a whole
 prefix work on it in fixed-size blocks, so their temporaries do not grow
-with the sizes.
+with the sizes.  The odometer claim reads the essential periods from the
+scan of the periods' check, kept per ``Sizes``; the eigenfunction claim
+reads the invariant measure's halving with the factor map's digits fixed.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import resource
 import time
@@ -46,10 +47,8 @@ class Sizes(NamedTuple):
     fiber_shifts: int
     measure_window_log2: int
     spectral_window_log2: int
-    eigen_precision: int
-    eigen_shifts: int
-    cf_samples: int
-    orbit_precision: int
+    eigen_depth: int
+    eigen_windows: int
 
 
 FULL = Sizes(
@@ -63,10 +62,8 @@ FULL = Sizes(
     fiber_shifts=100,
     measure_window_log2=20,
     spectral_window_log2=20,
-    eigen_precision=10,
-    eigen_shifts=10_000,
-    cf_samples=1000,
-    orbit_precision=12,
+    eigen_depth=10,
+    eigen_windows=200,
 )
 
 QUICK = Sizes(
@@ -80,10 +77,8 @@ QUICK = Sizes(
     fiber_shifts=20,
     measure_window_log2=14,
     spectral_window_log2=14,
-    eigen_precision=6,
-    eigen_shifts=200,
-    cf_samples=100,
-    orbit_precision=8,
+    eigen_depth=6,
+    eigen_windows=60,
 )
 
 
@@ -105,10 +100,15 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
     )
 
 
-def check_essential_periods(sizes: Sizes) -> CheckResult:
+@lru_cache(maxsize=1)
+def _essential_periods(sizes: Sizes) -> toeplitz.EPSet:
+    """The essential periods up to the horizon: one scan, which two checks read."""
     prefix = substitution.grigorchuk_prefix(1 << sizes.ep_prefix_log2)
-    horizon = 1 << sizes.ep_horizon_log2
-    ep = toeplitz.essential_periods(prefix, horizon)
+    return toeplitz.essential_periods(prefix, 1 << sizes.ep_horizon_log2)
+
+
+def check_essential_periods(sizes: Sizes) -> CheckResult:
+    ep = _essential_periods(sizes)
     expected = tuple(1 << k for k in range(1, sizes.ep_horizon_log2 + 1))
     # the smallest partial period of n is 2^(v2(n)+1), so the first position with
     # smallest period 2^k is 2^(k-1)
@@ -217,17 +217,16 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     )
 
 
-def _shift_values(name: str, k: int, shifts: int) -> CheckResult:
-    """Encodings of shifts 0..shifts of the fixed point equal n mod 2^k; the scan steps them by one."""
+def check_equivariance(sizes: Sizes) -> CheckResult:
+    # the encodings of shifts 0..shifts of the fixed point equal n mod 2^k; the scan steps them by one
+    k, shifts = sizes.equivariance_precision, sizes.equivariance_shifts
     prefix = substitution.grigorchuk_prefix(shifts + toeplitz.skeleton_window(k))
     values = factormap.verify_equivariance(prefix, k, shifts)
     values_ok = all(v == n % (1 << k) for n, v in enumerate(values))
-    return CheckResult(name=name, ok=values_ok, detail=f"{shifts} shifts; values==n mod 2^{k}: {values_ok}")
-
-
-def check_equivariance(sizes: Sizes) -> CheckResult:
-    return _shift_values(
-        "equivariance_and_shift_values", sizes.equivariance_precision, sizes.equivariance_shifts
+    return CheckResult(
+        name="equivariance_and_shift_values",
+        ok=values_ok,
+        detail=f"{shifts} shifts; values==n mod 2^{k}: {values_ok}",
     )
 
 
@@ -330,68 +329,49 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
     return CheckResult(name="spectral_scan", ok=ok, detail="; ".join(details))
 
 
+_EIGEN_SEED = 20261019
+
+
 def check_eigenfunction(sizes: Sizes) -> CheckResult:
-    # phi(shift^n x) = exp(2 pi i r_n / 2^k) with r_n the k-digit encoding: the eigenvalue
-    # relation r_(n+1) = r_n + 1 mod 2^k holds as r_n = n mod 2^k on the fixed point
-    return _shift_values("eigenfunction_equivariance", sizes.eigen_precision, sizes.eigen_shifts)
-
-
-_CF_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _random_cf(rng: random.Random) -> odometer.CFSet:
-    exponents = {}
-    for p in rng.sample(_CF_PRIMES, rng.randint(0, 4)):
-        exponents[p] = odometer.INFINITY if rng.random() < 0.3 else rng.randint(1, 6)
-    return odometer.CFSet(exponents)
+    # rho_j(l, r) = mu([l] and f = r mod 2^j) at j = J, from the masses of the empty word after l:
+    # f pushes mu to Haar measure, 2^-J a class, and the classes of l sum to mu[l]
+    J = sizes.eigen_depth
+    table = [substitution._masses(b"", J, r, J) for r in range(1 << J)]
+    haar = all(sum(masses) == 14 for masses in table)
+    marginals = [sum(column) for column in zip(*table)] == [7 << J, 2 << J, 4 << J, 1 << J]
+    # the 2^(j+1) letters after shift s of the fixed point have all their mass in the class of f = s
+    prefix = substitution.grigorchuk_prefix(1 << sizes.prefix_log2)
+    rng = random.Random(_EIGEN_SEED)
+    misplaced = 0
+    for i in range(sizes.eigen_windows):
+        j = 1 + i % J
+        s = rng.randrange(len(prefix) - (2 << j))
+        word = prefix.alphabet.decode(prefix.codes[s : s + (2 << j)])
+        mu = substitution.invariant_measure_cylinder(word)
+        misplaced += substitution.class_measure(word, j, s % (1 << j)) != mu
+    return CheckResult(
+        name="eigenfunction_haar_classes",
+        ok=haar and marginals and not misplaced,
+        detail=f"classes mod 2^{J} of measure 2^-{J}: {haar}; sum to mu[l]: {marginals};"
+        f" {misplaced} of {sizes.eigen_windows} windows outside the class of their shift",
+    )
 
 
 def check_cf_algebra(sizes: Sizes) -> CheckResult:
-    rng = random.Random(7)
-    for _ in range(sizes.cf_samples):
-        cf = _random_cf(rng)
-        if not odometer.cf_contains(cf, 1):
-            return CheckResult("odometer_cf_algebra", False, "1 not a member")
-        members = odometer.cf_members(cf, 200)
-        rejected = next((n for n in members if not odometer.cf_contains(cf, n)), None)
-        if rejected is not None:
-            return CheckResult("odometer_cf_algebra", False, f"listed member {rejected} rejected")
-        # a member times a prime of the sets is rejected when it is not listed
-        listed = set(members)
-        outside = (n * p for n in members for p in _CF_PRIMES if n * p < 200 and n * p not in listed)
-        accepted = next((m for m in outside if odometer.cf_contains(cf, m)), None)
-        if accepted is not None:
-            return CheckResult("odometer_cf_algebra", False, f"non-member {accepted} accepted")
-        for n in rng.sample(members, min(4, len(members))):
-            for d in range(1, n + 1):
-                if n % d == 0 and not odometer.cf_contains(cf, d):
-                    return CheckResult("odometer_cf_algebra", False, f"divisor {d} of {n} missing")
-        if len(members) >= 2:
-            x, y = rng.sample(members, 2)
-            lcm = x * y // math.gcd(x, y)
-            if not odometer.cf_contains(cf, lcm):
-                return CheckResult("odometer_cf_algebra", False, f"lcm({x},{y}) missing")
-        back = odometer.cf_of_odometer(odometer.odometer_from_cf(cf))
-        if not odometer.cf_equal(back, cf):
-            return CheckResult("odometer_cf_algebra", False, f"round trip broke on {cf.exponents}")
-    # binary odometer orbit: full cycle, exact cylinder frequencies
-    K = sizes.orbit_precision
-    spec = odometer.BINARY_ODOMETER
-    state = odometer.OdometerState((0,) * K)
-    values = np.array(
-        [sum(b << i for i, b in enumerate(s.digits)) for s in odometer.odometer_orbit(spec, state, (1 << K) - 1)]
-    )
-    seen = set(values.tolist())
-    orbit_ok = len(seen) == 1 << K and np.bincount(values).max() == 1
-    # depth-k cylinder frequencies over the full cycle are exactly 2^-k:
-    # each residue mod 2^k is visited 2^(K-k) times
-    freq_ok = all(
-        (np.bincount(values % (1 << k), minlength=1 << k) == 1 << (K - k)).all() for k in range(1, K + 1)
-    )
+    # the CF set of the essential periods is 2^H below the horizon 2^H: that of the binary odometer,
+    # the maximal equicontinuous factor, up to the horizon
+    H = sizes.ep_horizon_log2
+    cf = odometer.cf_closure([1, *_essential_periods(sizes).periods])
+    binary = odometer.cf_of_odometer(odometer.BINARY_ODOMETER)
+    exact = odometer.cf_equal(cf, odometer.CFSet({2: H}))
+    factor = odometer.cf_subset(cf, binary)
+    members = range(1, (1 << H) + 1)
+    agree = all(odometer.cf_contains(cf, n) == odometer.cf_contains(binary, n) for n in members)
     return CheckResult(
-        name="odometer_cf_algebra",
-        ok=orbit_ok and freq_ok,
-        detail=f"orbit covers {len(seen)}/{1 << K} states; cylinder frequencies exact: {freq_ok}",
+        name="odometer_of_the_periods",
+        ok=exact and factor and agree,
+        detail=f"CF of the periods {odometer.cf_to_text(cf)} == 2^{H}: {exact};"
+        f" a factor of {odometer.cf_to_text(binary)}: {factor}; members n <= 2^{H} agree: {agree}",
     )
 
 

@@ -10,13 +10,16 @@
 - ``skeleton_fiber_index`` is the orbit index read off the period skeleton,
   with the letters checked over the skeleton's window only: the reference
   for ``classify_fiber`` on a prefix of exactly that window.
-- ``parse_cf`` and ``parse_spec`` read the text forms ``cf_to_text`` and
-  ``spec_to_text`` write, so the text forms can be checked by round trip.
+- ``parse_cf`` reads the text form ``cf_to_text`` writes, so the text
+  form can be checked by round trip.
 - ``factorized_cf_contains`` is CF-set membership by factorizing n, the
   reference for ``cf_contains``.
 - ``residue_class_measure`` is the exact measure by sorting start positions
   into residue classes mod 2^D, with ``tail_density`` for the one offset
   that falls on a multiple of 2^D: the reference for the desubstitution.
+- ``class_measure_by_parity`` is mu([w] and f = r mod 2^j) by the parity
+  recursion over Fractions on sets of letters, the reference for
+  ``class_measure`` and the digits of ``_masses``.
 - ``partial_period_refutation`` is the four-term test at one position, the
   reference for ``partial_period_mask``.
 - ``strided_tail_rigidity`` is the four-term check with every accepted
@@ -134,22 +137,41 @@ def parse_cf(text):
     return odometer.CFSet(exponents)
 
 
-def parse_spec(text):
-    """Odometer spec from the text ``spec_to_text`` writes; a trailing '...' repeats the last factor."""
-    text = text.strip()
-    if text == "1":
-        return odometer.OdometerSpec()
-    items = [t.strip() for t in text.split(",")]
-    repeat = ()
-    if items[-1] == "...":
-        items.pop()
-        repeat = (int(items.pop()),)
-    return odometer.OdometerSpec(bases=tuple(int(t) for t in items), repeat=repeat)
-
-
 def factorized_cf_contains(cf, n):
     """Reference membership: every prime power of n fits under the exponent map."""
     return all(e <= cf.exponent(p) for p, e in odometer.factorize(n).items())
+
+
+_NEXT = {"a": "c", "b": "d", "c": "b", "d": "c"}  # letter 2m + 1 is next of letter m (0-based)
+_LETTER_MEASURE = {"a": Fraction(1, 2), "b": Fraction(1, 7), "c": Fraction(2, 7), "d": Fraction(1, 14)}
+
+
+def class_measure_by_parity(word, j, r):
+    """mu([word] and f = r mod 2^j), f the factor map, as a Fraction.
+
+    A start s = 2m + e of the fixed point (0-based) puts a at the letters
+    i = e mod 2 of the word and next of letter m + t at letter 2t + 1 - e.
+    So the word starts at s exactly when those letters may be a and the
+    pullbacks of the others start at m, which is in class r >> 1 when s is
+    in class r; while j > 0 the parity e is r mod 2.  Each start parity
+    carries half the measure.
+    """
+    return _class_measure_of_sets([{letter} for letter in word], j, r)
+
+
+def _class_measure_of_sets(sets, j, r):
+    if not all(sets):
+        return Fraction(0)
+    if not sets:
+        return Fraction(1, 1 << j)
+    if len(sets) == 1 and not j:
+        return sum((_LETTER_MEASURE[letter] for letter in sets[0]), Fraction(0))
+    total = Fraction(0)
+    for e in (r & 1,) if j else (0, 1):
+        if all("a" in s for s in sets[e::2]):
+            pulled = [{letter for letter in "abcd" if _NEXT[letter] in s} for s in sets[1 - e :: 2]]
+            total += _class_measure_of_sets(pulled, max(j - 1, 0), r >> 1) / 2
+    return total
 
 
 def tail_density(target, D):

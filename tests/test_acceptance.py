@@ -25,13 +25,15 @@ GATE_TESTS = {
 }
 
 # seconds, prefix generation included
-TIME_LIMITS = {"check_closed_form": 5.0, "check_essential_periods": 30.0}
+TIME_LIMITS = {"check_closed_form": 5.0, "check_essential_periods": 30.0, "check_eigenfunction": 2.0,
+               "check_cf_algebra": 2.0}
 
 
 def gate_test(number, check):
     def test():
-        # the limits cover generating the prefix, so none may be cached
+        # the limits cover generating the prefix and scanning it, so neither may be cached
         substitution.grigorchuk_prefix.cache_clear()
+        verification._essential_periods.cache_clear()
         result = verification.run_check(check, FULL)
         assert result.ok, result.detail
         limit = TIME_LIMITS.get(check.__name__)

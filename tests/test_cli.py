@@ -167,6 +167,14 @@ class TestFiber:
         assert code == 0, err
         assert out == "classification: toeplitz_point\nstabilization_index: -\npreimage_letters: a\n"
 
+    @pytest.mark.parametrize("shift, levels", [(3590, 10), (1048574, 12)])
+    def test_no_shift_of_the_generated_fixed_point_is_on_its_orbit(self, capsys, shift, levels):
+        # the letters held after these shifts are the fixed point's from an index on, but the fixed
+        # point is aperiodic: the prefix's fixed-point start decides
+        code, out, err = run(capsys, "fiber", "--shift", str(shift), "--levels", str(levels))
+        assert code == 0, err
+        assert out == "classification: toeplitz_point\nstabilization_index: -\npreimage_letters: c\n"
+
     @pytest.mark.parametrize("shift, levels", [(64, 1), (64, 2), (64, 3), (15, 2), (31, 3)])
     def test_an_index_that_the_letters_held_refute_is_dropped(self, capsys, shift, levels):
         # the skeleton's window is the fixed point's from the index on, and the letters held past it are not
@@ -718,19 +726,18 @@ class TestOneBlasThread:
         assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
-# The submodules the package namespace has always bound, and the names it exported from each.
+# The submodules the package namespace binds, and the names it exports from each.
 EXPORTED = {
     "errors": ["InsufficientDataError", "InvalidInputError", "NotInSubshiftError", "OdoshiftError",
                "ResourceLimitError"],
-    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "dyadic_valuation", "fixed_point_prefix",
-                     "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix", "grigorchuk_substitution",
-                     "validate_prolongable"],
+    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "class_measure", "dyadic_valuation",
+                     "fixed_point_prefix", "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix",
+                     "grigorchuk_substitution", "validate_prolongable"],
     "toeplitz": ["EPSet", "PeriodSkeleton", "essential_periods", "period_skeleton", "smallest_partial_period"],
-    "odometer": ["BINARY_ODOMETER", "CFSet", "DyadicInt", "INFINITY", "OdometerSpec", "OdometerState",
-                 "PowerFamily", "cf_closure", "cf_contains", "cf_equal", "cf_of_odometer", "cf_subset",
-                 "odometer_from_cf", "odometer_step"],
-    "factormap": ["EncodingResult", "FiberReport", "classify_fiber", "encode_fG", "sigma_preimage_letters",
-                  "verify_equivariance"],
+    "odometer": ["BINARY_ODOMETER", "CFSet", "INFINITY", "OdometerSpec", "PowerFamily", "cf_closure",
+                 "cf_contains", "cf_equal", "cf_of_odometer", "cf_subset"],
+    "factormap": ["DyadicInt", "EncodingResult", "FiberReport", "classify_fiber", "encode_fG",
+                  "sigma_preimage_letters", "verify_equivariance"],
     "ergodic": ["FrequencyEstimate", "SpectralSample", "cylinder_frequency", "invariant_measure_cylinder",
                 "spectral_scan", "uniform_distribution_report"],
 }

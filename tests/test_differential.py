@@ -39,6 +39,9 @@ The straightforward algorithms these replaced stand in for the program here:
   ``oracles.essential_periods_one_pass`` tests each block against every
   unresolved position at once, where ``essential_periods`` cuts them into
   row slices.
+- ``oracles.class_measure_by_parity`` runs the parity recursion of the
+  measure of a word in a class of the factor map over Fractions on sets of
+  letters, where ``class_measure`` fixes the digits inside ``_masses``.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
 spectral sum, whose terms are grouped differently and so agree to 1e-9, and
@@ -56,6 +59,7 @@ import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
 from oracles import (
+    class_measure_by_parity,
     essential_periods_by_period,
     essential_periods_one_pass,
     halving_fixed_point_count,
@@ -885,3 +889,20 @@ def one_pass_cases():
 @pytest.mark.parametrize("prefix, horizon", one_pass_cases())
 def test_row_slices_match_the_one_pass_blocks(prefix, horizon):
     assert toeplitz.essential_periods(prefix, horizon) == essential_periods_one_pass(prefix, horizon)
+
+
+# ---------------------------------------------------------------------------
+# The measure of a word in a class of the factor map
+
+
+@pytest.mark.parametrize("j", range(7))
+def test_class_measure_matches_the_fraction_recursion(j):
+    # the letters, words outside the language, and factors of 2 to 40 letters at seeded shifts
+    rng = random.Random(j)
+    text = grigorchuk_prefix(1 << 12).text
+    spans = [(rng.randrange(4000), rng.randrange(2, 41)) for _ in range(20)]
+    words = [*"abcd", "aa", "bc", "acabaca", *(text[s : s + n] for s, n in spans)]
+    for word in words:
+        rhos = [substitution.class_measure(word, j, r) for r in range(1 << j)]
+        assert rhos == [class_measure_by_parity(word, j, r) for r in range(1 << j)], word
+        assert sum(rhos) == substitution.invariant_measure_cylinder(word), word

@@ -2,6 +2,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from odoshift import ergodic as erg
 from odoshift import errors
@@ -9,6 +11,7 @@ from odoshift.factormap import verify_equivariance
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     SymbolicPrefix,
+    class_measure,
     fixed_point_prefix,
     grigorchuk_letter,
     grigorchuk_prefix,
@@ -17,6 +20,7 @@ from odoshift.substitution import (
 )
 
 OMEGA = grigorchuk_prefix(1 << 18)
+OMEGA_TEXT = grigorchuk_prefix(1 << 12).text
 
 
 def untagged(prefix):
@@ -160,6 +164,21 @@ class TestInvariantMeasure:
         assert erg.invariant_measure_cylinder("a" * 25) == 0
 
 
+class TestClassMeasure:
+    """rho_j(w, r) = mu([w] and f = r mod 2^j), f the factor map onto the dyadic integers."""
+
+    def test_validation(self):
+        for word, j in (("", 2), ("a", -1), ("ax", 1)):
+            with pytest.raises(errors.InvalidInputError):
+                class_measure(word, j, 0)
+
+    @given(start=st.integers(0, 4000), length=st.integers(1, 40), j=st.integers(0, 8), r=st.integers(0, 255))
+    def test_a_class_splits_into_its_two_children(self, start, length, j, r):
+        word = OMEGA_TEXT[start : start + length]
+        r %= 1 << j
+        assert class_measure(word, j, r) == class_measure(word, j + 1, r) + class_measure(word, j + 1, r + (1 << j))
+
+
 class TestUniformDistribution:
     def test_depth_one(self):
         report = erg.uniform_distribution_report(OMEGA, 1, 1 << 16)
@@ -242,6 +261,19 @@ class TestSpectralScan:
                                               Fraction(1, 3)]
         alone = {t: erg.spectral_scan(OMEGA, [t], "a", 1 << 12)[0].magnitude for t in (Fraction(1, 3), Fraction(1, 2))}
         assert [s.magnitude for s in samples] == [alone[s.theta] for s in samples]
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["fixed_point", "letters"])
+    def test_counts_are_taken_once_per_distinct_q(self, monkeypatch, tagged):
+        # 66 thetas over two denominators: two counts, and each magnitude is the theta's own
+        name = "_fixed_point_counts" if tagged else "_comb_counts"
+        counts, calls = getattr(erg, name), []
+        monkeypatch.setattr(erg, name, lambda *args: calls.append(args[-1]) or counts(*args))
+        prefix = OMEGA if tagged else untagged(OMEGA)
+        thetas = [Fraction(k, 128) for k in range(1, 128, 2)] + [Fraction(1, 3), Fraction(2, 3)]
+        samples = erg.spectral_scan(prefix, thetas, "a", 1 << 16)
+        assert sorted(calls) == [3, 128]
+        alone = [erg.spectral_scan(prefix, [t], "a", 1 << 16)[0].magnitude for t in thetas]
+        assert [s.magnitude for s in samples] == alone
 
     def test_work_over_the_budget_is_refused(self, monkeypatch):
         # the window once, then q * ceil(window / 2048) for a comb theta and the window plus

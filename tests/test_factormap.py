@@ -7,6 +7,7 @@ from odoshift import factormap as fm
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
+    SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
     parse_prefix,
@@ -27,6 +28,30 @@ def _moving_residues(depth):
 
 def word(text):
     return parse_prefix(text, GRIGORCHUK_ALPHABET)
+
+
+class TestDyadicInt:
+    def test_add_one_examples(self):
+        # adding one to a truncated dyadic integer carries from the least significant digit
+        for bits, after in (("000", "100"), ("111", "000"), ("110", "001")):
+            x = fm.DyadicInt(int(bits[::-1], 2), len(bits))
+            assert fm.DyadicInt((x.value + 1) % (1 << x.precision), x.precision).to_text() == after
+
+    def test_text_is_lsb_first(self):
+        assert fm.DyadicInt(5, 8).to_text() == "10100000"
+
+    @given(value=st.integers(min_value=0, max_value=10_000), precision=st.integers(min_value=1, max_value=16))
+    def test_from_int_round_trip(self, value, precision):
+        x = fm.DyadicInt(value % (1 << precision), precision)
+        assert x.precision == precision
+        assert len(x.to_text()) == precision
+        assert int(x.to_text()[::-1], 2) == x.value == value % (1 << precision)
+
+    def test_rejects_non_bits(self):
+        # a value needing more than ``precision`` bits, a negative value, no bits at all
+        for value, precision in ((4, 2), (-1, 3), (0, 0)):
+            with pytest.raises(errors.InvalidInputError):
+                fm.DyadicInt(value, precision)
 
 
 class TestEncode:
@@ -206,6 +231,29 @@ class TestClassifyFiber:
         report = fm.classify_fiber(OMEGA, 10)
         assert report.stabilization_index == 0
         assert calls == ["skeleton_levels_from_codes"]
+
+    @pytest.mark.parametrize("K", [2, 6, 10])
+    def test_the_tag_and_the_letters_agree_where_the_letters_refute_the_orbit(self, K):
+        # as many letters as the fiber command holds after the shift, with no fixed-point start: they
+        # cannot refute an index after which they are the fixed point's, as after 3590 at K = 10
+        omega = grigorchuk_prefix(1 << 13)
+        disagree = 0
+        for shift in range(1, 4097):
+            held = max(1 << (K + 2), fm.default_language_horizon(shift) - 1)
+            tagged = fm.classify_fiber(omega.shifted(shift), K)
+            letters = fm.classify_fiber(SymbolicPrefix(GRIGORCHUK_ALPHABET, omega.codes[shift : shift + held]), K)
+            assert (tagged.classification, tagged.stabilization_index) == (fm.TOEPLITZ_POINT, None), shift
+            assert tagged.sigma_preimage_letters == letters.sigma_preimage_letters == {omega.at(shift)}, shift
+            disagree += letters.stabilization_index is not None
+        assert disagree > 0
+
+    def test_the_tag_decides_with_no_letter_test(self, monkeypatch):
+        from odoshift import substitution
+
+        monkeypatch.setattr(substitution, "spells_fixed_point", None)
+        for shift, expected in ((0, (fm.OMEGA_STAR_ORBIT, 0)), (3590, (fm.TOEPLITZ_POINT, None))):
+            report = fm.classify_fiber(grigorchuk_prefix(shift + 4096).shifted(shift), 10)
+            assert (report.classification, report.stabilization_index) == expected
 
     @pytest.mark.parametrize("K", range(1, 7))
     def test_an_orbit_index_holds_over_every_letter_held(self, K):

@@ -1,13 +1,15 @@
+import itertools
 import math
+import operator
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import odometer as od
-from oracles import factorized_cf_contains, parse_cf, parse_spec
+from oracles import factorized_cf_contains, parse_cf
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -55,12 +57,6 @@ class TestCFSet:
         # products of the primes the sets use, so membership is often true
         n = math.prod(p**e for p, e in zip(PRIMES, exponents))
         assert od.cf_contains(cf, n) == factorized_cf_contains(cf, n)
-
-    @given(cf=cf_sets, limit=st.integers(min_value=0, max_value=2000))
-    @example(cf=od.CFSet({}), limit=200)
-    @example(cf=od.CFSet({2: od.INFINITY, 3: od.INFINITY, 5: od.INFINITY, 7: od.INFINITY}), limit=200)
-    def test_members_are_the_contains_scan(self, cf, limit):
-        assert od.cf_members(cf, limit) == [n for n in range(1, limit) if od.cf_contains(cf, n)]
 
     @given(cf=cf_sets)
     def test_one_is_always_a_member(self, cf):
@@ -121,99 +117,33 @@ class TestCFClosure:
 
 class TestOdometerSpec:
     def test_ones_normalized_away(self):
-        assert od.OdometerSpec(bases=(1, 6, 1), repeat=(1,)).bases == (6,)
+        assert od.OdometerSpec(repeat=(1, 6, 1)).repeat == (6,)
 
     def test_rejects_small_factors(self):
         with pytest.raises(errors.InvalidInputError):
-            od.OdometerSpec(bases=(0,))
+            od.OdometerSpec(repeat=(2, 0))
 
-    def test_radix_cycle(self):
-        spec = od.OdometerSpec(bases=(5,), repeat=(2, 3))
-        assert [spec.radix_at(i) for i in range(6)] == [5, 2, 3, 2, 3, 2]
-
-    def test_text_round_trip(self):
-        for spec in (od.BINARY_ODOMETER, od.OdometerSpec(bases=(12,)), od.OdometerSpec(bases=(2, 3), repeat=(5,))):
-            assert parse_spec(od.spec_to_text(spec)) == spec
-        assert od.spec_to_text(od.BINARY_ODOMETER) == "2,..."
-        assert parse_spec("2,3,...") == od.OdometerSpec(bases=(2,), repeat=(3,))
-
-
-class TestOdometerStep:
-    def test_examples(self):
-        spec = od.OdometerSpec(bases=(2, 3))
-        assert od.odometer_step(od.OdometerState((0, 0)), spec).digits == (1, 0)
-        assert od.odometer_step(od.OdometerState((1, 0)), spec).digits == (0, 1)
-        # the carry past the last digit is dropped: the top state wraps to zero
-        assert od.odometer_step(od.OdometerState((1, 2)), spec).digits == (0, 0)
-
-    def test_mismatched_lengths(self):
+    @pytest.mark.parametrize("repeat", [(), (1,), (1, 1)])
+    def test_rejects_no_factor(self, repeat):
         with pytest.raises(errors.InvalidInputError):
-            od.odometer_step(od.OdometerState((0,)), od.OdometerSpec(bases=(2, 3)))
-
-    def test_digit_bounds(self):
-        with pytest.raises(errors.InvalidInputError):
-            od.odometer_step(od.OdometerState((2, 0)), od.OdometerSpec(bases=(2, 3)))
-
-    @given(start=st.integers(min_value=0, max_value=255), steps=st.integers(min_value=0, max_value=300))
-    def test_binary_step_is_integer_increment(self, start, steps):
-        K = 8
-        state = od.OdometerState(tuple((start >> i) & 1 for i in range(K)))
-        for _ in range(steps):
-            state = od.odometer_step(state, od.BINARY_ODOMETER)
-        value = sum(b << i for i, b in enumerate(state.digits))
-        assert value == (start + steps) % (1 << K)
-
-    def test_orbit_minimality(self):
-        # any start state cycles through all states of the truncation
-        spec = od.OdometerSpec(bases=(2, 3, 2))
-        seen = {
-            s.digits
-            for s in od.odometer_orbit(spec, od.OdometerState((1, 2, 0)), 11)
-        }
-        assert len(seen) == 12
-
-    @pytest.mark.parametrize(
-        "spec, start",
-        [
-            (od.OdometerSpec(bases=(2, 3, 2)), (1, 2, 0)),
-            (od.OdometerSpec(bases=(3, 5), repeat=(2, 7)), (2, 4, 1, 6, 0, 3)),
-            (od.OdometerSpec(repeat=(3,)), (2, 2, 1, 0)),
-            (od.BINARY_ODOMETER, (1,) * 12),
-        ],
-    )
-    def test_orbit_is_the_iterated_step(self, spec, start):
-        # the orbit validates its start once; every state must still be odometer_step's
-        state = od.OdometerState(start)
-        expected = [state]
-        for _ in range(500):
-            state = od.odometer_step(state, spec)
-            expected.append(state)
-        assert list(od.odometer_orbit(spec, od.OdometerState(start), 500)) == expected
-
-    @pytest.mark.parametrize(
-        "spec, digits",
-        [
-            (od.BINARY_ODOMETER, (0, 2)),
-            (od.OdometerSpec(bases=(2, 3)), (1,)),
-            (od.OdometerSpec(bases=(2,), repeat=(3, 5)), (1, 2, 5)),
-        ],
-    )
-    @pytest.mark.parametrize("steps", [0, 4])
-    def test_orbit_rejects_an_invalid_start(self, spec, digits, steps):
-        with pytest.raises(errors.InvalidInputError):
-            list(od.odometer_orbit(spec, od.OdometerState(digits), steps))
+            od.OdometerSpec(repeat=repeat)
 
 
 class TestCFOfOdometer:
     def test_binary(self):
         assert od.cf_of_odometer(od.BINARY_ODOMETER).exponents == {2: od.INFINITY}
 
-    def test_finite_six(self):
-        assert od.cf_of_odometer(od.OdometerSpec(bases=(6,))).exponents == {2: 1, 3: 1}
-
     def test_alternating(self):
         cf = od.cf_of_odometer(od.OdometerSpec(repeat=(2, 3)))
         assert cf.exponents == {2: od.INFINITY, 3: od.INFINITY}
+
+    @given(repeat=st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=3),
+           n=st.integers(min_value=1, max_value=5000))
+    def test_members_divide_a_partial_product(self, repeat, n):
+        # each prime of the block appears in 13 cycles at least 13 times, and 2^13 > 5000
+        products = list(itertools.accumulate(repeat * 13, operator.mul))
+        cf = od.cf_of_odometer(od.OdometerSpec(repeat=repeat))
+        assert od.cf_contains(cf, n) == any(prod % n == 0 for prod in products)
 
     def test_alternating_matches_divisibility_scan(self):
         # n is a member iff n divides some partial product 2, 6, 12, 36, ...
@@ -221,46 +151,14 @@ class TestCFOfOdometer:
         cf = od.cf_of_odometer(spec)
         products = [1]
         for i in range(40):
-            products.append(products[-1] * spec.radix_at(i))
+            products.append(products[-1] * spec.repeat[i % 2])
         for n in range(1, 10_001):
             divides_some = any(prod % n == 0 for prod in products)
             assert od.cf_contains(cf, n) == divides_some
 
 
-class TestOdometerFromCF:
-    def test_pure_binary(self):
-        assert od.odometer_from_cf(od.CFSet({2: od.INFINITY})) == od.BINARY_ODOMETER
-
-    def test_finite_case(self):
-        assert od.odometer_from_cf(od.CFSet({2: 2, 3: 1})) == od.OdometerSpec(bases=(12,))
-
-    @given(cf=cf_sets)
-    def test_round_trip(self, cf):
-        assert od.cf_equal(od.cf_of_odometer(od.odometer_from_cf(cf)), cf)
-
-
-class TestDyadicInt:
-    def test_add_one_examples(self):
-        # adding one to a truncated dyadic integer is the binary odometer step
-        for bits, after in (("000", "100"), ("111", "000"), ("110", "001")):
-            state = od.OdometerState(tuple(int(b) for b in bits))
-            step = od.odometer_step(state, od.BINARY_ODOMETER)
-            assert "".join(map(str, step.digits)) == after
-            x = od.DyadicInt(int(bits[::-1], 2), len(bits))
-            assert od.DyadicInt((x.value + 1) % (1 << x.precision), x.precision).to_text() == after
-
-    def test_text_is_lsb_first(self):
-        assert od.DyadicInt(5, 8).to_text() == "10100000"
-
-    @given(value=st.integers(min_value=0, max_value=10_000), precision=st.integers(min_value=1, max_value=16))
-    def test_from_int_round_trip(self, value, precision):
-        x = od.DyadicInt(value % (1 << precision), precision)
-        assert x.precision == precision
-        assert len(x.to_text()) == precision
-        assert int(x.to_text()[::-1], 2) == x.value == value % (1 << precision)
-
-    def test_rejects_non_bits(self):
-        # a value needing more than ``precision`` bits, a negative value, no bits at all
-        for value, precision in ((4, 2), (-1, 3), (0, 0)):
-            with pytest.raises(errors.InvalidInputError):
-                od.DyadicInt(value, precision)
+def test_the_module_holds_the_cf_algebra_and_the_binary_odometer():
+    public = {name for name, value in vars(od).items() if not name.startswith("_") and name != "annotations"}
+    assert public - {"Immutable", "InvalidInputError", "Mapping", "math"} == {
+        "BINARY_ODOMETER", "CFSet", "INFINITY", "OdometerSpec", "PowerFamily", "cf_closure", "cf_contains",
+        "cf_equal", "cf_of_odometer", "cf_subset", "cf_to_text", "factorize"}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odoshift import errors
+from odoshift import factormap as fm
 from odoshift import odometer as od
 from odoshift import substitution as sub
 from oracles import iterate
@@ -27,9 +28,8 @@ VALUES = [
      "Substitution(alphabet=Alphabet(letters='ab'), rules={'a': 'ab', 'b': 'a'})", "rules"),
     (lambda: od.CFSet({2: od.INFINITY, 3: 0}), "CFSet(exponents={2: inf})", "exponents"),
     (lambda: od.PowerFamily(6), "PowerFamily(base=6)", "base"),
-    (lambda: od.OdometerSpec(bases=(1, 3), repeat=(2,)), "OdometerSpec(bases=(3,), repeat=(2,))", "repeat"),
-    (lambda: od.OdometerState([1, 0]), "OdometerState(digits=(1, 0))", "digits"),
-    (lambda: od.DyadicInt(5, 8), "DyadicInt(value=5, precision=8)", "value"),
+    (lambda: od.OdometerSpec(repeat=(1, 3, 2)), "OdometerSpec(repeat=(3, 2))", "repeat"),
+    (lambda: fm.DyadicInt(5, 8), "DyadicInt(value=5, precision=8)", "value"),
 ]
 
 

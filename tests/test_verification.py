@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import ergodic, odometer, substitution, toeplitz, verification
+from odoshift import ergodic, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 from oracles import strided_tail_rigidity
 
@@ -79,36 +79,58 @@ def test_closed_form_counts_a_mismatch_in_every_block(monkeypatch):
     assert result.detail == f"{len(wrong)} mismatches over {length} positions"
 
 
-@pytest.mark.parametrize("check", [verification.check_equivariance, verification.check_eigenfunction],
-                         ids=lambda check: check.__name__)
-def test_a_residue_off_by_one_fails_the_shift_value_checks(check, monkeypatch):
+def test_a_residue_off_by_one_fails_the_equivariance_check(monkeypatch):
     # the values still step by one; only where they start is wrong
     columns = toeplitz.deepest_columns
     monkeypatch.setattr(toeplitz, "deepest_columns",
                         lambda codes, K, shifts: [m % (1 << K) + 1 for m in columns(codes, K, shifts)])
-    result = check(QUICK)
+    result = verification.check_equivariance(QUICK)
     assert not result.ok
     assert result.detail.endswith(": False")
 
 
-def test_cf_algebra_detail_is_unchanged():
+def test_eigenfunction_detail():
+    result = verification.check_eigenfunction(FULL)
+    assert (result.ok, result.detail) == (True, "classes mod 2^10 of measure 2^-10: True; sum to mu[l]: True;"
+                                                " 0 of 200 windows outside the class of their shift")
+
+
+@pytest.mark.parametrize("fault, detail", [
+    # the start's parity read off the wrong bit: the classes are permuted, so only the windows see it
+    (lambda r, j: (r ^ 1 if j else r, j),
+     "classes mod 2^6 of measure 2^-6: True; sum to mu[l]: True; 60 of 60 windows outside the class of their shift"),
+    # a digit dropped at the first level: each class holds the measure of two
+    (lambda r, j: (r, j - 1 if j == QUICK.eigen_depth else j),
+     "classes mod 2^6 of measure 2^-6: False; sum to mu[l]: False; 0 of 60 windows outside the class of their shift"),
+], ids=["flipped", "dropped"])
+def test_eigenfunction_fails_where_a_digit_of_the_recursion_is_off(fault, detail, monkeypatch):
+    masses = substitution._masses
+    monkeypatch.setattr(substitution, "_masses", lambda rest, depth, r=0, j=0: masses(rest, depth, *fault(r, j)))
+    result = verification.check_eigenfunction(QUICK)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+def test_cf_algebra_detail():
     result = verification.check_cf_algebra(FULL)
-    assert (result.ok, result.detail) == (True, "orbit covers 4096/4096 states; cylinder frequencies exact: True")
+    assert (result.ok, result.detail) == (True, "CF of the periods 2^13 == 2^13: True; a factor of 2^inf: True;"
+                                                " members n <= 2^13 agree: True")
 
 
-def test_cf_algebra_names_a_listed_member_that_contains_rejects(monkeypatch):
-    # 199 is a prime above every prime of the random sets, so no set holds it
-    listed = odometer.cf_members
-    monkeypatch.setattr(odometer, "cf_members", lambda cf, limit: listed(cf, limit) + [199])
+def test_cf_algebra_fails_on_a_period_of_three(monkeypatch):
+    ep = verification._essential_periods(QUICK)
+    monkeypatch.setattr(verification, "_essential_periods", lambda sizes: ep._replace(periods=ep.periods + (3,)))
     result = verification.check_cf_algebra(QUICK)
-    assert (result.ok, result.detail) == (False, "listed member 199 rejected")
+    assert (result.ok, result.detail) == (False, "CF of the periods 2^7*3^1 == 2^7: False;"
+                                                 " a factor of 2^inf: False; members n <= 2^7 agree: False")
 
 
-def test_cf_algebra_names_a_non_member_that_contains_accepts(monkeypatch):
-    contains = odometer.cf_contains
-    monkeypatch.setattr(odometer, "cf_contains", lambda cf, n: n == 14 or contains(cf, n))
-    result = verification.check_cf_algebra(QUICK)
-    assert (result.ok, result.detail) == (False, "non-member 14 accepted")
+def test_the_two_period_checks_share_one_scan(monkeypatch):
+    scans = []
+    essential_periods = toeplitz.essential_periods
+    monkeypatch.setattr(toeplitz, "essential_periods", lambda *args: scans.append(args[1]) or essential_periods(*args))
+    verification._essential_periods.cache_clear()
+    assert verification.check_essential_periods(QUICK).ok and verification.check_cf_algebra(QUICK).ok
+    assert scans == [1 << QUICK.ep_horizon_log2]
 
 
 def test_check_spectrum_fails_where_the_two_paths_differ(monkeypatch):
