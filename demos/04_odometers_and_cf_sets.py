@@ -1,32 +1,28 @@
 """The odometer of the Grigorchuk subshift, and the invariant measure over it.
 
-The essential periods of the fixed point are the powers of two, so the
-divisor- and lcm-closed set they generate, its CF set, is 2^H below a
-horizon 2^H: the CF set of the binary odometer, the maximal equicontinuous
-factor, cut at the horizon.  The factor map f onto it pushes the invariant
-measure mu to Haar measure: rho_j(l, r) = mu([l] and f = r mod 2^j) sums to
-2^-j over the letters l and to mu[l] over the classes r.
+The essential periods of the fixed point below a horizon 2^H are the
+powers of two up to 2^H, so their lcm is 2^H.  The CF set of a Toeplitz
+flow with finitely many periods is the divisors of their lcm, here the
+powers of two up to 2^H: the CF set of the binary odometer 2^inf, the
+maximal equicontinuous factor, cut at the horizon.  The factor map f onto
+it pushes the invariant measure mu to Haar measure: rho_j(l, r) =
+mu([l] and f = r mod 2^j) sums to 2^-j over the letters l and to mu[l]
+over the classes r.
 Run: python3 demos/04_odometers_and_cf_sets.py
 """
 
-from odoshift import (
-    BINARY_ODOMETER,
-    cf_closure,
-    cf_of_odometer,
-    cf_subset,
-    class_measure,
-    essential_periods,
-    grigorchuk_prefix,
-)
-from odoshift.odometer import cf_to_text
+import math
 
-binary = cf_of_odometer(BINARY_ODOMETER)
+from odoshift import class_measure, essential_periods, grigorchuk_prefix
+
 omega = grigorchuk_prefix(1 << 12)
-print("horizon  essential periods         CF set  factor of", cf_to_text(binary))
+print("horizon  essential periods         CF set  factor of 2^inf")
 for H in (1, 2, 4, 6):
     periods = essential_periods(omega, 1 << H).periods
-    cf = cf_closure([1, *periods])
-    print(f"2^{H:<5}  {str(periods):24s}  {cf_to_text(cf):6s}  {cf_subset(cf, binary)}")
+    lcm = math.lcm(1, *periods)  # the CF set is its divisors
+    power_of_two = lcm & (lcm - 1) == 0
+    cf = f"2^{lcm.bit_length() - 1}" if power_of_two else str(lcm)
+    print(f"2^{H:<5}  {str(periods):24s}  {cf:6s}  {power_of_two}")
 
 j = 2
 print(f"\nrho_{j}(l, r) = mu([l] and f = r mod 2^{j})")

@@ -39,18 +39,6 @@ _EXPORTS = {
         "period_skeleton",
         "smallest_partial_period",
     ),
-    "odometer": (
-        "BINARY_ODOMETER",
-        "CFSet",
-        "INFINITY",
-        "OdometerSpec",
-        "PowerFamily",
-        "cf_closure",
-        "cf_contains",
-        "cf_equal",
-        "cf_of_odometer",
-        "cf_subset",
-    ),
     "factormap": (
         "DyadicInt",
         "EncodingResult",

@@ -198,8 +198,13 @@ def _cmd_spectrum(args) -> int:
 
     from . import ergodic
 
+    thetas = []
+    for theta in args.theta:
+        try:
+            thetas.append(Fraction(theta))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"--theta must be a fraction p/q with q nonzero, got {theta!r}") from None
     prefix = _load_input(args, _window_need(args))
-    thetas = [Fraction(t) for t in args.theta]
     samples = ergodic.spectral_scan(prefix, thetas, args.word, args.window)
     lines = ["theta,magnitude,N"]
     lines += [f"{s.theta},{s.magnitude:.12e},{s.window}" for s in samples]

@@ -175,6 +175,8 @@ def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int)
     """Empirical-vs-exact cylinder frequencies for every word of the given depth."""
     if depth < 1:
         raise InvalidInputError(f"depth must be positive, got {depth}")
+    if window < 1:
+        raise InvalidInputError(f"window must be positive, got {window}")
     need = window + depth - 1
     if need > len(prefix):
         raise InsufficientDataError(

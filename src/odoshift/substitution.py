@@ -449,8 +449,14 @@ def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     """
     if 0 in rest:
         return 0, 0, 0, 0
-    if not rest and not j:
-        return 7 << depth, 2 << depth, 4 << depth, 1 << depth  # 14 times 1/2, 1/7, 2/7, 1/14
+    if not rest:
+        # W' stays empty, so a loop takes r's digits from the last one up, from the masses where they run
+        # out (14 times 1/2, 1/7, 2/7, 1/14): a clear digit puts l at an odd position, where it is a, and
+        # a set one at an even position, where it is the next of W''s one letter
+        a, b, c, d = 7 << depth - j, 2 << depth - j, 4 << depth - j, 1 << depth - j
+        for i in reversed(range(j)):
+            a, b, c, d = (0, c, a + d, b) if r >> i & 1 else (a + b + c + d, 0, 0, 0)
+        return a, b, c, d
     a = b = c = d = 0
     odd = even = True
     if j:

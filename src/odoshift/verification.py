@@ -8,12 +8,14 @@ both run ``ALL_CHECKS`` through ``run_check``, which also times each one
 and reads the process's peak RSS after it.  The checks that read a whole
 prefix work on it in fixed-size blocks, so their temporaries do not grow
 with the sizes.  The odometer claim reads the essential periods from the
-scan of the periods' check, kept per ``Sizes``; the eigenfunction claim
-reads the invariant measure's halving with the factor map's digits fixed.
+scan of the periods' check, kept per ``Sizes``, and decides the CF set as
+the divisors of their lcm; the eigenfunction claim reads the invariant
+measure's halving with the factor map's digits fixed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import resource
 import time
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import ergodic, factormap, odometer, substitution, toeplitz
+from . import ergodic, factormap, substitution, toeplitz
 
 # after the package: where no bytecode is cached, its modules are compiled
 # before numpy's heap is built, which keeps 0.3 MB off the peak RSS of verify
@@ -358,20 +360,19 @@ def check_eigenfunction(sizes: Sizes) -> CheckResult:
 
 
 def check_cf_algebra(sizes: Sizes) -> CheckResult:
-    # the CF set of the essential periods is 2^H below the horizon 2^H: that of the binary odometer,
-    # the maximal equicontinuous factor, up to the horizon
+    # a Toeplitz flow with finitely many essential periods has as CF set the divisors of their lcm L;
+    # L = 2^H below the horizon 2^H makes every divisor a power of two: the CF set of the binary
+    # odometer, the maximal equicontinuous factor, up to the horizon
     H = sizes.ep_horizon_log2
-    cf = odometer.cf_closure([1, *_essential_periods(sizes).periods])
-    binary = odometer.cf_of_odometer(odometer.BINARY_ODOMETER)
-    exact = odometer.cf_equal(cf, odometer.CFSet({2: H}))
-    factor = odometer.cf_subset(cf, binary)
-    members = range(1, (1 << H) + 1)
-    agree = all(odometer.cf_contains(cf, n) == odometer.cf_contains(binary, n) for n in members)
+    L = math.lcm(1, *_essential_periods(sizes).periods)
+    exact = L == 1 << H
+    factor = L & (L - 1) == 0
+    agree = all((L % n == 0) == (n & (n - 1) == 0) for n in range(1, (1 << H) + 1))
     return CheckResult(
         name="odometer_of_the_periods",
         ok=exact and factor and agree,
-        detail=f"CF of the periods {odometer.cf_to_text(cf)} == 2^{H}: {exact};"
-        f" a factor of {odometer.cf_to_text(binary)}: {factor}; members n <= 2^{H} agree: {agree}",
+        detail=f"lcm of the periods {L} == 2^{H}: {exact}; a power of two, so a factor of the binary odometer:"
+        f" {factor}; divisors n <= 2^{H} are the powers of two: {agree}",
     )
 
 

@@ -10,10 +10,6 @@
 - ``skeleton_fiber_index`` is the orbit index read off the period skeleton,
   with the letters checked over the skeleton's window only: the reference
   for ``classify_fiber`` on a prefix of exactly that window.
-- ``parse_cf`` reads the text form ``cf_to_text`` writes, so the text
-  form can be checked by round trip.
-- ``factorized_cf_contains`` is CF-set membership by factorizing n, the
-  reference for ``cf_contains``.
 - ``residue_class_measure`` is the exact measure by sorting start positions
   into residue classes mod 2^D, with ``tail_density`` for the one offset
   that falls on a multiple of 2^D: the reference for the desubstitution.
@@ -47,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from odoshift import errors, odometer, substitution, toeplitz
+from odoshift import errors, substitution, toeplitz
 from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
 
 
@@ -123,23 +119,6 @@ def skeleton_fiber_index(prefix, K):
         if prefix.alphabet.decode(prefix.codes[index : skeleton.window_used]) != omega:
             index = None
     return index
-
-
-def parse_cf(text):
-    """CF set from the text ``cf_to_text`` writes: '1', or p^e terms joined by '*'."""
-    text = text.strip()
-    if text == "1":
-        return odometer.CFSet({})
-    exponents = {}
-    for term in text.split("*"):
-        base, exp = term.split("^", 1)
-        exponents[int(base)] = odometer.INFINITY if exp == "inf" else int(exp)
-    return odometer.CFSet(exponents)
-
-
-def factorized_cf_contains(cf, n):
-    """Reference membership: every prime power of n fits under the exponent map."""
-    return all(e <= cf.exponent(p) for p, e in odometer.factorize(n).items())
 
 
 _NEXT = {"a": "c", "b": "d", "c": "b", "d": "c"}  # letter 2m + 1 is next of letter m (0-based)

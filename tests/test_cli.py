@@ -285,6 +285,11 @@ class TestSpectrum:
         assert [row.split(",")[0] for row in rows] == [str(Fraction(k, 32)) for k in range(1, 32)]
         assert rows[15] == "1/2,5.000000000000e-01,1048576"
 
+    @pytest.mark.parametrize("theta", ["1/0", "half", "1/-2"])
+    def test_a_theta_that_is_no_fraction_exits_2_and_names_it(self, capsys, theta):
+        code, out, err = run(capsys, "spectrum", "--word", "a", "--theta", "1/3", "--theta", theta)
+        assert (code, out, err) == (2, "", f"error: --theta must be a fraction p/q with q nonzero, got {theta!r}\n")
+
 
 class TestVerify:
     def test_quick_level_passes(self, capsys):
@@ -734,8 +739,6 @@ EXPORTED = {
                      "fixed_point_prefix", "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix",
                      "grigorchuk_substitution", "validate_prolongable"],
     "toeplitz": ["EPSet", "PeriodSkeleton", "essential_periods", "period_skeleton", "smallest_partial_period"],
-    "odometer": ["BINARY_ODOMETER", "CFSet", "INFINITY", "OdometerSpec", "PowerFamily", "cf_closure",
-                 "cf_contains", "cf_equal", "cf_of_odometer", "cf_subset"],
     "factormap": ["DyadicInt", "EncodingResult", "FiberReport", "classify_fiber", "encode_fG",
                   "sigma_preimage_letters", "verify_equivariance"],
     "ergodic": ["FrequencyEstimate", "SpectralSample", "cylinder_frequency", "invariant_measure_cylinder",
@@ -752,7 +755,6 @@ class TestStartLoadsOnlyWhatRuns:
             (["measure", "--word", "aca"], set()),
             (["generate", "--length", "16"], set()),
             (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
-            # DyadicInt is defined in factormap, so neither command loads odometer
             (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
             (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap"}),
             (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic"}),
@@ -788,6 +790,8 @@ class TestStartLoadsOnlyWhatRuns:
     def test_verify_loads_numpy(self):
         proc = fresh("verify", "--level", "quick")
         assert proc.returncode == 0, proc.stderr
+        assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution", "odoshift.toeplitz",
+                                "odoshift.factormap", "odoshift.ergodic", "odoshift.verification"}
         assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
 
     def test_importing_ergodic_loads_no_numpy(self):
@@ -818,7 +822,7 @@ class TestStartLoadsOnlyWhatRuns:
         with pytest.raises(AttributeError, match="no_such_name"):
             odoshift.no_such_name
         # defined in a submodule, but never exported
-        assert not hasattr(odoshift, "factorize")
+        assert not hasattr(odoshift, "letter_sets")
 
 
 # The stdout of the README's and the benchmark's freq and spectrum commands, and of a few shifted ones,

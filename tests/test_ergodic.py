@@ -178,6 +178,14 @@ class TestClassMeasure:
         r %= 1 << j
         assert class_measure(word, j, r) == class_measure(word, j + 1, r) + class_measure(word, j + 1, r + (1 << j))
 
+    @pytest.mark.parametrize("r", [0, 1, 2, 3, (1 << 1199) + 1, (1 << 1200) - 2],
+                             ids=["0", "1", "2", "3", "2^1199+1", "2^1200-2"])
+    def test_a_class_past_the_recursion_limit(self, r):
+        # a fills the even 0-based indices, so the even classes r mod 2^j hold 2^-j of it each, the odd none;
+        # one level per digit of r would pass the interpreter's recursion limit of 1000
+        j = 1200
+        assert class_measure("a", j, r) == (Fraction(1, 1 << j) if r % 2 == 0 else 0)
+
 
 class TestUniformDistribution:
     def test_depth_one(self):
@@ -189,6 +197,11 @@ class TestUniformDistribution:
         shifted = grigorchuk_prefix((1 << 16) + 8).shifted(7)
         report = erg.uniform_distribution_report(shifted, 1, 1 << 16)
         assert report.max_deviation <= Fraction(1, 64)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_a_window_below_one_is_invalid(self, window):
+        with pytest.raises(errors.InvalidInputError, match=f"window must be positive, got {window}"):
+            erg.uniform_distribution_report(OMEGA, 1, window)
 
     def test_depth_two(self):
         report = erg.uniform_distribution_report(OMEGA, 2, 1 << 17)

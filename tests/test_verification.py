@@ -112,16 +112,18 @@ def test_eigenfunction_fails_where_a_digit_of_the_recursion_is_off(fault, detail
 
 def test_cf_algebra_detail():
     result = verification.check_cf_algebra(FULL)
-    assert (result.ok, result.detail) == (True, "CF of the periods 2^13 == 2^13: True; a factor of 2^inf: True;"
-                                                " members n <= 2^13 agree: True")
+    assert (result.ok, result.detail) == (True, "lcm of the periods 8192 == 2^13: True; a power of two, so a factor"
+                                                " of the binary odometer: True; divisors n <= 2^13 are the powers"
+                                                " of two: True")
 
 
 def test_cf_algebra_fails_on_a_period_of_three(monkeypatch):
     ep = verification._essential_periods(QUICK)
     monkeypatch.setattr(verification, "_essential_periods", lambda sizes: ep._replace(periods=ep.periods + (3,)))
     result = verification.check_cf_algebra(QUICK)
-    assert (result.ok, result.detail) == (False, "CF of the periods 2^7*3^1 == 2^7: False;"
-                                                 " a factor of 2^inf: False; members n <= 2^7 agree: False")
+    assert (result.ok, result.detail) == (False, "lcm of the periods 384 == 2^7: False; a power of two, so a factor"
+                                                 " of the binary odometer: False; divisors n <= 2^7 are the powers"
+                                                 " of two: False")
 
 
 def test_the_two_period_checks_share_one_scan(monkeypatch):
