@@ -906,3 +906,17 @@ def test_class_measure_matches_the_fraction_recursion(j):
         rhos = [substitution.class_measure(word, j, r) for r in range(1 << j)]
         assert rhos == [class_measure_by_parity(word, j, r) for r in range(1 << j)], word
         assert sum(rhos) == substitution.invariant_measure_cylinder(word), word
+
+
+@pytest.mark.parametrize("j", [8, 13, 31, 64])
+def test_class_measure_matches_the_fraction_recursion_past_the_word(j):
+    # j past the depth the word needs, so ``_masses`` takes r's last digits in its loop: sampled classes,
+    # each a factor's own shift with random higher digits, or all zeros, all ones, or random digits
+    rng = random.Random(j)
+    text = grigorchuk_prefix(1 << 12).text
+    spans = [(rng.randrange(4000), rng.randrange(1, 41)) for _ in range(20)]
+    cases = [(text[s : s + n], (s + (rng.randrange(1 << j) << 12)) % (1 << j)) for s, n in spans]
+    cases += [(word, r) for word in "abcd" for r in (0, (1 << j) - 1, rng.randrange(1 << j))]
+    assert any(class_measure_by_parity(word, j, r) for word, r in cases)
+    for word, r in cases:
+        assert substitution.class_measure(word, j, r) == class_measure_by_parity(word, j, r), (word, r)

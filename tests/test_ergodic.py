@@ -186,6 +186,24 @@ class TestClassMeasure:
         j = 1200
         assert class_measure("a", j, r) == (Fraction(1, 1 << j) if r % 2 == 0 else 0)
 
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4, 5, 6, 599, 1198, 1199])
+    def test_a_class_past_the_recursion_limit_holds_the_letter_of_its_trailing_ones(self, t):
+        # the letter at s is a for even s and next of the letter at (s - 1) / 2 for odd s, so a class with
+        # t < j trailing ones holds next^t(a) alone, whatever its higher digits
+        j = 1200
+        r = ((12345 << t + 1) | (1 << t) - 1) % (1 << j)
+        letter = "a"
+        for _ in range(t):
+            letter = {"a": "c", "b": "d", "c": "b", "d": "c"}[letter]
+        assert [class_measure(x, j, r) for x in "abcd"] == [Fraction(x == letter, 1 << j) for x in "abcd"]
+
+    def test_the_class_of_all_ones_holds_every_letter_pushed_j_times_through_next(self):
+        # s = 2^j m - 1 holds next^j of the letter at m - 1, which is l with measure mu[l]; next cycles
+        # c -> b -> d -> c and takes a to c, so next^1200 fixes b, c and d and takes a to d
+        j = 1200
+        masses = [class_measure(x, j, (1 << j) - 1) * (1 << j) for x in "abcd"]
+        assert masses == [0, LETTER_MEASURE["b"], LETTER_MEASURE["c"], LETTER_MEASURE["d"] + LETTER_MEASURE["a"]]
+
 
 class TestUniformDistribution:
     def test_depth_one(self):

@@ -126,6 +126,30 @@ def test_cf_algebra_fails_on_a_period_of_three(monkeypatch):
                                                  " of two: False")
 
 
+@pytest.mark.parametrize("alter, lcm, legs", [
+    (lambda p: p + (5,), 640, (False, False, False)),
+    (lambda p: p + (6,), 384, (False, False, False)),
+    (lambda p: p + (7,), 896, (False, False, False)),
+    (lambda p: p + (768,), 768, (False, False, False)),
+    # past the horizon: 129 = 3 x 43 brings the divisor 3 below it, the prime 257 no divisor at all
+    (lambda p: p + (129,), 128 * 129, (False, False, False)),
+    (lambda p: p + (257,), 128 * 257, (False, False, True)),
+    (lambda p: p + (256,), 256, (False, True, True)),
+    (lambda p: p[:-1], 64, (False, True, False)),
+    (lambda p: (), 1, (False, True, False)),
+    (lambda p: p + (1,), 128, (True, True, True)),
+    (lambda p: p + (128,), 128, (True, True, True)),
+], ids=["5", "6", "7", "768", "129", "257", "256", "no 128", "none", "1", "128 twice"])
+def test_cf_algebra_reads_each_leg_off_the_lcm(alter, lcm, legs, monkeypatch):
+    ep = verification._essential_periods(QUICK)
+    monkeypatch.setattr(verification, "_essential_periods", lambda sizes: ep._replace(periods=alter(ep.periods)))
+    result = verification.check_cf_algebra(QUICK)
+    exact, factor, agree = legs
+    assert (result.ok, result.detail) == (all(legs), f"lcm of the periods {lcm} == 2^7: {exact}; a power of two,"
+                                          f" so a factor of the binary odometer: {factor}; divisors n <= 2^7 are"
+                                          f" the powers of two: {agree}")
+
+
 def test_the_two_period_checks_share_one_scan(monkeypatch):
     scans = []
     essential_periods = toeplitz.essential_periods
