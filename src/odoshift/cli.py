@@ -53,6 +53,8 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
         prefix = substitution.load_prefix(args.input, substitution.GRIGORCHUK_ALPHABET)
         origin = f"of {args.input}"
     else:
+        if args.length is None and shift < 0:  # the length, and so the range, would come from the shift
+            raise InvalidInputError(f"shift must be nonnegative, got {shift}")
         length = shift + need if args.length is None else args.length
         if length >= 1:
             if not 0 <= shift < length:

@@ -1,25 +1,21 @@
 """Exact cylinder counting, the invariant measure, and spectral checks.
 
 Frequency counts are exact integers over explicit windows, and run on the
-standard library, by one of two paths.  On a prefix of the Grigorchuk
-fixed point, whose ``fixed_point_start`` is set (what ``fixed_point_prefix``
-grows from a under the Grigorchuk rules, and its shifts),
-``cylinder_frequency`` counts by desubstitution
-(``substitution.fixed_point_count``), and ``spectral_scan`` takes the
-counts per residue class mod q of every theta up to q = ``_COMB_MAX`` the
-same way (``substitution.fixed_point_residue_counts``): neither reads a
-letter, so the prefix generates none.  On any other prefix, and for a
-larger q, each letter's positions in the prefix form one bit-packed Python
-int, built on first use and kept on the prefix; the starts of a word are
-the AND of its letters' bitsets, each shifted by the letter's offset in
-the word, and that one kernel serves both the counts (``int.bit_count``)
-and the spectral sums.  The invariant measure of a
-cylinder word is an exact rational, computed by desubstitution over
-log2 |w| levels with no cap on the word length
-(``substitution.invariant_measure_cylinder``, re-exported here).  A word
-belongs to the language exactly when its measure is positive.
-Exponential sums are the only place floating point enters, and those
-assertions carry explicit tolerances.
+standard library.  ``_count_starts`` counts a word's starts, for
+``cylinder_frequency`` and ``spectral_scan`` alike, by one of two paths.
+On a prefix of the Grigorchuk fixed point, whose ``fixed_point_start`` is
+set, it counts by desubstitution (``substitution.fixed_point_count``), as
+``spectral_scan`` does per residue class mod q up to q = ``_COMB_MAX``
+(``substitution.fixed_point_residue_counts``): neither reads a letter, so
+the prefix generates none.  On any other prefix, and for a larger q, the
+starts of a word are the AND of its letters' bitsets, one bit-packed int
+per letter kept on the prefix, each shifted by the letter's offset in the
+word; that one kernel serves both the counts and the spectral sums.  The
+invariant measure of a cylinder word is an exact rational
+(``substitution.invariant_measure_cylinder``, re-exported here), and a
+word belongs to the language exactly when it is positive.  Exponential
+sums are the only place floating point enters, and those assertions carry
+explicit tolerances.
 """
 
 from __future__ import annotations
@@ -135,21 +131,23 @@ def _occurrence_bits(prefix: SymbolicPrefix, codes: bytes, window: int) -> int:
     return bits >> (len(prefix) - window)
 
 
-def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
-    """Exact count of occurrences of ``word`` starting at positions 1..window.
+def _count_starts(prefix: SymbolicPrefix, codes: bytes, window: int) -> tuple:
+    """(count, bits): the starts of the word ``codes`` in the window, and its occurrence bits.
 
-    On a prefix of the fixed point, whose ``fixed_point_start`` s is set, it
-    is ``fixed_point_count`` over s + window starts less the count over s,
-    and no letter is read.  On any other prefix it is the popcount of the
-    occurrence bits.
+    With a ``fixed_point_start`` s the count is ``fixed_point_count`` over s + window starts less
+    the count over s, and the bits are None: no letter is read.  Otherwise it is their popcount.
     """
-    codes = _word_codes(prefix, word, window)
     start = prefix.fixed_point_start
     if start is None:
-        count = _occurrence_bits(prefix, codes, window).bit_count()
-    else:
-        sets = letter_sets(prefix.alphabet, codes)
-        count = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
+        bits = _occurrence_bits(prefix, codes, window)
+        return bits.bit_count(), bits
+    sets = letter_sets(prefix.alphabet, codes)
+    return fixed_point_count(sets, start + window) - fixed_point_count(sets, start), None
+
+
+def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
+    """Exact count of occurrences of ``word`` starting at positions 1..window, by ``_count_starts``."""
+    count, _ = _count_starts(prefix, _word_codes(prefix, word, window), window)
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 
@@ -284,17 +282,11 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     A request whose terms (the window, plus what each distinct theta's path
     costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
     with ResourceLimitError before any sum is taken.  The terms read the
-    number of starts, which the fixed point counts by ``fixed_point_count``.
+    number of starts, from ``_count_starts``.
     """
     codes = _word_codes(prefix, word, window)
+    occurrences, bits = _count_starts(prefix, codes, window)
     start = prefix.fixed_point_start
-    if start is None:
-        bits = _occurrence_bits(prefix, codes, window)
-        occurrences = bits.bit_count()
-    else:
-        bits = None
-        sets = letter_sets(prefix.alphabet, codes)
-        occurrences = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
     thetas = [Fraction(theta) for theta in thetas]
     magnitudes = dict.fromkeys(thetas)
     work = window + sum(_spectral_work(theta, window, occurrences) for theta in magnitudes)
@@ -309,7 +301,7 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
     for q, group in by_q.items():
         if q <= _COMB_MAX and start is not None:
-            counts = _fixed_point_counts(sets, start, window, q)
+            counts = _fixed_point_counts(letter_sets(prefix.alphabet, codes), start, window, q)
         elif q <= _COMB_MAX:
             counts = _comb_counts(bits, window, q)
         else:

@@ -14,7 +14,9 @@ All positions in public APIs are 1-based.  A sequence is one byte per
 letter, its alphabet index, in a read-only memoryview: generation, the
 oracle and the exact measure are bytes joins, slices and translates of
 the standard library.  Only the partial-period functions of ``toeplitz``
-and the checks of ``verification`` use numpy.
+and the checks of ``verification`` use numpy.  One desubstitution pass,
+``_masses``, gives the measure of a word, its class under the factor map
+and the letters that extend a prefix.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class SymbolicPrefix(Immutable):
     codes only when they are first read: until then it holds their number
     and how to make them, and its shifts make theirs by making its own.
 
-    ``left_extensions``, from one desubstitution pass, and ``_bitsets``, one
+    ``left_extensions``, from one ``_masses`` pass, and ``_bitsets``, one
     bitset per letter for ``ergodic``, are cached for as long as the prefix
     lives.  The caches rely on a prefix's letters never changing: the codes
     are read-only through the prefix, and a caller who built one over a
@@ -151,6 +153,10 @@ class SymbolicPrefix(Immutable):
     def __len__(self) -> int:
         return len(vars(self)["codes"])
 
+    def __repr__(self) -> str:  # reads no codes, which a lazy prefix would generate
+        start = self.fixed_point_start
+        return f"SymbolicPrefix(alphabet={self.alphabet!r}, length={len(self)}, fixed_point_start={start})"
+
     def at(self, position: int) -> str:
         """Letter at 1-based position."""
         if position < 1 or position > len(self.codes):
@@ -165,7 +171,8 @@ class SymbolicPrefix(Immutable):
     @cached_property
     def left_extensions(self) -> frozenset:
         """The letters l of 'abcd' with mu[l + letters] > 0: none for letters outside the language."""
-        return left_extensions(self.alphabet, self.codes)
+        sets = letter_sets(self.alphabet, self.codes)
+        return frozenset(compress("abcd", _masses(sets, len(sets).bit_length())))
 
     @cached_property
     def _bitsets(self) -> dict:
@@ -435,6 +442,9 @@ _MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(16)] * 16
 def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     """14 * 2^depth times mu[l + rest] for each letter l of 'abcd', for len(rest) < 2^depth.
 
+    ``class_measure`` reads the mass of a word's first letter, and
+    ``SymbolicPrefix.left_extensions`` which letters have mass.
+
     An odd position holds a and the letter at 2m is next(letter at m): the
     fixed point read back through the substitution (Queffelec, LNM 1294;
     Mosse 1992).  So mu[l + rest] is half the sum over the parity of l's
@@ -555,45 +565,23 @@ def spells_fixed_point(alphabet: Alphabet, codes) -> bool:
     return True
 
 
-def _extension_masses(alphabet: Alphabet, codes) -> tuple:
-    """(depth, ``_masses``) of the word ``codes`` spell over ``alphabet``, where only 'abcd' are letters."""
-    sets = letter_sets(alphabet, codes)
-    depth = len(sets).bit_length()
-    return depth, _masses(sets, depth)
-
-
-def codes_measure(alphabet: Alphabet, codes) -> Fraction:
-    """Exact invariant measure of the word that the bytes-like ``codes`` spell over ``alphabet``.
-
-    By shift invariance it is the sum of mu[l + word] over the letters l.
-    A symbol outside 'abcd' has measure 0.  The word is halved at each of
-    its log2 |word| levels, with no cap on the length.
-    """
-    from fractions import Fraction  # only the commands that measure pay for its import
-
-    depth, masses = _extension_masses(alphabet, codes)
-    if not depth:
-        raise InvalidInputError("cylinder word must be nonempty")
-    return Fraction(sum(masses), 14 << depth)
-
-
-def left_extensions(alphabet: Alphabet, codes) -> frozenset:
-    """The letters l of 'abcd' with mu[l + word] > 0, from the pass whose sum ``codes_measure`` is."""
-    return frozenset(letter for letter, mass in zip("abcd", _extension_masses(alphabet, codes)[1]) if mass)
-
-
 def invariant_measure_cylinder(word: str) -> Fraction:
-    """Exact invariant measure of the cylinder [word] at the sequence start.
+    """Exact invariant measure of the cylinder [word] at the sequence start: ``class_measure(word, 0, 0)``.
 
     The subshift is minimal and uniquely ergodic, so the measure is positive
     exactly when ``word`` is a factor of the fixed point: this is the
     package's language test.
     """
-    return codes_measure(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))
+    if not word:
+        raise InvalidInputError("cylinder word must be nonempty")
+    return class_measure(word, 0, 0)
 
 
 def class_measure(word: str, j: int, r: int) -> Fraction:
-    """rho_j(word, r) = mu([word] and f = r mod 2^j), f the factor map: ``_masses`` with r's j digits fixed."""
+    """rho_j(word, r) = mu([word] and f = r mod 2^j), f the factor map, at j = 0 mu[word].
+
+    It is the ``_masses`` of the word's first letter, with r's j digits fixed.
+    """
     from fractions import Fraction
 
     sets = letter_sets(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))

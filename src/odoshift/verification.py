@@ -47,8 +47,6 @@ class Sizes(NamedTuple):
     equivariance_precision: int
     equivariance_shifts: int
     fiber_shifts: int
-    measure_window_log2: int
-    spectral_window_log2: int
     eigen_depth: int
     eigen_windows: int
 
@@ -62,8 +60,6 @@ FULL = Sizes(
     equivariance_precision=12,
     equivariance_shifts=4096,
     fiber_shifts=100,
-    measure_window_log2=20,
-    spectral_window_log2=20,
     eigen_depth=10,
     eigen_windows=200,
 )
@@ -77,8 +73,6 @@ QUICK = Sizes(
     equivariance_precision=8,
     equivariance_shifts=128,
     fiber_shifts=20,
-    measure_window_log2=14,
-    spectral_window_log2=14,
     eigen_depth=6,
     eigen_windows=60,
 )
@@ -277,7 +271,7 @@ def check_letter_measure(sizes: Sizes) -> CheckResult:
     }
     exact_ok = all(ergodic.invariant_measure_cylinder(w) == v for w, v in expected.items())
     total = sum(ergodic.invariant_measure_cylinder(w) for w in "abcd")
-    window = 1 << sizes.measure_window_log2
+    window = 1 << sizes.prefix_log2
     prefix = substitution.grigorchuk_prefix(window)
     tol = Fraction(1, 64)
     deviations = {
@@ -302,8 +296,7 @@ def check_letter_measure(sizes: Sizes) -> CheckResult:
 
 
 def check_spectrum(sizes: Sizes) -> CheckResult:
-    windows = [1 << (sizes.spectral_window_log2 - 4), 1 << (sizes.spectral_window_log2 - 2),
-               1 << sizes.spectral_window_log2]
+    windows = [1 << (sizes.prefix_log2 - 4), 1 << (sizes.prefix_log2 - 2), 1 << sizes.prefix_log2]
     # each magnitude twice: by the recursion on the fixed point, and by the bitsets of its letters
     prefixes = substitution.grigorchuk_prefix(windows[-1]), _untagged_prefix(windows[-1])
     thetas = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 2))

@@ -46,6 +46,20 @@ class TestGenerate:
         assert (code, out) == (4, "")
         assert "the 8 letters grown from" in err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("a -> \n", "rule for 'a' is erasing; rules must be nonempty"),
+            ("a -> ax\n", "rule 'a' -> 'ax' uses letter 'x' outside alphabet"),
+            ("# no rules\n\n", "no rules found"),
+        ],
+        ids=["erasing", "outside_the_alphabet", "no_rules"],
+    )
+    def test_a_bad_substitution_file_exits_2(self, capsys, tmp_path, source, message):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(source)
+        assert run(capsys, "generate", "--length", "8", "--seed-file", str(rules)) == (2, "", f"error: {message}\n")
+
     def test_grigorchuk_substitution_file(self, capsys, tmp_path):
         rules = tmp_path / "grigorchuk.txt"
         rules.write_text(GRIGORCHUK_RULES)
@@ -141,13 +155,14 @@ class TestFiber:
         from odoshift import substitution
 
         passes = []
-        extension_masses = substitution._extension_masses
+        masses = substitution._masses
 
         def counted(*args):
-            passes.append(args)
-            return extension_masses(*args)
+            if sys._getframe(1).f_code is not masses.__code__:  # a pass, not a step of its recursion
+                passes.append(args)
+            return masses(*args)
 
-        monkeypatch.setattr(substitution, "_extension_masses", counted)
+        monkeypatch.setattr(substitution, "_masses", counted)
         path = tmp_path / "omega.txt"
         path.write_text(grigorchuk_prefix(1 << 14).text + "\n")
         rules = tmp_path / "grigorchuk.txt"
@@ -381,6 +396,14 @@ class TestDemandSizedInput:
                            "--length", str(length))
         assert code == 2
         assert f"error: shift {shift} outside 0..{length - 1}" in err
+
+    @pytest.mark.parametrize("argv", [["encode", "--shift", "-1"], ["freq", "--word", "a", "--shift", "-3"]],
+                             ids=["encode", "freq"])
+    def test_a_negative_shift_with_no_length_is_named(self, capsys, argv):
+        # with no --length the length comes from the shift, so no range would be right
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: shift must be nonnegative, got {argv[-1]}\n"
 
     COMMANDS = [
         ["analyze", "--levels", "6"],
@@ -913,7 +936,7 @@ class TestCountsOnTheFixedPointReadNoLetters:
             ({}, ["freq", "--word", "a", "--window", "100", "--shift", "200", "--length", "150"], 2,
              "error: shift 200 outside 0..149"),
             ({}, ["spectrum", "--word", "a", "--theta", "1/2", "--shift=-1"], 2,
-             "error: shift -1 outside 0..1048574"),
+             "error: shift must be nonnegative, got -1"),
             ({"ODOSHIFT_MAX_BYTES": "1000"}, ["freq", "--word", "a", "--window", "4096"], 2,
              "error: requested length 4096 exceeds the cap of 1000 bytes"),
             ({"ODOSHIFT_MAX_BYTES": "1000"}, ["spectrum", "--word", "a", "--window", "4096", "--theta", "1/3"], 2,

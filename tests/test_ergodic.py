@@ -221,6 +221,17 @@ class TestUniformDistribution:
         with pytest.raises(errors.InvalidInputError, match=f"window must be positive, got {window}"):
             erg.uniform_distribution_report(OMEGA, 1, window)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_a_depth_below_one_is_invalid(self, depth):
+        with pytest.raises(errors.InvalidInputError, match=f"^depth must be positive, got {depth}$"):
+            erg.uniform_distribution_report(OMEGA, depth, 16)
+
+    def test_a_prefix_too_short_names_the_length_it_needs(self):
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            erg.uniform_distribution_report(grigorchuk_prefix(100), 3, 99)
+        assert str(exc.value) == "depth 3 over window 99 needs prefix length 101, have 100"
+        assert exc.value.required_length == 101
+
     def test_depth_two(self):
         report = erg.uniform_distribution_report(OMEGA, 2, 1 << 17)
         assert report.max_deviation < Fraction(1, 1000)

@@ -107,6 +107,11 @@ class TestEquivariance:
         with pytest.raises(errors.InsufficientDataError):
             fm.verify_equivariance(grigorchuk_prefix(100), 8, 50)
 
+    @pytest.mark.parametrize("shifts", [0, -2])
+    def test_shifts_below_one_are_invalid(self, shifts):
+        with pytest.raises(errors.InvalidInputError, match=f"^shifts must be positive, got {shifts}$"):
+            fm.verify_equivariance(OMEGA, 4, shifts)
+
     def test_corrupted_prefix_detected(self):
         text = list(grigorchuk_prefix(3000).text)
         text[100] = {"a": "b"}.get(text[100], "a")

@@ -11,8 +11,10 @@ each level.  Three slow references stand in for it here:
   prefix of the fixed point, whose factors of length <= 256 are the whole
   language at those lengths (the fixed point is minimal).
 
-``left_extensions``, the same desubstitution read for each letter put
-before the word, is checked against ``residue_class_measure`` of l + w.
+``SymbolicPrefix.left_extensions``, the same desubstitution read for
+each letter put before the word, is checked against
+``residue_class_measure`` of l + w.  The language up to 130 letters is
+certified against the distinct factors of a 2^18-letter prefix.
 """
 
 import itertools
@@ -31,10 +33,8 @@ from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     Alphabet,
     SymbolicPrefix,
-    codes_measure,
     grigorchuk_letter,
     grigorchuk_prefix,
-    left_extensions,
     parse_prefix,
 )
 from oracles import head, residue_class_measure, tail_density
@@ -72,7 +72,7 @@ def substring_letters(prefix: SymbolicPrefix) -> set:
 
 def assert_left_extensions_match_the_oracle(word):
     expected = {l for l in "abcd" if residue_class_measure(l + word) > 0}
-    assert left_extensions(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)) == expected, word
+    assert SymbolicPrefix(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)).left_extensions == expected, word
 
 
 def test_every_word_up_to_seven_letters_matches_the_reference():
@@ -142,11 +142,31 @@ def test_codes_are_measured_through_their_own_alphabet():
     letters = Alphabet("xdcba")  # a is code 4, and x no letter of the fixed point
     for word in ("a", "acab", TEXT[100:400], TEXT[7:20] + "d"):
         codes = letters.encode(word)
-        mu = invariant_measure_cylinder(word)
-        assert codes_measure(letters, codes) == mu, word
-        assert codes_measure(letters, letters.encode(word[0]) + codes[1:]) == mu, word
-    assert codes_measure(letters, letters.encode("acxab")) == 0
-    assert codes_measure(letters, letters.encode("a") + letters.encode("x")) == 0
+        extending = {l for l in "abcd" if invariant_measure_cylinder(l + word) > 0}
+        assert SymbolicPrefix(letters, codes).left_extensions == extending, word
+        assert SymbolicPrefix(letters, letters.encode(word[0]) + codes[1:]).left_extensions == extending, word
+    assert not SymbolicPrefix(letters, letters.encode("acxab")).left_extensions
+    assert not SymbolicPrefix(letters, letters.encode("a") + letters.encode("x")).left_extensions
+
+
+def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
+    # Factor complexity: the tree of words of positive measure, grown one letter at a time
+    # by left extension, holds at each length n as many words as the prefix has distinct
+    # factors of length n, and every factor has positive measure, so the two sets are equal.
+    # A factor of length n <= N starts a factor of length N or lies in the last N - 1 letters.
+    N, text = 130, grigorchuk_prefix(1 << 18).text
+    longest = {text[i : i + N] for i in range(len(text) - N + 1)}
+    tail = range(len(text) - N + 1, len(text))
+    tree = {l for l in "abcd" if invariant_measure_cylinder(l) > 0}
+    for n in range(1, N + 1):
+        factors = {word[:n] for word in longest} | {text[i : i + n] for i in tail[: len(tail) - n + 1]}
+        assert len(tree) == len(factors), n
+        assert all(invariant_measure_cylinder(word) > 0 for word in factors), n
+        tree = {
+            l + word
+            for word in tree
+            for l in SymbolicPrefix(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)).left_extensions
+        }
 
 
 @st.composite

@@ -230,7 +230,35 @@ class TestIterate:
             sub.grigorchuk_codes(1)
 
 
+class TestSubstitutionRules:
+    @pytest.mark.parametrize(
+        "letters, rules, message",
+        [
+            ("ab", {"a": "ab"}, "no rule for letter 'b'"),
+            ("a", {"a": "aa", "b": "a"}, "rule for 'b' outside alphabet"),
+            ("ab", {"a": "ab", "b": ""}, "rule for 'b' is erasing; rules must be nonempty"),
+            ("a", {"a": "ax"}, "rule 'a' -> 'ax' uses letter 'x' outside alphabet"),
+        ],
+        ids=["missing", "extra", "erasing", "outside_the_alphabet"],
+    )
+    def test_each_rule_error_is_named(self, letters, rules, message):
+        with pytest.raises(errors.InvalidInputError) as exc:
+            sub.Substitution(sub.Alphabet(letters), rules)
+        assert str(exc.value) == message
+
+    def test_a_source_with_no_rules(self):
+        with pytest.raises(errors.InvalidInputError, match="^no rules found$"):
+            sub.parse_substitution("# only a comment\n\n")
+
+
 class TestFixedPointPrefix:
+    @pytest.mark.parametrize("make", [lambda n: sub.fixed_point_prefix(TAU, "a", n), sub.grigorchuk_codes],
+                             ids=["fixed_point_prefix", "grigorchuk_codes"])
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_a_length_below_one_is_invalid(self, make, length):
+        with pytest.raises(errors.InvalidInputError, match=f"^length must be positive, got {length}$"):
+            make(length)
+
     def test_short_prefixes(self):
         assert sub.fixed_point_prefix(TAU, "a", 1).text == "a"
         assert sub.fixed_point_prefix(TAU, "a", 2).text == "ac"
@@ -272,6 +300,15 @@ class TestFixedPointPrefix:
         assert generated and np.shares_memory(view.codes, omega.codes) and omega.codes.readonly
         assert omega.text.startswith("acabacad") and len(passes) == generated
         assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+
+    def test_repr_generates_no_letters(self):
+        omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
+        assert repr(omega.shifted(3)) == (
+            "SymbolicPrefix(alphabet=Alphabet(letters='abcd'), length=67108861, fixed_point_start=3)"
+        )
+        assert repr(omega).endswith("length=67108864, fixed_point_start=0)")
+        assert isinstance(vars(omega)["codes"], sub._Unread)
+        assert repr(word("acab")).endswith("length=4, fixed_point_start=None)")
 
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []

@@ -90,6 +90,11 @@ class TestSmallestPartialPeriod:
         with pytest.raises(errors.InsufficientDataError):
             tp.smallest_partial_period(word("abcd"), 4)
 
+    @pytest.mark.parametrize("n", [0, -1, 5])
+    def test_a_position_outside_the_prefix_is_invalid(self, n):
+        with pytest.raises(errors.InvalidInputError, match=f"^position {n} outside 1..4$"):
+            tp.smallest_partial_period(word("acab"), n)
+
     def test_a_large_period_is_found_in_blocks(self):
         # n = 2^17 has smallest period 2^18, which a scan one p at a time
         # reached only after 2^18 Python calls
@@ -128,6 +133,11 @@ class TestEssentialPeriods:
         loose = heuristic_essential_periods(prefix, 64)
         assert set(rigid.periods) <= set(loose)
 
+    @pytest.mark.parametrize("horizon", [0, -4])
+    def test_a_horizon_below_one_is_invalid(self, horizon):
+        with pytest.raises(errors.InvalidInputError, match=f"^horizon must be positive, got {horizon}$"):
+            tp.essential_periods(OMEGA, horizon)
+
     def test_horizon_too_large(self):
         with pytest.raises(errors.InsufficientDataError) as exc:
             tp.essential_periods(word("abab"), 4)
@@ -135,6 +145,11 @@ class TestEssentialPeriods:
 
 
 class TestPeriodSkeleton:
+    @pytest.mark.parametrize("shifts", [-1, -9])
+    def test_a_scan_over_negative_shifts_is_invalid(self, shifts):
+        with pytest.raises(errors.InvalidInputError, match=f"^shifts must be nonnegative, got {shifts}$"):
+            tp.deepest_columns(OMEGA.codes, 3, shifts)
+
     def test_fixed_point_levels(self):
         skel = tp.period_skeleton(grigorchuk_prefix(1 << 12), 10)
         assert skel.levels == tuple(1 << k for k in range(1, 11))

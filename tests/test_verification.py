@@ -166,3 +166,10 @@ def test_check_spectrum_fails_where_the_two_paths_differ(monkeypatch):
                         lambda *args: [c + (r == 0) for r, c in enumerate(counts(*args))])
     result = verification.check_spectrum(QUICK)
     assert not result.ok and result.detail.endswith("9 magnitudes equal on both paths: False")
+
+
+@pytest.mark.parametrize("level", ["medium", "FULL", ""])
+def test_an_unknown_level_runs_no_check(monkeypatch, level):
+    monkeypatch.setattr(verification, "run_check", lambda check, sizes: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=f"^level must be 'quick' or 'full', got {level!r}$"):
+        verification.run_all(level)
