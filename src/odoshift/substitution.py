@@ -159,8 +159,8 @@ class SymbolicPrefix(Immutable):
 
     def at(self, position: int) -> str:
         """Letter at 1-based position."""
-        if position < 1 or position > len(self.codes):
-            raise InvalidInputError(f"position {position} outside 1..{len(self.codes)}")
+        if position < 1 or position > len(self):  # checked before a lazy prefix generates its codes
+            raise InvalidInputError(f"position {position} outside 1..{len(self)}")
         return self.alphabet.letters[self.codes[position - 1]]
 
     @property
@@ -452,6 +452,8 @@ def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     is the sets at even positions pulled back through next, half as long.
     At an odd position l is a and W' comes from rest alone; at an even one
     W' is l's pullback before the rest, so one pass serves all four letters.
+    With j = 0 an empty rest has the letters' masses, and a rest of one set
+    takes the step down to the empty W' inline: neither makes a call.
 
     With j > 0 the masses are of [l + rest] and f = r mod 2^j, f the factor
     map onto the dyadic integers, for depth >= j: bit 0 of r fixes l's
@@ -459,6 +461,16 @@ def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     """
     if 0 in rest:
         return 0, 0, 0, 0
+    if not j and len(rest) < 2:
+        if not rest:
+            return 7 << depth, 2 << depth, 4 << depth, 1 << depth
+        # one set s: the step below, in closed form.  W' is empty one level down (depth >= 1, as
+        # len(rest) < 2^depth), so a sums the masses 7, 2, 4, 1 over s's pullback, which holds a and d
+        # if s holds c (7 + 1), c if b (4) and b if d (2).  At an even position W' is l's pullback
+        # alone, so if s holds a, b, c and d take the masses of c, of a and d, and of b.
+        s = rest[0]
+        a = ((s & 6) * 2 + (s >> 2 & 2)) << depth - 1
+        return (a, 4 << depth - 1, 8 << depth - 1, 2 << depth - 1) if s & 1 else (a, 0, 0, 0)
     if not rest:
         # W' stays empty, so a loop takes r's digits from the last one up, from the masses where they run
         # out (14 times 1/2, 1/7, 2/7, 1/14): a clear digit puts l at an odd position, where it is a, and
@@ -493,20 +505,28 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     sets[0::2] from m, over floor(n / 2) starts.  A split leaves each half
     a set, and one set s is counted in closed form: the ceil(n / 2) even
     starts count if s holds a, and the odd ones count the pullback of s
-    over floor(n / 2) starts, so one loop halves n and pulls s back until
-    either runs out, a table read per bit of n.  A word of L sets takes at
-    most 2L - 1 calls, and no letter is read.
+    over floor(n / 2) starts.  The pullback of a set holds a exactly when
+    the set holds c, and moves c to d, d to b and b to c.  So c, b and d in
+    s bring a back after 1, 2 and 3 halvings of n, and every third one
+    after that: one loop per letter, a turn per three bits of n.  A word
+    of L sets takes at most 2L - 1 calls, and no letter is read.  A
+    negative n is an InvalidInputError.
     """
-    if not sets or not n:
+    if not sets or n <= 0:
+        if n < 0:
+            raise InvalidInputError(f"need n >= 0 starts, got {n}")
         return n
     if 0 in sets:
         return 0
     if len(sets) == 1:
-        s, count = sets[0], 0
-        while s and n:
-            if s & 1:
-                count += (n + 1) // 2
-            s, n = _PULLBACK[s], n // 2
+        s = sets[0]
+        count = (n + 1) >> 1 if s & 1 else 0
+        for letter, k in ((4, 1), (2, 2), (8, 3)):  # c, b, d
+            if s & letter:
+                m = n >> k
+                while m:
+                    count += (m + 1) >> 1
+                    m >>= 3
         return count
     count = 0
     if not sets[0::2].translate(None, _HOLDING_A):
@@ -524,9 +544,12 @@ def fixed_point_residue_counts(sets: bytes, n: int, q: int) -> list:
     is possible, and in class (r - e) * 2^-1 mod q when q is odd.  So the
     two halves' counts interleave (q even) or land at 2t and 2t + 1 mod q
     (q odd).  An empty word counts every start; a word of L sets over n
-    starts takes O(q (L + log n)) steps, and no letter is read.
+    starts takes O(q (L + log n)) steps, and no letter is read.  A negative
+    n is an InvalidInputError.
     """
-    if not sets or not n:
+    if not sets or n <= 0:
+        if n < 0:
+            raise InvalidInputError(f"need n >= 0 starts, got {n}")
         return [(n + q - 1 - r) // q for r in range(q)]
     if 0 in sets:
         return [0] * q

@@ -59,6 +59,7 @@ import pytest
 
 from odoshift import ergodic, errors, factormap, substitution, toeplitz
 from oracles import (
+    _class_measure_of_sets,
     class_measure_by_parity,
     essential_periods_by_period,
     essential_periods_one_pass,
@@ -708,8 +709,9 @@ def test_fixed_point_count_reads_letter_sets():
         assert substitution.fixed_point_count(sets, n) == want, (sets, n)
 
 
-# starts around every power of two up to 2^62, and past it
-HALVING_STARTS = sorted({0, 1, 10**18, *(n for k in range(63) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
+# starts around every power of two up to 2^200, 10^18 among them: the one-set count's last group of three
+# halvings is cut at every bit length mod 3
+HALVING_STARTS = sorted({0, 1, 10**18, *(n for k in range(201) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
 
 
 def test_fixed_point_count_equals_the_halving_recursion():
@@ -725,8 +727,20 @@ def test_fixed_point_count_equals_the_halving_recursion():
         words.append(bytes(rng.randrange(16) for _ in range(size)))
     assert any(0 in sets for sets in words)
     for sets in words:
-        for n in HALVING_STARTS:
+        # the oracle halves n to 0 one call at a time, so longer words take the starts up to 2^62 and 10^18
+        for n in HALVING_STARTS if len(sets) == 1 else [n for n in HALVING_STARTS if n.bit_length() <= 63]:
             assert substitution.fixed_point_count(sets, n) == halving_fixed_point_count(sets, n), (sets, n)
+
+
+@pytest.mark.parametrize("sets, n, q", [(b"\x04", -1, None), (b"\x01", -5, None), (b"\x01\x02", -1, None),
+                                        (b"", -2, None), (b"\x04", -1, 3), (b"\x01\x02", -7, 2)])
+def test_counts_over_a_negative_number_of_starts_raise(sets, n, q):
+    # the one-set tail would spin on n >> k == -1, and b"\x01\x02" prunes the halves that keep n < 0
+    with pytest.raises(errors.InvalidInputError, match=f"got {n}$"):
+        if q is None:
+            substitution.fixed_point_count(sets, n)
+        else:
+            substitution.fixed_point_residue_counts(sets, n, q)
 
 
 def test_counting_the_as_of_10_to_the_18_letters_reads_no_letter():
@@ -906,6 +920,46 @@ def test_class_measure_matches_the_fraction_recursion(j):
         rhos = [substitution.class_measure(word, j, r) for r in range(1 << j)]
         assert rhos == [class_measure_by_parity(word, j, r) for r in range(1 << j)], word
         assert sum(rhos) == substitution.invariant_measure_cylinder(word), word
+
+
+def test_one_set_masses_are_the_fraction_recursion_with_no_further_call(monkeypatch):
+    # at j = 0 the empty rest and every one-set rest, the empty set among them, at each depth they fit
+    calls = []
+    masses = substitution._masses
+    monkeypatch.setattr(substitution, "_masses", lambda *args: calls.append(args) or masses(*args))
+    for s in range(16):
+        letters = {letter for i, letter in enumerate("abcd") if s >> i & 1}
+        want = [_class_measure_of_sets([{letter}, letters], 0, 0) for letter in "abcd"]
+        for depth in range(1, 65):
+            calls.clear()
+            assert substitution._masses(bytes((s,)), depth) == tuple(m * (14 << depth) for m in want), (s, depth)
+            assert len(calls) == 1, (s, depth)
+    want = [_class_measure_of_sets([{letter}], 0, 0) for letter in "abcd"]
+    for depth in range(65):
+        calls.clear()
+        assert substitution._masses(b"", depth) == tuple(m * (14 << depth) for m in want) and len(calls) == 1
+
+
+def test_the_words_op_mix_measures_and_counts_alike():
+    # every factor of 8 to 14 letters and a seeded sample of their one-letter mutations: the measure by
+    # the parity recursion, and the count over a 2^20-letter window by desubstitution and by the bitsets
+    text = grigorchuk_prefix(1 << 12).text
+    factors = sorted({text[i : i + n] for n in range(8, 15) for i in range(len(text) - n + 1)})
+    rng = random.Random(20261024)
+    mutations = sorted({word[:i] + other + word[i + 1 :] for word in factors for i in range(len(word))
+                        for other in "abcd" if other != word[i]} - set(factors))
+    words = factors + rng.sample(mutations, 400)
+    window = 1 << 20
+    tagged = grigorchuk_prefix(window + 13)
+    plain = untagged(tagged)
+    assert len(factors) == 200
+    for i, word in enumerate(words):
+        mu = substitution.invariant_measure_cylinder(word)
+        assert mu == class_measure_by_parity(word, 0, 0), word
+        count = ergodic.cylinder_frequency(tagged, word, window).count
+        assert count == ergodic.cylinder_frequency(plain, word, window).count, word
+        # the prefix holds every factor of up to 14 letters, so no mutation is one
+        assert bool(mu) == bool(count) == (i < len(factors)), word
 
 
 @pytest.mark.parametrize("j", [8, 13, 31, 64])

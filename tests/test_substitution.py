@@ -310,6 +310,16 @@ class TestFixedPointPrefix:
         assert isinstance(vars(omega)["codes"], sub._Unread)
         assert repr(word("acab")).endswith("length=4, fixed_point_start=None)")
 
+    def test_an_out_of_range_position_generates_no_letters(self):
+        omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
+        for position in (0, -1, (1 << 26) + 1):
+            with pytest.raises(errors.InvalidInputError, match=f"^position {position} outside 1..67108864$"):
+                omega.at(position)
+        assert isinstance(vars(omega)["codes"], sub._Unread)
+        with pytest.raises(errors.InvalidInputError, match="^position 3 outside 1..2$"):
+            omega.shifted((1 << 26) - 2).at(3)
+        assert isinstance(vars(omega)["codes"], sub._Unread)
+
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []
         expand = sub._expand
