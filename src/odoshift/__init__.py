@@ -53,7 +53,6 @@ _EXPORTS = {
         "SpectralSample",
         "cylinder_frequency",
         "spectral_scan",
-        "uniform_distribution_report",
     ),
 }
 

@@ -151,46 +151,6 @@ def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> Freque
     return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
 
 
-class WordDeviation(NamedTuple):
-    word: str
-    empirical: Fraction
-    exact: Fraction
-    deviation: Fraction
-
-
-class DistributionReport(NamedTuple):
-    depth: int
-    window: int
-    entries: tuple
-    max_deviation: Fraction
-
-    @property
-    def worst_word(self) -> str:
-        return max(self.entries, key=lambda e: e.deviation).word
-
-
-def uniform_distribution_report(prefix: SymbolicPrefix, depth: int, window: int) -> DistributionReport:
-    """Empirical-vs-exact cylinder frequencies for every word of the given depth."""
-    if depth < 1:
-        raise InvalidInputError(f"depth must be positive, got {depth}")
-    if window < 1:
-        raise InvalidInputError(f"window must be positive, got {window}")
-    need = window + depth - 1
-    if need > len(prefix):
-        raise InsufficientDataError(
-            f"depth {depth} over window {window} needs prefix length {need}, have {len(prefix)}",
-            required_length=need,
-        )
-    codes = prefix.codes[:need].tobytes()
-    seen = {codes[i : i + depth] for i in range(window)}
-    entries = []
-    for word in sorted(map(prefix.alphabet.decode, seen)):
-        empirical = cylinder_frequency(prefix, word, window).frequency
-        exact = invariant_measure_cylinder(word)
-        entries.append(WordDeviation(word, empirical, exact, deviation=abs(empirical - exact)))
-    return DistributionReport(depth, window, tuple(entries), max(e.deviation for e in entries))
-
-
 class SpectralSample(NamedTuple):
     theta: Fraction
     word: str

@@ -41,7 +41,7 @@ def default_language_horizon(shift: int) -> int:
     The head stays ambiguous longer when the letters of valuation j and of
     j + v2(m + 1) agree: n = 7 * 2^j needs a horizon of 3 * 2^j + 1.  That
     is the largest needed for any n up to 2^14, so 4 * 2^j covers them all
-    (``tests/test_factormap.py`` checks every n up to 2^12).
+    (``tests/test_factormap.py`` checks every n up to 2^14).
     """
     return max(64, (shift & -shift) << 2)
 

@@ -484,7 +484,7 @@ def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     if j:
         odd, even, r, j = not r & 1, r & 1, r >> 1, j - 1
     # l at an odd position: rest[1::2] sit at odd ones, and W' is the pullback of rest[0::2]
-    head = _PULLBACK[rest[0]] if rest else 15
+    head = _PULLBACK[rest[0]]
     if odd and head and not rest[1::2].translate(None, _HOLDING_A):
         a = sum(compress(_masses(rest[2::2].translate(_PULLBACK), depth - 1, r, j), _MEMBERS[head]))
     # l at an even position: rest[0::2] sit at odd ones, and W' is the pullback of l + rest[1::2]

@@ -587,6 +587,17 @@ class TestOptions:
         }
         assert options == self.OPTIONS
 
+    @pytest.mark.parametrize("command", ["odoshift", *OPTIONS])
+    def test_help_exits_zero_and_lists_the_options(self, capsys, command):
+        argv = [] if command == "odoshift" else [command]
+        listed = self.OPTIONS.get(command, ["--json", *self.OPTIONS])  # the top level lists --json and the commands
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {' '.join(['odoshift', *argv])} ")
+        assert [name for name in listed if name not in out] == []
+
 
 def readme_commands():
     """(argv, expected first output line or None) for each line of README's "Command line" block."""
@@ -765,7 +776,7 @@ EXPORTED = {
     "factormap": ["DyadicInt", "EncodingResult", "FiberReport", "classify_fiber", "encode_fG",
                   "sigma_preimage_letters", "verify_equivariance"],
     "ergodic": ["FrequencyEstimate", "SpectralSample", "cylinder_frequency", "invariant_measure_cylinder",
-                "spectral_scan", "uniform_distribution_report"],
+                "spectral_scan"],
 }
 
 

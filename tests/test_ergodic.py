@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -205,38 +206,33 @@ class TestClassMeasure:
         assert masses == [0, LETTER_MEASURE["b"], LETTER_MEASURE["c"], LETTER_MEASURE["d"] + LETTER_MEASURE["a"]]
 
 
+def frequencies_and_measures(prefix, depth, window):
+    """word -> (frequency over the window, exact measure) for every word of ``depth`` letters over abcd."""
+    words = map("".join, product("abcd", repeat=depth))
+    return {
+        w: (erg.cylinder_frequency(prefix, w, window).frequency, erg.invariant_measure_cylinder(w))
+        for w in words
+    }
+
+
 class TestUniformDistribution:
+    """Each cylinder's frequency over a window is near its exact measure; the words seen have positive measure."""
+
     def test_depth_one(self):
-        report = erg.uniform_distribution_report(OMEGA, 1, 1 << 16)
-        assert report.max_deviation <= Fraction(1, 64)
-        assert {e.word for e in report.entries} == set("abcd")
+        table = frequencies_and_measures(OMEGA, 1, 1 << 16)
+        assert max(abs(f - mu) for f, mu in table.values()) <= Fraction(1, 64)
+        assert {w for w, (f, _) in table.items() if f} == set("abcd")
 
     def test_shifted_orbit_same_limits(self):
         shifted = grigorchuk_prefix((1 << 16) + 8).shifted(7)
-        report = erg.uniform_distribution_report(shifted, 1, 1 << 16)
-        assert report.max_deviation <= Fraction(1, 64)
-
-    @pytest.mark.parametrize("window", [0, -3])
-    def test_a_window_below_one_is_invalid(self, window):
-        with pytest.raises(errors.InvalidInputError, match=f"window must be positive, got {window}"):
-            erg.uniform_distribution_report(OMEGA, 1, window)
-
-    @pytest.mark.parametrize("depth", [0, -1])
-    def test_a_depth_below_one_is_invalid(self, depth):
-        with pytest.raises(errors.InvalidInputError, match=f"^depth must be positive, got {depth}$"):
-            erg.uniform_distribution_report(OMEGA, depth, 16)
-
-    def test_a_prefix_too_short_names_the_length_it_needs(self):
-        with pytest.raises(errors.InsufficientDataError) as exc:
-            erg.uniform_distribution_report(grigorchuk_prefix(100), 3, 99)
-        assert str(exc.value) == "depth 3 over window 99 needs prefix length 101, have 100"
-        assert exc.value.required_length == 101
+        table = frequencies_and_measures(shifted, 1, 1 << 16)
+        assert max(abs(f - mu) for f, mu in table.values()) <= Fraction(1, 64)
 
     def test_depth_two(self):
-        report = erg.uniform_distribution_report(OMEGA, 2, 1 << 17)
-        assert report.max_deviation < Fraction(1, 1000)
-        for entry in report.entries:
-            assert entry.exact == erg.invariant_measure_cylinder(entry.word)
+        table = frequencies_and_measures(OMEGA, 2, 1 << 17)
+        assert max(abs(f - mu) for f, mu in table.values()) < Fraction(1, 1000)
+        seen = {w for w, (f, _) in table.items() if f}
+        assert seen == {w for w, (_, mu) in table.items() if mu} == {"ab", "ac", "ad", "ba", "ca", "da"}
 
 
 class TestEigenfunction:

@@ -138,8 +138,8 @@ class TestSigmaPreimage:
 
     def test_default_horizon_finds_one_letter_after_every_shift(self):
         # n + 4 * 2^v2(n) - 1 <= 5n letters are read after a shift n
-        omega = grigorchuk_prefix(5 << 12)
-        for n in range(1, (1 << 12) + 1):
+        omega = grigorchuk_prefix(5 << 14)
+        for n in range(1, (1 << 14) + 1):
             letters = fm.sigma_preimage_letters(head(omega.shifted(n), fm.default_language_horizon(n)))
             assert letters == {grigorchuk_letter(n)}, n
 
