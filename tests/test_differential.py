@@ -197,6 +197,19 @@ def test_oracle_matches_the_letter_formula_at_every_position():
         assert substitution.grigorchuk_codes(length).tolist() == scalar[:length], length
 
 
+def test_codes_from_a_start_match_the_letter_formula():
+    # a start moves each valuation's residue class, and past 2^16 letters a valuation is written in passes
+    for start in (1, 2, 5, 1000, (1 << 20) - 3, 10**12 + 7):
+        for length in (1, 3, 64, 4097):
+            want = [GRIGORCHUK_ALPHABET.index(grigorchuk_letter(m)) for m in range(start + 1, start + length + 1)]
+            assert substitution.grigorchuk_codes(length, start).tolist() == want, (start, length)
+    whole = substitution.grigorchuk_codes(1 << 18)
+    for start in (1, 3, CHUNK + 1, 5 * CHUNK - 1):
+        assert substitution.grigorchuk_codes((1 << 18) - start, start) == whole[start:], start
+    with pytest.raises(errors.InvalidInputError, match="^start must be nonnegative, got -1$"):
+        substitution.grigorchuk_codes(4, -1)
+
+
 def test_oracle_checks_the_cap(monkeypatch):
     monkeypatch.setenv(substitution.MAX_BYTES_ENV, "100")
     assert len(substitution.grigorchuk_codes(100)) == 100

@@ -123,6 +123,7 @@ class TestSymbolicPrefix:
 
     def test_shift_is_a_view(self):
         p = sub.grigorchuk_prefix(1 << 22)
+        p.codes  # a shift of read codes is a view of them; an unread prefix's shift makes its own
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
@@ -284,22 +285,32 @@ class TestFixedPointPrefix:
             sub.fixed_point_prefix(TAU, "a", 65)
 
     def test_the_fixed_point_is_generated_when_its_codes_are_first_read(self, monkeypatch):
-        passes = []
-        expand = sub._expand
-        monkeypatch.setattr(sub, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
+        made = []
+        codes = sub.grigorchuk_codes
+        monkeypatch.setattr(sub, "grigorchuk_codes", lambda *args: made.append(args) or codes(*args))
         omega = sub.fixed_point_prefix(TAU, "a", 5000)
         view = omega.shifted(1000).shifted(7)
         # the length, the start and a shift's checks read no letter
         assert (len(omega), len(view), view.fixed_point_start) == (5000, 3993, 1007)
         with pytest.raises(errors.InvalidInputError, match="shift 3993 outside 0..3992"):
             view.shifted(3993)
-        assert passes == []
-        # reading the view's codes generates the whole prefix once, and the view is a slice of it
-        assert view.text == sub.GRIGORCHUK_ALPHABET.decode(sub.grigorchuk_codes(5000)[1007:])
-        generated = len(passes)
-        assert generated and np.shares_memory(view.codes, omega.codes) and omega.codes.readonly
-        assert omega.text.startswith("acabacad") and len(passes) == generated
+        assert made == []
+        # reading the view's codes makes its own letters once, and its parent stays unread
+        assert view.text == sub.GRIGORCHUK_ALPHABET.decode(codes(5000)[1007:])
+        assert made == [(3993, 1007)] and view.codes.readonly and vars(omega)["codes"] == 5000
+        assert omega.text.startswith("acabacad") and made == [(3993, 1007), (5000, 0)]
+        # a shift of read codes is a view of them, and makes nothing
+        assert np.shares_memory(omega.shifted(3).codes, omega.codes) and len(made) == 2
         assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+
+    def test_a_far_shift_makes_only_its_own_letters(self):
+        # the last 64 of 2^26 letters, made without the 64 MiB of the letters before them
+        omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
+        tail = omega.shifted((1 << 26) - 64)
+        assert traced_peak(lambda: tail.codes) < 64 << 10
+        letters = [sub.grigorchuk_letter(m) for m in range((1 << 26) - 63, (1 << 26) + 1)]
+        assert tail.text == "".join(letters)
+        assert isinstance(vars(omega)["codes"], int)
 
     def test_repr_generates_no_letters(self):
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
@@ -307,7 +318,7 @@ class TestFixedPointPrefix:
             "SymbolicPrefix(alphabet=Alphabet(letters='abcd'), length=67108861, fixed_point_start=3)"
         )
         assert repr(omega).endswith("length=67108864, fixed_point_start=0)")
-        assert isinstance(vars(omega)["codes"], sub._Unread)
+        assert isinstance(vars(omega)["codes"], int)
         assert repr(word("acab")).endswith("length=4, fixed_point_start=None)")
 
     def test_an_out_of_range_position_generates_no_letters(self):
@@ -315,10 +326,10 @@ class TestFixedPointPrefix:
         for position in (0, -1, (1 << 26) + 1):
             with pytest.raises(errors.InvalidInputError, match=f"^position {position} outside 1..67108864$"):
                 omega.at(position)
-        assert isinstance(vars(omega)["codes"], sub._Unread)
+        assert isinstance(vars(omega)["codes"], int)
         with pytest.raises(errors.InvalidInputError, match="^position 3 outside 1..2$"):
             omega.shifted((1 << 26) - 2).at(3)
-        assert isinstance(vars(omega)["codes"], sub._Unread)
+        assert isinstance(vars(omega)["codes"], int)
 
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []
@@ -351,8 +362,9 @@ class TestClosedForm:
         assert sub.grigorchuk_letter(12) == "b"
 
     def test_matches_generator(self):
+        # the self-expansion that grows other rules' fixed points, run on the Grigorchuk rules
         length = 1 << 16
-        generated = sub.fixed_point_prefix(TAU, "a", length)
+        generated = sub.SymbolicPrefix(ABC, sub._grow(TAU, "a", length))
         assert all(
             generated.at(m) == sub.grigorchuk_letter(m) for m in range(1, length + 1)
         )
@@ -449,11 +461,11 @@ class TestMemory:
 
     def test_generated_codes_peak(self):
         peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH).codes)
-        assert peak <= 2 * self.LENGTH
+        assert peak <= self.LENGTH + 4 * sub._CHUNK
 
     def test_oracle_peak(self):
         peak = traced_peak(lambda: sub.grigorchuk_codes(self.LENGTH))
-        assert peak <= 2 * self.LENGTH
+        assert peak <= self.LENGTH + 4 * sub._CHUNK
 
 
 class TestTextFormats:

@@ -60,23 +60,46 @@ def test_rigidity_reads_the_tails_the_strided_copies_read(flips, ok, monkeypatch
     assert result.ok == (want[1:] == (0, 0)) == ok
 
 
+def string_join_mismatches(codes) -> int:
+    """Positions below L where the rules' string-join image of the first L/2 letters differs from them or ends."""
+    text = substitution.GRIGORCHUK_ALPHABET.decode(codes)
+    rules = substitution.grigorchuk_substitution().rules
+    image = "".join(rules[x] for x in text[: len(text) // 2])
+    return sum(k >= len(image) or image[k] != x for k, x in enumerate(text))
+
+
+def check_closed_form_on(codes, sizes, monkeypatch):
+    prefix = substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, bytes(codes))
+    monkeypatch.setattr(substitution, "grigorchuk_prefix", lambda n: prefix)
+    return verification.check_closed_form(sizes)
+
+
 def test_closed_form_counts_a_mismatch_in_every_block(monkeypatch):
-    # two blocks, with a wrong letter at each end of each
-    sizes = QUICK._replace(prefix_log2=17)
+    # the image of two blocks, with a wrong letter at each end of each
+    sizes = QUICK._replace(prefix_log2=18)
     length, block = 1 << sizes.prefix_log2, verification._CLOSED_FORM_BLOCK
-    wrong = [0, block - 1, block, length - 1]
-    exact = substitution.grigorchuk_codes
-
-    def with_wrong_letters(n):
-        codes = bytearray(exact(n))
-        for i in wrong:
-            codes[i] ^= 1
-        return memoryview(codes).toreadonly()
-
-    monkeypatch.setattr(substitution, "grigorchuk_codes", with_wrong_letters)
-    result = verification.check_closed_form(sizes)
+    codes = bytearray(substitution.grigorchuk_codes(length))
+    for i in [0, block - 1, block, 2 * block - 1]:
+        codes[i] ^= 1
+    result = check_closed_form_on(codes, sizes, monkeypatch)
     assert not result.ok
-    assert result.detail == f"{len(wrong)} mismatches over {length} positions"
+    assert result.detail == f"{string_join_mismatches(codes)} mismatches over {length} positions"
+
+
+def test_closed_form_fails_on_rotated_valuation_letters(monkeypatch):
+    monkeypatch.setattr(substitution, "_VALUATION_LETTER", {0: "c", 1: "b", 2: "d"})
+    codes = substitution.grigorchuk_codes(1 << QUICK.prefix_log2)
+    result = check_closed_form_on(codes, QUICK, monkeypatch)
+    assert not result.ok
+    assert result.detail == f"{string_join_mismatches(codes)} mismatches over {len(codes)} positions"
+
+
+def test_closed_form_fails_on_a_wrong_last_letter(monkeypatch):
+    # the last letter lies past the half the rules are applied to: only their image reaches it
+    codes = bytearray(substitution.grigorchuk_codes(1 << QUICK.prefix_log2))
+    codes[-1] ^= 1
+    result = check_closed_form_on(codes, QUICK, monkeypatch)
+    assert (result.ok, result.detail) == (False, f"1 mismatches over {len(codes)} positions")
 
 
 def test_a_residue_off_by_one_fails_the_equivariance_check(monkeypatch):
