@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 ok, 2 validation / I-O, 3 insufficient data, 4 not in the
-subshift, 5 verification failure.  Output is a stable line grammar;
+subshift, 5 verification failure.  A reader that closes stdout early, as
+``odoshift generate | head -c 5`` does, ends the command quietly with
+exit 2: nothing is printed on stderr.  Output is a stable line grammar;
 ``--json`` emits the same data as JSON.  Each command imports the modules
 it runs when it runs, and calls them through the module, so a one-shot
 process loads no module that its command does not use.
@@ -334,6 +336,10 @@ def main(argv=None) -> int:
     except NotInSubshiftError as exc:
         print(f"error: not in subshift: {exc}", file=sys.stderr)
         return EXIT_NOT_IN_SUBSHIFT
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is still buffered goes nowhere, so the flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except (InvalidInputError, ResourceLimitError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -4,10 +4,13 @@ Frequency counts are exact integers over explicit windows, and run on the
 standard library.  ``_count_starts`` counts a word's starts, for
 ``cylinder_frequency`` and ``spectral_scan`` alike, by one of two paths.
 On a prefix of the Grigorchuk fixed point, whose ``fixed_point_start`` is
-set, it counts by desubstitution (``substitution.fixed_point_count``), as
-``spectral_scan`` does per residue class mod q up to q = ``_COMB_MAX``
-(``substitution.fixed_point_residue_counts``): neither reads a letter, so
-the prefix generates none.  On any other prefix, and for a larger q, the
+set, it reads the word's text into its letter sets in one step
+(``substitution.word_sets``) and counts by desubstitution
+(``substitution.fixed_point_count``), as ``spectral_scan`` does per
+residue class mod q up to q = ``_COMB_MAX``
+(``substitution.fixed_point_residue_counts``): neither reads a letter of
+the prefix, so the prefix generates none.  On any other prefix, and for a
+larger q, it reads the word as codes in the prefix's own alphabet, and the
 starts of a word are the AND of its letters' bitsets, one bit-packed int
 per letter kept on the prefix, each shifted by the letter's offset in the
 word; that one kernel serves both the counts and the spectral sums.  The
@@ -31,7 +34,7 @@ from .substitution import (
     fixed_point_count,
     fixed_point_residue_counts,
     invariant_measure_cylinder,
-    letter_sets,
+    word_sets,
 )
 
 
@@ -97,26 +100,6 @@ def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
     return cache[code]
 
 
-def _word_codes(prefix: SymbolicPrefix, word: str, window: int) -> bytes:
-    """The codes of ``word``, once ``prefix`` is checked to hold its starts at positions 1..window.
-
-    The last start reads letters up to window + len(word) - 1, which is the
-    prefix length this requires, on either count path.
-    """
-    if not word:
-        raise InvalidInputError("cylinder word must be nonempty")
-    if window < 1:
-        raise InvalidInputError(f"window must be positive, got {window}")
-    need = window + len(word) - 1
-    if need > len(prefix):
-        raise InsufficientDataError(
-            f"window {window} with word length {len(word)} needs prefix length {need},"
-            f" have {len(prefix)}",
-            required_length=need,
-        )
-    return prefix.alphabet.encode(word)
-
-
 def _occurrence_bits(prefix: SymbolicPrefix, codes: bytes, window: int) -> int:
     """Bitset of the starts of the word ``codes``: bit window - 1 - i is set iff it starts at 0-based i < window.
 
@@ -131,24 +114,42 @@ def _occurrence_bits(prefix: SymbolicPrefix, codes: bytes, window: int) -> int:
     return bits >> (len(prefix) - window)
 
 
-def _count_starts(prefix: SymbolicPrefix, codes: bytes, window: int) -> tuple:
-    """(count, bits): the starts of the word ``codes`` in the window, and its occurrence bits.
+def _count_starts(prefix: SymbolicPrefix, word: str, window: int) -> tuple:
+    """(count, bits, sets): the starts of ``word`` in the window, counted on the path the prefix's tag picks.
 
-    With a ``fixed_point_start`` s the count is ``fixed_point_count`` over s + window starts less
-    the count over s, and the bits are None: no letter is read.  Otherwise it is their popcount.
+    The word is checked first, in this order: nonempty, a positive window,
+    a prefix that holds window + len(word) - 1 letters, which the last
+    start reads on either path, and last its letters.  With a
+    ``fixed_point_start`` s the word's text is read into its letter sets in
+    one step (``substitution.word_sets``), the count is
+    ``fixed_point_count`` over s + window starts less the count over s,
+    and bits is None: no letter of the prefix is read.  Otherwise the word
+    is read as codes in the prefix's own alphabet, the count is the
+    popcount of their occurrence bits, and sets is None.
     """
+    if not word:
+        raise InvalidInputError("cylinder word must be nonempty")
+    if window < 1:
+        raise InvalidInputError(f"window must be positive, got {window}")
+    need = window + len(word) - 1
+    if need > len(prefix):
+        raise InsufficientDataError(
+            f"window {window} with word length {len(word)} needs prefix length {need},"
+            f" have {len(prefix)}",
+            required_length=need,
+        )
     start = prefix.fixed_point_start
     if start is None:
-        bits = _occurrence_bits(prefix, codes, window)
-        return bits.bit_count(), bits
-    sets = letter_sets(prefix.alphabet, codes)
-    return fixed_point_count(sets, start + window) - fixed_point_count(sets, start), None
+        bits = _occurrence_bits(prefix, prefix.alphabet.encode(word), window)
+        return bits.bit_count(), bits, None
+    sets = word_sets(word)
+    return fixed_point_count(sets, start + window) - fixed_point_count(sets, start), None, sets
 
 
 def cylinder_frequency(prefix: SymbolicPrefix, word: str, window: int) -> FrequencyEstimate:
     """Exact count of occurrences of ``word`` starting at positions 1..window, by ``_count_starts``."""
-    count, _ = _count_starts(prefix, _word_codes(prefix, word, window), window)
-    return FrequencyEstimate(word=word, count=count, window=window, frequency=Fraction(count, window))
+    count = _count_starts(prefix, word, window)[0]
+    return FrequencyEstimate(word, count, window, Fraction(count, window))
 
 
 class SpectralSample(NamedTuple):
@@ -242,11 +243,10 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
     A request whose terms (the window, plus what each distinct theta's path
     costs; see ``_SPECTRAL_BUDGET``) exceed ``_SPECTRAL_BUDGET`` is refused
     with ResourceLimitError before any sum is taken.  The terms read the
-    number of starts, from ``_count_starts``.
+    number of starts, from ``_count_starts``, which also reads the word once
+    for every q.
     """
-    codes = _word_codes(prefix, word, window)
-    occurrences, bits = _count_starts(prefix, codes, window)
-    start = prefix.fixed_point_start
+    occurrences, bits, sets = _count_starts(prefix, word, window)
     thetas = [Fraction(theta) for theta in thetas]
     magnitudes = dict.fromkeys(thetas)
     work = window + sum(_spectral_work(theta, window, occurrences) for theta in magnitudes)
@@ -260,14 +260,14 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
         by_q.setdefault(theta.denominator, []).append(theta)
     starts = None  # byte i is 1 if the word starts at 0-based position i, else 0
     for q, group in by_q.items():
-        if q <= _COMB_MAX and start is not None:
-            counts = _fixed_point_counts(letter_sets(prefix.alphabet, codes), start, window, q)
+        if q <= _COMB_MAX and sets is not None:
+            counts = _fixed_point_counts(sets, prefix.fixed_point_start, window, q)
         elif q <= _COMB_MAX:
             counts = _comb_counts(bits, window, q)
         else:
             if starts is None:
                 if bits is None:  # on the fixed point, the first letters read
-                    bits = _occurrence_bits(prefix, codes, window)
+                    bits = _occurrence_bits(prefix, prefix.alphabet.encode(word), window)
                 starts = format(bits, f"0{window}b").encode().translate(_DIGIT_VALUES)
             counts = starts
             if q < window:

@@ -84,12 +84,20 @@ class Alphabet(Immutable):
 
     def encode(self, text: str) -> bytes:
         """Codes of ``text``: byte i is the alphabet index of text[i]."""
-        # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol
-        codes = text.encode().translate(self._to_code)
+        # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol; so does a lone
+        # surrogate, which is how Python reads a command-line byte that is not UTF-8
+        try:
+            codes = text.encode().translate(self._to_code)
+        except UnicodeEncodeError:
+            codes = text.encode("utf-8", "surrogatepass").translate(self._to_code)
         if 255 in codes:
-            extra = sorted(set(text) - set(self.letters))
-            raise InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
+            raise self._outside(text)
         return codes
+
+    def _outside(self, text: str) -> InvalidInputError:
+        """The error for the letters of ``text`` outside this alphabet."""
+        extra = sorted(set(text) - set(self.letters))
+        return InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
 
     def decode(self, codes) -> str:
         """The letters of the bytes-like ``codes``, which must be indices into this alphabet."""
@@ -159,9 +167,11 @@ class SymbolicPrefix(Immutable):
         return f"SymbolicPrefix(alphabet={self.alphabet!r}, length={len(self)}, fixed_point_start={start})"
 
     def at(self, position: int) -> str:
-        """Letter at 1-based position."""
-        if position < 1 or position > len(self):  # checked before a lazy prefix generates its codes
+        """Letter at 1-based position: on an unread fixed-point prefix from the closed form, leaving it unread."""
+        if position < 1 or position > len(self):
             raise InvalidInputError(f"position {position} outside 1..{len(self)}")
+        if isinstance(vars(self)["codes"], int):
+            return grigorchuk_letter(self.fixed_point_start + position)
         return self.alphabet.letters[self.codes[position - 1]]
 
     @property
@@ -411,6 +421,8 @@ def grigorchuk_prefix(length: int) -> SymbolicPrefix:
 # letter set is a bitmask byte, with a, b, c, d as bits 0..3.
 
 _BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
+# letter byte -> its set, 0 for any byte that is not a, b, c or d
+_WORD_SETS = bytes(_BIT.get(chr(byte), 0) for byte in range(256))
 _NEXT = {"a": "c", "c": "b", "b": "d", "d": "c"}  # x_2m = next(x_m)
 # Tables indexed by a set byte.  A set reads only its low four bits, so each
 # table is built for the 16 sets and repeats them up to 256 entries.
@@ -557,6 +569,21 @@ def letter_sets(alphabet: Alphabet, codes) -> bytes:
     return bytes(codes).translate(alphabet._to_set)
 
 
+def word_sets(word: str) -> bytes:
+    """The letter sets of ``word``: ``letter_sets`` of its codes over 'abcd', in one translate of its text.
+
+    A letter outside 'abcd' is the InvalidInputError ``GRIGORCHUK_ALPHABET.encode``
+    raises, with its message; an empty word has no sets.
+    """
+    try:
+        sets = word.encode().translate(_WORD_SETS)
+    except UnicodeEncodeError:  # a lone surrogate, as in Alphabet.encode
+        sets = word.encode("utf-8", "surrogatepass").translate(_WORD_SETS)
+    if 0 in sets:
+        raise GRIGORCHUK_ALPHABET._outside(word)
+    return sets
+
+
 def spells_fixed_point(alphabet: Alphabet, codes) -> bool:
     """Whether the bytes-like ``codes`` spell, over ``alphabet``, the fixed point's first len(codes) letters.
 
@@ -589,13 +616,14 @@ def class_measure(word: str, j: int, r: int) -> Fraction:
 
     It is the ``_masses`` of the word's first letter, with r's j digits fixed.
     """
-    from fractions import Fraction
+    # fractions loads with the first measure: a command that builds none does not load it
+    import fractions
 
-    sets = letter_sets(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word))
+    sets = word_sets(word)
     if not sets or j < 0:
         raise InvalidInputError(f"need a nonempty word and j >= 0, got {word!r} and {j}")
     depth = max(j, len(sets).bit_length())
-    return Fraction(_masses(sets[1:], depth, r, j)[sets[0].bit_length() - 1], 14 << depth)
+    return fractions.Fraction(_masses(sets[1:], depth, r, j)[sets[0].bit_length() - 1], 14 << depth)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
         ok = ok and decays and small
         details.append(f"theta={theta}: {mags[-1]:.2e} (decays: {decays})")
     # at theta = 1/2 the sum is the even starts less the odd ones, exactly
-    a = substitution.letter_sets(substitution.GRIGORCHUK_ALPHABET, substitution.GRIGORCHUK_ALPHABET.encode("a"))
+    a = substitution.word_sets("a")
     even, odd = substitution.fixed_point_residue_counts(a, windows[-1], 2)
     half = Fraction(even - odd, windows[-1])
     ok = ok and half == Fraction(1, 2)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -226,6 +227,14 @@ class TestMeasure:
     def test_bad_word_exit_code(self, capsys):
         code, _, err = run(capsys, "measure", "--word", "xyz")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["measure"], ["freq", "--window", "64"]], ids=["measure", "freq"])
+    def test_a_word_byte_that_is_not_utf8_is_named(self, capsys, argv):
+        # Python reads the byte 0xff of an argument as the lone surrogate U+DCFF
+        message = "error: letters ['\\udcff'] not in alphabet 'abcd'\n"
+        assert run(capsys, *argv, "--word", "a\udcffc") == (2, "", message)
+        proc = plain_cli(*argv, "--word", b"a\xffc")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 class TestFreq:
@@ -887,6 +896,26 @@ def plain_cli(*argv, env=()):
     environ.update(env)
     return subprocess.run([sys.executable, "-m", "odoshift.cli", *argv], env=environ, capture_output=True,
                           text=True, timeout=60)
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
+    environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    environ.pop("ODOSHIFT_MAX_BYTES", None)
+    argv = [sys.executable, "-m", "odoshift.cli", "generate", "--length", "10000000"]
+    with subprocess.Popen(argv, env=environ, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(5)
+        proc.stdout.close()  # as `| head -c 5` does, with most of the letters still to write
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (head, code, stderr) == (b"acaba", cli.EXIT_VALIDATION, b"")
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups()
+    modules = sorted((ROOT / "src" / "odoshift").glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=tuple(map(int, floor)))
 
 
 @pytest.mark.parametrize("argv, stdout", golden_commands(), ids=[" ".join(argv) for argv, _ in golden_commands()])

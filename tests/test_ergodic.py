@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,9 @@ from odoshift.substitution import (
     grigorchuk_letter,
     grigorchuk_prefix,
     grigorchuk_substitution,
+    letter_sets,
     parse_prefix,
+    word_sets,
 )
 
 OMEGA = grigorchuk_prefix(1 << 18)
@@ -300,6 +303,13 @@ class TestSpectralScan:
         alone = {t: erg.spectral_scan(OMEGA, [t], "a", 1 << 12)[0].magnitude for t in (Fraction(1, 3), Fraction(1, 2))}
         assert [s.magnitude for s in samples] == [alone[s.theta] for s in samples]
 
+    def test_the_word_is_read_once_per_call(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(erg, "word_sets", lambda word: reads.append(word) or word_sets(word))
+        thetas = [Fraction(1, 3), Fraction(1, 5), Fraction(3, 128), Fraction(1, 4099)]
+        erg.spectral_scan(OMEGA, thetas, "aca", 1 << 12)
+        assert reads == ["aca"]
+
     @pytest.mark.parametrize("tagged", [True, False], ids=["fixed_point", "letters"])
     def test_counts_are_taken_once_per_distinct_q(self, monkeypatch, tagged):
         # 66 thetas over two denominators: two counts, and each magnitude is the theta's own
@@ -349,3 +359,77 @@ class TestSpectralScan:
         samples = erg.spectral_scan(OMEGA, [Fraction(1, 3), Fraction(3, 8)], "ca", 1 << 12)
         for s in samples:
             assert 0.0 <= s.magnitude <= 1.0
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of the InvalidInputError it raises."""
+    try:
+        return call()
+    except errors.InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+class TestTheWordPath:
+    """A word's text is read into its letter sets in one step, with the results and errors of its codes."""
+
+    TAGGED = grigorchuk_prefix(1 << 13)
+    # the words' error messages, as the codes of 'abcd' give them
+    OUTSIDE = {
+        "x": "letters ['x'] not in alphabet 'abcd'",
+        "\u00e9": "letters ['\u00e9'] not in alphabet 'abcd'",
+        "\t": "letters ['\\t'] not in alphabet 'abcd'",
+        "\x00": "letters ['\\x00'] not in alphabet 'abcd'",
+        "\udcff": "letters ['\\udcff'] not in alphabet 'abcd'",
+        "acx": "letters ['x'] not in alphabet 'abcd'",
+    }
+
+    def test_each_byte_reads_as_its_code_does(self):
+        for word in [chr(byte) for byte in range(256)] + ["ac" + chr(byte) + "a" for byte in range(256)]:
+            expected = outcome(lambda: letter_sets(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)))
+            assert outcome(lambda: word_sets(word)) == expected, repr(word)
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["fixed_point", "letters"])
+    def test_every_question_raises_the_same_error(self, tagged):
+        prefix = self.TAGGED if tagged else untagged(self.TAGGED)
+        questions = {
+            "measure": erg.invariant_measure_cylinder,
+            "class": lambda word: class_measure(word, 0, 0),
+            "frequency": lambda word: erg.cylinder_frequency(prefix, word, 64),
+            "spectrum": lambda word: erg.spectral_scan(prefix, [Fraction(1, 3)], word, 64),
+        }
+        empty = {"class": "need a nonempty word and j >= 0, got '' and 0"}
+        for name, ask in questions.items():
+            for word, message in self.OUTSIDE.items():
+                assert outcome(lambda: ask(word)) == (errors.InvalidInputError, message), (name, word)
+            message = empty.get(name, "cylinder word must be nonempty")
+            assert outcome(lambda: ask("")) == (errors.InvalidInputError, message), name
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["fixed_point", "letters"])
+    def test_the_window_is_checked_before_the_letters(self, tagged):
+        prefix = self.TAGGED if tagged else untagged(self.TAGGED)
+        for count in (erg.cylinder_frequency, lambda *args: erg.spectral_scan(prefix, [0], *args[1:])):
+            with pytest.raises(errors.InvalidInputError, match="^window must be positive, got 0$"):
+                count(prefix, "x", 0)
+            with pytest.raises(errors.InsufficientDataError) as exc:
+                count(prefix, "ax", 1 << 13)
+            assert exc.value.required_length == (1 << 13) + 1
+
+    def test_tagged_counts_equal_the_bitsets(self):
+        # 2,000 factors of 1 to 40 letters and a one-letter mutation of each, at windows 2^k and 2^k + 1,
+        # from a few starts of the fixed point: the desubstitution and the bitset kernel count alike
+        rng = random.Random(27)
+        text = self.TAGGED.text
+        starts = (0, 1, 2, 3, 5, 1000, 4097, 6000)
+        pairs = [(tagged, untagged(tagged)) for tagged in (self.TAGGED.shifted(s) for s in starts)]
+        for _ in range(2000):
+            length = rng.randint(1, 40)
+            i = rng.randrange(len(text) - length)
+            factor = text[i : i + length]
+            j = rng.randrange(length)
+            mutant = factor[:j] + rng.choice("abcd".replace(factor[j], "")) + factor[j + 1 :]
+            tagged, letters = rng.choice(pairs)
+            k = rng.randrange((len(tagged) - 41).bit_length())
+            for word in (factor, mutant):
+                for window in (1 << k, (1 << k) + 1):
+                    expected = erg.cylinder_frequency(letters, word, window)
+                    assert erg.cylinder_frequency(tagged, word, window) == expected, (word, window)

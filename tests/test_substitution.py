@@ -87,6 +87,14 @@ class TestAlphabet:
             with pytest.raises(errors.InvalidInputError):
                 ABC.encode(text)
 
+    def test_a_lone_surrogate_is_a_letter_outside_the_alphabet(self):
+        # how Python reads a command-line byte that is not UTF-8, as in `--word $'a\xffc'`
+        message = "letters ['\\udcff'] not in alphabet 'abcd'"
+        for call in (lambda: ABC.encode("a\udcffc"), lambda: sub.parse_prefix("ab\udcff", ABC)):
+            with pytest.raises(errors.InvalidInputError) as caught:
+                call()
+            assert str(caught.value) == message
+
 
 class TestSymbolicPrefix:
     def test_positions_are_one_based(self):
@@ -330,6 +338,19 @@ class TestFixedPointPrefix:
         with pytest.raises(errors.InvalidInputError, match="^position 3 outside 1..2$"):
             omega.shifted((1 << 26) - 2).at(3)
         assert isinstance(vars(omega)["codes"], int)
+
+    def test_a_letter_of_an_unread_prefix_makes_no_letters(self):
+        # each letter from the closed form, where reading it would make all 2^26 letters, 64 MiB
+        omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
+        assert traced_peak(lambda: omega.at(5)) < 64 << 10
+        assert traced_peak(lambda: omega.shifted(12345).at(678)) < 64 << 10
+        rng = random.Random(2026)
+        shifts = [rng.randrange(1 << 26) for _ in range(2000)]
+        places = [(n, rng.randint(1, (1 << 26) - n)) for n in shifts]
+        letters = [omega.shifted(n).at(k) for n, k in places]
+        assert omega.at(5) == "a" and isinstance(vars(omega)["codes"], int)
+        read = omega.codes
+        assert letters == [ABC.letters[read[n + k - 1]] for n, k in places]
 
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []
