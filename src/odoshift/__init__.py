@@ -22,15 +22,17 @@ _EXPORTS = {
         "Alphabet",
         "Substitution",
         "SymbolicPrefix",
-        "class_measure",
         "dyadic_valuation",
         "fixed_point_prefix",
         "grigorchuk_codes",
         "grigorchuk_letter",
         "grigorchuk_prefix",
         "grigorchuk_substitution",
-        "invariant_measure_cylinder",
         "validate_prolongable",
+    ),
+    "language": (
+        "class_measure",
+        "invariant_measure_cylinder",
     ),
     "toeplitz": (
         "EPSet",

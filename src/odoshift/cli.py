@@ -6,7 +6,10 @@ subshift, 5 verification failure.  A reader that closes stdout early, as
 exit 2: nothing is printed on stderr.  Output is a stable line grammar;
 ``--json`` emits the same data as JSON.  Each command imports the modules
 it runs when it runs, and calls them through the module, so a one-shot
-process loads no module that its command does not use.
+process loads no module that its command does not use.  ``COMMANDS`` is
+the one table of the commands, and ``main`` builds the parser of the
+command that argv names alone, with the usage, help and errors of the
+parser of every command.
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
                 raise InvalidInputError(f"shift {shift} outside 0..{length - 1}")
             length = min(length, shift + need)
         if args.seed_file:
-            sub = substitution.load_substitution(args.seed_file)
+            from . import rules
+
+            sub = rules.load_substitution(args.seed_file)
             letters = substitution.fixed_point_prefix(sub, sub.alphabet.letters[0], length).text
             prefix = substitution.parse_prefix(letters, substitution.GRIGORCHUK_ALPHABET)
             origin = f"grown from {args.seed_file}"
@@ -174,7 +179,9 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    value = substitution.invariant_measure_cylinder(args.word)
+    from . import language
+
+    value = language.invariant_measure_cylinder(args.word)
     _emit(
         args,
         [f"{value.numerator}/{value.denominator}"],
@@ -264,57 +271,82 @@ def _add_input_options(parser, length=None):
     parser.add_argument("--shift", type=int, default=0, help="drop this many leading letters")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's name -> its help, its options and its handler.  An option is a flag and the keyword
+# arguments of its add_argument call; the flag INPUT stands for the input options, and its keyword
+# arguments go to _add_input_options.
+INPUT = None
+COMMANDS = {
+    "generate": ("print a fixed-point prefix", (
+        (INPUT, {"length": DEFAULT_LENGTH}),
+        ("--output", {"help": "also write the prefix to this file"}),
+    ), _cmd_generate),
+    "analyze": ("period skeleton: one 'k M_k l_k' line per level", (
+        (INPUT, {}),
+        ("--levels", {"type": int, "default": DEFAULT_PRECISION, "help": "skeleton depth K"}),
+    ), _cmd_analyze),
+    "encode": ("dyadic encoding, LSB-first bit string", (
+        (INPUT, {}),
+        ("--precision", {"type": int, "default": DEFAULT_PRECISION, "help": "number of dyadic digits"}),
+    ), _cmd_encode),
+    "fiber": ("classify a sequence's fiber under the factor map", (
+        (INPUT, {}),
+        ("--levels", {"type": int, "default": 12, "help": "skeleton depth K"}),
+    ), _cmd_fiber),
+    "measure": ("exact invariant measure of a cylinder word", (
+        ("--word", {"required": True}),
+    ), _cmd_measure),
+    "freq": ("exact occurrence count over a window", (
+        (INPUT, {}),
+        ("--word", {"required": True}),
+        ("--window", {"type": int, "default": DEFAULT_WINDOW}),
+    ), _cmd_freq),
+    "spectrum": ("exponential-sum magnitudes (CSV: theta,magnitude,N)", (
+        (INPUT, {}),
+        ("--word", {"required": True}),
+        ("--window", {"type": int, "default": DEFAULT_WINDOW}),
+        ("--theta", {"action": "append", "required": True, "help": "rational frequency like 1/3 (repeatable)"}),
+    ), _cmd_spectrum),
+    "verify": ("run the end-to-end verification suite", (
+        ("--level", {"choices": ("quick", "full"), "default": "quick"}),
+    ), _cmd_verify),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A parser of one command parses that command's argv as the full parser
+    does, with the same usage, help and errors: its usage names every
+    command, and no other command's name can reach it.
+    """
     parser = argparse.ArgumentParser(
         prog="odoshift",
         description="Substitution subshifts, Toeplitz skeletons, and the dyadic odometer factor map",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="print a fixed-point prefix")
-    _add_input_options(p, length=DEFAULT_LENGTH)
-    p.add_argument("--output", help="also write the prefix to this file")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("analyze", help="period skeleton: one 'k M_k l_k' line per level")
-    _add_input_options(p)
-    p.add_argument("--levels", type=int, default=DEFAULT_PRECISION, help="skeleton depth K")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("encode", help="dyadic encoding, LSB-first bit string")
-    _add_input_options(p)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="number of dyadic digits")
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("fiber", help="classify a sequence's fiber under the factor map")
-    _add_input_options(p)
-    p.add_argument("--levels", type=int, default=12, help="skeleton depth K")
-    p.set_defaults(func=_cmd_fiber)
-
-    p = sub.add_parser("measure", help="exact invariant measure of a cylinder word")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("freq", help="exact occurrence count over a window")
-    _add_input_options(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.set_defaults(func=_cmd_freq)
-
-    p = sub.add_parser("spectrum", help="exponential-sum magnitudes (CSV: theta,magnitude,N)")
-    _add_input_options(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--theta", action="append", required=True,
-                   help="rational frequency like 1/3 (repeatable)")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("verify", help="run the end-to-end verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=_cmd_verify)
-
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None else every)
+    for name, (summary, options, handler) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            if flag is INPUT:
+                _add_input_options(p, **kwargs)
+            else:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
+
+
+def _command_of(argv) -> str | None:
+    """The command that ``argv`` names when only --json, or an abbreviation of it, comes before it."""
+    for token in argv:
+        if token in COMMANDS:
+            return token
+        if len(token) < 3 or not "--json".startswith(token):
+            return None
+    return None
 
 
 def main(argv=None) -> int:
@@ -323,8 +355,10 @@ def main(argv=None) -> int:
     ``verify`` may set ``OPENBLAS_NUM_THREADS`` in the process environment
     and leaves it set on return.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a one-shot process builds the parser of its command alone; help, and any argv that
+    # names no command after --json, take the parser of every command
+    args = build_parser(_command_of(argv)).parse_args(argv)
     try:
         return args.func(args)
     except InsufficientDataError as exc:

@@ -5,17 +5,17 @@ standard library.  ``_count_starts`` counts a word's starts, for
 ``cylinder_frequency`` and ``spectral_scan`` alike, by one of two paths.
 On a prefix of the Grigorchuk fixed point, whose ``fixed_point_start`` is
 set, it reads the word's text into its letter sets in one step
-(``substitution.word_sets``) and counts by desubstitution
-(``substitution.fixed_point_count``), as ``spectral_scan`` does per
+(``language.word_sets``) and counts by desubstitution
+(``language.fixed_point_count``), as ``spectral_scan`` does per
 residue class mod q up to q = ``_COMB_MAX``
-(``substitution.fixed_point_residue_counts``): neither reads a letter of
+(``language.fixed_point_residue_counts``): neither reads a letter of
 the prefix, so the prefix generates none.  On any other prefix, and for a
 larger q, it reads the word as codes in the prefix's own alphabet, and the
 starts of a word are the AND of its letters' bitsets, one bit-packed int
 per letter kept on the prefix, each shifted by the letter's offset in the
 word; that one kernel serves both the counts and the spectral sums.  The
 invariant measure of a cylinder word is an exact rational
-(``substitution.invariant_measure_cylinder``, re-exported here), and a
+(``language.invariant_measure_cylinder``, re-exported here), and a
 word belongs to the language exactly when it is positive.  Exponential
 sums are the only place floating point enters, and those assertions carry
 explicit tolerances.
@@ -29,13 +29,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
-from .substitution import (
-    SymbolicPrefix,
-    fixed_point_count,
-    fixed_point_residue_counts,
-    invariant_measure_cylinder,
-    word_sets,
-)
+from .language import fixed_point_count, fixed_point_residue_counts, invariant_measure_cylinder, word_sets
+from .substitution import SymbolicPrefix
 
 
 def __getattr__(name):
@@ -121,7 +116,7 @@ def _count_starts(prefix: SymbolicPrefix, word: str, window: int) -> tuple:
     a prefix that holds window + len(word) - 1 letters, which the last
     start reads on either path, and last its letters.  With a
     ``fixed_point_start`` s the word's text is read into its letter sets in
-    one step (``substitution.word_sets``), the count is
+    one step (``language.word_sets``), the count is
     ``fixed_point_count`` over s + window starts less the count over s,
     and bits is None: no letter of the prefix is read.  Otherwise the word
     is read as codes in the prefix's own alphabet, the count is the

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import substitution, toeplitz
+from . import toeplitz
 from .errors import Immutable, InvalidInputError, NotInSubshiftError
 from .substitution import SymbolicPrefix
 
@@ -134,11 +134,13 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     at start 0, since no shift of the aperiodic fixed point is the fixed
     point.  The preimage test then reads ``prefix.left_extensions``.
     """
+    from . import language  # not loaded by encode, which runs no language test
+
     n = -encode_value(prefix.codes, K) % (1 << K)
     candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
     if prefix.fixed_point_start is not None:
         n = None if prefix.fixed_point_start else 0
-    elif not (candidate and substitution.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
+    elif not (candidate and language.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
         n = None
     return FiberReport(
         classification=TOEPLITZ_POINT if n is None else OMEGA_STAR_ORBIT,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import ergodic, factormap, substitution, toeplitz
+from . import ergodic, factormap, language, substitution, toeplitz
 
 # after the package: where no bytecode is cached, its modules are compiled
 # before numpy's heap is built, which keeps 0.3 MB off the peak RSS of verify
@@ -325,8 +325,8 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
         ok = ok and decays and small
         details.append(f"theta={theta}: {mags[-1]:.2e} (decays: {decays})")
     # at theta = 1/2 the sum is the even starts less the odd ones, exactly
-    a = substitution.word_sets("a")
-    even, odd = substitution.fixed_point_residue_counts(a, windows[-1], 2)
+    a = language.word_sets("a")
+    even, odd = language.fixed_point_residue_counts(a, windows[-1], 2)
     half = Fraction(even - odd, windows[-1])
     ok = ok and half == Fraction(1, 2)
     details.append(f"theta=1/2: (even - odd starts)/N = {half}")
@@ -341,7 +341,7 @@ def check_eigenfunction(sizes: Sizes) -> CheckResult:
     # rho_j(l, r) = mu([l] and f = r mod 2^j) at j = J, from the masses of the empty word after l:
     # f pushes mu to Haar measure, 2^-J a class, and the classes of l sum to mu[l]
     J = sizes.eigen_depth
-    table = [substitution._masses(b"", J, r, J) for r in range(1 << J)]
+    table = [language._masses(b"", J, r, J) for r in range(1 << J)]
     haar = all(sum(masses) == 14 for masses in table)
     marginals = [sum(column) for column in zip(*table)] == [7 << J, 2 << J, 4 << J, 1 << J]
     # the 2^(j+1) letters after shift s of the fixed point have all their mass in the class of f = s
@@ -352,8 +352,8 @@ def check_eigenfunction(sizes: Sizes) -> CheckResult:
         j = 1 + i % J
         s = rng.randrange(len(prefix) - (2 << j))
         word = prefix.alphabet.decode(prefix.codes[s : s + (2 << j)])
-        mu = substitution.invariant_measure_cylinder(word)
-        misplaced += substitution.class_measure(word, j, s % (1 << j)) != mu
+        mu = language.invariant_measure_cylinder(word)
+        misplaced += language.class_measure(word, j, s % (1 << j)) != mu
     return CheckResult(
         name="eigenfunction_haar_classes",
         ok=haar and marginals and not misplaced,

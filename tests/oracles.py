@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from odoshift import errors, substitution, toeplitz
+from odoshift import errors, language, substitution, toeplitz
 from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
 
 
@@ -232,10 +232,10 @@ def halving_fixed_point_count(sets, n):
     if 0 in sets:
         return 0
     count = 0
-    if not sets[0::2].translate(None, substitution._HOLDING_A):
-        count += halving_fixed_point_count(sets[1::2].translate(substitution._PULLBACK), (n + 1) // 2)
-    if not sets[1::2].translate(None, substitution._HOLDING_A):
-        count += halving_fixed_point_count(sets[0::2].translate(substitution._PULLBACK), n // 2)
+    if not sets[0::2].translate(None, language._HOLDING_A):
+        count += halving_fixed_point_count(sets[1::2].translate(language._PULLBACK), (n + 1) // 2)
+    if not sets[1::2].translate(None, language._HOLDING_A):
+        count += halving_fixed_point_count(sets[0::2].translate(language._PULLBACK), n // 2)
     return count
 
 

@@ -163,17 +163,17 @@ class TestFiber:
 
     def test_without_a_shift_the_letters_are_read_in_one_pass(self, capsys, tmp_path, monkeypatch):
         # the load check's desubstitution pass also finds the preimage letters; a shift makes new letters
-        from odoshift import substitution
+        from odoshift import language
 
         passes = []
-        masses = substitution._masses
+        masses = language._masses
 
         def counted(*args):
             if sys._getframe(1).f_code is not masses.__code__:  # a pass, not a step of its recursion
                 passes.append(args)
             return masses(*args)
 
-        monkeypatch.setattr(substitution, "_masses", counted)
+        monkeypatch.setattr(language, "_masses", counted)
         path = tmp_path / "omega.txt"
         path.write_text(grigorchuk_prefix(1 << 14).text + "\n")
         rules = tmp_path / "grigorchuk.txt"
@@ -505,7 +505,8 @@ class TestSeedFileReadsAsInput:
     @pytest.mark.parametrize("rules", sorted(RULES))
     @pytest.mark.parametrize("argv, letters", COMMANDS)
     def test_same_exit_code_and_stdout(self, capsys, tmp_path, rules, argv, letters):
-        from odoshift.substitution import fixed_point_prefix, parse_substitution
+        from odoshift.rules import parse_substitution
+        from odoshift.substitution import fixed_point_prefix
 
         seed_file, input_file = tmp_path / "rules.txt", tmp_path / "letters.txt"
         seed_file.write_text(self.RULES[rules])
@@ -617,6 +618,46 @@ class TestOptions:
         assert out.startswith(f"usage: {' '.join(['odoshift', *argv])} ")
         assert [name for name in listed if name not in out] == []
 
+    # (argv, the command whose parser alone main builds for it, None for the parser of every command)
+    TWINS = [
+        (["generate", "--length", "16"], "generate"),
+        (["analyze", "--levels", "4"], "analyze"),
+        (["encode", "--precision", "8"], "encode"),
+        (["fiber", "--shift", "1", "--levels", "6"], "fiber"),
+        (["measure", "--word", "aca"], "measure"),
+        (["freq", "--word", "ac", "--window", "64"], "freq"),
+        (["spectrum", "--word", "ac", "--window", "64", "--theta", "1/3"], "spectrum"),
+        (["verify", "--level", "quick"], "verify"),
+        (["--help"], None),
+        *(([command, "--help"], command) for command in OPTIONS),
+        (["-h", "encode"], None),
+        (["--json", "measure", "--word", "aca"], "measure"),
+        (["--js", "encode", "--precision", "4"], "encode"),
+        (["nosuch"], None),
+        (["encode", "--bogus"], "encode"),
+        (["measure"], "measure"),
+        ([], None),
+    ]
+
+    @pytest.mark.parametrize("argv, command", TWINS, ids=[" ".join(argv) or "no arguments" for argv, _ in TWINS])
+    def test_the_parser_of_one_command_is_the_full_parsers_twin(self, capsys, monkeypatch, argv, command):
+        full = cli.build_parser
+
+        def outcome():
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, re.sub(r"\d+\.\d{3}s:", "-s:", out), err  # verify's seconds vary from run to run
+
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+        chosen = outcome()
+        assert built == [command]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert outcome() == chosen
+
 
 def readme_commands():
     """(argv, expected first output line or None) for each line of README's "Command line" block."""
@@ -722,26 +763,33 @@ class TestStartWithoutNumpy:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
+    # the modules each command loads beyond odoshift, odoshift.errors and odoshift.substitution: only a
+    # language test loads language, and only --seed-file loads rules
     @pytest.mark.parametrize(
-        "argv, code, lines",
+        "argv, code, lines, modules",
         [
-            (["generate", "--length", "16"], 0, ["acabacadacabacac"]),
+            (["generate", "--length", "16"], 0, ["acabacadacabacac"], []),
             (["analyze", "--levels", "4"], 0,
-             ["1 2 a", "2 4 c", "3 8 b", "4 16 d", "classification: toeplitz_like"]),
+             ["1 2 a", "2 4 c", "3 8 b", "4 16 d", "classification: toeplitz_like"], ["toeplitz"]),
             (["encode", "--shift", "786431", "--precision", "16"], 0,
-             [format(786431 % (1 << 16), "016b")[::-1]]),
+             [format(786431 % (1 << 16), "016b")[::-1]], ["toeplitz", "factormap"]),
             (["--json", "encode", "--shift", "12345", "--precision", "10"], 0,
              [json.dumps({"bits_lsb_first": format(12345 % 1024, "010b")[::-1], "value": 12345 % 1024,
-                          "window_used": 4096}, sort_keys=True)]),
+                          "window_used": 4096}, sort_keys=True)], ["toeplitz", "factormap"]),
             (["fiber", "--shift", "1", "--levels", "10"], 0,
-             ["classification: toeplitz_point", "stabilization_index: -", "preimage_letters: a"]),
-            (["measure", "--word", "aca"], 0, ["2/7"]),
-            (["encode", "--length", "64", "--precision", "8"], 3, []),
-            (["analyze", "--levels", "4", "--input", "{a64}"], 4, []),
-            (["fiber", "--seed-file", "{period_doubling}"], 4, []),
+             ["classification: toeplitz_point", "stabilization_index: -", "preimage_letters: a"],
+             ["toeplitz", "factormap", "language"]),
+            (["measure", "--word", "aca"], 0, ["2/7"], ["language"]),
+            (["freq", "--word", "ac", "--window", "4096"], 0,
+             ["count 1170 window 4096 frequency 0.2856445312"], ["ergodic", "language"]),
+            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/2"], 0,
+             ["theta,magnitude,N", "1/2,2.856445312500e-01,4096"], ["ergodic", "language"]),
+            (["encode", "--length", "64", "--precision", "8"], 3, [], ["toeplitz", "factormap"]),
+            (["analyze", "--levels", "4", "--input", "{a64}"], 4, [], ["toeplitz", "language"]),
+            (["fiber", "--seed-file", "{period_doubling}"], 4, [], ["toeplitz", "factormap", "language", "rules"]),
         ],
     )
-    def test_command_runs_without_numpy(self, tmp_path, argv, code, lines):
+    def test_command_runs_without_numpy(self, tmp_path, argv, code, lines, modules):
         files = {"a64": tmp_path / "a64.txt", "period_doubling": tmp_path / "rules.txt"}
         files["a64"].write_text("a" * 64 + "\n")
         files["period_doubling"].write_text("a -> ab\nb -> aa\n")
@@ -749,7 +797,9 @@ class TestStartWithoutNumpy:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines() == lines
         assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
-        assert "dataclasses" not in loaded(proc)
+        # cli runs as __main__, so the report does not list it
+        assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution",
+                                *(f"odoshift.{module}" for module in modules)}
 
 
 class TestOneBlasThread:
@@ -788,9 +838,10 @@ class TestOneBlasThread:
 EXPORTED = {
     "errors": ["InsufficientDataError", "InvalidInputError", "NotInSubshiftError", "OdoshiftError",
                "ResourceLimitError"],
-    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "class_measure", "dyadic_valuation",
-                     "fixed_point_prefix", "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix",
-                     "grigorchuk_substitution", "validate_prolongable"],
+    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "dyadic_valuation", "fixed_point_prefix",
+                     "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix", "grigorchuk_substitution",
+                     "validate_prolongable"],
+    "language": ["class_measure", "invariant_measure_cylinder"],
     "toeplitz": ["EPSet", "PeriodSkeleton", "essential_periods", "period_skeleton", "smallest_partial_period"],
     "factormap": ["DyadicInt", "EncodingResult", "FiberReport", "classify_fiber", "encode_fG",
                   "sigma_preimage_letters", "verify_equivariance"],
@@ -805,13 +856,15 @@ class TestStartLoadsOnlyWhatRuns:
     @pytest.mark.parametrize(
         "argv, modules",
         [
-            (["measure", "--word", "aca"], set()),
+            (["measure", "--word", "aca"], {"odoshift.language"}),
             (["generate", "--length", "16"], set()),
             (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
-            (["fiber", "--shift", "1", "--levels", "10"], {"odoshift.toeplitz", "odoshift.factormap"}),
+            (["fiber", "--shift", "1", "--levels", "10"],
+             {"odoshift.toeplitz", "odoshift.factormap", "odoshift.language"}),
             (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap"}),
-            (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic"}),
-            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"], {"odoshift.ergodic"}),
+            (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic", "odoshift.language"}),
+            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"],
+             {"odoshift.ergodic", "odoshift.language"}),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, modules):
@@ -824,6 +877,7 @@ class TestStartLoadsOnlyWhatRuns:
     @pytest.mark.parametrize(
         "argv, fractions",
         [
+            (["generate", "--length", "16"], False),
             (["analyze", "--levels", "4", "--input", "{omega}"], False),
             (["fiber", "--levels", "4", "--input", "{omega}"], False),
             (["measure", "--word", "aca"], True),
@@ -844,7 +898,8 @@ class TestStartLoadsOnlyWhatRuns:
         proc = fresh("verify", "--level", "quick")
         assert proc.returncode == 0, proc.stderr
         assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution", "odoshift.toeplitz",
-                                "odoshift.factormap", "odoshift.ergodic", "odoshift.verification"}
+                                "odoshift.factormap", "odoshift.ergodic", "odoshift.language",
+                                "odoshift.verification"}
         assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
 
     def test_importing_ergodic_loads_no_numpy(self):
@@ -910,6 +965,15 @@ def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
     assert (head, code, stderr) == (b"acaba", cli.EXIT_VALIDATION, b"")
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "odoshift").glob("*.py")), ids=lambda path: path.stem)
+def test_every_module_imports_first(path):
+    # the imports between modules, at the top and inside functions, form no cycle that an import order breaks
+    module = "odoshift" if path.stem == "__init__" else f"odoshift.{path.stem}"
+    others = sorted(f"odoshift.{p.stem}" for p in path.parent.glob("*.py") if p.stem != "__init__")
+    proc = fresh(script=f"import {module}\n" + "".join(f"import {name}\n" for name in others))
+    assert (proc.returncode, proc.stderr) == (0, ""), module
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups()
     modules = sorted((ROOT / "src" / "odoshift").glob("*.py"))
@@ -939,13 +1003,13 @@ def test_the_golden_commands_cover_the_readme_and_the_benchmark():
 # grows the rules of a --seed-file) and the bitsets' builder ran.
 REPORT_BUILDERS = (
     "import atexit, runpy, sys\n"
-    "from odoshift import ergodic, substitution\n"
+    "from odoshift import ergodic, rules, substitution\n"
     "ran = set()\n"
     "def probe(module, name):\n"
     "    original = getattr(module, name)\n"
     "    setattr(module, name, lambda *args: ran.add(name) or original(*args))\n"
     "probe(substitution, 'grigorchuk_codes')\n"
-    "probe(substitution, '_expand')\n"
+    "probe(rules, '_expand')\n"
     "probe(ergodic, '_plane')\n"
     "atexit.register(lambda: print('ran:', *sorted(ran), file=sys.stderr))\n"
     "runpy.run_module('odoshift.cli', run_name='__main__')\n"

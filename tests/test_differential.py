@@ -22,10 +22,10 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``oracles.pairwise_spectral_scan`` is the numpy kernel the bitsets
   replaced, with its pairwise sum of the phases.
 - The occurrence bitsets, and ``bytes.find``, count the words of the fixed
-  point that ``substitution.fixed_point_count`` counts by desubstitution:
+  point that ``language.fixed_point_count`` counts by desubstitution:
   the same letters in a prefix with no fixed-point start run the bitsets.
 - The comb over the occurrence bits, and ``bytes.find``, count per residue
-  class the starts that ``substitution.fixed_point_residue_counts`` counts
+  class the starts that ``language.fixed_point_residue_counts`` counts
   by desubstitution, and ``spectral_scan`` gives the same magnitudes, bit
   for bit, on the fixed point and on its letters in a prefix with no start.
 - ``oracles.halving_fixed_point_count`` splits a word of letter sets down
@@ -57,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odoshift import ergodic, errors, factormap, substitution, toeplitz
+from odoshift import ergodic, errors, factormap, language, substitution, toeplitz
 from oracles import (
     _class_measure_of_sets,
     class_measure_by_parity,
@@ -719,7 +719,7 @@ def test_fixed_point_count_reads_letter_sets():
         sets = bytes(rng.randrange(16) for _ in range(rng.randint(0, 9)))
         n = rng.randint(0, 3000 - len(sets))
         want = sum(all(s >> codes[i + j] & 1 for j, s in enumerate(sets)) for i in range(n))
-        assert substitution.fixed_point_count(sets, n) == want, (sets, n)
+        assert language.fixed_point_count(sets, n) == want, (sets, n)
 
 
 # starts around every power of two up to 2^200, 10^18 among them: the one-set count's last group of three
@@ -742,7 +742,7 @@ def test_fixed_point_count_equals_the_halving_recursion():
     for sets in words:
         # the oracle halves n to 0 one call at a time, so longer words take the starts up to 2^62 and 10^18
         for n in HALVING_STARTS if len(sets) == 1 else [n for n in HALVING_STARTS if n.bit_length() <= 63]:
-            assert substitution.fixed_point_count(sets, n) == halving_fixed_point_count(sets, n), (sets, n)
+            assert language.fixed_point_count(sets, n) == halving_fixed_point_count(sets, n), (sets, n)
 
 
 @pytest.mark.parametrize("sets, n, q", [(b"\x04", -1, None), (b"\x01", -5, None), (b"\x01\x02", -1, None),
@@ -751,14 +751,14 @@ def test_counts_over_a_negative_number_of_starts_raise(sets, n, q):
     # the one-set tail would spin on n >> k == -1, and b"\x01\x02" prunes the halves that keep n < 0
     with pytest.raises(errors.InvalidInputError, match=f"got {n}$"):
         if q is None:
-            substitution.fixed_point_count(sets, n)
+            language.fixed_point_count(sets, n)
         else:
-            substitution.fixed_point_residue_counts(sets, n, q)
+            language.fixed_point_residue_counts(sets, n, q)
 
 
 def test_counting_the_as_of_10_to_the_18_letters_reads_no_letter():
     start = time.perf_counter()
-    assert substitution.fixed_point_count(b"\x01", 10**18) == 5 * 10**17
+    assert language.fixed_point_count(b"\x01", 10**18) == 5 * 10**17
     assert time.perf_counter() - start < 0.1
 
 
@@ -802,7 +802,7 @@ def test_residue_counts_match_the_comb_and_a_letter_scan(shift):
     cycle = itertools.cycle(range(1, 129))
     for word in fixed_point_words(omega, 20, seed=100 + shift):
         codes = GRIGORCHUK_ALPHABET.encode(word)
-        sets = substitution.letter_sets(GRIGORCHUK_ALPHABET, codes)
+        sets = language.letter_sets(GRIGORCHUK_ALPHABET, codes)
         for window in FIXED_WINDOWS:
             positions = occurrence_positions(plain, word, window)
             bits = ergodic._occurrence_bits(plain, codes, window)
@@ -824,7 +824,7 @@ def test_residue_counts_read_letter_sets():
         want = [0] * q
         for i in range(n):
             want[i % q] += all(s >> codes[i + j] & 1 for j, s in enumerate(sets))
-        assert substitution.fixed_point_residue_counts(sets, n, q) == want, (sets, n, q)
+        assert language.fixed_point_residue_counts(sets, n, q) == want, (sets, n, q)
 
 
 def test_residue_counts_sum_to_the_count():
@@ -833,8 +833,8 @@ def test_residue_counts_sum_to_the_count():
     for sets in (b"\x01", b"\x04", b"\x01\x04\x01\x02", b"\x0f\x05", bytes([1, 8, 1, 4, 1, 2, 1, 4])):
         for n in rng.sample(HALVING_STARTS, 12):
             q = rng.randint(1, 128)
-            counts = substitution.fixed_point_residue_counts(sets, n, q)
-            assert len(counts) == q and sum(counts) == substitution.fixed_point_count(sets, n), (sets, n, q)
+            counts = language.fixed_point_residue_counts(sets, n, q)
+            assert len(counts) == q and sum(counts) == language.fixed_point_count(sets, n), (sets, n, q)
 
 
 @pytest.mark.parametrize("shift", [0, 1, 7, (1 << 12) - 1, (1 << 12) + 1])
@@ -930,27 +930,27 @@ def test_class_measure_matches_the_fraction_recursion(j):
     spans = [(rng.randrange(4000), rng.randrange(2, 41)) for _ in range(20)]
     words = [*"abcd", "aa", "bc", "acabaca", *(text[s : s + n] for s, n in spans)]
     for word in words:
-        rhos = [substitution.class_measure(word, j, r) for r in range(1 << j)]
+        rhos = [language.class_measure(word, j, r) for r in range(1 << j)]
         assert rhos == [class_measure_by_parity(word, j, r) for r in range(1 << j)], word
-        assert sum(rhos) == substitution.invariant_measure_cylinder(word), word
+        assert sum(rhos) == language.invariant_measure_cylinder(word), word
 
 
 def test_one_set_masses_are_the_fraction_recursion_with_no_further_call(monkeypatch):
     # at j = 0 the empty rest and every one-set rest, the empty set among them, at each depth they fit
     calls = []
-    masses = substitution._masses
-    monkeypatch.setattr(substitution, "_masses", lambda *args: calls.append(args) or masses(*args))
+    masses = language._masses
+    monkeypatch.setattr(language, "_masses", lambda *args: calls.append(args) or masses(*args))
     for s in range(16):
         letters = {letter for i, letter in enumerate("abcd") if s >> i & 1}
         want = [_class_measure_of_sets([{letter}, letters], 0, 0) for letter in "abcd"]
         for depth in range(1, 65):
             calls.clear()
-            assert substitution._masses(bytes((s,)), depth) == tuple(m * (14 << depth) for m in want), (s, depth)
+            assert language._masses(bytes((s,)), depth) == tuple(m * (14 << depth) for m in want), (s, depth)
             assert len(calls) == 1, (s, depth)
     want = [_class_measure_of_sets([{letter}], 0, 0) for letter in "abcd"]
     for depth in range(65):
         calls.clear()
-        assert substitution._masses(b"", depth) == tuple(m * (14 << depth) for m in want) and len(calls) == 1
+        assert language._masses(b"", depth) == tuple(m * (14 << depth) for m in want) and len(calls) == 1
 
 
 def test_the_words_op_mix_measures_and_counts_alike():
@@ -967,7 +967,7 @@ def test_the_words_op_mix_measures_and_counts_alike():
     plain = untagged(tagged)
     assert len(factors) == 200
     for i, word in enumerate(words):
-        mu = substitution.invariant_measure_cylinder(word)
+        mu = language.invariant_measure_cylinder(word)
         assert mu == class_measure_by_parity(word, 0, 0), word
         count = ergodic.cylinder_frequency(tagged, word, window).count
         assert count == ergodic.cylinder_frequency(plain, word, window).count, word
@@ -986,4 +986,4 @@ def test_class_measure_matches_the_fraction_recursion_past_the_word(j):
     cases += [(word, r) for word in "abcd" for r in (0, (1 << j) - 1, rng.randrange(1 << j))]
     assert any(class_measure_by_parity(word, j, r) for word, r in cases)
     for word, r in cases:
-        assert substitution.class_measure(word, j, r) == class_measure_by_parity(word, j, r), (word, r)
+        assert language.class_measure(word, j, r) == class_measure_by_parity(word, j, r), (word, r)

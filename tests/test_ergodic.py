@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from odoshift import ergodic as erg
 from odoshift import errors
 from odoshift.factormap import verify_equivariance
+from odoshift.language import class_measure, letter_sets, word_sets
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,
     SymbolicPrefix,
-    class_measure,
     fixed_point_prefix,
     grigorchuk_letter,
     grigorchuk_prefix,
     grigorchuk_substitution,
-    letter_sets,
     parse_prefix,
-    word_sets,
 )
 
 OMEGA = grigorchuk_prefix(1 << 18)

@@ -253,9 +253,9 @@ class TestClassifyFiber:
         assert disagree > 0
 
     def test_the_tag_decides_with_no_letter_test(self, monkeypatch):
-        from odoshift import substitution
+        from odoshift import language
 
-        monkeypatch.setattr(substitution, "spells_fixed_point", None)
+        monkeypatch.setattr(language, "spells_fixed_point", None)
         for shift, expected in ((0, (fm.OMEGA_STAR_ORBIT, 0)), (3590, (fm.TOEPLITZ_POINT, None))):
             report = fm.classify_fiber(grigorchuk_prefix(shift + 4096).shifted(shift), 10)
             assert (report.classification, report.stabilization_index) == expected

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odoshift import errors
-from odoshift.ergodic import invariant_measure_cylinder
+from odoshift.language import invariant_measure_cylinder
 from odoshift.factormap import sigma_preimage_letters
 from odoshift.substitution import (
     GRIGORCHUK_ALPHABET,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import factormap as fm
+from odoshift import language, rules
 from odoshift import substitution as sub
 from oracles import iterate
 
@@ -257,7 +258,7 @@ class TestSubstitutionRules:
 
     def test_a_source_with_no_rules(self):
         with pytest.raises(errors.InvalidInputError, match="^no rules found$"):
-            sub.parse_substitution("# only a comment\n\n")
+            rules.parse_substitution("# only a comment\n\n")
 
 
 class TestFixedPointPrefix:
@@ -354,8 +355,8 @@ class TestFixedPointPrefix:
 
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []
-        expand = sub._expand
-        monkeypatch.setattr(sub, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
+        expand = rules._expand
+        monkeypatch.setattr(rules, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
         doubling = sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "aa"})
         prefix = sub.fixed_point_prefix(doubling, "a", 64)
         assert passes and isinstance(vars(prefix)["codes"], memoryview)
@@ -363,10 +364,10 @@ class TestFixedPointPrefix:
 
 def test_the_set_tables_hold_every_set_byte():
     # built for the 16 sets of a, b, c, d and repeated: a set byte's high bits name no letter
-    bit, step = sub._BIT, sub._NEXT
-    assert sub._PULLBACK == bytes(sum(bit[x] for x in "abcd" if s & bit[step[x]]) for s in range(256))
-    assert sub._NEXT_SET == bytes(sum(bit[step[x]] for x in "abcd" if s & bit[x]) for s in range(256))
-    assert sub._MEMBERS == [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
+    bit, step = language._BIT, language._NEXT
+    assert language._PULLBACK == bytes(sum(bit[x] for x in "abcd" if s & bit[step[x]]) for s in range(256))
+    assert language._NEXT_SET == bytes(sum(bit[step[x]] for x in "abcd" if s & bit[x]) for s in range(256))
+    assert language._MEMBERS == [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
 
 
 class TestClosedForm:
@@ -385,7 +386,7 @@ class TestClosedForm:
     def test_matches_generator(self):
         # the self-expansion that grows other rules' fixed points, run on the Grigorchuk rules
         length = 1 << 16
-        generated = sub.SymbolicPrefix(ABC, sub._grow(TAU, "a", length))
+        generated = sub.SymbolicPrefix(ABC, rules._grow(TAU, "a", length))
         assert all(
             generated.at(m) == sub.grigorchuk_letter(m) for m in range(1, length + 1)
         )
@@ -408,18 +409,18 @@ class TestFixedPointCountWork:
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        count = sub.fixed_point_count
+        count = language.fixed_point_count
 
         def counted(sets, n):
             made.append(sets)
             return count(sets, n)
 
-        monkeypatch.setattr(sub, "fixed_point_count", counted)
+        monkeypatch.setattr(language, "fixed_point_count", counted)
         return made
 
     def test_a_one_set_word_takes_one_call(self, calls):
         # halving b down to the empty word takes calls at each of the 60 bits of 10^18
-        sub.fixed_point_count(b"\x02", 10**18)
+        language.fixed_point_count(b"\x02", 10**18)
         assert len(calls) == 1
 
     def test_a_word_of_l_sets_takes_at_most_2l_minus_1_calls(self, calls):
@@ -431,7 +432,7 @@ class TestFixedPointCountWork:
             start = rng.randrange(len(codes) - size)
             sets = bytes(1 << code | rng.randrange(16) for code in codes[start : start + size])
             calls.clear()
-            sub.fixed_point_count(sets, rng.choice([rng.randrange(1 << 20), 10**18]))
+            language.fixed_point_count(sets, rng.choice([rng.randrange(1 << 20), 10**18]))
             assert len(calls) <= 2 * size - 1, sets
 
 
@@ -492,21 +493,21 @@ class TestMemory:
 class TestTextFormats:
     def test_substitution_round_trip(self):
         text = "".join(f"{ch} -> {TAU.rules[ch]}\n" for ch in TAU.alphabet.letters)
-        again = sub.parse_substitution(text)
+        again = rules.parse_substitution(text)
         assert again.rules == dict(TAU.rules)
 
     def test_substitution_comments_and_blanks(self):
-        parsed = sub.parse_substitution("# rules\na -> aca\n\nb -> d # tail\nc -> b\nd -> c\n")
+        parsed = rules.parse_substitution("# rules\na -> aca\n\nb -> d # tail\nc -> b\nd -> c\n")
         assert parsed.rules["a"] == "aca"
         assert parsed.rules["b"] == "d"
 
     def test_substitution_malformed(self):
         with pytest.raises(errors.InvalidInputError):
-            sub.parse_substitution("a = aca")
+            rules.parse_substitution("a = aca")
         with pytest.raises(errors.InvalidInputError):
-            sub.parse_substitution("ab -> a")
+            rules.parse_substitution("ab -> a")
         with pytest.raises(errors.InvalidInputError):
-            sub.parse_substitution("a -> aca\na -> ac")
+            rules.parse_substitution("a -> aca\na -> ac")
 
     def test_prefix_file_round_trip(self, tmp_path):
         p = sub.grigorchuk_prefix(64)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import ergodic, substitution, toeplitz, verification
+from odoshift import ergodic, language, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 from oracles import strided_tail_rigidity
 
@@ -127,8 +127,8 @@ def test_eigenfunction_detail():
      "classes mod 2^6 of measure 2^-6: False; sum to mu[l]: False; 0 of 60 windows outside the class of their shift"),
 ], ids=["flipped", "dropped"])
 def test_eigenfunction_fails_where_a_digit_of_the_recursion_is_off(fault, detail, monkeypatch):
-    masses = substitution._masses
-    monkeypatch.setattr(substitution, "_masses", lambda rest, depth, r=0, j=0: masses(rest, depth, *fault(r, j)))
+    masses = language._masses
+    monkeypatch.setattr(language, "_masses", lambda rest, depth, r=0, j=0: masses(rest, depth, *fault(r, j)))
     result = verification.check_eigenfunction(QUICK)
     assert (result.ok, result.detail) == (False, detail)
 
