@@ -19,7 +19,6 @@ _EXPORTS = {
         "ResourceLimitError",
     ),
     "substitution": (
-        "Alphabet",
         "Substitution",
         "SymbolicPrefix",
         "dyadic_valuation",

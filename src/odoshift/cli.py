@@ -47,15 +47,15 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
 
     The letters of an --input file and those a --seed-file's fixed point
     grows from its first rule's letter are one user-supplied sequence: both
-    are parsed over 'abcd' and language-checked before the shift, so the
-    same letters give the same answer by either route.  Letters of measure
+    are read into codes over 'abcd' and language-checked before the shift,
+    so the same letters give the same answer by either route.  Letters of measure
     0, which no letter extends, are no factor of the fixed point:
     NotInSubshiftError.
     Only the Grigorchuk fixed point itself goes unchecked.
     """
     shift = args.shift
     if args.input:
-        prefix = substitution.load_prefix(args.input, substitution.GRIGORCHUK_ALPHABET)
+        prefix = substitution.load_prefix(args.input)
         origin = f"of {args.input}"
     else:
         if args.length is None and shift < 0:  # the length, and so the range, would come from the shift
@@ -69,8 +69,7 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
             from . import rules
 
             sub = rules.load_substitution(args.seed_file)
-            letters = substitution.fixed_point_prefix(sub, sub.alphabet.letters[0], length).text
-            prefix = substitution.parse_prefix(letters, substitution.GRIGORCHUK_ALPHABET)
+            prefix = substitution.fixed_point_prefix(sub, sub.letters[0], length)
             origin = f"grown from {args.seed_file}"
         else:
             prefix = substitution.fixed_point_prefix(substitution.grigorchuk_substitution(), "a", length)
@@ -83,9 +82,17 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
 
 
 def _skeleton_need(depth: int) -> int:
-    """Letters a skeleton of the given depth reads (a depth below 1 is rejected later)."""
+    """Letters a skeleton of the given depth reads (a depth below 1 is rejected later).
+
+    A depth K whose 2^(K+2) letters pass the sequence cap, K + 2 >= the
+    cap's bit length, is a ResourceLimitError on every input route, before
+    that number is built.
+    """
     from . import toeplitz
 
+    cap = substitution.sequence_byte_cap()
+    if depth + 2 >= cap.bit_length():
+        raise ResourceLimitError(f"skeleton depth {depth} reads 2^{depth + 2} letters, over the cap of {cap} bytes")
     return toeplitz.skeleton_window(max(depth, 1))
 
 
@@ -204,17 +211,36 @@ def _cmd_freq(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _theta(text: str):
+    """``Fraction(text)``, refused where it is none or where its numerator or denominator, past the
+    int-string digit limit, could not be printed.
+
+    The exponent is read first.  Past the limit by more than the text's
+    length it makes a nonzero mantissa's numerator or denominator too long,
+    so no power of ten is built for it.
+    """
+    import re
     from fractions import Fraction
 
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before Python 3.10.7
+    scaled = re.fullmatch(r"(.*)[eE]([-+]?[\d_]+\s*)", text)
+    try:
+        if limit and scaled and abs(int(scaled[2])) > limit + len(text):
+            if Fraction(scaled[1] + "e0") == 0:  # the mantissa, read as in the whole text
+                return Fraction(0)
+        else:
+            theta = Fraction(text)
+            if not limit or max(abs(theta.numerator), theta.denominator) < 10**limit:
+                return theta
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InvalidInputError(f"--theta must be a fraction p/q with q nonzero, got {text!r}")
+
+
+def _cmd_spectrum(args) -> int:
     from . import ergodic
 
-    thetas = []
-    for theta in args.theta:
-        try:
-            thetas.append(Fraction(theta))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInputError(f"--theta must be a fraction p/q with q nonzero, got {theta!r}") from None
+    thetas = [_theta(theta) for theta in args.theta]
     prefix = _load_input(args, _window_need(args))
     samples = ergodic.spectral_scan(prefix, thetas, args.word, args.window)
     lines = ["theta,magnitude,N"]

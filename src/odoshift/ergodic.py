@@ -10,7 +10,7 @@ set, it reads the word's text into its letter sets in one step
 residue class mod q up to q = ``_COMB_MAX``
 (``language.fixed_point_residue_counts``): neither reads a letter of
 the prefix, so the prefix generates none.  On any other prefix, and for a
-larger q, it reads the word as codes in the prefix's own alphabet, and the
+larger q, it reads the word as codes (``substitution.encode_letters``), and the
 starts of a word are the AND of its letters' bitsets, one bit-packed int
 per letter kept on the prefix, each shifted by the letter's offset in the
 word; that one kernel serves both the counts and the spectral sums.  The
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
 from .language import fixed_point_count, fixed_point_residue_counts, invariant_measure_cylinder, word_sets
-from .substitution import SymbolicPrefix
+from .substitution import SymbolicPrefix, encode_letters
 
 
 def __getattr__(name):
@@ -75,23 +75,19 @@ def _plane(prefix: SymbolicPrefix, bit: int) -> int:
 def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
     """Bitset of the letter ``code``: bit len(prefix) - 1 - i is set iff codes[i] == code.
 
-    The first count on a prefix builds the bitsets of all its letters and
-    keeps them on it.  A letter's bitset is the AND of the bit planes of the
-    codes, each taken as it is where the letter's code has that bit and
-    complemented where it has not.  So the codes are read once per bit of a
-    code, twice for 'abcd', not once per letter, and the planes are dropped
-    once the letters are built.  The bitsets take one bit per letter of the
-    alphabet for each letter of the prefix: half a byte for 'abcd'.
+    The first count on a prefix builds the bitsets of all four letters and
+    keeps them on it.  A letter's bitset is the AND of the two bit planes of
+    the codes, each taken as it is where the letter's code has that bit and
+    complemented where it has not.  So the codes are read twice, not once
+    per letter, and the planes are dropped once the letters are built.  The
+    bitsets take four bits, half a byte, for each letter of the prefix.
     """
     cache = prefix._bitsets
     if not cache:
-        planes = [_plane(prefix, b) for b in range((len(prefix.alphabet) - 1).bit_length())]
+        low, high = _plane(prefix, 0), _plane(prefix, 1)
         every = (1 << len(prefix)) - 1
-        for letter in range(len(prefix.alphabet)):
-            bits = every
-            for b, plane in enumerate(planes):
-                bits &= plane if letter >> b & 1 else plane ^ every
-            cache[letter] = bits
+        not_low, not_high = low ^ every, high ^ every
+        cache.update({0: not_low & not_high, 1: low & not_high, 2: not_low & high, 3: low & high})
     return cache[code]
 
 
@@ -119,8 +115,8 @@ def _count_starts(prefix: SymbolicPrefix, word: str, window: int) -> tuple:
     one step (``language.word_sets``), the count is
     ``fixed_point_count`` over s + window starts less the count over s,
     and bits is None: no letter of the prefix is read.  Otherwise the word
-    is read as codes in the prefix's own alphabet, the count is the
-    popcount of their occurrence bits, and sets is None.
+    is read as codes, the count is the popcount of their occurrence bits,
+    and sets is None.
     """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
@@ -135,7 +131,7 @@ def _count_starts(prefix: SymbolicPrefix, word: str, window: int) -> tuple:
         )
     start = prefix.fixed_point_start
     if start is None:
-        bits = _occurrence_bits(prefix, prefix.alphabet.encode(word), window)
+        bits = _occurrence_bits(prefix, encode_letters(word), window)
         return bits.bit_count(), bits, None
     sets = word_sets(word)
     return fixed_point_count(sets, start + window) - fixed_point_count(sets, start), None, sets
@@ -262,7 +258,7 @@ def spectral_scan(prefix: SymbolicPrefix, thetas, word: str, window: int):
         else:
             if starts is None:
                 if bits is None:  # on the fixed point, the first letters read
-                    bits = _occurrence_bits(prefix, prefix.alphabet.encode(word), window)
+                    bits = _occurrence_bits(prefix, encode_letters(word), window)
                 starts = format(bits, f"0{window}b").encode().translate(_DIGIT_VALUES)
             counts = starts
             if q < window:

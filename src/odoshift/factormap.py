@@ -104,9 +104,9 @@ def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
     """Letters l such that l + prefix is in the language, from one pass over every letter of ``prefix``.
 
     A word is in the language exactly when its exact measure is positive
-    (the subshift is minimal and uniquely ergodic), measured through the
-    prefix's own alphabet, where a symbol outside 'abcd' has measure 0.
-    The prefix keeps the pass as its ``left_extensions``, read at most once.
+    (the subshift is minimal and uniquely ergodic), measured on the
+    prefix's codes, one letter set each, with no letter decoded.  The
+    prefix keeps the pass as its ``left_extensions``, read at most once.
     A prefix that no letter extends has measure 0: NotInSubshiftError.
     A caller who wants a horizon h passes the first h - 1 letters.
     """
@@ -140,7 +140,7 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
     if prefix.fixed_point_start is not None:
         n = None if prefix.fixed_point_start else 0
-    elif not (candidate and language.spells_fixed_point(prefix.alphabet, prefix.codes[n:])):
+    elif not (candidate and language.spells_fixed_point(prefix.codes[n:])):
         n = None
     return FiberReport(
         classification=TOEPLITZ_POINT if n is None else OMEGA_STAR_ORBIT,

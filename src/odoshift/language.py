@@ -21,11 +21,13 @@ from __future__ import annotations
 from itertools import compress
 
 from .errors import InvalidInputError
-from .substitution import _CHUNK, GRIGORCHUK_ALPHABET, Alphabet
+from .substitution import _CHUNK, _outside
 
 _BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
 # letter byte -> its set, 0 for any byte that is not a, b, c or d
 _WORD_SETS = bytes(_BIT.get(chr(byte), 0) for byte in range(256))
+# code -> its letter's set
+_CODE_SETS = bytes(_BIT.values()).ljust(256, b"\0")
 _NEXT = {"a": "c", "c": "b", "b": "d", "d": "c"}  # x_2m = next(x_m)
 # Tables indexed by a set byte.  A set reads only its low four bits, so each
 # table is built for the 16 sets and repeats them up to 256 entries.
@@ -164,39 +166,36 @@ def fixed_point_residue_counts(sets: bytes, n: int, q: int) -> list:
     return [even[r * inverse % q] + odd[(r - 1) * inverse % q] for r in range(q)]
 
 
-def letter_sets(alphabet: Alphabet, codes) -> bytes:
-    """The word of letter sets that ``_masses`` and ``fixed_point_count`` read for ``codes`` over ``alphabet``.
-
-    Each letter of 'abcd' is its own set, any other symbol the empty set.
-    """
-    return bytes(codes).translate(alphabet._to_set)
+def letter_sets(codes) -> bytes:
+    """The word of letter sets that ``_masses`` and ``fixed_point_count`` read for ``codes``: one set per letter."""
+    return bytes(codes).translate(_CODE_SETS)
 
 
 def word_sets(word: str) -> bytes:
     """The letter sets of ``word``: ``letter_sets`` of its codes over 'abcd', in one translate of its text.
 
-    A letter outside 'abcd' is the InvalidInputError ``GRIGORCHUK_ALPHABET.encode``
+    A letter outside 'abcd' is the InvalidInputError ``substitution.encode_letters``
     raises, with its message; an empty word has no sets.
     """
     try:
         sets = word.encode().translate(_WORD_SETS)
-    except UnicodeEncodeError:  # a lone surrogate, as in Alphabet.encode
+    except UnicodeEncodeError:  # a lone surrogate, as in encode_letters
         sets = word.encode("utf-8", "surrogatepass").translate(_WORD_SETS)
     if 0 in sets:
-        raise GRIGORCHUK_ALPHABET._outside(word)
+        raise _outside(word.encode("utf-8", "surrogatepass"))
     return sets
 
 
-def spells_fixed_point(alphabet: Alphabet, codes) -> bool:
-    """Whether the bytes-like ``codes`` spell, over ``alphabet``, the fixed point's first len(codes) letters.
+def spells_fixed_point(codes) -> bool:
+    """Whether the bytes-like ``codes`` spell the fixed point's first len(codes) letters.
 
     Letter 2m (0-based) of the fixed point is a and letter 2m + 1 is next of
     letter m, so each block of ``_CHUNK`` letters from an even i is checked
     against the block of half as many from i / 2: no copy outgrows a block.
     """
     for start in range(0, len(codes), _CHUNK):
-        sets = letter_sets(alphabet, codes[start : start + _CHUNK])
-        half = letter_sets(alphabet, codes[start // 2 : start // 2 + len(sets) // 2])
+        sets = letter_sets(codes[start : start + _CHUNK])
+        half = letter_sets(codes[start // 2 : start // 2 + len(sets) // 2])
         if sets[0::2].translate(None, b"\x01") or sets[1::2] != half.translate(_NEXT_SET):
             return False
     return True

@@ -2,8 +2,11 @@
 
 The Grigorchuk fixed point comes from its closed form; only a substitution
 read from text, as ``--seed-file`` reads one, grows its fixed point here.
+It is grown as letters, one byte each: an image is the bytes of its word,
+indexed by its letter's byte, so the rules need no alphabet of their own.
 ``substitution.fixed_point_prefix`` imports this module when it grows one,
-so a command without ``--seed-file`` does not compile it.
+and reads the letters into codes over 'abcd', so a command without
+``--seed-file`` does not compile it.
 
 Rules are text of one rule per line, "x -> word", with '#' comments.
 """
@@ -13,14 +16,14 @@ from __future__ import annotations
 from itertools import accumulate, takewhile
 
 from .errors import InvalidInputError, ResourceLimitError
-from .substitution import _CHUNK, Alphabet, Substitution, sequence_byte_cap
+from .substitution import _CHUNK, Substitution, sequence_byte_cap
 
 
 def _code_rules(sub: Substitution, letters: str) -> list:
-    """Image codes of ``letters``, indexed by letter code; b"" for a letter left out."""
-    images = [b""] * len(sub.alphabet)
+    """The images of ``letters`` as bytes, indexed by letter byte; b"" for any other byte."""
+    images = [b""] * 256
     for ch in letters:
-        images[sub.alphabet.index(ch)] = sub.alphabet.encode(sub.rules[ch])
+        images[ord(ch)] = sub.rules[ch].encode("ascii")
     return images
 
 
@@ -63,7 +66,7 @@ def _expand(images: list, view: memoryview, read: int, written: int, stop: int) 
 
 
 def _squared(images: list, cut: int):
-    """Images of the substitution applied twice, each cut at ``cut`` letters.
+    """Images of the substitution applied twice, each cut at ``cut`` letters; b"" where there is no image.
 
     The cut is exact for the first ``cut`` letters: every letter has a
     nonempty image, so the image of a word cut at ``cut`` letters still
@@ -76,14 +79,17 @@ def _squared(images: list, cut: int):
         return None
     squared = []
     for image, size in zip(images, sizes):
+        if not image:
+            squared.append(image)
+            continue
         buf = memoryview(bytearray(image) + bytes(size))
         _expand(images, buf, 0, len(image), len(image))
         squared.append(buf[len(image) :].tobytes())
     return squared
 
 
-def _grow(sub: Substitution, seed: str, length: int) -> memoryview:
-    """The codes of ``fixed_point_prefix``, in a new buffer.
+def _grow(sub: Substitution, seed: str, length: int) -> bytearray:
+    """The letters of ``fixed_point_prefix``, one byte each, in a new buffer.
 
     The fixed point x satisfies x = sub(x), so the image of the letters
     already written continues the sequence: one ``length``-byte buffer is
@@ -97,17 +103,17 @@ def _grow(sub: Substitution, seed: str, length: int) -> memoryview:
     """
     # only letters the seed reaches occur in the fixed point
     images = _code_rules(sub, _reachable(sub, seed))
-    s = sub.alphabet.index(seed)
+    s = ord(seed)
     while len(images[s]) < min(length, _CHUNK):
         squared = _squared(images, length)
         if squared is None:
             break
         images = squared
-    out = memoryview(bytearray(length))
+    out = bytearray(length)
     head = images[s][:length]
     out[: len(head)] = head
     # out[:head] is the image of out[:1]; the image of out[1:] continues it
-    _expand(images, out, 1, len(head), length)
+    _expand(images, memoryview(out), 1, len(head), length)
     return out
 
 
@@ -128,7 +134,7 @@ def parse_substitution(source: str) -> Substitution:
         rules[letter] = word
     if not rules:
         raise InvalidInputError("no rules found")
-    return Substitution(Alphabet("".join(rules)), rules)
+    return Substitution(rules)
 
 
 def load_substitution(path) -> Substitution:

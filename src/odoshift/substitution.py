@@ -1,4 +1,4 @@
-"""Substitutions over finite alphabets and their fixed-point prefixes.
+"""Substitutions, their fixed-point prefixes, and the one representation of a sequence.
 
 The central object is the four-letter substitution
 
@@ -11,16 +11,17 @@ point is determined by the dyadic valuation of m alone: that closed form,
 checks it by applying the substitution's rules once.
 
 All positions in public APIs are 1-based.  A sequence is one byte per
-letter, its alphabet index, in a read-only memoryview: generation is
-strided writes and translates of the standard library.  Only the
-partial-period functions of ``toeplitz`` and the checks of
-``verification`` use numpy.
+letter, its code 0, 1, 2 or 3 for a, b, c or d, in a read-only
+memoryview: ``encode_letters`` reads letters into codes and
+``decode_codes`` writes them back.  Generation is strided writes and
+translates of the standard library.  Only the partial-period functions of
+``toeplitz`` and the checks of ``verification`` use numpy.
 
 This module holds what every command runs.  The desubstitution, which
 gives the measure of a word and the letters that extend a prefix, lives in
 ``language``, and the growth of any other substitution's fixed point from
-its rules in ``rules``: each is imported when first used, so a command
-that needs neither compiles neither.
+its rules, as letters, in ``rules``: each is imported when first used, so
+a command that needs neither compiles neither.
 """
 
 from __future__ import annotations
@@ -50,70 +51,43 @@ def sequence_byte_cap() -> int:
     return cap
 
 
-class Alphabet(Immutable):
-    """Ordered finite set of single-character symbols."""
+# letter byte -> code, 255 for any byte that is not a, b, c or d; and code -> letter byte
+_TO_CODE = bytes("abcd".find(chr(byte)) & 255 for byte in range(256))
+_TO_LETTER = b"abcd".ljust(256, b"\xff")
 
-    _fields = ("letters",)
 
-    def __init__(self, letters: str):
-        if not letters:
-            raise InvalidInputError("alphabet must be nonempty")
-        if len(set(letters)) != len(letters):
-            raise InvalidInputError(f"duplicate symbols in alphabet {letters!r}")
-        for ch in letters:
-            # one byte per letter; so at most 95 distinct symbols, each code below 255
-            if not (ch.isascii() and ch.isprintable()):
-                raise InvalidInputError(f"alphabet symbol {ch!r} is not a printable ASCII character")
-        # translate tables letter byte -> code and code -> letter byte, 255 where there is none,
-        # and code -> the letter set that ``language.letter_sets`` reads: a, b, c, d as bits 0..3, else empty
-        to_letter = letters.encode()
-        to_code = bytearray(b"\xff" * 256)
-        for code, byte in enumerate(to_letter):
-            to_code[byte] = code
-        to_set = bytes(1 << "abcd".index(ch) if ch in "abcd" else 0 for ch in letters)
-        vars(self).update(letters=letters, _to_code=bytes(to_code), _to_letter=to_letter.ljust(256, b"\xff"),
-                          _to_set=to_set.ljust(256, b"\0"))
+def encode_letters(text) -> bytes:
+    """Codes of ``text``, a str or bytes of letters: byte i is 0, 1, 2 or 3 for a, b, c or d at text[i].
 
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
+    Any other letter is an InvalidInputError that names it.
+    """
+    # a letter outside ASCII encodes to bytes >= 0x80, none of them a letter; so does a lone
+    # surrogate, which is how Python reads a command-line byte that is not UTF-8
+    letters = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    codes = letters.translate(_TO_CODE)
+    if 255 in codes:
+        raise _outside(letters)
+    return codes
 
-    def __len__(self) -> int:
-        return len(self.letters)
 
-    def index(self, letter: str) -> int:
-        try:
-            return self.letters.index(letter)
-        except ValueError:
-            raise InvalidInputError(f"letter {letter!r} not in alphabet {self.letters!r}")
+def _outside(letters: bytes) -> InvalidInputError:
+    """The error for the letters of the UTF-8 ``letters`` that are not a, b, c or d."""
+    extra = sorted(set(bytes(letters).translate(None, b"abcd").decode("utf-8", "surrogatepass")))
+    return InvalidInputError(f"letters {extra} not in alphabet 'abcd'")
 
-    def encode(self, text: str) -> bytes:
-        """Codes of ``text``: byte i is the alphabet index of text[i]."""
-        # a letter outside ASCII encodes to bytes >= 0x80, none of them a symbol; so does a lone
-        # surrogate, which is how Python reads a command-line byte that is not UTF-8
-        try:
-            codes = text.encode().translate(self._to_code)
-        except UnicodeEncodeError:
-            codes = text.encode("utf-8", "surrogatepass").translate(self._to_code)
-        if 255 in codes:
-            raise self._outside(text)
-        return codes
 
-    def _outside(self, text: str) -> InvalidInputError:
-        """The error for the letters of ``text`` outside this alphabet."""
-        extra = sorted(set(text) - set(self.letters))
-        return InvalidInputError(f"letters {extra} not in alphabet {self.letters!r}")
-
-    def decode(self, codes) -> str:
-        """The letters of the bytes-like ``codes``, which must be indices into this alphabet."""
-        return bytes(codes).translate(self._to_letter).decode("ascii")
+def decode_codes(codes) -> str:
+    """The letters of the bytes-like ``codes``, each 0, 1, 2 or 3."""
+    return bytes(codes).translate(_TO_LETTER).decode("ascii")
 
 
 class SymbolicPrefix(Immutable):
     """Finite prefix of a one-sided infinite sequence, positions 1..L.
 
     Its letters are ``codes``, a read-only memoryview of bytes: codes[i] is
-    the alphabet index at position i+1.  Any contiguous buffer of one byte
-    per item is accepted; it is checked once, here, and not copied.  A shift
+    0, 1, 2 or 3 for the letter a, b, c or d at position i+1.  Any
+    contiguous buffer of one byte per item is accepted; it is checked once,
+    here, and not copied.  A shift
     of read codes is a view, and numpy reads them by ``np.frombuffer``
     without a copy.  ``parse_prefix`` builds a prefix from letters, ``text``
     decodes them, and two prefixes are equal only if they are the same object.
@@ -135,24 +109,23 @@ class SymbolicPrefix(Immutable):
     writable buffer must not write to that buffer afterwards.
     """
 
-    _fields = ("alphabet", "codes")
+    _fields = ("codes",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     fixed_point_start = None
 
-    def __init__(self, alphabet: Alphabet, codes):
+    def __init__(self, codes):
         codes = memoryview(codes)
         if codes.itemsize != 1 or codes.ndim != 1 or not codes.nbytes or not codes.c_contiguous:
             raise InvalidInputError(
                 f"codes must be a nonempty contiguous buffer of bytes, got {codes.format!r} {codes.shape}"
             )
         codes = codes.cast("B")
-        valid = bytes(range(len(alphabet)))
         for start in range(0, len(codes), _CHUNK):
-            outside = codes[start : start + _CHUNK].tobytes().translate(None, valid)
+            outside = codes[start : start + _CHUNK].tobytes().translate(None, b"\0\1\2\3")
             if outside:
-                raise InvalidInputError(f"code {max(outside)} outside the alphabet {alphabet.letters!r}")
-        vars(self).update(alphabet=alphabet, codes=codes.toreadonly())
+                raise InvalidInputError(f"code {max(outside)} outside the alphabet 'abcd'")
+        vars(self)["codes"] = codes.toreadonly()
 
     @property
     def codes(self) -> memoryview:
@@ -168,7 +141,7 @@ class SymbolicPrefix(Immutable):
 
     def __repr__(self) -> str:  # reads no codes, which a lazy prefix would generate
         start = self.fixed_point_start
-        return f"SymbolicPrefix(alphabet={self.alphabet!r}, length={len(self)}, fixed_point_start={start})"
+        return f"SymbolicPrefix(length={len(self)}, fixed_point_start={start})"
 
     def at(self, position: int) -> str:
         """Letter at 1-based position: on an unread fixed-point prefix from the closed form, leaving it unread."""
@@ -176,19 +149,19 @@ class SymbolicPrefix(Immutable):
             raise InvalidInputError(f"position {position} outside 1..{len(self)}")
         if isinstance(vars(self)["codes"], int):
             return grigorchuk_letter(self.fixed_point_start + position)
-        return self.alphabet.letters[self.codes[position - 1]]
+        return "abcd"[self.codes[position - 1]]
 
     @property
     def text(self) -> str:
         """The letters, decoded from ``codes`` on each read: for output, not for lookups."""
-        return self.alphabet.decode(self.codes)
+        return decode_codes(self.codes)
 
     @cached_property
     def left_extensions(self) -> frozenset:
         """The letters l of 'abcd' with mu[l + letters] > 0: none for letters outside the language."""
         from . import language  # loads with the first language test
 
-        sets = language.letter_sets(self.alphabet, self.codes)
+        sets = language.letter_sets(self.codes)
         return frozenset(compress("abcd", language._masses(sets, len(sets).bit_length())))
 
     @cached_property
@@ -203,41 +176,39 @@ class SymbolicPrefix(Immutable):
         codes = vars(self)["codes"]
         codes = codes - n if isinstance(codes, int) else codes[n:]
         view = object.__new__(SymbolicPrefix)
-        vars(view).update(alphabet=self.alphabet, codes=codes)
+        vars(view)["codes"] = codes
         if self.fixed_point_start is not None:
             vars(view)["fixed_point_start"] = self.fixed_point_start + n
         return view
 
 
 class Substitution(Immutable):
-    """Total map letter -> nonempty word, extended to words homomorphically.
+    """Map letter -> nonempty word, extended to words homomorphically: its letters are the rules' keys.
 
-    Equal substitutions have equal alphabets and rules; the hash reads the
-    alphabet only, since ``rules`` may be any mapping.
+    A letter is one printable ASCII character, so one byte.  Equal
+    substitutions have equal letters and rules; the hash reads the letters
+    only, since ``rules`` may be any mapping.
     """
 
-    _fields = ("alphabet", "rules")
-    _hash_fields = ("alphabet",)
+    _fields = ("letters", "rules")
+    _hash_fields = ("letters",)
 
-    def __init__(self, alphabet: Alphabet, rules: Mapping[str, str]):
-        for letter in alphabet.letters:
-            if letter not in rules:
-                raise InvalidInputError(f"no rule for letter {letter!r}")
+    def __init__(self, rules: Mapping[str, str]):
         for letter, word in rules.items():
-            if letter not in alphabet:
-                raise InvalidInputError(f"rule for {letter!r} outside alphabet")
+            if len(letter) != 1 or not (letter.isascii() and letter.isprintable()):
+                raise InvalidInputError(f"rule source {letter!r} is not one printable ASCII character")
             if not word:
                 raise InvalidInputError(f"rule for {letter!r} is erasing; rules must be nonempty")
-            extra = set(word).difference(alphabet.letters)
+            extra = set(word).difference(rules)
             if extra:
                 raise InvalidInputError(f"rule {letter!r} -> {word!r} uses letter {min(extra)!r} outside alphabet")
-        vars(self).update(alphabet=alphabet, rules=rules)
+        vars(self).update(letters="".join(rules), rules=rules)
 
 
 def validate_prolongable(sub: Substitution, seed: str) -> bool:
     """True iff sub(seed) starts with seed and has at least two letters."""
-    if seed not in sub.alphabet:
-        raise InvalidInputError(f"seed {seed!r} not in alphabet {sub.alphabet.letters!r}")
+    if seed not in sub.rules:
+        raise InvalidInputError(f"seed {seed!r} not in alphabet {sub.letters!r}")
     word = sub.rules[seed]
     return len(word) >= 2 and word[0] == seed
 
@@ -260,7 +231,9 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     rules read from text, is not grown: its letters come from the closed
     form when first read, and ``fixed_point_start`` lets counts skip them.
     Any other fixed point is grown from its rules by ``rules``, at a few
-    bytes per letter.  The cap is checked before anything is allocated.
+    bytes per letter, and its letters are read once into codes: a letter
+    other than a, b, c or d is an InvalidInputError, as ``parse_prefix``
+    raises.  The cap is checked before anything is allocated.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -269,11 +242,11 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     _check_cap(length)
     if seed == "a" and sub is _GRIGORCHUK_SUB:
         prefix = object.__new__(SymbolicPrefix)
-        vars(prefix).update(alphabet=sub.alphabet, codes=length, fixed_point_start=0)
+        vars(prefix).update(codes=length, fixed_point_start=0)
         return prefix
     from . import rules  # loads with the first fixed point grown from rules read from text
 
-    return SymbolicPrefix(sub.alphabet, rules._grow(sub, seed, length))
+    return SymbolicPrefix(encode_letters(rules._grow(sub, seed, length)))
 
 
 def dyadic_valuation(m: int) -> int:
@@ -286,9 +259,7 @@ def dyadic_valuation(m: int) -> int:
 # ---------------------------------------------------------------------------
 # The Grigorchuk substitution and the closed form of its fixed point.
 
-GRIGORCHUK_ALPHABET = Alphabet("abcd")
-
-_GRIGORCHUK_SUB = Substitution(GRIGORCHUK_ALPHABET, {"a": "aca", "b": "d", "c": "b", "d": "c"})
+_GRIGORCHUK_SUB = Substitution({"a": "aca", "b": "d", "c": "b", "d": "c"})
 
 # valuation residue mod 3 (for valuation > 0) -> letter
 _VALUATION_LETTER = {0: "d", 1: "c", 2: "b"}
@@ -321,7 +292,7 @@ def grigorchuk_codes(length: int, start: int = 0) -> memoryview:
     for v in range(1, (start + length).bit_length()):
         indices = range(((1 << v) - 1 - start) % (2 << v), length, 2 << v)
         # a bytearray value is assigned without the copy a bytes value gets
-        fill = bytearray((GRIGORCHUK_ALPHABET.index(grigorchuk_letter(1 << v)),)) * min(len(indices), _CHUNK)
+        fill = bytearray(encode_letters(grigorchuk_letter(1 << v))) * min(len(indices), _CHUNK)
         for done in range(0, len(indices), _CHUNK):
             part = indices[done : done + _CHUNK]
             codes[part.start : part.stop : part.step] = fill[: len(part)]
@@ -338,14 +309,14 @@ def grigorchuk_prefix(length: int) -> SymbolicPrefix:
 # The text format of a prefix: one line of letters.
 
 
-def parse_prefix(source: str, alphabet: Alphabet) -> SymbolicPrefix:
+def parse_prefix(source: str) -> SymbolicPrefix:
     """Prefix of the letters of ``source`` less surrounding whitespace: the one way in from text.
 
-    A letter outside ``alphabet`` is an InvalidInputError."""
-    return SymbolicPrefix(alphabet, alphabet.encode(source.strip()))
+    A letter other than a, b, c or d is an InvalidInputError."""
+    return SymbolicPrefix(encode_letters(source.strip()))
 
 
-def load_prefix(path, alphabet: Alphabet) -> SymbolicPrefix:
+def load_prefix(path) -> SymbolicPrefix:
     """Prefix of the letters of the file at ``path``, read as ``parse_prefix`` reads text.
 
     The letters count against the sequence cap before the file is read
@@ -359,7 +330,7 @@ def load_prefix(path, alphabet: Alphabet) -> SymbolicPrefix:
     _check_cap(len(source.strip()) if len(source) <= cap + 2 else len(source))
     if not source or source.isspace():
         raise InvalidInputError(f"the file {path} holds no letters")
-    return parse_prefix(source, alphabet)
+    return parse_prefix(source)
 
 
 def save_prefix(prefix: SymbolicPrefix, path) -> None:

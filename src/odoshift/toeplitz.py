@@ -230,7 +230,7 @@ def deepest_columns(codes, K: int, shifts: int) -> list:
 def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
     """Scan all residue columns of levels 1..K over the window [1, 2^(K+2)]."""
     levels, letter_codes = skeleton_levels_from_codes(prefix.codes, K)
-    letters = tuple(prefix.alphabet.letters[c] for c in letter_codes)
+    letters = tuple("abcd"[c] for c in letter_codes)
     if K >= 2 and levels[-1] == levels[-2]:
         classification = EVENTUALLY_CONSTANT_MK
     else:

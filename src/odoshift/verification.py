@@ -87,7 +87,7 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
     # past y[0] lies in the image of an earlier letter, which fixes it.  Half of y's letters are a, so the image
     # of y's first half spans its L letters: a position it differs at or does not reach is a mismatch
     length = 1 << sizes.prefix_log2
-    encode, rules = substitution.GRIGORCHUK_ALPHABET.encode, substitution.grigorchuk_substitution().rules
+    encode, rules = substitution.encode_letters, substitution.grigorchuk_substitution().rules
     # the one-letter rules as a translate: none of their images is a, so a's rule then replaces each a left
     singles = encode("".join(rules[x] if len(rules[x]) == 1 else x for x in "abcd")).ljust(256, b"\0")
     codes = substitution.grigorchuk_prefix(length).codes
@@ -243,7 +243,7 @@ def check_fiber_structure(sizes: Sizes) -> CheckResult:
     prefix = substitution.grigorchuk_prefix(shifts + 4 * horizon)
 
     def preimage(n: int, h: int) -> set:  # of the h - 1 letters after shift n
-        head = substitution.SymbolicPrefix(prefix.alphabet, prefix.codes[n : n + h - 1])
+        head = substitution.SymbolicPrefix(prefix.codes[n : n + h - 1])
         return factormap.sigma_preimage_letters(head)
 
     roots = {h: preimage(0, h) for h in (64, horizon)}
@@ -269,7 +269,7 @@ def _untagged_prefix(length: int) -> substitution.SymbolicPrefix:
     and spectrum checks build its bitsets once between them.
     """
     codes = substitution.grigorchuk_prefix(length).codes
-    return substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, codes)
+    return substitution.SymbolicPrefix(codes)
 
 
 def check_letter_measure(sizes: Sizes) -> CheckResult:
@@ -351,7 +351,7 @@ def check_eigenfunction(sizes: Sizes) -> CheckResult:
     for i in range(sizes.eigen_windows):
         j = 1 + i % J
         s = rng.randrange(len(prefix) - (2 << j))
-        word = prefix.alphabet.decode(prefix.codes[s : s + (2 << j)])
+        word = substitution.decode_codes(prefix.codes[s : s + (2 << j)])
         mu = language.invariant_measure_cylinder(word)
         misplaced += language.class_measure(word, j, s % (1 << j)) != mu
     return CheckResult(

@@ -44,16 +44,16 @@ from fractions import Fraction
 import numpy as np
 
 from odoshift import errors, language, substitution, toeplitz
-from odoshift.substitution import GRIGORCHUK_ALPHABET, SymbolicPrefix, grigorchuk_letter
+from odoshift.substitution import SymbolicPrefix, decode_codes, encode_letters, grigorchuk_letter
 
 
-def iterate(sub, word, steps):
-    """Apply the substitution ``steps`` times to the prefix ``word``."""
-    images = [sub.alphabet.encode(sub.rules[letter]) for letter in sub.alphabet.letters]
-    codes = word.codes.tobytes()
+def iterate(sub, text, steps):
+    """Apply the substitution ``steps`` times to the letters of ``text``, joining the images' bytes."""
+    images = {ord(letter): word.encode() for letter, word in sub.rules.items()}
+    letters = text.encode()
     for _ in range(steps):
-        codes = b"".join(images[c] for c in codes)
-    return SymbolicPrefix(sub.alphabet, codes)
+        letters = b"".join(images[c] for c in letters)
+    return letters.decode()
 
 
 def grigorchuk_level_letter(k):
@@ -67,7 +67,7 @@ def grigorchuk_level_letter(k):
 
 def head(prefix, horizon):
     """The first horizon - 1 letters of ``prefix``: what a language horizon reads."""
-    return SymbolicPrefix(prefix.alphabet, prefix.codes[: horizon - 1])
+    return SymbolicPrefix(prefix.codes[: horizon - 1])
 
 
 def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None):
@@ -97,7 +97,7 @@ def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None)
                 letter = letters[k - 1]
                 break
         out.append(letter)
-    return substitution.parse_prefix("".join(out), GRIGORCHUK_ALPHABET)
+    return substitution.parse_prefix("".join(out))
 
 
 def skeleton_fiber_index(prefix, K):
@@ -115,8 +115,8 @@ def skeleton_fiber_index(prefix, K):
     elif skeleton.classification == toeplitz.EVENTUALLY_CONSTANT_MK:
         index = levels[-1]
     if index is not None:
-        omega = GRIGORCHUK_ALPHABET.decode(substitution.grigorchuk_codes(skeleton.window_used - index))
-        if prefix.alphabet.decode(prefix.codes[index : skeleton.window_used]) != omega:
+        omega = decode_codes(substitution.grigorchuk_codes(skeleton.window_used - index))
+        if decode_codes(prefix.codes[index : skeleton.window_used]) != omega:
             index = None
     return index
 
@@ -285,10 +285,10 @@ def essential_periods_one_pass(prefix, horizon):
 def occurrence_positions(prefix, word, window):
     """0-based starts below ``window`` of ``word`` in ``prefix``, by ``bytes.find`` from i + 1.
 
-    The word's codes are read off ``alphabet.letters``, so nothing here is
-    shared with ``ergodic`` or with ``Alphabet.encode``.
+    The word's codes are read off "abcd", so nothing here is shared with
+    ``ergodic`` or with ``encode_letters``.
     """
-    target = bytes(prefix.alphabet.letters.index(letter) for letter in word)
+    target = bytes("abcd".index(letter) for letter in word)
     # a start below window ends by window + len(word) - 1
     codes = bytes(prefix.codes[: window + len(word) - 1])
     positions = []
@@ -306,7 +306,7 @@ MASK_ROW = 1 << 10  # least start positions summed per row when counting residue
 def occurrence_mask(prefix, word, window):
     """Boolean numpy mask over the 0-based starts below ``window`` of ``word``, filled in blocks."""
     codes = np.frombuffer(prefix.codes, dtype=np.uint8)
-    target = prefix.alphabet.encode(word)
+    target = encode_letters(word)
     mask = np.empty(window, dtype=bool)
     for start in range(0, window, MASK_BLOCK):
         stop = min(start + MASK_BLOCK, window)

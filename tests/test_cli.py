@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +110,38 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--length", "32", "--levels", "8")
         assert code == 3
         assert "required prefix length: 1024" in err
+
+
+class TestDepthOverTheCap:
+    """A skeleton depth K whose 2^(K+2) letters pass the cap exits 2 on every input route, building no such number."""
+
+    @pytest.mark.parametrize("depth", [10**9, 10**13])
+    @pytest.mark.parametrize("argv", [["analyze", "--levels"], ["encode", "--length", "100", "--precision"],
+                                      ["fiber", "--input", "{omega}", "--levels"]], ids=["analyze", "encode", "fiber"])
+    def test_a_huge_depth_exits_2_at_once(self, capsys, tmp_path, monkeypatch, argv, depth):
+        import tracemalloc
+
+        monkeypatch.delenv("ODOSHIFT_MAX_BYTES", raising=False)
+        omega = tmp_path / "omega.txt"
+        omega.write_text(grigorchuk_prefix(64).text + "\n")
+        tracemalloc.start()
+        try:
+            result = run(capsys, *(arg.format(omega=omega) for arg in argv), str(depth))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"error: skeleton depth {depth} reads 2^{depth + 2} letters, over the cap of {1 << 28} bytes\n"
+        assert result == (2, "", message)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cap, depth, code", [(64, 4, 0), (64, 5, 2), (127, 5, 2), (128, 5, 0), (128, 6, 2)])
+    def test_the_depth_is_refused_where_its_window_passes_the_cap(self, capsys, monkeypatch, cap, depth, code):
+        # 2^(K+2) > cap exactly when K + 2 >= cap.bit_length()
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", str(cap))
+        result = run(capsys, "analyze", "--levels", str(depth))
+        assert result[0] == code, result
+        if code:
+            assert result[2] == f"error: skeleton depth {depth} reads 2^{depth + 2} letters, over the cap of {cap} bytes\n"
 
 
 class TestEncode:
@@ -319,10 +352,24 @@ class TestSpectrum:
         assert [row.split(",")[0] for row in rows] == [str(Fraction(k, 32)) for k in range(1, 32)]
         assert rows[15] == "1/2,5.000000000000e-01,1048576"
 
-    @pytest.mark.parametrize("theta", ["1/0", "half", "1/-2"])
+    @pytest.mark.parametrize("theta", ["1/0", "half", "1/-2",
+                                       # a numerator or denominator past the 4300 digits that Python prints
+                                       "1e-10000000", "1e1000000", "1e4300", "1e-4300", "7" * 4301 + "/3",
+                                       "1" * 3000 + "." + "1" * 1400, "1/3e5", "1e" + "9" * 5000],
+                             ids=lambda theta: theta if len(theta) < 20 else f"{theta[:6]}..{len(theta)}_characters")
     def test_a_theta_that_is_no_fraction_exits_2_and_names_it(self, capsys, theta):
+        began = time.perf_counter()
         code, out, err = run(capsys, "spectrum", "--word", "a", "--theta", "1/3", "--theta", theta)
         assert (code, out, err) == (2, "", f"error: --theta must be a fraction p/q with q nonzero, got {theta!r}\n")
+        assert time.perf_counter() - began < 0.5
+
+    def test_a_theta_prints_as_its_fraction(self, capsys):
+        # a decimal, a sign, spaces, a zero with any exponent, and the longest numerator Python prints
+        thetas = ["1e-3", "-1/2", " 3/4 ", "0e99999999", "1e4299", "3/1" + "0" * 4299]
+        code, out, err = run(capsys, "spectrum", "--word", "a", "--window", "64", *(f"--theta={t}" for t in thetas))
+        assert code == 0, err
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+            "1/1000", "-1/2", "3/4", "0", "1" + "0" * 4299, "3/1" + "0" * 4299]
 
 
 class TestVerify:
@@ -505,13 +552,12 @@ class TestSeedFileReadsAsInput:
     @pytest.mark.parametrize("rules", sorted(RULES))
     @pytest.mark.parametrize("argv, letters", COMMANDS)
     def test_same_exit_code_and_stdout(self, capsys, tmp_path, rules, argv, letters):
-        from odoshift.rules import parse_substitution
-        from odoshift.substitution import fixed_point_prefix
+        from odoshift.rules import _grow, parse_substitution
 
         seed_file, input_file = tmp_path / "rules.txt", tmp_path / "letters.txt"
         seed_file.write_text(self.RULES[rules])
         sub = parse_substitution(self.RULES[rules])
-        input_file.write_text(fixed_point_prefix(sub, sub.alphabet.letters[0], letters).text + "\n")
+        input_file.write_text(_grow(sub, sub.letters[0], letters).decode() + "\n")
         seeded = run(capsys, *argv, "--seed-file", str(seed_file))
         given = run(capsys, *argv, "--input", str(input_file))
         assert seeded[:2] == given[:2], (seeded[2], given[2])
@@ -688,13 +734,13 @@ def test_readme_commands(capsys):
 
 
 def test_readme_snippets_print_their_comments(capsys):
-    # the CLI examples are run by test_readme_commands; these are the library and fiber examples
+    # the CLI examples are run by test_readme_commands; these are every python block and the fiber example
     text = README.read_text(encoding="utf-8")
-    quick_start = text.split("## Library quick start", 1)[1].split("## Command line", 1)[0]
-    blocks = [block.split("```", 1)[0] for block in quick_start.split("```python\n")[1:]]
-    assert len(blocks) == 2
+    blocks = [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2 and "## Library quick start\n\n```python\n" in text
     for block in blocks:
-        expected = [line.rpartition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+        expected = [line.rpartition("  # ")[2] for line in block.splitlines() if line.startswith("print(")]
+        assert expected and all("  # " in line for line in block.splitlines() if line.startswith("print(")), block
         exec(block, {})
         assert capsys.readouterr().out.splitlines() == expected, block
     (argv, letters), = re.findall(r"`(fiber [^`]+)`[^`]* prints `([abcd]+)`", text)
@@ -763,14 +809,15 @@ class TestStartWithoutNumpy:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
-    # the modules each command loads beyond odoshift, odoshift.errors and odoshift.substitution: only a
-    # language test loads language, and only --seed-file loads rules
+    # the one table of the modules each command loads beyond odoshift, odoshift.errors and
+    # odoshift.substitution: only a language test loads language, and only --seed-file loads rules
     @pytest.mark.parametrize(
         "argv, code, lines, modules",
         [
             (["generate", "--length", "16"], 0, ["acabacadacabacac"], []),
             (["analyze", "--levels", "4"], 0,
              ["1 2 a", "2 4 c", "3 8 b", "4 16 d", "classification: toeplitz_like"], ["toeplitz"]),
+            (["encode", "--precision", "8"], 0, ["00000000"], ["toeplitz", "factormap"]),
             (["encode", "--shift", "786431", "--precision", "16"], 0,
              [format(786431 % (1 << 16), "016b")[::-1]], ["toeplitz", "factormap"]),
             (["--json", "encode", "--shift", "12345", "--precision", "10"], 0,
@@ -784,6 +831,8 @@ class TestStartWithoutNumpy:
              ["count 1170 window 4096 frequency 0.2856445312"], ["ergodic", "language"]),
             (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/2"], 0,
              ["theta,magnitude,N", "1/2,2.856445312500e-01,4096"], ["ergodic", "language"]),
+            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"], 0,
+             ["theta,magnitude,N", "1/3,3.469446951954e-17,4096"], ["ergodic", "language"]),
             (["encode", "--length", "64", "--precision", "8"], 3, [], ["toeplitz", "factormap"]),
             (["analyze", "--levels", "4", "--input", "{a64}"], 4, [], ["toeplitz", "language"]),
             (["fiber", "--seed-file", "{period_doubling}"], 4, [], ["toeplitz", "factormap", "language", "rules"]),
@@ -838,7 +887,7 @@ class TestOneBlasThread:
 EXPORTED = {
     "errors": ["InsufficientDataError", "InvalidInputError", "NotInSubshiftError", "OdoshiftError",
                "ResourceLimitError"],
-    "substitution": ["Alphabet", "Substitution", "SymbolicPrefix", "dyadic_valuation", "fixed_point_prefix",
+    "substitution": ["Substitution", "SymbolicPrefix", "dyadic_valuation", "fixed_point_prefix",
                      "grigorchuk_codes", "grigorchuk_letter", "grigorchuk_prefix", "grigorchuk_substitution",
                      "validate_prolongable"],
     "language": ["class_measure", "invariant_measure_cylinder"],
@@ -852,27 +901,6 @@ EXPORTED = {
 
 class TestStartLoadsOnlyWhatRuns:
     """A command imports only the modules it runs, and the package namespace loads a module when read."""
-
-    @pytest.mark.parametrize(
-        "argv, modules",
-        [
-            (["measure", "--word", "aca"], {"odoshift.language"}),
-            (["generate", "--length", "16"], set()),
-            (["analyze", "--levels", "4"], {"odoshift.toeplitz"}),
-            (["fiber", "--shift", "1", "--levels", "10"],
-             {"odoshift.toeplitz", "odoshift.factormap", "odoshift.language"}),
-            (["encode", "--precision", "8"], {"odoshift.toeplitz", "odoshift.factormap"}),
-            (["freq", "--word", "ac", "--window", "4096"], {"odoshift.ergodic", "odoshift.language"}),
-            (["spectrum", "--word", "ac", "--window", "4096", "--theta", "1/3"],
-             {"odoshift.ergodic", "odoshift.language"}),
-        ],
-    )
-    def test_command_loads_only_its_modules(self, argv, modules):
-        proc = fresh(*argv)
-        assert proc.returncode == 0, proc.stderr
-        assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution"} | modules
-        # only verify imports numpy
-        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
 
     @pytest.mark.parametrize(
         "argv, fractions",

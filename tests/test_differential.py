@@ -57,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odoshift import ergodic, errors, factormap, language, substitution, toeplitz
+from odoshift import ergodic, errors, factormap, language, rules, substitution, toeplitz
 from oracles import (
     _class_measure_of_sets,
     class_measure_by_parity,
@@ -71,10 +71,10 @@ from oracles import (
     skeleton_fiber_index,
 )
 from odoshift.substitution import (
-    GRIGORCHUK_ALPHABET,
-    Alphabet,
     Substitution,
     SymbolicPrefix,
+    decode_codes,
+    encode_letters,
     grigorchuk_letter,
     grigorchuk_prefix,
     parse_prefix,
@@ -105,20 +105,16 @@ def reference_self_expansion(sub, seed, length):
     return "".join(out[:length])
 
 
-def rules(**rules):
-    return Substitution(Alphabet("".join(rules)), rules)
-
-
 CHAIN_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 SUBSTITUTIONS = {
     "grigorchuk": substitution.grigorchuk_substitution(),
-    "period_doubling": rules(a="ab", b="aa"),
-    "thue_morse": rules(a="ab", b="ba"),
-    "fibonacci": rules(a="ab", b="a"),
-    "lengths_1_to_4": rules(a="abcd", b="c", c="da", d="bca"),
-    "linear_growth": rules(a="ab", b="b"),
+    "period_doubling": Substitution({"a": "ab", "b": "aa"}),
+    "thue_morse": Substitution({"a": "ab", "b": "ba"}),
+    "fibonacci": Substitution({"a": "ab", "b": "a"}),
+    "lengths_1_to_4": Substitution({"a": "abcd", "b": "c", "c": "da", "d": "bca"}),
+    "linear_growth": Substitution({"a": "ab", "b": "b"}),
     # a -> ab, b -> c, ..., y -> z, z -> zz: the seed reaches the doubling z after 25 steps
-    "chain_to_doubling": rules(**{**dict(zip(CHAIN_LETTERS, CHAIN_LETTERS[1:])), "a": "ab", "z": "zz"}),
+    "chain_to_doubling": Substitution({**dict(zip(CHAIN_LETTERS, CHAIN_LETTERS[1:])), "a": "ab", "z": "zz"}),
 }
 # the string-join step needs one step per letter of linear growth
 STRING_JOIN = sorted(set(SUBSTITUTIONS) - {"linear_growth"})
@@ -129,12 +125,17 @@ CHUNK = substitution._CHUNK
 LENGTHS = (1, 2, 3, 4, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 3, (1 << 18) + 3)
 
 
+def grown(sub, length):
+    """The letters of the fixed point of ``sub`` from a, as ``rules._grow`` grows them for any rules."""
+    return rules._grow(sub, "a", length).decode()
+
+
 @pytest.mark.parametrize("name", STRING_JOIN)
 def test_generator_matches_the_string_join_step(name):
     sub = SUBSTITUTIONS[name]
     longest = reference_fixed_point(sub, "a", max(LENGTHS), cap=1 << 28)
     for length in LENGTHS:
-        assert substitution.fixed_point_prefix(sub, "a", length).text == longest[:length], length
+        assert grown(sub, length) == longest[:length], length
 
 
 @pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
@@ -142,7 +143,20 @@ def test_generator_matches_the_self_expansion(name):
     sub = SUBSTITUTIONS[name]
     longest = reference_self_expansion(sub, "a", max(LENGTHS))
     for length in LENGTHS:
-        assert substitution.fixed_point_prefix(sub, "a", length).text == longest[:length], length
+        assert grown(sub, length) == longest[:length], length
+
+
+def test_a_fixed_point_is_its_grown_letters_read_as_codes():
+    # over 'abcd' the letters are the prefix's; a letter past d is the error a parsed one is
+    for name in ("grigorchuk", "period_doubling", "lengths_1_to_4"):
+        assert substitution.fixed_point_prefix(SUBSTITUTIONS[name], "a", 5000).text == grown(SUBSTITUTIONS[name], 5000)
+    text = grown(SUBSTITUTIONS["chain_to_doubling"], 5000)
+    with pytest.raises(errors.InvalidInputError) as exc:
+        substitution.fixed_point_prefix(SUBSTITUTIONS["chain_to_doubling"], "a", 5000)
+    with pytest.raises(errors.InvalidInputError) as parsed:
+        parse_prefix(text)
+    assert str(exc.value) == str(parsed.value) == f"letters {sorted(set(text) - set('abcd'))} not in alphabet 'abcd'"
+    assert "z" in text
 
 
 def test_linear_growth_is_generated_a_pass_at_a_time():
@@ -156,10 +170,9 @@ def test_linear_growth_is_generated_a_pass_at_a_time():
 @pytest.mark.parametrize("name", sorted(SUBSTITUTIONS))
 def test_iterate_matches_the_string_join_step(name):
     sub = SUBSTITUTIONS[name]
-    word = parse_prefix(sub.alphabet.letters * 3, sub.alphabet)
-    text = word.text
+    text = word = sub.letters * 3
     for steps in range(6):
-        assert iterate(sub, word, steps).text == text
+        assert iterate(sub, word, steps) == text
         text = "".join(sub.rules[ch] for ch in text)
 
 
@@ -191,7 +204,7 @@ def test_generator_checks_the_cap_before_allocating():
 
 def test_oracle_matches_the_letter_formula_at_every_position():
     longest = (1 << 12) + 1
-    scalar = [GRIGORCHUK_ALPHABET.index(grigorchuk_letter(m)) for m in range(1, longest + 1)]
+    scalar = ["abcd".index(grigorchuk_letter(m)) for m in range(1, longest + 1)]
     lengths = list(range(1, 301)) + [(1 << j) + d for j in range(1, 13) for d in (-1, 1)]
     for length in lengths:
         assert substitution.grigorchuk_codes(length).tolist() == scalar[:length], length
@@ -201,7 +214,7 @@ def test_codes_from_a_start_match_the_letter_formula():
     # a start moves each valuation's residue class, and past 2^16 letters a valuation is written in passes
     for start in (1, 2, 5, 1000, (1 << 20) - 3, 10**12 + 7):
         for length in (1, 3, 64, 4097):
-            want = [GRIGORCHUK_ALPHABET.index(grigorchuk_letter(m)) for m in range(start + 1, start + length + 1)]
+            want = ["abcd".index(grigorchuk_letter(m)) for m in range(start + 1, start + length + 1)]
             assert substitution.grigorchuk_codes(length, start).tolist() == want, (start, length)
     whole = substitution.grigorchuk_codes(1 << 18)
     for start in (1, 3, CHUNK + 1, 5 * CHUNK - 1):
@@ -273,7 +286,7 @@ def reference_encoding(codes, k, shifts):
 
 
 def program_encoding(codes, k, shifts):
-    prefix = SymbolicPrefix(GRIGORCHUK_ALPHABET, codes)
+    prefix = SymbolicPrefix(codes)
     try:
         values = factormap.verify_equivariance(prefix, k, shifts)
     except errors.NotInSubshiftError as exc:
@@ -405,7 +418,7 @@ def desubstitution_value(codes, k):
     and no set holding c holds a.  Digit i is 0 for an odd start and 1 for
     an even one, since shifting x by n starts it at position n + 1.
     """
-    sets = GRIGORCHUK_ALPHABET.decode(codes).encode().translate(LETTER_BITS)
+    sets = decode_codes(codes).encode().translate(LETTER_BITS)
     value = 0
     for i in range(k):
         paths = []
@@ -437,7 +450,6 @@ def test_desubstitution_digits_match_the_skeleton_encoding(k):
 # ---------------------------------------------------------------------------
 # Fiber classification
 
-FIBER_ALPHABET = Alphabet("abcdx")
 OMEGA_TEXT = grigorchuk_prefix(1 << 20).text
 
 
@@ -461,13 +473,13 @@ def reference_fiber(prefix, K):
 
 
 def fiber_windows(K, rng):
-    """Texts of at least ``skeleton_window(K)`` letters over 'abcdx': shifts of the fixed point, letters
-    before it, one-letter mutations and reconstructed skeletons."""
+    """Texts of at least ``skeleton_window(K)`` letters: shifts of the fixed point, letters before it,
+    one-letter mutations and reconstructed skeletons."""
     window = toeplitz.skeleton_window(K)
     shifts = [*range(300), *rng.sample(range(300, len(OMEGA_TEXT) - window), 20)]
     texts = [OMEGA_TEXT[n : n + window] for n in shifts]
     # the letters left of the fixed point in the two-sided points t.omega, t in bcd, read right to left
-    befores = ["b", "c", "d", "ab", "cab", "acab", "x"]
+    befores = ["b", "c", "d", "ab", "cab", "acab"]
     for j in {1 << (K - 1), (1 << (K - 1)) + 1, max(1, (1 << (K - 1)) - 1)}:
         befores += [OMEGA_TEXT[: j - 1][::-1] + t for t in "bcd"]
     texts += [before + OMEGA_TEXT[:window] for before in befores]
@@ -479,7 +491,7 @@ def fiber_windows(K, rng):
     for _ in range(12):
         text = rng.choice(texts)
         i = rng.randrange(window)
-        texts.append(text[:i] + rng.choice("abcdx".replace(text[i], "")) + text[i + 1 :])
+        texts.append(text[:i] + rng.choice("abcd".replace(text[i], "")) + text[i + 1 :])
     return texts
 
 
@@ -488,7 +500,7 @@ def test_fiber_matches_the_skeleton_rule_on_the_skeleton_window(K):
     window = toeplitz.skeleton_window(K)
     outcomes = {"index": 0, "error": 0}
     for text in fiber_windows(K, random.Random(700 + K)):
-        prefix = parse_prefix(text[:window], FIBER_ALPHABET)
+        prefix = parse_prefix(text[:window])
         reference = fiber_outcome(reference_fiber, prefix, K)
         assert fiber_outcome(program_fiber, prefix, K) == reference, text[:64]
         outcomes["index"] += isinstance(reference[0], int)
@@ -578,15 +590,15 @@ def block_edge_prefix(name):
     omega = grigorchuk_prefix(length + 7)
     if name == "shifted":
         return omega.shifted(7), "aa"
-    return parse_prefix(omega.text[:length], Alphabet("dcba")), "aa"
+    return SymbolicPrefix(omega.codes[:length]), "aa"  # no fixed-point start: the bitsets count
 
 
-@pytest.mark.parametrize("name", ["shifted", "dcba", "period_doubling"])
+@pytest.mark.parametrize("name", ["shifted", "letters", "period_doubling"])
 def test_counts_and_spectra_match_the_oracle_at_block_edges(name):
     prefix, non_factor = block_edge_prefix(name)
     # each factor starts before the first block edge and, from 2 letters on, ends after it
     starts = {size: BLOCK - (size + 1) // 2 for size in (1, 2, 7, 14)}
-    factors = [prefix.alphabet.decode(prefix.codes[i : i + size]) for size, i in starts.items()]
+    factors = [decode_codes(prefix.codes[i : i + size]) for size, i in starts.items()]
     thetas = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2 * BLOCK + 7)]
     for window in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5):
         for word in [*factors, non_factor]:
@@ -600,7 +612,7 @@ def test_counts_and_spectra_match_the_oracle_at_block_edges(name):
 KERNEL_LENGTH = BLOCK + 1000  # two build passes, the second a short one
 
 
-KERNEL_PREFIXES = ["fixed_point", "shifted", "dcba", "period_doubling", "chain_to_doubling", "bytearray"]
+KERNEL_PREFIXES = ["fixed_point", "shifted", "period_doubling", "bytearray"]
 
 
 def kernel_prefix(name):
@@ -608,23 +620,21 @@ def kernel_prefix(name):
     omega = grigorchuk_prefix(KERNEL_LENGTH + 7)
     if name == "shifted":
         return omega.shifted(7)
-    if name == "dcba":
-        return parse_prefix(omega.text[:KERNEL_LENGTH], Alphabet("dcba"))
-    if name in SUBSTITUTIONS:  # two letters, one bit plane; 26 letters, five
+    if name in SUBSTITUTIONS:  # the letters a and b alone
         return substitution.fixed_point_prefix(SUBSTITUTIONS[name], "a", KERNEL_LENGTH)
     if name == "bytearray":
-        return SymbolicPrefix(GRIGORCHUK_ALPHABET, bytearray(omega.codes[:KERNEL_LENGTH]))
+        return SymbolicPrefix(bytearray(omega.codes[:KERNEL_LENGTH]))
     return omega
 
 
 def seeded_words(prefix, count, seed):
     """Words of 1 to 14 letters with a window each: factors, factors with a letter changed, random words."""
     rng = random.Random(seed)
-    letters = prefix.alphabet.letters
+    letters = "abcd"
     for i in range(count):
         size = rng.randint(1, 14)
         start = rng.randrange(len(prefix) - size)
-        word = list(prefix.alphabet.decode(prefix.codes[start : start + size]))
+        word = list(decode_codes(prefix.codes[start : start + size]))
         if i % 3 == 1:
             word[rng.randrange(size)] = rng.choice(letters)
         elif i % 3 == 2:
@@ -680,7 +690,7 @@ FIXED_WINDOWS = (1, 2, 3, 1000, 1001, (1 << 12) - 1, 1 << 12, (1 << 12) + 1, (1 
 
 def untagged(prefix):
     """The letters of ``prefix`` in a prefix with no fixed-point start: counts on it run the bitsets."""
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, prefix.codes)
+    return SymbolicPrefix(prefix.codes)
 
 
 def fixed_point_words(omega, count, seed):
@@ -690,7 +700,7 @@ def fixed_point_words(omega, count, seed):
     for _ in range(count):
         size = rng.randint(1, 40)
         start = rng.randrange(len(omega) - size)
-        word = list(omega.alphabet.decode(omega.codes[start : start + size]))
+        word = list(decode_codes(omega.codes[start : start + size]))
         if rng.random() < 0.3:
             j = rng.randrange(size)
             word[j] = rng.choice([letter for letter in "abcd" if letter != word[j]])
@@ -801,8 +811,8 @@ def test_residue_counts_match_the_comb_and_a_letter_scan(shift):
     plain = untagged(tagged)
     cycle = itertools.cycle(range(1, 129))
     for word in fixed_point_words(omega, 20, seed=100 + shift):
-        codes = GRIGORCHUK_ALPHABET.encode(word)
-        sets = language.letter_sets(GRIGORCHUK_ALPHABET, codes)
+        codes = encode_letters(word)
+        sets = language.letter_sets(codes)
         for window in FIXED_WINDOWS:
             positions = occurrence_positions(plain, word, window)
             bits = ergodic._occurrence_bits(plain, codes, window)
@@ -879,7 +889,7 @@ def random_words(count, seed):
             codes = bytearray(grigorchuk_prefix(1 << 13).codes[start : start + length])
             for _ in range(rng.randint(1, 4)):
                 codes[rng.randrange(length)] = rng.randrange(4)
-        yield SymbolicPrefix(GRIGORCHUK_ALPHABET, codes), rng.randint(1, length // 4)
+        yield SymbolicPrefix(codes), rng.randint(1, length // 4)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -904,13 +914,13 @@ def one_pass_cases():
     yield pytest.param(substitution.fixed_point_prefix(sub, "a", 30_000), 2000, id="period_doubling")
     rng = random.Random(20261018)
     codes = bytes(rng.randrange(4) for _ in range(40_000))
-    yield pytest.param(SymbolicPrefix(GRIGORCHUK_ALPHABET, codes), 5000, id="random_abcd")
+    yield pytest.param(SymbolicPrefix(codes), 5000, id="random_abcd")
     # one b in a run of a's: four of 70,000 rows stay after p = 1, so the next block
     # would hold 17,500 periods, and is cut at SLICE
     horizon = SLICE + 100
     run = bytearray(70_000 + 3 * horizon)
     run[SLICE] = 1
-    yield pytest.param(SymbolicPrefix(GRIGORCHUK_ALPHABET, run), horizon, id="one_b_in_a_run")
+    yield pytest.param(SymbolicPrefix(run), horizon, id="one_b_in_a_run")
 
 
 @pytest.mark.parametrize("prefix, horizon", one_pass_cases())

@@ -12,8 +12,9 @@ from odoshift import errors
 from odoshift.factormap import verify_equivariance
 from odoshift.language import class_measure, letter_sets, word_sets
 from odoshift.substitution import (
-    GRIGORCHUK_ALPHABET,
     SymbolicPrefix,
+    decode_codes,
+    encode_letters,
     fixed_point_prefix,
     grigorchuk_letter,
     grigorchuk_prefix,
@@ -27,7 +28,7 @@ OMEGA_TEXT = grigorchuk_prefix(1 << 12).text
 
 def untagged(prefix):
     """The letters of ``prefix`` in a prefix with no fixed-point start: counts on it run the bitsets."""
-    return SymbolicPrefix(GRIGORCHUK_ALPHABET, prefix.codes)
+    return SymbolicPrefix(prefix.codes)
 
 
 LETTER_MEASURE = {
@@ -72,7 +73,7 @@ class TestCylinderFrequency:
         # letter, compare or AND, would double the peak
         window = 1 << 20
         prefix = untagged(grigorchuk_prefix(window + 13))
-        word = GRIGORCHUK_ALPHABET.decode(prefix.codes[1000:1014])
+        word = decode_codes(prefix.codes[1000:1014])
         erg.cylinder_frequency(prefix, word, window)  # first-call imports stay out of the trace
         tracemalloc.start()
         try:
@@ -88,7 +89,7 @@ class TestCylinderFrequency:
         # text of the whole prefix at once would exceed the bound
         window = 1 << 20
         prefix = untagged(grigorchuk_prefix(window + 14).shifted(1))  # a view of its own, with no bitsets yet
-        word = GRIGORCHUK_ALPHABET.decode(prefix.codes[:14])
+        word = decode_codes(prefix.codes[:14])
         assert set(word) == set("abcd")
         erg.cylinder_frequency(untagged(grigorchuk_prefix(64)), "a", 64)  # first-call imports stay out of the trace
         tracemalloc.start()
@@ -105,7 +106,7 @@ class TestCylinderFrequency:
         prefix = fixed_point_prefix(grigorchuk_substitution(), "a", (1 << 16) + 18)
         for shift in (0, 5):
             view = prefix.shifted(shift)
-            word = GRIGORCHUK_ALPHABET.decode(view.codes[1000:1014])
+            word = decode_codes(view.codes[1000:1014])
             assert erg.cylinder_frequency(view, word, 1 << 16).count > 0
             assert not view._bitsets
         assert not prefix._bitsets
@@ -252,7 +253,7 @@ class TestEigenfunction:
     def test_corrupted_prefix_fails(self):
         text = list(grigorchuk_prefix(4000).text)
         text[257] = "a" if text[257] != "a" else "c"
-        corrupted = parse_prefix("".join(text), GRIGORCHUK_ALPHABET)
+        corrupted = parse_prefix("".join(text))
         with pytest.raises(errors.NotInSubshiftError):
             verify_equivariance(corrupted, 5, 1000)
 
@@ -325,7 +326,7 @@ class TestSpectralScan:
         # the window once, then q * ceil(window / 2048) for a comb theta and the window plus
         # min(q, occurrences) for one whose starts are read
         window, comb_max = 5000, erg._COMB_MAX
-        word = GRIGORCHUK_ALPHABET.decode(OMEGA.codes[1000:1100])
+        word = decode_codes(OMEGA.codes[1000:1100])
         occurrences = erg.cylinder_frequency(OMEGA, word, window).count
         assert 0 < occurrences < comb_max
         thetas = [Fraction(1, 2), Fraction(3, 2), Fraction(1, comb_max), Fraction(1, comb_max + 1),
@@ -383,7 +384,7 @@ class TestTheWordPath:
 
     def test_each_byte_reads_as_its_code_does(self):
         for word in [chr(byte) for byte in range(256)] + ["ac" + chr(byte) + "a" for byte in range(256)]:
-            expected = outcome(lambda: letter_sets(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)))
+            expected = outcome(lambda: letter_sets(encode_letters(word)))
             assert outcome(lambda: word_sets(word)) == expected, repr(word)
 
     @pytest.mark.parametrize("tagged", [True, False], ids=["fixed_point", "letters"])

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from odoshift import errors
 from odoshift import factormap as fm
 from odoshift.substitution import (
-    GRIGORCHUK_ALPHABET,
-    Alphabet,
     SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
@@ -27,7 +25,7 @@ def _moving_residues(depth):
 
 
 def word(text):
-    return parse_prefix(text, GRIGORCHUK_ALPHABET)
+    return parse_prefix(text)
 
 
 class TestDyadicInt:
@@ -155,17 +153,6 @@ class TestSigmaPreimage:
     def test_head_outside_the_language(self):
         with pytest.raises(errors.NotInSubshiftError):
             fm.sigma_preimage_letters(word("acaa" + OMEGA.text[:59]))
-        with pytest.raises(errors.NotInSubshiftError):
-            fm.sigma_preimage_letters(parse_prefix(("acx" * 22)[:63], Alphabet("acx")))
-
-    def test_the_letters_not_their_codes_are_read(self):
-        # over "dcba" the code of a is 3: a head read as codes would be another word
-        reversed_letters = Alphabet("dcba")
-        for n in (0, 1, 2, 5, 37):
-            text = OMEGA.shifted(n).text[:127]
-            assert fm.sigma_preimage_letters(parse_prefix(text, reversed_letters)) == (
-                fm.sigma_preimage_letters(word(text))
-            ), n
 
 
 class TestClassifyFiber:
@@ -246,7 +233,7 @@ class TestClassifyFiber:
         for shift in range(1, 4097):
             held = max(1 << (K + 2), fm.default_language_horizon(shift) - 1)
             tagged = fm.classify_fiber(omega.shifted(shift), K)
-            letters = fm.classify_fiber(SymbolicPrefix(GRIGORCHUK_ALPHABET, omega.codes[shift : shift + held]), K)
+            letters = fm.classify_fiber(SymbolicPrefix(omega.codes[shift : shift + held]), K)
             assert (tagged.classification, tagged.stabilization_index) == (fm.TOEPLITZ_POINT, None), shift
             assert tagged.sigma_preimage_letters == letters.sigma_preimage_letters == {omega.at(shift)}, shift
             disagree += letters.stabilization_index is not None
@@ -267,7 +254,7 @@ class TestClassifyFiber:
         omega = grigorchuk_prefix(512 + (1 << 11))
         for shift in range(1, 513):
             held = max(1 << (K + 2), fm.default_language_horizon(shift) - 1)
-            prefix = parse_prefix(omega.text[shift : shift + held], GRIGORCHUK_ALPHABET)
+            prefix = parse_prefix(omega.text[shift : shift + held])
             n = fm.classify_fiber(prefix, K).stabilization_index
             if n is not None:
                 assert prefix.text[n:] == omega.text[: held - n], (shift, n)

@@ -30,9 +30,8 @@ from odoshift import errors
 from odoshift.language import invariant_measure_cylinder
 from odoshift.factormap import sigma_preimage_letters
 from odoshift.substitution import (
-    GRIGORCHUK_ALPHABET,
-    Alphabet,
     SymbolicPrefix,
+    encode_letters,
     grigorchuk_letter,
     grigorchuk_prefix,
     parse_prefix,
@@ -72,7 +71,7 @@ def substring_letters(prefix: SymbolicPrefix) -> set:
 
 def assert_left_extensions_match_the_oracle(word):
     expected = {l for l in "abcd" if residue_class_measure(l + word) > 0}
-    assert SymbolicPrefix(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)).left_extensions == expected, word
+    assert SymbolicPrefix(encode_letters(word)).left_extensions == expected, word
 
 
 def test_every_word_up_to_seven_letters_matches_the_reference():
@@ -138,17 +137,6 @@ def test_a_factor_at_the_argv_limit_is_measured_at_once():
     assert time.perf_counter() - began < 0.25
 
 
-def test_codes_are_measured_through_their_own_alphabet():
-    letters = Alphabet("xdcba")  # a is code 4, and x no letter of the fixed point
-    for word in ("a", "acab", TEXT[100:400], TEXT[7:20] + "d"):
-        codes = letters.encode(word)
-        extending = {l for l in "abcd" if invariant_measure_cylinder(l + word) > 0}
-        assert SymbolicPrefix(letters, codes).left_extensions == extending, word
-        assert SymbolicPrefix(letters, letters.encode(word[0]) + codes[1:]).left_extensions == extending, word
-    assert not SymbolicPrefix(letters, letters.encode("acxab")).left_extensions
-    assert not SymbolicPrefix(letters, letters.encode("a") + letters.encode("x")).left_extensions
-
-
 def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
     # Factor complexity: the tree of words of positive measure, grown one letter at a time
     # by left extension, holds at each length n as many words as the prefix has distinct
@@ -165,7 +153,7 @@ def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
         tree = {
             l + word
             for word in tree
-            for l in SymbolicPrefix(GRIGORCHUK_ALPHABET, GRIGORCHUK_ALPHABET.encode(word)).left_extensions
+            for l in SymbolicPrefix(encode_letters(word)).left_extensions
         }
 
 
@@ -201,7 +189,7 @@ def test_a_word_has_the_measure_of_its_left_extensions():
 
 
 def test_preimage_letters_match_substring_search_along_the_orbit():
-    prefix = parse_prefix(TEXT[:2048], GRIGORCHUK_ALPHABET)
+    prefix = parse_prefix(TEXT[:2048])
     for horizon in (2, 3, 64, 256):
         for n in range(0, 101):
             shifted = prefix.shifted(n)
@@ -220,7 +208,7 @@ def test_preimage_letters_match_substring_search(shift, horizon, mutate):
     if mutate is not None:
         j, letter = mutate
         text[j] = letter
-    prefix = head(parse_prefix("".join(text), GRIGORCHUK_ALPHABET), horizon)
+    prefix = head(parse_prefix("".join(text)), horizon)
     try:
         expected = substring_letters(prefix)
     except errors.NotInSubshiftError:

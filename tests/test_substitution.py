@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -14,18 +15,16 @@ from odoshift import substitution as sub
 from oracles import iterate
 
 TAU = sub.grigorchuk_substitution()
-ABC = sub.GRIGORCHUK_ALPHABET
 
 
 def word(text):
-    return sub.parse_prefix(text, ABC)
+    return sub.parse_prefix(text)
 
 
 # each validated value type: a constructor called twice, its repr, and one of its fields
 VALUES = [
-    (lambda: sub.Alphabet("abcd"), "Alphabet(letters='abcd')", "letters"),
-    (lambda: sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "a"}),
-     "Substitution(alphabet=Alphabet(letters='ab'), rules={'a': 'ab', 'b': 'a'})", "rules"),
+    (lambda: sub.Substitution({"a": "ab", "b": "a"}), "Substitution(letters='ab', rules={'a': 'ab', 'b': 'a'})",
+     "rules"),
     (lambda: fm.DyadicInt(5, 8), "DyadicInt(value=5, precision=8)", "value"),
 ]
 
@@ -56,42 +55,25 @@ class TestValueTypes:
             p.codes = q.codes
 
     def test_hashes_ignore_the_mapping_fields(self):
-        ab = sub.Alphabet("ab")
-        one, other = sub.Substitution(ab, {"a": "ab", "b": "a"}), sub.Substitution(ab, {"a": "aab", "b": "b"})
+        one, other = sub.Substitution({"a": "ab", "b": "a"}), sub.Substitution({"a": "aab", "b": "b"})
         assert one != other and hash(one) == hash(other)
 
 
-class TestAlphabet:
-    def test_rejects_duplicates(self):
-        with pytest.raises(errors.InvalidInputError):
-            sub.Alphabet("aba")
-
-    def test_rejects_empty(self):
-        with pytest.raises(errors.InvalidInputError):
-            sub.Alphabet("")
-
-    def test_rejects_non_ascii(self):
-        with pytest.raises(errors.InvalidInputError):
-            sub.Alphabet("a\u00e9")
-
-    def test_index(self):
-        assert ABC.index("c") == 2
-        with pytest.raises(errors.InvalidInputError):
-            ABC.index("z")
-
+class TestLetters:
     def test_encode_and_decode(self):
-        codes = ABC.encode("dcba")
+        codes = sub.encode_letters("dcba")
         assert codes == bytes([3, 2, 1, 0])
-        assert ABC.decode(codes) == "dcba"
-        assert ABC.encode("") == b""
-        for text in ("ax", "a\u00e9", "A"):
-            with pytest.raises(errors.InvalidInputError):
-                ABC.encode(text)
+        assert sub.decode_codes(codes) == "dcba"
+        assert sub.encode_letters("") == b""
+        assert sub.encode_letters(bytearray(b"cab")) == bytes([2, 0, 1])
+        for text, extra in (("ax", "['x']"), ("a\u00e9", "['\u00e9']"), ("A", "['A']"), (b"abzy", "['y', 'z']")):
+            with pytest.raises(errors.InvalidInputError, match=re.escape(f"letters {extra} not in alphabet 'abcd'")):
+                sub.encode_letters(text)
 
     def test_a_lone_surrogate_is_a_letter_outside_the_alphabet(self):
         # how Python reads a command-line byte that is not UTF-8, as in `--word $'a\xffc'`
         message = "letters ['\\udcff'] not in alphabet 'abcd'"
-        for call in (lambda: ABC.encode("a\udcffc"), lambda: sub.parse_prefix("ab\udcff", ABC)):
+        for call in (lambda: sub.encode_letters("a\udcffc"), lambda: sub.parse_prefix("ab\udcff")):
             with pytest.raises(errors.InvalidInputError) as caught:
                 call()
             assert str(caught.value) == message
@@ -124,7 +106,7 @@ class TestSymbolicPrefix:
 
     def test_stores_only_codes(self):
         p = word(" acab\n")
-        assert set(vars(p)) == {"alphabet", "codes"}
+        assert set(vars(p)) == {"codes"}
         assert p.codes.format == "B" and p.codes.itemsize == 1
         assert p.text == "acab"
         with pytest.raises(errors.InvalidInputError):
@@ -148,20 +130,20 @@ class TestSymbolicPrefix:
         assert sub.fixed_point_prefix(TAU, "a", 64).fixed_point_start == 0
         assert omega.shifted(5).fixed_point_start == 5
         assert omega.shifted(5).shifted(7).fixed_point_start == 12
-        assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+        assert set(vars(omega)) == {"codes", "fixed_point_start"}
         # the same letters by any other road: parsed, loaded, from codes, or grown under other rules
         path = tmp_path / "omega.txt"
         sub.save_prefix(omega, path)
         others = [
             word(omega.text),
-            sub.load_prefix(path, ABC),
-            sub.SymbolicPrefix(ABC, omega.codes),
-            sub.fixed_point_prefix(sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "a"}), "a", 64),
+            sub.load_prefix(path),
+            sub.SymbolicPrefix(omega.codes),
+            sub.fixed_point_prefix(sub.Substitution({"a": "ab", "b": "a"}), "a", 64),
         ]
         for other in others:
             assert other.fixed_point_start is None
             assert other.shifted(3).fixed_point_start is None
-            assert set(vars(other)) == {"alphabet", "codes"}
+            assert set(vars(other)) == {"codes"}
 
     def test_shift_of_a_cached_prefix_is_read_only(self):
         p = sub.grigorchuk_prefix(1 << 12)
@@ -173,20 +155,21 @@ class TestSymbolicPrefix:
         assert p.at(6) == sub.grigorchuk_letter(6)
 
     def test_rejects_codes_outside_the_alphabet(self):
-        for codes in ([0, 4], [0, 255], []):
-            with pytest.raises(errors.InvalidInputError):
-                sub.SymbolicPrefix(ABC, np.array(codes, dtype=np.uint8))
+        for codes, message in (([0, 4], "^code 4 outside the alphabet 'abcd'$"), ([0, 255], "^code 255 outside"),
+                               ([], "nonempty")):
+            with pytest.raises(errors.InvalidInputError, match=message):
+                sub.SymbolicPrefix(np.array(codes, dtype=np.uint8))
         with pytest.raises(errors.InvalidInputError):
-            sub.SymbolicPrefix(ABC, np.array([0, 1], dtype=np.int64))
+            sub.SymbolicPrefix(np.array([0, 1], dtype=np.int64))
         with pytest.raises(errors.InvalidInputError):  # past the first block checked
-            sub.SymbolicPrefix(ABC, bytes(sub._CHUNK) + b"\x04")
+            sub.SymbolicPrefix(bytes(sub._CHUNK) + b"\x04")
         with pytest.raises(errors.InvalidInputError):
-            sub.SymbolicPrefix(ABC, np.array([3, 0, 2, 1], dtype=np.uint8)[::2])
-        assert sub.SymbolicPrefix(ABC, np.array([3, 0], dtype=np.uint8)).text == "da"
+            sub.SymbolicPrefix(np.array([3, 0, 2, 1], dtype=np.uint8)[::2])
+        assert sub.SymbolicPrefix(np.array([3, 0], dtype=np.uint8)).text == "da"
 
     def test_accepts_any_contiguous_buffer_of_bytes(self):
         for codes in (b"\x03\x00\x02", bytearray(b"\x03\x00\x02"), np.array([3, 0, 2], dtype=np.int8)):
-            p = sub.SymbolicPrefix(ABC, codes)
+            p = sub.SymbolicPrefix(codes)
             assert p.text == "dac" and p.codes.format == "B" and p.codes.readonly
 
 
@@ -198,7 +181,7 @@ class TestProlongable:
         assert sub.validate_prolongable(TAU, "b") is False
 
     def test_identity_rule_too_short(self):
-        s = sub.Substitution(sub.Alphabet("x"), {"x": "x"})
+        s = sub.Substitution({"x": "x"})
         assert sub.validate_prolongable(s, "x") is False
 
     def test_unknown_seed(self):
@@ -207,18 +190,18 @@ class TestProlongable:
 
 
 class TestIterate:
-    """The generator's chunked expansion, applied to whole words."""
+    """The oracle's substitution step, applied to whole words."""
 
     def test_two_steps_from_a(self):
-        assert iterate(TAU, word("a"), 2).text == "acabaca"
+        assert iterate(TAU, "a", 2) == "acabaca"
 
     def test_single_letters(self):
-        assert iterate(TAU, word("b"), 1).text == "d"
-        assert iterate(TAU, word("c"), 1).text == "b"
-        assert iterate(TAU, word("d"), 1).text == "c"
+        assert iterate(TAU, "b", 1) == "d"
+        assert iterate(TAU, "c", 1) == "b"
+        assert iterate(TAU, "d", 1) == "c"
 
     def test_zero_steps_is_identity(self):
-        assert iterate(TAU, word("bcd"), 0).text == "bcd"
+        assert iterate(TAU, "bcd", 0) == "bcd"
 
     @given(
         left=st.text(alphabet="abcd", min_size=1, max_size=12),
@@ -226,10 +209,7 @@ class TestIterate:
         steps=st.integers(min_value=0, max_value=4),
     )
     def test_homomorphism_over_splits(self, left, right, steps):
-        joined = iterate(TAU, word(left + right), steps).text
-        assert joined == iterate(TAU, word(left), steps).text + iterate(
-            TAU, word(right), steps
-        ).text
+        assert iterate(TAU, left + right, steps) == iterate(TAU, left, steps) + iterate(TAU, right, steps)
 
     def test_bad_cap_value(self, monkeypatch):
         monkeypatch.setenv(sub.MAX_BYTES_ENV, "soon")
@@ -242,18 +222,20 @@ class TestIterate:
 
 class TestSubstitutionRules:
     @pytest.mark.parametrize(
-        "letters, rules, message",
+        "rules, message",
         [
-            ("ab", {"a": "ab"}, "no rule for letter 'b'"),
-            ("a", {"a": "aa", "b": "a"}, "rule for 'b' outside alphabet"),
-            ("ab", {"a": "ab", "b": ""}, "rule for 'b' is erasing; rules must be nonempty"),
-            ("a", {"a": "ax"}, "rule 'a' -> 'ax' uses letter 'x' outside alphabet"),
+            ({"a": "ab", "b": ""}, "rule for 'b' is erasing; rules must be nonempty"),
+            ({"a": "ax"}, "rule 'a' -> 'ax' uses letter 'x' outside alphabet"),
+            ({"a": "a", "": "a"}, "rule source '' is not one printable ASCII character"),
+            ({"a": "a", "ab": "a"}, "rule source 'ab' is not one printable ASCII character"),
+            ({"a": "a\u00e9", "\u00e9": "a"}, "rule source '\u00e9' is not one printable ASCII character"),
+            ({"a": "a\t", "\t": "a"}, "rule source '\\t' is not one printable ASCII character"),
         ],
-        ids=["missing", "extra", "erasing", "outside_the_alphabet"],
+        ids=["erasing", "outside_the_alphabet", "empty_letter", "two_letters", "non_ascii", "unprintable"],
     )
-    def test_each_rule_error_is_named(self, letters, rules, message):
+    def test_each_rule_error_is_named(self, rules, message):
         with pytest.raises(errors.InvalidInputError) as exc:
-            sub.Substitution(sub.Alphabet(letters), rules)
+            sub.Substitution(rules)
         assert str(exc.value) == message
 
     def test_a_source_with_no_rules(self):
@@ -286,7 +268,7 @@ class TestFixedPointPrefix:
 
     def test_substitution_invariance(self):
         p = sub.fixed_point_prefix(TAU, "a", 300)
-        assert iterate(TAU, p, 1).text.startswith(p.text)
+        assert iterate(TAU, p.text, 1).startswith(p.text)
 
     def test_length_over_cap(self, monkeypatch):
         monkeypatch.setenv(sub.MAX_BYTES_ENV, "64")
@@ -305,12 +287,12 @@ class TestFixedPointPrefix:
             view.shifted(3993)
         assert made == []
         # reading the view's codes makes its own letters once, and its parent stays unread
-        assert view.text == sub.GRIGORCHUK_ALPHABET.decode(codes(5000)[1007:])
+        assert view.text == sub.decode_codes(codes(5000)[1007:])
         assert made == [(3993, 1007)] and view.codes.readonly and vars(omega)["codes"] == 5000
         assert omega.text.startswith("acabacad") and made == [(3993, 1007), (5000, 0)]
         # a shift of read codes is a view of them, and makes nothing
         assert np.shares_memory(omega.shifted(3).codes, omega.codes) and len(made) == 2
-        assert set(vars(omega)) == {"alphabet", "codes", "fixed_point_start"}
+        assert set(vars(omega)) == {"codes", "fixed_point_start"}
 
     def test_a_far_shift_makes_only_its_own_letters(self):
         # the last 64 of 2^26 letters, made without the 64 MiB of the letters before them
@@ -324,7 +306,7 @@ class TestFixedPointPrefix:
     def test_repr_generates_no_letters(self):
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
         assert repr(omega.shifted(3)) == (
-            "SymbolicPrefix(alphabet=Alphabet(letters='abcd'), length=67108861, fixed_point_start=3)"
+            "SymbolicPrefix(length=67108861, fixed_point_start=3)"
         )
         assert repr(omega).endswith("length=67108864, fixed_point_start=0)")
         assert isinstance(vars(omega)["codes"], int)
@@ -351,13 +333,13 @@ class TestFixedPointPrefix:
         letters = [omega.shifted(n).at(k) for n, k in places]
         assert omega.at(5) == "a" and isinstance(vars(omega)["codes"], int)
         read = omega.codes
-        assert letters == [ABC.letters[read[n + k - 1]] for n, k in places]
+        assert letters == ["abcd"[read[n + k - 1]] for n, k in places]
 
     def test_other_rules_are_generated_at_once(self, monkeypatch):
         passes = []
         expand = rules._expand
         monkeypatch.setattr(rules, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
-        doubling = sub.Substitution(sub.Alphabet("ab"), {"a": "ab", "b": "aa"})
+        doubling = sub.Substitution({"a": "ab", "b": "aa"})
         prefix = sub.fixed_point_prefix(doubling, "a", 64)
         assert passes and isinstance(vars(prefix)["codes"], memoryview)
 
@@ -386,21 +368,19 @@ class TestClosedForm:
     def test_matches_generator(self):
         # the self-expansion that grows other rules' fixed points, run on the Grigorchuk rules
         length = 1 << 16
-        generated = sub.SymbolicPrefix(ABC, rules._grow(TAU, "a", length))
-        assert all(
-            generated.at(m) == sub.grigorchuk_letter(m) for m in range(1, length + 1)
-        )
+        letters = rules._grow(TAU, "a", length).decode()
+        assert all(letters[m - 1] == sub.grigorchuk_letter(m) for m in range(1, length + 1))
 
     def test_vectorized_oracle_matches_scalar(self):
         length = 4096
         codes = sub.grigorchuk_codes(length)
         for m in range(1, length + 1):
-            assert ABC.letters[codes[m - 1]] == sub.grigorchuk_letter(m)
+            assert "abcd"[codes[m - 1]] == sub.grigorchuk_letter(m)
 
     def test_a_exactly_at_odd_positions(self):
         codes = np.frombuffer(sub.grigorchuk_codes(1 << 14), dtype=np.uint8)
         odd = np.arange(1, (1 << 14) + 1) % 2 == 1
-        assert ((codes == ABC.index("a")) == odd).all()
+        assert ((codes == 0) == odd).all()
 
 
 class TestFixedPointCountWork:
@@ -470,16 +450,17 @@ class TestMemory:
 
     @pytest.mark.parametrize("case", sorted(LONG_RULES))
     def test_generator_peak_with_long_squared_rules(self, case):
-        rules, head, tail = self.LONG_RULES[case]
-        long_rules = sub.Substitution(sub.Alphabet("".join(rules)), rules)
-        prefix = None
+        # the letters the fixed point grows, which reach past 'abcd'
+        table, head, tail = self.LONG_RULES[case]
+        long_rules = sub.Substitution(table)
+        letters = None
 
         def build():
-            nonlocal prefix
-            prefix = sub.fixed_point_prefix(long_rules, "a", self.LENGTH)
+            nonlocal letters
+            letters = rules._grow(long_rules, "a", self.LENGTH)
 
         assert traced_peak(build) <= 6 * self.LENGTH
-        assert prefix.text == head + tail * (self.LENGTH - len(head))
+        assert letters.decode() == head + tail * (self.LENGTH - len(head))
 
     def test_generated_codes_peak(self):
         peak = traced_peak(lambda: sub.fixed_point_prefix(TAU, "a", self.LENGTH).codes)
@@ -492,7 +473,7 @@ class TestMemory:
 
 class TestTextFormats:
     def test_substitution_round_trip(self):
-        text = "".join(f"{ch} -> {TAU.rules[ch]}\n" for ch in TAU.alphabet.letters)
+        text = "".join(f"{ch} -> {TAU.rules[ch]}\n" for ch in TAU.letters)
         again = rules.parse_substitution(text)
         assert again.rules == dict(TAU.rules)
 
@@ -513,7 +494,7 @@ class TestTextFormats:
         p = sub.grigorchuk_prefix(64)
         path = tmp_path / "prefix.txt"
         sub.save_prefix(p, path)
-        again = sub.load_prefix(path, ABC)
+        again = sub.load_prefix(path)
         assert again.text == p.text
 
     @pytest.mark.parametrize(
@@ -532,7 +513,7 @@ class TestTextFormats:
         path.write_text(text, newline="")
         monkeypatch.setenv(sub.MAX_BYTES_ENV, "64")
         if loads:
-            assert sub.load_prefix(path, ABC).text == "a" * 64
+            assert sub.load_prefix(path).text == "a" * 64
         else:
             with pytest.raises(errors.ResourceLimitError, match="exceeds the cap of 64 bytes"):
-                sub.load_prefix(path, ABC)
+                sub.load_prefix(path)

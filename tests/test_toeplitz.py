@@ -9,7 +9,6 @@ from odoshift import errors
 from odoshift import toeplitz as tp
 from oracles import partial_period_refutation
 from odoshift.substitution import (
-    GRIGORCHUK_ALPHABET,
     dyadic_valuation,
     grigorchuk_prefix,
     parse_prefix,
@@ -19,7 +18,7 @@ OMEGA = grigorchuk_prefix(1 << 14)
 
 
 def word(text):
-    return parse_prefix(text, GRIGORCHUK_ALPHABET)
+    return parse_prefix(text)
 
 
 def heuristic_essential_periods(prefix, horizon):

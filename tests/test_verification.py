@@ -51,7 +51,7 @@ def test_rigidity_reads_the_tails_the_strided_copies_read(flips, ok, monkeypatch
     codes = bytearray(substitution.grigorchuk_codes(length))
     for i in flips:
         codes[i] ^= 1
-    prefix = substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, bytes(codes))
+    prefix = substitution.SymbolicPrefix(bytes(codes))
     monkeypatch.setattr(substitution, "grigorchuk_prefix", lambda n: prefix)
     want = strided_tail_rigidity(prefix.codes, verification.rigidity_samples(length, QUICK.rigidity_samples))
     result = verification.check_four_term_rigidity(QUICK)
@@ -62,14 +62,14 @@ def test_rigidity_reads_the_tails_the_strided_copies_read(flips, ok, monkeypatch
 
 def string_join_mismatches(codes) -> int:
     """Positions below L where the rules' string-join image of the first L/2 letters differs from them or ends."""
-    text = substitution.GRIGORCHUK_ALPHABET.decode(codes)
+    text = substitution.decode_codes(codes)
     rules = substitution.grigorchuk_substitution().rules
     image = "".join(rules[x] for x in text[: len(text) // 2])
     return sum(k >= len(image) or image[k] != x for k, x in enumerate(text))
 
 
 def check_closed_form_on(codes, sizes, monkeypatch):
-    prefix = substitution.SymbolicPrefix(substitution.GRIGORCHUK_ALPHABET, bytes(codes))
+    prefix = substitution.SymbolicPrefix(bytes(codes))
     monkeypatch.setattr(substitution, "grigorchuk_prefix", lambda n: prefix)
     return verification.check_closed_form(sizes)
 
