@@ -7,16 +7,18 @@ exit 2: nothing is printed on stderr.  Output is a stable line grammar;
 ``--json`` emits the same data as JSON.  Each command imports the modules
 it runs when it runs, and calls them through the module, so a one-shot
 process loads no module that its command does not use.  ``COMMANDS`` is
-the one table of the commands, and ``main`` builds the parser of the
-command that argv names alone, with the usage, help and errors of the
-parser of every command.
+the one table of the commands and their options.  ``main`` reads a plain
+command line, ``[--json] COMMAND --flag value ...``, straight from that
+table, into the namespace argparse would make of it; only help, an error
+or another spelling, such as an abbreviated flag or ``--flag=value``,
+imports argparse and builds the parser of every command from the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import substitution
 from .errors import (
@@ -284,50 +286,52 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _add_input_options(parser, length=None):
-    """Input options; ``length`` None stands for the letters the command reads."""
+def _input_options(length=None):
+    """The input options; ``length`` None stands for the letters the command reads."""
     default = "the letters the command reads" if length is None else length
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--input", help="prefix file (one line of letters over abcd), "
-                        "exit 4 unless they are a factor of the fixed point")
-    source.add_argument("--seed-file", help="substitution file ('x -> word' lines) whose fixed point, "
-                        "grown from the first rule's letter, is checked like --input")
-    parser.add_argument("--length", type=int, default=length,
-                        help=f"length of the generated prefix when no --input is given (default: {default})")
-    parser.add_argument("--shift", type=int, default=0, help="drop this many leading letters")
+    return (
+        ("--input", {"help": "prefix file (one line of letters over abcd), "
+                             "exit 4 unless they are a factor of the fixed point"}),
+        ("--seed-file", {"help": "substitution file ('x -> word' lines) whose fixed point, "
+                                 "grown from the first rule's letter, is checked like --input"}),
+        ("--length", {"type": int, "default": length,
+                      "help": f"length of the generated prefix when no --input is given (default: {default})"}),
+        ("--shift", {"type": int, "default": 0, "help": "drop this many leading letters"}),
+    )
 
+
+# The input options of which at most one may be given.
+SOURCES = ("--input", "--seed-file")
 
 # Each command's name -> its help, its options and its handler.  An option is a flag and the keyword
-# arguments of its add_argument call; the flag INPUT stands for the input options, and its keyword
-# arguments go to _add_input_options.
-INPUT = None
+# arguments of its add_argument call.
 COMMANDS = {
     "generate": ("print a fixed-point prefix", (
-        (INPUT, {"length": DEFAULT_LENGTH}),
+        *_input_options(DEFAULT_LENGTH),
         ("--output", {"help": "also write the prefix to this file"}),
     ), _cmd_generate),
     "analyze": ("period skeleton: one 'k M_k l_k' line per level", (
-        (INPUT, {}),
+        *_input_options(),
         ("--levels", {"type": int, "default": DEFAULT_PRECISION, "help": "skeleton depth K"}),
     ), _cmd_analyze),
     "encode": ("dyadic encoding, LSB-first bit string", (
-        (INPUT, {}),
+        *_input_options(),
         ("--precision", {"type": int, "default": DEFAULT_PRECISION, "help": "number of dyadic digits"}),
     ), _cmd_encode),
     "fiber": ("classify a sequence's fiber under the factor map", (
-        (INPUT, {}),
+        *_input_options(),
         ("--levels", {"type": int, "default": 12, "help": "skeleton depth K"}),
     ), _cmd_fiber),
     "measure": ("exact invariant measure of a cylinder word", (
         ("--word", {"required": True}),
     ), _cmd_measure),
     "freq": ("exact occurrence count over a window", (
-        (INPUT, {}),
+        *_input_options(),
         ("--word", {"required": True}),
         ("--window", {"type": int, "default": DEFAULT_WINDOW}),
     ), _cmd_freq),
     "spectrum": ("exponential-sum magnitudes (CSV: theta,magnitude,N)", (
-        (INPUT, {}),
+        *_input_options(),
         ("--word", {"required": True}),
         ("--window", {"type": int, "default": DEFAULT_WINDOW}),
         ("--theta", {"action": "append", "required": True, "help": "rational frequency like 1/3 (repeatable)"}),
@@ -338,53 +342,80 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
+def build_parser():
+    """The argparse parser of every command."""
+    import argparse
 
-    A parser of one command parses that command's argv as the full parser
-    does, with the same usage, help and errors: its usage names every
-    command, and no other command's name can reach it.
-    """
     parser = argparse.ArgumentParser(
         prog="odoshift",
         description="Substitution subshifts, Toeplitz skeletons, and the dyadic odometer factor map",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    every = "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None else every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, options, handler) in COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=summary)
+        source = p.add_mutually_exclusive_group() if any(flag in SOURCES for flag, _ in options) else p
         for flag, kwargs in options:
-            if flag is INPUT:
-                _add_input_options(p, **kwargs)
-            else:
-                p.add_argument(flag, **kwargs)
+            (source if flag in SOURCES else p).add_argument(flag, **kwargs)
         p.set_defaults(func=handler)
     return parser
 
 
-def _command_of(argv) -> str | None:
-    """The command that ``argv`` names when only --json, or an abbreviation of it, comes before it."""
-    for token in argv:
-        if token in COMMANDS:
-            return token
-        if len(token) < 3 or not "--json".startswith(token):
+def _read_plain(argv):
+    """The namespace ``build_parser()`` makes of a plain ``[--json] COMMAND --flag value ...`` argv, else None.
+
+    Plain: each name is written in full, each value starts with no ``-``,
+    converts by its option's type and lies in its choices, only an
+    appended option is given twice, at most one of ``SOURCES`` and every
+    required option are given.  Help and errors are left to argparse.
+    """
+    start = 1 if argv[:1] == ["--json"] else 0
+    command = argv[start] if len(argv) > start else None
+    if command not in COMMANDS:
+        return None
+    options = dict(COMMANDS[command][1])
+    pairs = argv[start + 1:]
+    if len(pairs) % 2:
+        return None
+    given = {}
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        kwargs = options.get(flag)
+        if kwargs is None or value.startswith("-"):
             return None
-    return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if kwargs.get("action") == "append":
+            given.setdefault(flag, []).append(value)
+        elif flag in given:
+            return None
+        else:
+            given[flag] = value
+    if all(flag in given for flag in SOURCES):
+        return None
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default")) for flag, kwargs in options.items()}
+    return SimpleNamespace(json=bool(start), command=command, func=COMMANDS[command][2], **values)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    ``verify`` may set ``OPENBLAS_NUM_THREADS`` in the process environment
-    and leaves it set on return.
+    A plain command line is read by ``_read_plain``; any other, help and
+    errors among them, by the argparse parser of ``build_parser``, which
+    only then is imported and built.  ``verify`` may set
+    ``OPENBLAS_NUM_THREADS`` in the process environment and leaves it set
+    on return.
     """
     argv = sys.argv[1:] if argv is None else argv
-    # a one-shot process builds the parser of its command alone; help, and any argv that
-    # names no command after --json, take the parser of every command
-    args = build_parser(_command_of(argv)).parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InsufficientDataError as exc:

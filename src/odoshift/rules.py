@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate, takewhile
 
 from .errors import InvalidInputError, ResourceLimitError
-from .substitution import _CHUNK, Substitution, sequence_byte_cap
+from .substitution import _CHUNK, Substitution, read_text, sequence_byte_cap
 
 
 def _code_rules(sub: Substitution, letters: str) -> list:
@@ -140,8 +140,7 @@ def parse_substitution(source: str) -> Substitution:
 def load_substitution(path) -> Substitution:
     """The rules of the file at ``path``: past the sequence cap and a line end, a ResourceLimitError."""
     cap = sequence_byte_cap()
-    with open(path, "r", encoding="ascii") as fh:
-        source = fh.read(cap + 3)
+    source = read_text(path, cap + 3)
     if len(source) > cap + 2:
         raise ResourceLimitError(f"the rules file {path} exceeds the cap of {cap} bytes")
     return parse_substitution(source)

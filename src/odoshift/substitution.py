@@ -316,6 +316,26 @@ def parse_prefix(source: str) -> SymbolicPrefix:
     return SymbolicPrefix(encode_letters(source.strip()))
 
 
+_READ_PIECE = 1 << 16
+
+
+def read_text(path, limit: int) -> str:
+    """The first ``limit`` characters of the text file at ``path``, or all of them if it holds fewer.
+
+    The file is read in pieces of ``_READ_PIECE`` characters, so what is
+    allocated follows what the file holds, not ``limit``.
+    """
+    pieces = []
+    with open(path, "r", encoding="ascii") as fh:
+        while limit > 0:
+            piece = fh.read(min(limit, _READ_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            limit -= len(piece)
+    return "".join(pieces)
+
+
 def load_prefix(path) -> SymbolicPrefix:
     """Prefix of the letters of the file at ``path``, read as ``parse_prefix`` reads text.
 
@@ -324,8 +344,7 @@ def load_prefix(path) -> SymbolicPrefix:
     cap + 3 characters are read.
     """
     cap = sequence_byte_cap()
-    with open(path, "r", encoding="ascii") as fh:
-        source = fh.read(cap + 3)
+    source = read_text(path, cap + 3)
     # past cap + 2 characters, more than a line end follows the cap's letters
     _check_cap(len(source.strip()) if len(source) <= cap + 2 else len(source))
     if not source or source.isspace():

@@ -618,6 +618,17 @@ class TestInputFileCap:
         assert (code, out) == (2, "")
         assert f"error: the file {path} holds no letters" in err
 
+    def test_a_cap_past_memory_allocates_what_the_file_holds(self, capsys, tmp_path, monkeypatch):
+        # the file is read in pieces: a cap of 2^40 bytes reserves none of them
+        omega, seeds = tmp_path / "omega.txt", tmp_path / "rules.txt"
+        text = grigorchuk_prefix(64).text
+        omega.write_text(text + "\n")
+        seeds.write_text("a -> ab\nb -> aa\n")
+        monkeypatch.setenv("ODOSHIFT_MAX_BYTES", str(1 << 40))
+        assert run(capsys, "generate", "--input", str(omega)) == (0, text + "\n", "")
+        code, out, err = run(capsys, "fiber", "--seed-file", str(seeds))
+        assert (code, out) == (4, ""), err
+
     def test_the_cap_is_enough(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "omega.txt"
         text = grigorchuk_prefix(100).text
@@ -664,29 +675,39 @@ class TestOptions:
         assert out.startswith(f"usage: {' '.join(['odoshift', *argv])} ")
         assert [name for name in listed if name not in out] == []
 
-    # (argv, the command whose parser alone main builds for it, None for the parser of every command)
+    # (argv, whether main reads it plainly, building no parser; help, errors and other spellings build argparse's)
     TWINS = [
-        (["generate", "--length", "16"], "generate"),
-        (["analyze", "--levels", "4"], "analyze"),
-        (["encode", "--precision", "8"], "encode"),
-        (["fiber", "--shift", "1", "--levels", "6"], "fiber"),
-        (["measure", "--word", "aca"], "measure"),
-        (["freq", "--word", "ac", "--window", "64"], "freq"),
-        (["spectrum", "--word", "ac", "--window", "64", "--theta", "1/3"], "spectrum"),
-        (["verify", "--level", "quick"], "verify"),
-        (["--help"], None),
-        *(([command, "--help"], command) for command in OPTIONS),
-        (["-h", "encode"], None),
-        (["--json", "measure", "--word", "aca"], "measure"),
-        (["--js", "encode", "--precision", "4"], "encode"),
-        (["nosuch"], None),
-        (["encode", "--bogus"], "encode"),
-        (["measure"], "measure"),
-        ([], None),
+        (["generate", "--length", "16"], True),
+        (["analyze", "--levels", "4"], True),
+        (["encode", "--precision", "8"], True),
+        (["fiber", "--shift", "1", "--levels", "6"], True),
+        (["measure", "--word", "aca"], True),
+        (["freq", "--word", "ac", "--window", "64"], True),
+        (["spectrum", "--word", "ac", "--window", "64", "--theta", "1/3", "--theta", "1/2"], True),
+        (["verify", "--level", "quick"], True),
+        (["--json", "measure", "--word", "aca"], True),
+        (["--help"], False),
+        *(([command, "--help"], False) for command in OPTIONS),
+        (["-h", "encode"], False),
+        (["--js", "encode", "--precision", "4"], False),
+        (["encode", "--prec", "4"], False),
+        (["encode", "--precision=4"], False),
+        (["encode", "--shift", "-3"], False),
+        (["encode", "--precision", "4", "--precision", "5"], False),
+        (["encode", "--precision", "x"], False),
+        (["encode", "--precision"], False),
+        (["encode", "--", "--precision", "4"], False),
+        (["generate", "--length", "16", "--input", "x", "--seed-file", "y"], False),
+        (["verify", "--level", "slow"], False),
+        (["generate", "--json"], False),
+        (["nosuch"], False),
+        (["encode", "--bogus"], False),
+        (["measure"], False),
+        ([], False),
     ]
 
-    @pytest.mark.parametrize("argv, command", TWINS, ids=[" ".join(argv) or "no arguments" for argv, _ in TWINS])
-    def test_the_parser_of_one_command_is_the_full_parsers_twin(self, capsys, monkeypatch, argv, command):
+    @pytest.mark.parametrize("argv, plain", TWINS, ids=[" ".join(argv) or "no arguments" for argv, _ in TWINS])
+    def test_a_plain_reading_is_the_full_parsers_twin(self, capsys, monkeypatch, argv, plain):
         full = cli.build_parser
 
         def outcome():
@@ -698,11 +719,90 @@ class TestOptions:
             return code, re.sub(r"\d+\.\d{3}s:", "-s:", out), err  # verify's seconds vary from run to run
 
         built = []
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
-        chosen = outcome()
-        assert built == [command]
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert outcome() == chosen
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or full())
+        read = outcome()
+        assert built == ([] if plain else [argv])
+        monkeypatch.setattr(cli, "_read_plain", lambda argv: None)
+        assert outcome() == read
+
+    def test_a_plain_reading_gives_the_full_parsers_namespace(self):
+        # a seeded corpus of argv: each one read plainly is parsed by the full parser into the same namespace
+        import random
+
+        rng = random.Random(30)
+        parser = cli.build_parser()
+        flags = sorted({flag for command in cli.COMMANDS for flag, _ in cli.COMMANDS[command][1]})
+        odd = ["-h", "--help", "--", "--json", "--js", "--len", "--prec", "--length=16", "--word=a", "-x", "nosuch"]
+        odd_values = ["-3", "", "-", "--", "-h", "--length", "9" * 5000, "x", "slow", "1.5"]
+        ints = ["16", "4", "0", "1_0", " 7", "\u0663", "12345", "007"]
+        strings = ["aca", "a", "1/3", "x.txt", "", "a b", "=", "quick", "full"]
+
+        def value(kwargs):
+            if rng.random() < 0.2:
+                return rng.choice(odd_values)
+            if "choices" in kwargs:
+                return rng.choice([*kwargs["choices"], "slow"])
+            return rng.choice(ints if "type" in kwargs else strings)
+
+        accepted = 0
+        for _ in range(6000):
+            argv = ["--json"] if rng.random() < 0.3 else []
+            command = rng.choice([*cli.COMMANDS, *odd[:3]] if rng.random() < 0.1 else list(cli.COMMANDS))
+            argv.append(command)
+            own = dict(cli.COMMANDS[command][1]) if command in cli.COMMANDS else {}
+            if rng.random() < 0.6:  # the required options first, so that many argv are complete
+                for flag, kwargs in own.items():
+                    if kwargs.get("required"):
+                        argv += [flag, value(kwargs)]
+            for _ in range(rng.randint(0, 4)):
+                r = rng.random()
+                flag = rng.choice(odd) if r < 0.1 else rng.choice(flags) if r < 0.25 or not own else rng.choice(list(own))
+                argv.append(flag)
+                if rng.random() < 0.93:
+                    argv.append(value(own.get(flag, {})))
+            namespace = cli._read_plain(argv)
+            if namespace is None:
+                continue
+            accepted += 1
+            try:
+                expected = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"read plainly, but the full parser refuses {argv}")
+            assert vars(namespace) == vars(expected), argv
+        assert 600 <= accepted <= 5400  # the corpus holds many of each kind
+
+    # The argv shapes of the benchmark's cli ops (bench/workloads.py), with values as it draws them.
+    BENCHMARK_ARGVS = [
+        ["verify", "--level", "full"],
+        ["generate", "--length", "16"],
+        ["analyze", "--levels", "4"],
+        ["encode", "--shift", "12345", "--precision", "10"],
+        ["--json", "encode", "--shift", "678", "--precision", "4"],
+        ["fiber", "--shift", "1", "--levels", "10"],
+        ["measure", "--word", "acab"],
+        ["freq", "--word", "a", "--window", "1048576"],
+        ["spectrum", "--word", "a", "--theta", "1/2", "--theta", "1/3"],
+        ["spectrum", "--word", "a", "--window", "4096", "--theta", "1/2", "--theta", "1/3"],
+        ["encode", "--length", "64", "--precision", "8"],
+        ["analyze", "--levels", "4", "--input", "{work}/sixty_four_a.txt"],
+        ["fiber", "--seed-file", "{work}/period_doubling.txt"],
+    ]
+
+    def test_readme_and_benchmark_command_lines_are_read_plainly(self, tmp_path):
+        argvs = [argv for argv, _ in readme_commands()]
+        argvs += [[arg.format(work=tmp_path) for arg in argv] for argv in self.BENCHMARK_ARGVS]
+        assert [argv for argv in argvs if cli._read_plain(argv) is None] == []
+
+    def test_every_option_uses_only_what_a_plain_reading_reads(self):
+        # an option of another kind (nargs, a const, a store_true flag, another type) fails here,
+        # where a plain reading would misread it
+        for command in cli.COMMANDS:
+            for flag, kwargs in cli.COMMANDS[command][1]:
+                assert flag.startswith("--") and set(kwargs) <= {"type", "default", "required", "choices",
+                                                                 "action", "help"}, (command, flag)
+                assert kwargs.get("action", "append") == "append" and kwargs.get("type", int) is int, (command, flag)
+                # argparse would convert a default given as text by the type
+                assert not ("type" in kwargs and isinstance(kwargs.get("default"), str)), (command, flag)
 
 
 def readme_commands():
@@ -764,13 +864,15 @@ def test_readme_commands_read_the_same_with_grigorchuk_rules(capsys, tmp_path):
     assert seeded == 6
 
 
-# Report on stderr, at exit, OPENBLAS_NUM_THREADS, the odoshift modules and dataclasses if
-# loaded, then, on the last line, whether numpy was loaded (atexit runs last first).
+# Report on stderr, at exit, OPENBLAS_NUM_THREADS, the odoshift modules and those of dataclasses
+# and argparse (with the gettext and locale it loads) if loaded, then, on the last line, whether
+# numpy was loaded (atexit runs last first).
 REPORT_AT_EXIT = (
     "import atexit, os, runpy, sys\n"
     "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
     "atexit.register(lambda: print('modules loaded:', *sorted(m for m in sys.modules\n"
-    "    if m == 'dataclasses' or m.startswith('odoshift')), file=sys.stderr))\n"
+    "    if m in ('argparse', 'dataclasses', 'gettext', 'locale') or m.startswith('odoshift')),\n"
+    "    file=sys.stderr))\n"
     "atexit.register(lambda: print('OPENBLAS_NUM_THREADS:', repr(os.environ.get('OPENBLAS_NUM_THREADS')),\n"
     "    file=sys.stderr))\n"
 )
@@ -794,7 +896,8 @@ def fresh(*argv, script=MAIN_REPORTING_NUMPY, openblas_threads=None):
 
 
 def loaded(proc):
-    """The modules that the report of ``fresh`` lists: odoshift's, and dataclasses if loaded."""
+    """The modules that the report of ``fresh`` lists: odoshift's, and dataclasses, argparse, gettext
+    and locale if loaded."""
     return set(proc.stderr.splitlines()[-2].split()[2:])
 
 
@@ -804,10 +907,11 @@ class TestStartWithoutNumpy:
     def test_importing_the_package_and_cli_loads_no_numpy(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, odoshift, odoshift.cli; print('numpy' in sys.modules)"],
+            [sys.executable, "-c", "import sys, odoshift, odoshift.cli; print('numpy' in sys.modules, "
+                                   "'argparse' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
     # the one table of the modules each command loads beyond odoshift, odoshift.errors and
     # odoshift.substitution: only a language test loads language, and only --seed-file loads rules
@@ -849,6 +953,48 @@ class TestStartWithoutNumpy:
         # cli runs as __main__, so the report does not list it
         assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution",
                                 *(f"odoshift.{module}" for module in modules)}
+
+    # argparse, with gettext and locale, is loaded for help, errors and other spellings alone, and
+    # they print what the parser of every command printed before a plain command line was read without it
+    ENCODE_HELP = """\
+usage: odoshift encode [-h] [--input INPUT | --seed-file SEED_FILE]
+                       [--length LENGTH] [--shift SHIFT]
+                       [--precision PRECISION]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         prefix file (one line of letters over abcd), exit 4
+                        unless they are a factor of the fixed point
+  --seed-file SEED_FILE
+                        substitution file ('x -> word' lines) whose fixed
+                        point, grown from the first rule's letter, is checked
+                        like --input
+  --length LENGTH       length of the generated prefix when no --input is
+                        given (default: the letters the command reads)
+  --shift SHIFT         drop this many leading letters
+  --precision PRECISION
+                        number of dyadic digits
+"""
+    USAGE = """\
+usage: odoshift [-h] [--json]
+                {generate,analyze,encode,fiber,measure,freq,spectrum,verify}
+                ...
+"""
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout, stderr",
+        [
+            (["encode", "--help"], 0, ENCODE_HELP, ""),
+            (["encode", "--bogus"], 2, "", USAGE + "odoshift: error: unrecognized arguments: --bogus\n"),
+            (["--js", "encode", "--precision", "4"], 0,
+             json.dumps({"bits_lsb_first": "0000", "value": 0, "window_used": 64}, sort_keys=True) + "\n", ""),
+        ],
+    )
+    def test_help_errors_and_abbreviations_load_argparse(self, monkeypatch, argv, code, stdout, stderr):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+        proc = fresh(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.rsplit("OPENBLAS_NUM_THREADS:", 1)[0]) == (code, stdout, stderr)
+        assert loaded(proc) >= {"argparse", "gettext", "locale"}
 
 
 class TestOneBlasThread:

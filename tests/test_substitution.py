@@ -517,3 +517,24 @@ class TestTextFormats:
         else:
             with pytest.raises(errors.ResourceLimitError, match="exceeds the cap of 64 bytes"):
                 sub.load_prefix(path)
+
+    def test_a_short_file_allocates_what_it_holds(self, tmp_path, monkeypatch):
+        # the file is read in pieces, so a 64-letter file allocates no room for the cap's letters
+        monkeypatch.delenv(sub.MAX_BYTES_ENV, raising=False)
+        prefix, seeds = tmp_path / "prefix.txt", tmp_path / "rules.txt"
+        prefix.write_text("a" * 64 + "\n")
+        seeds.write_text("a -> ab\nb -> aa\n")
+        assert traced_peak(lambda: sub.load_prefix(prefix)) < 1 << 20
+        assert traced_peak(lambda: rules.load_substitution(seeds)) < 1 << 20
+
+    @pytest.mark.parametrize("extra, loads", [("\n", True), ("a\n", False), ("\n\n\n\nb", False)])
+    def test_the_cap_holds_across_pieces(self, tmp_path, monkeypatch, extra, loads):
+        cap = 2 * sub._READ_PIECE + 5
+        path = tmp_path / "prefix.txt"
+        path.write_text("a" * cap + extra, newline="")
+        monkeypatch.setenv(sub.MAX_BYTES_ENV, str(cap))
+        if loads:
+            assert sub.load_prefix(path).text == "a" * cap
+        else:
+            with pytest.raises(errors.ResourceLimitError, match=f"exceeds the cap of {cap} bytes"):
+                sub.load_prefix(path)
