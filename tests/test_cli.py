@@ -199,10 +199,10 @@ class TestFiber:
         from odoshift import language
 
         passes = []
-        masses = language._masses
+        masses, step = language._masses, language._masses_step.__code__
 
         def counted(*args):
-            if sys._getframe(1).f_code is not masses.__code__:  # a pass, not a step of its recursion
+            if sys._getframe(1).f_code is not step:  # a pass, not a call from a step of its recursion
                 passes.append(args)
             return masses(*args)
 

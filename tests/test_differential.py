@@ -42,6 +42,10 @@ The straightforward algorithms these replaced stand in for the program here:
 - ``oracles.class_measure_by_parity`` runs the parity recursion of the
   measure of a word in a class of the factor map over Fractions on sets of
   letters, where ``class_measure`` fixes the digits inside ``_masses``.
+- ``language._masses_step`` and ``language._fixed_point_count_step``, each
+  recursing into itself, are the desubstitution with no cache: ``_masses``,
+  ``fixed_point_count`` and ``class_measure`` return what they return and
+  raise what they raise, on a cold cache and on a full one.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
 spectral sum, whose terms are grouped differently and so agree to 1e-9, and
@@ -997,3 +1001,70 @@ def test_class_measure_matches_the_fraction_recursion_past_the_word(j):
     assert any(class_measure_by_parity(word, j, r) for word, r in cases)
     for word, r in cases:
         assert language.class_measure(word, j, r) == class_measure_by_parity(word, j, r), (word, r)
+
+
+def _desubstitution_corpus():
+    """Seeded calls, as (name in ``language``, args), of the two cached entry points and ``class_measure``."""
+    rng = random.Random(20261020)
+    text = grigorchuk_prefix((1 << 20) + 200).text
+    words = []
+    for _ in range(250):
+        start, n = rng.randrange(1 << 20), rng.randint(1, 200)
+        word = text[start : start + n]
+        i = rng.randrange(n)
+        words += [word, word[:i] + rng.choice("abcd".replace(word[i], "")) + word[i + 1 :]]
+    calls = []
+    for word in words:
+        sets = language.word_sets(word)
+        depth = len(sets).bit_length()
+        n = rng.randrange(1 << rng.randint(1, 60))
+        hole = rng.randrange(len(sets) + 1)
+        calls += [("class_measure", (word, 0, 0)), ("_masses", (sets[1:], depth)),
+                  ("fixed_point_count", (sets, n)), ("fixed_point_count", (sets, 1 << 20)),
+                  # a word that holds the empty set, and the bytes-likes that pass the caches by
+                  ("_masses", (sets[1:hole] + b"\0" + sets[hole:], depth + 1)),
+                  ("fixed_point_count", (sets[:hole] + b"\0" + sets[hole:], n)),
+                  ("_masses", (bytearray(sets[1:]), depth)), ("_masses", (memoryview(sets[1:]), depth)),
+                  ("fixed_point_count", (bytearray(sets), n)), ("fixed_point_count", (memoryview(sets), n))]
+    for word in words[:8]:
+        calls += [("class_measure", (word, j, r)) for j in range(11) for r in range(1 << j)]
+        # classes outside 0..2^64 - 1 pass the cache by
+        calls += [("class_measure", (word, 3, r)) for r in (-1, -6, 1 << 64, (1 << 70) + 5)]
+    for word in words[:40]:
+        sets = language.word_sets(word)
+        calls += [("fixed_point_count", (sets, n)) for n in (0, 1, (1 << 60) - 1, 1 << 60, 1 << 64, 1 << 70)]
+        calls += [("fixed_point_count", (sets, n)) for n in (-1, -(1 << 60))]
+    return calls
+
+
+def _outcomes(calls):
+    """What each call returns, or the type and message of what it raises."""
+    outcomes = []
+    for name, args in calls:
+        try:
+            outcomes.append(getattr(language, name)(*args))
+        except Exception as exc:  # an error is an outcome both sides must share
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def test_the_cached_desubstitution_is_the_bare_steps(monkeypatch):
+    # the bare steps recurse into themselves and so never reach a cache; the entry points run the corpus
+    # on a cold cache, then again after the caches have been filled past their size
+    calls = _desubstitution_corpus()
+    masses_step, count_step = language._masses_step, language._fixed_point_count_step
+    monkeypatch.setattr(language, "_masses", lambda rest, depth, r=0, j=0: masses_step(rest, depth, r, j))
+    monkeypatch.setattr(language, "fixed_point_count", count_step)
+    bare = _outcomes(calls)
+    monkeypatch.undo()
+    caches = language._cached_masses, language._cached_fixed_point_count
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert sum(isinstance(outcome, tuple) and outcome[0] is errors.InvalidInputError for outcome in bare) == 80
+    assert sum(isinstance(outcome, tuple) and outcome[0] is AttributeError for outcome in bare) > 100
+    assert _outcomes(calls) == bare
+    assert all(cache.cache_info().hits > 100 for cache in caches)
+    for r in range(language._CACHED_CALLS + 100):
+        language._masses(b"", 16, r, 16)
+        language.fixed_point_count(b"\x02", r + 1)
+    assert [cache.cache_info().currsize for cache in caches] == [language._CACHED_CALLS] * 2
+    assert _outcomes(calls) == bare

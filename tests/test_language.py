@@ -13,20 +13,21 @@ each level.  Three slow references stand in for it here:
 
 ``SymbolicPrefix.left_extensions``, the same desubstitution read for
 each letter put before the word, is checked against
-``residue_class_measure`` of l + w.  The language up to 130 letters is
+``residue_class_measure`` of l + w.  The language up to 256 letters is
 certified against the distinct factors of a 2^18-letter prefix.
 """
 
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odoshift import errors
+from odoshift import errors, language
 from odoshift.language import invariant_measure_cylinder
 from odoshift.factormap import sigma_preimage_letters
 from odoshift.substitution import (
@@ -142,7 +143,7 @@ def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
     # by left extension, holds at each length n as many words as the prefix has distinct
     # factors of length n, and every factor has positive measure, so the two sets are equal.
     # A factor of length n <= N starts a factor of length N or lies in the last N - 1 letters.
-    N, text = 130, grigorchuk_prefix(1 << 18).text
+    N, text = 256, grigorchuk_prefix(1 << 18).text
     longest = {text[i : i + N] for i in range(len(text) - N + 1)}
     tail = range(len(text) - N + 1, len(text))
     tree = {l for l in "abcd" if invariant_measure_cylinder(l) > 0}
@@ -155,6 +156,43 @@ def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
             for word in tree
             for l in SymbolicPrefix(encode_letters(word)).left_extensions
         }
+
+
+def test_the_desubstitution_caches_keep_their_bound(monkeypatch):
+    # the left extensions of a 2^20-letter prefix, whose pullbacks reach the caches once they are short,
+    # then the measure and the count of 10,000 distinct words: each cache holds at most _CACHED_CALLS
+    # entries, no key of more than _CACHED_SETS sets reaches it, and clearing it frees no more bytes
+    # than the bound its entry point's docstring states
+    longest, caches = [], (language._cached_masses, language._cached_fixed_point_count)
+    for name, cache in zip(("_cached_masses", "_cached_fixed_point_count"), caches):
+        monkeypatch.setattr(language, name, lambda sets, *ints, cache=cache: longest.append(len(sets)) or
+                            cache(sets, *ints))
+    rng = random.Random(20261020)
+    text = grigorchuk_prefix((1 << 20) + 100).text
+    words = set()
+    while len(words) < 10_000:
+        start, n = rng.randrange(1 << 20), rng.randint(1, 100)
+        word = list(text[start : start + n])
+        if rng.randrange(4) == 0:
+            i = rng.randrange(n)
+            word[i] = rng.choice("abcd".replace(word[i], ""))
+        words.add("".join(word))
+    tracemalloc.start()
+    try:
+        assert grigorchuk_prefix(1 << 20).left_extensions == frozenset("bcd")
+        for word in sorted(words):
+            invariant_measure_cylinder(word)
+            language.fixed_point_count(language.word_sets(word), 1 << 20)
+        freed = []
+        for cache in caches:
+            assert cache.cache_info().currsize == language._CACHED_CALLS
+            held = tracemalloc.get_traced_memory()[0]
+            cache.cache_clear()
+            freed.append(held - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(longest) == language._CACHED_SETS
+    assert 0 < freed[0] <= 2.7e6 and 0 < freed[1] <= 1.5e6, freed
 
 
 @st.composite
