@@ -12,6 +12,10 @@ command line, ``[--json] COMMAND --flag value ...``, straight from that
 table, into the namespace argparse would make of it; only help, an error
 or another spelling, such as an abbreviated flag or ``--flag=value``,
 imports argparse and builds the parser of every command from the table.
+``run`` is the process's entry, for ``python -m odoshift.cli`` and the
+installed ``odoshift`` alike: it returns ``main()``'s exit code after
+``gc.freeze()``, so the collections at interpreter exit skip the objects
+the process still holds, its modules and numpy's among them.
 """
 
 from __future__ import annotations
@@ -410,7 +414,9 @@ def main(argv=None) -> int:
     errors among them, by the argparse parser of ``build_parser``, which
     only then is imported and built.  ``verify`` may set
     ``OPENBLAS_NUM_THREADS`` in the process environment and leaves it set
-    on return.
+    on return.  ``main`` leaves the garbage collector as it found it, so a
+    caller may run it many times in one process; ``run`` is the entry
+    that ends a process.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)
@@ -436,5 +442,24 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> int:
+    """``main()`` for a process that ends when it returns, as ``sys.exit(run())`` does.
+
+    At exit CPython collects every object the process still tracks: 4 to
+    6 ms of a light command, and about 14 ms of ``verify``, which loads
+    numpy (fresh processes on a shared 2-vCPU VM).  ``gc.freeze()`` moves
+    those objects to the permanent generation, which the exit collections
+    skip; stdout and stderr are still flushed, atexit handlers still run,
+    and the OS reclaims the memory.  It freezes also when ``main`` raises,
+    as argparse's help and errors do.
+    """
+    try:
+        return main()
+    finally:
+        import gc
+
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

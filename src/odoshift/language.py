@@ -16,8 +16,8 @@ ints below 2^64 and a depth of at most 64, from an ``lru_cache`` of at
 most 4,096 entries (at most about 2.7 MB and 1.5 MB), and a step's
 recursion calls them again.  So a word asked again costs one lookup, and
 a new word's half-length pullbacks find what other words left.  A longer
-word goes past the cache until its pullbacks are that short, a bytearray
-or a memoryview goes past it altogether, and a command that asks once
+word goes past the cache until its pullbacks are that short, any other
+bytes-like word is read as its bytes first, and a command that asks once
 gains nothing.  Over a 2^20-letter window, on a shared
 2-vCPU VM, a word of 1 to 14 letters asked again is counted in about
 2.3 to 4.6 us and measured in about 1.6 to 3.4 us; asked first, in about
@@ -64,8 +64,8 @@ _CACHED_INT = 1 << _CACHED_BITS
 _CACHED_CALLS = 4096
 
 
-def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
-    """``_masses_step``, served from ``_cached_masses`` for a short bytes word and small ints.
+def _masses(rest, depth: int, r: int = 0, j: int = 0) -> tuple:
+    """``_masses_step`` of the bytes of ``rest``, served from ``_cached_masses`` for a short word and small ints.
 
     The cache holds at most 4096 keys of at most 64 sets: 4096 * 64 bytes
     = 256 KiB of key letters.  A whole entry, its key tuple, ints, result
@@ -74,6 +74,8 @@ def _masses(rest: bytes, depth: int, r: int = 0, j: int = 0) -> tuple:
     """
     if type(rest) is bytes and len(rest) <= _CACHED_SETS and depth <= _CACHED_BITS and 0 <= r < _CACHED_INT:
         return _cached_masses(rest, depth, r, j)
+    if type(rest) is not bytes:
+        return _masses(bytes(rest), depth, r, j)
     return _masses_step(rest, depth, r, j)
 
 
@@ -135,8 +137,9 @@ def _masses_step(rest: bytes, depth: int, r: int, j: int) -> tuple:
 _cached_masses = lru_cache(maxsize=_CACHED_CALLS)(_masses_step)
 
 
-def fixed_point_count(sets: bytes, n: int) -> int:
-    """``_fixed_point_count_step``, served from ``_cached_fixed_point_count`` for a short bytes word and small n.
+def fixed_point_count(sets, n: int) -> int:
+    """``_fixed_point_count_step`` of the bytes of ``sets``, served from ``_cached_fixed_point_count`` for a short
+    word and small n.
 
     The cache holds at most 4096 keys of at most 64 sets: 4096 * 64 bytes
     = 256 KiB of key letters.  A whole entry took at most about 360 bytes
@@ -145,6 +148,8 @@ def fixed_point_count(sets: bytes, n: int) -> int:
     """
     if type(sets) is bytes and len(sets) <= _CACHED_SETS and 0 <= n < _CACHED_INT:
         return _cached_fixed_point_count(sets, n)
+    if type(sets) is not bytes:
+        return fixed_point_count(bytes(sets), n)
     return _fixed_point_count_step(sets, n)
 
 
@@ -193,7 +198,7 @@ def _fixed_point_count_step(sets: bytes, n: int) -> int:
 _cached_fixed_point_count = lru_cache(maxsize=_CACHED_CALLS)(_fixed_point_count_step)
 
 
-def fixed_point_residue_counts(sets: bytes, n: int, q: int) -> list:
+def fixed_point_residue_counts(sets, n: int, q: int) -> list:
     """counts[r]: the starts 0 <= i < n, i = r mod q, that ``fixed_point_count`` counts, for every r at once.
 
     The same parity split carries the class: a start 2m + e in class r puts
@@ -201,9 +206,12 @@ def fixed_point_residue_counts(sets: bytes, n: int, q: int) -> list:
     is possible, and in class (r - e) * 2^-1 mod q when q is odd.  So the
     two halves' counts interleave (q even) or land at 2t and 2t + 1 mod q
     (q odd).  An empty word counts every start; a word of L sets over n
-    starts takes O(q (L + log n)) steps, and no letter is read.  A negative
-    n is an InvalidInputError.
+    starts takes O(q (L + log n)) steps, and no letter is read.  ``sets``
+    is any bytes-like word, read as its bytes.  A negative n is an
+    InvalidInputError.
     """
+    if type(sets) is not bytes:
+        sets = bytes(sets)
     if not sets or n <= 0:
         if n < 0:
             raise InvalidInputError(f"need n >= 0 starts, got {n}")

@@ -85,7 +85,10 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     accepts, and the witness of p is the first position whose smallest
     partial period is p: the slices ascend, so the first slice to find p
     holds it.  The positions left unresolved are compacted in place at the
-    front of the one index array.
+    front of the one index array.  The test is ``partial_period_mask``'s,
+    with its first term, codes[n + p] == codes[n], taken on every cell and
+    the further terms gathered only at the cells where that one holds: on
+    the fixed point about one cell in five.
     """
     import numpy as np
 
@@ -97,7 +100,7 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
             f"horizon {horizon} needs prefix length {(_TERMS + 1) * horizon}, have {L}",
             required_length=(_TERMS + 1) * horizon,
         )
-    codes = prefix.codes
+    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
     nmax = L - _TERMS * horizon
     # every scanned position can be tested against every p <= horizon
     unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices, ascending
@@ -110,7 +113,15 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
         kept = 0
         for start in range(0, size, rows):
             positions = unresolved[start : min(start + rows, size)]
-            ok = partial_period_mask(codes, positions[:, None], block)
+            ok = codes[positions[:, None] + block] == codes[positions][:, None]
+            cells = np.flatnonzero(ok)
+            n, q = positions[cells // len(block)], block[cells % len(block)]
+            base, held = codes[n], True
+            n += q
+            for _ in range(2, _TERMS + 1):
+                n += q  # n + j q, stepped in place, so no further index array is made
+                held &= codes[n] == base
+            ok.ravel()[cells] = held
             accepts = ok.any(axis=1)
             # each accepting row's smallest partial period, and the first row that has each
             found, heads = np.unique(ok.argmax(axis=1)[accepts], return_index=True)

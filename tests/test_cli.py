@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import os
@@ -1027,6 +1028,69 @@ class TestOneBlasThread:
         code, out, err = run(capsys, "verify", "--level", "quick")
         assert code == 0, err
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+# Report on stderr, at exit, that the atexit hook ran and how many objects gc.freeze() moved to the
+# permanent generation, then run `python -m odoshift.cli ARGS`.
+REPORT_FROZEN = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('odoshift.cli', run_name='__main__')\n"
+)
+
+
+class TestExit:
+    """A process ends through ``cli.run``: ``main``, then gc.freeze(), with its output and exit code unchanged."""
+
+    def test_main_in_process_freezes_nothing(self, capsys, tmp_path):
+        short = tmp_path / "a64.txt"
+        short.write_text("a" * 64 + "\n")
+        before = gc.get_freeze_count()
+        for argv, code in ((["measure", "--word", "aca"], 0), (["encode", "--length", "64", "--precision", "8"], 3),
+                           (["analyze", "--levels", "4", "--input", str(short)], 4),
+                           (["measure", "--word", "x"], 2)):
+            assert run(capsys, *argv)[0] == code, argv
+        with pytest.raises(SystemExit):
+            cli.main(["encode", "--bogus"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [(["measure", "--word", "aca"], 0), (["encode", "--bogus"], 2)])
+    def test_a_fresh_process_freezes_at_exit_and_runs_its_atexit_hooks(self, argv, code):
+        # argparse's error raises SystemExit out of main, and the process still freezes
+        proc = fresh(*argv, script=REPORT_FROZEN)
+        assert proc.returncode == code, proc.stderr
+        label, _, count = proc.stderr.splitlines()[-1].rpartition(" ")
+        assert label == "frozen at exit:" and int(count) > 0, proc.stderr
+
+    def test_the_readme_commands_and_the_error_paths_print_what_main_prints(self, capsys, tmp_path):
+        # in a fresh process, through the __main__ block, as in-process through main: the same exit code,
+        # stdout and stderr, with verify's seconds masked
+        short = tmp_path / "a64.txt"
+        short.write_text("a" * 64 + "\n")
+        argvs = [argv for argv, _ in readme_commands()]
+        argvs += [["encode", "--length", "64", "--precision", "8"], ["analyze", "--levels", "4", "--input", str(short)],
+                  ["--json", "freq", "--word", "ab", "--length", "3"], ["measure", "--word", "x"]]
+        codes = set()
+        for argv in argvs:
+            want = run(capsys, *argv)
+            proc = plain_cli(*argv)
+            got = (proc.returncode, proc.stdout, proc.stderr)
+            if argv[0] == "verify":
+                want, got = ([code, re.sub(r" [\d.]+s: ", " s: ", out), err] for code, out, err in (want, got))
+            assert got == want, argv
+            codes.add(got[0])
+        assert codes == {0, 2, 3, 4}
+
+    def test_the_console_script_is_the_entry_of_the_main_block(self):
+        # pyproject.toml read as text, so this runs at the Python 3.10 floor, which has no tomllib
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        (target,) = re.findall(r'^odoshift = "odoshift\.cli:(\w+)"$', scripts, re.MULTILINE)
+        tree = ast.parse((ROOT / "src" / "odoshift" / "cli.py").read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body
+                    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(statement) for statement in block.body] == [f"sys.exit({target}())"]
+        assert target != "main" and callable(getattr(cli, target))
 
 
 # The submodules the package namespace binds, and the names it exports from each.

@@ -1049,18 +1049,25 @@ def _outcomes(calls):
 
 
 def test_the_cached_desubstitution_is_the_bare_steps(monkeypatch):
-    # the bare steps recurse into themselves and so never reach a cache; the entry points run the corpus
-    # on a cold cache, then again after the caches have been filled past their size
+    # the bare steps recurse into themselves and so never reach a cache, and read a memoryview's word as
+    # its bytes; the entry points run the corpus, memoryviews as given, on a cold cache, then again after
+    # the caches have been filled past their size
     calls = _desubstitution_corpus()
+    as_bytes = [(name, tuple(bytes(arg) if isinstance(arg, memoryview) else arg for arg in args))
+                for name, args in calls]
     masses_step, count_step = language._masses_step, language._fixed_point_count_step
     monkeypatch.setattr(language, "_masses", lambda rest, depth, r=0, j=0: masses_step(rest, depth, r, j))
     monkeypatch.setattr(language, "fixed_point_count", count_step)
-    bare = _outcomes(calls)
+    bare = _outcomes(as_bytes)
     monkeypatch.undo()
     caches = language._cached_masses, language._cached_fixed_point_count
     assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     assert sum(isinstance(outcome, tuple) and outcome[0] is errors.InvalidInputError for outcome in bare) == 80
-    assert sum(isinstance(outcome, tuple) and outcome[0] is AttributeError for outcome in bare) > 100
+    views = [bare[i] for i, (_, args) in enumerate(calls) if isinstance(args[0], memoryview)]
+    # every memoryview word is answered, by a count or four masses, and some answers are positive
+    assert len(views) == 1000
+    assert all(isinstance(outcome, int) or [type(mass) for mass in outcome] == [int] * 4 for outcome in views)
+    assert any(outcome if isinstance(outcome, int) else any(outcome) for outcome in views)
     assert _outcomes(calls) == bare
     assert all(cache.cache_info().hits > 100 for cache in caches)
     for r in range(language._CACHED_CALLS + 100):

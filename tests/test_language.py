@@ -17,6 +17,7 @@ each letter put before the word, is checked against
 certified against the distinct factors of a 2^18-letter prefix.
 """
 
+import array
 import itertools
 import random
 import time
@@ -193,6 +194,32 @@ def test_the_desubstitution_caches_keep_their_bound(monkeypatch):
         tracemalloc.stop()
     assert max(longest) == language._CACHED_SETS
     assert 0 < freed[0] <= 2.7e6 and 0 < freed[1] <= 1.5e6, freed
+
+
+def test_every_bytes_like_word_reads_as_its_bytes(monkeypatch):
+    # the measure, the count and the residue counts of a memoryview, a bytearray and an array of sets, of
+    # one set and more, short enough for the caches and longer, equal those of its bytes; the caches are
+    # given only bytes keys of at most _CACHED_SETS sets
+    keys = set()
+    for name in ("_cached_masses", "_cached_fixed_point_count"):
+        cache = getattr(language, name)
+        monkeypatch.setattr(language, name, lambda sets, *ints, cache=cache: keys.add((type(sets), len(sets))) or
+                            cache(sets, *ints))
+    rng = random.Random(20261021)
+    text = grigorchuk_prefix(1 << 12).text
+    words = ["a", "acab", "acad", text[:64], text[:65], text[100:300]]
+    words += [text[s : s + n] for s, n in ((rng.randrange(3000), rng.randint(2, 99)) for _ in range(40))]
+    for word in words:
+        sets = language.word_sets(word)
+        depth = len(sets).bit_length()
+        n, q = rng.randrange(1 << 20), rng.randint(1, 64)
+        padded = memoryview(b"\x0f" + sets + b"\x0f")[1:-1]  # a view into a larger buffer
+        for view in (memoryview(sets), padded, bytearray(sets), array.array("B", sets)):
+            assert language._masses(view[1:], depth) == language._masses(sets[1:], depth), word
+            assert language.fixed_point_count(view, n) == language.fixed_point_count(sets, n), word
+            assert (language.fixed_point_residue_counts(view, n, q)
+                    == language.fixed_point_residue_counts(sets, n, q)), word
+    assert {kind for kind, _ in keys} == {bytes} and max(size for _, size in keys) == language._CACHED_SETS
 
 
 @st.composite
