@@ -121,8 +121,10 @@ def _cmd_generate(args) -> int:
     prefix = _load_input(args, args.length)
     if args.output:
         substitution.save_prefix(prefix, args.output)
-    text = prefix.text
-    _emit(args, [text], {"length": len(prefix), "prefix": text})
+    if args.json:
+        _emit(args, [], {"length": len(prefix), "prefix": prefix.text})
+    else:
+        substitution.write_prefix(prefix, sys.stdout)
     return EXIT_OK
 
 

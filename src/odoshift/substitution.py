@@ -352,6 +352,14 @@ def load_prefix(path) -> SymbolicPrefix:
     return parse_prefix(source)
 
 
+def write_prefix(prefix: SymbolicPrefix, fh) -> None:
+    """Write the letters of ``prefix`` and a line end to the text file ``fh``, ``_CHUNK`` letters at a time."""
+    codes = prefix.codes
+    for start in range(0, len(codes), _CHUNK):
+        fh.write(decode_codes(codes[start : start + _CHUNK]))
+    fh.write("\n")
+
+
 def save_prefix(prefix: SymbolicPrefix, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(prefix.text + "\n")
+        write_prefix(prefix, fh)

@@ -4,7 +4,10 @@ A position n of a sequence has partial period p when the letters at
 n, n+p, n+2p, ... all agree.  Only the first three multiples are checked:
 for sequences drawn from the orbit closure of the Grigorchuk fixed point
 this is already conclusive, because four equal terms force all further
-terms to agree.
+terms to agree.  One search, ``_smallest_periods``, finds smallest partial
+periods for both ``smallest_partial_period`` and ``essential_periods``.  It
+holds one slice of ``_BLOCK`` positions at a time, so its memory does not
+grow with the prefix.
 
 The period skeleton records, for each level k, the unique residue class
 M_k mod 2^k whose column is not constant, together with the letter l_k
@@ -26,7 +29,7 @@ TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
 _TERMS = 3  # multiples checked beyond the base position
-_BLOCK = 1 << 14  # most periods, or rows x periods, tested in one numpy pass
+_BLOCK = 1 << 14  # positions per slice, and most positions x periods tested in one numpy pass
 
 
 def partial_period_mask(codes, starts, p):
@@ -44,21 +47,56 @@ def partial_period_mask(codes, starts, p):
     return ok
 
 
-def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
-    """Least p accepted at position n, testing p = 1, 2, ... in numpy blocks of doubling size."""
+def _smallest_periods(codes, start: int, stop: int, horizon: int):
+    """(p, n) for each p <= horizon that is the smallest partial period of a 0-based n in start..stop-1.
+
+    The positions are resolved in slices of ``_BLOCK``, one slice at a time.
+    The positions of a slice with no partial period found yet are tested
+    against as many periods at once as keep positions x periods within
+    ``_BLOCK`` cells, so the blocks of periods widen as positions resolve.
+    A position's smallest partial period is the first period of the block
+    that it accepts.  Each slice yields its periods in increasing order, each
+    with the first position of the slice that has it; a later slice may yield
+    a period again, with a later position.  The test is
+    ``partial_period_mask``'s, with its first term, codes[n + p] == codes[n],
+    taken on every cell and the further terms gathered only at the cells
+    where that one holds: on the fixed point about one cell in five.  The
+    caller keeps n + 3 horizon inside the codes.
+    """
     import numpy as np
 
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    for first in range(start, stop, _BLOCK):
+        live = np.arange(first, min(first + _BLOCK, stop))
+        p = 1
+        while p <= horizon and live.size:
+            block = np.arange(p, min(p + _BLOCK // live.size, horizon + 1))
+            ok = codes[live[:, None] + block] == codes[live][:, None]
+            cells = np.flatnonzero(ok)
+            n, q = live[cells // len(block)], block[cells % len(block)]
+            base, held = codes[n], True
+            n += q
+            for _ in range(2, _TERMS + 1):
+                n += q  # n + j q, stepped in place, so no further index array is made
+                held &= codes[n] == base
+            ok.ravel()[cells] = held
+            accepts = ok.any(axis=1)
+            # each accepting position's smallest partial period, and the first position that has each
+            found, heads = np.unique(ok.argmax(axis=1)[accepts], return_index=True)
+            yield from zip((p + found).tolist(), live[accepts][heads].tolist())
+            live = live[~accepts]
+            p += len(block)
+
+
+def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
+    """Least p accepted at position n, among the p whose test fits in the prefix."""
     if n < 1 or n > len(prefix):
         raise InvalidInputError(f"position {n} outside 1..{len(prefix)}")
     L = len(prefix)
     last = (L - n) // _TERMS  # the largest p whose test fits in the prefix
-    p, size = 1, 8
-    while p <= last:
-        block = np.arange(p, min(p + size, last + 1))
-        ok = partial_period_mask(prefix.codes, n - 1, block)
-        if ok.any():
-            return p + int(ok.argmax())
-        p, size = p + len(block), min(2 * size, _BLOCK)
+    for p, _ in _smallest_periods(prefix.codes, n - 1, n, last):
+        return p
+    p = last + 1
     raise InsufficientDataError(
         f"no partial period certifiable at position {n} within prefix length {L};"
         f" testing p={p} needs length {n + _TERMS * p}",
@@ -76,22 +114,11 @@ class EPSet(NamedTuple):
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
     """Set of p <= horizon realized as the smallest partial period of some position.
 
-    The periods are tested in blocks.  A block holds as many periods as keep
-    rows x periods within the positions scanned, so the blocks widen as
-    positions resolve, up to ``_BLOCK`` periods.  Each block is tested
-    against the positions still unresolved in row slices of at most
-    ``_BLOCK`` cells, so no temporary outgrows a slice.  A position's
-    smallest partial period is the first period of the block that it
-    accepts, and the witness of p is the first position whose smallest
-    partial period is p: the slices ascend, so the first slice to find p
-    holds it.  The positions left unresolved are compacted in place at the
-    front of the one index array.  The test is ``partial_period_mask``'s,
-    with its first term, codes[n + p] == codes[n], taken on every cell and
-    the further terms gathered only at the cells where that one holds: on
-    the fixed point about one cell in five.
+    Every position that can be tested against every p <= horizon is
+    scanned.  The witness of p is the first position whose smallest partial
+    period is p: the slices of ``_smallest_periods`` ascend, so the first
+    pair of p holds it.
     """
-    import numpy as np
-
     if horizon < 1:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
     L = len(prefix)
@@ -100,38 +127,9 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
             f"horizon {horizon} needs prefix length {(_TERMS + 1) * horizon}, have {L}",
             required_length=(_TERMS + 1) * horizon,
         )
-    codes = np.frombuffer(prefix.codes, dtype=np.uint8)
-    nmax = L - _TERMS * horizon
-    # every scanned position can be tested against every p <= horizon
-    unresolved = np.arange(nmax, dtype=np.int64)  # 0-based indices, ascending
-    size = nmax  # unresolved[:size] are the positions still unresolved
     witnesses = {}
-    p = 1
-    while p <= horizon and size:
-        block = np.arange(p, min(p + min(nmax // size, _BLOCK), horizon + 1))
-        rows = _BLOCK // len(block)
-        kept = 0
-        for start in range(0, size, rows):
-            positions = unresolved[start : min(start + rows, size)]
-            ok = codes[positions[:, None] + block] == codes[positions][:, None]
-            cells = np.flatnonzero(ok)
-            n, q = positions[cells // len(block)], block[cells % len(block)]
-            base, held = codes[n], True
-            n += q
-            for _ in range(2, _TERMS + 1):
-                n += q  # n + j q, stepped in place, so no further index array is made
-                held &= codes[n] == base
-            ok.ravel()[cells] = held
-            accepts = ok.any(axis=1)
-            # each accepting row's smallest partial period, and the first row that has each
-            found, heads = np.unique(ok.argmax(axis=1)[accepts], return_index=True)
-            for j, n in zip(found.tolist(), positions[accepts][heads].tolist()):
-                witnesses.setdefault(p + j, n + 1)
-            left = positions[~accepts]  # a copy, so writing over the front is safe
-            unresolved[kept : kept + len(left)] = left
-            kept += len(left)
-        size = kept
-        p += len(block)
+    for p, n in _smallest_periods(prefix.codes, 0, L - _TERMS * horizon, horizon):
+        witnesses.setdefault(p, n + 1)
     return EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 

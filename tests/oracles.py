@@ -26,9 +26,12 @@
   reference for the closed-form one-set count of ``fixed_point_count``.
 - ``essential_periods_by_period`` tests one period at a time against every
   position still unresolved, the reference for ``essential_periods``.
-- ``essential_periods_one_pass`` tests the same blocks of periods as
-  ``essential_periods``, each against every position still unresolved in
-  one pass, where ``essential_periods`` cuts the positions into row slices.
+- ``smallest_partial_period_by_period`` tests one period at a time at one
+  position, the reference for ``smallest_partial_period``.
+- ``essential_periods_one_pass`` tests blocks of periods, each against
+  every position still unresolved in one pass, where the search of
+  ``essential_periods`` resolves the positions one slice of ``_BLOCK`` at
+  a time.
 - ``occurrence_positions`` finds the starts of a word by ``bytes.find``,
   the reference for the occurrence bitsets of ``ergodic``.
 - ``occurrence_mask`` and ``pairwise_spectral_scan`` are the numpy kernel
@@ -256,6 +259,19 @@ def essential_periods_by_period(prefix, horizon):
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
     return toeplitz.EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
+
+
+def smallest_partial_period_by_period(prefix, n):
+    """(p, None) for the least p whose test at position n fits in the prefix and holds, one partial_period_mask call per p.
+
+    When none does, (None, the length that testing the next p needs).
+    """
+    p = 1
+    while n + 3 * p <= len(prefix):
+        if toeplitz.partial_period_mask(prefix.codes, n - 1, p):
+            return p, None
+        p += 1
+    return None, n + 3 * p
 
 
 def essential_periods_one_pass(prefix, horizon):

@@ -80,6 +80,40 @@ class TestGenerate:
         assert code == 0
         assert out.strip() == "acabacad"
 
+    @pytest.mark.parametrize("length", [1, 1 << 14, (1 << 14) + 1, (1 << 20) + 3])
+    def test_the_letters_written_in_pieces_are_the_whole_text(self, capsys, tmp_path, length):
+        path = tmp_path / "omega.txt"
+        text = grigorchuk_prefix(length).text + "\n"
+        assert run(capsys, "generate", "--length", str(length)) == (0, text, "")
+        assert run(capsys, "generate", "--length", str(length), "--output", str(path)) == (0, text, "")
+        assert path.read_text(encoding="ascii") == text
+
+    def test_a_shifted_input_file_is_written_in_pieces(self, capsys, tmp_path):
+        source, path = tmp_path / "factor.txt", tmp_path / "out.txt"
+        letters = grigorchuk_prefix((1 << 15) + 109).text[100:]
+        source.write_text(letters + "\n")
+        argv = ["generate", "--input", str(source), "--shift", "17"]
+        assert run(capsys, *argv, "--output", str(path)) == (0, letters[17:] + "\n", "")
+        assert path.read_text(encoding="ascii") == letters[17:] + "\n"
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output_file"])
+    def test_the_letters_take_no_copy_of_the_prefix(self, tmp_path, monkeypatch, output):
+        # the codes are held whole, one byte per letter; the text is decoded and written a piece at a time
+        import tracemalloc
+
+        length = 1 << 22
+        argv = ["generate", "--length", str(length)] + (["--output", str(tmp_path / "omega.txt")] if output else [])
+        with open(os.devnull, "w", encoding="ascii") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= length + (1 << 20), f"generate peaked at {peak} bytes"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--json", "generate", "--length", "4")
         assert code == 0

@@ -36,9 +36,11 @@ The straightforward algorithms these replaced stand in for the program here:
   prefix of exactly the skeleton's window the two rules agree.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests blocks of periods;
-  ``oracles.essential_periods_one_pass`` tests each block against every
-  unresolved position at once, where ``essential_periods`` cuts them into
-  row slices.
+  ``oracles.smallest_partial_period_by_period`` does so at one position,
+  where ``smallest_partial_period`` reads the same search as
+  ``essential_periods``; ``oracles.essential_periods_one_pass`` tests each
+  block against every unresolved position at once, where that search
+  resolves the positions one slice of ``_BLOCK`` at a time.
 - ``oracles.class_measure_by_parity`` runs the parity recursion of the
   measure of a word in a class of the factor map over Fractions on sets of
   letters, where ``class_measure`` fixes the digits inside ``_masses``.
@@ -73,6 +75,7 @@ from oracles import (
     pairwise_spectral_scan,
     reconstruct_from_skeleton,
     skeleton_fiber_index,
+    smallest_partial_period_by_period,
 )
 from odoshift.substitution import (
     Substitution,
@@ -896,22 +899,38 @@ def random_words(count, seed):
         yield SymbolicPrefix(codes), rng.randint(1, length // 4)
 
 
+def smallest_partial_period_or_need(prefix, n):
+    """(p, None) from ``smallest_partial_period``, or (None, the required length) when it raises."""
+    try:
+        return toeplitz.smallest_partial_period(prefix, n), None
+    except errors.InsufficientDataError as exc:
+        return None, exc.required_length
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_essential_periods_match_the_per_period_loop_on_random_words(seed):
+    rng = random.Random(1000 + seed)
     for prefix, horizon in random_words(50, seed):
         assert toeplitz.essential_periods(prefix, horizon) == essential_periods_by_period(prefix, horizon), (
             prefix.text,
             horizon,
         )
+        for n in [1, len(prefix), *(rng.randint(1, len(prefix)) for _ in range(3))]:
+            assert smallest_partial_period_or_need(prefix, n) == smallest_partial_period_by_period(prefix, n), (
+                prefix.text,
+                n,
+            )
 
 
-SLICE = toeplitz._BLOCK  # most cells, rows x periods, of one row slice
+SLICE = toeplitz._BLOCK  # positions of one slice, and most cells, positions x periods, of one pass
 
 
 def one_pass_cases():
-    """Prefixes and horizons whose row slices cut the blocks unevenly."""
-    # L - 3 * horizon scanned positions: 17000 is one slice of 2^14 rows and 616 more at p = 1
-    for length, horizon in [(20_000, 1000), ((1 << 16) + 3, 1025), (3 * SLICE + 7, 2 * SLICE // 3 + 1)]:
+    """Prefixes and horizons whose slices of positions cut the blocks of periods unevenly."""
+    # L - 3 * horizon scanned positions: 17000 is one slice and 616 positions more; 2 SLICE + 1 leaves
+    # a last slice of one position, tested against every period up to the horizon in one pass
+    for length, horizon in [(20_000, 1000), ((1 << 16) + 3, 1025), (3 * SLICE + 7, 2 * SLICE // 3 + 1),
+                            (2 * SLICE + 1 + 3 * 700, 700)]:
         yield pytest.param(grigorchuk_prefix(length), horizon, id=f"fixed_point_{length}_{horizon}")
     yield pytest.param(grigorchuk_prefix(40_011).shifted(11), 3000, id="shifted")
     sub = SUBSTITUTIONS["period_doubling"]
@@ -919,12 +938,20 @@ def one_pass_cases():
     rng = random.Random(20261018)
     codes = bytes(rng.randrange(4) for _ in range(40_000))
     yield pytest.param(SymbolicPrefix(codes), 5000, id="random_abcd")
-    # one b in a run of a's: four of 70,000 rows stay after p = 1, so the next block
-    # would hold 17,500 periods, and is cut at SLICE
+    # one b in a run of a's, heading the second slice: three positions of the first slice stay
+    # after p = 1, so its next block holds SLICE // 3 periods; the b has no partial period, so
+    # its slice tests it alone, SLICE periods at a time, to the horizon
     horizon = SLICE + 100
     run = bytearray(70_000 + 3 * horizon)
     run[SLICE] = 1
     yield pytest.param(SymbolicPrefix(run), horizon, id="one_b_in_a_run")
+    # the b last in the first slice: four positions stay after p = 1, the three before the b
+    # resolve in the block of periods 2..4097, and the b, the slice's last live position,
+    # runs on to the horizon in a block cut short there
+    horizon = 5000
+    run = bytearray(SLICE + 100 + 3 * horizon)
+    run[SLICE - 1] = 1
+    yield pytest.param(SymbolicPrefix(run), horizon, id="b_last_in_a_slice")
 
 
 @pytest.mark.parametrize("prefix, horizon", one_pass_cases())

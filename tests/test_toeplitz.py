@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ class TestEssentialPeriods:
         rigid = tp.essential_periods(prefix, 64)
         loose = heuristic_essential_periods(prefix, 64)
         assert set(rigid.periods) <= set(loose)
+
+    @pytest.mark.parametrize("log2", [18, 20])
+    def test_the_scan_holds_one_slice_of_positions_at_a_time(self, log2):
+        # what the scan holds does not grow with the prefix: an index of every position would be 8 bytes each
+        prefix = grigorchuk_prefix(1 << log2)
+        prefix.codes
+        tracemalloc.start()
+        try:
+            ep = tp.essential_periods(prefix, 1 << 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ep.periods == tuple(1 << k for k in range(1, 14))
+        assert peak <= 1 << 20, f"essential_periods peaked at {peak} bytes"
 
     @pytest.mark.parametrize("horizon", [0, -4])
     def test_a_horizon_below_one_is_invalid(self, horizon):
