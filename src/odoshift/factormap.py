@@ -9,6 +9,8 @@ column of the period skeleton.  ``encode_value`` is that one formula, and
 ``encode_fG`` and ``classify_fiber`` read f through it alone; ``encode_fG``
 gives the digits as a ``DyadicInt``, defined here, where the map is.
 ``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
+``encode_fG``, ``verify_equivariance`` and ``sigma_preimage_letters`` ask
+``toeplitz.require_factor``, the one language test, of the letters they read.
 
 The map is injective away from a countable exceptional set: the backward
 orbit of the single point (here the fixed point itself) whose shift
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import toeplitz
-from .errors import Immutable, InvalidInputError, NotInSubshiftError
+from .errors import Immutable, InvalidInputError
 from .substitution import SymbolicPrefix
 
 TOEPLITZ_POINT = "toeplitz_point"
@@ -71,7 +73,7 @@ class EncodingResult(NamedTuple):
 
 
 def encode_value(prefix_codes, k: int) -> int:
-    """Integer value of the first k dyadic digits, 2^k - M_k, straight from the skeleton."""
+    """Integer value of the first k dyadic digits, 2^k - M_k, of codes that must be a factor of the fixed point."""
     levels, _ = toeplitz.skeleton_levels_from_codes(prefix_codes, k)
     return (1 << k) - levels[-1]
 
@@ -79,25 +81,29 @@ def encode_value(prefix_codes, k: int) -> int:
 def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
     """First k dyadic digits of the factor-map value of ``prefix``: ``encode_value`` as a DyadicInt.
 
-    Normalized so the unshifted fixed point encodes to 0.
+    Normalized so the unshifted fixed point encodes to 0.  Window letters
+    that are no factor of the fixed point raise NotInSubshiftError.
     """
     if k < 1:
         raise InvalidInputError(f"precision k must be positive, got {k}")
-    value = DyadicInt(encode_value(prefix.codes, k), k)
-    return EncodingResult(value=value, window_used=toeplitz.skeleton_window(k))
+    value, window = encode_value(prefix.codes, k), toeplitz.skeleton_window(k)
+    toeplitz.require_factor(prefix, window)
+    return EncodingResult(value=DyadicInt(value, k), window_used=window)
 
 
 def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> tuple:
     """The k-digit encodings of shifts 0..shifts of ``prefix``, from one skeleton scan.
 
-    A shifted window outside the subshift raises NotInSubshiftError naming
-    the first such shift.  Otherwise one level-k residue r serves every
+    The shifts + 2^(k+2) letters read must be a factor of the fixed point,
+    else NotInSubshiftError.  Then one level-k residue r serves every
     window, so the values 2^k - ((r - n) mod 2^k + 1) step by one mod 2^k
     by construction; ``verification`` checks where they start.
     """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    return tuple((1 << k) - m for m in toeplitz.deepest_columns(prefix.codes, k, shifts))
+    columns = toeplitz.deepest_columns(prefix.codes, k, shifts)
+    toeplitz.require_factor(prefix, shifts + toeplitz.skeleton_window(k))
+    return tuple((1 << k) - m for m in columns)
 
 
 def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
@@ -107,13 +113,11 @@ def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
     (the subshift is minimal and uniquely ergodic), measured on the
     prefix's codes, one letter set each, with no letter decoded.  The
     prefix keeps the pass as its ``left_extensions``, read at most once.
-    A prefix that no letter extends has measure 0: NotInSubshiftError.
-    A caller who wants a horizon h passes the first h - 1 letters.
+    A prefix that no letter extends has measure 0: ``require_factor``'s
+    NotInSubshiftError.  A caller who wants a horizon h passes h - 1 letters.
     """
-    extending = prefix.left_extensions
-    if not extending:
-        raise NotInSubshiftError(f"the {len(prefix)} letters are not a factor of the fixed point")
-    return extending
+    toeplitz.require_factor(prefix, len(prefix))
+    return prefix.left_extensions
 
 
 class FiberReport(NamedTuple):
@@ -132,11 +136,12 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     the digits of f do not tell such a sequence from a Toeplitz point that
     shares them.  A prefix with a ``fixed_point_start`` is on the orbit only
     at start 0, since no shift of the aperiodic fixed point is the fixed
-    point.  The preimage test then reads ``prefix.left_extensions``.
+    point.  The preimage test comes first, so it rejects letters of measure 0.
     """
-    from . import language  # not loaded by encode, which runs no language test
+    from . import language  # not loaded by encode on the fixed point, which runs no language test
 
     n = -encode_value(prefix.codes, K) % (1 << K)
+    letters = sigma_preimage_letters(prefix)
     candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
     if prefix.fixed_point_start is not None:
         n = None if prefix.fixed_point_start else 0
@@ -145,5 +150,5 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     return FiberReport(
         classification=TOEPLITZ_POINT if n is None else OMEGA_STAR_ORBIT,
         stabilization_index=n,
-        sigma_preimage_letters=sigma_preimage_letters(prefix),
+        sigma_preimage_letters=letters,
     )

@@ -345,11 +345,12 @@ def load_prefix(path) -> SymbolicPrefix:
     """
     cap = sequence_byte_cap()
     source = read_text(path, cap + 3)
+    size, source = len(source), source.strip()  # stripped once: only the letters are held while encoded
     # past cap + 2 characters, more than a line end follows the cap's letters
-    _check_cap(len(source.strip()) if len(source) <= cap + 2 else len(source))
-    if not source or source.isspace():
+    _check_cap(len(source) if size <= cap + 2 else size)
+    if not source:
         raise InvalidInputError(f"the file {path} holds no letters")
-    return parse_prefix(source)
+    return SymbolicPrefix(encode_letters(source))
 
 
 def write_prefix(prefix: SymbolicPrefix, fh) -> None:

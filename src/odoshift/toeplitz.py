@@ -14,8 +14,10 @@ M_k mod 2^k whose column is not constant, together with the letter l_k
 that fills the column which became constant at level k.  These per-level
 data are what the dyadic encoding in ``factormap`` is built from.  The
 skeleton scan reads the codes as Python integers, one byte per letter,
-and tests every shift at once; numpy is imported only by the
-partial-period functions, which read the codes through ``np.frombuffer``.
+and only measures: whether the letters are a factor is the one language
+test, ``require_factor``, which ``period_skeleton`` and ``factormap`` ask
+of every letter they read.  numpy is imported only by the partial-period
+functions, which read the codes through ``np.frombuffer``.
 """
 
 from __future__ import annotations
@@ -147,27 +149,18 @@ def skeleton_window(K: int) -> int:
     return 1 << (K + 2)
 
 
-def _lowest_byte(x: int) -> int:
-    """Index of the lowest nonzero little-endian byte of x; -1 for x = 0."""
-    return ((x & -x).bit_length() - 1) >> 3
-
-
 def _skeleton_residues(codes, K: int, shifts: int) -> list:
     """r_k, k = 1..K: the window at every start n = 0..shifts has M_k = (r_k - n) mod 2^k + 1.
 
-    The window at start n is codes[n : n + 2^(K+2)].  At level k, c = 2^k,
-    its columns are the 0-based positions n .. n + c - 1, and position i
-    heads a constant column when codes[i] == codes[i + j c] for j = 1, 2, 3.
-    A window in the subshift has exactly one non-constant column, nested:
-    M_k = M_(k-1) mod 2^(k-1).  The positions i < shifts + c are read as one
-    little-endian integer and XORed with the reads j c further on, giving
-    N_k, the positions heading non-constant columns, in O(1) integer
-    operations per level.  Every window holds exactly one position of N_k
-    when N_k is the progression r, r + c, ... from some r < c.  Otherwise
-    the first bad window ends at the first position where N_k and that
-    progression differ.  The first bad window over all levels raises
-    NotInSubshiftError for its first failing level, as a scan window by
-    window would.
+    The window at start n is codes[n : n + 2^(K+2)], and the codes must be
+    a factor of the fixed point: the scan only measures.  At level k,
+    c = 2^k, position i heads a constant column when codes[i] ==
+    codes[i + j c] for j = 1, 2, 3.  A factor's window has exactly one
+    non-constant column at each level, nested, so the positions heading
+    non-constant columns are r_k, r_k + c, ..., and r_k is the first of
+    them: the lowest nonzero byte of the positions i < c, read as one
+    little-endian integer and XORed with the reads j c further on.  The
+    shifts count only towards the length the codes must have.
     """
     if K < 1:
         raise InvalidInputError(f"depth K must be positive, got {K}")
@@ -181,46 +174,18 @@ def _skeleton_residues(codes, K: int, shifts: int) -> list:
             required_length=need,
         )
     residues = []
-    error = None  # (start, message) of the first window found to break a rule
     for k in range(1, K + 1):
         c = 1 << k
-        span = shifts + c
-        head = int.from_bytes(codes[:span], "little")
+        head = int.from_bytes(codes[:c], "little")
         diff = 0
         for j in (1, 2, 3):
-            diff |= head ^ int.from_bytes(codes[j * c : j * c + span], "little")
-        for bits in (4, 2, 1):  # fold each byte onto its lowest bit
-            diff |= diff >> bits
-        marked = diff & int.from_bytes(b"\x01" * span, "little")  # bit 8i: i heads a non-constant column
-        r = _lowest_byte(marked)
-        if not 0 <= r < c or (residues and (r - residues[-1]) % (c >> 1)):
-            bad = 0
-        else:
-            terms = (span - r + c - 1) // c
-            off = marked ^ int.from_bytes(bytes(r) + (b"\x01" + bytes(c - 1)) * terms, "little")
-            bad = max(0, _lowest_byte(off) - c + 1) if off else None
-        if bad is not None and (error is None or bad < error[0]):
-            count = ((marked >> (8 * bad)) & ((1 << (8 * c)) - 1)).bit_count()
-            if count == 0:
-                reason = (
-                    f"window of length {4 * c} is periodic with period {c};"
-                    f" no level-{k} non-constant column exists"
-                )
-            elif count > 1:
-                reason = f"{count} non-constant columns at level {k}; a valid sequence has exactly one"
-            else:
-                m, prev = (r - bad) % c + 1, (residues[-1] - bad) % (c >> 1) + 1
-                reason = f"level-{k} column {m} is not nested in level-{k - 1} column {prev}"
-            error = (bad, reason)
-        residues.append(r)
-    if error is not None:
-        n, reason = error
-        raise NotInSubshiftError(f"window at shift {n}: {reason}" if shifts else reason)
+            diff |= head ^ int.from_bytes(codes[j * c : (j + 1) * c], "little")
+        residues.append(((diff & -diff).bit_length() - 1) >> 3)  # the lowest nonzero byte
     return residues
 
 
 def skeleton_levels_from_codes(codes, K: int):
-    """(M_1..M_K, l_1..l_K codes) of the window codes[: 2^(K+2)]; ``deepest_columns`` scans all shifts."""
+    """(M_1..M_K, l_1..l_K codes) of the window codes[: 2^(K+2)], which must be a factor of the fixed point."""
     levels = [r + 1 for r in _skeleton_residues(codes, K, 0)]
     # l_k fills the column that became constant at level k
     newly = [1 if levels[0] == 2 else 2]
@@ -230,15 +195,30 @@ def skeleton_levels_from_codes(codes, K: int):
 
 
 def deepest_columns(codes, K: int, shifts: int) -> list:
-    """M_K of the window codes[n : n + 2^(K+2)] for every n = 0..shifts, in one scan."""
+    """M_K of the window codes[n : n + 2^(K+2)] for every n = 0..shifts, which must be a factor of the fixed point."""
     r = _skeleton_residues(codes, K, shifts)[-1]
     c = 1 << K
     return [(r - n) % c + 1 for n in range(shifts + 1)]
 
 
+def require_factor(prefix: SymbolicPrefix, length: int) -> None:
+    """NotInSubshiftError unless the first ``length`` letters of ``prefix`` are a factor of the fixed point.
+
+    The one language test: some letter extends them, ``left_extensions``,
+    kept on the prefix when they are all of it.  A prefix with a
+    ``fixed_point_start`` is the fixed point's own letters, never tested.
+    """
+    if prefix.fixed_point_start is not None:
+        return
+    letters = prefix if length == len(prefix) else SymbolicPrefix(prefix.codes[:length])
+    if not letters.left_extensions:
+        raise NotInSubshiftError(f"the {length} letters are not a factor of the fixed point")
+
+
 def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
-    """Scan all residue columns of levels 1..K over the window [1, 2^(K+2)]."""
+    """Scan all residue columns of levels 1..K over the window [1, 2^(K+2)], a factor by ``require_factor``."""
     levels, letter_codes = skeleton_levels_from_codes(prefix.codes, K)
+    require_factor(prefix, skeleton_window(K))
     letters = tuple("abcd"[c] for c in letter_codes)
     if K >= 2 and levels[-1] == levels[-2]:
         classification = EVENTUALLY_CONSTANT_MK

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import ergodic, factormap, language, substitution, toeplitz
+from . import ergodic, errors, factormap, language, substitution, toeplitz
 
 # after the package: where no bytecode is cached, its modules are compiled
 # before numpy's heap is built, which keeps 0.3 MB off the peak RSS of verify
@@ -216,10 +216,15 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     skeleton = toeplitz.period_skeleton(prefix, K)
     levels_ok = all(m == 1 << (k + 1) for k, m in enumerate(skeleton.levels))
     encoding = factormap.encode_fG(prefix, K)
+    # every letter, not four terms of each: mod 2^t only the class 2^t - 1 varies, nested in the last, for each
+    # t up to K + 1, whose class holds two letters; so no window of the prefix has a second non-constant column
+    varying = _varying_classes(np.frombuffer(prefix.codes, dtype=np.uint8))
+    classes_ok = varying == {(2 << t) - 1 for t in range(K + 2)}
     return CheckResult(
         name="fixed_point_skeleton_and_zero_encoding",
-        ok=levels_ok and encoding.value.value == 0,
-        detail=f"M_k=2^k for k<=K: {levels_ok}; encoded value {encoding.value.value}",
+        ok=levels_ok and encoding.value.value == 0 and classes_ok,
+        detail=f"M_k=2^k for k<=K: {levels_ok}; encoded value {encoding.value.value};"
+        f" varying classes 2^t - 1 mod 2^t for t<=K+1: {classes_ok}",
     )
 
 
@@ -397,10 +402,14 @@ def run_check(check, sizes: Sizes) -> CheckResult:
     """Run one check and record its elapsed seconds, the timer of ``verify`` and the gate.
 
     Also records the process's peak RSS so far, a running high-water mark
-    (``ru_maxrss``, in KiB on Linux).
+    (``ru_maxrss``, in KiB on Linux).  A check that raises an OdoshiftError
+    fails, named by its function, with the error as its detail.
     """
     start = time.perf_counter()
-    result = check(sizes)
+    try:
+        result = check(sizes)
+    except errors.OdoshiftError as exc:
+        result = CheckResult(name=check.__name__, ok=False, detail=f"raised {type(exc).__name__}: {exc}")
     seconds = time.perf_counter() - start
     return result._replace(seconds=seconds, maxrss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 

@@ -7,9 +7,13 @@ The straightforward algorithms these replaced stand in for the program here:
   Under a -> ab, b -> b that takes one step per letter, so
   ``reference_self_expansion`` appends the image of one letter of
   x = sub(x) at a time, for every substitution.
-- ``reference_skeleton_levels`` scans one window level by level, reshaping
-  its first 4 * 2^k letters into four rows; ``reference_encoding`` runs it
-  once per shift, as ``verify_equivariance`` did.
+- ``reference_skeleton_levels`` scans one window of a factor level by
+  level, reshaping its first 4 * 2^k letters into four rows, and asserts
+  one nested non-constant column per level; ``reference_encoding`` runs it
+  once per shift, as ``verify_equivariance`` did.  Off the language, where
+  ``invariant_measure_cylinder`` of the letters read is 0, the skeleton's
+  entry points raise instead, and on the mutated and foreign windows they
+  do exactly there.
 - ``desubstitution_value`` reads the dyadic digits of the factor map from
   the other side: from the parity of the start at each level of the
   desubstitution, not from the period skeleton.
@@ -243,6 +247,7 @@ def test_oracle_checks_the_cap(monkeypatch):
 
 
 def reference_skeleton_levels(codes, K):
+    """(M_1..M_K, l_1..l_K codes) of a factor's window, asserting one nested non-constant column per level."""
     codes = np.frombuffer(codes, dtype=np.uint8)
     window = 1 << (K + 2)
     if len(codes) < window:
@@ -254,24 +259,13 @@ def reference_skeleton_levels(codes, K):
         cols = 1 << k
         block = codes[: 4 * cols].reshape(4, cols)
         nonconst = np.nonzero((block != block[0]).any(axis=0))[0]
-        if len(nonconst) == 0:
-            raise errors.NotInSubshiftError(
-                f"window of length {4 * cols} is periodic with period {cols};"
-                f" no level-{k} non-constant column exists"
-            )
-        if len(nonconst) > 1:
-            raise errors.NotInSubshiftError(
-                f"{len(nonconst)} non-constant columns at level {k}; a valid sequence has exactly one"
-            )
+        assert len(nonconst) == 1, f"{len(nonconst)} non-constant columns at level {k}"
         m = int(nonconst[0]) + 1
         if prev_m is None:
             newly = 1 if m == 2 else 2
         else:
             half = 1 << (k - 1)
-            if m % half != prev_m % half:
-                raise errors.NotInSubshiftError(
-                    f"level-{k} column {m} is not nested in level-{k - 1} column {prev_m}"
-                )
+            assert m % half == prev_m % half, f"level-{k} column {m} is not nested in column {prev_m}"
             newly = prev_m if m != prev_m else prev_m + half
         levels.append(m)
         letters.append(int(block[0, newly - 1]))
@@ -280,16 +274,22 @@ def reference_skeleton_levels(codes, K):
 
 
 def reference_encoding(codes, k, shifts):
-    """Encoded values at shifts 0..shifts, or the error of the first bad shift."""
+    """Encoded values at shifts 0..shifts of a factor, one window at a time."""
     window = 1 << (k + 2)
-    values = []
-    for n in range(shifts + 1):
-        try:
-            levels, _ = reference_skeleton_levels(codes[n : n + window], k)
-        except errors.NotInSubshiftError as exc:
-            return f"window at shift {n}: {exc}"
-        values.append((1 << k) - levels[-1])
-    return tuple(values)
+    return tuple((1 << k) - reference_skeleton_levels(codes[n : n + window], k)[0][-1] for n in range(shifts + 1))
+
+
+def off_the_language(codes):
+    """Whether the letters of ``codes`` have measure 0, so are no factor of the fixed point."""
+    return language.invariant_measure_cylinder(decode_codes(codes)) == 0
+
+
+def expected_encoding(codes, k, shifts):
+    """What ``verify_equivariance`` gives: the language test's message off the language, else the reference."""
+    read = shifts + (1 << (k + 2))
+    if off_the_language(codes[:read]):
+        return f"the {read} letters are not a factor of the fixed point"
+    return reference_encoding(codes, k, shifts)
 
 
 def program_encoding(codes, k, shifts):
@@ -321,7 +321,7 @@ def test_all_shift_encoder_matches_the_per_shift_loop(k):
 
 
 @pytest.mark.parametrize("k", range(1, 13))
-def test_mutation_fails_at_the_same_first_shift(k):
+def test_a_mutated_letter_raises_exactly_off_the_language(k):
     rng = random.Random(k)
     shifts = 100
     length = shifts + (1 << (k + 2))
@@ -329,27 +329,26 @@ def test_mutation_fails_at_the_same_first_shift(k):
     for _ in range(12):
         start = rng.randrange(0, 4096)
         codes = mutate(CODES[start : start + length], rng.randrange(length), rng)
-        reference = reference_encoding(codes, k, shifts)
-        assert program_encoding(codes, k, shifts) == reference
-        raised += isinstance(reference, str)
+        expected = expected_encoding(codes, k, shifts)
+        assert program_encoding(codes, k, shifts) == expected
+        raised += isinstance(expected, str)
     assert raised > 0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_foreign_sequences_fail_at_the_same_first_shift(k):
-    # random words break different levels at unordered shifts; splices of
-    # two orbit windows pass some shifts and fail others
+def test_foreign_sequences_raise_exactly_off_the_language(k):
+    # random words, and splices of two orbit windows, some of which are factors
     rng = random.Random(200 + k)
     shifts = 60
     length = shifts + (1 << (k + 2))
     for letters in (2, 4):
         codes = np.array([rng.randrange(letters) for _ in range(length)], dtype=np.uint8)
-        assert program_encoding(codes, k, shifts) == reference_encoding(codes, k, shifts)
+        assert program_encoding(codes, k, shifts) == expected_encoding(codes, k, shifts)
     for _ in range(6):
         cut = rng.randrange(1, length)
         a, b = rng.randrange(4096), rng.randrange(4096)
         codes = np.concatenate([CODES[a : a + cut], CODES[b : b + length - cut]])
-        assert program_encoding(codes, k, shifts) == reference_encoding(codes, k, shifts)
+        assert program_encoding(codes, k, shifts) == expected_encoding(codes, k, shifts)
 
 
 # Letters 8, 13 and 16 of the fixed point changed: each level keeps exactly one
@@ -357,11 +356,23 @@ def test_foreign_sequences_fail_at_the_same_first_shift(k):
 UNNESTED = np.frombuffer(b"acabacabacabbcab", dtype=np.uint8) - ord("a")
 
 
-def test_unnested_columns_fail_at_the_same_first_shift():
+def test_unnested_columns_are_off_the_language():
     codes = np.concatenate([UNNESTED, CODES[16:60]])
-    reference = reference_encoding(codes, 2, 40)
-    assert reference == "window at shift 0: level-2 column 1 is not nested in level-1 column 2"
-    assert program_encoding(codes, 2, 40) == reference
+    assert off_the_language(codes)
+    assert program_encoding(codes, 2, 40) == "the 56 letters are not a factor of the fixed point"
+
+
+def program_skeleton(codes, k):
+    """period_skeleton's (levels, letter codes) and encode_fG's value of the window, or the message raised."""
+    prefix = SymbolicPrefix(codes)
+    try:
+        skeleton = toeplitz.period_skeleton(prefix, k)
+    except errors.NotInSubshiftError as exc:
+        with pytest.raises(errors.NotInSubshiftError, match=f"^{exc}$"):
+            factormap.encode_fG(prefix, k)
+        return str(exc)
+    value = factormap.encode_fG(prefix, k).value.value
+    return list(skeleton.levels), ["abcd".index(letter) for letter in skeleton.letters], value
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -373,14 +384,12 @@ def test_single_window_scan_matches_the_reference(k):
         codes = CODES[start : start + window]
         if trial:
             codes = mutate(codes, rng.randrange(window), rng)
-        try:
-            want = reference_skeleton_levels(codes, k)
-        except errors.NotInSubshiftError as exc:
-            with pytest.raises(errors.NotInSubshiftError) as got:
-                toeplitz.skeleton_levels_from_codes(codes, k)
-            assert str(got.value) == str(exc)
+        if off_the_language(codes):
+            want = f"the {window} letters are not a factor of the fixed point"
         else:
-            assert toeplitz.skeleton_levels_from_codes(codes, k) == want
+            levels, letters = reference_skeleton_levels(codes, k)
+            want = levels, letters, (1 << k) - levels[-1]
+        assert program_skeleton(codes, k) == want
 
 
 @pytest.mark.parametrize("shift", [0, (1 << 20) - (1 << 18)])
@@ -394,9 +403,8 @@ def test_ten_thousand_shifts_match_the_per_shift_loop():
     codes = grigorchuk_prefix(1 << 20).codes[777 : 777 + shifts + (1 << 12)]
     assert program_encoding(codes, 10, shifts) == reference_encoding(codes, 10, shifts)
     broken = mutate(codes, 9000, random.Random(10))
-    reference = reference_encoding(broken, 10, shifts)
-    assert reference.startswith("window at shift 4905: ")
-    assert program_encoding(broken, 10, shifts) == reference
+    assert off_the_language(broken)
+    assert program_encoding(broken, 10, shifts) == "the 14096 letters are not a factor of the fixed point"
 
 
 def test_all_shift_encoder_short_prefix():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import factormap as fm
+from odoshift import toeplitz as tp
 from odoshift.substitution import (
     SymbolicPrefix,
     grigorchuk_letter,
@@ -116,6 +117,22 @@ class TestEquivariance:
         corrupted = word("".join(text))
         with pytest.raises(errors.NotInSubshiftError):
             fm.verify_equivariance(corrupted, 8, 500)
+
+
+# the first 256 letters of the fixed point with two letters swapped, or b turned into c: every window
+# keeps the Toeplitz shape of one nested non-constant column per level, but the letters have measure 0
+SWAPS = {"ab": str.maketrans("ab", "ba"), "cd": str.maketrans("cd", "dc"), "b to c": str.maketrans("b", "c")}
+
+
+@pytest.mark.parametrize("swap", SWAPS)
+def test_swapped_letters_raise_at_every_entry_point(swap):
+    letters = grigorchuk_prefix(256).text.translate(SWAPS[swap])
+    prefix = word(letters)
+    message = "^the 256 letters are not a factor of the fixed point$"
+    for entry_point in (lambda: tp.period_skeleton(prefix, 6), lambda: fm.encode_fG(prefix, 6),
+                        lambda: fm.verify_equivariance(prefix, 5, 128), lambda: fm.classify_fiber(prefix, 6)):
+        with pytest.raises(errors.NotInSubshiftError, match=message):
+            entry_point()
 
 
 class TestSigmaPreimage:

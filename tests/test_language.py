@@ -281,3 +281,33 @@ def test_preimage_letters_match_substring_search(shift, horizon, mutate):
             sigma_preimage_letters(prefix)
     else:
         assert sigma_preimage_letters(prefix) == expected
+
+
+def functions_raising(name):
+    """'module.function' of each function in the package whose body has a ``raise`` naming ``name``."""
+    import ast
+    from pathlib import Path
+
+    import odoshift
+
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(child.exc)}
+                if name in named:
+                    found.add(".".join((module, *scope)))
+            visit(child, module, scope)
+
+    for path in sorted(Path(odoshift.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return found
+
+
+def test_only_the_load_check_and_the_one_language_test_raise_not_in_subshift():
+    # the skeleton scan only measures; every other rejection of letters goes through the language test
+    assert functions_raising("NotInSubshiftError") == {"cli._load_input", "toeplitz.require_factor"}

@@ -527,6 +527,21 @@ class TestTextFormats:
         assert traced_peak(lambda: sub.load_prefix(prefix)) < 1 << 20
         assert traced_peak(lambda: rules.load_substitution(seeds)) < 1 << 20
 
+    def test_a_file_is_stripped_once(self, tmp_path, monkeypatch):
+        # the read text, then the letters alone while they are encoded: three bytes a letter at most
+        monkeypatch.delenv(sub.MAX_BYTES_ENV, raising=False)
+        length = 1 << 22
+        path = tmp_path / "prefix.txt"
+        sub.save_prefix(sub.grigorchuk_prefix(length), path)
+        loaded = None
+
+        def load():
+            nonlocal loaded
+            loaded = sub.load_prefix(path)
+
+        assert traced_peak(load) <= 3 * length + (1 << 20)
+        assert loaded.codes == sub.grigorchuk_codes(length)
+
     @pytest.mark.parametrize("extra, loads", [("\n", True), ("a\n", False), ("\n\n\n\nb", False)])
     def test_the_cap_holds_across_pieces(self, tmp_path, monkeypatch, extra, loads):
         cap = 2 * sub._READ_PIECE + 5

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odoshift import ergodic, language, substitution, toeplitz, verification
+from odoshift import ergodic, errors, language, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
 from oracles import strided_tail_rigidity
 
@@ -110,6 +110,56 @@ def test_a_residue_off_by_one_fails_the_equivariance_check(monkeypatch):
     result = verification.check_equivariance(QUICK)
     assert not result.ok
     assert result.detail.endswith(": False")
+
+
+def flipped_prefix(index):
+    """``grigorchuk_prefix`` with code ``index`` flipped, in prefixes with no fixed-point start."""
+    def prefix(n):
+        codes = bytearray(substitution.grigorchuk_codes(n))
+        codes[index] ^= 1
+        return substitution.SymbolicPrefix(bytes(codes))
+    return prefix
+
+
+def test_the_varying_classes_see_a_letter_the_skeleton_scan_passes(monkeypatch):
+    # letter 3 * 2^K lies in the one varying class mod 2^k for every k <= K, so with the language test
+    # off the levels and the encoding stand; mod 2^(K+1) it makes a second class vary
+    K = QUICK.skeleton_depth
+    monkeypatch.setattr(substitution, "grigorchuk_prefix", flipped_prefix(3 * (1 << K) - 1))
+    with pytest.raises(errors.NotInSubshiftError, match=f"^the {4 << K} letters are not a factor"):
+        verification.check_fixed_point_skeleton(QUICK)
+    monkeypatch.setattr(toeplitz, "require_factor", lambda prefix, length: None)
+    result = verification.check_fixed_point_skeleton(QUICK)
+    assert (result.ok, result.detail) == (False, "M_k=2^k for k<=K: True; encoded value 0;"
+                                                 " varying classes 2^t - 1 mod 2^t for t<=K+1: False")
+
+
+def test_a_check_that_raises_fails_and_verify_gives_its_verdict(monkeypatch, capsys):
+    from odoshift import cli
+
+    monkeypatch.setattr(substitution, "grigorchuk_prefix", flipped_prefix(5))
+    caches = (verification._essential_periods, verification._untagged_prefix)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code = cli.main(["verify", "--level", "quick"])
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    assert len(lines) == len(ALL_CHECKS) + 1 and lines[-1] == "verdict: FAILED"
+    skeleton = lines[[check.__name__ for check in ALL_CHECKS].index("check_fixed_point_skeleton")]
+    assert skeleton.startswith("FAIL check_fixed_point_skeleton ")
+    assert skeleton.endswith("s: raised NotInSubshiftError: the 4096 letters are not a factor of the fixed point")
+
+
+def test_an_error_outside_the_package_still_propagates():
+    def check(sizes):
+        raise KeyError("not an odoshift error")
+
+    with pytest.raises(KeyError):
+        verification.run_check(check, QUICK)
 
 
 def test_eigenfunction_detail():
