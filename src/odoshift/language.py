@@ -11,19 +11,19 @@ that letters spell the fixed point itself (``spells_fixed_point``).  None
 of them reads a letter of the fixed point.
 
 The measure and the count keep what they compute.  ``_masses`` and
-``fixed_point_count`` each serve a bytes word of at most 64 sets, with its
-ints below 2^64 and a depth of at most 64, from an ``lru_cache`` of at
-most 4,096 entries (at most about 2.7 MB and 1.5 MB), and a step's
-recursion calls them again.  So a word asked again costs one lookup, and
-a new word's half-length pullbacks find what other words left.  A longer
-word goes past the cache until its pullbacks are that short, any other
-bytes-like word is read as its bytes first, and a command that asks once
-gains nothing.  Over a 2^20-letter window, on a shared
+``fixed_point_count`` each serve a bytes word of at most 64 sets, with
+its ints below 2^64 and a depth of at most 64, from an ``lru_cache`` of
+at most 4,096 entries (at most about 2.7 MB and 1.5 MB) that a step's
+recursion calls again, so a word's half-length pullbacks find what other
+words left; any other bytes-like word is read as its bytes first.  The
+measure of a str word of at most 64 letters, and its frequency on the
+fixed point, are kept too once the checks pass (``_word_measure`` and
+``ergodic._fixed_point_frequency``, 4,096 entries each, at most about
+1.2 MB and 1.9 MB), so a word asked again costs one lookup; a command
+that asks once gains nothing.  Over a 2^20-letter window, on a shared
 2-vCPU VM, a word of 1 to 14 letters asked again is counted in about
-2.3 to 4.6 us and measured in about 1.6 to 3.4 us; asked first, in about
-3 to 15 us and 2 to 12 us, a fifth to a third more than with no cache
-(in-process, best of 25 loops over 300 words of each length, the caches
-cleared before each first ask; see README).
+0.6 us and measured in about 0.2 us; asked first, in about 3 to 13 us
+and 2 to 11 us, as before the answers were kept (in-process; see README).
 
 A letter set is a bitmask byte, with a, b, c, d as bits 0..3: ``letter_sets``
 and ``word_sets`` read codes and text into them.  ``substitution`` imports
@@ -274,7 +274,15 @@ def invariant_measure_cylinder(word: str) -> Fraction:
     """
     if not word:
         raise InvalidInputError("cylinder word must be nonempty")
+    if type(word) is str and len(word) <= _CACHED_SETS:
+        return _word_measure(word)
     return class_measure(word, 0, 0)
+
+
+
+# the measures that invariant_measure_cylinder keeps: an entry, its word, result and link included, took at
+# most about 280 bytes under tracemalloc on CPython 3.11, so the cache holds at most about 1.2 MB
+_word_measure = lru_cache(maxsize=_CACHED_CALLS)(lambda word: class_measure(word, 0, 0))
 
 
 def class_measure(word: str, j: int, r: int) -> Fraction:

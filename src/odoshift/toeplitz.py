@@ -54,8 +54,8 @@ def _smallest_periods(codes, start: int, stop: int, horizon: int):
 
     The positions are resolved in slices of ``_BLOCK``, one slice at a time.
     The positions of a slice with no partial period found yet are tested
-    against as many periods at once as keep positions x periods within
-    ``_BLOCK`` cells, so the blocks of periods widen as positions resolve.
+    against at most 8p periods from p, and as many as keep positions x
+    periods within ``_BLOCK`` cells, so the blocks of periods widen as positions resolve.
     A position's smallest partial period is the first period of the block
     that it accepts.  Each slice yields its periods in increasing order, each
     with the first position of the slice that has it; a later slice may yield
@@ -72,7 +72,7 @@ def _smallest_periods(codes, start: int, stop: int, horizon: int):
         live = np.arange(first, min(first + _BLOCK, stop))
         p = 1
         while p <= horizon and live.size:
-            block = np.arange(p, min(p + _BLOCK // live.size, horizon + 1))
+            block = np.arange(p, min(p + min(_BLOCK // live.size, 8 * p), horizon + 1))
             ok = codes[live[:, None] + block] == codes[live][:, None]
             cells = np.flatnonzero(ok)
             n, q = live[cells // len(block)], block[cells % len(block)]

@@ -2,20 +2,24 @@
 
 import pytest
 
-from odoshift import language
+from odoshift import ergodic, language
+
+# the two desubstitution caches and the two answer caches around them
+CACHES = (language._cached_masses, language._cached_fixed_point_count, language._word_measure,
+          ergodic._fixed_point_frequency)
 
 
 @pytest.fixture(autouse=True)
 def cold_desubstitution_caches():
-    """Each test starts and ends with both desubstitution caches empty.
+    """Each test starts and ends with the desubstitution caches and the answer caches empty.
 
     A test that patches ``language._masses`` or ``language.fixed_point_count``
-    reads no entry an earlier test left, so its patch sees every step and its
-    call counts are of a cold cache; and it leaves behind no entry computed
-    through its patch.
+    reads no entry an earlier test left, nor an answer built from one, so its
+    patch sees every step and its call counts are of a cold cache; and it
+    leaves behind no entry computed through its patch.
     """
-    language._cached_masses.cache_clear()
-    language._cached_fixed_point_count.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
     yield
-    language._cached_masses.cache_clear()
-    language._cached_fixed_point_count.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()

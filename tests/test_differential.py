@@ -52,6 +52,10 @@ The straightforward algorithms these replaced stand in for the program here:
   recursing into itself, are the desubstitution with no cache: ``_masses``,
   ``fixed_point_count`` and ``class_measure`` return what they return and
   raise what they raise, on a cold cache and on a full one.
+- ``oracles.residue_class_measure`` and ``bytes.find`` answer the words
+  that ``invariant_measure_cylinder`` and ``cylinder_frequency`` serve from
+  their answer caches, cold, warm and after the caches have been filled
+  past their size.
 
 Each must agree exactly with the package, except the one-term-per-occurrence
 spectral sum, whose terms are grouped differently and so agree to 1e-9, and
@@ -77,6 +81,7 @@ from oracles import (
     iterate,
     occurrence_positions,
     pairwise_spectral_scan,
+    residue_class_measure,
     reconstruct_from_skeleton,
     skeleton_fiber_index,
     smallest_partial_period_by_period,
@@ -1110,3 +1115,43 @@ def test_the_cached_desubstitution_is_the_bare_steps(monkeypatch):
         language.fixed_point_count(b"\x02", r + 1)
     assert [cache.cache_info().currsize for cache in caches] == [language._CACHED_CALLS] * 2
     assert _outcomes(calls) == bare
+
+
+def test_the_answer_caches_give_the_oracles_answers():
+    # 2,000 seeded words of 1 to 64 letters, a quarter mutated, measured and counted from index 0 and from
+    # one past 2^12: cold, warm (every answer a hit), and again after 4,096 other words of 6 letters,
+    # asked at another window, have pushed them out of both caches
+    rng = random.Random(36)
+    window = 1 << 13
+    omega = grigorchuk_prefix((1 << 12) + 1 + window + 63)
+    prefixes = (omega, omega.shifted((1 << 12) + 1))
+    text = omega.text
+    words = []
+    for _ in range(2000):
+        n = rng.randint(1, 64)
+        i = rng.randrange(len(text) - n)
+        word = list(text[i : i + n])
+        if rng.randrange(4) == 0:
+            j = rng.randrange(n)
+            word[j] = rng.choice("abcd".replace(word[j], ""))
+        words.append("".join(word))
+    expected = {}
+    for word in set(words):
+        counts = [len(occurrence_positions(prefix, word, window)) for prefix in prefixes]
+        expected[word] = residue_class_measure(word), [
+            ergodic.FrequencyEstimate(word, count, window, Fraction(count, window)) for count in counts]
+    caches = language._word_measure, ergodic._fixed_point_frequency
+    fillers = ["".join(letters) for letters in itertools.product("abcd", repeat=6)]
+    for phase in ("cold", "warm", "refilled"):
+        if phase == "refilled":
+            for word in fillers:
+                ergodic.invariant_measure_cylinder(word)
+                ergodic.cylinder_frequency(omega, word, window - 1)
+            assert [cache.cache_info().currsize for cache in caches] == [language._CACHED_CALLS] * 2
+        misses = [cache.cache_info().misses for cache in caches]
+        for word in words:
+            answer = (ergodic.invariant_measure_cylinder(word),
+                      [ergodic.cylinder_frequency(prefix, word, window) for prefix in prefixes])
+            assert answer == expected[word], (phase, word)
+        if phase == "warm":
+            assert [cache.cache_info().misses for cache in caches] == misses

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from odoshift import ergodic as erg
-from odoshift import errors
+from odoshift import errors, language
 from odoshift.factormap import verify_equivariance
 from odoshift.language import class_measure, letter_sets, word_sets
 from odoshift.substitution import (
@@ -432,3 +432,75 @@ class TestTheWordPath:
                 for window in (1 << k, (1 << k) + 1):
                     expected = erg.cylinder_frequency(letters, word, window)
                     assert erg.cylinder_frequency(tagged, word, window) == expected, (word, window)
+
+
+def fixed_point_from(start, length):
+    """The ``length`` letters of the fixed point from 0-based index ``start``, unread, at any start."""
+    prefix = object.__new__(SymbolicPrefix)
+    vars(prefix).update(codes=length, fixed_point_start=start)
+    return prefix
+
+
+def raised(call):
+    """The type, message and required length of what ``call()`` raises."""
+    with pytest.raises(errors.OdoshiftError) as exc:
+        call()
+    return type(exc.value), str(exc.value), getattr(exc.value, "required_length", None)
+
+
+class TestTheAnswerCaches:
+    """A kept measure or frequency is served only after every check has passed, and only where it is kept."""
+
+    TAGGED = grigorchuk_prefix(1 << 13)
+    CACHES = language._word_measure, erg._fixed_point_frequency
+
+    def test_a_kept_count_does_not_spare_a_shorter_prefix_its_check(self):
+        word, window = OMEGA_TEXT[1000:1014], 1 << 20
+        short = grigorchuk_prefix(window)
+        cold = raised(lambda: erg.cylinder_frequency(short, word, window))
+        assert cold[0] is errors.InsufficientDataError and cold[2] == window + 13
+        kept = erg.cylinder_frequency(grigorchuk_prefix(window + 13), word, window)
+        assert erg._fixed_point_frequency.cache_info().currsize == 1 and kept.count > 0
+        assert raised(lambda: erg.cylinder_frequency(short, word, window)) == cold
+        assert raised(lambda: erg.cylinder_frequency(untagged(short), word, window)) == cold
+
+    @pytest.mark.parametrize("word, window", [("", 64), ("ac", 0), ("ac", -3), ("acx", 64), ("\udcff", 64)])
+    def test_a_refused_question_is_refused_alike_again_and_not_kept(self, word, window):
+        # with one answer in each cache, a question the checks refuse raises on its second ask what it raised
+        # on its first, and what the letters raise, and adds no answer
+        erg.cylinder_frequency(self.TAGGED, "acab", 64)
+        erg.invariant_measure_cylinder("acab")
+        frequency = raised(lambda: erg.cylinder_frequency(self.TAGGED, word, window))
+        assert frequency[0] is errors.InvalidInputError
+        assert raised(lambda: erg.cylinder_frequency(self.TAGGED, word, window)) == frequency
+        assert raised(lambda: erg.cylinder_frequency(untagged(self.TAGGED), word, window)) == frequency
+        if window == 64:
+            measure = raised(lambda: erg.invariant_measure_cylinder(word))
+            assert measure[0] is errors.InvalidInputError
+            assert raised(lambda: erg.invariant_measure_cylinder(word)) == measure
+        assert [cache.cache_info().currsize for cache in self.CACHES] == [1, 1]
+
+    def test_a_long_word_and_a_far_window_go_past_the_caches(self):
+        # 64 letters and s + window = 2^64 - 1 are kept; 65 letters and s + window = 2^64 are not, and get the
+        # answer of the uncached steps
+        text = self.TAGGED.text
+        for n, kept in ((64, 1), (65, 0)):
+            word = text[100 : 100 + n]
+            measure, count = erg.invariant_measure_cylinder(word), erg.cylinder_frequency(self.TAGGED, word, 4096)
+            assert measure == class_measure(word, 0, 0) > 0
+            assert count.count == erg._count_starts(self.TAGGED, word, 4096)[0] > 0
+            assert [cache.cache_info().currsize for cache in self.CACHES] == [kept, kept]
+            for cache in self.CACHES:
+                cache.cache_clear()
+        for start, kept in ((1 << 64) - 65, 1), ((1 << 64) - 64, 0):
+            prefix = fixed_point_from(start, 80)
+            letters = "".join(grigorchuk_letter(start + i) for i in range(1, 80))
+            for word in ("a", "ac", "cab", "dac"):
+                expected = sum(letters.startswith(word, i) for i in range(64))
+                assert erg.cylinder_frequency(prefix, word, 64).count == expected, (start, word)
+            assert erg._fixed_point_frequency.cache_info().currsize == 4 * kept
+            erg._fixed_point_frequency.cache_clear()
+
+    def test_a_spectrum_keeps_no_frequency(self):
+        erg.spectral_scan(self.TAGGED, [Fraction(1, 3)], "ac", 64)
+        assert erg._fixed_point_frequency.cache_info().currsize == 0

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odoshift import errors, language
+from odoshift import ergodic, errors, language
 from odoshift.language import invariant_measure_cylinder
 from odoshift.factormap import sigma_preimage_letters
 from odoshift.substitution import (
@@ -196,6 +196,35 @@ def test_the_desubstitution_caches_keep_their_bound(monkeypatch):
     assert 0 < freed[0] <= 2.7e6 and 0 < freed[1] <= 1.5e6, freed
 
 
+def test_the_answer_caches_keep_their_bound():
+    # the measure, then the count over a 2^20-letter window, of 10,000 seeded words of 1 to 64 letters, a
+    # quarter mutated, each word made while traced and held by nothing but the cache: each answer cache fills
+    # to _CACHED_CALLS entries, and clearing it frees no more bytes than its docstring states
+    text = grigorchuk_prefix((1 << 20) + 64).text
+    prefix = grigorchuk_prefix((1 << 20) + 63)
+    count = lambda word: ergodic.cylinder_frequency(prefix, word, 1 << 20)
+    questions = ((language._word_measure, invariant_measure_cylinder, 1.2e6),
+                 (ergodic._fixed_point_frequency, count, 1.9e6))
+    for cache, ask, bound in questions:
+        rng = random.Random(20261036)
+        tracemalloc.start()
+        try:
+            for _ in range(10_000):
+                n, start = rng.randint(1, 64), rng.randrange(1 << 20)
+                word = list(text[start : start + n])
+                if rng.randrange(4) == 0:
+                    i = rng.randrange(n)
+                    word[i] = rng.choice("abcd".replace(word[i], ""))
+                ask("".join(word))
+            assert cache.cache_info().currsize == language._CACHED_CALLS
+            held = tracemalloc.get_traced_memory()[0]
+            cache.cache_clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < freed <= bound, (cache, freed)
+
+
 def test_every_bytes_like_word_reads_as_its_bytes(monkeypatch):
     # the measure, the count and the residue counts of a memoryview, a bytearray and an array of sets, of
     # one set and more, short enough for the caches and longer, equal those of its bytes; the caches are
@@ -311,3 +340,21 @@ def functions_raising(name):
 def test_only_the_load_check_and_the_one_language_test_raise_not_in_subshift():
     # the skeleton scan only measures; every other rejection of letters goes through the language test
     assert functions_raising("NotInSubshiftError") == {"cli._load_input", "toeplitz.require_factor"}
+
+
+@pytest.fixture(scope="module")
+def filled_caches():
+    """Every cache of ``language`` and ``ergodic`` filled, before the autouse fixture of the test that asks for it."""
+    prefix = grigorchuk_prefix(1 << 12)
+    assert SymbolicPrefix(encode_letters("acab")).left_extensions
+    invariant_measure_cylinder("acab")
+    ergodic.cylinder_frequency(prefix, "acab", 64)
+    ergodic.spectral_scan(prefix, [Fraction(1, 3)], "acab", 64)
+
+
+def test_every_test_starts_with_every_cache_empty(filled_caches):
+    # the autouse fixture of conftest.py empties each cache the modules keep: a functools.lru_cache of
+    # language or ergodic that it misses would serve a test what an earlier one left
+    sizes = {f"{module.__name__}.{name}": value.cache_info().currsize for module in (language, ergodic)
+             for name, value in vars(module).items() if hasattr(value, "cache_clear")}
+    assert len(sizes) >= 4 and not any(sizes.values()), sizes
