@@ -53,11 +53,10 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
 
     The letters of an --input file and those a --seed-file's fixed point
     grows from its first rule's letter are one user-supplied sequence: both
-    are read into codes over 'abcd' and language-checked before the shift,
-    so the same letters give the same answer by either route.  Letters of measure
-    0, which no letter extends, are no factor of the fixed point:
-    NotInSubshiftError.
-    Only the Grigorchuk fixed point itself goes unchecked.
+    are read into codes over 'abcd' and language-checked once, before the
+    shift, which keeps the answer, so the same letters give the same answer
+    by either route.  Letters that no letter extends, of measure 0, are no
+    factor: NotInSubshiftError.  The Grigorchuk fixed point goes unchecked.
     """
     shift = args.shift
     if args.input:
@@ -81,9 +80,7 @@ def _load_input(args, need: int) -> substitution.SymbolicPrefix:
             prefix = substitution.fixed_point_prefix(substitution.grigorchuk_substitution(), "a", length)
             origin = None
     if origin and not prefix.left_extensions:
-        raise NotInSubshiftError(
-            f"the {len(prefix)} letters {origin} are not a factor of the fixed point"
-        )
+        raise NotInSubshiftError(f"the {len(prefix)} letters {origin} are not a factor of the fixed point")
     return prefix.shifted(shift) if shift else prefix
 
 
@@ -133,10 +130,7 @@ def _cmd_analyze(args) -> int:
 
     prefix = _load_input(args, _skeleton_need(args.levels))
     skeleton = toeplitz.period_skeleton(prefix, args.levels)
-    lines = [
-        f"{k} {m} {l}"
-        for k, (m, l) in enumerate(zip(skeleton.levels, skeleton.letters), start=1)
-    ]
+    lines = [f"{k} {m} {l}" for k, (m, l) in enumerate(zip(skeleton.levels, skeleton.letters), start=1)]
     lines.append(f"classification: {skeleton.classification}")
     _emit(
         args,

@@ -43,7 +43,7 @@ class ResourceLimitError(OdoshiftError):
 
 
 class Immutable:
-    """Base of the validated value types: ``__init__`` fills the fields once, then they are fixed.
+    """Base of the value types ``Substitution`` and ``DyadicInt``: ``__init__`` fills the fields once, then fixed.
 
     ``__init__`` writes the fields with ``vars(self).update``; assigning or
     deleting an attribute afterwards raises AttributeError.  repr and ``==``

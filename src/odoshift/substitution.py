@@ -13,9 +13,12 @@ checks it by applying the substitution's rules once.
 All positions in public APIs are 1-based.  A sequence is one byte per
 letter, its code 0, 1, 2 or 3 for a, b, c or d, in a read-only
 memoryview: ``encode_letters`` reads letters into codes and
-``decode_codes`` writes them back.  Generation is strided writes and
-translates of the standard library.  Only the partial-period functions of
-``toeplitz`` and the checks of ``verification`` use numpy.
+``decode_codes`` writes them back.  A prefix is read letters, a
+``SymbolicPrefix``, or a ``FixedPointWindow``, letters of the fixed point
+known by their start, the tag ``fixed_point_start`` that callers branch on.
+Generation is strided writes and translates of the standard library.  Only
+the partial-period functions of ``toeplitz`` and the checks of
+``verification`` use numpy.
 
 This module holds what every command runs.  The desubstitution, which
 gives the measure of a word and the letters that extend a prefix, lives in
@@ -81,38 +84,25 @@ def decode_codes(codes) -> str:
     return bytes(codes).translate(_TO_LETTER).decode("ascii")
 
 
-class SymbolicPrefix(Immutable):
-    """Finite prefix of a one-sided infinite sequence, positions 1..L.
+class SymbolicPrefix:
+    """Finite prefix of a one-sided infinite sequence, positions 1..L, as read letters.
 
     Its letters are ``codes``, a read-only memoryview of bytes: codes[i] is
     0, 1, 2 or 3 for the letter a, b, c or d at position i+1.  Any
-    contiguous buffer of one byte per item is accepted; it is checked once,
-    here, and not copied.  A shift
-    of read codes is a view, and numpy reads them by ``np.frombuffer``
-    without a copy.  ``parse_prefix`` builds a prefix from letters, ``text``
-    decodes them, and two prefixes are equal only if they are the same object.
+    contiguous buffer of one byte per item is accepted, checked once, here,
+    and not copied: a shift is a view, and numpy reads the codes by
+    ``np.frombuffer``.  Two prefixes are equal only if they are the same
+    object, and ``fixed_point_start`` is None.
 
-    ``fixed_point_start`` is the 0-based index in the Grigorchuk fixed point
-    of the first letter, when the prefix is known to be that fixed point:
-    0 on what ``fixed_point_prefix`` returns for ``a`` under the Grigorchuk
-    substitution, n more on its n-fold shift.  Every other prefix, parsed,
-    loaded or built from codes, has None, the class's value, and stores
-    nothing for it.  ``ergodic`` counts a word on a prefix with a start by
-    desubstitution, reading no letters, so such a prefix stores only the
-    number of its codes, and so do its shifts, until they are first read:
-    then ``grigorchuk_codes`` makes exactly its own letters.
-
-    ``left_extensions``, from one ``language._masses`` pass, and ``_bitsets``, one
-    bitset per letter for ``ergodic``, are cached for as long as the prefix
-    lives.  The caches rely on a prefix's letters never changing: the codes
-    are read-only through the prefix, and a caller who built one over a
-    writable buffer must not write to that buffer afterwards.
+    ``left_extensions``, one ``language._masses`` pass, and ``_bitsets``, a
+    bitset per letter for ``ergodic``, are kept.  Letters it finds a factor,
+    and their shifts, have ``_factor`` set, since a sub-word of a factor is
+    one: ``toeplitz.require_factor`` tests them no more.  The codes of a
+    prefix built over a writable buffer must not be written afterwards.
     """
 
-    _fields = ("codes",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-    fixed_point_start = None
+    fixed_point_start = property(lambda self: None)
+    _factor = False
 
     def __init__(self, codes):
         codes = memoryview(codes)
@@ -125,31 +115,33 @@ class SymbolicPrefix(Immutable):
             outside = codes[start : start + _CHUNK].tobytes().translate(None, b"\0\1\2\3")
             if outside:
                 raise InvalidInputError(f"code {max(outside)} outside the alphabet 'abcd'")
-        vars(self)["codes"] = codes.toreadonly()
+        self._codes = codes.toreadonly()
+
+    @classmethod
+    def _view(cls, codes: memoryview, factor: bool) -> "SymbolicPrefix":
+        """Read letters over a slice of a prefix's codes, not checked again; a factor if ``factor``."""
+        view = cls.__new__(cls)
+        view._codes, view._factor = codes, factor
+        return view
 
     @property
     def codes(self) -> memoryview:
-        """The codes, made by ``grigorchuk_codes`` on first read where only their number is stored."""
-        codes = vars(self)["codes"]
-        if isinstance(codes, int):
-            codes = vars(self)["codes"] = grigorchuk_codes(codes, self.fixed_point_start)
-        return codes
+        return self._codes
 
     def __len__(self) -> int:
-        codes = vars(self)["codes"]
-        return codes if isinstance(codes, int) else len(codes)
+        return len(self._codes)
 
-    def __repr__(self) -> str:  # reads no codes, which a lazy prefix would generate
-        start = self.fixed_point_start
-        return f"SymbolicPrefix(length={len(self)}, fixed_point_start={start})"
+    def __repr__(self) -> str:  # reads no codes, which a window would make
+        return f"SymbolicPrefix(length={len(self)}, fixed_point_start={self.fixed_point_start})"
 
     def at(self, position: int) -> str:
-        """Letter at 1-based position: on an unread fixed-point prefix from the closed form, leaving it unread."""
+        """Letter at 1-based position."""
         if position < 1 or position > len(self):
             raise InvalidInputError(f"position {position} outside 1..{len(self)}")
-        if isinstance(vars(self)["codes"], int):
-            return grigorchuk_letter(self.fixed_point_start + position)
-        return "abcd"[self.codes[position - 1]]
+        return self._letter(position)
+
+    def _letter(self, position: int) -> str:
+        return "abcd"[self._codes[position - 1]]
 
     @property
     def text(self) -> str:
@@ -162,7 +154,9 @@ class SymbolicPrefix(Immutable):
         from . import language  # loads with the first language test
 
         sets = language.letter_sets(self.codes)
-        return frozenset(compress("abcd", language._masses(sets, len(sets).bit_length())))
+        extensions = frozenset(compress("abcd", language._masses(sets, len(sets).bit_length())))
+        self._factor = bool(extensions)
+        return extensions
 
     @cached_property
     def _bitsets(self) -> dict:
@@ -170,16 +164,46 @@ class SymbolicPrefix(Immutable):
         return {}
 
     def shifted(self, n: int) -> "SymbolicPrefix":
-        """Prefix of the n-fold shift (drop the first n letters): nothing copied, made or re-checked."""
+        """The n-fold shift (drop the first n letters), of the same kind: nothing copied, made or checked again."""
         if n < 0 or n >= len(self):
             raise InvalidInputError(f"shift {n} outside 0..{len(self) - 1}")
-        codes = vars(self)["codes"]
-        codes = codes - n if isinstance(codes, int) else codes[n:]
-        view = object.__new__(SymbolicPrefix)
-        vars(view)["codes"] = codes
-        if self.fixed_point_start is not None:
-            vars(view)["fixed_point_start"] = self.fixed_point_start + n
-        return view
+        return self._shift(n)
+
+    def _shift(self, n: int) -> "SymbolicPrefix":
+        return SymbolicPrefix._view(self._codes[n:], self._factor)
+
+
+class FixedPointWindow(SymbolicPrefix):
+    """The ``length`` letters of the Grigorchuk fixed point from its 0-based index ``start``.
+
+    ``len``, ``at``, ``shifted`` and ``repr`` read only the start, its
+    ``fixed_point_start``, and the length, so ``ergodic`` counts on a window
+    reading no letter.  ``codes`` are made by ``grigorchuk_codes``, exactly
+    the window's own, when first read, and a shift of them is a view.
+    """
+
+    _codes = None
+    fixed_point_start = property(lambda self: self._start)
+
+    def __init__(self, start: int, length: int):
+        self._start, self._length = start, length
+
+    @property
+    def codes(self) -> memoryview:
+        if self._codes is None:
+            self._codes = grigorchuk_codes(self._length, self._start)
+        return self._codes
+
+    def __len__(self) -> int:
+        return self._length
+
+    def _letter(self, position: int) -> str:
+        return grigorchuk_letter(self._start + position)
+
+    def _shift(self, n: int) -> "FixedPointWindow":
+        window = FixedPointWindow(self._start + n, self._length - n)
+        window._codes = None if self._codes is None else self._codes[n:]
+        return window
 
 
 class Substitution(Immutable):
@@ -228,12 +252,10 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
     """First ``length`` letters of the substitution-invariant sequence grown from ``seed``.
 
     The fixed point of ``grigorchuk_substitution()`` itself, not of equal
-    rules read from text, is not grown: its letters come from the closed
-    form when first read, and ``fixed_point_start`` lets counts skip them.
-    Any other fixed point is grown from its rules by ``rules``, at a few
-    bytes per letter, and its letters are read once into codes: a letter
-    other than a, b, c or d is an InvalidInputError, as ``parse_prefix``
-    raises.  The cap is checked before anything is allocated.
+    rules read from text, is the ``FixedPointWindow`` at start 0.  Any other
+    is grown from its rules by ``rules``, at a few bytes per letter, and read
+    once into codes: a letter other than a, b, c or d is an InvalidInputError,
+    as ``parse_prefix`` raises.  The cap is checked before anything is allocated.
     """
     if length < 1:
         raise InvalidInputError(f"length must be positive, got {length}")
@@ -241,9 +263,7 @@ def fixed_point_prefix(sub: Substitution, seed: str, length: int) -> SymbolicPre
         raise InvalidInputError(f"seed {seed!r} is not prolongable: rule must start with the seed and have length >= 2")
     _check_cap(length)
     if seed == "a" and sub is _GRIGORCHUK_SUB:
-        prefix = object.__new__(SymbolicPrefix)
-        vars(prefix).update(codes=length, fixed_point_start=0)
-        return prefix
+        return FixedPointWindow(0, length)
     from . import rules  # loads with the first fixed point grown from rules read from text
 
     return SymbolicPrefix(encode_letters(rules._grow(sub, seed, length)))

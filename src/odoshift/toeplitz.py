@@ -206,11 +206,11 @@ def require_factor(prefix: SymbolicPrefix, length: int) -> None:
 
     The one language test: some letter extends them, ``left_extensions``,
     kept on the prefix when they are all of it.  A prefix with a
-    ``fixed_point_start`` is the fixed point's own letters, never tested.
+    ``fixed_point_start``, or read letters with ``_factor`` set, is untested.
     """
-    if prefix.fixed_point_start is not None:
+    if prefix.fixed_point_start is not None or prefix._factor:
         return
-    letters = prefix if length == len(prefix) else SymbolicPrefix(prefix.codes[:length])
+    letters = prefix if length == len(prefix) else SymbolicPrefix._view(prefix.codes[:length], False)
     if not letters.left_extensions:
         raise NotInSubshiftError(f"the {length} letters are not a factor of the fixed point")
 
@@ -220,13 +220,6 @@ def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
     levels, letter_codes = skeleton_levels_from_codes(prefix.codes, K)
     require_factor(prefix, skeleton_window(K))
     letters = tuple("abcd"[c] for c in letter_codes)
-    if K >= 2 and levels[-1] == levels[-2]:
-        classification = EVENTUALLY_CONSTANT_MK
-    else:
-        classification = TOEPLITZ_LIKE
-    return PeriodSkeleton(
-        levels=tuple(levels),
-        letters=letters,
-        classification=classification,
-        window_used=skeleton_window(K),
-    )
+    classification = EVENTUALLY_CONSTANT_MK if K >= 2 and levels[-1] == levels[-2] else TOEPLITZ_LIKE
+    return PeriodSkeleton(levels=tuple(levels), letters=letters, classification=classification,
+                          window_used=skeleton_window(K))

@@ -248,8 +248,7 @@ def check_fiber_structure(sizes: Sizes) -> CheckResult:
     prefix = substitution.grigorchuk_prefix(shifts + 4 * horizon)
 
     def preimage(n: int, h: int) -> set:  # of the h - 1 letters after shift n
-        head = substitution.SymbolicPrefix(prefix.codes[n : n + h - 1])
-        return factormap.sigma_preimage_letters(head)
+        return factormap.sigma_preimage_letters(substitution.SymbolicPrefix(prefix.codes[n : n + h - 1]))
 
     roots = {h: preimage(0, h) for h in (64, horizon)}
     bad = next((n for n in range(1, shifts + 1) if preimage(n, horizon) != {prefix.at(n)}), None)
@@ -273,17 +272,11 @@ def _untagged_prefix(length: int) -> substitution.SymbolicPrefix:
     Counts on it run the bitset kernel.  It is kept, so the letter-measure
     and spectrum checks build its bitsets once between them.
     """
-    codes = substitution.grigorchuk_prefix(length).codes
-    return substitution.SymbolicPrefix(codes)
+    return substitution.SymbolicPrefix(substitution.grigorchuk_prefix(length).codes)
 
 
 def check_letter_measure(sizes: Sizes) -> CheckResult:
-    expected = {
-        "a": Fraction(1, 2),
-        "b": Fraction(1, 7),
-        "c": Fraction(2, 7),
-        "d": Fraction(1, 14),
-    }
+    expected = {"a": Fraction(1, 2), "b": Fraction(1, 7), "c": Fraction(2, 7), "d": Fraction(1, 14)}
     exact_ok = all(ergodic.invariant_measure_cylinder(w) == v for w, v in expected.items())
     total = sum(ergodic.invariant_measure_cylinder(w) for w in "abcd")
     window = 1 << sizes.prefix_log2

@@ -564,6 +564,23 @@ class TestInputIsCheckedAtLoad:
         assert saved[0] == 0, saved[2]
         assert saved == run(capsys, *argv, "--length", "4096")
 
+    @pytest.mark.parametrize("argv", [["analyze", "--levels", "8"], ["encode", "--precision", "8"]])
+    @pytest.mark.parametrize("shift", ["0", "5"])
+    def test_the_load_check_is_the_only_language_test(self, capsys, monkeypatch, files, argv, shift):
+        # every sub-word of a factor is a factor: the 2^10-letter window of the 4096 letters that passed the
+        # load check, after a shift or not, is not tested again
+        from odoshift import language
+
+        calls = []
+        letter_sets = language.letter_sets
+        monkeypatch.setattr(language, "letter_sets", lambda codes: calls.append(len(codes)) or letter_sets(codes))
+        for path, expected in ((files[0], run(capsys, *argv, "--length", "4096", "--shift", shift)),
+                               (files[1], (4, "", f"error: not in subshift: the 4096 letters of {files[1]} "
+                                                  "are not a factor of the fixed point\n"))):
+            calls.clear()
+            assert run(capsys, *argv, "--input", str(path), "--shift", shift) == expected
+            assert calls == [4096], path
+
 
 class TestSeedFileReadsAsInput:
     """A --seed-file's letters and the same letters in an --input file give the same answer."""

@@ -12,6 +12,7 @@ from odoshift import errors, language
 from odoshift.factormap import verify_equivariance
 from odoshift.language import class_measure, letter_sets, word_sets
 from odoshift.substitution import (
+    FixedPointWindow,
     SymbolicPrefix,
     decode_codes,
     encode_letters,
@@ -415,11 +416,21 @@ class TestTheWordPath:
 
     def test_tagged_counts_equal_the_bitsets(self):
         # 2,000 factors of 1 to 40 letters and a one-letter mutation of each, at windows 2^k and 2^k + 1,
-        # from a few starts of the fixed point: the desubstitution and the bitset kernel count alike
+        # from a few starts of the fixed point, shifts of its head and windows across 2^40 and 2^63: the
+        # desubstitution and the bitset kernel count alike
         rng = random.Random(27)
         text = self.TAGGED.text
-        starts = (0, 1, 2, 3, 5, 1000, 4097, 6000)
-        pairs = [(tagged, untagged(tagged)) for tagged in (self.TAGGED.shifted(s) for s in starts)]
+        near = [(self.TAGGED.shifted(s), self.TAGGED.shifted(s)) for s in (0, 1, 2, 3, 5, 1000, 4097, 6000)]
+        far = [(FixedPointWindow(s, 1 << 13), FixedPointWindow(s, 1 << 13))
+               for s in ((1 << 40) - 4096, (1 << 40) + 1, (1 << 63) - 4096, (1 << 63) + 7)]
+        pairs = [(tagged, untagged(twin)) for tagged, twin in near + far]
+        for tagged, letters in pairs:
+            # the two kinds answer alike: the window from its start and length, the read letters from codes
+            assert len(tagged) == len(letters)
+            for position in (1, 2, 3, 100, 2048, min(4096, len(tagged)), len(tagged)):
+                assert tagged.at(position) == letters.at(position), (tagged, position)
+            assert tagged.shifted(11).text == letters.shifted(11).text
+            assert tagged.left_extensions == letters.left_extensions
         for _ in range(2000):
             length = rng.randint(1, 40)
             i = rng.randrange(len(text) - length)
@@ -432,13 +443,6 @@ class TestTheWordPath:
                 for window in (1 << k, (1 << k) + 1):
                     expected = erg.cylinder_frequency(letters, word, window)
                     assert erg.cylinder_frequency(tagged, word, window) == expected, (word, window)
-
-
-def fixed_point_from(start, length):
-    """The ``length`` letters of the fixed point from 0-based index ``start``, unread, at any start."""
-    prefix = object.__new__(SymbolicPrefix)
-    vars(prefix).update(codes=length, fixed_point_start=start)
-    return prefix
 
 
 def raised(call):
@@ -493,7 +497,7 @@ class TestTheAnswerCaches:
             for cache in self.CACHES:
                 cache.cache_clear()
         for start, kept in ((1 << 64) - 65, 1), ((1 << 64) - 64, 0):
-            prefix = fixed_point_from(start, 80)
+            prefix = FixedPointWindow(start, 80)
             letters = "".join(grigorchuk_letter(start + i) for i in range(1, 80))
             for word in ("a", "ac", "cab", "dac"):
                 expected = sum(letters.startswith(word, i) for i in range(64))

@@ -53,6 +53,11 @@ class TestValueTypes:
         assert p == p and p != q and hash(p) != hash(q)
         with pytest.raises(AttributeError):
             p.codes = q.codes
+        # the tag that picks a count's path is read-only on both kinds
+        for prefix in (p, sub.grigorchuk_prefix(64).shifted(3)):
+            with pytest.raises(AttributeError):
+                prefix.fixed_point_start = 0
+        assert p.fixed_point_start is None
 
     def test_hashes_ignore_the_mapping_fields(self):
         one, other = sub.Substitution({"a": "ab", "b": "a"}), sub.Substitution({"a": "aab", "b": "b"})
@@ -104,10 +109,11 @@ class TestSymbolicPrefix:
         with pytest.raises(errors.InvalidInputError):
             p.shifted(4)
 
-    def test_stores_only_codes(self):
+    def test_parsed_letters_are_read_codes(self):
         p = word(" acab\n")
-        assert set(vars(p)) == {"codes"}
-        assert p.codes.format == "B" and p.codes.itemsize == 1
+        assert type(p) is sub.SymbolicPrefix and p.fixed_point_start is None
+        assert p.codes.format == "B" and p.codes.itemsize == 1 and bytes(p.codes) == b"\0\2\0\1"
+        assert np.shares_memory(p.shifted(1).codes, p.codes) and p.shifted(1).fixed_point_start is None
         assert p.text == "acab"
         with pytest.raises(errors.InvalidInputError):
             word("ac\u00e9")
@@ -130,7 +136,7 @@ class TestSymbolicPrefix:
         assert sub.fixed_point_prefix(TAU, "a", 64).fixed_point_start == 0
         assert omega.shifted(5).fixed_point_start == 5
         assert omega.shifted(5).shifted(7).fixed_point_start == 12
-        assert set(vars(omega)) == {"codes", "fixed_point_start"}
+        assert isinstance(omega, sub.FixedPointWindow) and isinstance(omega.shifted(5), sub.FixedPointWindow)
         # the same letters by any other road: parsed, loaded, from codes, or grown under other rules
         path = tmp_path / "omega.txt"
         sub.save_prefix(omega, path)
@@ -143,7 +149,7 @@ class TestSymbolicPrefix:
         for other in others:
             assert other.fixed_point_start is None
             assert other.shifted(3).fixed_point_start is None
-            assert set(vars(other)) == {"codes"}
+            assert type(other) is type(other.shifted(3)) is sub.SymbolicPrefix
 
     def test_shift_of_a_cached_prefix_is_read_only(self):
         p = sub.grigorchuk_prefix(1 << 12)
@@ -243,6 +249,15 @@ class TestSubstitutionRules:
             rules.parse_substitution("# only a comment\n\n")
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """The (length, start) of each ``grigorchuk_codes`` call, the one way a window's letters are made."""
+    calls = []
+    codes = sub.grigorchuk_codes
+    monkeypatch.setattr(sub, "grigorchuk_codes", lambda *args: calls.append(args) or codes(*args))
+    return calls
+
+
 class TestFixedPointPrefix:
     @pytest.mark.parametrize("make", [lambda n: sub.fixed_point_prefix(TAU, "a", n), sub.grigorchuk_codes],
                              ids=["fixed_point_prefix", "grigorchuk_codes"])
@@ -275,10 +290,7 @@ class TestFixedPointPrefix:
         with pytest.raises(errors.ResourceLimitError):
             sub.fixed_point_prefix(TAU, "a", 65)
 
-    def test_the_fixed_point_is_generated_when_its_codes_are_first_read(self, monkeypatch):
-        made = []
-        codes = sub.grigorchuk_codes
-        monkeypatch.setattr(sub, "grigorchuk_codes", lambda *args: made.append(args) or codes(*args))
+    def test_the_fixed_point_is_generated_when_its_codes_are_first_read(self, made):
         omega = sub.fixed_point_prefix(TAU, "a", 5000)
         view = omega.shifted(1000).shifted(7)
         # the length, the start and a shift's checks read no letter
@@ -287,42 +299,43 @@ class TestFixedPointPrefix:
             view.shifted(3993)
         assert made == []
         # reading the view's codes makes its own letters once, and its parent stays unread
-        assert view.text == sub.decode_codes(codes(5000)[1007:])
-        assert made == [(3993, 1007)] and view.codes.readonly and vars(omega)["codes"] == 5000
+        assert view.text == "".join(map(sub.grigorchuk_letter, range(1008, 5001)))
+        assert made == [(3993, 1007)] and view.codes.readonly
         assert omega.text.startswith("acabacad") and made == [(3993, 1007), (5000, 0)]
-        # a shift of read codes is a view of them, and makes nothing
-        assert np.shares_memory(omega.shifted(3).codes, omega.codes) and len(made) == 2
-        assert set(vars(omega)) == {"codes", "fixed_point_start"}
+        # a shift of read codes is a view of them, makes nothing, and keeps its start
+        shift = omega.shifted(3)
+        assert np.shares_memory(shift.codes, omega.codes) and len(made) == 2
+        assert shift.fixed_point_start == 3 and shift.text == omega.text[3:] and len(made) == 2
 
-    def test_a_far_shift_makes_only_its_own_letters(self):
+    def test_a_far_shift_makes_only_its_own_letters(self, made):
         # the last 64 of 2^26 letters, made without the 64 MiB of the letters before them
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
         tail = omega.shifted((1 << 26) - 64)
         assert traced_peak(lambda: tail.codes) < 64 << 10
         letters = [sub.grigorchuk_letter(m) for m in range((1 << 26) - 63, (1 << 26) + 1)]
         assert tail.text == "".join(letters)
-        assert isinstance(vars(omega)["codes"], int)
+        assert made == [(64, (1 << 26) - 64)]
 
-    def test_repr_generates_no_letters(self):
+    def test_repr_generates_no_letters(self, made):
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
         assert repr(omega.shifted(3)) == (
             "SymbolicPrefix(length=67108861, fixed_point_start=3)"
         )
-        assert repr(omega).endswith("length=67108864, fixed_point_start=0)")
-        assert isinstance(vars(omega)["codes"], int)
-        assert repr(word("acab")).endswith("length=4, fixed_point_start=None)")
+        assert repr(omega) == "SymbolicPrefix(length=67108864, fixed_point_start=0)"
+        assert made == []
+        assert repr(word("acab")) == "SymbolicPrefix(length=4, fixed_point_start=None)"
 
-    def test_an_out_of_range_position_generates_no_letters(self):
+    def test_an_out_of_range_position_generates_no_letters(self, made):
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
         for position in (0, -1, (1 << 26) + 1):
             with pytest.raises(errors.InvalidInputError, match=f"^position {position} outside 1..67108864$"):
                 omega.at(position)
-        assert isinstance(vars(omega)["codes"], int)
+        assert made == []
         with pytest.raises(errors.InvalidInputError, match="^position 3 outside 1..2$"):
             omega.shifted((1 << 26) - 2).at(3)
-        assert isinstance(vars(omega)["codes"], int)
+        assert made == []
 
-    def test_a_letter_of_an_unread_prefix_makes_no_letters(self):
+    def test_a_letter_of_an_unread_prefix_makes_no_letters(self, made):
         # each letter from the closed form, where reading it would make all 2^26 letters, 64 MiB
         omega = sub.fixed_point_prefix(TAU, "a", 1 << 26)
         assert traced_peak(lambda: omega.at(5)) < 64 << 10
@@ -331,7 +344,7 @@ class TestFixedPointPrefix:
         shifts = [rng.randrange(1 << 26) for _ in range(2000)]
         places = [(n, rng.randint(1, (1 << 26) - n)) for n in shifts]
         letters = [omega.shifted(n).at(k) for n, k in places]
-        assert omega.at(5) == "a" and isinstance(vars(omega)["codes"], int)
+        assert omega.at(5) == "a" and made == []
         read = omega.codes
         assert letters == ["abcd"[read[n + k - 1]] for n, k in places]
 
@@ -341,7 +354,9 @@ class TestFixedPointPrefix:
         monkeypatch.setattr(rules, "_expand", lambda *args: passes.append(args[2]) or expand(*args))
         doubling = sub.Substitution({"a": "ab", "b": "aa"})
         prefix = sub.fixed_point_prefix(doubling, "a", 64)
-        assert passes and isinstance(vars(prefix)["codes"], memoryview)
+        assert passes and type(prefix) is sub.SymbolicPrefix and prefix.fixed_point_start is None
+        made = len(passes)
+        assert prefix.text.startswith("abaaabab") and len(passes) == made
 
 
 def test_the_set_tables_hold_every_set_byte():
