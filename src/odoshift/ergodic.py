@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
 from .language import _CACHED_CALLS, _CACHED_INT, _CACHED_SETS, fixed_point_count, fixed_point_residue_counts
-from .language import invariant_measure_cylinder, word_sets
+from .language import _zero, invariant_measure_cylinder, word_sets
 from .substitution import SymbolicPrefix, encode_letters
 
 
@@ -161,7 +161,7 @@ def _fixed_point_frequency(word: str, start: int, window: int) -> FrequencyEstim
     under tracemalloc on CPython 3.11, so the cache holds at most about 1.9 MB.  An error is not kept."""
     sets = word_sets(word)
     count = fixed_point_count(sets, start + window) - fixed_point_count(sets, start)
-    return FrequencyEstimate(word, count, window, Fraction(count, window))
+    return FrequencyEstimate(word, count, window, Fraction(count, window) if count else _zero())
 
 
 class SpectralSample(NamedTuple):

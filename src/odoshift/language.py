@@ -1,29 +1,53 @@
-"""The language of the Grigorchuk fixed point, by desubstitution.
+"""The language of the Grigorchuk fixed point, by one desubstitution per word.
 
-An odd (1-based) position of the fixed point holds a, and the letter at 2m
-is next(letter at m): a word splits into its letters at odd positions,
-which must all be a, and those at even ones, which pull back to a word half
-as long.  That one step gives the exact invariant measure of a word
-(``_masses``, ``class_measure``, ``invariant_measure_cylinder``), which is
-the package's language test, the count of a word's starts on the fixed
-point (``fixed_point_count``, ``fixed_point_residue_counts``) and the test
-that letters spell the fixed point itself (``spells_fixed_point``).  None
-of them reads a letter of the fixed point.
+Letter 2m (0-based) of the fixed point is a, and letter 2m + 1 is
+next(letter m): a word starts at an even index when its letters there are
+all a and the pullback of the others starts half as far in, and likewise
+at an odd index.  Repeated, that split ends in one set per branch:
+``_leaves`` gives the leaves (k, t, s) of the word's parity tree, and the
+word starts at i = t + 2^k m exactly when letter m lies in s.  Three
+questions are read off the leaves, and none reads a letter of the fixed
+point:
 
-The measure and the count keep what they compute.  ``_masses`` and
-``fixed_point_count`` each serve a bytes word of at most 64 sets, with
-its ints below 2^64 and a depth of at most 64, from an ``lru_cache`` of
-at most 4,096 entries (at most about 2.7 MB and 1.5 MB) that a step's
-recursion calls again, so a word's half-length pullbacks find what other
-words left; any other bytes-like word is read as its bytes first.  The
+- the count of a word's starts (``fixed_point_count``): each leaf counts
+  the letters of s among the first ceil((n - t) / 2^k), in closed form;
+- the exact measure of a word in a class of the factor map
+  (``class_measure``, ``invariant_measure_cylinder``): each leaf carries
+  2^-k mu(s), in the class of t or spread over those of m
+  (``_class_masses``).  A positive measure is the package's language test;
+- the letters before a word (``left_letters``,
+  ``SymbolicPrefix.left_extensions``), by the left-letter rule.  1-based
+  position 2^v * odd holds F(v) (``grigorchuk_letter``): F(0) = a, and
+  F(v) = d, c, b for v = 0, 1, 2 mod 3, v > 0.  The letter before start i
+  is at position i, and v2(i) = v2(t) < k if t > 0: F(v2(t)).  If t = 0,
+  v2(i) = k + v2(m), with m odd when its letter is not a, giving F(k), and
+  m any 2^u * odd, u >= 1, when it is a, giving F(k + 1), F(k + 2),
+  F(k + 3): b, c and d.  The empty word's leaf (0, 0, any) gives both.
+
+``fixed_point_residue_counts`` splits by parity on its own, carrying the
+class of each start, and ``spells_fixed_point`` tests that letters spell
+the fixed point itself.
+
+The leaves are kept: ``_leaves`` serves a bytes word of at most 64 sets
+from one ``lru_cache`` of at most 4,096 entries, and a step's recursion
+goes through it again, so a word's half-length pullbacks find what other
+words left; any other bytes-like word is read as its bytes first.  A
+word of L sets has at most L leaves; the words of letters, factors or
+not, and their pullbacks had at most two, and an entry of 64 sets and two
+leaves, its key and link included, took about 370 bytes under tracemalloc
+on CPython 3.11, so the cache holds at most about 1.5 MB of such words (a
+word of several-letter sets holds up to L leaves of 64 bytes).  The
 measure of a str word of at most 64 letters, and its frequency on the
 fixed point, are kept too once the checks pass (``_word_measure`` and
 ``ergodic._fixed_point_frequency``, 4,096 entries each, at most about
 1.2 MB and 1.9 MB), so a word asked again costs one lookup; a command
 that asks once gains nothing.  Over a 2^20-letter window, on a shared
 2-vCPU VM, a word of 1 to 14 letters asked again is counted in about
-0.6 us and measured in about 0.2 us; asked first, in about 3 to 13 us
-and 2 to 11 us, as before the answers were kept (in-process; see README).
+0.6 us and measured in about 0.2 us.  Asked first after 4,096 others, a
+word of 3 to 14 letters is counted in about 4 to 15 us, then measured in
+1.5 to 4.5 us (6 to 20 us and 4 to 10 us when the count and the measure
+each split the word); with every cache empty, in 3 to 9 us and 2 to 8 us
+(3 to 8.5 us and 2 to 7 us then; in-process, see README).
 
 A letter set is a bitmask byte, with a, b, c, d as bits 0..3: ``letter_sets``
 and ``word_sets`` read codes and text into them.  ``substitution`` imports
@@ -34,10 +58,9 @@ command that asks no such question does not compile it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 
 from .errors import InvalidInputError
-from .substitution import _CHUNK, _outside
+from .substitution import _CHUNK, _outside, grigorchuk_letter
 
 _BIT = {letter: 1 << i for i, letter in enumerate("abcd")}
 # letter byte -> its set, 0 for any byte that is not a, b, c or d
@@ -52,150 +75,97 @@ _PULLBACK = bytes(sum(_BIT[letter] for letter in "abcd" if s & _BIT[_NEXT[letter
 _HOLDING_A = bytes(range(1, 256, 2))
 # the nexts of a set's letters: on a one-letter set, the one-letter set of its next
 _NEXT_SET = bytes(sum(_BIT[_NEXT[letter]] for letter in "abcd" if s & _BIT[letter]) for s in range(16)) * 16
-# which of a, b, c, d a set holds, as ``compress`` selectors
-_MEMBERS = [tuple(s >> i & 1 for i in range(4)) for s in range(16)] * 16
-# The caches of ``_masses`` and ``fixed_point_count`` (see the module docstring): the longest bytes
-# word they serve, the bits of the ints they serve (a depth up to that many), and their entries.  The
-# words one process asks about repeat, as the subshift has linear factor complexity (Grigorchuk, Lenz
-# and Nagnibeda, Math. Ann. 2018), and so do the half-length pullbacks they reduce to.
+# 14 times the measure of a set: a, b, c, d have 1/2, 1/7, 2/7 and 1/14
+_MASS = bytes(sum(m for i, m in enumerate((7, 2, 4, 1)) if s >> i & 1) for s in range(16)) * 16
+# The cache of ``_leaves`` (see the module docstring): the longest bytes word it serves and its entries.  The
+# words one process asks about repeat, as the subshift has linear factor complexity (Grigorchuk, Lenz and
+# Nagnibeda, Math. Ann. 2018), and so do the half-length pullbacks they reduce to.  The answer caches
+# around it serve words of at most _CACHED_SETS letters and ints below _CACHED_INT.
 _CACHED_SETS = 64
-_CACHED_BITS = 64
-_CACHED_INT = 1 << _CACHED_BITS
+_CACHED_INT = 1 << 64
 _CACHED_CALLS = 4096
 
 
-def _masses(rest, depth: int, r: int = 0, j: int = 0) -> tuple:
-    """``_masses_step`` of the bytes of ``rest``, served from ``_cached_masses`` for a short word and small ints.
+def _leaves(sets) -> tuple:
+    """``_leaves_step`` of the bytes of ``sets``, from ``_cached_leaves`` for at most 64 sets (see the module)."""
+    if type(sets) is bytes and len(sets) <= _CACHED_SETS:
+        return _cached_leaves(sets)
+    if type(sets) is not bytes:
+        return _leaves(bytes(sets))
+    return _leaves_step(sets)
 
-    The cache holds at most 4096 keys of at most 64 sets: 4096 * 64 bytes
-    = 256 KiB of key letters.  A whole entry, its key tuple, ints, result
-    and link included, took at most about 650 bytes under tracemalloc on
-    CPython 3.11, so the cache holds at most about 2.7 MB.
+
+def _leaves_step(sets: bytes) -> tuple:
+    """The leaves (k, t, s) of the word's parity tree: it starts at 0-based i = t + 2^k m, 0 <= t < 2^k,
+    exactly when the fixed point's letter at m lies in the set s.
+
+    A start at 2m needs sets[0::2] to hold a, and the pullback of sets[1::2]
+    through next to start at m; a start at 2m + 1 needs sets[1::2] to hold
+    a, and the pullback of sets[0::2] to start at m.  A split leaves each
+    half a set, and one set s is the leaf (0, 0, s), none if s is empty; the
+    empty word is the leaf (0, 0, any).  So a word of L sets has at most L
+    leaves, found in at most 2L - 1 calls, and no two hold the same start.
     """
-    if type(rest) is bytes and len(rest) <= _CACHED_SETS and depth <= _CACHED_BITS and 0 <= r < _CACHED_INT:
-        return _cached_masses(rest, depth, r, j)
-    if type(rest) is not bytes:
-        return _masses(bytes(rest), depth, r, j)
-    return _masses_step(rest, depth, r, j)
+    if len(sets) < 2:
+        s = sets[0] & 15 if sets else 15
+        return ((0, 0, s),) if s else ()
+    if 0 in sets:
+        return ()
+    even, odd = sets[0::2], sets[1::2]
+    leaves = ()
+    if not even.translate(None, _HOLDING_A):
+        leaves = tuple([(k + 1, t << 1, s) for k, t, s in _leaves(odd.translate(_PULLBACK))])
+    if not odd.translate(None, _HOLDING_A):
+        leaves += tuple([(k + 1, t << 1 | 1, s) for k, t, s in _leaves(even.translate(_PULLBACK))])
+    return leaves
 
 
-def _masses_step(rest: bytes, depth: int, r: int, j: int) -> tuple:
-    """14 * 2^depth times mu[l + rest] for each letter l of 'abcd', for len(rest) < 2^depth.
-
-    ``class_measure`` reads the mass of a word's first letter, and
-    ``SymbolicPrefix.left_extensions`` which letters have mass.
-
-    An odd position holds a and the letter at 2m is next(letter at m): the
-    fixed point read back through the substitution (Queffelec, LNM 1294;
-    Mosse 1992).  So mu[l + rest] is half the sum over the parity of l's
-    position of mu[W']: the sets at odd positions must all hold a, and W'
-    is the sets at even positions pulled back through next, half as long.
-    At an odd position l is a and W' comes from rest alone; at an even one
-    W' is l's pullback before the rest, so one pass serves all four letters.
-    With j = 0 an empty rest has the letters' masses, and a rest of one set
-    takes the step down to the empty W' inline: neither makes a call.
-
-    With j > 0 the masses are of [l + rest] and f = r mod 2^j, f the factor
-    map onto the dyadic integers, for depth >= j: bit 0 of r fixes l's
-    position, odd (1-based) when clear, and W' is in class r >> 1 mod 2^(j-1).
-    """
-    if 0 in rest:
-        return 0, 0, 0, 0
-    if not j and len(rest) < 2:
-        if not rest:
-            return 7 << depth, 2 << depth, 4 << depth, 1 << depth
-        # one set s: the step below, in closed form.  W' is empty one level down (depth >= 1, as
-        # len(rest) < 2^depth), so a sums the masses 7, 2, 4, 1 over s's pullback, which holds a and d
-        # if s holds c (7 + 1), c if b (4) and b if d (2).  At an even position W' is l's pullback
-        # alone, so if s holds a, b, c and d take the masses of c, of a and d, and of b.
-        s = rest[0]
-        a = ((s & 6) * 2 + (s >> 2 & 2)) << depth - 1
-        return (a, 4 << depth - 1, 8 << depth - 1, 2 << depth - 1) if s & 1 else (a, 0, 0, 0)
-    if not rest:
-        # W' stays empty, so a loop takes r's digits from the last one up, from the masses where they run
-        # out (14 times 1/2, 1/7, 2/7, 1/14): a clear digit puts l at an odd position, where it is a, and
-        # a set one at an even position, where it is the next of W''s one letter
-        a, b, c, d = 7 << depth - j, 2 << depth - j, 4 << depth - j, 1 << depth - j
-        for i in reversed(range(j)):
-            a, b, c, d = (0, c, a + d, b) if r >> i & 1 else (a + b + c + d, 0, 0, 0)
-        return a, b, c, d
-    a = b = c = d = 0
-    odd = even = True
-    if j:
-        odd, even, r, j = not r & 1, r & 1, r >> 1, j - 1
-    # l at an odd position: rest[1::2] sit at odd ones, and W' is the pullback of rest[0::2]
-    head = _PULLBACK[rest[0]]
-    if odd and head and not rest[1::2].translate(None, _HOLDING_A):
-        a = sum(compress(_masses(rest[2::2].translate(_PULLBACK), depth - 1, r, j), _MEMBERS[head]))
-    # l at an even position: rest[0::2] sit at odd ones, and W' is the pullback of l + rest[1::2]
-    if even and not rest[0::2].translate(None, _HOLDING_A):
-        back_a, back_b, back_c, back_d = _masses(rest[1::2].translate(_PULLBACK), depth - 1, r, j)
-        b, c, d = back_c, back_a + back_d, back_b  # next(c) = b, next(a) = next(d) = c, next(b) = d
-    return a, b, c, d
-
-
-_cached_masses = lru_cache(maxsize=_CACHED_CALLS)(_masses_step)
+_cached_leaves = lru_cache(maxsize=_CACHED_CALLS)(_leaves_step)
 
 
 def fixed_point_count(sets, n: int) -> int:
-    """``_fixed_point_count_step`` of the bytes of ``sets``, served from ``_cached_fixed_point_count`` for a short
-    word and small n.
-
-    The cache holds at most 4096 keys of at most 64 sets: 4096 * 64 bytes
-    = 256 KiB of key letters.  A whole entry took at most about 360 bytes
-    under tracemalloc on CPython 3.11, so the cache holds at most about
-    1.5 MB.  A negative n is the step's InvalidInputError.
-    """
-    if type(sets) is bytes and len(sets) <= _CACHED_SETS and 0 <= n < _CACHED_INT:
-        return _cached_fixed_point_count(sets, n)
-    if type(sets) is not bytes:
-        return fixed_point_count(bytes(sets), n)
-    return _fixed_point_count_step(sets, n)
-
-
-def _fixed_point_count_step(sets: bytes, n: int) -> int:
     """The starts 0 <= i < n of the fixed point (0-based) where letter i + j lies in sets[j] for every j.
 
-    ``sets`` is a word of letter sets, read as ``_masses`` reads them.  The
-    letters at even indices are all a, and the letter at 2m + 1 is next of
-    the letter at m.  So a start at 2m needs sets[0::2] to hold a, and
-    counts the pullback of sets[1::2] from m, over ceil(n / 2) starts; a
-    start at 2m + 1 needs sets[1::2] to hold a, and counts the pullback of
-    sets[0::2] from m, over floor(n / 2) starts.  A split leaves each half
-    a set, and one set s is counted in closed form: the ceil(n / 2) even
-    starts count if s holds a, and the odd ones count the pullback of s
-    over floor(n / 2) starts.  The pullback of a set holds a exactly when
-    the set holds c, and moves c to d, d to b and b to c.  So c, b and d in
-    s bring a back after 1, 2 and 3 halvings of n, and every third one
-    after that: one loop per letter, a turn per three bits of n.  A word
-    of L sets takes at most 2L - 1 calls, and no letter is read.  A
-    negative n is an InvalidInputError.
+    ``sets`` is any bytes-like word of letter sets.  A leaf (k, t, s) of
+    ``_leaves`` with t < n counts the letters of s among the first
+    m = ceil((n - t) / 2^k), in closed form: F(v) (module docstring) is at
+    floor(m / 2^v) - floor(m / 2^(v+1)) of the 1-based positions up to m.
+    So each letter is one loop, a turn per three bits of m, and no letter is
+    read.  A negative n is an InvalidInputError.
     """
-    if not sets or n <= 0:
+    if n <= 0:
         if n < 0:
             raise InvalidInputError(f"need n >= 0 starts, got {n}")
-        return n
-    if 0 in sets:
         return 0
-    if len(sets) == 1:
-        s = sets[0]
-        count = (n + 1) >> 1 if s & 1 else 0
-        for letter, k in ((4, 1), (2, 2), (8, 3)):  # c, b, d
-            if s & letter:
-                m = n >> k
-                while m:
-                    count += (m + 1) >> 1
-                    m >>= 3
-        return count
     count = 0
-    if not sets[0::2].translate(None, _HOLDING_A):
-        count += fixed_point_count(sets[1::2].translate(_PULLBACK), (n + 1) // 2)
-    if not sets[1::2].translate(None, _HOLDING_A):
-        count += fixed_point_count(sets[0::2].translate(_PULLBACK), n // 2)
+    for k, t, s in _leaves(sets):
+        if t < n:
+            m = (n - t + (1 << k) - 1) >> k
+            if s & 1:
+                count += (m + 1) >> 1
+            for letter, v in ((4, 1), (2, 2), (8, 3)):  # c, b, d
+                if s & letter:
+                    p = m >> v
+                    while p:
+                        count += (p + 1) >> 1
+                        p >>= 3
     return count
 
 
-_cached_fixed_point_count = lru_cache(maxsize=_CACHED_CALLS)(_fixed_point_count_step)
+def left_letters(sets) -> frozenset:
+    """The letters l of 'abcd' with mu[l + word] > 0, for any bytes-like word of letter sets.
+
+    Each leaf (k, t, s) of ``_leaves`` gives F(v2(t)) if t > 0; if t = 0, F(k)
+    if s holds a letter other than a, and b, c, d if s holds a: the
+    left-letter rule of the module docstring.
+    """
+    letters = set()
+    for k, t, s in _leaves(sets):
+        if t or s & 14:
+            letters.add(grigorchuk_letter(t or 1 << k))
+        if not t and s & 1:
+            letters.update("bcd")
+    return frozenset(letters)
 
 
 def fixed_point_residue_counts(sets, n: int, q: int) -> list:
@@ -231,7 +201,7 @@ def fixed_point_residue_counts(sets, n: int, q: int) -> list:
 
 
 def letter_sets(codes) -> bytes:
-    """The word of letter sets that ``_masses`` and ``fixed_point_count`` read for ``codes``: one set per letter."""
+    """The word of letter sets that ``_leaves`` reads for ``codes``: one set per letter."""
     return bytes(codes).translate(_CODE_SETS)
 
 
@@ -279,7 +249,6 @@ def invariant_measure_cylinder(word: str) -> Fraction:
     return class_measure(word, 0, 0)
 
 
-
 # the measures that invariant_measure_cylinder keeps: an entry, its word, result and link included, took at
 # most about 280 bytes under tracemalloc on CPython 3.11, so the cache holds at most about 1.2 MB
 _word_measure = lru_cache(maxsize=_CACHED_CALLS)(lambda word: class_measure(word, 0, 0))
@@ -288,7 +257,10 @@ _word_measure = lru_cache(maxsize=_CACHED_CALLS)(lambda word: class_measure(word
 def class_measure(word: str, j: int, r: int) -> Fraction:
     """rho_j(word, r) = mu([word] and f = r mod 2^j), f the factor map, at j = 0 mu[word].
 
-    It is the ``_masses`` of the word's first letter, with r's j digits fixed.
+    f maps the start i to i in the dyadic integers, so a leaf (k, t, s) of
+    ``_leaves`` carries 2^-k mu(s), all of it in the class of t if k >= j;
+    if k < j, it meets class r only if t = r mod 2^k, with its m in class
+    (r - t) >> k mod 2^(j - k), where ``_class_masses`` has s's masses.
     """
     # fractions loads with the first measure: a command that builds none does not load it
     import fractions
@@ -296,5 +268,35 @@ def class_measure(word: str, j: int, r: int) -> Fraction:
     sets = word_sets(word)
     if not sets or j < 0:
         raise InvalidInputError(f"need a nonempty word and j >= 0, got {word!r} and {j}")
-    depth = max(j, len(sets).bit_length())
-    return fractions.Fraction(_masses(sets[1:], depth, r, j)[sets[0].bit_length() - 1], 14 << depth)
+    depth = max(j, len(sets).bit_length())  # at least the leaves' k, ceil(log2 len(sets))
+    mass = 0
+    for k, t, s in _leaves(sets):
+        if k >= j:
+            if not (t - r) & ((1 << j) - 1):
+                mass += _MASS[s] << depth - k
+        elif not (t - r) & ((1 << k) - 1):
+            masses = _class_masses(depth - k, (r - t) >> k, j - k)
+            mass += sum(masses[i] for i in range(4) if s >> i & 1)
+    return fractions.Fraction(mass, 14 << depth) if mass else _zero()
+
+
+@lru_cache(maxsize=1)
+def _zero() -> Fraction:
+    """Fraction(0), built once: most words asked first have no leaves, and a Fraction costs as much as that."""
+    import fractions
+
+    return fractions.Fraction(0)
+
+
+def _class_masses(depth: int, r: int, j: int) -> tuple:
+    """14 * 2^depth times mu([l] and f = r mod 2^j) for each letter l of 'abcd', for depth >= j.
+
+    A loop takes r's digits from the last one up, from the letters' masses
+    where they run out (14 times 1/2, 1/7, 2/7, 1/14): a clear digit puts l
+    at an even index, where it is a, and a set one at an odd index 2m + 1,
+    where it is the next of the letter at m, in the class of the digits above.
+    """
+    a, b, c, d = 7 << depth - j, 2 << depth - j, 4 << depth - j, 1 << depth - j
+    for i in reversed(range(j)):
+        a, b, c, d = (0, c, a + d, b) if r >> i & 1 else (a + b + c + d, 0, 0, 0)
+    return a, b, c, d

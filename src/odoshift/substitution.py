@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
-from itertools import compress
 
 from .errors import Immutable, InvalidInputError, ResourceLimitError
 
@@ -94,7 +93,7 @@ class SymbolicPrefix:
     ``np.frombuffer``.  Two prefixes are equal only if they are the same
     object, and ``fixed_point_start`` is None.
 
-    ``left_extensions``, one ``language._masses`` pass, and ``_bitsets``, a
+    ``left_extensions``, one ``language._leaves`` pass, and ``_bitsets``, a
     bitset per letter for ``ergodic``, are kept.  Letters it finds a factor,
     and their shifts, have ``_factor`` set, since a sub-word of a factor is
     one: ``toeplitz.require_factor`` tests them no more.  The codes of a
@@ -153,8 +152,7 @@ class SymbolicPrefix:
         """The letters l of 'abcd' with mu[l + letters] > 0: none for letters outside the language."""
         from . import language  # loads with the first language test
 
-        sets = language.letter_sets(self.codes)
-        extensions = frozenset(compress("abcd", language._masses(sets, len(sets).bit_length())))
+        extensions = language.left_letters(language.letter_sets(self.codes))
         self._factor = bool(extensions)
         return extensions
 

@@ -336,10 +336,10 @@ _EIGEN_SEED = 20261019
 
 
 def check_eigenfunction(sizes: Sizes) -> CheckResult:
-    # rho_j(l, r) = mu([l] and f = r mod 2^j) at j = J, from the masses of the empty word after l:
+    # rho_j(l, r) = mu([l] and f = r mod 2^j) at j = J, from the one-letter class masses class_measure reads:
     # f pushes mu to Haar measure, 2^-J a class, and the classes of l sum to mu[l]
     J = sizes.eigen_depth
-    table = [language._masses(b"", J, r, J) for r in range(1 << J)]
+    table = [language._class_masses(J, r, J) for r in range(1 << J)]
     haar = all(sum(masses) == 14 for masses in table)
     marginals = [sum(column) for column in zip(*table)] == [7 << J, 2 << J, 4 << J, 1 << J]
     # the 2^(j+1) letters after shift s of the fixed point have all their mass in the class of f = s

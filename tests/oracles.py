@@ -15,7 +15,9 @@
   that falls on a multiple of 2^D: the reference for the desubstitution.
 - ``class_measure_by_parity`` is mu([w] and f = r mod 2^j) by the parity
   recursion over Fractions on sets of letters, the reference for
-  ``class_measure`` and the digits of ``_masses``.
+  ``class_measure`` and the digits of ``_class_masses``;
+  ``left_letters_by_parity`` reads it at l + w, the reference for the
+  left-letter rule of ``language.left_letters``.
 - ``partial_period_refutation`` is the four-term test at one position, the
   reference for ``partial_period_mask``.
 - ``strided_tail_rigidity`` is the four-term check with every accepted
@@ -139,6 +141,11 @@ def class_measure_by_parity(word, j, r):
     carries half the measure.
     """
     return _class_measure_of_sets([{letter} for letter in word], j, r)
+
+
+def left_letters_by_parity(word):
+    """The letters l of 'abcd' with ``class_measure_by_parity(l + word, 0, 0)`` positive."""
+    return {letter for letter in "abcd" if class_measure_by_parity(letter + word, 0, 0)}
 
 
 def _class_measure_of_sets(sets, j, r):

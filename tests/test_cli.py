@@ -234,14 +234,14 @@ class TestFiber:
         from odoshift import language
 
         passes = []
-        masses, step = language._masses, language._masses_step.__code__
+        leaves, step = language._leaves, language._leaves_step.__code__
 
-        def counted(*args):
+        def counted(sets):
             if sys._getframe(1).f_code is not step:  # a pass, not a call from a step of its recursion
-                passes.append(args)
-            return masses(*args)
+                passes.append(sets)
+            return leaves(sets)
 
-        monkeypatch.setattr(language, "_masses", counted)
+        monkeypatch.setattr(language, "_leaves", counted)
         path = tmp_path / "omega.txt"
         path.write_text(grigorchuk_prefix(1 << 14).text + "\n")
         rules = tmp_path / "grigorchuk.txt"

@@ -47,11 +47,14 @@ The straightforward algorithms these replaced stand in for the program here:
   resolves the positions one slice of ``_BLOCK`` at a time.
 - ``oracles.class_measure_by_parity`` runs the parity recursion of the
   measure of a word in a class of the factor map over Fractions on sets of
-  letters, where ``class_measure`` fixes the digits inside ``_masses``.
-- ``language._masses_step`` and ``language._fixed_point_count_step``, each
-  recursing into itself, are the desubstitution with no cache: ``_masses``,
-  ``fixed_point_count`` and ``class_measure`` return what they return and
-  raise what they raise, on a cold cache and on a full one.
+  letters, where ``class_measure`` reads the class off the leaves of the
+  word's parity tree; ``oracles.left_letters_by_parity`` is that measure's
+  positive letters l of l + w, where ``language.left_letters`` reads them
+  off the leaves of w by the valuation of each leaf's offset.
+- ``language._leaves_step``, recursing into itself, is the desubstitution
+  with no cache: ``_leaves``, ``left_letters``, ``fixed_point_count`` and
+  ``class_measure`` return what they return and raise what they raise, on
+  a cold cache and on a full one.
 - ``oracles.residue_class_measure`` and ``bytes.find`` answer the words
   that ``invariant_measure_cylinder`` and ``cylinder_frequency`` serve from
   their answer caches, cold, warm and after the caches have been filled
@@ -79,6 +82,7 @@ from oracles import (
     essential_periods_one_pass,
     halving_fixed_point_count,
     iterate,
+    left_letters_by_parity,
     occurrence_positions,
     pairwise_spectral_scan,
     residue_class_measure,
@@ -990,21 +994,25 @@ def test_class_measure_matches_the_fraction_recursion(j):
 
 
 def test_one_set_masses_are_the_fraction_recursion_with_no_further_call(monkeypatch):
-    # at j = 0 the empty rest and every one-set rest, the empty set among them, at each depth they fit
+    # every one-set word, the empty set among them, is its own leaf in one call, and the empty word the leaf of
+    # any set; a set's mass and the one-letter class masses at each depth up to 64, at seeded classes, are
+    # the fraction recursion's
     calls = []
-    masses = language._masses
-    monkeypatch.setattr(language, "_masses", lambda *args: calls.append(args) or masses(*args))
+    leaves = language._leaves
+    monkeypatch.setattr(language, "_leaves", lambda sets: calls.append(sets) or leaves(sets))
     for s in range(16):
-        letters = {letter for i, letter in enumerate("abcd") if s >> i & 1}
-        want = [_class_measure_of_sets([{letter}, letters], 0, 0) for letter in "abcd"]
-        for depth in range(1, 65):
-            calls.clear()
-            assert language._masses(bytes((s,)), depth) == tuple(m * (14 << depth) for m in want), (s, depth)
-            assert len(calls) == 1, (s, depth)
-    want = [_class_measure_of_sets([{letter}], 0, 0) for letter in "abcd"]
-    for depth in range(65):
         calls.clear()
-        assert language._masses(b"", depth) == tuple(m * (14 << depth) for m in want) and len(calls) == 1
+        assert language._leaves(bytes((s,))) == (((0, 0, s),) if s else ()) and len(calls) == 1, s
+        letters = {letter for i, letter in enumerate("abcd") if s >> i & 1}
+        assert language._MASS[s] == _class_measure_of_sets([letters], 0, 0) * 14, s
+    calls.clear()
+    assert language._leaves(b"") == ((0, 0, 15),) and len(calls) == 1
+    rng = random.Random(20261038)
+    for depth in range(65):
+        for j in {0, depth // 2, depth}:
+            for r in {0, (1 << j) - 1, rng.randrange(1 << j), -1 - rng.randrange(1 << 70)}:
+                want = tuple(_class_measure_of_sets([{letter}], j, r) * (14 << depth) for letter in "abcd")
+                assert language._class_masses(depth, r, j) == want, (depth, r, j)
 
 
 def test_the_words_op_mix_measures_and_counts_alike():
@@ -1031,7 +1039,7 @@ def test_the_words_op_mix_measures_and_counts_alike():
 
 @pytest.mark.parametrize("j", [8, 13, 31, 64])
 def test_class_measure_matches_the_fraction_recursion_past_the_word(j):
-    # j past the depth the word needs, so ``_masses`` takes r's last digits in its loop: sampled classes,
+    # j past the depth of the word's leaves, so ``_class_masses`` takes r's last digits in its loop: sampled classes,
     # each a factor's own shift with random higher digits, or all zeros, all ones, or random digits
     rng = random.Random(j)
     text = grigorchuk_prefix(1 << 12).text
@@ -1044,7 +1052,7 @@ def test_class_measure_matches_the_fraction_recursion_past_the_word(j):
 
 
 def _desubstitution_corpus():
-    """Seeded calls, as (name in ``language``, args), of the two cached entry points and ``class_measure``."""
+    """Seeded calls, as (name in ``language``, args), of ``_leaves`` and of the three functions that read it."""
     rng = random.Random(20261020)
     text = grigorchuk_prefix((1 << 20) + 200).text
     words = []
@@ -1056,19 +1064,18 @@ def _desubstitution_corpus():
     calls = []
     for word in words:
         sets = language.word_sets(word)
-        depth = len(sets).bit_length()
         n = rng.randrange(1 << rng.randint(1, 60))
         hole = rng.randrange(len(sets) + 1)
-        calls += [("class_measure", (word, 0, 0)), ("_masses", (sets[1:], depth)),
+        calls += [("class_measure", (word, 0, 0)), ("_leaves", (sets,)), ("left_letters", (sets[1:],)),
                   ("fixed_point_count", (sets, n)), ("fixed_point_count", (sets, 1 << 20)),
-                  # a word that holds the empty set, and the bytes-likes that pass the caches by
-                  ("_masses", (sets[1:hole] + b"\0" + sets[hole:], depth + 1)),
+                  # a word that holds the empty set, and the bytes-likes that pass the cache by
+                  ("left_letters", (sets[:hole] + b"\0" + sets[hole:],)),
                   ("fixed_point_count", (sets[:hole] + b"\0" + sets[hole:], n)),
-                  ("_masses", (bytearray(sets[1:]), depth)), ("_masses", (memoryview(sets[1:]), depth)),
+                  ("left_letters", (bytearray(sets),)), ("left_letters", (memoryview(sets),)),
                   ("fixed_point_count", (bytearray(sets), n)), ("fixed_point_count", (memoryview(sets), n))]
     for word in words[:8]:
         calls += [("class_measure", (word, j, r)) for j in range(11) for r in range(1 << j)]
-        # classes outside 0..2^64 - 1 pass the cache by
+        # classes outside 0..2^64 - 1
         calls += [("class_measure", (word, 3, r)) for r in (-1, -6, 1 << 64, (1 << 70) + 5)]
     for word in words[:40]:
         sets = language.word_sets(word)
@@ -1089,32 +1096,70 @@ def _outcomes(calls):
 
 
 def test_the_cached_desubstitution_is_the_bare_steps(monkeypatch):
-    # the bare steps recurse into themselves and so never reach a cache, and read a memoryview's word as
-    # its bytes; the entry points run the corpus, memoryviews as given, on a cold cache, then again after
-    # the caches have been filled past their size
+    # the bare step recurses into itself and so never reaches the cache, and reads a memoryview's word as its
+    # bytes; the entry points run the corpus, memoryviews as given, on a cold cache, then again after the
+    # cache has been filled past its size
     calls = _desubstitution_corpus()
     as_bytes = [(name, tuple(bytes(arg) if isinstance(arg, memoryview) else arg for arg in args))
                 for name, args in calls]
-    masses_step, count_step = language._masses_step, language._fixed_point_count_step
-    monkeypatch.setattr(language, "_masses", lambda rest, depth, r=0, j=0: masses_step(rest, depth, r, j))
-    monkeypatch.setattr(language, "fixed_point_count", count_step)
+    monkeypatch.setattr(language, "_leaves", language._leaves_step)
     bare = _outcomes(as_bytes)
     monkeypatch.undo()
-    caches = language._cached_masses, language._cached_fixed_point_count
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
-    assert sum(isinstance(outcome, tuple) and outcome[0] is errors.InvalidInputError for outcome in bare) == 80
+    cache = language._cached_leaves
+    assert cache.cache_info().currsize == 0
+    assert sum(isinstance(outcome, tuple) and outcome[:1] == (errors.InvalidInputError,) for outcome in bare) == 80
     views = [bare[i] for i, (_, args) in enumerate(calls) if isinstance(args[0], memoryview)]
-    # every memoryview word is answered, by a count or four masses, and some answers are positive
+    # every memoryview word is answered, by a count or a set of letters, and some answers are not empty
     assert len(views) == 1000
-    assert all(isinstance(outcome, int) or [type(mass) for mass in outcome] == [int] * 4 for outcome in views)
-    assert any(outcome if isinstance(outcome, int) else any(outcome) for outcome in views)
+    assert all(isinstance(outcome, (int, frozenset)) for outcome in views)
+    assert any(views)
     assert _outcomes(calls) == bare
-    assert all(cache.cache_info().hits > 100 for cache in caches)
+    assert cache.cache_info().hits > 100
     for r in range(language._CACHED_CALLS + 100):
-        language._masses(b"", 16, r, 16)
-        language.fixed_point_count(b"\x02", r + 1)
-    assert [cache.cache_info().currsize for cache in caches] == [language._CACHED_CALLS] * 2
+        language.fixed_point_count(bytes(1 << (r >> i & 3) for i in range(0, 14, 2)), r + 1)
+    assert cache.cache_info().currsize == language._CACHED_CALLS
     assert _outcomes(calls) == bare
+
+
+def _left_letter_branches(leaves):
+    """Which branches of the left-letter rule ``leaves`` take: an offset t > 0, t = 0 with a set holding a,
+    t = 0 with a set holding another letter, the leaf of the empty word."""
+    branches = set()
+    for _, t, s in leaves:
+        if t:
+            branches.add("t > 0")
+        if not t and s & 1:
+            branches.add("t = 0, a")
+        if not t and s & 14:
+            branches.add("t = 0, not a")
+        if s == 15:
+            branches.add("empty")
+    return branches
+
+
+def test_the_left_letter_rule_matches_the_parity_recursion():
+    # seeded words of 1 to 5,000 letters at seeded shifts, a third with one or two letters changed, every
+    # third read from a memoryview of its sets, and the empty word: their left letters are the letters l
+    # whose l + w has positive measure by the parity recursion, and every branch of the rule is taken
+    rng = random.Random(20261038)
+    text = grigorchuk_prefix((1 << 16) + 5000).text
+    words = [""]
+    for i in range(300):
+        n = rng.choice([5000, int(5000 ** rng.random())])
+        word = list(text[(start := rng.randrange(1 << 16)) : start + n])
+        for _ in range(rng.randint(1, 2) if i % 3 == 0 else 0):
+            j = rng.randrange(n)
+            word[j] = rng.choice("abcd".replace(word[j], ""))
+        words.append("".join(word))
+    branches = set()
+    for i, word in enumerate(words):
+        sets = language.word_sets(word)
+        letters = language.left_letters(memoryview(sets) if i % 3 == 1 else sets)
+        assert letters == left_letters_by_parity(word), word
+        if word:
+            assert SymbolicPrefix(encode_letters(word)).left_extensions == letters, word
+        branches |= _left_letter_branches(language._leaves(sets))
+    assert branches == {"t > 0", "t = 0, a", "t = 0, not a", "empty"}
 
 
 def test_the_answer_caches_give_the_oracles_answers():

@@ -11,8 +11,8 @@ each level.  Three slow references stand in for it here:
   prefix of the fixed point, whose factors of length <= 256 are the whole
   language at those lengths (the fixed point is minimal).
 
-``SymbolicPrefix.left_extensions``, the same desubstitution read for
-each letter put before the word, is checked against
+``SymbolicPrefix.left_extensions``, the left-letter rule read off the
+leaves of the same desubstitution, is checked against
 ``residue_class_measure`` of l + w.  The language up to 256 letters is
 certified against the distinct factors of a 2^18-letter prefix.
 """
@@ -38,6 +38,7 @@ from odoshift.substitution import (
     grigorchuk_prefix,
     parse_prefix,
 )
+from conftest import CACHES
 from oracles import head, residue_class_measure, tail_density
 
 TEXT = grigorchuk_prefix(1 << 16).text
@@ -160,14 +161,12 @@ def test_the_words_of_positive_measure_are_the_factors_of_a_long_prefix():
 
 
 def test_the_desubstitution_caches_keep_their_bound(monkeypatch):
-    # the left extensions of a 2^20-letter prefix, whose pullbacks reach the caches once they are short,
-    # then the measure and the count of 10,000 distinct words: each cache holds at most _CACHED_CALLS
-    # entries, no key of more than _CACHED_SETS sets reaches it, and clearing it frees no more bytes
-    # than the bound its entry point's docstring states
-    longest, caches = [], (language._cached_masses, language._cached_fixed_point_count)
-    for name, cache in zip(("_cached_masses", "_cached_fixed_point_count"), caches):
-        monkeypatch.setattr(language, name, lambda sets, *ints, cache=cache: longest.append(len(sets)) or
-                            cache(sets, *ints))
+    # the left extensions of a 2^20-letter prefix, whose pullbacks reach the cache once they are short,
+    # then the measure and the count of 10,000 distinct words: the leaves cache holds at most _CACHED_CALLS
+    # entries, no key of more than _CACHED_SETS sets reaches it, and clearing it frees no more bytes than
+    # the bound the module docstring states
+    longest, cache = [], language._cached_leaves
+    monkeypatch.setattr(language, "_cached_leaves", lambda sets: longest.append(len(sets)) or cache(sets))
     rng = random.Random(20261020)
     text = grigorchuk_prefix((1 << 20) + 100).text
     words = set()
@@ -184,16 +183,14 @@ def test_the_desubstitution_caches_keep_their_bound(monkeypatch):
         for word in sorted(words):
             invariant_measure_cylinder(word)
             language.fixed_point_count(language.word_sets(word), 1 << 20)
-        freed = []
-        for cache in caches:
-            assert cache.cache_info().currsize == language._CACHED_CALLS
-            held = tracemalloc.get_traced_memory()[0]
-            cache.cache_clear()
-            freed.append(held - tracemalloc.get_traced_memory()[0])
+        assert cache.cache_info().currsize == language._CACHED_CALLS
+        held = tracemalloc.get_traced_memory()[0]
+        cache.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert max(longest) == language._CACHED_SETS
-    assert 0 < freed[0] <= 2.7e6 and 0 < freed[1] <= 1.5e6, freed
+    assert 0 < freed <= 1.5e6, freed
 
 
 def test_the_answer_caches_keep_their_bound():
@@ -226,25 +223,22 @@ def test_the_answer_caches_keep_their_bound():
 
 
 def test_every_bytes_like_word_reads_as_its_bytes(monkeypatch):
-    # the measure, the count and the residue counts of a memoryview, a bytearray and an array of sets, of
-    # one set and more, short enough for the caches and longer, equal those of its bytes; the caches are
-    # given only bytes keys of at most _CACHED_SETS sets
-    keys = set()
-    for name in ("_cached_masses", "_cached_fixed_point_count"):
-        cache = getattr(language, name)
-        monkeypatch.setattr(language, name, lambda sets, *ints, cache=cache: keys.add((type(sets), len(sets))) or
-                            cache(sets, *ints))
+    # the leaves, the left letters, the count and the residue counts of a memoryview, a bytearray and an array
+    # of sets, of one set and more, short enough for the cache and longer, equal those of its bytes; the cache
+    # is given only bytes keys of at most _CACHED_SETS sets
+    keys, cache = set(), language._cached_leaves
+    monkeypatch.setattr(language, "_cached_leaves", lambda sets: keys.add((type(sets), len(sets))) or cache(sets))
     rng = random.Random(20261021)
     text = grigorchuk_prefix(1 << 12).text
     words = ["a", "acab", "acad", text[:64], text[:65], text[100:300]]
     words += [text[s : s + n] for s, n in ((rng.randrange(3000), rng.randint(2, 99)) for _ in range(40))]
     for word in words:
         sets = language.word_sets(word)
-        depth = len(sets).bit_length()
         n, q = rng.randrange(1 << 20), rng.randint(1, 64)
         padded = memoryview(b"\x0f" + sets + b"\x0f")[1:-1]  # a view into a larger buffer
         for view in (memoryview(sets), padded, bytearray(sets), array.array("B", sets)):
-            assert language._masses(view[1:], depth) == language._masses(sets[1:], depth), word
+            assert language._leaves(view) == language._leaves(sets), word
+            assert language.left_letters(view) == language.left_letters(sets), word
             assert language.fixed_point_count(view, n) == language.fixed_point_count(sets, n), word
             assert (language.fixed_point_residue_counts(view, n, q)
                     == language.fixed_point_residue_counts(sets, n, q)), word
@@ -344,17 +338,23 @@ def test_only_the_load_check_and_the_one_language_test_raise_not_in_subshift():
 
 @pytest.fixture(scope="module")
 def filled_caches():
-    """Every cache of ``language`` and ``ergodic`` filled, before the autouse fixture of the test that asks for it."""
+    """Every cache of ``language`` and ``ergodic`` filled, before the autouse fixture of the test that asks for it:
+    the sizes it left, by cache."""
     prefix = grigorchuk_prefix(1 << 12)
     assert SymbolicPrefix(encode_letters("acab")).left_extensions
     invariant_measure_cylinder("acab")
+    assert invariant_measure_cylinder("aa") == 0
     ergodic.cylinder_frequency(prefix, "acab", 64)
     ergodic.spectral_scan(prefix, [Fraction(1, 3)], "acab", 64)
+    return {cache: cache.cache_info().currsize for cache in CACHES}
 
 
 def test_every_test_starts_with_every_cache_empty(filled_caches):
-    # the autouse fixture of conftest.py empties each cache the modules keep: a functools.lru_cache of
-    # language or ergodic that it misses would serve a test what an earlier one left
-    sizes = {f"{module.__name__}.{name}": value.cache_info().currsize for module in (language, ergodic)
-             for name, value in vars(module).items() if hasattr(value, "cache_clear")}
-    assert len(sizes) >= 4 and not any(sizes.values()), sizes
+    # the autouse fixture of conftest.py empties each cache the modules keep, the one desubstitution cache
+    # among them: a functools.lru_cache of language or ergodic that it misses would serve a test what an
+    # earlier one left
+    kept = {value for module in (language, ergodic) for value in vars(module).values() if hasattr(value, "cache_clear")}
+    assert kept == set(CACHES) and language._cached_leaves in kept
+    assert all(filled_caches.values()), filled_caches
+    sizes = [cache.cache_info().currsize for cache in CACHES]
+    assert not any(sizes), sizes

@@ -364,7 +364,7 @@ def test_the_set_tables_hold_every_set_byte():
     bit, step = language._BIT, language._NEXT
     assert language._PULLBACK == bytes(sum(bit[x] for x in "abcd" if s & bit[step[x]]) for s in range(256))
     assert language._NEXT_SET == bytes(sum(bit[step[x]] for x in "abcd" if s & bit[x]) for s in range(256))
-    assert language._MEMBERS == [tuple(s >> i & 1 for i in range(4)) for s in range(256)]
+    assert language._MASS == bytes(sum(m for x, m in zip("abcd", (7, 2, 4, 1)) if s & bit[x]) for s in range(256))
 
 
 class TestClosedForm:
@@ -399,22 +399,22 @@ class TestClosedForm:
 
 
 class TestFixedPointCountWork:
-    """Calls of ``fixed_point_count``, the recursive ones included."""
+    """Calls of ``language._leaves`` that ``fixed_point_count`` makes, the recursive ones included."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        count = language.fixed_point_count
+        leaves = language._leaves
 
-        def counted(sets, n):
+        def counted(sets):
             made.append(sets)
-            return count(sets, n)
+            return leaves(sets)
 
-        monkeypatch.setattr(language, "fixed_point_count", counted)
+        monkeypatch.setattr(language, "_leaves", counted)
         return made
 
     def test_a_one_set_word_takes_one_call(self, calls):
-        # halving b down to the empty word takes calls at each of the 60 bits of 10^18
+        # halving b down to the empty word would take calls at each of the 60 bits of 10^18
         language.fixed_point_count(b"\x02", 10**18)
         assert len(calls) == 1
 

@@ -168,17 +168,27 @@ def test_eigenfunction_detail():
                                                 " 0 of 200 windows outside the class of their shift")
 
 
-@pytest.mark.parametrize("fault, detail", [
-    # the start's parity read off the wrong bit: the classes are permuted, so only the windows see it
-    (lambda r, j: (r ^ 1 if j else r, j),
-     "classes mod 2^6 of measure 2^-6: True; sum to mu[l]: True; 60 of 60 windows outside the class of their shift"),
+def _flip_the_start_parity(monkeypatch):
+    # the start's parity read off the wrong bit: each leaf's class moves, so only the windows see it
+    leaves = language._leaves
+    monkeypatch.setattr(language, "_leaves", lambda sets: tuple((k, t ^ 1, s) for k, t, s in leaves(sets)))
+
+
+def _drop_a_digit(monkeypatch):
     # a digit dropped at the first level: each class holds the measure of two
-    (lambda r, j: (r, j - 1 if j == QUICK.eigen_depth else j),
+    masses = language._class_masses
+    monkeypatch.setattr(language, "_class_masses",
+                        lambda depth, r, j: masses(depth, r, j - 1 if j == QUICK.eigen_depth else j))
+
+
+@pytest.mark.parametrize("fault, detail", [
+    (_flip_the_start_parity,
+     "classes mod 2^6 of measure 2^-6: True; sum to mu[l]: True; 60 of 60 windows outside the class of their shift"),
+    (_drop_a_digit,
      "classes mod 2^6 of measure 2^-6: False; sum to mu[l]: False; 0 of 60 windows outside the class of their shift"),
 ], ids=["flipped", "dropped"])
 def test_eigenfunction_fails_where_a_digit_of_the_recursion_is_off(fault, detail, monkeypatch):
-    masses = language._masses
-    monkeypatch.setattr(language, "_masses", lambda rest, depth, r=0, j=0: masses(rest, depth, *fault(r, j)))
+    fault(monkeypatch)
     result = verification.check_eigenfunction(QUICK)
     assert (result.ok, result.detail) == (False, detail)
 
