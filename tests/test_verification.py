@@ -46,13 +46,20 @@ def test_rigidity_holds_for_every_n(sizes):
     assert (result.ok, result.detail) == (True, RIGIDITY_DETAIL.format(32, 0))
 
 
-def test_rigidity_fails_where_two_valuations_share_a_letter(monkeypatch):
-    # valuation 3 read as c, the letter of valuation 4: each case of v2(p) = 3 mod 3 loses its rejection
+@pytest.mark.parametrize("faults, surviving", [
+    ({1: "a"}, 8),  # F(1) = F(0): the cases of v2(p) = 0
+    ({2: "c"}, 8),  # F(2) = F(1): v2(p) = 1
+    ({3: "b"}, 8),  # F(3) = F(2): v2(p) = 2
+    ({3: "c"}, 8),  # F(3) = F(4): v2(p) = 3 mod 3
+    ({1: "b", 3: "b", 4: "b"}, 24),  # every valuation from 1 to 4 reads b: only v2(p) = 0 still rejects
+], ids=["v1_reads_a", "v2_reads_c", "v3_reads_b", "v3_reads_c", "v1_to_v4_read_b"])
+def test_rigidity_fails_where_two_valuations_share_a_letter(faults, surviving, monkeypatch):
+    # each class of v2(p) holds 8 cases (n' mod 4, odd p' mod 4), all lost when F(t) = F(t + 1)
     letter = substitution.grigorchuk_letter
     monkeypatch.setattr(substitution, "grigorchuk_letter",
-                        lambda m: "c" if substitution.dyadic_valuation(m) == 3 else letter(m))
+                        lambda m: faults.get(substitution.dyadic_valuation(m)) or letter(m))
     result = verification.check_four_term_rigidity(QUICK)
-    assert (result.ok, result.detail) == (False, RIGIDITY_DETAIL.format(24, 8))
+    assert (result.ok, result.detail) == (False, RIGIDITY_DETAIL.format(32 - surviving, surviving))
 
 
 def test_every_size_is_read_by_a_check(monkeypatch):
