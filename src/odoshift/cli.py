@@ -15,7 +15,7 @@ imports argparse and builds the parser of every command from the table.
 ``run`` is the process's entry, for ``python -m odoshift.cli`` and the
 installed ``odoshift`` alike: it returns ``main()``'s exit code after
 ``gc.freeze()``, so the collections at interpreter exit skip the objects
-the process still holds, its modules and numpy's among them.
+the process still holds, its modules among them.
 """
 
 from __future__ import annotations
@@ -260,10 +260,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # no odoshift code calls BLAS, so numpy's import need not start a BLAS thread per core;
-    # once numpy is loaded the setting does nothing, and a value the user set wins
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import verification
 
     results = verification.run_all(args.level)
@@ -442,8 +438,8 @@ def run() -> int:
     """``main()`` for a process that ends when it returns, as ``sys.exit(run())`` does.
 
     At exit CPython collects every object the process still tracks: 4 to
-    6 ms of a light command, and about 14 ms of ``verify``, which loads
-    numpy (fresh processes on a shared 2-vCPU VM).  ``gc.freeze()`` moves
+    6 ms of a light command, and 6 to 13 ms of ``verify`` (medians of 15
+    to 31 fresh processes on a shared 2-vCPU VM).  ``gc.freeze()`` moves
     those objects to the permanent generation, which the exit collections
     skip; stdout and stderr are still flushed, atexit handlers still run,
     and the OS reclaims the memory.  It freezes also when ``main`` raises,

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
 from .language import _CACHED_CALLS, _CACHED_INT, _CACHED_SETS, fixed_point_count, fixed_point_residue_counts
 from .language import _zero, invariant_measure_cylinder, word_sets
-from .substitution import SymbolicPrefix, encode_letters
+from .substitution import SymbolicPrefix, _plane, encode_letters
 
 
 def __getattr__(name):
@@ -45,7 +45,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_BLOCK = 1 << 17  # letters translated to '0'/'1' text and read by int(text, 2) in one pass
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -54,25 +53,6 @@ class FrequencyEstimate(NamedTuple):
     count: int
     window: int
     frequency: Fraction
-
-
-def _plane(prefix: SymbolicPrefix, bit: int) -> int:
-    """Bitset of the codes with ``bit`` set: bit len(prefix) - 1 - i is set iff codes[i] >> bit & 1.
-
-    The first letter is the top bit, so the text of a bitset reads in the
-    order of the prefix.  Built in passes of ``_BLOCK`` letters, each
-    translated to '0'/'1' text and read by ``int(text, 2)`` into its bytes
-    of one big-endian buffer.
-    """
-    digits = bytes(0x31 if c >> bit & 1 else 0x30 for c in range(256))
-    size = len(prefix)
-    packed = bytearray(-(-size // 8))
-    for start in range(0, size, _BLOCK):
-        text = prefix.codes[start : start + _BLOCK].tobytes().translate(digits)
-        nbytes = -(-len(text) // 8)  # the last pass pads its text to whole bytes
-        value = int(text.ljust(8 * nbytes, b"0"), 2)
-        packed[start // 8 : start // 8 + nbytes] = value.to_bytes(nbytes, "big")
-    return int.from_bytes(packed, "big") >> (8 * len(packed) - size)
 
 
 def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
@@ -87,7 +67,7 @@ def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:
     """
     cache = prefix._bitsets
     if not cache:
-        low, high = _plane(prefix, 0), _plane(prefix, 1)
+        low, high = _plane(prefix.codes, 0), _plane(prefix.codes, 1)
         every = (1 << len(prefix)) - 1
         not_low, not_high = low ^ every, high ^ every
         cache.update({0: not_low & not_high, 1: low & not_high, 2: not_low & high, 3: low & high})

@@ -16,9 +16,10 @@ memoryview: ``encode_letters`` reads letters into codes and
 ``decode_codes`` writes them back.  A prefix is read letters, a
 ``SymbolicPrefix``, or a ``FixedPointWindow``, letters of the fixed point
 known by their start, the tag ``fixed_point_start`` that callers branch on.
-Generation is strided writes and translates of the standard library.  Only
-the partial-period functions of ``toeplitz`` and the checks of
-``verification`` use numpy.
+Generation is strided writes and translates of the standard library, as
+is every other module: the package needs no numpy.  ``_plane`` reads codes
+into the bit planes that ``ergodic`` and the period scan of ``toeplitz``
+work on.
 
 This module holds what every command runs.  The desubstitution, which
 gives the measure of a word and the letters that extend a prefix, lives in
@@ -83,14 +84,36 @@ def decode_codes(codes) -> str:
     return bytes(codes).translate(_TO_LETTER).decode("ascii")
 
 
+_PLANE_BLOCK = 1 << 17  # codes translated to '0'/'1' text and read by int(text, 2) in one pass
+
+
+def _plane(codes, bit: int) -> int:
+    """Bitset of the bytes-like ``codes`` with ``bit`` set: bit len(codes) - 1 - i is set iff codes[i] >> bit & 1.
+
+    The first code is the top bit, so the text of a bitset reads in the
+    order of the codes.  Built in passes of ``_PLANE_BLOCK`` codes, each
+    translated to '0'/'1' text and read by ``int(text, 2)`` into its bytes
+    of one big-endian buffer.
+    """
+    digits = bytes(0x31 if c >> bit & 1 else 0x30 for c in range(256))
+    size = len(codes)
+    packed = bytearray(-(-size // 8))
+    for start in range(0, size, _PLANE_BLOCK):
+        text = bytes(codes[start : start + _PLANE_BLOCK]).translate(digits)
+        nbytes = -(-len(text) // 8)  # the last pass pads its text to whole bytes
+        value = int(text.ljust(8 * nbytes, b"0"), 2)
+        packed[start // 8 : start // 8 + nbytes] = value.to_bytes(nbytes, "big")
+    return int.from_bytes(packed, "big") >> (8 * len(packed) - size)
+
+
 class SymbolicPrefix:
     """Finite prefix of a one-sided infinite sequence, positions 1..L, as read letters.
 
     Its letters are ``codes``, a read-only memoryview of bytes: codes[i] is
     0, 1, 2 or 3 for the letter a, b, c or d at position i+1.  Any
     contiguous buffer of one byte per item is accepted, checked once, here,
-    and not copied: a shift is a view, and numpy reads the codes by
-    ``np.frombuffer``.  Two prefixes are equal only if they are the same
+    and not copied: a shift is a view, and any reader of buffers takes the
+    codes without a copy.  Two prefixes are equal only if they are the same
     object, and ``fixed_point_start`` is None.
 
     ``left_extensions``, one ``language._leaves`` pass, and ``_bitsets``, a

@@ -20,8 +20,9 @@ data are what the dyadic encoding in ``factormap`` is built from.  The
 skeleton scan reads the codes as Python integers, one byte per letter,
 and only measures: whether the letters are a factor is the one language
 test, ``require_factor``, which ``period_skeleton`` and ``factormap`` ask
-of every letter they read.  numpy is imported only by the partial-period
-search, which reads the codes through ``np.frombuffer``.
+of every letter they read.  Both scans run on the standard library: the
+partial-period search reads a slice's codes as bytes and as the bit
+planes that ``ergodic`` counts on.
 """
 
 from __future__ import annotations
@@ -29,54 +30,94 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
-from .substitution import SymbolicPrefix
+from .substitution import SymbolicPrefix, _plane
 
 TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
 _TERMS = 3  # multiples checked beyond the base position
-_BLOCK = 1 << 14  # positions per slice, and most positions x periods tested in one numpy pass
+_BLOCK = 1 << 16  # positions per slice
+_SPARSE = 1 << 10  # live positions of a slice at most, from which each is searched on its own
+# for each code, the translate to 1 where a byte is that code and 0 elsewhere
+_MATCH = tuple(bytes(int(c == code) for c in range(256)) for code in range(4))
+
+
+def _residues(block: bytes):
+    """The bytes of ``block`` at the indices 0 and 1 mod 2, and at 0, 1 and 2 mod 3."""
+    return [block[r::2] for r in range(2)], [block[r::3] for r in range(3)]
 
 
 def _smallest_periods(codes, start: int, stop: int, horizon: int):
     """(p, n) for each p <= horizon that is the smallest partial period of a 0-based n in start..stop-1.
 
     The positions are resolved in slices of ``_BLOCK``, one slice at a time.
-    The positions of a slice with no partial period found yet are tested
-    against at most 8p periods from p, and as many as keep positions x
-    periods within ``_BLOCK`` cells, so the blocks of periods widen as positions resolve.
-    A position's smallest partial period is the first period of the block
-    that it accepts.  Each slice yields its periods in increasing order, each
-    with the first position of the slice that has it; a later slice may yield
-    a period again, with a later position.  The test is the four-term one,
-    with its first term, codes[n + p] == codes[n], taken on every cell and
-    the further terms gathered only at the cells where that one holds: on
-    the fixed point about one cell in five.  The caller keeps n + 3 horizon
-    inside the codes.
-    """
-    import numpy as np
+    Each slice yields its periods in increasing order, each with the first
+    position of the slice that has it; a later slice may yield a period
+    again, with a later position.  A slice reads its positions and the
+    3 reach letters after them as ``block``, which covers the periods up to
+    reach: at first the lesser of the horizon and the slice's size, so a
+    slice reads no more than 4 times its positions before a search needs
+    more.  It tests each position still live, with no partial period found
+    yet, in two phases:
 
-    codes = np.frombuffer(codes, dtype=np.uint8)
+    - While more than ``_SPARSE`` positions are live, one p <= reach at a
+      time at all of them: on the two bit planes of the block, bit i the
+      code of block[i], ``ne`` marks the i where block[i + p] differs, and
+      a live i accepts p when none of i, i + p and i + 2p is marked.
+    - Then each live position on its own, over windows of periods that
+      double in width, the block read again to at least twice the reach
+      when a window passes it.  The position's terms j = 1..3 in the
+      window are contiguous bytes of the block and of its residues mod 2
+      and mod 3, each translated to 1 where it holds the position's
+      letter; the first period where all three do is its smallest.
+
+    The caller keeps n + 3 horizon inside the codes.
+    """
     for first in range(start, stop, _BLOCK):
-        live = np.arange(first, min(first + _BLOCK, stop))
-        p = 1
-        while p <= horizon and live.size:
-            block = np.arange(p, min(p + min(_BLOCK // live.size, 8 * p), horizon + 1))
-            ok = codes[live[:, None] + block] == codes[live][:, None]
-            cells = np.flatnonzero(ok)
-            n, q = live[cells // len(block)], block[cells % len(block)]
-            base, held = codes[n], True
-            n += q
-            for _ in range(2, _TERMS + 1):
-                n += q  # n + j q, stepped in place, so no further index array is made
-                held &= codes[n] == base
-            ok.ravel()[cells] = held
-            accepts = ok.any(axis=1)
-            # each accepting position's smallest partial period, and the first position that has each
-            found, heads = np.unique(ok.argmax(axis=1)[accepts], return_index=True)
-            yield from zip((p + found).tolist(), live[accepts][heads].tolist())
-            live = live[~accepts]
-            p += len(block)
+        size = min(_BLOCK, stop - first)
+        reach = min(horizon, size)
+        block = bytes(codes[first : first + size + _TERMS * reach])
+        live, count, p = (1 << size) - 1, size, 1
+        if count > _SPARSE:
+            # the planes of the block reversed, whose top bit is its last code: bit i is block[i]
+            low, high = (_plane(block[::-1], bit) for bit in (0, 1))
+            while count > _SPARSE and p <= reach:
+                ne = (low ^ low >> p) | (high ^ high >> p)
+                t = ne >> p
+                new = live & ~(ne | t | t >> p)
+                if new:
+                    yield p, first + (new & -new).bit_length() - 1
+                    live ^= new
+                    count -= new.bit_count()
+                p += 1
+        if p > horizon:
+            continue
+        halves, thirds = _residues(block)
+        found = {}  # period -> the first position of the slice whose smallest partial period it is
+        flags = format(live, "b")[::-1]  # character i is bit i of live
+        i = flags.find("1")
+        while i >= 0:
+            i2, i3, match, q, end = i // 2, i // 3, _MATCH[block[i]], p, 2 * p
+            while q <= horizon:
+                end = min(end, horizon + 1)
+                if end - 1 > reach:
+                    reach = min(horizon, max(2 * reach, end - 1))
+                    block = bytes(codes[first : first + size + _TERMS * reach])
+                    halves, thirds = _residues(block)
+                half, third = halves[i % 2], thirds[i % 3]
+                # the term j = 2 first: on a Toeplitz word it most often holds nowhere in a window
+                hits = int.from_bytes(half[i2 + q : i2 + end].translate(match), "little")
+                if hits:
+                    hits &= int.from_bytes(block[i + q : i + end].translate(match), "little")
+                if hits:
+                    hits &= int.from_bytes(third[i3 + q : i3 + end].translate(match), "little")
+                if hits:
+                    found.setdefault(q + ((hits & -hits).bit_length() - 1 >> 3), first + i)
+                    break
+                q, end = end, 2 * end
+            i = flags.find("1", i + 1)
+        for q in sorted(found):
+            yield q, found[q]
 
 
 def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:

@@ -9,11 +9,13 @@ exercising the same code paths; each size is read by some check.  The CLI
 ``full``) both run ``ALL_CHECKS`` through ``run_check``, which also times
 each one and reads the process's peak RSS after it.  The checks that read
 a whole prefix work on it in fixed-size blocks, so their temporaries do not
-grow with the sizes.  The closed form generates the fixed point, and its claim
-applies the rules once.  The odometer claim reads the essential periods
-from the scan of the periods' check, kept per ``Sizes``, and decides the
-CF set as the divisors of their lcm; the eigenfunction claim reads the
-invariant measure's halving with the factor map's digits fixed.
+grow with the sizes, except the skeleton's, whose residue classes are
+slices of one copy of its window.  The checks run on the standard library.
+The closed form generates the fixed point, and its claim applies the rules
+once.  The odometer claim reads the essential periods from the scan of the
+periods' check, kept per ``Sizes``, and decides the CF set as the divisors
+of their lcm; the eigenfunction claim reads the invariant measure's halving
+with the factor map's digits fixed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import ergodic, errors, factormap, language, substitution, toeplitz
-
-# after the package: where no bytecode is cached, its modules are compiled
-# before numpy's heap is built, which keeps 0.3 MB off the peak RSS of verify
-import numpy as np  # noqa: E402
 
 
 class CheckResult(NamedTuple):
@@ -90,12 +88,15 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
     # the one-letter rules as a translate: none of their images is a, so a's rule then replaces each a left
     singles = encode("".join(rules[x] if len(rules[x]) == 1 else x for x in "abcd")).ljust(256, b"\0")
     codes = substitution.grigorchuk_prefix(length).codes
-    letters = np.frombuffer(codes, dtype=np.uint8)
     mismatches = reached = 0
     for i in range(0, length // 2, _CLOSED_FORM_BLOCK):
         image = codes[i : i + _CLOSED_FORM_BLOCK].tobytes().translate(singles).replace(encode("a"), encode(rules["a"]))
-        image = np.frombuffer(image, dtype=np.uint8)[: length - reached]
-        mismatches += int(np.count_nonzero(image != letters[reached : reached + len(image)]))
+        image = image[: length - reached]
+        letters = codes[reached : reached + len(image)].tobytes()
+        if image != letters:
+            # the letters that differ: a code has two bits, so fold each byte's high bit onto its low one
+            d = int.from_bytes(image, "big") ^ int.from_bytes(letters, "big")
+            mismatches += ((d | d >> 1) & int.from_bytes(b"\1" * len(image), "big")).bit_count()
         reached += len(image)
     mismatches += length - reached
     return CheckResult(
@@ -154,27 +155,21 @@ def check_four_term_rigidity(sizes: Sizes) -> CheckResult:
     )
 
 
-def _constant(letters) -> bool:
-    """Whether a possibly strided numpy view holds one letter, compared ``_CLOSED_FORM_BLOCK`` at a time."""
-    first = letters[0]
-    return not any(
-        np.count_nonzero(letters[i : i + _CLOSED_FORM_BLOCK] != first)
-        for i in range(0, len(letters), _CLOSED_FORM_BLOCK)
-    )
-
-
-def _varying_classes(letters) -> set:
-    """Keys 2^t + r of the residue classes r mod 2^t of 0-based indices whose letters are not all equal.
+def _varying_classes(letters: bytes) -> set:
+    """Keys 2^t + r of the residue classes r mod 2^t of 0-based indices whose codes are not all equal.
 
     The children r and r + 2^t of a constant class are constant, so only
     the children of a varying class are read: on the fixed point one class
     per level varies, and the levels read about twice the letters in all.
+    A class is a slice of ``letters``, constant when its first code is
+    every one of them.
     """
     varying = set()
     classes = [(1, 0)]
     while classes:
         modulus, r = classes.pop()
-        if not _constant(letters[r::modulus]):
+        column = letters[r::modulus]
+        if column.count(column[:1]) != len(column):
             varying.add(modulus + r)
             classes += [(2 * modulus, r), (2 * modulus, r + modulus)]
     return varying
@@ -188,7 +183,7 @@ def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     encoding = factormap.encode_fG(prefix, K)
     # every letter, not four terms of each: mod 2^t only the class 2^t - 1 varies, nested in the last, for each
     # t up to K + 1, whose class holds two letters; so no window of the prefix has a second non-constant column
-    varying = _varying_classes(np.frombuffer(prefix.codes, dtype=np.uint8))
+    varying = _varying_classes(prefix.codes.tobytes())
     classes_ok = varying == {(2 << t) - 1 for t in range(K + 2)}
     return CheckResult(
         name="fixed_point_skeleton_and_zero_encoding",

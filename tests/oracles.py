@@ -25,8 +25,10 @@
 - ``halving_fixed_point_count`` counts a word of letter sets on the fixed
   point by splitting it at every level down to the empty word, the
   reference for the closed-form one-set count of ``fixed_point_count``.
-- ``essential_periods_by_period`` tests one period at a time against every
-  position still unresolved, the reference for ``essential_periods``.
+- ``smallest_periods_by_period`` tests one period at a time against every
+  position still unresolved, and ``essential_periods_by_period`` reads the
+  first position of each period off it: the reference for
+  ``essential_periods`` and for what each slice of its scan yields.
 - ``smallest_partial_period_by_period`` tests one period at a time at one
   position, the reference for ``smallest_partial_period``.
 - ``essential_periods_one_pass`` tests blocks of periods, each against
@@ -244,22 +246,28 @@ def halving_fixed_point_count(sets, n):
     return count
 
 
-def essential_periods_by_period(prefix, horizon):
-    """EPSet of ``prefix`` below ``horizon``, one partial_period_mask call per p.
+def smallest_periods_by_period(prefix, horizon):
+    """The smallest partial period up to ``horizon`` of each 0-based position below L - 3 horizon, 0 for none.
 
-    The positions still unresolved at p are those whose smallest partial
-    period exceeds p - 1, so those it accepts have smallest period p; the
-    first of them is the witness.
+    One partial_period_mask call per p: the positions still unresolved at p
+    are those whose smallest partial period exceeds p - 1, so those it
+    accepts have smallest period p.
     """
-    unresolved = np.arange(len(prefix) - 3 * horizon, dtype=np.int64)
-    witnesses = {}
+    periods = np.zeros(len(prefix) - 3 * horizon, dtype=np.int64)
+    unresolved = np.arange(len(periods))
     for p in range(1, horizon + 1):
         if unresolved.size == 0:
             break
         ok = partial_period_mask(prefix.codes, unresolved, p)
-        if ok.any():
-            witnesses[p] = int(unresolved[ok][0]) + 1
-            unresolved = unresolved[~ok]
+        periods[unresolved[ok]] = p
+        unresolved = unresolved[~ok]
+    return periods
+
+
+def essential_periods_by_period(prefix, horizon):
+    """EPSet of ``prefix`` below ``horizon`` from ``smallest_periods_by_period``: each witness is the first position."""
+    found, first = np.unique(smallest_periods_by_period(prefix, horizon), return_index=True)
+    witnesses = {int(p): int(n) + 1 for p, n in zip(found, first) if p}
     return toeplitz.EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 

@@ -916,32 +916,24 @@ def test_readme_commands_read_the_same_with_grigorchuk_rules(capsys, tmp_path):
     assert seeded == 6
 
 
-# Report on stderr, at exit, OPENBLAS_NUM_THREADS, the odoshift modules and those of dataclasses
-# and argparse (with the gettext and locale it loads) if loaded, then, on the last line, whether
-# numpy was loaded (atexit runs last first).
+# Report on stderr, at exit, the odoshift modules and those of dataclasses and argparse (with the
+# gettext and locale it loads) if loaded, then, on the last line, whether numpy was loaded (atexit
+# runs last first).
 REPORT_AT_EXIT = (
-    "import atexit, os, runpy, sys\n"
+    "import atexit, runpy, sys\n"
     "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
     "atexit.register(lambda: print('modules loaded:', *sorted(m for m in sys.modules\n"
     "    if m in ('argparse', 'dataclasses', 'gettext', 'locale') or m.startswith('odoshift')),\n"
-    "    file=sys.stderr))\n"
-    "atexit.register(lambda: print('OPENBLAS_NUM_THREADS:', repr(os.environ.get('OPENBLAS_NUM_THREADS')),\n"
     "    file=sys.stderr))\n"
 )
 # Run `python -m odoshift.cli ARGS`.
 MAIN_REPORTING_NUMPY = REPORT_AT_EXIT + "runpy.run_module('odoshift.cli', run_name='__main__')\n"
 
 
-def fresh(*argv, script=MAIN_REPORTING_NUMPY, openblas_threads=None):
-    """One fresh interpreter with the package on its path, as the benchmark starts one.
-
-    OPENBLAS_NUM_THREADS is unset in it unless ``openblas_threads`` gives a value.
-    """
+def fresh(*argv, script=MAIN_REPORTING_NUMPY):
+    """One fresh interpreter with the package on its path, as the benchmark starts one."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("ODOSHIFT_MAX_BYTES", None)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     return subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
     )
@@ -1045,40 +1037,8 @@ usage: odoshift [-h] [--json]
     def test_help_errors_and_abbreviations_load_argparse(self, monkeypatch, argv, code, stdout, stderr):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
         proc = fresh(*argv)
-        assert (proc.returncode, proc.stdout, proc.stderr.rsplit("OPENBLAS_NUM_THREADS:", 1)[0]) == (code, stdout, stderr)
+        assert (proc.returncode, proc.stdout, proc.stderr.rsplit("modules loaded:", 1)[0]) == (code, stdout, stderr)
         assert loaded(proc) >= {"argparse", "gettext", "locale"}
-
-
-class TestOneBlasThread:
-    """verify, the one command that loads numpy, starts it with one BLAS thread unless the user set their number."""
-
-    def test_a_command_sets_one_thread(self):
-        proc = fresh("verify", "--level", "quick")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '1'"
-
-    def test_the_value_the_user_set_wins(self):
-        proc = fresh("verify", "--level", "quick", openblas_threads="3")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: '3'"
-
-    def test_a_command_without_numpy_sets_nothing(self):
-        proc = fresh("freq", "--word", "ac", "--window", "4096")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: None"
-
-    def test_importing_the_package_and_cli_sets_nothing(self):
-        proc = fresh(script=REPORT_AT_EXIT + "import odoshift, odoshift.cli\n")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-3] == "OPENBLAS_NUM_THREADS: None"
-
-    def test_main_after_numpy_sets_nothing(self, capsys, monkeypatch):
-        import numpy  # noqa: F401  loaded already, so the setting could do nothing
-
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        code, out, err = run(capsys, "verify", "--level", "quick")
-        assert code == 0, err
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 # Report on stderr, at exit, that the atexit hook ran and how many objects gc.freeze() moved to the
@@ -1183,21 +1143,22 @@ class TestStartLoadsOnlyWhatRuns:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == str(fractions)
 
-    def test_verify_loads_numpy(self):
+    def test_verify_loads_no_numpy(self):
         proc = fresh("verify", "--level", "quick")
         assert proc.returncode == 0, proc.stderr
         assert loaded(proc) == {"odoshift", "odoshift.errors", "odoshift.substitution", "odoshift.toeplitz",
                                 "odoshift.factormap", "odoshift.ergodic", "odoshift.language",
                                 "odoshift.verification"}
-        assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
 
-    def test_importing_ergodic_loads_no_numpy(self):
+    def test_importing_every_module_loads_no_numpy(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, odoshift.ergodic; print('numpy' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+        script = ("import importlib, sys, odoshift\n"
+                  "for name in (*odoshift._EXPORTS, 'verification'):\n"
+                  "    importlib.import_module(f'odoshift.{name}')\n"
+                  "print(len([m for m in sys.modules if m.startswith('odoshift.')]), 'numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, f"{len(odoshift._EXPORTS) + 1} False\n"), proc.stderr
 
     def test_importing_the_package_loads_no_submodule(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

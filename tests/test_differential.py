@@ -39,12 +39,16 @@ The straightforward algorithms these replaced stand in for the program here:
   skeleton, where ``classify_fiber`` reads it off ``encode_value``; on a
   prefix of exactly the skeleton's window the two rules agree.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
-  period at a time, where ``essential_periods`` tests blocks of periods;
-  ``oracles.smallest_partial_period_by_period`` does so at one position,
-  where ``smallest_partial_period`` reads the same search as
+  period at a time, where ``essential_periods`` tests the live positions of
+  a slice on bit planes and then each on its own over windows of periods;
+  ``oracles.smallest_periods_by_period`` gives each position's smallest
+  period, against which every pair that the scan yields per slice is
+  checked; ``oracles.smallest_partial_period_by_period`` and the four-term
+  mask over every period do so at one position, where
+  ``smallest_partial_period`` reads the same search as
   ``essential_periods``; ``oracles.essential_periods_one_pass`` tests each
-  block against every unresolved position at once, where that search
-  resolves the positions one slice of ``_BLOCK`` at a time.
+  block of periods against every unresolved position at once, where that
+  search resolves the positions one slice of ``_BLOCK`` at a time.
 - ``oracles.class_measure_by_parity`` runs the parity recursion of the
   measure of a word in a class of the factor map over Fractions on sets of
   letters, where ``class_measure`` reads the class off the leaves of the
@@ -85,10 +89,12 @@ from oracles import (
     left_letters_by_parity,
     occurrence_positions,
     pairwise_spectral_scan,
+    partial_period_mask,
     residue_class_measure,
     reconstruct_from_skeleton,
     skeleton_fiber_index,
     smallest_partial_period_by_period,
+    smallest_periods_by_period,
 )
 from odoshift.substitution import (
     Substitution,
@@ -603,7 +609,7 @@ def test_residue_class_sum_matches_the_exponential_sum(window, word):
         assert abs(sample.magnitude - want) <= 1e-9, theta
 
 
-BLOCK = ergodic._BLOCK
+BLOCK = substitution._PLANE_BLOCK
 
 
 def block_edge_prefix(name):
@@ -896,6 +902,16 @@ def test_essential_periods_match_the_per_period_loop_on_the_fixed_point():
     assert toeplitz.essential_periods(prefix, 1 << 13) == essential_periods_by_period(prefix, 1 << 13)
 
 
+def test_essential_periods_match_the_per_period_loop_with_2000_letters_changed():
+    # each changed letter leaves positions with no partial period, or a larger one, searched on their own
+    rng = random.Random(20261021)
+    codes = bytearray(grigorchuk_prefix(1 << 18).codes)
+    for _ in range(2000):
+        codes[rng.randrange(len(codes))] = rng.randrange(4)
+    prefix = SymbolicPrefix(codes)
+    assert toeplitz.essential_periods(prefix, 1 << 13) == essential_periods_by_period(prefix, 1 << 13)
+
+
 def random_words(count, seed):
     """Periodic words, random words, and fixed-point factors with a few letters changed."""
     rng = random.Random(seed)
@@ -939,16 +955,19 @@ def test_essential_periods_match_the_per_period_loop_on_random_words(seed):
             )
 
 
-SLICE = toeplitz._BLOCK  # positions of one slice, and most cells, positions x periods, of one pass
+SLICE = toeplitz._BLOCK  # positions of one slice
 
 
 def one_pass_cases():
-    """Prefixes and horizons whose slices of positions cut the blocks of periods unevenly."""
-    # L - 3 * horizon scanned positions: 17000 is one slice and 616 positions more; 2 SLICE + 1 leaves
-    # a last slice of one position, tested against every period up to the horizon in one pass
+    """Prefixes and horizons whose slices of positions end short, or one position past a slice."""
+    # L - 3 * horizon scanned positions: 17000 and 62464 are part of one slice, 65542 a slice and 6
+    # positions more, searched on their own, and 2 SLICE + 1 leaves a last slice of one position
     for length, horizon in [(20_000, 1000), ((1 << 16) + 3, 1025), (3 * SLICE + 7, 2 * SLICE // 3 + 1),
                             (2 * SLICE + 1 + 3 * 700, 700)]:
         yield pytest.param(grigorchuk_prefix(length), horizon, id=f"fixed_point_{length}_{horizon}")
+    # a horizon past a slice: the first slice's letters cover periods up to SLICE, so its last position,
+    # 2^16, finds its smallest period 2^17 only after the slice reads on
+    yield pytest.param(grigorchuk_prefix(1 << 19), 1 << 17, id="horizon_past_a_slice")
     yield pytest.param(grigorchuk_prefix(40_011).shifted(11), 3000, id="shifted")
     sub = SUBSTITUTIONS["period_doubling"]
     yield pytest.param(substitution.fixed_point_prefix(sub, "a", 30_000), 2000, id="period_doubling")
@@ -956,15 +975,14 @@ def one_pass_cases():
     codes = bytes(rng.randrange(4) for _ in range(40_000))
     yield pytest.param(SymbolicPrefix(codes), 5000, id="random_abcd")
     # one b in a run of a's, heading the second slice: three positions of the first slice stay
-    # after p = 1, so its next block holds SLICE // 3 periods; the b has no partial period, so
-    # its slice tests it alone, SLICE periods at a time, to the horizon
+    # live after p = 1 and are searched on their own; the b has no partial period, so its
+    # windows of periods double to the horizon
     horizon = SLICE + 100
     run = bytearray(70_000 + 3 * horizon)
     run[SLICE] = 1
     yield pytest.param(SymbolicPrefix(run), horizon, id="one_b_in_a_run")
-    # the b last in the first slice: four positions stay after p = 1, the three before the b
-    # resolve in the block of periods 2..4097, and the b, the slice's last live position,
-    # runs on to the horizon in a block cut short there
+    # the b last in the first slice: four positions stay live after p = 1, and the b, the last
+    # of them, has no partial period: its windows run on to the horizon, the last cut short there
     horizon = 5000
     run = bytearray(SLICE + 100 + 3 * horizon)
     run[SLICE - 1] = 1
@@ -974,6 +992,78 @@ def one_pass_cases():
 @pytest.mark.parametrize("prefix, horizon", one_pass_cases())
 def test_row_slices_match_the_one_pass_blocks(prefix, horizon):
     assert toeplitz.essential_periods(prefix, horizon) == essential_periods_one_pass(prefix, horizon)
+
+
+def live_after(periods, p):
+    """The positions whose smallest partial period is not below p, in the per-period loop's ``periods``."""
+    return int(np.count_nonzero((periods == 0) | (periods >= p)))
+
+
+def per_slice_periods(prefix, horizon):
+    """(first, periods, EPSet) of each slice: the per-period loop on its positions and the 3 horizon letters after them."""
+    stop = len(prefix) - 3 * horizon
+    for first in range(0, stop, SLICE):
+        letters = SymbolicPrefix(prefix.codes[first : min(first + SLICE, stop) + 3 * horizon])
+        yield first, smallest_periods_by_period(letters, horizon), essential_periods_by_period(letters, horizon)
+
+
+def scan_of(prefix, horizon):
+    """What ``_smallest_periods`` yields over every position that essential_periods scans."""
+    return list(toeplitz._smallest_periods(prefix.codes, 0, len(prefix) - 3 * horizon, horizon))
+
+
+def test_the_scan_leaves_the_bit_planes_partway_through_a_slice():
+    # random codes: two full slices and 500 positions more, searched on their own from p = 1
+    horizon = 400
+    rng = random.Random(20261021)
+    prefix = SymbolicPrefix(bytes(rng.randrange(4) for _ in range(2 * SLICE + 500 + 3 * horizon)))
+    expected = []
+    for first, periods, ep in per_slice_periods(prefix, horizon):
+        if len(periods) == SLICE:
+            # each full slice leaves the bit planes at the first p with at most _SPARSE live positions,
+            # and that p and the one before are some position's smallest partial period
+            switch = next(p for p in range(1, horizon + 1) if live_after(periods, p) <= toeplitz._SPARSE)
+            assert 1 < switch < horizon and {switch - 1, switch} <= set(ep.periods)
+        expected += [(p, first + ep.witnesses[p] - 1) for p in ep.periods]
+    assert scan_of(prefix, horizon) == expected
+
+
+def test_a_run_across_a_slice_boundary_yields_in_both_slices():
+    # a run of a's over the end of the first slice of the fixed point: period 1 on both sides of it
+    horizon = 400
+    codes = bytearray(grigorchuk_prefix(2 * SLICE + 3 * horizon).codes)
+    codes[SLICE - 40 : SLICE + 40] = bytes(80)
+    prefix = SymbolicPrefix(codes)
+    expected = [(p, first + ep.witnesses[p] - 1) for first, _, ep in per_slice_periods(prefix, horizon)
+                for p in ep.periods]
+    assert [n for p, n in expected if p == 1] == [SLICE - 40, SLICE]
+    assert scan_of(prefix, horizon) == expected
+
+
+def smallest_by_mask(codes, n):
+    """(p, None) for the least p of the four-term mask at position n that fits in the codes, else (None, the length
+    the next p needs)."""
+    last = (len(codes) - n) // 3
+    p = np.arange(1, last + 1)
+    ok = partial_period_mask(codes, n - 1, p)
+    return (int(p[ok][0]), None) if ok.any() else (None, n + 3 * (last + 1))
+
+
+@pytest.mark.parametrize("letters", [2, 3])
+def test_smallest_partial_period_matches_the_four_term_mask_on_random_codes(letters):
+    rng = random.Random(20261021 + letters)
+    length = 1 << 14
+    prefix = SymbolicPrefix(bytes(rng.randrange(letters) for _ in range(length)))
+    for n in [1, length, *rng.sample(range(1, length + 1), 300)]:
+        assert smallest_partial_period_or_need(prefix, n) == smallest_by_mask(prefix.codes, n), n
+    # a d at n, met again only at the last period that fits: the last of the last window
+    for last in (1, 2, 5, 64, 100, 1000):
+        n = length - 3 * last - rng.randrange(3)
+        codes = bytearray(prefix.codes)
+        for j in range(4):
+            codes[n - 1 + j * last] = 3
+        planted = SymbolicPrefix(codes)
+        assert smallest_partial_period_or_need(planted, n) == smallest_by_mask(planted.codes, n) == (last, None)
 
 
 # ---------------------------------------------------------------------------
