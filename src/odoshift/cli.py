@@ -404,11 +404,9 @@ def main(argv=None) -> int:
 
     A plain command line is read by ``_read_plain``; any other, help and
     errors among them, by the argparse parser of ``build_parser``, which
-    only then is imported and built.  ``verify`` may set
-    ``OPENBLAS_NUM_THREADS`` in the process environment and leaves it set
-    on return.  ``main`` leaves the garbage collector as it found it, so a
-    caller may run it many times in one process; ``run`` is the entry
-    that ends a process.
+    only then is imported and built.  ``main`` leaves the garbage
+    collector as it found it, so a caller may run it many times in one
+    process; ``run`` is the entry that ends a process.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)

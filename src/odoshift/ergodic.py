@@ -6,9 +6,9 @@ standard library.  ``_count_starts`` counts a word's starts, for
 short words on the fixed point, ``_fixed_point_frequency``), by one of two paths.
 On a prefix of the Grigorchuk fixed point, whose ``fixed_point_start`` is
 set, it reads the word's text into its letter sets in one step
-(``language.word_sets``) and counts by desubstitution
-(``language.fixed_point_count``), as ``spectral_scan`` does per
-residue class mod q up to q = ``_COMB_MAX``
+(``language.word_sets``) and counts off the leaves of their one
+desubstitution in closed form (``language.fixed_point_count``), as
+``spectral_scan`` does per residue class mod q up to q = ``_COMB_MAX``
 (``language.fixed_point_residue_counts``): neither reads a letter of
 the prefix, so the prefix generates none.  On any other prefix, and for a
 larger q, it reads the word as codes (``substitution.encode_letters``), and the

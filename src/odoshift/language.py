@@ -9,8 +9,9 @@ word starts at i = t + 2^k m exactly when letter m lies in s.  Three
 questions are read off the leaves, and none reads a letter of the fixed
 point:
 
-- the count of a word's starts (``fixed_point_count``): each leaf counts
-  the letters of s among the first ceil((n - t) / 2^k), in closed form;
+- the count of a word's starts (``fixed_point_count``), and its count per
+  class mod q (``fixed_point_residue_counts``): each leaf counts the
+  letters of s among the first ceil((n - t) / 2^k), in closed form;
 - the exact measure of a word in a class of the factor map
   (``class_measure``, ``invariant_measure_cylinder``): each leaf carries
   2^-k mu(s), in the class of t or spread over those of m
@@ -24,9 +25,7 @@ point:
   m any 2^u * odd, u >= 1, when it is a, giving F(k + 1), F(k + 2),
   F(k + 3): b, c and d.  The empty word's leaf (0, 0, any) gives both.
 
-``fixed_point_residue_counts`` splits by parity on its own, carrying the
-class of each start, and ``spells_fixed_point`` tests that letters spell
-the fixed point itself.
+``spells_fixed_point`` tests that letters spell the fixed point itself.
 
 The leaves are kept: ``_leaves`` serves a bytes word of at most 64 sets
 from one ``lru_cache`` of at most 4,096 entries, and a step's recursion
@@ -171,33 +170,33 @@ def left_letters(sets) -> frozenset:
 def fixed_point_residue_counts(sets, n: int, q: int) -> list:
     """counts[r]: the starts 0 <= i < n, i = r mod q, that ``fixed_point_count`` counts, for every r at once.
 
-    The same parity split carries the class: a start 2m + e in class r puts
-    m in class (r - e) / 2 mod q / 2 when q is even, where only e = r mod 2
-    is possible, and in class (r - e) * 2^-1 mod q when q is odd.  So the
-    two halves' counts interleave (q even) or land at 2t and 2t + 1 mod q
-    (q odd).  An empty word counts every start; a word of L sets over n
-    starts takes O(q (L + log n)) steps, and no letter is read.  ``sets``
-    is any bytes-like word, read as its bytes.  A negative n is an
-    InvalidInputError.
+    A leaf (k, t, s) with t < n and m = ceil((n - t) / 2^k) starts at
+    i = t + 2^k (2^v (2z + 1) - 1) for each v with F(v) in s and
+    z < Z_v = ((m >> v) + 1) >> 1, the terms that count sums.  The step
+    2^(k+v+1) visits the classes mod q with period P = q / gcd(q, step), so
+    each class visited holds floor(Z_v / P) or one more of these starts.  It
+    takes O(leaves log n min(q, Z)) steps and reads no letter; the empty
+    word's leaf counts every start.  ``sets`` is any bytes-like word, and a
+    negative n is an InvalidInputError.
     """
-    if type(sets) is not bytes:
-        sets = bytes(sets)
-    if not sets or n <= 0:
-        if n < 0:
-            raise InvalidInputError(f"need n >= 0 starts, got {n}")
-        return [(n + q - 1 - r) // q for r in range(q)]
-    if 0 in sets:
-        return [0] * q
-    half = q if q % 2 else q // 2
-    even = odd = [0] * half
-    if not sets[0::2].translate(None, _HOLDING_A):
-        even = fixed_point_residue_counts(sets[1::2].translate(_PULLBACK), (n + 1) // 2, half)
-    if not sets[1::2].translate(None, _HOLDING_A):
-        odd = fixed_point_residue_counts(sets[0::2].translate(_PULLBACK), n // 2, half)
-    if half < q:
-        return [count for pair in zip(even, odd) for count in pair]
-    inverse = (q + 1) // 2  # of 2 mod q
-    return [even[r * inverse % q] + odd[(r - 1) * inverse % q] for r in range(q)]
+    if n < 0:
+        raise InvalidInputError(f"need n >= 0 starts, got {n}")
+    counts = [0] * q
+    low = q & -q  # the largest power of two that divides q
+    for k, t, s in _leaves(sets):
+        if t < n:
+            m = (n - t + (1 << k) - 1) >> k
+            for letter, first in ((1, 0), (4, 1), (2, 2), (8, 3)):  # F(v): a at v = 0, c, b, d at v = 1, 2, 3 mod 3
+                if s & letter:
+                    for v in range(first, m.bit_length() if first else 1, 3):
+                        step = 1 << k + v + 1
+                        period = q // min(step, low)
+                        full, extra = divmod(((m >> v) + 1) >> 1, period)
+                        r, move = (t + (step >> 1) - (1 << k)) % q, step % q
+                        for z in range(period if full else extra):
+                            counts[r] += full + (z < extra)
+                            r = (r + move) % q
+    return counts
 
 
 def letter_sets(codes) -> bytes:

@@ -281,14 +281,20 @@ def check_spectrum(sizes: Sizes) -> CheckResult:
     same = all(tagged == letters for tagged, letters in pairs.values())
     ok = same
     details = []
+    a = language.word_sets("a")
     for theta in thetas[:2]:
         mags = [pairs[theta, w][0] for w in windows]
         decays = mags[0] > mags[1] > mags[2]
-        small = mags[-1] <= 1e-2
+        # the sum of e(-p r / q) over the classes r is 0, so the magnitude is at most the spread D / N, where
+        # D = sum_r |c_r - C / q| of the starts c_r in class r and C of them all: an exact bound
+        q = theta.denominator
+        counts = language.fixed_point_residue_counts(a, windows[-1], q)
+        starts = sum(counts)
+        spread = Fraction(sum(abs(q * c - starts) for c in counts), q * windows[-1])
+        small = spread <= Fraction(1, 100)
         ok = ok and decays and small
-        details.append(f"theta={theta}: {mags[-1]:.2e} (decays: {decays})")
+        details.append(f"theta={theta}: {mags[-1]:.2e} (decays: {decays}), D/N {float(spread):.2e} <= 1/100: {small}")
     # at theta = 1/2 the sum is the even starts less the odd ones, exactly
-    a = language.word_sets("a")
     even, odd = language.fixed_point_residue_counts(a, windows[-1], 2)
     half = Fraction(even - odd, windows[-1])
     ok = ok and half == Fraction(1, 2)

@@ -24,7 +24,9 @@
   reference.
 - ``halving_fixed_point_count`` counts a word of letter sets on the fixed
   point by splitting it at every level down to the empty word, the
-  reference for the closed-form one-set count of ``fixed_point_count``.
+  reference for the closed-form one-set count of ``fixed_point_count``;
+  ``halving_residue_counts`` carries each start's class mod q through the
+  same split, the reference for ``fixed_point_residue_counts``.
 - ``smallest_periods_by_period`` tests one period at a time against every
   position still unresolved, and ``essential_periods_by_period`` reads the
   first position of each period off it: the reference for
@@ -244,6 +246,31 @@ def halving_fixed_point_count(sets, n):
     if not sets[1::2].translate(None, language._HOLDING_A):
         count += halving_fixed_point_count(sets[0::2].translate(language._PULLBACK), n // 2)
     return count
+
+
+def halving_residue_counts(sets, n, q):
+    """counts[r]: the starts 0 <= i < n, i = r mod q, of ``halving_fixed_point_count``, the class carried.
+
+    A start 2m + e in class r puts m in class (r - e) / 2 mod q / 2 when q
+    is even, where only e = r mod 2 is possible, and in class
+    (r - e) * 2^-1 mod q when q is odd.  So the two halves' counts
+    interleave (q even) or land at 2t and 2t + 1 mod q (q odd); the empty
+    word counts every start.
+    """
+    if not sets or not n:
+        return [(n + q - 1 - r) // q for r in range(q)]
+    if 0 in sets:
+        return [0] * q
+    half = q if q % 2 else q // 2
+    even = odd = [0] * half
+    if not sets[0::2].translate(None, language._HOLDING_A):
+        even = halving_residue_counts(sets[1::2].translate(language._PULLBACK), (n + 1) // 2, half)
+    if not sets[1::2].translate(None, language._HOLDING_A):
+        odd = halving_residue_counts(sets[0::2].translate(language._PULLBACK), n // 2, half)
+    if half < q:
+        return [count for pair in zip(even, odd) for count in pair]
+    inverse = (q + 1) // 2  # of 2 mod q
+    return [even[r * inverse % q] + odd[(r - 1) * inverse % q] for r in range(q)]
 
 
 def smallest_periods_by_period(prefix, horizon):

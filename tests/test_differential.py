@@ -34,7 +34,10 @@ The straightforward algorithms these replaced stand in for the program here:
   for bit, on the fixed point and on its letters in a prefix with no start.
 - ``oracles.halving_fixed_point_count`` splits a word of letter sets down
   to the empty word at every level, where ``fixed_point_count`` counts a
-  one-set word in closed form.
+  one-set word in closed form; ``oracles.halving_residue_counts`` carries
+  each start's class mod q through that split, where
+  ``fixed_point_residue_counts`` reads it off the closed form's
+  progressions, one per leaf and valuation.
 - ``oracles.skeleton_fiber_index`` reads the orbit index off the period
   skeleton, where ``classify_fiber`` reads it off ``encode_value``; on a
   prefix of exactly the skeleton's window the two rules agree.
@@ -85,6 +88,7 @@ from oracles import (
     essential_periods_by_period,
     essential_periods_one_pass,
     halving_fixed_point_count,
+    halving_residue_counts,
     iterate,
     left_letters_by_parity,
     occurrence_positions,
@@ -767,6 +771,10 @@ def test_fixed_point_count_reads_letter_sets():
 HALVING_STARTS = sorted({0, 1, 10**18, *(n for k in range(201) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
 
 
+# q for every word and window: odd, even, powers of two and the comb's limit; four more cycle through 1..128
+RESIDUE_QS = (1, 2, 3, 64, 127, 128)
+
+
 def test_fixed_point_count_equals_the_halving_recursion():
     # every nonempty one-set word, and seeded words of 1 to 12 sets: each holding a factor's
     # letters, or any sets, the empty one among them
@@ -779,10 +787,18 @@ def test_fixed_point_count_equals_the_halving_recursion():
         words.append(bytes(1 << code | rng.randrange(16) for code in codes[start : start + size]))
         words.append(bytes(rng.randrange(16) for _ in range(size)))
     assert any(0 in sets for sets in words)
+    # the residue counts at one start in eight, which falls on 2^k - 1, 2^k and 2^k + 1 in turn, each at the
+    # next q of RESIDUE_QS and four seeded ones: the oracle at every start would take about 12 s more
+    qs = itertools.cycle((*RESIDUE_QS, *rng.sample(range(4, 127), 4)))
     for sets in words:
         # the oracle halves n to 0 one call at a time, so longer words take the starts up to 2^62 and 10^18
-        for n in HALVING_STARTS if len(sets) == 1 else [n for n in HALVING_STARTS if n.bit_length() <= 63]:
+        starts = HALVING_STARTS if len(sets) == 1 else [n for n in HALVING_STARTS if n.bit_length() <= 63]
+        for i, n in enumerate(starts):
             assert language.fixed_point_count(sets, n) == halving_fixed_point_count(sets, n), (sets, n)
+            if i % 8 == 0:
+                q = next(qs)
+                want = halving_residue_counts(sets, n, q)
+                assert language.fixed_point_residue_counts(sets, n, q) == want, (sets, n, q)
 
 
 @pytest.mark.parametrize("sets, n, q", [(b"\x04", -1, None), (b"\x01", -5, None), (b"\x01\x02", -1, None),
@@ -826,10 +842,6 @@ def test_both_count_paths_raise_alike(word, window, length, error):
         assert raised[0][1] == window + len(word) - 1 == raised[2][1]
     else:
         assert raised[2] == raised[0]
-
-
-# q for every word and window: odd, even, powers of two and the comb's limit; four more cycle through 1..128
-RESIDUE_QS = (1, 2, 3, 64, 127, 128)
 
 
 @pytest.mark.parametrize("shift", [0, 1, 7, (1 << 12) - 1, (1 << 12) + 1])

@@ -1,5 +1,6 @@
 """The verification checks hold their temporaries in fixed-size blocks and fail where their claims break."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,18 @@ def test_check_spectrum_fails_where_the_two_paths_differ(monkeypatch):
                         lambda *args: [c + (r == 0) for r, c in enumerate(counts(*args))])
     result = verification.check_spectrum(QUICK)
     assert not result.ok and result.detail.endswith("9 magnitudes equal on both paths: False")
+
+
+def test_check_spectrum_fails_where_the_counts_spread_past_a_hundredth(monkeypatch):
+    # N / 50 starts too many in class 0 of the counts the check reads, on neither path of the magnitudes
+    counts = language.fixed_point_residue_counts
+    extra = (1 << QUICK.prefix_log2) // 50
+    monkeypatch.setattr(language, "fixed_point_residue_counts",
+                        lambda *args: [c + extra * (r == 0) for r, c in enumerate(counts(*args))])
+    result = verification.check_spectrum(QUICK)
+    assert not result.ok and result.detail.endswith("9 magnitudes equal on both paths: True")
+    for theta in ("1/3", "1/5"):
+        assert re.search(f"theta={theta}: [^;]*, D/N [^;]* <= 1/100: False;", result.detail), result.detail
 
 
 @pytest.mark.parametrize("level", ["medium", "FULL", ""])
