@@ -37,7 +37,7 @@ from .substitution import SymbolicPrefix, _plane, encode_letters
 
 
 def __getattr__(name):
-    # factormap.encode_value is re-exported, and loaded only when read: no count runs factormap
+    # factormap.encode_value, kept for the benchmark only, is loaded when read: no count runs factormap
     if name == "encode_value":
         from .factormap import encode_value
 

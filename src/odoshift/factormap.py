@@ -2,15 +2,16 @@
 
 The subshift generated by the Grigorchuk fixed point maps onto the binary
 odometer: there is a unique continuous map f with f(shift x) = f(x) + 1 and
-f(fixed point) = 0.  The first k dyadic digits of f(x) are computable from
-the first 2^(k+2) letters of x, ``toeplitz.skeleton_window(k)``: they are
-the binary expansion of 2^k - M_k, where M_k is the level-k non-constant
-column of the period skeleton.  ``encode_value`` is that one formula, and
-``encode_fG`` and ``classify_fiber`` read f through it alone; ``encode_fG``
+f(fixed point) = 0.  So f of the fixed point shifted n times is n, a
+window's ``fixed_point_start``.  Read letters give f mod 2^D, the low
+digits that all their starts in the fixed point share, at least k + 1 in
+2^(k+2) letters (``language.factor_digits``), and a shift by n adds n.
+``toeplitz.require_factor``, the one language test, hands them back.
+``encode_fG`` and ``classify_fiber`` read f through
+``toeplitz.period_skeleton``, M_k = 2^k - (f mod 2^k); ``encode_fG``
 gives the digits as a ``DyadicInt``, defined here, where the map is.
-``verify_equivariance`` takes the M_k of every shift from one skeleton scan.
-``encode_fG``, ``verify_equivariance`` and ``sigma_preimage_letters`` ask
-``toeplitz.require_factor``, the one language test, of the letters they read.
+``verify_equivariance`` gives (f + n) mod 2^k at every shift n, and
+``sigma_preimage_letters`` asks ``require_factor`` of every letter it reads.
 
 The map is injective away from a countable exceptional set: the backward
 orbit of the single point (here the fixed point itself) whose shift
@@ -73,37 +74,35 @@ class EncodingResult(NamedTuple):
 
 
 def encode_value(prefix_codes, k: int) -> int:
-    """Integer value of the first k dyadic digits, 2^k - M_k, of codes that must be a factor of the fixed point."""
-    levels, _ = toeplitz.skeleton_levels_from_codes(prefix_codes, k)
-    return (1 << k) - levels[-1]
+    """Integer value of the first k dyadic digits of codes that must be a factor: ``encode_fG`` of their letters.
+
+    Kept for the benchmark's tracer, which binds this signature; no caller in the package needs it.
+    """
+    return encode_fG(SymbolicPrefix(prefix_codes), k).value.value
 
 
 def encode_fG(prefix: SymbolicPrefix, k: int) -> EncodingResult:
-    """First k dyadic digits of the factor-map value of ``prefix``: ``encode_value`` as a DyadicInt.
+    """First k dyadic digits of the factor-map value of ``prefix``, 2^k - M_k, as a DyadicInt.
 
     Normalized so the unshifted fixed point encodes to 0.  Window letters
     that are no factor of the fixed point raise NotInSubshiftError.
     """
     if k < 1:
         raise InvalidInputError(f"precision k must be positive, got {k}")
-    value, window = encode_value(prefix.codes, k), toeplitz.skeleton_window(k)
-    toeplitz.require_factor(prefix, window)
-    return EncodingResult(value=DyadicInt(value, k), window_used=window)
+    skeleton = toeplitz.period_skeleton(prefix, k)
+    return EncodingResult(value=DyadicInt((1 << k) - skeleton.levels[-1], k), window_used=skeleton.window_used)
 
 
 def verify_equivariance(prefix: SymbolicPrefix, k: int, shifts: int) -> tuple:
-    """The k-digit encodings of shifts 0..shifts of ``prefix``, from one skeleton scan.
+    """The k-digit encodings of shifts 0..shifts of ``prefix``: (f + n) mod 2^k at shift n.
 
     The shifts + 2^(k+2) letters read must be a factor of the fixed point,
-    else NotInSubshiftError.  Then one level-k residue r serves every
-    window, so the values 2^k - ((r - n) mod 2^k + 1) step by one mod 2^k
-    by construction; ``verification`` checks where they start.
+    else NotInSubshiftError; ``verification`` checks where the values start.
     """
     if shifts < 1:
         raise InvalidInputError(f"shifts must be positive, got {shifts}")
-    columns = toeplitz.deepest_columns(prefix.codes, k, shifts)
-    toeplitz.require_factor(prefix, shifts + toeplitz.skeleton_window(k))
-    return tuple((1 << k) - m for m in columns)
+    f = toeplitz._skeleton_digits(prefix, k, shifts)
+    return tuple((f + n) % (1 << k) for n in range(shifts + 1))
 
 
 def sigma_preimage_letters(prefix: SymbolicPrefix) -> frozenset:
@@ -130,7 +129,7 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     """Decide whether ``prefix`` is a Toeplitz point or on the backward orbit of the exceptional point.
 
     x is on that orbit at index n exactly when f(x) = -n and its letters
-    from n on are the fixed point's.  So n = -``encode_value`` mod 2^K is a
+    from n on are the fixed point's.  So n = -f mod 2^K = M_K mod 2^K is a
     candidate when n = 0, or when K >= 2 and n <= 2^(K-1) (M_K = M_(K-1)),
     and it stands only if every letter held from n on is the fixed point's:
     the digits of f do not tell such a sequence from a Toeplitz point that
@@ -140,7 +139,7 @@ def classify_fiber(prefix: SymbolicPrefix, K: int) -> FiberReport:
     """
     from . import language  # not loaded by encode on the fixed point, which runs no language test
 
-    n = -encode_value(prefix.codes, K) % (1 << K)
+    n = toeplitz.period_skeleton(prefix, K).levels[-1] % (1 << K)
     letters = sigma_preimage_letters(prefix)
     candidate = n == 0 or K >= 2 and n <= 1 << (K - 1)
     if prefix.fixed_point_start is not None:

@@ -5,7 +5,7 @@ next(letter m): a word starts at an even index when its letters there are
 all a and the pullback of the others starts half as far in, and likewise
 at an odd index.  Repeated, that split ends in one set per branch:
 ``_leaves`` gives the leaves (k, t, s) of the word's parity tree, and the
-word starts at i = t + 2^k m exactly when letter m lies in s.  Three
+word starts at i = t + 2^k m exactly when letter m lies in s.  Four
 questions are read off the leaves, and none reads a letter of the fixed
 point:
 
@@ -23,7 +23,9 @@ point:
   is at position i, and v2(i) = v2(t) < k if t > 0: F(v2(t)).  If t = 0,
   v2(i) = k + v2(m), with m odd when its letter is not a, giving F(k), and
   m any 2^u * odd, u >= 1, when it is a, giving F(k + 1), F(k + 2),
-  F(k + 3): b, c and d.  The empty word's leaf (0, 0, any) gives both.
+  F(k + 3): b, c and d.  The empty word's leaf (0, 0, any) gives both;
+- the factor map's digits of read letters (``factor_digits``), the low
+  bits that the t of every leaf share: the same pass, ``left_extensions``.
 
 ``spells_fixed_point`` tests that letters spell the fixed point itself.
 
@@ -152,19 +154,43 @@ def fixed_point_count(sets, n: int) -> int:
 
 
 def left_letters(sets) -> frozenset:
-    """The letters l of 'abcd' with mu[l + word] > 0, for any bytes-like word of letter sets.
+    """The letters l of 'abcd' with mu[l + word] > 0, for any bytes-like word of letter sets: ``letters_before``."""
+    return letters_before(_leaves(sets))
+
+
+def letters_before(leaves) -> frozenset:
+    """The letters l of 'abcd' with mu[l + word] > 0, from the leaves of the word.
 
     Each leaf (k, t, s) of ``_leaves`` gives F(v2(t)) if t > 0; if t = 0, F(k)
     if s holds a letter other than a, and b, c, d if s holds a: the
     left-letter rule of the module docstring.
     """
     letters = set()
-    for k, t, s in _leaves(sets):
+    for k, t, s in leaves:
         if t or s & 14:
             letters.add(grigorchuk_letter(t or 1 << k))
         if not t and s & 1:
             letters.update("bcd")
     return frozenset(letters)
+
+
+def factor_digits(leaves):
+    """f mod 2^D of a word with these leaves, D the most low bits that every t shares, D <= each k; else None.
+
+    The word starts only at i = t + 2^k m, and f is i on the fixed point
+    shifted i times; a word with no leaves is no factor and has no f.  On
+    L >= 2^(K+2) letters D >= K + 1 (recognizability, Mosse 1992): letters
+    split only into the sets {a}, {b}, {c}, {d} and {a, d} (``_PULLBACK``).
+    Each of levels 0..K has at least 4 sets, so two neighbours in the class
+    that a true start does not put on a, and one of them is next(a), hence
+    {c}, which lacks a: one parity passes.
+    """
+    if not leaves:
+        return None
+    t0, spread = leaves[0][1], 0
+    for k, t, _ in leaves:
+        spread |= t ^ t0 | 1 << k
+    return t0 % (spread & -spread)  # spread & -spread is 2^D
 
 
 def fixed_point_residue_counts(sets, n: int, q: int) -> list:

@@ -117,14 +117,15 @@ class SymbolicPrefix:
     object, and ``fixed_point_start`` is None.
 
     ``left_extensions``, one ``language._leaves`` pass, and ``_bitsets``, a
-    bitset per letter for ``ergodic``, are kept.  Letters it finds a factor,
-    and their shifts, have ``_factor`` set, since a sub-word of a factor is
-    one: ``toeplitz.require_factor`` tests them no more.  The codes of a
-    prefix built over a writable buffer must not be written afterwards.
+    bitset per letter for ``ergodic``, are kept.  Letters it finds a factor
+    keep the factor map's digits it gives, ``_digits``, and a shift by n
+    adds n, since a sub-word of a factor is one: ``toeplitz.require_factor``
+    reads them and tests no more.  The codes of a prefix built over a
+    writable buffer must not be written afterwards.
     """
 
     fixed_point_start = property(lambda self: None)
-    _factor = False
+    _digits = None
 
     def __init__(self, codes):
         codes = memoryview(codes)
@@ -140,10 +141,10 @@ class SymbolicPrefix:
         self._codes = codes.toreadonly()
 
     @classmethod
-    def _view(cls, codes: memoryview, factor: bool) -> "SymbolicPrefix":
-        """Read letters over a slice of a prefix's codes, not checked again; a factor if ``factor``."""
+    def _view(cls, codes: memoryview, digits) -> "SymbolicPrefix":
+        """Read letters over a slice of a prefix's codes, not checked again; a factor if it has ``digits``."""
         view = cls.__new__(cls)
-        view._codes, view._factor = codes, factor
+        view._codes, view._digits = codes, digits
         return view
 
     @property
@@ -172,12 +173,12 @@ class SymbolicPrefix:
 
     @cached_property
     def left_extensions(self) -> frozenset:
-        """The letters l of 'abcd' with mu[l + letters] > 0: none for letters outside the language."""
+        """The letters l of 'abcd' with mu[l + letters] > 0, none off the language; the same leaves give ``_digits``."""
         from . import language  # loads with the first language test
 
-        extensions = language.left_letters(language.letter_sets(self.codes))
-        self._factor = bool(extensions)
-        return extensions
+        leaves = language._leaves(language.letter_sets(self.codes))
+        self._digits = language.factor_digits(leaves)
+        return language.letters_before(leaves)
 
     @cached_property
     def _bitsets(self) -> dict:
@@ -191,7 +192,7 @@ class SymbolicPrefix:
         return self._shift(n)
 
     def _shift(self, n: int) -> "SymbolicPrefix":
-        return SymbolicPrefix._view(self._codes[n:], self._factor)
+        return SymbolicPrefix._view(self._codes[n:], None if self._digits is None else self._digits + n)
 
 
 class FixedPointWindow(SymbolicPrefix):

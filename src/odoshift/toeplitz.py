@@ -15,14 +15,16 @@ prefix.
 
 The period skeleton records, for each level k, the unique residue class
 M_k mod 2^k whose column is not constant, together with the letter l_k
-that fills the column which became constant at level k.  These per-level
-data are what the dyadic encoding in ``factormap`` is built from.  The
-skeleton scan reads the codes as Python integers, one byte per letter,
-and only measures: whether the letters are a factor is the one language
-test, ``require_factor``, which ``period_skeleton`` and ``factormap`` ask
-of every letter they read.  Both scans run on the standard library: the
-partial-period search reads a slice's codes as bytes and as the bit
-planes that ``ergodic`` counts on.
+that fills the column which became constant at level k.  Both are closed
+forms of f, the factor-map value (``factormap``): 1-based position j holds
+F(v2(i + j)) (``grigorchuk_letter``) for every start i of the window in
+the fixed point, all f mod 2^(K+1).  Only the column of f + j = 0 mod 2^k
+meets valuations k and k + 1 in four terms, so M_k = 2^k - (f mod 2^k); the
+column that became constant has valuation k - 1, so l_k = F(k - 1).  f is
+what the one language test, ``require_factor``, certifies: a window's
+``fixed_point_start``, or the digits that the leaves of read letters give.
+The partial-period search runs on the standard library: it reads a
+slice's codes as bytes and as the bit planes that ``ergodic`` counts on.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
-from .substitution import SymbolicPrefix, _plane
+from .substitution import SymbolicPrefix, _plane, grigorchuk_letter
 
 TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
@@ -179,77 +181,43 @@ def skeleton_window(K: int) -> int:
     return 1 << (K + 2)
 
 
-def _skeleton_residues(codes, K: int, shifts: int) -> list:
-    """r_k, k = 1..K: the window at every start n = 0..shifts has M_k = (r_k - n) mod 2^k + 1.
-
-    The window at start n is codes[n : n + 2^(K+2)], and the codes must be
-    a factor of the fixed point: the scan only measures.  At level k,
-    c = 2^k, position i heads a constant column when codes[i] ==
-    codes[i + j c] for j = 1, 2, 3.  A factor's window has exactly one
-    non-constant column at each level, nested, so the positions heading
-    non-constant columns are r_k, r_k + c, ..., and r_k is the first of
-    them: the lowest nonzero byte of the positions i < c, read as one
-    little-endian integer and XORed with the reads j c further on.  The
-    shifts count only towards the length the codes must have.
-    """
-    if K < 1:
-        raise InvalidInputError(f"depth K must be positive, got {K}")
-    if shifts < 0:
-        raise InvalidInputError(f"shifts must be nonnegative, got {shifts}")
-    need = shifts + skeleton_window(K)
-    if len(codes) < need:
-        over = f" over shifts 0..{shifts}" if shifts else ""
-        raise InsufficientDataError(
-            f"skeleton at depth {K}{over} needs prefix length {need}, have {len(codes)}",
-            required_length=need,
-        )
-    residues = []
-    for k in range(1, K + 1):
-        c = 1 << k
-        head = int.from_bytes(codes[:c], "little")
-        diff = 0
-        for j in (1, 2, 3):
-            diff |= head ^ int.from_bytes(codes[j * c : (j + 1) * c], "little")
-        residues.append(((diff & -diff).bit_length() - 1) >> 3)  # the lowest nonzero byte
-    return residues
-
-
-def skeleton_levels_from_codes(codes, K: int):
-    """(M_1..M_K, l_1..l_K codes) of the window codes[: 2^(K+2)], which must be a factor of the fixed point."""
-    levels = [r + 1 for r in _skeleton_residues(codes, K, 0)]
-    # l_k fills the column that became constant at level k
-    newly = [1 if levels[0] == 2 else 2]
-    for k, (prev, m) in enumerate(zip(levels, levels[1:]), start=1):
-        newly.append(prev if m != prev else prev + (1 << k))
-    return levels, [codes[i - 1] for i in newly]
-
-
-def deepest_columns(codes, K: int, shifts: int) -> list:
-    """M_K of the window codes[n : n + 2^(K+2)] for every n = 0..shifts, which must be a factor of the fixed point."""
-    r = _skeleton_residues(codes, K, shifts)[-1]
-    c = 1 << K
-    return [(r - n) % c + 1 for n in range(shifts + 1)]
-
-
-def require_factor(prefix: SymbolicPrefix, length: int) -> None:
-    """NotInSubshiftError unless the first ``length`` letters of ``prefix`` are a factor of the fixed point.
+def require_factor(prefix: SymbolicPrefix, length: int) -> int:
+    """f mod 2^D of ``prefix``, D the digits its first ``length`` letters fix: NotInSubshiftError unless a factor.
 
     The one language test: some letter extends them, ``left_extensions``,
-    kept on the prefix when they are all of it.  A prefix with a
-    ``fixed_point_start``, or read letters with ``_factor`` set, is untested.
+    whose pass also gives their digits, kept on the prefix when they are
+    all of it.  A window's f is its ``fixed_point_start``, exactly, and read
+    letters that hold digits already are untested.
     """
-    if prefix.fixed_point_start is not None or prefix._factor:
-        return
-    letters = prefix if length == len(prefix) else SymbolicPrefix._view(prefix.codes[:length], False)
-    if not letters.left_extensions:
-        raise NotInSubshiftError(f"the {length} letters are not a factor of the fixed point")
+    if prefix.fixed_point_start is not None:
+        return prefix.fixed_point_start
+    if prefix._digits is None:
+        letters = prefix if length == len(prefix) else SymbolicPrefix._view(prefix.codes[:length], None)
+        if not letters.left_extensions:
+            raise NotInSubshiftError(f"the {length} letters are not a factor of the fixed point")
+        return letters._digits
+    return prefix._digits
+
+
+def _skeleton_digits(prefix: SymbolicPrefix, K: int, shifts: int = 0) -> int:
+    """f mod 2^K of ``prefix``, from its first shifts + 2^(K+2) letters, which ``require_factor`` certifies."""
+    if K < 1:
+        raise InvalidInputError(f"depth K must be positive, got {K}")
+    need = shifts + skeleton_window(K)
+    if len(prefix) < need:
+        over = f" over shifts 0..{shifts}" if shifts else ""
+        raise InsufficientDataError(
+            f"skeleton at depth {K}{over} needs prefix length {need}, have {len(prefix)}",
+            required_length=need,
+        )
+    return require_factor(prefix, need) % (1 << K)
 
 
 def period_skeleton(prefix: SymbolicPrefix, K: int) -> PeriodSkeleton:
-    """Scan all residue columns of levels 1..K over the window [1, 2^(K+2)], a factor by ``require_factor``."""
-    levels, letter_codes = skeleton_levels_from_codes(prefix.codes, K)
-    require_factor(prefix, skeleton_window(K))
-    letters = tuple("abcd"[c] for c in letter_codes)
+    """The skeleton of levels 1..K over the window [1, 2^(K+2)]: the closed forms at f (module docstring)."""
+    f = _skeleton_digits(prefix, K)
+    levels = tuple((1 << k) - f % (1 << k) for k in range(1, K + 1))
+    letters = tuple(grigorchuk_letter(1 << (k - 1)) for k in range(1, K + 1))
     classification = EVENTUALLY_CONSTANT_MK if K >= 2 and levels[-1] == levels[-2] else TOEPLITZ_LIKE
-    return PeriodSkeleton(levels=tuple(levels), letters=letters, classification=classification,
+    return PeriodSkeleton(levels=levels, letters=letters, classification=classification,
                           window_used=skeleton_window(K))

@@ -9,9 +9,11 @@ exercising the same code paths; each size is read by some check.  The CLI
 ``full``) both run ``ALL_CHECKS`` through ``run_check``, which also times
 each one and reads the process's peak RSS after it.  The checks that read
 a whole prefix work on it in fixed-size blocks, so their temporaries do not
-grow with the sizes, except the skeleton's, whose residue classes are
-slices of one copy of its window.  The checks run on the standard library.
-The closed form generates the fixed point, and its claim applies the rules
+grow with the sizes, except the skeleton's, whose residue classes and
+leaves are read off copies of its window.  The skeleton and equivariance
+claims are each read at the fixed point's start and at the digits of the
+leaves of its letters.  The checks run on the standard library.  The
+closed form generates the fixed point, and its claim applies the rules
 once.  The odometer claim reads the essential periods from the scan of the
 periods' check, kept per ``Sizes``, and decides the CF set as the divisors
 of their lcm; the eigenfunction claim reads the invariant measure's halving
@@ -178,31 +180,31 @@ def _varying_classes(letters: bytes) -> set:
 def check_fixed_point_skeleton(sizes: Sizes) -> CheckResult:
     K = sizes.skeleton_depth
     prefix = substitution.grigorchuk_prefix(toeplitz.skeleton_window(K))
-    skeleton = toeplitz.period_skeleton(prefix, K)
-    levels_ok = all(m == 1 << (k + 1) for k, m in enumerate(skeleton.levels))
-    encoding = factormap.encode_fG(prefix, K)
+    routes = prefix, _untagged_prefix(len(prefix))
+    levels_ok = all(m == 1 << (k + 1) for p in routes for k, m in enumerate(toeplitz.period_skeleton(p, K).levels))
+    values = [factormap.encode_fG(p, K).value.value for p in routes]
     # every letter, not four terms of each: mod 2^t only the class 2^t - 1 varies, nested in the last, for each
     # t up to K + 1, whose class holds two letters; so no window of the prefix has a second non-constant column
     varying = _varying_classes(prefix.codes.tobytes())
     classes_ok = varying == {(2 << t) - 1 for t in range(K + 2)}
     return CheckResult(
         name="fixed_point_skeleton_and_zero_encoding",
-        ok=levels_ok and encoding.value.value == 0 and classes_ok,
-        detail=f"M_k=2^k for k<=K: {levels_ok}; encoded value {encoding.value.value};"
-        f" varying classes 2^t - 1 mod 2^t for t<=K+1: {classes_ok}",
+        ok=levels_ok and values == [0, 0] and classes_ok,
+        detail=f"M_k=2^k for k<=K on the tag and the leaves: {levels_ok}; encoded values {values[0]} and"
+        f" {values[1]}; varying classes 2^t - 1 mod 2^t for t<=K+1: {classes_ok}",
     )
 
 
 def check_equivariance(sizes: Sizes) -> CheckResult:
-    # the encodings of shifts 0..shifts of the fixed point equal n mod 2^k; the scan steps them by one
+    # the encodings of shifts 0..shifts equal n mod 2^k, at the tag's start and at the leaves' digits alike
     k, shifts = sizes.equivariance_precision, sizes.equivariance_shifts
     prefix = substitution.grigorchuk_prefix(shifts + toeplitz.skeleton_window(k))
-    values = factormap.verify_equivariance(prefix, k, shifts)
-    values_ok = all(v == n % (1 << k) for n, v in enumerate(values))
+    routes = [factormap.verify_equivariance(p, k, shifts) for p in (prefix, _untagged_prefix(len(prefix)))]
+    values_ok = all(v == n % (1 << k) for values in routes for n, v in enumerate(values))
     return CheckResult(
         name="equivariance_and_shift_values",
         ok=values_ok,
-        detail=f"{shifts} shifts; values==n mod 2^{k}: {values_ok}",
+        detail=f"{shifts} shifts; values==n mod 2^{k} on the tag and the leaves: {values_ok}",
     )
 
 
@@ -234,7 +236,8 @@ _COUNTED_WORDS = ("ac", "bc", "dacab", "acabacad")
 def _untagged_prefix(length: int) -> substitution.SymbolicPrefix:
     """The letters of ``grigorchuk_prefix(length)`` in a prefix with no fixed-point start.
 
-    Counts on it run the bitset kernel.  It is kept, so the letter-measure
+    The skeleton and equivariance checks read its leaves' digits, and
+    counts on it run the bitset kernel.  It is kept, so the letter-measure
     and spectrum checks build its bitsets once between them.
     """
     return substitution.SymbolicPrefix(substitution.grigorchuk_prefix(length).codes)

@@ -7,9 +7,11 @@
   reads, since ``sigma_preimage_letters`` reads every letter it is given.
 - ``reconstruct_from_skeleton`` builds a prefix with prescribed
   non-constant columns: the generic Toeplitz points that fiber tests read.
-- ``skeleton_fiber_index`` is the orbit index read off the period skeleton,
-  with the letters checked over the skeleton's window only: the reference
-  for ``classify_fiber`` on a prefix of exactly that window.
+- ``reference_skeleton_levels`` scans one window of a factor level by
+  level for its one nested non-constant column, the reference for the
+  closed forms of ``period_skeleton``; ``skeleton_fiber_index`` is the
+  orbit index read off that scan, with every letter held checked from it
+  on: the reference for ``classify_fiber`` on read letters.
 - ``residue_class_measure`` is the exact measure by sorting start positions
   into residue classes mod 2^D, with ``tail_density`` for the one offset
   that falls on a multiple of 2^D: the reference for the desubstitution.
@@ -108,23 +110,55 @@ def reconstruct_from_skeleton(level_residues, length, tail_letter, letters=None)
     return substitution.parse_prefix("".join(out))
 
 
-def skeleton_fiber_index(prefix, K):
-    """The index n with shift^n(prefix) the fixed point, as the skeleton tells it; None for a Toeplitz point.
+def reference_skeleton_levels(codes, K):
+    """(M_1..M_K, l_1..l_K codes) of a factor's window, asserting one nested non-constant column per level.
+
+    Level k reshapes the window's first 4 * 2^k letters into four rows and
+    takes the one column whose rows differ.
+    """
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    window = 1 << (K + 2)
+    if len(codes) < window:
+        raise errors.InsufficientDataError("short window", required_length=window)
+    levels = []
+    letters = []
+    prev_m = None
+    for k in range(1, K + 1):
+        cols = 1 << k
+        block = codes[: 4 * cols].reshape(4, cols)
+        nonconst = np.nonzero((block != block[0]).any(axis=0))[0]
+        assert len(nonconst) == 1, f"{len(nonconst)} non-constant columns at level {k}"
+        m = int(nonconst[0]) + 1
+        if prev_m is None:
+            newly = 1 if m == 2 else 2
+        else:
+            half = 1 << (k - 1)
+            assert m % half == prev_m % half, f"level-{k} column {m} is not nested in column {prev_m}"
+            newly = prev_m if m != prev_m else prev_m + half
+        levels.append(m)
+        letters.append(int(block[0, newly - 1]))
+        prev_m = m
+    return levels, letters
+
+
+def skeleton_fiber_index(prefix, K, levels=None):
+    """The index n with shift^n(prefix) the fixed point, as the scanned skeleton tells it; None for a Toeplitz point.
 
     M_k = 2^k at every level gives n = 0, and M_K = M_(K-1) gives n = M_K;
-    n stands if the letters from n to the end of the skeleton's window
-    decode to the fixed point's.
+    n stands if every letter of the prefix from n on is the fixed point's.
+    The letters must be a factor; ``levels``, if given, are their scanned
+    M_1..M_K.
     """
-    skeleton = toeplitz.period_skeleton(prefix, K)
-    levels = skeleton.levels
+    if levels is None:
+        levels, _ = reference_skeleton_levels(prefix.codes, K)
     index = None
     if all(m == 1 << (k + 1) for k, m in enumerate(levels)):
         index = 0
-    elif skeleton.classification == toeplitz.EVENTUALLY_CONSTANT_MK:
+    elif K >= 2 and levels[-1] == levels[-2]:
         index = levels[-1]
     if index is not None:
-        omega = decode_codes(substitution.grigorchuk_codes(skeleton.window_used - index))
-        if decode_codes(prefix.codes[index : skeleton.window_used]) != omega:
+        omega = decode_codes(substitution.grigorchuk_codes(len(prefix) - index))
+        if decode_codes(prefix.codes[index:]) != omega:
             index = None
     return index
 

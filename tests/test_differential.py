@@ -7,16 +7,20 @@ The straightforward algorithms these replaced stand in for the program here:
   Under a -> ab, b -> b that takes one step per letter, so
   ``reference_self_expansion`` appends the image of one letter of
   x = sub(x) at a time, for every substitution.
-- ``reference_skeleton_levels`` scans one window of a factor level by
-  level, reshaping its first 4 * 2^k letters into four rows, and asserts
-  one nested non-constant column per level; ``reference_encoding`` runs it
-  once per shift, as ``verify_equivariance`` did.  Off the language, where
+- ``oracles.reference_skeleton_levels`` scans one window of a factor level
+  by level, reshaping its first 4 * 2^k letters into four rows, and asserts
+  one nested non-constant column per level, where ``period_skeleton``
+  reads closed forms at f: a window's start, or the digits of the leaves
+  of read letters, and the two routes are compared at every shift below
+  2^12; ``reference_encoding`` runs the scan once per shift, where
+  ``verify_equivariance`` adds each shift to f.  Off the language, where
   ``invariant_measure_cylinder`` of the letters read is 0, the skeleton's
   entry points raise instead, and on the mutated and foreign windows they
   do exactly there.
-- ``desubstitution_value`` reads the dyadic digits of the factor map from
-  the other side: from the parity of the start at each level of the
-  desubstitution, not from the period skeleton.
+- ``desubstitution_value`` reads the dyadic digits of the factor map one
+  level of the desubstitution at a time, asserting one parity per level,
+  where ``language.factor_digits`` reads them off the leaves of the whole
+  parity tree.
 - ``reference_spectral_sum`` adds one complex exponential per occurrence,
   and ``reference_residue_sum`` counts occurrences per residue by bincount
   of their positions.  Both take the positions from
@@ -38,9 +42,9 @@ The straightforward algorithms these replaced stand in for the program here:
   each start's class mod q through that split, where
   ``fixed_point_residue_counts`` reads it off the closed form's
   progressions, one per leaf and valuation.
-- ``oracles.skeleton_fiber_index`` reads the orbit index off the period
-  skeleton, where ``classify_fiber`` reads it off ``encode_value``; on a
-  prefix of exactly the skeleton's window the two rules agree.
+- ``oracles.skeleton_fiber_index`` reads the orbit index off the scanned
+  skeleton, where ``classify_fiber`` reads it off f; on read letters the
+  two rules agree.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
   period at a time, where ``essential_periods`` tests the live positions of
   a slice on bit planes and then each on its own over windows of periods;
@@ -77,6 +81,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -96,11 +101,13 @@ from oracles import (
     partial_period_mask,
     residue_class_measure,
     reconstruct_from_skeleton,
+    reference_skeleton_levels,
     skeleton_fiber_index,
     smallest_partial_period_by_period,
     smallest_periods_by_period,
 )
 from odoshift.substitution import (
+    FixedPointWindow,
     Substitution,
     SymbolicPrefix,
     decode_codes,
@@ -265,33 +272,6 @@ def test_oracle_checks_the_cap(monkeypatch):
 # Skeleton scan and the all-shift encoder
 
 
-def reference_skeleton_levels(codes, K):
-    """(M_1..M_K, l_1..l_K codes) of a factor's window, asserting one nested non-constant column per level."""
-    codes = np.frombuffer(codes, dtype=np.uint8)
-    window = 1 << (K + 2)
-    if len(codes) < window:
-        raise errors.InsufficientDataError("short window", required_length=window)
-    levels = []
-    letters = []
-    prev_m = None
-    for k in range(1, K + 1):
-        cols = 1 << k
-        block = codes[: 4 * cols].reshape(4, cols)
-        nonconst = np.nonzero((block != block[0]).any(axis=0))[0]
-        assert len(nonconst) == 1, f"{len(nonconst)} non-constant columns at level {k}"
-        m = int(nonconst[0]) + 1
-        if prev_m is None:
-            newly = 1 if m == 2 else 2
-        else:
-            half = 1 << (k - 1)
-            assert m % half == prev_m % half, f"level-{k} column {m} is not nested in column {prev_m}"
-            newly = prev_m if m != prev_m else prev_m + half
-        levels.append(m)
-        letters.append(int(block[0, newly - 1]))
-        prev_m = m
-    return levels, letters
-
-
 def reference_encoding(codes, k, shifts):
     """Encoded values at shifts 0..shifts of a factor, one window at a time."""
     window = 1 << (k + 2)
@@ -381,9 +361,8 @@ def test_unnested_columns_are_off_the_language():
     assert program_encoding(codes, 2, 40) == "the 56 letters are not a factor of the fixed point"
 
 
-def program_skeleton(codes, k):
+def program_skeleton(prefix, k):
     """period_skeleton's (levels, letter codes) and encode_fG's value of the window, or the message raised."""
-    prefix = SymbolicPrefix(codes)
     try:
         skeleton = toeplitz.period_skeleton(prefix, k)
     except errors.NotInSubshiftError as exc:
@@ -394,8 +373,46 @@ def program_skeleton(codes, k):
     return list(skeleton.levels), ["abcd".index(letter) for letter in skeleton.letters], value
 
 
+@lru_cache(maxsize=None)
+def scanned(n):
+    """The scan's levels and letter codes, and the desubstitution's value, at depth 10 of the window at shift n.
+
+    Level k of the scan reads the window's first 4 * 2^k letters, and each
+    digit of the desubstitution has one parity on any longer window, so
+    their first k entries and digits are those of depth k.
+    """
+    codes = CODES[n : n + (1 << 12)]
+    levels, letters = reference_skeleton_levels(codes, 10)
+    return levels, letters, desubstitution_value(codes[: 1 << 11], 10)
+
+
+def assert_the_routes_match_the_scan(n, k):
+    """The tag at shift n and the leaves of the same 2^(k+2) + 1 letters against the scan and the desubstitution."""
+    window = 1 << (k + 2)
+    levels, letters, value = scanned(n)
+    levels, letters, value = levels[:k], letters[:k], value % (1 << k)
+    assert value == (1 << k) - levels[-1] == n % (1 << k), (n, k)
+    tag, leaves = FixedPointWindow(n, window + 1), SymbolicPrefix(CODES[n : n + window + 1])
+    for prefix in (leaves, tag):
+        assert factormap.verify_equivariance(prefix, k, 1) == (value, (value + 1) % (1 << k)), (n, k)
+        assert program_skeleton(prefix, k) == (levels, letters, value), (n, k)
+    assert leaves._digits % (2 << k) == n % (2 << k), (n, k)  # the leaves fix k + 1 digits at least
+    on_leaves, on_tag = (factormap.classify_fiber(prefix, k) for prefix in (leaves, tag))
+    assert on_leaves.stabilization_index == skeleton_fiber_index(leaves, k, levels), (n, k)
+    assert (on_tag.classification, on_tag.stabilization_index) == (
+        (factormap.OMEGA_STAR_ORBIT, 0) if n == 0 else (factormap.TOEPLITZ_POINT, None)
+    ), (n, k)
+    assert on_tag.sigma_preimage_letters == on_leaves.sigma_preimage_letters, (n, k)
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_single_window_scan_matches_the_reference(k):
+    # the closed forms at the tag's start and at the digits of the leaves of the same letters, against the scan
+    # and the desubstitution at every shift below 2^12 up to depth 10; then one-letter mutations of seeded
+    # windows, off the language with the language test's message at both entry points
+    if k <= 10:
+        for n in range(1 << 12):
+            assert_the_routes_match_the_scan(n, k)
     rng = random.Random(100 + k)
     window = 1 << (k + 2)
     for trial in range(20):
@@ -408,13 +425,15 @@ def test_single_window_scan_matches_the_reference(k):
         else:
             levels, letters = reference_skeleton_levels(codes, k)
             want = levels, letters, (1 << k) - levels[-1]
-        assert program_skeleton(codes, k) == want
+        assert program_skeleton(SymbolicPrefix(codes), k) == want
 
 
 @pytest.mark.parametrize("shift", [0, (1 << 20) - (1 << 18)])
 def test_deep_single_window_matches_the_reference(shift):
-    codes = grigorchuk_prefix(1 << 20).codes[shift:]
-    assert toeplitz.skeleton_levels_from_codes(codes, 16) == reference_skeleton_levels(codes, 16)
+    tag = grigorchuk_prefix(1 << 20).shifted(shift)
+    levels, letters = reference_skeleton_levels(tag.codes, 16)
+    for prefix in (tag, SymbolicPrefix(tag.codes)):
+        assert program_skeleton(prefix, 16) == (levels, letters, (1 << 16) - levels[-1])
 
 
 def test_ten_thousand_shifts_match_the_per_shift_loop():
@@ -427,9 +446,12 @@ def test_ten_thousand_shifts_match_the_per_shift_loop():
 
 
 def test_all_shift_encoder_short_prefix():
-    with pytest.raises(errors.InsufficientDataError) as exc:
-        toeplitz.deepest_columns(CODES[:100], 4, 40)
-    assert exc.value.required_length == 40 + 64
+    # the tag and the letters alike, before any letter is read
+    message = "^skeleton at depth 4 over shifts 0..40 needs prefix length 104, have 100$"
+    for prefix in (grigorchuk_prefix(100), SymbolicPrefix(CODES[:100])):
+        with pytest.raises(errors.InsufficientDataError, match=message) as exc:
+            factormap.verify_equivariance(prefix, 4, 40)
+        assert exc.value.required_length == 40 + 64
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +494,61 @@ def test_desubstitution_digits_match_the_skeleton_encoding(k):
     rng = random.Random(300 + k)
     shifts = [*range(200), *rng.sample(range(200, 1 << 16), 60)]
     prefix = grigorchuk_prefix((1 << 16) + (1 << (k + 2)))
+    letters = SymbolicPrefix(prefix.codes)
     values = factormap.verify_equivariance(prefix, k, 1 << 16)
+    assert factormap.verify_equivariance(letters, k, 1 << 16) == values
     for n in shifts:
         window = prefix.codes[n : n + (1 << (k + 1))]
         value = desubstitution_value(window, k)
         assert value == values[n] == n % (1 << k), n
         if n % 20 == 0:
-            assert factormap.encode_fG(prefix.shifted(n), k).value.value == value, n
+            for route in (prefix, letters):
+                assert factormap.encode_fG(route.shifted(n), k).value.value == value, n
+    # seeded windows at shifts up to 2^60, and one-letter mutations of them: the tag, the leaves of its letters,
+    # the scan and the desubstitution agree at every entry point, or each gives the language test's message.
+    # A letter anywhere is most often off the language; the one letter of valuation k + 2 or more, b, c or d,
+    # may be any of them, which another shift of the same class mod 2^(k+2) spells
+    window, outcomes = 1 << (k + 2), {"factor": 0, "message": 0}
+    for _ in range(30):
+        n = rng.randrange(1 << 60)
+        tag = FixedPointWindow(n, window)
+        assert program_skeleton(tag, k)[2] == n % (1 << k)
+        deep, j = bytearray(tag.codes), -(n + 1) % window  # n + j + 1 = 0 mod 2^(k+2)
+        deep[j] = rng.choice([code for code in (1, 2, 3) if code != deep[j]])
+        for codes in (tag.codes, mutate(tag.codes, rng.randrange(window), rng), deep):
+            got = digits_at_every_entry_point(SymbolicPrefix(codes), k)
+            if off_the_language(codes):
+                assert got == f"the {window} letters are not a factor of the fixed point", n
+                outcomes["message"] += 1
+                continue
+            levels, letter_codes = reference_skeleton_levels(codes, k)
+            value = desubstitution_value(codes[: 1 << (k + 1)], k)
+            assert got == (levels, letter_codes, value, skeleton_fiber_index(SymbolicPrefix(codes), k, levels)), n
+            if codes is tag.codes:
+                assert got[:3] == program_skeleton(tag, k) and value == n % (1 << k), n
+            outcomes["factor"] += 1
+    assert outcomes["message"] and outcomes["factor"] >= 60, outcomes
+
+
+def digits_at_every_entry_point(prefix, k):
+    """period_skeleton's levels and letter codes, the value of encode_fG and verify_equivariance, and
+    classify_fiber's index, over the 2^(k+2) letters of ``prefix``; or the one message that each raises."""
+    # the equivariance of shifts 0..2^(k+1) at depth k - 1 reads the same letters, and its values step by one
+    got, shifts = [], 1 << (k + 1)
+    for entry in (
+        lambda: program_skeleton(prefix, k),
+        lambda: factormap.verify_equivariance(prefix, k - 1, shifts),
+        lambda: factormap.classify_fiber(prefix, k).stabilization_index,
+    ):
+        try:
+            got.append(entry())
+        except errors.NotInSubshiftError as exc:
+            got.append(str(exc))
+    if all(isinstance(answer, str) for answer in got) and len(set(got)) == 1:
+        return got[0]
+    (levels, letters, value), values, index = got
+    assert values == tuple((value + j) % (1 << (k - 1)) for j in range(shifts + 1))
+    return levels, letters, value, index
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +573,8 @@ def program_fiber(prefix, K):
 
 
 def reference_fiber(prefix, K):
-    return skeleton_fiber_index(prefix, K), factormap.sigma_preimage_letters(prefix)
+    letters = factormap.sigma_preimage_letters(prefix)  # the language test first: the scan reads factors only
+    return skeleton_fiber_index(prefix, K), letters
 
 
 def fiber_windows(K, rng):

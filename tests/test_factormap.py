@@ -6,6 +6,7 @@ from odoshift import errors
 from odoshift import factormap as fm
 from odoshift import toeplitz as tp
 from odoshift.substitution import (
+    FixedPointWindow,
     SymbolicPrefix,
     grigorchuk_letter,
     grigorchuk_prefix,
@@ -86,6 +87,17 @@ class TestEncode:
         wide = fm.encode_fG(OMEGA.shifted(shift), 10)
         narrow = fm.encode_fG(OMEGA.shifted(shift), k)
         assert wide.value.to_text()[:k] == narrow.value.to_text()
+
+    @pytest.mark.parametrize("start", [0, 12345])
+    def test_the_tag_makes_no_letters(self, start):
+        # the skeleton at depth 24 reads 2^26 letters, and the tag answers with none of them made
+        window = FixedPointWindow(start, 1 << 26)
+        assert tp.period_skeleton(window, 24).levels[-1] == (1 << 24) - start
+        assert fm.encode_fG(window, 24).value.value == start
+        assert fm.verify_equivariance(window, 23, 4096)[-1] == start + 4096
+        with pytest.raises(errors.InsufficientDataError):
+            fm.verify_equivariance(window, 24, 1)
+        assert window._codes is None
 
     def test_injectivity_across_residues(self):
         K = 6
@@ -235,11 +247,10 @@ class TestClassifyFiber:
 
             return counted
 
-        for name in ("period_skeleton", "skeleton_levels_from_codes"):
-            monkeypatch.setattr(toeplitz, name, counting(name))
-        report = fm.classify_fiber(OMEGA, 10)
-        assert report.stabilization_index == 0
-        assert calls == ["skeleton_levels_from_codes"]
+        monkeypatch.setattr(toeplitz, "period_skeleton", counting("period_skeleton"))
+        for prefix in (OMEGA, SymbolicPrefix(OMEGA.codes)):
+            assert fm.classify_fiber(prefix, 10).stabilization_index == 0
+        assert calls == ["period_skeleton"] * 2
 
     @pytest.mark.parametrize("K", [2, 6, 10])
     def test_the_tag_and_the_letters_agree_where_the_letters_refute_the_orbit(self, K):

@@ -332,7 +332,7 @@ def functions_raising(name):
 
 
 def test_only_the_load_check_and_the_one_language_test_raise_not_in_subshift():
-    # the skeleton scan only measures; every other rejection of letters goes through the language test
+    # the skeleton and the encoder read f off the language test; every other rejection of letters goes through it
     assert functions_raising("NotInSubshiftError") == {"cli._load_input", "toeplitz.require_factor"}
 
 

@@ -159,10 +159,12 @@ class TestEssentialPeriods:
 
 
 class TestPeriodSkeleton:
-    @pytest.mark.parametrize("shifts", [-1, -9])
-    def test_a_scan_over_negative_shifts_is_invalid(self, shifts):
-        with pytest.raises(errors.InvalidInputError, match=f"^shifts must be nonnegative, got {shifts}$"):
-            tp.deepest_columns(OMEGA.codes, 3, shifts)
+    @pytest.mark.parametrize("depth", [0, -9])
+    def test_a_depth_below_one_is_invalid(self, depth):
+        # on the tag and on read letters alike, before any letter is read
+        for prefix in (OMEGA, word(OMEGA.text)):
+            with pytest.raises(errors.InvalidInputError, match=f"^depth K must be positive, got {depth}$"):
+                tp.period_skeleton(prefix, depth)
 
     def test_fixed_point_levels(self):
         skel = tp.period_skeleton(grigorchuk_prefix(1 << 12), 10)

@@ -120,13 +120,23 @@ def test_closed_form_fails_on_a_wrong_last_letter(monkeypatch):
 
 
 def test_a_residue_off_by_one_fails_the_equivariance_check(monkeypatch):
-    # the values still step by one; only where they start is wrong
-    columns = toeplitz.deepest_columns
-    monkeypatch.setattr(toeplitz, "deepest_columns",
-                        lambda codes, K, shifts: [m % (1 << K) + 1 for m in columns(codes, K, shifts)])
-    result = verification.check_equivariance(QUICK)
-    assert not result.ok
-    assert result.detail.endswith(": False")
+    # the values still step by one; only where they start is wrong: on the leaves' digits, then on the tag's
+    digits, require_factor = language.factor_digits, toeplitz.require_factor
+
+    def leaves_off(leaves):
+        return digits(leaves) + 1
+
+    def tag_off(prefix, length):
+        return require_factor(prefix, length) + (prefix.fixed_point_start is not None)
+
+    for module, name, fault in ((language, "factor_digits", leaves_off), (toeplitz, "require_factor", tag_off)):
+        verification._untagged_prefix.cache_clear()  # its leaves are read again, under the fault
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            result = verification.check_equivariance(QUICK)
+        assert (result.ok, result.detail) == (False, "128 shifts; values==n mod 2^8 on the tag and the leaves: False")
+    verification._untagged_prefix.cache_clear()
+    assert verification.check_equivariance(QUICK).ok
 
 
 def flipped_prefix(index):
@@ -145,10 +155,10 @@ def test_the_varying_classes_see_a_letter_the_skeleton_scan_passes(monkeypatch):
     monkeypatch.setattr(substitution, "grigorchuk_prefix", flipped_prefix(3 * (1 << K) - 1))
     with pytest.raises(errors.NotInSubshiftError, match=f"^the {4 << K} letters are not a factor"):
         verification.check_fixed_point_skeleton(QUICK)
-    monkeypatch.setattr(toeplitz, "require_factor", lambda prefix, length: None)
+    monkeypatch.setattr(toeplitz, "require_factor", lambda prefix, length: 0)  # the fixed point's digits
     result = verification.check_fixed_point_skeleton(QUICK)
-    assert (result.ok, result.detail) == (False, "M_k=2^k for k<=K: True; encoded value 0;"
-                                                 " varying classes 2^t - 1 mod 2^t for t<=K+1: False")
+    assert (result.ok, result.detail) == (False, "M_k=2^k for k<=K on the tag and the leaves: True; encoded values"
+                                                 " 0 and 0; varying classes 2^t - 1 mod 2^t for t<=K+1: False")
 
 
 def test_a_check_that_raises_fails_and_verify_gives_its_verdict(monkeypatch, capsys):
