@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .errors import InsufficientDataError, InvalidInputError, ResourceLimitError
 from .language import _CACHED_CALLS, _CACHED_INT, _CACHED_SETS, fixed_point_count, fixed_point_residue_counts
 from .language import _zero, invariant_measure_cylinder, word_sets
-from .substitution import SymbolicPrefix, _plane, encode_letters
+from .substitution import SymbolicPrefix, encode_letters
 
 
 def __getattr__(name):
@@ -53,6 +53,28 @@ class FrequencyEstimate(NamedTuple):
     count: int
     window: int
     frequency: Fraction
+
+
+_PLANE_BLOCK = 1 << 17  # codes translated to '0'/'1' text and read by int(text, 2) in one pass
+
+
+def _plane(codes, bit: int) -> int:
+    """Bitset of the bytes-like ``codes`` with ``bit`` set: bit len(codes) - 1 - i is set iff codes[i] >> bit & 1.
+
+    The first code is the top bit, so the text of a bitset reads in the
+    order of the codes.  Built in passes of ``_PLANE_BLOCK`` codes, each
+    translated to '0'/'1' text and read by ``int(text, 2)`` into its bytes
+    of one big-endian buffer.
+    """
+    digits = bytes(0x31 if c >> bit & 1 else 0x30 for c in range(256))
+    size = len(codes)
+    packed = bytearray(-(-size // 8))
+    for start in range(0, size, _PLANE_BLOCK):
+        text = bytes(codes[start : start + _PLANE_BLOCK]).translate(digits)
+        nbytes = -(-len(text) // 8)  # the last pass pads its text to whole bytes
+        value = int(text.ljust(8 * nbytes, b"0"), 2)
+        packed[start // 8 : start // 8 + nbytes] = value.to_bytes(nbytes, "big")
+    return int.from_bytes(packed, "big") >> (8 * len(packed) - size)
 
 
 def _letter_bits(prefix: SymbolicPrefix, code: int) -> int:

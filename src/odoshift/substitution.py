@@ -17,9 +17,7 @@ memoryview: ``encode_letters`` reads letters into codes and
 ``SymbolicPrefix``, or a ``FixedPointWindow``, letters of the fixed point
 known by their start, the tag ``fixed_point_start`` that callers branch on.
 Generation is strided writes and translates of the standard library, as
-is every other module: the package needs no numpy.  ``_plane`` reads codes
-into the bit planes that ``ergodic`` and the period scan of ``toeplitz``
-work on.
+is every other module: the package needs no numpy.
 
 This module holds what every command runs.  The desubstitution, which
 gives the measure of a word and the letters that extend a prefix, lives in
@@ -82,28 +80,6 @@ def _outside(letters: bytes) -> InvalidInputError:
 def decode_codes(codes) -> str:
     """The letters of the bytes-like ``codes``, each 0, 1, 2 or 3."""
     return bytes(codes).translate(_TO_LETTER).decode("ascii")
-
-
-_PLANE_BLOCK = 1 << 17  # codes translated to '0'/'1' text and read by int(text, 2) in one pass
-
-
-def _plane(codes, bit: int) -> int:
-    """Bitset of the bytes-like ``codes`` with ``bit`` set: bit len(codes) - 1 - i is set iff codes[i] >> bit & 1.
-
-    The first code is the top bit, so the text of a bitset reads in the
-    order of the codes.  Built in passes of ``_PLANE_BLOCK`` codes, each
-    translated to '0'/'1' text and read by ``int(text, 2)`` into its bytes
-    of one big-endian buffer.
-    """
-    digits = bytes(0x31 if c >> bit & 1 else 0x30 for c in range(256))
-    size = len(codes)
-    packed = bytearray(-(-size // 8))
-    for start in range(0, size, _PLANE_BLOCK):
-        text = bytes(codes[start : start + _PLANE_BLOCK]).translate(digits)
-        nbytes = -(-len(text) // 8)  # the last pass pads its text to whole bytes
-        value = int(text.ljust(8 * nbytes, b"0"), 2)
-        packed[start // 8 : start // 8 + nbytes] = value.to_bytes(nbytes, "big")
-    return int.from_bytes(packed, "big") >> (8 * len(packed) - size)
 
 
 class SymbolicPrefix:

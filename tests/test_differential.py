@@ -46,16 +46,14 @@ The straightforward algorithms these replaced stand in for the program here:
   skeleton, where ``classify_fiber`` reads it off f; on read letters the
   two rules agree.
 - ``oracles.essential_periods_by_period`` finds the essential periods one
-  period at a time, where ``essential_periods`` tests the live positions of
-  a slice on bit planes and then each on its own over windows of periods;
-  ``oracles.smallest_periods_by_period`` gives each position's smallest
-  period, against which every pair that the scan yields per slice is
-  checked; ``oracles.smallest_partial_period_by_period`` and the four-term
-  mask over every period do so at one position, where
-  ``smallest_partial_period`` reads the same search as
-  ``essential_periods``; ``oracles.essential_periods_one_pass`` tests each
-  block of periods against every unresolved position at once, where that
-  search resolves the positions one slice of ``_BLOCK`` at a time.
+  period at a time, and ``oracles.smallest_partial_period_by_period`` the
+  smallest partial period at one position, each reading the letters with
+  the four-term test, where ``essential_periods`` and
+  ``smallest_partial_period`` read closed forms at f: a window's start, or
+  the digits of the leaves of read letters.  Both routes are compared at
+  every position and horizon of short windows, at shifts up to 2^60, on
+  one-letter mutations that stay factors, and on the 2^18 letters that
+  ``verify`` reads at horizon 2^13.
 - ``oracles.class_measure_by_parity`` runs the parity recursion of the
   measure of a word in a class of the factor map over Fractions on sets of
   letters, where ``class_measure`` reads the class off the leaves of the
@@ -91,20 +89,17 @@ from oracles import (
     _class_measure_of_sets,
     class_measure_by_parity,
     essential_periods_by_period,
-    essential_periods_one_pass,
     halving_fixed_point_count,
     halving_residue_counts,
     iterate,
     left_letters_by_parity,
     occurrence_positions,
     pairwise_spectral_scan,
-    partial_period_mask,
     residue_class_measure,
     reconstruct_from_skeleton,
     reference_skeleton_levels,
     skeleton_fiber_index,
     smallest_partial_period_by_period,
-    smallest_periods_by_period,
 )
 from odoshift.substitution import (
     FixedPointWindow,
@@ -684,7 +679,7 @@ def test_residue_class_sum_matches_the_exponential_sum(window, word):
         assert abs(sample.magnitude - want) <= 1e-9, theta
 
 
-BLOCK = substitution._PLANE_BLOCK
+BLOCK = ergodic._PLANE_BLOCK
 
 
 def block_edge_prefix(name):
@@ -977,42 +972,7 @@ def test_spectra_on_the_fixed_point_equal_those_of_its_letters(shift):
 
 
 # ---------------------------------------------------------------------------
-# Essential periods
-
-
-def test_essential_periods_match_the_per_period_loop_on_the_fixed_point():
-    prefix = grigorchuk_prefix(1 << 18)
-    assert toeplitz.essential_periods(prefix, 1 << 13) == essential_periods_by_period(prefix, 1 << 13)
-
-
-def test_essential_periods_match_the_per_period_loop_with_2000_letters_changed():
-    # each changed letter leaves positions with no partial period, or a larger one, searched on their own
-    rng = random.Random(20261021)
-    codes = bytearray(grigorchuk_prefix(1 << 18).codes)
-    for _ in range(2000):
-        codes[rng.randrange(len(codes))] = rng.randrange(4)
-    prefix = SymbolicPrefix(codes)
-    assert toeplitz.essential_periods(prefix, 1 << 13) == essential_periods_by_period(prefix, 1 << 13)
-
-
-def random_words(count, seed):
-    """Periodic words, random words, and fixed-point factors with a few letters changed."""
-    rng = random.Random(seed)
-    for i in range(count):
-        length = rng.randint(16, 2048)
-        kind = i % 3
-        if kind == 0:
-            block = bytes(rng.randrange(4) for _ in range(rng.randint(1, 12)))
-            codes = (block * length)[:length]
-        elif kind == 1:
-            letters = rng.randint(2, 4)
-            codes = bytes(rng.randrange(letters) for _ in range(length))
-        else:
-            start = rng.randrange(1 << 12)
-            codes = bytearray(grigorchuk_prefix(1 << 13).codes[start : start + length])
-            for _ in range(rng.randint(1, 4)):
-                codes[rng.randrange(length)] = rng.randrange(4)
-        yield SymbolicPrefix(codes), rng.randint(1, length // 4)
+# Partial and essential periods
 
 
 def smallest_partial_period_or_need(prefix, n):
@@ -1023,130 +983,72 @@ def smallest_partial_period_or_need(prefix, n):
         return None, exc.required_length
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_essential_periods_match_the_per_period_loop_on_random_words(seed):
-    rng = random.Random(1000 + seed)
-    for prefix, horizon in random_words(50, seed):
-        assert toeplitz.essential_periods(prefix, horizon) == essential_periods_by_period(prefix, horizon), (
-            prefix.text,
-            horizon,
-        )
-        for n in [1, len(prefix), *(rng.randint(1, len(prefix)) for _ in range(3))]:
-            assert smallest_partial_period_or_need(prefix, n) == smallest_partial_period_by_period(prefix, n), (
-                prefix.text,
-                n,
-            )
+@lru_cache(maxsize=None)
+def periods_by_period(letters, positions, horizons):
+    """The per-period oracles on the bytes ``letters``: at each 1-based position, and below each horizon."""
+    prefix = SymbolicPrefix(letters)
+    return ([smallest_partial_period_by_period(prefix, n) for n in positions],
+            [essential_periods_by_period(prefix, h) for h in horizons])
 
 
-SLICE = toeplitz._BLOCK  # positions of one slice
+def assert_periods_match(routes, positions, horizons):
+    """Both answers on each route, a window and the same letters with no start, equal the oracles'."""
+    want = periods_by_period(routes[-1].codes.tobytes(), tuple(positions), tuple(horizons))
+    for prefix in routes:
+        got = ([smallest_partial_period_or_need(prefix, n) for n in positions],
+               [toeplitz.essential_periods(prefix, h) for h in horizons])
+        assert got == want, (prefix, positions, horizons)
 
 
-def one_pass_cases():
-    """Prefixes and horizons whose slices of positions end short, or one position past a slice."""
-    # L - 3 * horizon scanned positions: 17000 and 62464 are part of one slice, 65542 a slice and 6
-    # positions more, searched on their own, and 2 SLICE + 1 leaves a last slice of one position
-    for length, horizon in [(20_000, 1000), ((1 << 16) + 3, 1025), (3 * SLICE + 7, 2 * SLICE // 3 + 1),
-                            (2 * SLICE + 1 + 3 * 700, 700)]:
-        yield pytest.param(grigorchuk_prefix(length), horizon, id=f"fixed_point_{length}_{horizon}")
-    # a horizon past a slice: the first slice's letters cover periods up to SLICE, so its last position,
-    # 2^16, finds its smallest period 2^17 only after the slice reads on
-    yield pytest.param(grigorchuk_prefix(1 << 19), 1 << 17, id="horizon_past_a_slice")
-    yield pytest.param(grigorchuk_prefix(40_011).shifted(11), 3000, id="shifted")
-    sub = SUBSTITUTIONS["period_doubling"]
-    yield pytest.param(substitution.fixed_point_prefix(sub, "a", 30_000), 2000, id="period_doubling")
-    rng = random.Random(20261018)
-    codes = bytes(rng.randrange(4) for _ in range(40_000))
-    yield pytest.param(SymbolicPrefix(codes), 5000, id="random_abcd")
-    # one b in a run of a's, heading the second slice: three positions of the first slice stay
-    # live after p = 1 and are searched on their own; the b has no partial period, so its
-    # windows of periods double to the horizon
-    horizon = SLICE + 100
-    run = bytearray(70_000 + 3 * horizon)
-    run[SLICE] = 1
-    yield pytest.param(SymbolicPrefix(run), horizon, id="one_b_in_a_run")
-    # the b last in the first slice: four positions stay live after p = 1, and the b, the last
-    # of them, has no partial period: its windows run on to the horizon, the last cut short there
-    horizon = 5000
-    run = bytearray(SLICE + 100 + 3 * horizon)
-    run[SLICE - 1] = 1
-    yield pytest.param(SymbolicPrefix(run), horizon, id="b_last_in_a_slice")
+def window_routes(start, length):
+    """The window of ``length`` letters at ``start``, and its letters in a prefix with no start."""
+    return FixedPointWindow(start, length), SymbolicPrefix(substitution.grigorchuk_codes(length, start))
 
 
-@pytest.mark.parametrize("prefix, horizon", one_pass_cases())
-def test_row_slices_match_the_one_pass_blocks(prefix, horizon):
-    assert toeplitz.essential_periods(prefix, horizon) == essential_periods_one_pass(prefix, horizon)
+@pytest.mark.parametrize("length", range(1, 65))
+def test_periods_match_the_per_period_loops_at_every_n_and_h(length):
+    # at the first and last shift below 2^10 and seeded ones between, every position and every horizon
+    rng = random.Random(20261044 + length)
+    for start in [0, (1 << 10) - 1, *rng.sample(range(1, (1 << 10) - 1), 30)]:
+        assert_periods_match(window_routes(start, length), range(1, length + 1), range(1, length // 4 + 1))
 
 
-def live_after(periods, p):
-    """The positions whose smallest partial period is not below p, in the per-period loop's ``periods``."""
-    return int(np.count_nonzero((periods == 0) | (periods >= p)))
+def test_periods_match_the_per_period_loops_at_shifts_up_to_2_to_the_60():
+    rng = random.Random(20261045)
+    for _ in range(40):
+        start, length = rng.randrange(1 << rng.randint(11, 60)), rng.randint(4, 2048)
+        positions = [1, length, *(rng.randint(1, length) for _ in range(3))]
+        horizons = [1, length // 4, rng.randint(1, length // 4)]
+        assert_periods_match(window_routes(start, length), positions, horizons)
 
 
-def per_slice_periods(prefix, horizon):
-    """(first, periods, EPSet) of each slice: the per-period loop on its positions and the 3 horizon letters after them."""
-    stop = len(prefix) - 3 * horizon
-    for first in range(0, stop, SLICE):
-        letters = SymbolicPrefix(prefix.codes[first : min(first + SLICE, stop) + 3 * horizon])
-        yield first, smallest_periods_by_period(letters, horizon), essential_periods_by_period(letters, horizon)
+def factor_mutations(count, seed):
+    """Windows of the fixed point with one letter changed that are still factors of it, as read letters."""
+    rng = random.Random(seed)
+    found = {}
+    while len(found) < count:
+        length = rng.choice((8, 16, 32, 64, 128))
+        codes = FixedPointWindow(rng.randrange(1 << 20), length).codes
+        i = rng.randrange(length)
+        for code in set(range(4)) - {codes[i]}:
+            letters = bytes(codes[:i]) + bytes((code,)) + bytes(codes[i + 1 :])
+            prefix = SymbolicPrefix(letters)
+            if prefix.left_extensions:
+                found[letters] = prefix
+    return list(found.values())[:count]
 
 
-def scan_of(prefix, horizon):
-    """What ``_smallest_periods`` yields over every position that essential_periods scans."""
-    return list(toeplitz._smallest_periods(prefix.codes, 0, len(prefix) - 3 * horizon, horizon))
+def test_periods_match_the_per_period_loops_on_one_letter_mutations_that_stay_factors():
+    for prefix in factor_mutations(30, seed=20261046):
+        length = len(prefix)
+        assert_periods_match((prefix,), range(1, length + 1), range(1, length // 4 + 1))
 
 
-def test_the_scan_leaves_the_bit_planes_partway_through_a_slice():
-    # random codes: two full slices and 500 positions more, searched on their own from p = 1
-    horizon = 400
-    rng = random.Random(20261021)
-    prefix = SymbolicPrefix(bytes(rng.randrange(4) for _ in range(2 * SLICE + 500 + 3 * horizon)))
-    expected = []
-    for first, periods, ep in per_slice_periods(prefix, horizon):
-        if len(periods) == SLICE:
-            # each full slice leaves the bit planes at the first p with at most _SPARSE live positions,
-            # and that p and the one before are some position's smallest partial period
-            switch = next(p for p in range(1, horizon + 1) if live_after(periods, p) <= toeplitz._SPARSE)
-            assert 1 < switch < horizon and {switch - 1, switch} <= set(ep.periods)
-        expected += [(p, first + ep.witnesses[p] - 1) for p in ep.periods]
-    assert scan_of(prefix, horizon) == expected
-
-
-def test_a_run_across_a_slice_boundary_yields_in_both_slices():
-    # a run of a's over the end of the first slice of the fixed point: period 1 on both sides of it
-    horizon = 400
-    codes = bytearray(grigorchuk_prefix(2 * SLICE + 3 * horizon).codes)
-    codes[SLICE - 40 : SLICE + 40] = bytes(80)
-    prefix = SymbolicPrefix(codes)
-    expected = [(p, first + ep.witnesses[p] - 1) for first, _, ep in per_slice_periods(prefix, horizon)
-                for p in ep.periods]
-    assert [n for p, n in expected if p == 1] == [SLICE - 40, SLICE]
-    assert scan_of(prefix, horizon) == expected
-
-
-def smallest_by_mask(codes, n):
-    """(p, None) for the least p of the four-term mask at position n that fits in the codes, else (None, the length
-    the next p needs)."""
-    last = (len(codes) - n) // 3
-    p = np.arange(1, last + 1)
-    ok = partial_period_mask(codes, n - 1, p)
-    return (int(p[ok][0]), None) if ok.any() else (None, n + 3 * (last + 1))
-
-
-@pytest.mark.parametrize("letters", [2, 3])
-def test_smallest_partial_period_matches_the_four_term_mask_on_random_codes(letters):
-    rng = random.Random(20261021 + letters)
-    length = 1 << 14
-    prefix = SymbolicPrefix(bytes(rng.randrange(letters) for _ in range(length)))
-    for n in [1, length, *rng.sample(range(1, length + 1), 300)]:
-        assert smallest_partial_period_or_need(prefix, n) == smallest_by_mask(prefix.codes, n), n
-    # a d at n, met again only at the last period that fits: the last of the last window
-    for last in (1, 2, 5, 64, 100, 1000):
-        n = length - 3 * last - rng.randrange(3)
-        codes = bytearray(prefix.codes)
-        for j in range(4):
-            codes[n - 1 + j * last] = 3
-        planted = SymbolicPrefix(codes)
-        assert smallest_partial_period_or_need(planted, n) == smallest_by_mask(planted.codes, n) == (last, None)
+def test_essential_periods_match_the_per_period_loop_on_the_fixed_point():
+    omega = grigorchuk_prefix(1 << 18)
+    want = essential_periods_by_period(omega, 1 << 13)
+    for prefix in (omega, SymbolicPrefix(omega.codes)):
+        assert toeplitz.essential_periods(prefix, 1 << 13) == want
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from odoshift import errors, language
 from odoshift.factormap import verify_equivariance
 from odoshift.language import class_measure, letter_sets, word_sets
 from odoshift.substitution import (
-    _PLANE_BLOCK,
     FixedPointWindow,
     SymbolicPrefix,
     decode_codes,
@@ -84,7 +83,7 @@ class TestCylinderFrequency:
         finally:
             tracemalloc.stop()
         assert count > 0
-        assert peak <= window + 2 * _PLANE_BLOCK + (64 << 10), peak
+        assert peak <= window + 2 * erg._PLANE_BLOCK + (64 << 10), peak
 
     def test_first_count_builds_the_bitsets_in_blocks(self):
         # the first count builds every letter's bitset from the codes: a '0'/'1'
@@ -101,7 +100,7 @@ class TestCylinderFrequency:
         finally:
             tracemalloc.stop()
         assert count > 0
-        assert peak <= window + 2 * _PLANE_BLOCK + (64 << 10), peak
+        assert peak <= window + 2 * erg._PLANE_BLOCK + (64 << 10), peak
 
 
     def test_a_count_on_the_fixed_point_builds_no_bitsets(self):

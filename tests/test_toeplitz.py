@@ -1,5 +1,5 @@
+import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from odoshift import errors
 from odoshift import toeplitz as tp
 from oracles import partial_period_mask, partial_period_refutation
 from odoshift.substitution import (
+    FixedPointWindow,
     dyadic_valuation,
     grigorchuk_prefix,
     parse_prefix,
@@ -20,6 +21,12 @@ OMEGA = grigorchuk_prefix(1 << 14)
 
 def word(text):
     return parse_prefix(text)
+
+
+# letters off the language: periodic, the four letters in a row, and seeded random codes
+_rng = random.Random(20261022)
+NON_FACTORS = ["ababab", "abcd", "a" * 64, "ab" * 32,
+               *("".join(_rng.choice("abcd") for _ in range(size)) for size in (16, 200, 4096))]
 
 
 def heuristic_essential_periods(prefix, horizon):
@@ -48,9 +55,9 @@ class TestPartialPeriod:
 
     def test_rigid_needs_three_multiples(self):
         with pytest.raises(errors.InsufficientDataError) as exc:
-            tp.smallest_partial_period(word("ababab"), 1)
+            tp.smallest_partial_period(word("acabac"), 1)
         assert exc.value.required_length == 7
-        assert tp.smallest_partial_period(word("abababa"), 1) == 2
+        assert tp.smallest_partial_period(word("acabaca"), 1) == 2
         # the third multiple refutes p = 2 here
         assert not partial_period_mask(word("abababb").codes, 0, 2)
         assert partial_period_refutation(word("abababb"), 1, 2) == 3
@@ -87,17 +94,27 @@ class TestSmallestPartialPeriod:
             assert tp.smallest_partial_period(OMEGA, n) == 1 << (dyadic_valuation(n) + 1)
 
     def test_insufficient_data(self):
-        with pytest.raises(errors.InsufficientDataError):
-            tp.smallest_partial_period(word("abcd"), 4)
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            tp.smallest_partial_period(word("acab"), 4)
+        assert exc.value.required_length == 7
+
+    @pytest.mark.parametrize("text", NON_FACTORS, ids=range(len(NON_FACTORS)))
+    def test_letters_off_the_language_are_not_in_the_subshift(self, text):
+        # the position is checked first, then the language
+        with pytest.raises(errors.InvalidInputError, match=f"^position 0 outside 1..{len(text)}$"):
+            tp.smallest_partial_period(word(text), 0)
+        for n in (1, len(text)):
+            with pytest.raises(errors.NotInSubshiftError,
+                               match=f"^the {len(text)} letters are not a factor of the fixed point$"):
+                tp.smallest_partial_period(word(text), n)
 
     @pytest.mark.parametrize("n", [0, -1, 5])
     def test_a_position_outside_the_prefix_is_invalid(self, n):
         with pytest.raises(errors.InvalidInputError, match=f"^position {n} outside 1..4$"):
             tp.smallest_partial_period(word("acab"), n)
 
-    def test_a_large_period_is_found_in_blocks(self):
-        # n = 2^17 has smallest period 2^18, which a scan one p at a time
-        # reached only after 2^18 Python calls
+    def test_a_large_period_is_a_closed_form(self):
+        # n = 2^17 has smallest period 2^18, which a search one p at a time reaches only after 2^18 tests
         prefix = grigorchuk_prefix(1 << 20)
         start = time.perf_counter()
         assert tp.smallest_partial_period(prefix, 1 << 17) == 1 << 18
@@ -119,13 +136,14 @@ class TestEssentialPeriods:
         for p, n in ep.witnesses.items():
             assert tp.smallest_partial_period(prefix, n) == p
 
-    def test_constant_sequence(self):
-        ep = tp.essential_periods(word("a" * 64), 4)
-        assert ep.periods == (1,)
-
-    def test_two_periodic_sequence(self):
-        ep = tp.essential_periods(word("ab" * 32), 8)
-        assert ep.periods == (2,)
+    @pytest.mark.parametrize("text", NON_FACTORS, ids=range(len(NON_FACTORS)))
+    def test_letters_off_the_language_are_not_in_the_subshift(self, text):
+        # the horizon and the length are checked first
+        with pytest.raises(errors.InsufficientDataError):
+            tp.essential_periods(word(text), len(text) // 4 + 1)
+        with pytest.raises(errors.NotInSubshiftError,
+                           match=f"^the {len(text)} letters are not a factor of the fixed point$"):
+            tp.essential_periods(word(text), max(1, len(text) // 4))
 
     def test_heuristic_agrees_on_fixed_point(self):
         prefix = grigorchuk_prefix(1 << 10)
@@ -133,19 +151,17 @@ class TestEssentialPeriods:
         loose = heuristic_essential_periods(prefix, 64)
         assert set(rigid.periods) <= set(loose)
 
-    @pytest.mark.parametrize("log2", [18, 20])
-    def test_the_scan_holds_one_slice_of_positions_at_a_time(self, log2):
-        # what the scan holds does not grow with the prefix: an index of every position would be 8 bytes each
-        prefix = grigorchuk_prefix(1 << log2)
-        prefix.codes
-        tracemalloc.start()
-        try:
-            ep = tp.essential_periods(prefix, 1 << 13)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ep.periods == tuple(1 << k for k in range(1, 14))
-        assert peak <= 1 << 20, f"essential_periods peaked at {peak} bytes"
+    def test_no_letter_is_made(self):
+        # both answers are closed forms of a window's start: 2^26 letters are never generated
+        window = FixedPointWindow(0, 1 << 26)
+        ep = tp.essential_periods(window, 1 << 24)
+        assert ep.periods == tuple(1 << k for k in range(1, 25))
+        assert ep.witnesses == {p: p >> 1 for p in ep.periods}
+        assert tp.smallest_partial_period(window, 1 << 23) == 1 << 24
+        with pytest.raises(errors.InsufficientDataError) as exc:
+            tp.smallest_partial_period(window, 1 << 24)  # its period 2^25 needs 7 * 2^24 letters
+        assert exc.value.required_length == (1 << 24) + 3 * (((1 << 26) - (1 << 24)) // 3 + 1)
+        assert window._codes is None
 
     @pytest.mark.parametrize("horizon", [0, -4])
     def test_a_horizon_below_one_is_invalid(self, horizon):

@@ -69,11 +69,7 @@ def test_every_size_is_read_by_a_check(monkeypatch):
     for i, field in enumerate(verification.Sizes._fields):
         monkeypatch.setattr(verification.Sizes, field,
                             property(lambda sizes, i=i, field=field: read.add(field) or tuple.__getitem__(sizes, i)))
-    verification._essential_periods.cache_clear()  # a cached scan would leave its sizes unread
-    try:
-        assert all(result.ok for result in verification.run_all("quick"))
-    finally:
-        verification._essential_periods.cache_clear()
+    assert all(result.ok for result in verification.run_all("quick"))
     assert read == set(verification.Sizes._fields)
 
 
@@ -148,7 +144,15 @@ def flipped_prefix(index):
     return prefix
 
 
-def test_the_varying_classes_see_a_letter_the_skeleton_scan_passes(monkeypatch):
+@pytest.fixture
+def untagged_cleared():
+    """``_untagged_prefix`` emptied before and after a test that changes the letters it keeps."""
+    verification._untagged_prefix.cache_clear()
+    yield
+    verification._untagged_prefix.cache_clear()
+
+
+def test_the_varying_classes_see_a_letter_the_skeleton_scan_passes(monkeypatch, untagged_cleared):
     # letter 3 * 2^K lies in the one varying class mod 2^k for every k <= K, so with the language test
     # off the levels and the encoding stand; mod 2^(K+1) it makes a second class vary
     K = QUICK.skeleton_depth
@@ -161,18 +165,31 @@ def test_the_varying_classes_see_a_letter_the_skeleton_scan_passes(monkeypatch):
                                                  " 0 and 0; varying classes 2^t - 1 mod 2^t for t<=K+1: False")
 
 
-def test_a_check_that_raises_fails_and_verify_gives_its_verdict(monkeypatch, capsys):
+PERIODS_DETAIL = ("found (2, 4, 8, 16, 32, 64)...(64, 128); witnesses 2^k at 2^(k-1) on the tag and the leaves: True;"
+                  " the four-term test at n = 2^(k-1) accepts 2^k and rejects 2^(k-1) at {} of 7 witnesses")
+
+
+def test_a_witness_letter_changed_fails_the_four_term_leg(monkeypatch):
+    # the d at the witness n = 8 of 16 read as c: off the language, so the leaves raise; with the language
+    # test off the closed forms stand, and only the letters read at n = 8 see it, where 16 is no longer accepted
+    result = verification.check_essential_periods(QUICK)
+    assert (result.ok, result.detail) == (True, PERIODS_DETAIL.format(7))
+    codes = bytearray(substitution.grigorchuk_codes(1 << QUICK.ep_prefix_log2))
+    codes[8 - 1] ^= 1
+    letters = substitution.SymbolicPrefix(bytes(codes))
+    monkeypatch.setattr(verification, "_untagged_prefix", lambda length: letters)
+    with pytest.raises(errors.NotInSubshiftError, match=f"^the {len(codes)} letters are not a factor"):
+        verification.check_essential_periods(QUICK)
+    monkeypatch.setattr(toeplitz, "require_factor", lambda prefix, length: 0)  # the fixed point's digits
+    result = verification.check_essential_periods(QUICK)
+    assert (result.ok, result.detail) == (False, PERIODS_DETAIL.format(6))
+
+
+def test_a_check_that_raises_fails_and_verify_gives_its_verdict(monkeypatch, capsys, untagged_cleared):
     from odoshift import cli
 
     monkeypatch.setattr(substitution, "grigorchuk_prefix", flipped_prefix(5))
-    caches = (verification._essential_periods, verification._untagged_prefix)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        code = cli.main(["verify", "--level", "quick"])
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    code = cli.main(["verify", "--level", "quick"])
     lines = capsys.readouterr().out.splitlines()
     assert code == cli.EXIT_VERIFICATION_FAILED
     assert len(lines) == len(ALL_CHECKS) + 1 and lines[-1] == "verdict: FAILED"
@@ -258,15 +275,6 @@ def test_cf_algebra_reads_each_leg_off_the_lcm(alter, lcm, legs, monkeypatch):
     assert (result.ok, result.detail) == (all(legs), f"lcm of the periods {lcm} == 2^7: {exact}; a power of two,"
                                           f" so a factor of the binary odometer: {factor}; divisors n <= 2^7 are"
                                           f" the powers of two: {agree}")
-
-
-def test_the_two_period_checks_share_one_scan(monkeypatch):
-    scans = []
-    essential_periods = toeplitz.essential_periods
-    monkeypatch.setattr(toeplitz, "essential_periods", lambda *args: scans.append(args[1]) or essential_periods(*args))
-    verification._essential_periods.cache_clear()
-    assert verification.check_essential_periods(QUICK).ok and verification.check_cf_algebra(QUICK).ok
-    assert scans == [1 << QUICK.ep_horizon_log2]
 
 
 def test_check_spectrum_fails_where_the_two_paths_differ(monkeypatch):
